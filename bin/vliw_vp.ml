@@ -115,9 +115,9 @@ let make_exec (opts : Vp_exec.Cli.opts) =
 
 (* The spec-unit stripe counters and the scenario-engine occupancy ride
    along in the telemetry JSON so a [--telemetry] run shows cache and
-   bitset-lane behaviour next to the job-graph stats. The sibling memos —
-   the experiment layer's comparison cache and the region-formation
-   cache — nest under the spec_unit section as extra fields. *)
+   bitset-lane behaviour next to the job-graph stats. The sibling
+   region-formation memo nests under the spec_unit section as an extra
+   field. *)
 let stats_json (s : Vliw_vp.Spec_unit.stats) =
   Printf.sprintf {|{"hits": %d, "misses": %d, "evictions": %d}|} s.hits
     s.misses s.evictions
@@ -129,10 +129,7 @@ let emit_telemetry opts exec =
         ( "spec_unit",
           Vliw_vp.Spec_unit.telemetry_json
             ~extra:
-              [
-                ("comparison", stats_json (Vliw_vp.Experiments.comparison_stats ()));
-                ("region_unit", stats_json (Vliw_vp.Region_unit.stats ()));
-              ]
+              [ ("region_unit", stats_json (Vliw_vp.Region_unit.stats ())) ]
             () );
         ("spec_eval", Vliw_vp.Pipeline.telemetry_json ());
         ("trace_sim", Vliw_vp.Trace_sim.telemetry_json ());
@@ -266,7 +263,9 @@ let table_cmd name ~doc render =
         (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ csv_t
        $ exec_opts_t))
 
-let table4_cmd =
+(* A command that renders one experiment's own rows (not [run_all]'s
+   summaries). *)
+let experiment_cmd name ~doc experiment render =
   let run width seed threshold names csv exec_opts =
     match models_of_names names with
     | Error (`Msg m) -> `Error (false, m)
@@ -274,18 +273,28 @@ let table4_cmd =
         let config = config ~width ~seed ~threshold in
         let format = if csv then `Csv else `Ascii in
         let exec = make_exec exec_opts in
-        print_string
-          (Vliw_vp.Experiments.render_table4 ~format
-             (Vliw_vp.Experiments.table4 ~config ~exec models));
+        print_string (render ~format (experiment ~config ~exec models));
         emit_telemetry exec_opts exec;
         `Ok ()
   in
-  Cmd.v
-    (Cmd.info "table4" ~doc:"Reproduce Table 4 (issue width 4 vs 8)")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
       ret
         (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ csv_t
        $ exec_opts_t))
+
+let table4_cmd =
+  experiment_cmd "table4" ~doc:"Reproduce Table 4 (issue width 4 vs 8)"
+    (fun ~config ~exec models ->
+      Vliw_vp.Experiments.table4 ~config ~exec models)
+    (fun ~format rows -> Vliw_vp.Experiments.render_table4 ~format rows)
+
+let compare_cmd =
+  experiment_cmd "compare"
+    ~doc:"Compare against the static-recovery scheme of [4]"
+    (fun ~config ~exec models ->
+      Vliw_vp.Experiments.comparison ~config ~exec models)
+    (fun ~format rows -> Vliw_vp.Experiments.render_comparison ~format rows)
 
 let regions_cmd =
   let f ~config ~exec ~models =
@@ -547,16 +556,17 @@ let simulate_cmd =
             (Vp_ir.Program.blocks program)
         in
         let rng = Vp_util.Rng.create seed in
-        let weights =
-          Array.map
-            (fun ((wb : Vp_ir.Program.weighted_block), _, _, _) ->
-              float_of_int (max 1 wb.count))
-            compiled
+        let blocks =
+          Vp_util.Rng.sampler
+            (Array.map
+               (fun ((wb : Vp_ir.Program.weighted_block), _, _, _) ->
+                 float_of_int (max 1 wb.count))
+               compiled)
         in
         let baseline = ref 0 in
         let items =
           List.init length (fun _ ->
-              let bi = Vp_util.Rng.weighted_index rng weights in
+              let bi = Vp_util.Rng.sample rng blocks in
               let _, reference, schedule, spec = compiled.(bi) in
               baseline := !baseline + Vp_sched.Schedule.length schedule;
               match spec with
@@ -624,12 +634,13 @@ let all_cmd =
   let f ~config ~exec ~models =
     (* Declare every experiment on one graph before the first await: jobs
        from different tables interleave barrier-free, and [table4]'s
-       narrow-width points dedup onto [run_all]'s benchmark jobs while
-       they are still in flight. *)
+       narrow-width points and the comparison leaves dedup onto
+       [run_all]'s benchmark jobs while they are still in flight. *)
     let module S = Vliw_vp.Experiments.Suite in
     let g = Vp_exec.Graph.create exec in
     let summaries_n = S.run_all g ~config models in
     let table4_n = S.table4 g ~config models in
+    let comparison_n = S.comparison g ~config models in
     let regions_n = S.regions g ~config models in
     let overlap_n = S.overlap_validation g ~config models in
     let await n = Vp_exec.Graph.await g n in
@@ -642,7 +653,7 @@ let all_cmd =
     print_newline ();
     print_string (Vliw_vp.Experiments.render_figure8 summaries);
     print_newline ();
-    print_string (Vliw_vp.Experiments.render_comparison summaries);
+    print_string (Vliw_vp.Experiments.render_comparison (await comparison_n));
     print_newline ();
     print_string (Vliw_vp.Experiments.render_regions (await regions_n));
     print_newline ();
@@ -876,9 +887,7 @@ let main_cmd =
         (fun ~format s ->
           ignore format;
           Vliw_vp.Experiments.render_figure8 s);
-      table_cmd "compare"
-        ~doc:"Compare against the static-recovery scheme of [4]"
-        (fun ~format s -> Vliw_vp.Experiments.render_comparison ~format s);
+      compare_cmd;
       regions_cmd;
       hyperblocks_cmd;
       frontier_cmd;

@@ -27,7 +27,12 @@ let () =
     ]
   in
   let summaries = Vliw_vp.Experiments.run_all ~config models in
-  print_string (Vliw_vp.Experiments.render_comparison summaries);
+  print_string
+    (Vliw_vp.Experiments.render_comparison
+       (List.map
+          (fun s ->
+            (Vliw_vp.Experiments.name s, Vliw_vp.Experiments.comparison_of s))
+          summaries));
   print_newline ();
 
   (* CCB sizing: the high-water occupancy across every simulated scenario

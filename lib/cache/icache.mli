@@ -20,11 +20,13 @@ type stats = { accesses : int; hits : int; misses : int }
 
 val create : ?line_bytes:int -> ?ways:int -> size_bytes:int -> unit -> t
 (** Defaults: 32-byte lines, 2-way. [size_bytes] must be divisible by
-    [line_bytes * ways], and lines/ways must be powers of two. *)
+    [line_bytes * ways]; [line_bytes] and the resulting number of sets
+    must be powers of two. *)
 
 val access : t -> int -> [ `Hit | `Miss ]
 (** Look up the line containing the byte address, updating LRU state and
-    filling on a miss. *)
+    filling on a miss. The victim is the set's first invalid way, else its
+    least recently used one (the first on ties). Allocates nothing. *)
 
 val access_range : t -> addr:int -> bytes:int -> int
 (** Touch every line overlapped by [\[addr, addr+bytes)]; returns the number

@@ -13,7 +13,6 @@ type benchmark_summary = {
   fractions : Vp_metrics.Summary.time_fractions;
   ratios : Vp_metrics.Summary.length_ratios;
   fig8 : Vp_util.Histogram.t;
-  comparison : comparison;
   mean_rate : float;
   speculated_blocks : int;
   total_blocks : int;
@@ -28,11 +27,12 @@ let build_trace (p : Pipeline.t) =
   let config = p.config in
   let rng = Vp_util.Rng.create config.seed in
   let rng = Vp_util.Rng.split_named rng "cache-trace" in
-  let weights =
-    Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks
+  let blocks =
+    Vp_util.Rng.sampler
+      (Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks)
   in
   Array.init config.trace_length (fun _ ->
-      let b = Vp_util.Rng.weighted_index rng weights in
+      let b = Vp_util.Rng.sample rng blocks in
       let outcomes =
         match p.blocks.(b).spec with
         | Some spec -> Vp_engine.Scenario.sample rng ~rates:spec.rates
@@ -40,7 +40,10 @@ let build_trace (p : Pipeline.t) =
       in
       (b, outcomes))
 
-let cache_comparison_fresh (p : Pipeline.t) =
+(* The icache cost of static recovery: extra miss cycles per block
+   execution when compensation blocks share instruction memory, and the
+   code growth they cause. *)
+let cache_comparison (p : Pipeline.t) =
   let config = p.config in
   (* Exact encoded sizes (the Figure-4 formats); the original schedules of
      unspeculated blocks encode with empty wait masks. *)
@@ -102,128 +105,8 @@ let cache_comparison_fresh (p : Pipeline.t) =
   in
   (extra_per_exec, Vp_baseline.Layout.code_growth layout_recovery)
 
-(* The cache comparison is the most expensive reduction of [summarize] —
-   two full icache simulations over a [trace_length] trace — and a pure
-   function of (program, workload, config): [p.blocks] and the trace
-   derive deterministically from those. [Workload.generate] is memoized,
-   so every sweep point over one benchmark holds the same physical
-   program/workload; memoizing on that physical pair plus the structural
-   config makes warm repeats (bench reruns, table4-vs-run_all width
-   shares, threshold points that change nothing) skip both simulations.
-   Fresh programs (regions, hyperblocks) miss and fall through. *)
-module Prog_tbl = Hashtbl.Make (struct
-  type t = Vp_ir.Program.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type comparison_entry = {
-  cc_config : Config.t;
-  cc_workload : Vp_workload.Workload.t;
-  cc_result : float * float;
-}
-
-let comparison_tbl : comparison_entry list ref Prog_tbl.t = Prog_tbl.create 64
-
-(* Secondary index for region programs: keyed by the formation digest
-   [Region_unit.digest_of] records, and sharing the {e same} entry-list
-   refs as [comparison_tbl] — a program restored from the store (same
-   content, different physical identity) finds the entries its physically
-   distinct twin populated. Basic-block programs have no digest and only
-   live in the physical table. *)
-let comparison_by_digest : (string, comparison_entry list ref) Hashtbl.t =
-  Hashtbl.create 16
-
-let comparison_mutex = Mutex.create ()
-let comparison_cap = 512
-let comparison_entries_cap = 64
-let comparison_hits = Atomic.make 0
-let comparison_misses = Atomic.make 0
-let comparison_evictions = Atomic.make 0
-
-let comparison_stats () : Spec_unit.stats =
-  {
-    hits = Atomic.get comparison_hits;
-    misses = Atomic.get comparison_misses;
-    evictions = Atomic.get comparison_evictions;
-  }
-
-let comparison_clear () =
-  Mutex.protect comparison_mutex (fun () ->
-      Prog_tbl.reset comparison_tbl;
-      Hashtbl.reset comparison_by_digest;
-      Atomic.set comparison_hits 0;
-      Atomic.set comparison_misses 0;
-      Atomic.set comparison_evictions 0)
-
-let config_equal = Config.structural_equal
-
-let cache_comparison (p : Pipeline.t) =
-  if not (Spec_unit.enabled ()) then cache_comparison_fresh p
-  else
-    let digest = Region_unit.digest_of p.program in
-    let entries_opt () =
-      match Prog_tbl.find_opt comparison_tbl p.program with
-      | Some entries -> Some entries
-      | None ->
-          Option.bind digest (fun d ->
-              Hashtbl.find_opt comparison_by_digest d)
-    in
-    let find () =
-      Option.bind (entries_opt ()) (fun entries ->
-          List.find_opt
-            (fun e ->
-              e.cc_workload == p.workload && config_equal e.cc_config p.config)
-            !entries)
-    in
-    match Mutex.protect comparison_mutex find with
-    | Some e ->
-        Atomic.incr comparison_hits;
-        e.cc_result
-    | None ->
-        let result = cache_comparison_fresh p in
-        Atomic.incr comparison_misses;
-        Mutex.protect comparison_mutex (fun () ->
-            if Prog_tbl.length comparison_tbl >= comparison_cap then begin
-              let dropped =
-                Prog_tbl.fold
-                  (fun _ entries acc -> acc + List.length !entries)
-                  comparison_tbl 0
-              in
-              ignore (Atomic.fetch_and_add comparison_evictions dropped);
-              Prog_tbl.reset comparison_tbl;
-              Hashtbl.reset comparison_by_digest
-            end;
-            let entries =
-              match entries_opt () with
-              | Some entries -> entries
-              | None ->
-                  let entries = ref [] in
-                  Prog_tbl.add comparison_tbl p.program entries;
-                  entries
-            in
-            (* keep the physical and digest views bound to one list ref *)
-            if not (Prog_tbl.mem comparison_tbl p.program) then
-              Prog_tbl.add comparison_tbl p.program entries;
-            Option.iter
-              (fun d ->
-                if not (Hashtbl.mem comparison_by_digest d) then
-                  Hashtbl.add comparison_by_digest d entries)
-              digest;
-            entries :=
-              { cc_config = p.config; cc_workload = p.workload; cc_result = result }
-              :: (if List.length !entries >= comparison_entries_cap then begin
-                    Atomic.incr comparison_evictions;
-                    List.filteri
-                      (fun i _ -> i < comparison_entries_cap - 1)
-                      !entries
-                  end
-                  else !entries));
-        result
-
-let summarize (p : Pipeline.t) =
-  let stats = Pipeline.stats p in
+let comparison_of (s : benchmark_summary) =
+  let p = s.pipeline in
   let total_executions =
     Array.fold_left (fun acc (b : Pipeline.block_eval) -> acc + b.count) 0
       p.blocks
@@ -234,7 +117,7 @@ let summarize (p : Pipeline.t) =
         acc +. (float_of_int b.count *. f b))
       0.0 p.blocks
   in
-  let ours_total = Vp_metrics.Summary.total_time stats in
+  let ours_total = Vp_metrics.Summary.total_time s.stats in
   let ours_stalls = sum Pipeline.expected_stall_cycles in
   let recovery_comp = sum Pipeline.expected_recovery_compensation in
   let cache_extra_per_exec, code_growth = cache_comparison p in
@@ -260,24 +143,24 @@ let summarize (p : Pipeline.t) =
         | None -> (o, u, r))
       (0.0, 0.0, 0.0) p.blocks
   in
-  let comparison =
-    {
-      ours_comp_share = Vp_util.Stats.ratio ours_stalls ours_total;
-      recovery_comp_share =
-        Vp_util.Stats.ratio (recovery_comp +. cache_extra) recovery_total;
-      ours_spec_ratio = Vp_util.Stats.ratio spec_ours spec_orig;
-      recovery_spec_ratio = Vp_util.Stats.ratio spec_recovery spec_orig;
-      cache_extra_share = Vp_util.Stats.ratio cache_extra recovery_total;
-      code_growth;
-    }
-  in
+  {
+    ours_comp_share = Vp_util.Stats.ratio ours_stalls ours_total;
+    recovery_comp_share =
+      Vp_util.Stats.ratio (recovery_comp +. cache_extra) recovery_total;
+    ours_spec_ratio = Vp_util.Stats.ratio spec_ours spec_orig;
+    recovery_spec_ratio = Vp_util.Stats.ratio spec_recovery spec_orig;
+    cache_extra_share = Vp_util.Stats.ratio cache_extra recovery_total;
+    code_growth;
+  }
+
+let summarize (p : Pipeline.t) =
+  let stats = Pipeline.stats p in
   {
     pipeline = p;
     stats;
     fractions = Vp_metrics.Summary.table2 stats;
     ratios = Vp_metrics.Summary.table3 stats;
     fig8 = Vp_metrics.Summary.figure8 stats;
-    comparison;
     mean_rate = Vp_profile.Value_profile.mean_rate p.profile;
     speculated_blocks =
       Array.fold_left
@@ -534,7 +417,42 @@ let render_figure8 summaries =
   Buffer.add_string buf (Format.asprintf "%a" Vp_util.Histogram.pp pooled);
   Buffer.contents buf
 
-let render_comparison ?format summaries =
+(* --- Comparison with static recovery --- *)
+
+(* The comparison of one benchmark at one configuration: a store-cached
+   leaf over the benchmark's summary node, which dedups onto [run_all]'s
+   when both sit on one graph. Only the artifacts that print the
+   comparison declare it, so no other summary pays for its trace and two
+   icache walks. The comparison is a pure function of the summary, so its
+   key is derived from the summary's — a short digest instead of a second
+   marshalled model, which keeps re-declaring it (every warm serve
+   request does) cheap. *)
+let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
+  let bench = bench_node g ~group ~config model in
+  G.node g
+    ~label:("comparison:" ^ model.Vp_workload.Spec_model.name)
+    ~group
+    ~key:(Digest.to_hex (Digest.string ("comparison:" ^ G.key bench)))
+    ~deps:[ G.pack bench ]
+    (fun _ctx -> comparison_of (G.value bench))
+
+let suite_comparison g ~config models =
+  let leaves =
+    List.map
+      (fun (model : Vp_workload.Spec_model.t) ->
+        ( model.Vp_workload.Spec_model.name,
+          comparison_node g ~group:"comparison" ~config model ))
+      models
+  in
+  reduce g ~kind:"comparison" ~config ~payload:models (List.map snd leaves)
+    (fun () -> List.map (fun (name, n) -> (name, G.value n)) leaves)
+
+let comparison ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
+    models =
+  run_graph exec (fun g -> suite_comparison g ~config models)
+
+let render_comparison ?format rows =
+
   let table =
     Vp_util.Table.create
       ~title:
@@ -551,11 +469,10 @@ let render_comparison ?format summaries =
       ]
   in
   List.iter
-    (fun s ->
-      let c = s.comparison in
+    (fun (bench, c) ->
       Vp_util.Table.add_row table
         [
-          name s;
+          bench;
           Vp_util.Table.cell_pct c.ours_comp_share;
           Vp_util.Table.cell_pct c.recovery_comp_share;
           cell c.ours_spec_ratio;
@@ -563,7 +480,7 @@ let render_comparison ?format summaries =
           Vp_util.Table.cell_pct c.cache_extra_share;
           Vp_util.Table.cell_pct c.code_growth;
         ])
-    summaries;
+    rows;
   emit ?format table
 
 (* --- Extensions --- *)
@@ -611,10 +528,9 @@ let region_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
   let sb_program, traces =
     Region_unit.superblock ?store ~seed:config.seed workload cfg params
   in
-  let base =
-    Pipeline.run_program ~config workload
-      (Vp_workload.Workload.program workload)
-  in
+  (* [Pipeline.run] passes the memoized profile, so the whole-run memo
+     returns the base run [run_all] already finished. *)
+  let base = Pipeline.run ~config model in
   let region = Pipeline.run_program ~config:region_config workload sb_program in
   let stats p = Pipeline.stats p in
   let multi =
@@ -831,15 +747,16 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
   let p = Pipeline.run ~config model in
   let rng = Vp_util.Rng.create config.Config.seed in
   let rng = Vp_util.Rng.split_named rng "overlap" in
-  let weights =
-    Array.map
-      (fun (b : Pipeline.block_eval) -> float_of_int b.count)
-      p.blocks
+  let blocks =
+    Vp_util.Rng.sampler
+      (Array.map
+         (fun (b : Pipeline.block_eval) -> float_of_int b.count)
+         p.blocks)
   in
   let descr = Config.machine config in
   let items_with_bounds =
     List.init executions (fun _ ->
-        let bi = Vp_util.Rng.weighted_index rng weights in
+        let bi = Vp_util.Rng.sample rng blocks in
         let b = p.blocks.(bi) in
         let reference = Pipeline.reference_of_block p bi in
         match b.spec with
@@ -974,10 +891,7 @@ let hyperblock_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
   in
   let cfg = Vp_workload.Cfg.derive ~seed:config.seed workload in
   let hb_program, formed = Region_unit.hyperblock ?store workload cfg params in
-  let base =
-    Pipeline.run_program ~config workload
-      (Vp_workload.Workload.program workload)
-  in
+  let base = Pipeline.run ~config model in
   let hyper = Pipeline.run_program ~config workload hb_program in
   {
     hyper_bench = model.Vp_workload.Spec_model.name;
@@ -1116,21 +1030,18 @@ let render_stability ?format rows =
 
 let suite_recovery_sensitivity g ~config ?(penalties = [ 0; 1; 2; 4; 8 ])
     model =
+  (* One comparison node per penalty: the point at the configured penalty
+     dedups onto the comparison table's leaf when both share a graph. *)
   let leaves =
     List.map
       (fun branch_penalty ->
-        let config = { config with Config.branch_penalty } in
-        G.node g
-          ~label:(Printf.sprintf "recovery:penalty%d" branch_penalty)
-          ~group:"recovery"
-          ~key:(job_key ~kind:"recovery" ~config model)
-          (fun _ctx ->
-            let s = run_benchmark ~config model in
-            (branch_penalty, s.comparison)))
+        comparison_node g ~group:"recovery"
+          ~config:{ config with Config.branch_penalty }
+          model)
       penalties
   in
   reduce g ~kind:"recovery" ~config ~payload:(model, penalties) leaves
-    (fun () -> List.map G.value leaves)
+    (fun () -> List.map2 (fun p n -> (p, G.value n)) penalties leaves)
 
 let recovery_sensitivity ?(config = Config.default)
     ?(exec = Vp_exec.Context.sequential) ?penalties model =
@@ -1358,6 +1269,7 @@ let render_ablation ?format ~title points =
 module Suite = struct
   let run_all = suite_run_all
   let table4 = suite_table4
+  let comparison = suite_comparison
   let regions = suite_regions
   let regions_frontier = suite_regions_frontier
   let overlap_validation = suite_overlap_validation

@@ -1,9 +1,10 @@
 (** One entry point per paper artifact (see DESIGN.md's experiment index).
 
     [run_benchmark] executes the full pipeline for one benchmark and
-    reduces it to everything Tables 2–4, Figure 8 and the recovery-scheme
-    comparison need; the [render_*] functions lay the results out in the
-    paper's table formats. *)
+    reduces it to everything Tables 2–4 and Figure 8 need; {!comparison_of}
+    adds the recovery-scheme comparison on top, for the artifacts that
+    print it. The [render_*] functions lay the results out in the paper's
+    table formats. *)
 
 (** The Section 3 comparison of the dual-engine scheme against the
     static-recovery scheme of paper-reference [4]. *)
@@ -34,7 +35,6 @@ type benchmark_summary = {
   fractions : Vp_metrics.Summary.time_fractions;  (** Table 2 row *)
   ratios : Vp_metrics.Summary.length_ratios;  (** Table 3 row *)
   fig8 : Vp_util.Histogram.t;  (** Figure 8 contribution *)
-  comparison : comparison;
   mean_rate : float;  (** mean profiled prediction rate *)
   speculated_blocks : int;
   total_blocks : int;
@@ -47,19 +47,12 @@ val summarize : Pipeline.t -> benchmark_summary
 val run_benchmark :
   ?config:Config.t -> Vp_workload.Spec_model.t -> benchmark_summary
 
-val comparison_stats : unit -> Spec_unit.stats
-(** Counters of the cache-comparison memo (the program-keyed cache that
-    lets {!summarize} skip its two icache simulations on warm repeats):
-    [hits]/[misses] lookups, [evictions] entries dropped by either cap —
-    per-program entry trimming, or a full reset of the program table.
-    Region programs participate through their formation digest, so a
-    program restored from the store hits the entries its physically
-    distinct twin populated. Front ends nest this under the [spec_unit]
-    telemetry section. *)
-
-val comparison_clear : unit -> unit
-(** Drop every comparison-memo entry and zero {!comparison_stats} (tests,
-    benchmarks). *)
+val comparison_of : benchmark_summary -> comparison
+(** The Section 3 comparison for one summarized benchmark. Its cache
+    component replays a [trace_length]-long dynamic trace through two
+    icache layouts, so only the artifacts that print the comparison
+    compute it — through {!comparison} or {!Suite.comparison}, which the
+    graph dedups in flight and the store caches across runs. *)
 
 val run_all :
   ?config:Config.t ->
@@ -111,8 +104,16 @@ val render_table4 : ?format:[ `Ascii | `Csv ] -> table4_row list -> string
 val render_figure8 : benchmark_summary list -> string
 (** Per-benchmark and pooled distribution of schedule-length change. *)
 
+val comparison :
+  ?config:Config.t ->
+  ?exec:Vp_exec.Context.t ->
+  Vp_workload.Spec_model.t list ->
+  (string * comparison) list
+(** One [(benchmark name, comparison)] row per model: a {!comparison_of}
+    leaf per benchmark over that benchmark's {!run_all} job. *)
+
 val render_comparison :
-  ?format:[ `Ascii | `Csv ] -> benchmark_summary list -> string
+  ?format:[ `Ascii | `Csv ] -> (string * comparison) list -> string
 (** The static-recovery comparison table. *)
 
 (** {1 Extensions beyond the paper's evaluation} *)
@@ -265,7 +266,9 @@ val recovery_sensitivity :
   ?penalties:int list ->
   Vp_workload.Spec_model.t ->
   (int * comparison) list
-(** The static-recovery comparison re-run across branch penalties. Penalty
+(** The static-recovery comparison re-run across branch penalties, one
+    {!comparison} leaf per penalty (the configured penalty's point is the
+    comparison table's own leaf). Penalty
     0 approximates the idealized model the paper attributes to [4] ("the
     effects of branch penalties and cache misses are ignored in [4]") —
     even there the dual-engine scheme keeps its lead, because recovery is
@@ -344,6 +347,12 @@ module Suite : sig
     config:Config.t ->
     Vp_workload.Spec_model.t list ->
     benchmark_summary list Vp_exec.Graph.node
+
+  val comparison :
+    Vp_exec.Graph.t ->
+    config:Config.t ->
+    Vp_workload.Spec_model.t list ->
+    (string * comparison) list Vp_exec.Graph.node
 
   val table4 :
     Vp_exec.Graph.t ->

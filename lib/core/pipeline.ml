@@ -101,12 +101,13 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
 
 (* Scenario batches default to the bit-parallel lane engine; the scalar
    scenario tree stays reachable for A/B and CI coverage through the
-   [VP_NO_BITSET] escape hatch (any non-empty value other than "0"). *)
+   [VP_NO_BITSET] escape hatch (any non-empty value other than "0"). Read
+   once at module initialisation: a [lazy] forced by two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
 let bitset_enabled =
-  lazy
-    (match Sys.getenv_opt "VP_NO_BITSET" with
-    | Some v when v <> "" && v <> "0" -> false
-    | _ -> true)
+  match Sys.getenv_opt "VP_NO_BITSET" with
+  | Some v when v <> "" && v <> "0" -> false
+  | _ -> true
 
 (* One lane arena per worker domain, reused across batch jobs — the lane
    slabs are Bigarray-backed and sized to the largest block the domain has
@@ -129,7 +130,7 @@ let telemetry_json () =
     "{\"bitset_enabled\": %b, \"bitset_words\": %d, \"bitset_vectors\": %d, \
      \"vectors_per_word\": %.2f, \"scalar_fallbacks\": %d, \
      \"run_memo_hits\": %d, \"run_memo_misses\": %d}"
-    (Lazy.force bitset_enabled)
+    bitset_enabled
     s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
     s.Vp_engine.Compiled.fallbacks (Atomic.get run_memo_hits)
     (Atomic.get run_memo_misses)
@@ -160,7 +161,7 @@ let simulate_batch config prep =
       |]
   in
   let all =
-    if Lazy.force bitset_enabled then
+    if bitset_enabled then
       Vp_engine.Compiled.run_bitset compiled (Domain.DLS.get lanes_key)
         ~vectors
     else

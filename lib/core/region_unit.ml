@@ -62,9 +62,8 @@ let stats () =
    physically (formation memoization makes every holder of one key share
    one physical program, and programs restored from the store register on
    the way out). The registry is what lets downstream caches — spec-unit
-   idents, the comparison memo's content path, experiment job keys — refer
-   to a region program by a few dozen key bytes instead of marshalling the
-   whole IR. *)
+   idents, experiment job keys — refer to a region program by a few dozen
+   key bytes instead of marshalling the whole IR. *)
 module Prog_tbl = Hashtbl.Make (struct
   type t = Vp_ir.Program.t
 

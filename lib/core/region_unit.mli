@@ -13,9 +13,8 @@
     + {b physical sharing}: every in-process call with one key returns the
       {e same physical} [Vp_ir.Program.t] (racing domains converge on the
       first insert). That is what makes the downstream physically-keyed
-      caches — [Spec_unit.compiled], the pipeline memo, the comparison
-      memo — hit across sweep points and warm reruns without any further
-      plumbing;
+      caches — [Spec_unit.compiled], the pipeline memo — hit across sweep
+      points and warm reruns without any further plumbing;
     + {b a stable content digest}: the formation key is recorded in a
       physically-keyed registry, so a formed program can be identified by
       a few dozen digest bytes ({!digest_of}) instead of its marshalled

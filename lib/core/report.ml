@@ -40,14 +40,16 @@ let generate ?(config = Config.default)
   (* Declare every experiment on one graph before the first await: the
      scheduler runs the union barrier-free (a slow benchmark in one table
      no longer gates another table's jobs), and jobs that several tables
-     share — [run_all]'s summaries and [table4]'s narrow-width points —
-     are deduplicated while in flight. Awaits then happen in render
+     share — [run_all]'s summaries, [table4]'s narrow-width points, and
+     the comparison leaf at the configured branch penalty — are
+     deduplicated while in flight. Awaits then happen in render
      order; results are per-key deterministic, so the document is
      byte-identical to the old one-experiment-at-a-time code. *)
   let module S = Experiments.Suite in
   let g = Vp_exec.Graph.create exec in
   let summaries_n = S.run_all g ~config models in
   let table4_n = S.table4 g ~config models in
+  let comparison_n = S.comparison g ~config models in
   let extensions =
     if not include_extensions then None
     else
@@ -83,7 +85,7 @@ let generate ?(config = Config.default)
   heading buf 2 "Figure 8 — schedule-length change distribution";
   fence buf (Experiments.render_figure8 summaries);
   heading buf 2 "Comparison with the static-recovery scheme";
-  fence buf (Experiments.render_comparison summaries);
+  fence buf (Experiments.render_comparison (await comparison_n));
   heading buf 2 "Worked example (Figures 2/3)";
   fence buf (Format.asprintf "%a" Example.describe ());
 

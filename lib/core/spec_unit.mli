@@ -74,9 +74,8 @@ val telemetry_json : ?extra:(string * string) list -> unit -> string
     "misses": ..}, ...]}] — the [spec_unit] section front ends attach to
     the [--telemetry] summary via [Vp_exec.Cli.emit_telemetry ~extra].
     [extra] appends [(name, json)] pairs as further fields of the object —
-    the front ends use it to nest the sibling memo counters (the
-    experiment layer's comparison memo, the region-formation memo) under
-    the same section. *)
+    the front ends use it to nest the sibling region-formation memo's
+    counters under the same section. *)
 
 val clear : unit -> unit
 (** Drop every in-memory entry and zero {!stats} (tests, benchmarks). *)

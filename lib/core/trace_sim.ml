@@ -27,12 +27,13 @@ let pc_of ~block ~op =
 (* The phased fast lane is the default; the scalar loop stays reachable as
    the oracle for A/B and CI coverage through the [VP_NO_TRACE_FAST]
    escape hatch (any non-empty value other than "0"), mirroring
-   [VP_NO_BITSET]. Both lanes produce byte-identical results. *)
+   [VP_NO_BITSET]. Both lanes produce byte-identical results. Read once
+   at module initialisation, like [VP_NO_BITSET]: a [lazy] forced by two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
 let fast_enabled =
-  lazy
-    (match Sys.getenv_opt "VP_NO_TRACE_FAST" with
-    | Some v when v <> "" && v <> "0" -> false
-    | _ -> true)
+  match Sys.getenv_opt "VP_NO_TRACE_FAST" with
+  | Some v when v <> "" && v <> "0" -> false
+  | _ -> true
 
 (* --- Telemetry --- *)
 
@@ -71,7 +72,7 @@ let telemetry_json () =
   Printf.sprintf
     "{\"fast_enabled\": %b, \"fast_runs\": %d, \"scalar_runs\": %d, \
      \"memo_hits\": %d, \"engine_replays\": %d, \"alias_evictions\": %d}"
-    (Lazy.force fast_enabled) s.fast_runs s.scalar_runs s.memo_hits
+    fast_enabled s.fast_runs s.scalar_runs s.memo_hits
     s.engine_replays s.alias_evictions
 
 (* --- Bounded outcome-mask memo ---
@@ -287,8 +288,9 @@ let trace_rng (config : Config.t) =
   let rng = Vp_util.Rng.create config.Config.seed in
   Vp_util.Rng.split_named rng "hardware-trace"
 
-let block_weights (p : Pipeline.t) =
-  Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks
+let block_sampler (p : Pipeline.t) =
+  Vp_util.Rng.sampler
+    (Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks)
 
 (* --- Scalar lane: the oracle ---
 
@@ -307,7 +309,7 @@ type cursor = { mutable buf : int array; mutable pos : int }
 let run_scalar ~executions ~table ss (p : Pipeline.t) =
   let config = p.config in
   let rng = trace_rng config in
-  let weights = block_weights p in
+  let blocks = block_sampler p in
   (* Each predicted load replays its stream across its block's executions,
      exactly as profiling saw it, by walking the stream's arena. Loads
      whose prediction was not selected used to draw and discard values;
@@ -336,7 +338,7 @@ let run_scalar ~executions ~table ss (p : Pipeline.t) =
   let memo_hits = ref 0 in
   let engine_replays = ref 0 in
   for _ = 1 to executions do
-    let bi = Vp_util.Rng.weighted_index rng weights in
+    let bi = Vp_util.Rng.sample rng blocks in
     let b = p.blocks.(bi) in
     original_cycles := !original_cycles + b.Pipeline.original_cycles;
     match b.Pipeline.spec with
@@ -386,7 +388,7 @@ let run_scalar ~executions ~table ss (p : Pipeline.t) =
    Soundness rests on three facts, argued in DESIGN.md § "Trace-sim
    phases":
    - the block schedule is a pure function of (seed, block weights) — the
-     trace RNG's only consumer is [weighted_index], so the whole schedule
+     trace RNG's only consumer is the block sampler, so the whole schedule
      can be drawn up front (phase 0);
    - each predicted load's value stream is private to that load, so
      occurrence [k] of a load always reads position [k] of its arena,
@@ -402,14 +404,14 @@ let run_scalar ~executions ~table ss (p : Pipeline.t) =
 let run_fast ~executions ~table ss (p : Pipeline.t) =
   let config = p.config in
   let rng = trace_rng config in
-  let weights = block_weights p in
+  let blocks = block_sampler p in
   let nblocks = Array.length p.blocks in
   (* Phase 0: pre-draw the schedule. An explicit loop — [Array.init]'s
      evaluation order is unspecified, and the draws must consume the RNG
      in schedule order to match the scalar lane. *)
   let schedule = Array.make executions 0 in
   for i = 0 to executions - 1 do
-    schedule.(i) <- Vp_util.Rng.weighted_index rng weights
+    schedule.(i) <- Vp_util.Rng.sample rng blocks
   done;
   let occ = Array.make nblocks 0 in
   for i = 0 to executions - 1 do
@@ -585,7 +587,7 @@ let run ?(executions = 5000) ?table ?fast (p : Pipeline.t) =
     match table with Some t -> t | None -> pooled_table ()
   in
   let fast =
-    match fast with Some f -> f | None -> Lazy.force fast_enabled
+    match fast with Some f -> f | None -> fast_enabled
   in
   let ss = state_for p in
   let ev0 = Vp_predict.Vp_table.evictions table in

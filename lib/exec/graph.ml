@@ -44,6 +44,7 @@ type 'a node = nd
 type packed = nd
 
 let pack n = n
+let key n = n.key
 
 (* Heap entries snapshot (crit, id) at push time. A node whose priority
    rises while Ready is pushed again; the stale lower-priority entry pops

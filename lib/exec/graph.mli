@@ -59,6 +59,9 @@ val context : t -> Context.t
 
 val pack : _ node -> packed
 
+val key : _ node -> string
+(** The content address the node was declared under. *)
+
 val node :
   t ->
   ?label:string ->

@@ -271,7 +271,9 @@ let declare_artifact g spec artifact : string G.node =
   | "table3" -> with_summaries (fun s -> E.render_table3 ~format s ^ "\n")
   | "fig8" -> with_summaries (fun s -> E.render_figure8 s ^ "\n")
   | "comparison" ->
-      with_summaries (fun s -> E.render_comparison ~format s ^ "\n")
+      let n = S.comparison g ~config models in
+      render ~deps:[ G.pack n ] (fun () ->
+          E.render_comparison ~format (G.value n) ^ "\n")
   | "table4" ->
       let n = S.table4 g ~config models in
       render ~deps:[ G.pack n ] (fun () ->

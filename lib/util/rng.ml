@@ -46,18 +46,37 @@ let choose t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
 
-let weighted_index t w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  assert (total > 0.0);
-  let x = float t total in
+(* [cumul.(i)] is [w.(0) +. ... +. w.(i)], accumulated left to right from
+   [0.0] — the exact float sums the linear scan "pick the first [i < n-1]
+   with [x < w.(0) +. ... +. w.(i)], else [n-1]" compares [x] against, and
+   [cumul.(n-1)] is the total that scales [x]. Adding non-negative floats
+   never decreases a sum, so [x < cumul.(i)] is monotone in [i] and a
+   binary search finds the same first index. *)
+type sampler = float array
+
+let sampler w =
   let n = Array.length w in
-  let rec find i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else find (i + 1) acc
-  in
-  find 0 0.0
+  let cumul = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := !acc +. w.(i);
+    cumul.(i) <- !acc
+  done;
+  assert (n > 0 && !acc > 0.0);
+  cumul
+
+let sample t cumul =
+  let n = Array.length cumul in
+  let x = float t cumul.(n - 1) in
+  (* invariant: the answer lies in [lo, hi]; index [n-1] always accepts *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if x < cumul.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let weighted_index t w = sample t (sampler w)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

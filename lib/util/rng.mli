@@ -44,9 +44,22 @@ val bernoulli : t -> float -> bool
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
+type sampler
+(** A weight vector prepared for repeated draws: its cumulative sums,
+    built once. *)
+
+val sampler : float array -> sampler
+(** [sampler w] prepares [w] for {!sample}. Weights must be non-negative
+    with a positive sum. *)
+
+val sample : t -> sampler -> int
+(** [sample t s] picks index [i] with probability proportional to
+    [w.(i)] in O(log n): the same index as a linear scan of [w], from the
+    same single draw of [t]. *)
+
 val weighted_index : t -> float array -> int
-(** [weighted_index t w] picks index [i] with probability proportional to
-    [w.(i)]. Weights must be non-negative with a positive sum. *)
+(** [weighted_index t w] is [sample t (sampler w)]; prepare a {!sampler}
+    when drawing repeatedly from one weight vector. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

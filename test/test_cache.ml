@@ -108,6 +108,51 @@ let prop_bigger_cache_never_worse =
          size four times over the footprint must not hurt *)
       run 16384 <= run 1024)
 
+(* The flat-array cache against the record-of-ways reference
+   ([Icache_ref]): same hit/miss on every access and the same stats, over
+   random geometries (1-4 ways, 3 included; 1-64 sets; 8-64-byte lines)
+   and address streams with occasional resets. *)
+type op = Access of int | Reset
+
+let cache_case_gen =
+  let open QCheck.Gen in
+  int_range 3 6 >>= fun line_log ->
+  int_range 1 4 >>= fun ways ->
+  int_range 0 6 >>= fun sets_log ->
+  let line_bytes = 1 lsl line_log and sets = 1 lsl sets_log in
+  let size_bytes = line_bytes * ways * sets in
+  let op =
+    frequency
+      [
+        (1, return Reset);
+        (60, map (fun a -> Access a) (int_bound (4 * size_bytes)));
+      ]
+  in
+  list_size (int_range 0 400) op >|= fun ops ->
+  (line_bytes, ways, size_bytes, ops)
+
+let prop_flat_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"flat icache = record-of-ways reference"
+    (QCheck.make
+       ~print:(fun (l, w, s, ops) ->
+         Printf.sprintf "line %d, %d-way, %d bytes, %d ops" l w s
+           (List.length ops))
+       cache_case_gen)
+    (fun (line_bytes, ways, size_bytes, ops) ->
+      let flat = Vp_cache.Icache.create ~line_bytes ~ways ~size_bytes () in
+      let reference = Icache_ref.create ~line_bytes ~ways ~size_bytes in
+      List.for_all
+        (function
+          | Reset ->
+              Vp_cache.Icache.reset flat;
+              Icache_ref.reset reference;
+              true
+          | Access a ->
+              hit (Vp_cache.Icache.access flat a) = Icache_ref.access reference a
+              && Vp_cache.Icache.stats flat = Icache_ref.stats reference)
+        ops
+      && Vp_cache.Icache.stats flat = Icache_ref.stats reference)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_cache"
@@ -124,5 +169,6 @@ let () =
           tc "validation" test_validation;
           QCheck_alcotest.to_alcotest prop_miss_bounds;
           QCheck_alcotest.to_alcotest prop_bigger_cache_never_worse;
+          QCheck_alcotest.to_alcotest prop_flat_matches_reference;
         ] );
     ]

@@ -1,6 +1,8 @@
-(* Subprocess tests for the vliw_vp driver's command-line error handling:
-   an unknown subcommand or malformed flag must produce exactly one
-   diagnostic line on stderr (no usage dump) and a non-zero exit. *)
+(* Subprocess tests for the vliw_vp executable: an unknown subcommand or
+   malformed flag must produce exactly one diagnostic line on stderr (no
+   usage dump) and a non-zero exit; [--telemetry] reports its sections and
+   the suite's exact job counts; and fresh processes at [--jobs 4] print
+   the sequential bytes. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -24,6 +26,12 @@ let read_all fd =
   go ();
   Buffer.contents buf
 
+let wait_exit pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "vliw_vp killed by signal %d" n
+
 (* Run the driver, return (exit code, stderr). stdout goes to /dev/null. *)
 let run args =
   let err_r, err_w = Unix.pipe ~cloexec:false () in
@@ -37,10 +45,24 @@ let run args =
   Unix.close devnull;
   let stderr_out = read_all err_r in
   Unix.close err_r;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code -> (code, stderr_out)
-  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
-      Alcotest.failf "vliw_vp killed by signal %d" n
+  let code = wait_exit pid in
+  (code, stderr_out)
+
+(* Run vliw_vp, return (exit code, stdout). stderr goes to /dev/null. *)
+let run_stdout args =
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process vliw_vp
+      (Array.of_list (vliw_vp :: args))
+      Unix.stdin out_w devnull
+  in
+  Unix.close out_w;
+  Unix.close devnull;
+  let stdout_out = read_all out_r in
+  Unix.close out_r;
+  let code = wait_exit pid in
+  (code, stdout_out)
 
 let nonempty_lines s =
   List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
@@ -135,6 +157,55 @@ let test_telemetry_trace_sim () =
   checkb "engine replays recorded" true
     (not (contains_sub err "\"engine_replays\": 0,"))
 
+(* The cold suite's job-graph shape, counted exactly: 45 jobs (run_all,
+   table4, regions and overlap at 9 each, plus 8 comparison leaves and
+   their reducer), 16 in-flight dedups (table4's narrow points and the
+   comparison leaves' summary dependencies onto run_all's jobs), and
+   whole-run memo hits for the region and overlap base runs that repeat
+   run_all's pipelines. The comparison memo's telemetry is gone. *)
+let test_telemetry_suite_counts () =
+  let code, err =
+    run
+      [
+        "all"; "--seed"; "12345"; "--jobs"; "1"; "--no-cache"; "--telemetry";
+        "-";
+      ]
+  in
+  checki "exit 0" 0 code;
+  List.iter
+    (fun field ->
+      checkb
+        (Printf.sprintf "telemetry has %S" field)
+        true (contains_sub err field))
+    [
+      "\"done\": 45,";
+      "\"deduped\": 16,";
+      "\"run_memo_hits\": 16,";
+      "\"run_memo_misses\": 24}";
+    ];
+  checkb "no comparison memo section" false (contains_sub err "comparison")
+
+(* Several worker domains force the environment switches of the scenario
+   engine and the trace simulator from inside concurrent graph jobs; each
+   fresh process must finish and print the sequential bytes. *)
+let test_parallel_sweep_identity () =
+  let sweep jobs =
+    run_stdout
+      [
+        "ablate"; "--sweep"; "ccewidth"; "-b"; "compress"; "--jobs";
+        string_of_int jobs; "--no-cache";
+      ]
+  in
+  let code, reference = sweep 1 in
+  checki "jobs 1 exit 0" 0 code;
+  for i = 1 to 5 do
+    let code, out = sweep 4 in
+    checki (Printf.sprintf "jobs 4 run %d exit 0" i) 0 code;
+    Alcotest.(check string)
+      (Printf.sprintf "jobs 4 run %d bytes" i)
+      reference out
+  done
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vliw_vp_cli"
@@ -151,5 +222,7 @@ let () =
         [
           tc "spec_eval section" test_telemetry_spec_eval;
           tc "trace_sim section" test_telemetry_trace_sim;
+          tc "suite job counts" test_telemetry_suite_counts;
         ] );
+      ("parallel", [ tc "sweep jobs 4 = jobs 1" test_parallel_sweep_identity ]);
     ]

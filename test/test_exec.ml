@@ -489,6 +489,64 @@ let test_hardware_validation_parallel_determinism () =
   checkb "non-empty table" true (String.length seq > 0);
   checks "hardware table jobs=1 = jobs=4" seq par
 
+(* The artifacts that print the static-recovery comparison — [compare],
+   the [all] suite (comparison leaves deduped onto run_all's summaries),
+   and the report (recovery-sensitivity points deduped onto them too) —
+   render byte-identically storeless, against a cold store at jobs=1 and
+   against the warm store at jobs=N. The graph path also agrees with
+   {!Experiments.comparison_of} applied to the summaries directly. *)
+let test_comparison_artifacts_identity () =
+  let model = List.hd small_models in
+  let render ~exec =
+    let module S = Vliw_vp.Experiments.Suite in
+    let g = G.create exec in
+    let summaries_n = S.run_all g ~config:small_config small_models in
+    let comparison_n = S.comparison g ~config:small_config small_models in
+    let recovery_n = S.recovery_sensitivity g ~config:small_config model in
+    let summaries = G.await g summaries_n in
+    let suite =
+      Vliw_vp.Experiments.render_table2 summaries
+      ^ Vliw_vp.Experiments.render_comparison (G.await g comparison_n)
+      ^ Vliw_vp.Experiments.render_recovery_sensitivity
+          ~bench:model.Vp_workload.Spec_model.name (G.await g recovery_n)
+    in
+    let compare =
+      Vliw_vp.Experiments.render_comparison ~format:`Csv
+        (Vliw_vp.Experiments.comparison ~config:small_config ~exec
+           small_models)
+    in
+    let report =
+      Vliw_vp.Report.generate ~config:small_config ~exec ~models:small_models
+        ()
+    in
+    (suite, compare, report)
+  in
+  let check label (s1, c1, r1) (s2, c2, r2) =
+    checks (label ^ ": suite") s1 s2;
+    checks (label ^ ": compare") c1 c2;
+    checks (label ^ ": report") r1 r2
+  in
+  let ((_, reference_compare, _) as reference) =
+    render ~exec:Vp_exec.Context.sequential
+  in
+  let direct =
+    Vliw_vp.Experiments.render_comparison ~format:`Csv
+      (List.map
+         (fun s ->
+           ( Vliw_vp.Experiments.name s,
+             Vliw_vp.Experiments.comparison_of s ))
+         (Vliw_vp.Experiments.run_all ~config:small_config small_models))
+  in
+  checks "graph comparison = comparison_of" direct reference_compare;
+  let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
+  check "cold store, jobs=1" reference
+    (render ~exec:(Vp_exec.Context.create ~store ()));
+  let progress = Vp_exec.Progress.silent () in
+  check "warm store, jobs=N" reference
+    (render ~exec:(Vp_exec.Context.create ~store ~jobs:par_jobs ~progress ()));
+  checki "warm store misses" 0
+    (Vp_exec.Progress.snapshot progress).cache_misses
+
 let test_cache_round_trip () =
   let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
   let cold_progress = Vp_exec.Progress.silent () in
@@ -576,6 +634,7 @@ let () =
           tc "parallel determinism" test_experiments_parallel_determinism;
           tc "hardware validation parallel determinism"
             test_hardware_validation_parallel_determinism;
+          tc "comparison artifacts identity" test_comparison_artifacts_identity;
           tc "cache round trip" test_cache_round_trip;
           tc "corruption recovery" test_cache_corruption_recovery;
         ] );

@@ -80,7 +80,7 @@ let test_figure8_pooled () =
 let test_comparison_shape () =
   List.iter
     (fun (s : Vliw_vp.Experiments.benchmark_summary) ->
-      let c = s.comparison in
+      let c = Vliw_vp.Experiments.comparison_of s in
       Alcotest.(check bool)
         (Vliw_vp.Experiments.name s ^ ": static scheme worse")
         true

@@ -159,7 +159,7 @@ let test_summary_shape () =
   checki "total blocks" model.num_blocks summary.total_blocks
 
 let test_summary_comparison () =
-  let c = summary.comparison in
+  let c = Vliw_vp.Experiments.comparison_of summary in
   checkb "our compensation share is small" true (c.ours_comp_share < 0.10);
   checkb "their share is at least twice ours" true
     (c.recovery_comp_share > 2.0 *. c.ours_comp_share);
@@ -179,7 +179,12 @@ let test_renders_mention_benchmarks () =
       Vliw_vp.Experiments.render_table2;
       Vliw_vp.Experiments.render_table3;
       Vliw_vp.Experiments.render_figure8;
-      Vliw_vp.Experiments.render_comparison;
+      (fun summaries ->
+        Vliw_vp.Experiments.render_comparison
+          (List.map
+             (fun s ->
+               (Vliw_vp.Experiments.name s, Vliw_vp.Experiments.comparison_of s))
+             summaries));
     ]
 
 let test_table4 () =

@@ -1,7 +1,7 @@
 (* Tests for Region_unit — the content-keyed region-formation memo — and
    the region fast lane built on it: physical sharing, store backing,
-   version retirement, byte-identity of the region experiments across
-   cache states and worker counts, and the comparison memo's caps. *)
+   version retirement, and byte-identity of the region experiments across
+   cache states and worker counts. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -27,8 +27,7 @@ let par_jobs =
 
 let clear_memos () =
   Vliw_vp.Region_unit.clear ();
-  Vliw_vp.Spec_unit.clear ();
-  Vliw_vp.Experiments.comparison_clear ()
+  Vliw_vp.Spec_unit.clear ()
 
 (* --- cached formation = fresh formation, property-tested --- *)
 
@@ -180,34 +179,6 @@ let test_frontier_jobs_identity () =
   let par = mk ~exec:(Vp_exec.Context.create ~jobs:par_jobs ()) in
   checks "frontier jobs=1 = jobs=N" seq par
 
-(* --- comparison memo caps --- *)
-
-let test_comparison_entry_cap_eviction () =
-  (* 65 structurally distinct configs of one physical program: one more
-     than the per-program entry cap, so the oldest entry must be trimmed
-     and counted. The workload memo guarantees every run holds the same
-     physical program. *)
-  clear_memos ();
-  let base =
-    { Vliw_vp.Config.default with trace_length = 400; monte_carlo_draws = 4 }
-  in
-  let model = Vp_workload.Spec_model.compress in
-  let run i =
-    let config = { base with Vliw_vp.Config.miss_penalty = 20 + i } in
-    ignore
-      (Vliw_vp.Experiments.summarize (Vliw_vp.Pipeline.run ~config model))
-  in
-  for i = 0 to 64 do
-    run i
-  done;
-  let s = Vliw_vp.Experiments.comparison_stats () in
-  checki "one miss per distinct config" 65 s.misses;
-  checkb "entry cap evicted" true (s.evictions >= 1);
-  (* the newest entry survived the trim: an immediate repeat hits *)
-  run 64;
-  checkb "warm repeat hits" true
-    ((Vliw_vp.Experiments.comparison_stats ()).hits >= 1)
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "region_unit"
@@ -228,6 +199,4 @@ let () =
           tc "cold/warm/jobs byte-identity" test_cold_warm_jobs_identity;
           tc "frontier jobs byte-identity" test_frontier_jobs_identity;
         ] );
-      ( "comparison",
-        [ tc "entry-cap eviction" test_comparison_entry_cap_eviction ] );
     ]

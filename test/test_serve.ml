@@ -184,11 +184,11 @@ let test_sweep_and_override_validation () =
 
 (* Start a daemon in its own domain, run [f client], shut down cleanly.
    Returns [f]'s result after the daemon has exited. *)
-let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) f =
+let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) ?store f =
   let socket = fresh_socket () in
   let config = cfg (Vp_serve.Server.default_config ~socket ()) in
   let ready = Atomic.make false in
-  let exec = Vp_exec.Context.create ~jobs () in
+  let exec = Vp_exec.Context.create ~jobs ?store () in
   let srv =
     Domain.spawn (fun () ->
         Vp_serve.Server.run
@@ -235,6 +235,46 @@ let test_e2e_byte_identity () =
       match o.results with
       | [ ("table2", data) ] -> checks "bytes" (Lazy.force direct_table2) data
       | r -> Alcotest.failf "expected one table2 result, got %d" (List.length r))
+
+(* The served comparison artifact is the direct comparison table plus the
+   separator newline, from a cold store and from the warm store it left,
+   with the cold and warm daemons at either worker count. *)
+let test_e2e_comparison_identity () =
+  let models = [ Vp_workload.Spec_model.compress; Vp_workload.Spec_model.li ] in
+  let direct =
+    Vliw_vp.Experiments.render_comparison
+      (Vliw_vp.Experiments.comparison ~config:Vliw_vp.Config.default models)
+    ^ "\n"
+  in
+  let spec () =
+    Vp_serve.Client.submit_spec ~experiments:[ "comparison" ]
+      ~benchmarks:[ "compress"; "li" ] ()
+  in
+  let served ~jobs ~store label =
+    with_server ~jobs ~store (fun client ->
+        let o = Vp_serve.Client.submit client (spec ()) in
+        match (o.error, o.results) with
+        | Some (code, m), _ -> Alcotest.failf "%s: %s: %s" label code m
+        | None, [ ("comparison", data) ] -> checks label direct data
+        | None, r ->
+            Alcotest.failf "%s: expected one comparison result, got %d" label
+              (List.length r))
+  in
+  List.iteri
+    (fun i (cold_jobs, warm_jobs) ->
+      let store =
+        Vp_exec.Store.create
+          ~dir:
+            (Filename.concat
+               (Filename.get_temp_dir_name ())
+               (Printf.sprintf "vp_serve_cmp_%d_%d" (Unix.getpid ()) i))
+          ()
+      in
+      served ~jobs:cold_jobs ~store
+        (Printf.sprintf "cold store, jobs=%d" cold_jobs);
+      served ~jobs:warm_jobs ~store
+        (Printf.sprintf "warm store, jobs=%d" warm_jobs))
+    [ (1, par_jobs); (par_jobs, 1) ]
 
 let graph_jobs client =
   let stats = Vp_serve.Client.stats client in
@@ -518,22 +558,37 @@ let busy_shard_pid client =
         ws
   | _ -> Alcotest.fail "sharded stats without workers section"
 
+(* Poll [busy_shard_pid] until a shard reports in-flight work or the
+   deadline passes. *)
+let poll_busy_shard client ~seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    match busy_shard_pid client with
+    | Some pid -> Some pid
+    | None when Unix.gettimeofday () > deadline -> None
+    | None ->
+        Unix.sleepf 0.005;
+        go ()
+  in
+  go ()
+
 let test_sharded_worker_lost () =
   with_sharded ~workers:2 (fun client ->
       (* The kill must land while the victim shard holds sub-work: submit a
-         cold multi-artifact request (fresh seed each attempt), find a busy
-         shard via the supervisor's stats — the serve loops answer while
-         their domains compute — and SIGKILL it. *)
+         cold request for every artifact of all eight benchmarks (fresh
+         seed each attempt), so both shards stay busy for a while; poll the
+         supervisor's stats from the submit on — the serve loops answer
+         while their domains compute — until a shard reports in-flight
+         work, and SIGKILL it. *)
       let rec attempt n =
         if n > 3 then Alcotest.fail "never caught a shard mid-request"
         else
           let spec =
             Vp_serve.Client.submit_spec ~experiments:[ "all" ]
-              ~benchmarks:[ "compress" ] ~seed:(9100 + n) ()
+              ~seed:(9100 + n) ()
           in
           let id = Vp_serve.Client.submit_async client spec in
-          Unix.sleepf 0.15;
-          match busy_shard_pid client with
+          match poll_busy_shard client ~seconds:5.0 with
           | None -> (
               (* request may already be done; drain it and retry colder *)
               ignore (Vp_serve.Client.await client ~id);
@@ -585,6 +640,7 @@ let () =
       ( "daemon",
         [
           tc "byte identity" test_e2e_byte_identity;
+          tc "comparison identity" test_e2e_comparison_identity;
           tc "warm resubmit runs nothing" test_e2e_warm_resubmit_runs_nothing;
           tc "overlap identical streams" test_e2e_overlap_identical_streams;
           tc "admission: overloaded" test_e2e_admission_overloaded;

@@ -115,6 +115,63 @@ let test_rng_weighted_index_zero_weight () =
       (Vp_util.Rng.weighted_index rng [| 0.0; 5.0 |])
   done
 
+(* The linear scan the prepared sampler replaced: the reference for
+   [prop_sampler_matches_linear_scan]. *)
+let linear_weighted_index rng w =
+  let total = Array.fold_left ( +. ) 0.0 w in
+  let x = Vp_util.Rng.float rng total in
+  let n = Array.length w in
+  let rec find i acc =
+    if i >= n - 1 then n - 1
+    else
+      let acc = acc +. w.(i) in
+      if x < acc then i else find (i + 1) acc
+  in
+  find 0 0.0
+
+(* Non-negative weights, about a third of them zero (runs of zeros
+   included), mixing integer counts with fractional and tiny values so the
+   cumulative sums round; at least one weight is positive. *)
+let weights_gen =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [
+        (3, return 0.0);
+        (3, map float_of_int (int_bound 1000));
+        (2, float_bound_inclusive 1.0);
+        (1, map (fun e -> Float.ldexp 1.0 (-e)) (int_bound 60));
+      ]
+  in
+  int_range 1 300 >>= fun n ->
+  array_size (return n) weight >>= fun w ->
+  int_bound (n - 1) >|= fun i ->
+  if Array.exists (fun x -> x > 0.0) w then w
+  else begin
+    w.(i) <- 1.0;
+    w
+  end
+
+let prop_sampler_matches_linear_scan =
+  QCheck.Test.make ~count:300
+    ~name:"prepared sampler = linear scan (index and RNG state)"
+    QCheck.(
+      pair
+        (make
+           ~print:(fun w ->
+             String.concat ";" (Array.to_list (Array.map string_of_float w)))
+           weights_gen)
+        small_nat)
+    (fun (w, seed) ->
+      let a = Vp_util.Rng.create seed and b = Vp_util.Rng.create seed in
+      let sampler = Vp_util.Rng.sampler w in
+      let same_indices =
+        List.for_all
+          (fun _ -> Vp_util.Rng.sample a sampler = linear_weighted_index b w)
+          (List.init 64 Fun.id)
+      in
+      same_indices && Vp_util.Rng.bits64 a = Vp_util.Rng.bits64 b)
+
 let test_rng_shuffle_permutation () =
   let rng = Vp_util.Rng.create 15 in
   let a = Array.init 20 Fun.id in
@@ -441,6 +498,7 @@ let () =
           tc "choose" test_rng_choose;
           tc "weighted index" test_rng_weighted_index;
           tc "weighted index zero weight" test_rng_weighted_index_zero_weight;
+          QCheck_alcotest.to_alcotest prop_sampler_matches_linear_scan;
           tc "shuffle is a permutation" test_rng_shuffle_permutation;
           tc "geometric" test_rng_geometric;
           tc "zipf skew" test_rng_zipf_skew;
