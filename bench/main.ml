@@ -508,14 +508,6 @@ let tests =
       (Staged.stage (fun () ->
            Vp_engine.Compiled.run_scenario kernel_compiled kernel_arena
              ~outcomes:[| false; true |]));
-    (* The whole 2^2 scenario set of the worked example in one
-       prefix-sharing pass; compare with 4x kernel:dual-engine-run. *)
-    Test.make ~name:"kernel:scenario-tree"
-      (Staged.stage
-         (let vectors = Array.of_list (Vp_engine.Scenario.enumerate 2) in
-          fun () ->
-            Vp_engine.Compiled.run_batch kernel_compiled kernel_arena
-              ~vectors));
     Test.make ~name:"kernel:dual-engine-oracle"
       (Staged.stage (fun () ->
            Vp_engine.Dual_engine.run kernel_spec ~reference:kernel_reference
@@ -524,17 +516,9 @@ let tests =
       (Staged.stage (fun () ->
            Vp_engine.Compiled.compile kernel_spec ~reference:kernel_reference
              ~live_in:Vliw_vp.Pipeline.live_in));
-    Test.make ~name:"kernel:stride-predictor"
-      (Staged.stage
-         (let values = List.init 512 (fun i -> 7 * i) in
-          fun () ->
-            Vp_predict.Predictor.accuracy
-              (Vp_predict.Stride.as_predictor ())
-              values));
-    (* The unboxed fast lane on the same 512 values: the paper's predictor
-       pair (stride + order-2 FCM) scored in one pass. Compare against
-       kernel:stride-predictor, which pays the closure/option cost for the
-       stride half alone. *)
+    (* The unboxed predictor kernels on 512 values: the paper's predictor
+       pair (stride + order-2 FCM) scored in one pass, with fresh states
+       (including the FCM table) built per call. *)
     Test.make ~name:"kernel:predictor-pass"
       (Staged.stage
          (let values = Array.init 512 (fun i -> 7 * i) in

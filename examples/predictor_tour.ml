@@ -16,14 +16,15 @@ let streams =
     ("random", Random { range = 1 lsl 20 });
   ]
 
-let predictors () =
-  [
-    ("last-value", Vp_predict.Last_value.as_predictor ());
-    ("stride", Vp_predict.Stride.as_predictor ());
-    ("fcm-2", Vp_predict.Fcm.as_predictor ~order:2 ~table_bits:12 ());
-    ("dfcm-2", Vp_predict.Dfcm.as_predictor ~order:2 ~table_bits:12 ());
-    ("hybrid", Vp_predict.Hybrid.as_predictor ~order:2 ~table_bits:12 ());
-  ]
+let kinds =
+  Vp_predict.Predictor.
+    [
+      Last_value;
+      Stride;
+      Fcm { order = 2; table_bits = 12 };
+      Dfcm { order = 2; table_bits = 12 };
+      Hybrid_stride_fcm { order = 2; table_bits = 12 };
+    ]
 
 let () =
   let samples = 2000 in
@@ -35,21 +36,23 @@ let () =
             misses count)"
            samples)
       (("stream", Vp_util.Table.Left)
-      :: List.map (fun (n, _) -> (n, Vp_util.Table.Right)) (predictors ()))
+      :: List.map
+           (fun k -> (Vp_predict.Predictor.kind_name k, Vp_util.Table.Right))
+           kinds)
   in
   List.iter
     (fun (stream_name, shape) ->
       let rng = Vp_util.Rng.create 7 in
       let values =
-        Vp_workload.Value_stream.take
-          (Vp_workload.Value_stream.create rng shape)
-          samples
+        Array.of_list
+          (Vp_workload.Value_stream.take
+             (Vp_workload.Value_stream.create rng shape)
+             samples)
       in
       let cells =
-        List.map
-          (fun (_, p) ->
-            Printf.sprintf "%.3f" (Vp_predict.Predictor.accuracy p values))
-          (predictors ())
+        Array.to_list
+          (Array.map (Printf.sprintf "%.3f")
+             (Vp_predict.Kernel.accuracies ~kinds values ~off:0 ~len:samples))
       in
       Vp_util.Table.add_row table (stream_name :: cells))
     streams;

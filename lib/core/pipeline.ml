@@ -99,16 +99,6 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
     prep_recovery = recovery;
   }
 
-(* Scenario batches default to the bit-parallel lane engine; the scalar
-   scenario tree stays reachable for A/B and CI coverage through the
-   [VP_NO_BITSET] escape hatch (any non-empty value other than "0"). Read
-   once at module initialisation: a [lazy] forced by two domains at once
-   raises [CamlinternalLazy.Undefined]. *)
-let bitset_enabled =
-  match Sys.getenv_opt "VP_NO_BITSET" with
-  | Some v when v <> "" && v <> "0" -> false
-  | _ -> true
-
 (* One lane arena per worker domain, reused across batch jobs — the lane
    slabs are Bigarray-backed and sized to the largest block the domain has
    seen, so steady-state batches allocate only their result records. *)
@@ -127,10 +117,9 @@ let telemetry_json () =
       /. float_of_int s.Vp_engine.Compiled.words
   in
   Printf.sprintf
-    "{\"bitset_enabled\": %b, \"bitset_words\": %d, \"bitset_vectors\": %d, \
+    "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
      \"vectors_per_word\": %.2f, \"scalar_fallbacks\": %d, \
      \"run_memo_hits\": %d, \"run_memo_misses\": %d}"
-    bitset_enabled
     s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
     s.Vp_engine.Compiled.fallbacks (Atomic.get run_memo_hits)
     (Atomic.get run_memo_misses)
@@ -142,9 +131,8 @@ let telemetry_json () =
    pass over the compiled block replaces the per-scenario replays.
    Duplicate vectors — Monte-Carlo collisions, and the all-correct /
    all-incorrect vectors the best/worst columns need, which the enumerated
-   scenario list already contains — just occupy extra lanes. Under
-   [VP_NO_BITSET] the batch runs through [Compiled.run_batch]'s scalar
-   scenario tree instead; both produce byte-identical results. *)
+   scenario list already contains — collapse to one lane and share its
+   result. *)
 let simulate_batch config prep =
   let compiled =
     Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
@@ -161,12 +149,7 @@ let simulate_batch config prep =
       |]
   in
   let all =
-    if bitset_enabled then
-      Vp_engine.Compiled.run_bitset compiled (Domain.DLS.get lanes_key)
-        ~vectors
-    else
-      let arena = Vp_engine.Compiled.Arena.create () in
-      Vp_engine.Compiled.run_batch compiled arena ~vectors
+    Vp_engine.Compiled.run_bitset compiled (Domain.DLS.get lanes_key) ~vectors
   in
   let unique =
     let seen = Hashtbl.create 16 in

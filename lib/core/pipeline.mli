@@ -33,8 +33,9 @@ type spec_eval = {
       (** evaluated outcome vectors — [2^k] when enumerated, the
           Monte-Carlo draw count when sampled *)
   unique_scenarios : int;
-      (** distinct vectors among them; sampling duplicates collapse to one
-          simulated leaf of the scenario tree, so [draws - unique_scenarios]
+      (** distinct vectors among them; [Vp_engine.Compiled.run_bitset]
+          simulates each distinct vector once and shares the result with
+          its sampling duplicates, so [draws - unique_scenarios]
           simulations were saved *)
   best : Vp_engine.Dual_engine.result;  (** all predictions correct *)
   worst : Vp_engine.Dual_engine.result;  (** all predictions incorrect *)
@@ -88,11 +89,12 @@ val run_program :
     baseline schedule and the transform, so sweep points varying only the
     CCE shape or the policy threshold reuse neighbouring artifacts — and
     its whole scenario set runs as one [exec] job via
-    [Vp_engine.Compiled.run_batch], which replays the vectors as a
-    prefix-sharing tree and collapses repeated outcome vectors into one
-    leaf. [exec] defaults to [Vp_exec.Context.sequential] (inline, no
-    cache); results are bit-identical for any worker count, and for any
-    spec-unit cache state (on, off, cold, warm).
+    [Vp_engine.Compiled.run_bitset], which advances up to 63 outcome
+    vectors per machine word and simulates each distinct vector once,
+    sharing its result with the repeats. [exec] defaults to
+    [Vp_exec.Context.sequential] (inline, no cache); results are
+    bit-identical for any worker count, and for any spec-unit cache state
+    (on, off, cold, warm).
 
     Whole runs are memoized (unless [Spec_unit.enabled] is off): the
     result is pure in [(workload, program, config, profile)] — the
@@ -114,12 +116,10 @@ val reference_of_block : t -> int -> Vp_engine.Reference.t
 
 val telemetry_json : unit -> string
 (** Scenario-evaluation counters as a JSON object, for the [--telemetry]
-    summary (the [spec_eval] section): whether the bitset engine is
-    enabled ([VP_NO_BITSET] routes batches back to the scalar scenario
-    tree), how many lane words ran, how many vectors they carried
-    ([vectors_per_word] is the resulting lane occupancy), how many
-    deadlocks fell back to a scalar replay, and the whole-run memo's
-    hit/miss counters. *)
+    summary (the [spec_eval] section): how many lane words ran, how many
+    vectors they carried ([vectors_per_word] is the resulting lane
+    occupancy), how many deadlocks fell back to a scalar replay, and the
+    whole-run memo's hit/miss counters. *)
 
 val stats : t -> Vp_metrics.Summary.block_stats array
 (** Reduce to the metric layer's per-block records. *)

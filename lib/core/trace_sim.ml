@@ -24,45 +24,30 @@ let pc_of ~block ~op =
       (Printf.sprintf "Trace_sim.pc_of: op id %d outside [0, 256)" op);
   (block * 256) + op
 
-(* The phased fast lane is the default; the scalar loop stays reachable as
-   the oracle for A/B and CI coverage through the [VP_NO_TRACE_FAST]
-   escape hatch (any non-empty value other than "0"), mirroring
-   [VP_NO_BITSET]. Both lanes produce byte-identical results. Read once
-   at module initialisation, like [VP_NO_BITSET]: a [lazy] forced by two
-   domains at once raises [CamlinternalLazy.Undefined]. *)
-let fast_enabled =
-  match Sys.getenv_opt "VP_NO_TRACE_FAST" with
-  | Some v when v <> "" && v <> "0" -> false
-  | _ -> true
-
 (* --- Telemetry --- *)
 
 type stats = {
-  fast_runs : int;
-  scalar_runs : int;
+  runs : int;
   memo_hits : int;
   engine_replays : int;
   alias_evictions : int;
 }
 
-let t_fast_runs = Atomic.make 0
-let t_scalar_runs = Atomic.make 0
+let t_runs = Atomic.make 0
 let t_memo_hits = Atomic.make 0
 let t_engine_replays = Atomic.make 0
 let t_alias_evictions = Atomic.make 0
 
 let stats () =
   {
-    fast_runs = Atomic.get t_fast_runs;
-    scalar_runs = Atomic.get t_scalar_runs;
+    runs = Atomic.get t_runs;
     memo_hits = Atomic.get t_memo_hits;
     engine_replays = Atomic.get t_engine_replays;
     alias_evictions = Atomic.get t_alias_evictions;
   }
 
 let clear_stats () =
-  Atomic.set t_fast_runs 0;
-  Atomic.set t_scalar_runs 0;
+  Atomic.set t_runs 0;
   Atomic.set t_memo_hits 0;
   Atomic.set t_engine_replays 0;
   Atomic.set t_alias_evictions 0
@@ -70,10 +55,9 @@ let clear_stats () =
 let telemetry_json () =
   let s = stats () in
   Printf.sprintf
-    "{\"fast_enabled\": %b, \"fast_runs\": %d, \"scalar_runs\": %d, \
-     \"memo_hits\": %d, \"engine_replays\": %d, \"alias_evictions\": %d}"
-    fast_enabled s.fast_runs s.scalar_runs s.memo_hits
-    s.engine_replays s.alias_evictions
+    "{\"runs\": %d, \"memo_hits\": %d, \"engine_replays\": %d, \
+     \"alias_evictions\": %d}"
+    s.runs s.memo_hits s.engine_replays s.alias_evictions
 
 (* --- Bounded outcome-mask memo ---
 
@@ -189,12 +173,11 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
    cache), the predicted loads' stream ids and PCs, and the mask memo's
    mapping — which masks are *present* in the memo depends on run
    history, but mask -> cycles does not, so sharing the memo across runs
-   (and across the fast and scalar lanes) changes which executions hit
-   it, never the cycles they charge. Building this state dominates a
-   validation run (~30 compiled lookups + reference interpretations +
-   cold engine replays), so it is built once per pipeline and reused:
-   repeated runs replay the engine only for masks never seen by *any*
-   prior run on that pipeline.
+   changes which executions hit it, never the cycles they charge.
+   Building this state dominates a validation run (~30 compiled lookups +
+   reference interpretations + cold engine replays), so it is built once
+   per pipeline and reused: repeated runs replay the engine only for
+   masks never seen by *any* prior run on that pipeline.
 
    Concurrency: runs on the same pipeline serialize on the state's lock
    ([fb_outcomes] and the engine arena are shared scratch); runs on
@@ -204,7 +187,7 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
 
 type sim_state = {
   ss_lock : Mutex.t;
-  ss_blocks : fast_block option array; (* lazily built, like the lanes did *)
+  ss_blocks : fast_block option array; (* built on first execution *)
   ss_scratch : Vp_engine.Compiled.Arena.t;
 }
 
@@ -292,101 +275,14 @@ let block_sampler (p : Pipeline.t) =
   Vp_util.Rng.sampler
     (Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks)
 
-(* --- Scalar lane: the oracle ---
-
-   The original per-execution interpreter loop: one table call per
-   predicted load in schedule order. Kept reachable under
-   [VP_NO_TRACE_FAST]; test_trace_sim.ml pins the fast lane to it. *)
-
-(* Per-stream read state: a cursor over the workload's shared arena. The
-   arena may move when grown, so the cursor re-fetches it at (amortized,
-   doubling) capacity steps. Every position of the fetched array is a
-   valid stream value ([Workload.arena] fills its whole allocation), so
-   the usable length is [Array.length c.buf] — not the requested
-   [min_len], which may under-report what the arena actually holds. *)
-type cursor = { mutable buf : int array; mutable pos : int }
-
-let run_scalar ~executions ~table ss (p : Pipeline.t) =
-  let config = p.config in
-  let rng = trace_rng config in
-  let blocks = block_sampler p in
-  (* Each predicted load replays its stream across its block's executions,
-     exactly as profiling saw it, by walking the stream's arena. Loads
-     whose prediction was not selected used to draw and discard values;
-     streams are private to one load, so skipping those draws is
-     unobservable. Stream ids are dense, so the cursor map is a flat
-     array. *)
-  let cursors =
-    Array.init (Vp_workload.Workload.num_streams p.workload) (fun _ ->
-        { buf = [||]; pos = 0 })
-  in
-  let next_value id =
-    let c = cursors.(id) in
-    if c.pos >= Array.length c.buf then
-      c.buf <-
-        Vp_workload.Workload.arena p.workload id
-          ~min_len:(max 64 (2 * Array.length c.buf));
-    let v = c.buf.(c.pos) in
-    c.pos <- c.pos + 1;
-    v
-  in
-  let scratch = ss.ss_scratch in
-  let cycles = ref 0 in
-  let original_cycles = ref 0 in
-  let predictions = ref 0 in
-  let mispredictions = ref 0 in
-  let memo_hits = ref 0 in
-  let engine_replays = ref 0 in
-  for _ = 1 to executions do
-    let bi = Vp_util.Rng.sample rng blocks in
-    let b = p.blocks.(bi) in
-    original_cycles := !original_cycles + b.Pipeline.original_cycles;
-    match b.Pipeline.spec with
-    | None -> cycles := !cycles + b.Pipeline.original_cycles
-    | Some spec ->
-        let f = block_for ss config p bi spec in
-        let n = Array.length f.fb_streams in
-        let mask = ref 0 in
-        for i = 0 to n - 1 do
-          let actual = next_value f.fb_streams.(i) in
-          let correct =
-            Vp_predict.Vp_table.predict_and_train table ~pc:f.fb_pcs.(i)
-              ~actual
-          in
-          incr predictions;
-          if not correct then incr mispredictions;
-          f.fb_outcomes.(i) <- correct;
-          if correct && i <= mask_bits then mask := !mask lor (1 lsl i)
-        done;
-        let memoized = memo_find f.fb_memo !mask in
-        let eff =
-          if memoized >= 0 then begin
-            incr memo_hits;
-            memoized
-          end
-          else begin
-            incr engine_replays;
-            let r =
-              Vp_engine.Compiled.run_scenario f.fb_compiled scratch
-                ~outcomes:f.fb_outcomes
-            in
-            let eff = Config.effective_cycles config r in
-            memo_add f.fb_memo !mask eff;
-            eff
-          end
-        in
-        cycles := !cycles + eff
-  done;
-  Atomic.incr t_scalar_runs;
-  ignore (Atomic.fetch_and_add t_memo_hits !memo_hits);
-  ignore (Atomic.fetch_and_add t_engine_replays !engine_replays);
-  finish ~executions ~cycles:!cycles ~original_cycles:!original_cycles
-    ~predictions:!predictions ~mispredictions:!mispredictions p
-
 (* --- Fast lane: three phased kernels ---
 
-   Soundness rests on three facts, argued in DESIGN.md § "Trace-sim
-   phases":
+   The run is equivalent to a per-execution loop that draws a block, then
+   calls [Vp_table.predict_and_train] once per predicted load in
+   prediction-index order and simulates the block on the outcomes
+   (test/trace_sim_ref.ml is that loop, the oracle the tests pin this one
+   to). Soundness rests on
+   three facts, argued in DESIGN.md § "Trace-sim phases":
    - the block schedule is a pure function of (seed, block weights) — the
      trace RNG's only consumer is the block sampler, so the whole schedule
      can be drawn up front (phase 0);
@@ -408,7 +304,7 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
   let nblocks = Array.length p.blocks in
   (* Phase 0: pre-draw the schedule. An explicit loop — [Array.init]'s
      evaluation order is unspecified, and the draws must consume the RNG
-     in schedule order to match the scalar lane. *)
+     in schedule order, as the per-execution loop draws them. *)
   let schedule = Array.make executions 0 in
   for i = 0 to executions - 1 do
     schedule.(i) <- Vp_util.Rng.sample rng blocks
@@ -419,9 +315,9 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
     occ.(bi) <- occ.(bi) + 1
   done;
   (* Per-run view over the persistent per-block state, restricted to
-     speculated blocks that actually execute this run: the scalar lane
-     never touches the table (or the arenas) for a block with zero
-     occurrences, so neither may we. *)
+     speculated blocks that actually execute this run: the per-execution
+     loop never touches the table for a block with zero occurrences, so
+     neither may we. *)
   let fast : fast_block option array = Array.make nblocks None in
   let base = Array.make nblocks 0 in
   let total_loads = ref 0 in
@@ -478,9 +374,9 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
             ~len ~correct:ld_out.(g)
       | members ->
           (* Aliasing slot: interleave the members' touches in schedule
-             order — that is the order tag evictions fire in the scalar
-             lane. Gather (pc, value) per touch, run the slot, scatter
-             the outcome bytes back per load. *)
+             order — that is the order tag evictions fire in the
+             per-execution loop. Gather (pc, value) per touch, run the
+             slot, scatter the outcome bytes back per load. *)
           let members = Array.of_list members in
           let m = Array.length members in
           let per_block : int list array = Array.make nblocks [] in
@@ -576,25 +472,20 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
         in
         cycles := !cycles + eff
   done;
-  Atomic.incr t_fast_runs;
+  Atomic.incr t_runs;
   ignore (Atomic.fetch_and_add t_memo_hits !memo_hits);
   ignore (Atomic.fetch_and_add t_engine_replays !engine_replays);
   finish ~executions ~cycles:!cycles ~original_cycles:!original_cycles
     ~predictions:!predictions ~mispredictions:!mispredictions p
 
-let run ?(executions = 5000) ?table ?fast (p : Pipeline.t) =
+let run ?(executions = 5000) ?table (p : Pipeline.t) =
   let table =
     match table with Some t -> t | None -> pooled_table ()
-  in
-  let fast =
-    match fast with Some f -> f | None -> fast_enabled
   in
   let ss = state_for p in
   let ev0 = Vp_predict.Vp_table.evictions table in
   let r =
-    Mutex.protect ss.ss_lock (fun () ->
-        if fast then run_fast ~executions ~table ss p
-        else run_scalar ~executions ~table ss p)
+    Mutex.protect ss.ss_lock (fun () -> run_fast ~executions ~table ss p)
   in
   ignore
     (Atomic.fetch_and_add t_alias_evictions

@@ -41,11 +41,7 @@ val pc_of : block:int -> op:int -> int
     frame. *)
 
 val run :
-  ?executions:int ->
-  ?table:Vp_predict.Vp_table.t ->
-  ?fast:bool ->
-  Pipeline.t ->
-  result
+  ?executions:int -> ?table:Vp_predict.Vp_table.t -> Pipeline.t -> result
 (** [run pipeline] replays [executions] (default 5000) block executions
     drawn proportionally to the profiled frequencies, deterministic in the
     pipeline's seed. [table] defaults to a pooled 1024-entry hybrid
@@ -53,28 +49,27 @@ val run :
     runs — observationally a fresh table, without re-creating its
     kernels.
 
-    By default the run goes through the phased fast lane: the schedule is
-    pre-drawn (it is a pure function of seed and block weights), every
-    VP-table slot's predict-and-train sequence runs as one unboxed kernel
-    call over the workload's stream arenas, and the schedule is then
-    replayed over the precomputed outcome bits, calling the compiled
-    engine ([Vp_engine.Compiled], shared with the pipeline's scenario
-    batches via {!Spec_unit}) only for outcome masks missing from the
-    per-block memo (sound because the engine's completion times depend on
-    the outcomes, never on the mispredicted values). [fast] defaults to
-    the [VP_NO_TRACE_FAST] environment check (any non-empty value other
-    than ["0"] selects the scalar lane); the two lanes produce
-    byte-identical results, including the final [table] state.
+    The run is phased: the schedule is pre-drawn (it is a pure function
+    of seed and block weights), every VP-table slot's predict-and-train
+    sequence runs as one unboxed kernel call over the workload's stream
+    arenas, and the schedule is then replayed over the precomputed
+    outcome bits, calling the compiled engine ([Vp_engine.Compiled],
+    shared with the pipeline's scenario batches via {!Spec_unit}) only
+    for outcome masks missing from the per-block memo (sound because the
+    engine's completion times depend on the outcomes, never on the
+    mispredicted values). Results and the final [table] state equal a
+    per-execution loop with one [Vp_table.predict_and_train] per
+    predicted load and one [Dual_engine.run] per speculated execution
+    (the test oracle in [test/trace_sim_ref.ml]).
 
     Per-pipeline simulation state (compiled blocks, stream/PC maps, the
-    mask memos) persists across runs in a bounded registry shared by both
-    lanes: it is a pure function of the pipeline, so reuse changes how
-    often the engine replays, never the result. Runs on the same pipeline
-    serialize on that state's lock. *)
+    mask memos) persists across runs in a bounded registry: it is a pure
+    function of the pipeline, so reuse changes how often the engine
+    replays, never the result. Runs on the same pipeline serialize on
+    that state's lock. *)
 
 type stats = {
-  fast_runs : int;  (** runs through the phased fast lane *)
-  scalar_runs : int;  (** runs through the legacy scalar loop *)
+  runs : int;  (** calls to {!run} *)
   memo_hits : int;  (** block executions served from the mask memo *)
   engine_replays : int;  (** block executions that ran the engine *)
   alias_evictions : int;  (** tagged VP-table evictions across runs *)
@@ -87,8 +82,8 @@ val clear_stats : unit -> unit
 (** Zero {!stats} (tests, benchmarks). *)
 
 val telemetry_json : unit -> string
-(** {!stats} plus the fast-lane enable flag as a JSON object: the
-    [trace_sim] section of the [--telemetry] summary. *)
+(** {!stats} as a JSON object: the [trace_sim] section of the
+    [--telemetry] summary. *)
 
 val render : (string * result) list -> string
 (** Table of per-benchmark results: measured vs profile-predicted. *)

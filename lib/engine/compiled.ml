@@ -77,8 +77,6 @@ type t = {
   final_pairs : (int * int) array;  (* (register, dense index), in order *)
   limit : int;
   horizon : int;  (* event-ring size: max latency + 2 *)
-  decision_insns : int array;  (* instructions that first read an outcome *)
-  decision_preds : int array array;  (* predictions decided there, ascending *)
 }
 
 (* --- Arena: the reusable mutable half --- *)
@@ -348,44 +346,17 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
   in
   let reg_init = Array.make (max 1 !nregs) 0 in
   List.iter (fun r -> reg_init.(Hashtbl.find reg_ids r) <- live_in r) !reg_list;
-  (* Decision points for batch replay. The first read of [outcomes.(k)] is
-     either the LdPred issue (it chooses the written value) or the check's
-     completion — and a check completes strictly after its own issue, while
-     the CCE only consults the OVB one cycle later still. Instructions
-     issue strictly in static order, so pausing just before the earlier of
-     (ldpred k, check k)'s instructions is always early enough to decide
-     outcome k, and everything simulated before that point is independent
-     of it. *)
-  let first_insn = Array.make (max 1 num_preds) max_int in
-  Array.iteri
-    (fun c ids ->
-      Array.iter
-        (fun i ->
-          match ops.(i).action with
-          | A_ldpred { k; _ } | A_check { k } ->
-              if c < first_insn.(k) then first_insn.(k) <- c
-          | _ -> ())
-        ids)
+  (* Every prediction must reach the machine through its LdPred or its
+     check; one missing from the schedule could never be decided. *)
+  let scheduled = Array.make num_preds false in
+  Array.iter
+    (Array.iter (fun i ->
+         match ops.(i).action with
+         | A_ldpred { k; _ } | A_check { k } -> scheduled.(k) <- true
+         | _ -> ()))
     insn_ops;
-  for k = 0 to num_preds - 1 do
-    if first_insn.(k) = max_int then
-      invalid_arg "Compiled.compile: prediction missing from the schedule"
-  done;
-  let decision_insns =
-    Array.of_list
-      (List.sort_uniq compare
-         (Array.to_list (Array.sub first_insn 0 num_preds)))
-  in
-  let decision_preds =
-    Array.map
-      (fun c ->
-        let ks = ref [] in
-        for k = num_preds - 1 downto 0 do
-          if first_insn.(k) = c then ks := k :: !ks
-        done;
-        Array.of_list !ks)
-      decision_insns
-  in
+  if Array.exists not scheduled then
+    invalid_arg "Compiled.compile: prediction missing from the schedule";
   {
     label = Vp_ir.Block.label block;
     ccb_capacity;
@@ -410,8 +381,6 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
     limit =
       (20 * (Vp_sched.Schedule.length sb.schedule + 10)) + (50 * new_n) + 200;
     horizon = !max_lat + 2;
-    decision_insns;
-    decision_preds;
   }
 
 let num_predictions t = t.num_preds
@@ -683,22 +652,15 @@ let reset_for_run (t : t) (a : Arena.t) =
   a.Arena.flushed <- 0;
   a.Arena.recomputed <- 0
 
-(* Advance the simulation from (now, next_insn) until it either finishes
-   ([None]) or is about to issue instruction [stop_at] with both the
-   sync-mask and CCB-room checks passed ([Some (now, next_insn)] — the
-   events and CCE steps of that cycle have already run, the issue itself
-   has not). Pass [stop_at = -1] to run to completion. Stall cycles spent
-   waiting to issue [stop_at] are accounted before pausing, so they land in
-   the shared prefix of a batch run exactly as a lone run accounts them. *)
-let sim_until (t : t) (a : Arena.t) ~outcomes ~stop_at ~now ~next_insn =
+(* Run the block to completion: every instruction issued, every event
+   delivered and the CCB drained. Each cycle delivers that cycle's
+   completions, lets the CCE retire up to [cce_retire_width] heads, then
+   tries to issue the next instruction. *)
+let simulate (t : t) (a : Arena.t) ~outcomes =
   let num_insns = Array.length t.insn_ops in
-  let next_insn = ref next_insn in
-  let now = ref now in
-  let paused = ref false in
-  while
-    (not !paused)
-    && (!next_insn < num_insns || a.Arena.pending > 0 || a.Arena.ccb_len > 0)
-  do
+  let next_insn = ref 0 in
+  let now = ref 0 in
+  while !next_insn < num_insns || a.Arena.pending > 0 || a.Arena.ccb_len > 0 do
     if !now > t.limit then deadlock t a ~now:!now ~next_insn:!next_insn;
     (* 1. Completions scheduled for this cycle (insertion order). All new
        events land 1..horizon-2 cycles ahead, never in this bucket. *)
@@ -729,17 +691,14 @@ let sim_until (t : t) (a : Arena.t) ~outcomes ~stop_at ~now ~next_insn =
         if mask.(w) land a.Arena.sync.(w) <> 0 then stalled_on_sync := true
       done;
       let ccb_room = a.Arena.ccb_len + t.insn_spec.(c) <= t.ccb_capacity in
-      if (not !stalled_on_sync) && ccb_room then
-        if c = stop_at then paused := true
-        else begin
-          issue_instruction t a ~outcomes !now c;
-          incr next_insn
-        end
+      if (not !stalled_on_sync) && ccb_room then begin
+        issue_instruction t a ~outcomes !now c;
+        incr next_insn
+      end
       else a.Arena.stall_cycles <- a.Arena.stall_cycles + 1
     end;
-    if not !paused then incr now
-  done;
-  if !paused then Some (!now, !next_insn) else None
+    incr now
+  done
 
 let extract_result (t : t) (a : Arena.t) ~outcomes : Dual_engine.result =
   let final_regs = ref [] in
@@ -768,232 +727,8 @@ let run_scenario (t : t) (a : Arena.t) ~outcomes : Dual_engine.result =
     invalid_arg "Compiled.run_scenario: outcomes length mismatch";
   ensure t a;
   reset_for_run t a;
-  (match sim_until t a ~outcomes ~stop_at:(-1) ~now:0 ~next_insn:0 with
-  | None -> ()
-  | Some _ -> assert false);
+  simulate t a ~outcomes;
   extract_result t a ~outcomes
-
-(* --- Batch mode: scenario-tree replay --- *)
-
-(* A saved copy of the arena slices one block uses, taken while paused at a
-   decision instruction. The ring buffers are linearized (CCB head becomes
-   0 on restore — positions in the ring are unobservable), event buckets
-   keep their bucket index because [now] is part of the resume state the
-   caller threads separately. *)
-type ckpt = {
-  ck_reg_val : int array;
-  ck_reg_stamp : int array;
-  ck_sync : int array;
-  ck_ovb : int array;
-  ck_unresolved : int array;
-  ck_tainted : bool array;
-  ck_spec_known : int array;
-  ck_cce_time : int array;
-  ck_captured : int array;
-  ck_sched : bool array;
-  mutable ck_ccb_len : int;
-  mutable ck_ccb_high : int;
-  ck_ccb_s : int array;
-  ck_ccb_t : int array;
-  ck_ev_len : int array;
-  mutable ck_ev_buf : int array array;
-  mutable ck_pending : int;
-  mutable ck_stores_n : int;
-  ck_stores_a : int array;
-  ck_stores_v : int array;
-  mutable ck_last_completion : int;
-  mutable ck_vliw_last : int;
-  mutable ck_stall : int;
-  mutable ck_flushed : int;
-  mutable ck_recomputed : int;
-}
-
-let new_ckpt (t : t) =
-  let n = max 1 t.new_n in
-  {
-    ck_reg_val = Array.make t.nregs 0;
-    ck_reg_stamp = Array.make t.nregs 0;
-    ck_sync = Array.make t.sync_words 0;
-    ck_ovb = Array.make (max 1 t.num_preds) 0;
-    ck_unresolved = Array.make n 0;
-    ck_tainted = Array.make n false;
-    ck_spec_known = Array.make n 0;
-    ck_cce_time = Array.make n 0;
-    ck_captured = Array.make n 0;
-    ck_sched = Array.make n false;
-    ck_ccb_len = 0;
-    ck_ccb_high = 0;
-    ck_ccb_s = Array.make n 0;
-    ck_ccb_t = Array.make n 0;
-    ck_ev_len = Array.make t.horizon 0;
-    ck_ev_buf = Array.init t.horizon (fun _ -> [||]);
-    ck_pending = 0;
-    ck_stores_n = 0;
-    ck_stores_a = Array.make n 0;
-    ck_stores_v = Array.make n 0;
-    ck_last_completion = 0;
-    ck_vliw_last = 0;
-    ck_stall = 0;
-    ck_flushed = 0;
-    ck_recomputed = 0;
-  }
-
-let save_ckpt (t : t) (a : Arena.t) ck =
-  Array.blit a.Arena.reg_val 0 ck.ck_reg_val 0 t.nregs;
-  Array.blit a.Arena.reg_stamp 0 ck.ck_reg_stamp 0 t.nregs;
-  Array.blit a.Arena.sync 0 ck.ck_sync 0 t.sync_words;
-  Array.blit a.Arena.ovb_pred_known 0 ck.ck_ovb 0 t.num_preds;
-  Array.blit a.Arena.unresolved 0 ck.ck_unresolved 0 t.new_n;
-  Array.blit a.Arena.tainted 0 ck.ck_tainted 0 t.new_n;
-  Array.blit a.Arena.spec_correct_known 0 ck.ck_spec_known 0 t.new_n;
-  Array.blit a.Arena.cce_value_time 0 ck.ck_cce_time 0 t.new_n;
-  Array.blit a.Arena.captured_old 0 ck.ck_captured 0 t.new_n;
-  Array.blit a.Arena.correct_known_scheduled 0 ck.ck_sched 0 t.new_n;
-  let phys = Array.length a.Arena.ccb_s in
-  ck.ck_ccb_len <- a.Arena.ccb_len;
-  ck.ck_ccb_high <- a.Arena.ccb_high;
-  for j = 0 to a.Arena.ccb_len - 1 do
-    let p = a.Arena.ccb_head + j in
-    let p = if p >= phys then p - phys else p in
-    ck.ck_ccb_s.(j) <- a.Arena.ccb_s.(p);
-    ck.ck_ccb_t.(j) <- a.Arena.ccb_t.(p)
-  done;
-  for b = 0 to t.horizon - 1 do
-    let len = a.Arena.ev_len.(b) in
-    ck.ck_ev_len.(b) <- len;
-    if len > 0 then begin
-      if Array.length ck.ck_ev_buf.(b) < 3 * len then
-        ck.ck_ev_buf.(b) <- Array.make (Array.length a.Arena.ev_buf.(b)) 0;
-      Array.blit a.Arena.ev_buf.(b) 0 ck.ck_ev_buf.(b) 0 (3 * len)
-    end
-  done;
-  ck.ck_pending <- a.Arena.pending;
-  ck.ck_stores_n <- a.Arena.stores_n;
-  Array.blit a.Arena.stores_a 0 ck.ck_stores_a 0 a.Arena.stores_n;
-  Array.blit a.Arena.stores_v 0 ck.ck_stores_v 0 a.Arena.stores_n;
-  ck.ck_last_completion <- a.Arena.last_completion;
-  ck.ck_vliw_last <- a.Arena.vliw_last;
-  ck.ck_stall <- a.Arena.stall_cycles;
-  ck.ck_flushed <- a.Arena.flushed;
-  ck.ck_recomputed <- a.Arena.recomputed
-
-let restore_ckpt (t : t) (a : Arena.t) ck =
-  Array.blit ck.ck_reg_val 0 a.Arena.reg_val 0 t.nregs;
-  Array.blit ck.ck_reg_stamp 0 a.Arena.reg_stamp 0 t.nregs;
-  Array.blit ck.ck_sync 0 a.Arena.sync 0 t.sync_words;
-  Array.blit ck.ck_ovb 0 a.Arena.ovb_pred_known 0 t.num_preds;
-  Array.blit ck.ck_unresolved 0 a.Arena.unresolved 0 t.new_n;
-  Array.blit ck.ck_tainted 0 a.Arena.tainted 0 t.new_n;
-  Array.blit ck.ck_spec_known 0 a.Arena.spec_correct_known 0 t.new_n;
-  Array.blit ck.ck_cce_time 0 a.Arena.cce_value_time 0 t.new_n;
-  Array.blit ck.ck_captured 0 a.Arena.captured_old 0 t.new_n;
-  Array.blit ck.ck_sched 0 a.Arena.correct_known_scheduled 0 t.new_n;
-  a.Arena.ccb_head <- 0;
-  a.Arena.ccb_len <- ck.ck_ccb_len;
-  a.Arena.ccb_high <- ck.ck_ccb_high;
-  Array.blit ck.ck_ccb_s 0 a.Arena.ccb_s 0 ck.ck_ccb_len;
-  Array.blit ck.ck_ccb_t 0 a.Arena.ccb_t 0 ck.ck_ccb_len;
-  for b = 0 to t.horizon - 1 do
-    let len = ck.ck_ev_len.(b) in
-    a.Arena.ev_len.(b) <- len;
-    if len > 0 then begin
-      if Array.length a.Arena.ev_buf.(b) < 3 * len then
-        a.Arena.ev_buf.(b) <- Array.make (Array.length ck.ck_ev_buf.(b)) 0;
-      Array.blit ck.ck_ev_buf.(b) 0 a.Arena.ev_buf.(b) 0 (3 * len)
-    end
-  done;
-  a.Arena.pending <- ck.ck_pending;
-  a.Arena.stores_n <- ck.ck_stores_n;
-  Array.blit ck.ck_stores_a 0 a.Arena.stores_a 0 ck.ck_stores_n;
-  Array.blit ck.ck_stores_v 0 a.Arena.stores_v 0 ck.ck_stores_n;
-  a.Arena.last_completion <- ck.ck_last_completion;
-  a.Arena.vliw_last <- ck.ck_vliw_last;
-  a.Arena.stall_cycles <- ck.ck_stall;
-  a.Arena.flushed <- ck.ck_flushed;
-  a.Arena.recomputed <- ck.ck_recomputed
-
-let run_batch (t : t) (a : Arena.t) ~(vectors : Scenario.t array) :
-    Dual_engine.result array =
-  Array.iter
-    (fun v ->
-      if Array.length v <> t.num_preds then
-        invalid_arg "Compiled.run_batch: outcomes length mismatch")
-    vectors;
-  let nvec = Array.length vectors in
-  if nvec = 0 then [||]
-  else begin
-    ensure t a;
-    reset_for_run t a;
-    let results : Dual_engine.result option array = Array.make nvec None in
-    let failures : exn option array = Array.make nvec None in
-    (* Shared assignment buffer: bit k is meaningful once the group that
-       decides prediction k has been entered on the current DFS path. *)
-    let outcomes = Array.make t.num_preds false in
-    let groups_n = Array.length t.decision_insns in
-    let free_ckpts = ref [] in
-    let take_ckpt () =
-      match !free_ckpts with
-      | ck :: rest ->
-          free_ckpts := rest;
-          ck
-      | [] -> new_ckpt t
-    in
-    let give_ckpt ck = free_ckpts := ck :: !free_ckpts in
-    (* Partition [idxs] by the joint assignment of the group's predictions,
-       preserving first-occurrence order. Duplicated vectors stay together
-       all the way to a leaf and share one simulation. *)
-    let partition idxs ks =
-      let parts = ref [] in
-      List.iter
-        (fun i ->
-          let v = vectors.(i) in
-          match
-            List.find_opt
-              (fun (r, _) ->
-                Array.for_all (fun k -> vectors.(r).(k) = v.(k)) ks)
-              !parts
-          with
-          | Some (_, members) -> members := i :: !members
-          | None -> parts := !parts @ [ (i, ref [ i ]) ])
-        idxs;
-      List.map (fun (r, members) -> (r, List.rev !members)) !parts
-    in
-    let rec advance idxs gi ~now ~next_insn =
-      let stop_at = if gi < groups_n then t.decision_insns.(gi) else -1 in
-      match sim_until t a ~outcomes ~stop_at ~now ~next_insn with
-      | exception (Dual_engine.Deadlock _ as e) ->
-          List.iter (fun i -> failures.(i) <- Some e) idxs
-      | None ->
-          (* Completed: instruction [decision_insns.(gi)] would have paused
-             first, so completion implies every group was decided — the
-             whole partition reached the same leaf. *)
-          let r = extract_result t a ~outcomes in
-          List.iter (fun i -> results.(i) <- Some r) idxs
-      | Some (now, next_insn) ->
-          let ks = t.decision_preds.(gi) in
-          let branch (rep, sub) =
-            Array.iter (fun k -> outcomes.(k) <- vectors.(rep).(k)) ks;
-            issue_instruction t a ~outcomes now next_insn;
-            advance sub (gi + 1) ~now:(now + 1) ~next_insn:(next_insn + 1)
-          in
-          (match partition idxs ks with
-          | [ part ] -> branch part
-          | parts ->
-              let ck = take_ckpt () in
-              save_ckpt t a ck;
-              List.iteri
-                (fun pi part ->
-                  if pi > 0 then restore_ckpt t a ck;
-                  branch part)
-                parts;
-              give_ckpt ck)
-    in
-    advance (List.init nvec Fun.id) 0 ~now:0 ~next_insn:0;
-    (* Per-vector replay raises at the first vector (in input order) that
-       deadlocks; reproduce that exactly. *)
-    Array.iter (function Some e -> raise e | None -> ()) failures;
-    Array.map (function Some r -> r | None -> assert false) results
-  end
 
 (* --- Bitset mode: up to [Sys.int_size] outcome vectors per word --- *)
 
@@ -1725,7 +1460,7 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
     ensure_lanes t la;
     (* Collapse duplicate outcome vectors to one lane each: Monte-Carlo
        batches repeat vectors freely, and the engine is deterministic, so
-       duplicates share a result record (as [run_batch] shares a leaf).
+       duplicates share a result record.
        First-occurrence order is preserved, which keeps the deadlock
        order: the lowest failed lane is still the first failing vector in
        input order, duplicates of an earlier failure failing no earlier. *)
@@ -1769,7 +1504,7 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
         (* Some lane passed the deadlock limit while still live; the lane
            state is the scalar state, so replaying the first such vector
            (input order) through the scalar engine raises the byte-
-           identical [Deadlock] a [run_batch] / per-vector loop would. *)
+           identical [Deadlock] a per-vector loop would. *)
         Atomic.incr bitset_fallbacks_ctr;
         match run_scenario t la.Lanes.scalar ~outcomes:uvecs.(!off + ctz failed) with
         | _ -> assert false (* the scalar oracle must deadlock identically *)

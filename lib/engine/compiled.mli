@@ -56,25 +56,6 @@ val run_scenario : t -> Arena.t -> outcomes:Scenario.t -> Dual_engine.result
     record and its lists. Raises [Dual_engine.Deadlock] as the oracle
     does. *)
 
-val run_batch : t -> Arena.t -> vectors:Scenario.t array -> Dual_engine.result array
-(** [run_batch t arena ~vectors] simulates a whole outcome-vector set in
-    one pass and returns the results in input order, each structurally
-    equal to [run_scenario t arena ~outcomes:vectors.(i)].
-
-    Vectors are replayed as a tree: the machine state depends only on the
-    outcome bits already read, and the first read of bit [k] happens no
-    earlier than the issue of the instruction holding prediction [k]'s
-    LdPred or check op — so the simulation pauses just before each such
-    {e decision instruction}, partitions the still-compatible vectors by
-    the bits that instruction decides, checkpoints the arena once per
-    branch point and restores it per branch instead of replaying the
-    shared prefix. Duplicate vectors reach the same leaf and share one
-    simulation (and one physical [result] record).
-
-    If any vector deadlocks, raises the [Dual_engine.Deadlock] of the
-    {e first such vector in input order} — exactly what a per-vector loop
-    over [run_scenario] would raise. *)
-
 (** Reusable lane state for {!run_bitset}: per-lane register rows, event
     times and CCB rings backed by unboxed [Bigarray] slabs, plus one
     machine word per boolean engine field (sync bits, taint, outcomes)
@@ -102,10 +83,15 @@ val run_bitset :
     [Bigarray] slabs — and the only per-call allocations are the result
     records and their lists.
 
+    Duplicate vectors are collapsed to one lane and share one result
+    record; sets that collapse to two or fewer distinct vectors run
+    through {!run_scenario} instead, which is cheaper than setting up a
+    lane word.
+
     If any vector deadlocks, the affected lane is replayed through the
     scalar engine so the raised [Dual_engine.Deadlock] is byte-identical
-    to what {!run_batch} or a per-vector loop would raise, first vector in
-    input order. *)
+    to what a per-vector loop over {!run_scenario} would raise, first
+    vector in input order. *)
 
 type bitset_stats = { words : int; vectors : int; fallbacks : int }
 (** Process-wide occupancy counters for {!run_bitset}: lane words run,

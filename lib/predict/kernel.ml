@@ -1,13 +1,12 @@
 (* Direct-style predictor kernels over flat value arenas.
 
-   The closure-record predictors ({!Iface.t}) box every prediction in an
-   [int option] and pay an indirect call per [predict]/[update]; profiling
-   sweeps run them over millions of stream values. These kernels keep the
-   same state machines in plain records with an integer sentinel for "no
-   prediction" and compute every requested predictor's hit count in a
-   single pass over an [int array]. {!Predictor.accuracy} remains the
-   semantic oracle (see test/test_predict.ml's kernel-vs-closure
-   property). *)
+   Profiling sweeps run the predictors over millions of stream values, so
+   these kernels keep each state machine in a plain record with an
+   integer sentinel for "no prediction" (no [int option] boxing, no
+   closure call per [predict]/[update]) and compute every requested
+   predictor's hit count in a single pass over an [int array]. The
+   closure-record predictors in test/predictor_ref.ml are the semantic
+   oracle (see test/test_predict.ml's kernel-vs-reference property). *)
 
 let no_prediction = min_int
 
@@ -121,8 +120,9 @@ let reset = function
       h.h_stride_hits <- 0;
       h.h_fcm_hits <- 0
 
-(* Same hash as {!Fcm.mix}/[signature] — the kernels must index the same
-   table slots as the closure predictors to stay bit-equivalent. *)
+(* Same hash as the reference FCM's [mix]/[signature] in
+   test/predictor_ref.ml — the kernels must index the same table slots to
+   stay bit-equivalent. *)
 let[@inline] mix h v =
   let h = h lxor (v * 0x9E3779B1) in
   let h = (h lxor (h lsr 15)) * 0x85EBCA77 in

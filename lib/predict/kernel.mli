@@ -1,12 +1,13 @@
 (** Unboxed predictor kernels: the prediction fast lane.
 
-    Direct-style re-implementations of every {!Predictor.kind} state
+    Direct-style implementations of every {!Predictor.kind} state
     machine, exposing an integer sentinel ({!no_prediction}) instead of
     [int option] and a single-pass driver that scores all requested
     predictors over one flat value arena. Semantically pinned to the
-    closure predictors: for any kind and any value sequence free of
-    [min_int], {!accuracies} equals {!Predictor.accuracy} over the
-    corresponding {!Predictor.instantiate} (property-tested). *)
+    closure-record reference predictors in [test/predictor_ref.ml]: for
+    any kind and any value sequence free of [min_int], {!accuracies}
+    equals [Predictor_ref.accuracy] over the corresponding
+    [Predictor_ref.instantiate] (property-tested). *)
 
 val no_prediction : int
 (** Sentinel ([min_int]) returned by {!predict} when the predictor has no
@@ -16,8 +17,8 @@ type t
 (** Mutable kernel state for one predictor instance. *)
 
 val create : Predictor.kind -> t
-(** Fresh state. Raises [Invalid_argument] on the same parameter ranges as
-    the closure predictors (FCM order < 1, table_bits outside [4, 24]). *)
+(** Fresh state. Raises [Invalid_argument] on an FCM, DFCM or hybrid kind
+    with order < 1 or table_bits outside [4, 24]. *)
 
 val reset : t -> unit
 
@@ -35,7 +36,7 @@ val hit_counts : kinds:Predictor.kind list -> int array -> off:int -> len:int ->
 
 val accuracies : kinds:Predictor.kind list -> int array -> off:int -> len:int -> float array
 (** [hit_counts] normalized by [len]; all zeros when [len = 0] (matching
-    {!Predictor.accuracy} on the empty list). *)
+    the reference predictors' accuracy on the empty list). *)
 
 type pass
 (** A reusable scoring pass: preallocated kernel states plus per-kind hit

@@ -1,10 +1,3 @@
-type t = Iface.t = {
-  name : string;
-  predict : unit -> int option;
-  update : int -> unit;
-  reset : unit -> unit;
-}
-
 type kind =
   | Last_value
   | Stride
@@ -12,32 +5,11 @@ type kind =
   | Dfcm of { order : int; table_bits : int }
   | Hybrid_stride_fcm of { order : int; table_bits : int }
 
-let instantiate = function
-  | Last_value -> Last_value.as_predictor ()
-  | Stride -> Stride.as_predictor ()
-  | Fcm { order; table_bits } -> Fcm.as_predictor ~order ~table_bits ()
-  | Dfcm { order; table_bits } -> Dfcm.as_predictor ~order ~table_bits ()
-  | Hybrid_stride_fcm { order; table_bits } ->
-      Hybrid.as_predictor ~order ~table_bits ()
-
 let kind_name = function
   | Last_value -> "last-value"
   | Stride -> "stride"
   | Fcm { order; _ } -> Printf.sprintf "fcm-%d" order
   | Dfcm { order; _ } -> Printf.sprintf "dfcm-%d" order
   | Hybrid_stride_fcm _ -> "hybrid"
-
-let accuracy p values =
-  p.reset ();
-  let correct = ref 0 and total = ref 0 in
-  List.iter
-    (fun v ->
-      (match p.predict () with
-      | Some pr when pr = v -> incr correct
-      | _ -> ());
-      incr total;
-      p.update v)
-    values;
-  if !total = 0 then 0.0 else float_of_int !correct /. float_of_int !total
 
 let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)

@@ -1,47 +1,41 @@
-(** Common interface to value predictors.
+(** Value-predictor families.
 
     A predictor instance tracks one static operation (one "table entry" in
     hardware terms, one profiled load in compiler terms). Before each
-    dynamic execution the client asks for a prediction, then reports the
-    actual value; the predictor updates its internal state.
+    dynamic execution it is asked for a prediction, then told the actual
+    value, and updates its state. A predictor with no basis for a
+    prediction yet (a cold entry) makes none, which counts as a
+    misprediction, matching profile-rate semantics.
 
     The paper profiles every candidate load with {e stride} and {e FCM}
-    prediction and keeps the higher of the two rates (Section 3); those two
-    algorithms, the baseline last-value predictor and the max-of-both hybrid
-    live in sibling modules and are reachable uniformly through {!kind}. *)
-
-type t = Iface.t = {
-  name : string;
-  predict : unit -> int option;
-      (** [None] when the predictor has no basis for a prediction yet (cold
-          entry) — counted as a misprediction by {!accuracy}, matching
-          profile-rate semantics. *)
-  update : int -> unit;  (** Observe the actual value. *)
-  reset : unit -> unit;  (** Forget all history. *)
-}
+    prediction and keeps the higher of the two rates (Section 3). {!kind}
+    names those two algorithms, the baseline last-value predictor, a
+    differential FCM and the max-of-both hybrid; {!Kernel} implements
+    them. *)
 
 (** Predictor families selectable from configurations. *)
 type kind =
   | Last_value
-  | Stride  (** 2-delta stride (stride must repeat before being used). *)
+      (** Predict the previous value (Lipasti & Shen). *)
+  | Stride
+      (** 2-delta stride: predict [last + confirmed stride], where a new
+          stride is confirmed only after it repeats (Eickemeyer &
+          Vassiliadis). *)
   | Fcm of { order : int; table_bits : int }
-      (** Order-[order] finite context method with a [2^table_bits]-entry
-          second-level table. *)
+      (** Order-[order] finite context method (Sazeides & Smith) with a
+          [2^table_bits]-entry second-level table mapping a hash of the
+          last [order] values to the value that followed them.
+          [order >= 1], [table_bits] in [\[4, 24\]]. *)
   | Dfcm of { order : int; table_bits : int }
-      (** Differential FCM — FCM over strides (an extension post-dating the
-          paper; see {!Dfcm}). *)
+      (** Differential FCM (Goeman, Vander Zanden & De Bosschere, HPCA
+          2001): FCM over strides, predicting [last + stride]. An extension
+          post-dating the paper, for the predictor-sensitivity ablation.
+          Same parameter ranges as [Fcm]. *)
   | Hybrid_stride_fcm of { order : int; table_bits : int }
       (** Runs stride and FCM side by side and predicts with whichever has
-          the higher running accuracy, as in the paper's profiling step. *)
-
-val instantiate : kind -> t
+          the higher running accuracy (stride wins ties), as in the paper's
+          profiling step. *)
 
 val kind_name : kind -> string
-
-val accuracy : t -> int list -> float
-(** [accuracy p values] resets [p], then plays the value sequence through
-    predict/update pairs and returns the fraction of correct predictions
-    (0 on the empty list). This is the paper's per-operation
-    "value prediction rate". *)
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -35,8 +35,7 @@ let pass_for kinds =
       p
 
 let stream_rates workload ~stream ~samples ~kinds =
-  (* The fast lane: one pass of the unboxed kernels over the stream's
-     arena instead of a closure predictor per kind over a fresh list. *)
+  (* One pass of the unboxed kernels over the stream's arena. *)
   let arena = Vp_workload.Workload.arena workload stream ~min_len:samples in
   let pass = pass_for kinds in
   Vp_predict.Kernel.run_pass pass arena ~off:0 ~len:samples;

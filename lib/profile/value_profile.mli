@@ -59,8 +59,9 @@ val stream_rates :
   float array
 (** Per-kind prediction accuracy of stream [stream]'s first [samples]
     values, computed in a single unboxed-kernel pass over the workload's
-    stream arena. Equal to [Predictor.accuracy] of each instantiated kind
-    over [Value_stream.take] of the same prefix. *)
+    stream arena. Equal to the reference predictors' accuracy
+    ([test/predictor_ref.ml]) of each kind over [Value_stream.take] of the
+    same prefix. *)
 
 val blocks : t -> block_profile array
 

@@ -155,38 +155,7 @@ let prop_kernel_matches_oracle =
               = Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
             (outcome_vectors n ~rng ~draws:8))
 
-(* --- Scenario-tree batch mode vs per-vector replay --- *)
-
-(* [run_batch] must be observationally identical to mapping [run_scenario]
-   over the vectors — including on duplicated vectors, and including the
-   deadlock behaviour of a per-vector loop (first deadlocking vector in
-   input order wins) on constrained CCB/CCE shapes. *)
-let check_batch ?ccb_capacity ?cce_retire_width label sb vectors =
-  let reference = reference_of sb in
-  let compiled =
-    Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
-      ~live_in
-  in
-  let under f =
-    try Ok (f ())
-    with Vp_engine.Dual_engine.Deadlock m -> Error (`Deadlock m)
-  in
-  let seq =
-    under (fun () ->
-        Array.map
-          (fun outcomes ->
-            Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-          vectors)
-  in
-  let batch =
-    under (fun () -> Vp_engine.Compiled.run_batch compiled arena ~vectors)
-  in
-  Alcotest.check
-    (Alcotest.result
-       (Alcotest.array result)
-       (Alcotest.of_pp (fun ppf (`Deadlock m) ->
-            Format.fprintf ppf "deadlock: %s" m)))
-    label seq batch
+(* --- Bitset lanes vs per-vector replay --- *)
 
 let batch_vectors n ~rng =
   (* enumerated prefix + random draws + deliberate duplicates *)
@@ -197,75 +166,6 @@ let batch_vectors n ~rng =
   let all = enum @ draws in
   Array.of_list (all @ [ List.hd all ] @ [ List.nth all (List.length all / 2) ])
 
-let test_batch_equivalence () =
-  let rng = Vp_util.Rng.create 42 in
-  List.iter
-    (fun (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      check_batch
-        (Vp_ir.Block.label sb.block)
-        sb
-        (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
-let test_batch_equivalence_constrained () =
-  let rng = Vp_util.Rng.create 43 in
-  List.iteri
-    (fun i (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      if i mod 2 = 0 then
-        check_batch ~ccb_capacity:1
-          (Printf.sprintf "%s ccb=1" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng)
-      else
-        check_batch ~ccb_capacity:2 ~cce_retire_width:2
-          (Printf.sprintf "%s ccb=2 w=2" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
-let prop_batch_matches_per_vector =
-  QCheck.Test.make ~count:60
-    ~name:"run_batch = per-vector run_scenario on arbitrary blocks"
-    QCheck.(quad small_int (int_bound 7) small_int (int_bound 2))
-    (fun (seed, pick, oseed, shape) ->
-      let models = Vp_workload.Spec_model.all in
-      let model = List.nth models (pick mod List.length models) in
-      let block, _ =
-        Vp_workload.Block_gen.generate model
-          ~rng:(Vp_util.Rng.create seed)
-          ~stream_base:0 ~label:"batch-equiv"
-      in
-      match Vp_vspec.Transform.apply machine ~rate:(rate_all 0.8) block with
-      | Vp_vspec.Transform.Unchanged _ -> true
-      | Vp_vspec.Transform.Speculated sb ->
-          let ccb_capacity, cce_retire_width =
-            match shape with 0 -> (None, None) | 1 -> (Some 1, None)
-            | _ -> (Some 2, Some 2)
-          in
-          let reference = reference_of sb in
-          let compiled =
-            Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb
-              ~reference ~live_in
-          in
-          let n = Vp_engine.Compiled.num_predictions compiled in
-          let rng = Vp_util.Rng.create oseed in
-          let vectors = batch_vectors n ~rng in
-          let under f =
-            try Ok (f ())
-            with Vp_engine.Dual_engine.Deadlock m -> Error m
-          in
-          under (fun () ->
-              Array.map
-                (fun outcomes ->
-                  Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-                vectors)
-          = under (fun () ->
-                Vp_engine.Compiled.run_batch compiled arena ~vectors))
-
-(* --- Bitset lanes vs per-vector replay --- *)
-
 (* One shared lane arena, like [arena]: every block must reset what it
    uses. *)
 let lanes = Vp_engine.Compiled.Lanes.create ()
@@ -273,8 +173,10 @@ let lanes = Vp_engine.Compiled.Lanes.create ()
 (* [run_bitset] must be observationally identical to mapping
    [run_scenario] over the vectors — including duplicated vectors, lanes
    whose timing diverges, and the per-vector-loop deadlock behaviour
-   (first deadlocking vector in input order wins, with the same message). *)
-let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
+   (first deadlocking vector in input order wins, with the same message).
+   With [~spec:true] the per-vector side is [Dual_engine.run] itself. *)
+let check_bitset ?ccb_capacity ?cce_retire_width ?(spec = false) label sb
+    vectors =
   let reference = reference_of sb in
   let compiled =
     Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
@@ -284,13 +186,13 @@ let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
     try Ok (f ())
     with Vp_engine.Dual_engine.Deadlock m -> Error (`Deadlock m)
   in
-  let seq =
-    under (fun () ->
-        Array.map
-          (fun outcomes ->
-            Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-          vectors)
+  let one outcomes =
+    if spec then
+      Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width sb ~reference
+        ~live_in ~outcomes
+    else Vp_engine.Compiled.run_scenario compiled arena ~outcomes
   in
+  let seq = under (fun () -> Array.map one vectors) in
   let bitset =
     under (fun () -> Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
   in
@@ -349,6 +251,33 @@ let test_bitset_chunking () =
       check_bitset (Printf.sprintf "chunking %d vectors" count) sb vectors)
     [ 1; 62; 63; 64; 127 ]
 
+(* --- Bitset lanes vs the executable spec --- *)
+
+(* [run_bitset] is the only production evaluator of a speculated block, so
+   it is pinned straight to [Dual_engine.run] as well, not only through
+   [run_scenario]: the worked example at every scenario, then the workload
+   blocks under the default, CCB-1 and CCB-2 / CCE-2 shapes in turn. *)
+let test_bitset_spec_engine () =
+  check_bitset ~spec:true "example" (Vliw_vp.Example.spec ())
+    (Array.of_list (Vp_engine.Scenario.enumerate 2));
+  let rng = Vp_util.Rng.create 47 in
+  List.iteri
+    (fun i (sb : Vp_vspec.Spec_block.t) ->
+      let label = Vp_ir.Block.label sb.block in
+      let vectors = batch_vectors (Array.length sb.predicted) ~rng in
+      match i mod 3 with
+      | 0 -> check_bitset ~spec:true label sb vectors
+      | 1 ->
+          check_bitset ~spec:true ~ccb_capacity:1 (label ^ " ccb=1") sb
+            vectors
+      | _ ->
+          check_bitset ~spec:true ~ccb_capacity:2 ~cce_retire_width:2
+            (label ^ " ccb=2 w=2") sb vectors)
+    (Lazy.force speculated_blocks)
+
+(* The whole chain on arbitrary blocks and CCB/CCE shapes: [run_bitset] =
+   per-vector [run_scenario] = per-vector [Dual_engine.run], deadlock
+   messages included. *)
 let prop_bitset_matches_per_vector =
   QCheck.Test.make ~count:60
     ~name:"run_bitset = per-vector run_scenario on arbitrary blocks"
@@ -380,17 +309,23 @@ let prop_bitset_matches_per_vector =
             try Ok (f ())
             with Vp_engine.Dual_engine.Deadlock m -> Error m
           in
+          let bitset =
+            under (fun () ->
+                Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
+          in
           under (fun () ->
               Array.map
                 (fun outcomes ->
                   Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
                 vectors)
-          = under (fun () ->
-                Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
+          = bitset
           && under (fun () ->
-                 Vp_engine.Compiled.run_batch compiled arena ~vectors)
-             = under (fun () ->
-                   Vp_engine.Compiled.run_bitset compiled lanes ~vectors))
+                 Array.map
+                   (fun outcomes ->
+                     Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width
+                       sb ~reference ~live_in ~outcomes)
+                   vectors)
+             = bitset)
 
 (* --- Allocation regression --- *)
 
@@ -445,6 +380,9 @@ let test_bitset_allocation () =
     (Printf.sprintf "per-lane allocation %.0f words < 256" per_lane)
     true (per_lane < 256.0)
 
+(* Alcotest pads group names to the longest one and cuts test names to fit
+   80 columns, so a longest group name other than 13 characters shifts
+   every printed test name of this suite. *)
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kernel_equiv"
@@ -457,13 +395,6 @@ let () =
             test_random_blocks_constrained;
           QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
         ] );
-      ( "scenario-tree",
-        [
-          tc "batch = per-vector on random blocks" test_batch_equivalence;
-          tc "batch = per-vector, tight CCB / wide CCE"
-            test_batch_equivalence_constrained;
-          QCheck_alcotest.to_alcotest prop_batch_matches_per_vector;
-        ] );
       ( "bitset-lanes",
         [
           tc "bitset = per-vector on random blocks" test_bitset_equivalence;
@@ -472,6 +403,9 @@ let () =
           tc "chunking boundaries 62/63/64/127" test_bitset_chunking;
           QCheck_alcotest.to_alcotest prop_bitset_matches_per_vector;
         ] );
+      ( "engine-oracle",
+        [ tc "bitset = Dual_engine.run per vector" test_bitset_spec_engine ]
+      );
       ( "allocation",
         [
           tc "arena path stays flat" test_arena_allocation;

@@ -123,6 +123,71 @@ let test_pipeline_determinism () =
   in
   checkb "bit-identical rerun" true (digest pipeline = digest p2)
 
+(* Every result the pipeline reports for a speculated block — each
+   scenario's, and the best/worst columns — must equal the interpreting
+   spec engine on the same outcomes. Three machine shapes: the default;
+   li with a 2-entry CCB retiring 2 per cycle, under the CCB ablation's
+   3-bit sync budget that keeps the speculation set inside the buffer
+   (CCB 2 without that cap deadlocks li's block 5); and swim on the
+   8-wide machine. *)
+let pp_engine_result ppf (r : Vp_engine.Dual_engine.result) =
+  Format.fprintf ppf
+    "{cycles=%d; vliw=%d; stalls=%d; flushed=%d; recomputed=%d; high=%d; \
+     mispred=%d; %d regs; %d stores}"
+    r.cycles r.vliw_cycles r.stall_cycles r.flushed r.recomputed
+    r.ccb_high_water r.mispredicted (List.length r.final_regs)
+    (List.length r.stores)
+
+let engine_result = Alcotest.testable pp_engine_result ( = )
+
+let test_pipeline_matches_spec_engine () =
+  let default = Vliw_vp.Config.default in
+  let ccb2 =
+    {
+      default with
+      ccb_capacity = Some 2;
+      cce_retire_width = 2;
+      policy = { default.policy with Vp_vspec.Policy.max_sync_bits = 3 };
+    }
+  in
+  List.iter
+    (fun (label, model, (config : Vliw_vp.Config.t)) ->
+      let p = Vliw_vp.Pipeline.run ~config model in
+      let checked = ref 0 in
+      Array.iter
+        (fun (b : Vliw_vp.Pipeline.block_eval) ->
+          match b.spec with
+          | None -> ()
+          | Some spec ->
+              let reference =
+                Vliw_vp.Pipeline.reference_of_block p b.index
+              in
+              let check what outcomes got =
+                incr checked;
+                Alcotest.check engine_result
+                  (Printf.sprintf "%s, block %d, %s" label b.index what)
+                  (Vp_engine.Dual_engine.run
+                     ?ccb_capacity:config.ccb_capacity
+                     ~cce_retire_width:config.cce_retire_width spec.sb
+                     ~reference ~live_in:Vliw_vp.Pipeline.live_in ~outcomes)
+                  got
+              in
+              let n = Array.length spec.rates in
+              List.iter
+                (fun (s : Vliw_vp.Pipeline.scenario_eval) ->
+                  check "scenario" s.outcomes s.result)
+                spec.scenarios;
+              check "best" (Vp_engine.Scenario.all_correct n) spec.best;
+              check "worst" (Vp_engine.Scenario.all_incorrect n) spec.worst)
+        p.blocks;
+      checkb (label ^ ": speculated blocks checked") true (!checked > 0))
+    [
+      ("compress default", Vp_workload.Spec_model.compress, default);
+      ("li CCB 2", Vp_workload.Spec_model.li, ccb2);
+      ("swim width 8", Vp_workload.Spec_model.swim,
+       Vliw_vp.Config.with_width 8 default);
+    ]
+
 let test_reference_of_block () =
   let r = Vliw_vp.Pipeline.reference_of_block pipeline 0 in
   checkb "reference produced" true (Array.length r.results > 0)
@@ -350,6 +415,7 @@ let () =
           tc "best consistency" test_pipeline_best_consistency;
           tc "stats reduction" test_pipeline_stats_reduction;
           tc "determinism" test_pipeline_determinism;
+          tc "results = spec engine" test_pipeline_matches_spec_engine;
           tc "reference of block" test_reference_of_block;
           tc "expected helpers" test_expected_helpers;
         ] );

@@ -1,5 +1,6 @@
-(* Tests for vp_predict: the value predictors, confidence counters, and the
-   hardware value-prediction table. *)
+(* Tests for vp_predict: the value predictors (the closure-record
+   reference in [Predictor_ref] and the unboxed [Kernel] held to it),
+   confidence counters, and the hardware value-prediction table. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -9,45 +10,44 @@ let checkf = Alcotest.(check (float 1e-9))
 (* --- Last value --- *)
 
 let test_last_value () =
-  let p = Vp_predict.Last_value.create () in
-  checkoi "cold" None (Vp_predict.Last_value.predict p);
-  Vp_predict.Last_value.update p 42;
-  checkoi "predicts last" (Some 42) (Vp_predict.Last_value.predict p);
-  Vp_predict.Last_value.update p 7;
-  checkoi "updates" (Some 7) (Vp_predict.Last_value.predict p);
-  Vp_predict.Last_value.reset p;
-  checkoi "reset" None (Vp_predict.Last_value.predict p)
+  let p = Predictor_ref.Last_value.create () in
+  checkoi "cold" None (Predictor_ref.Last_value.predict p);
+  Predictor_ref.Last_value.update p 42;
+  checkoi "predicts last" (Some 42) (Predictor_ref.Last_value.predict p);
+  Predictor_ref.Last_value.update p 7;
+  checkoi "updates" (Some 7) (Predictor_ref.Last_value.predict p);
+  Predictor_ref.Last_value.reset p;
+  checkoi "reset" None (Predictor_ref.Last_value.predict p)
 
 (* --- Stride --- *)
 
 let test_stride_constant () =
-  let p = Vp_predict.Stride.create () in
-  Vp_predict.Stride.update p 5;
+  let p = Predictor_ref.Stride.create () in
+  Predictor_ref.Stride.update p 5;
   checkoi "constant predicted with stride 0" (Some 5)
-    (Vp_predict.Stride.predict p)
+    (Predictor_ref.Stride.predict p)
 
 let test_stride_arithmetic () =
-  let p = Vp_predict.Stride.create () in
-  List.iter (Vp_predict.Stride.update p) [ 10; 14; 18 ];
-  checkoi "confirmed stride" (Some 4) (Vp_predict.Stride.confirmed_stride p);
-  checkoi "predicts next" (Some 22) (Vp_predict.Stride.predict p)
+  let p = Predictor_ref.Stride.create () in
+  List.iter (Predictor_ref.Stride.update p) [ 10; 14; 18 ];
+  checkoi "confirmed stride" (Some 4) (Predictor_ref.Stride.confirmed_stride p);
+  checkoi "predicts next" (Some 22) (Predictor_ref.Stride.predict p)
 
 let test_stride_two_delta () =
   (* A single outlier must not retrain the confirmed stride. *)
-  let p = Vp_predict.Stride.create () in
-  List.iter (Vp_predict.Stride.update p) [ 0; 4; 8; 100 ];
+  let p = Predictor_ref.Stride.create () in
+  List.iter (Predictor_ref.Stride.update p) [ 0; 4; 8; 100 ];
   checkoi "stride survives one jump" (Some 4)
-    (Vp_predict.Stride.confirmed_stride p);
+    (Predictor_ref.Stride.confirmed_stride p);
   checkoi "predicts from the jump point" (Some 104)
-    (Vp_predict.Stride.predict p);
+    (Predictor_ref.Stride.predict p);
   (* two consecutive equal deltas retrain *)
-  List.iter (Vp_predict.Stride.update p) [ 110; 120; 130 ];
-  checkoi "retrained" (Some 10) (Vp_predict.Stride.confirmed_stride p)
+  List.iter (Predictor_ref.Stride.update p) [ 110; 120; 130 ];
+  checkoi "retrained" (Some 10) (Predictor_ref.Stride.confirmed_stride p)
 
 let test_stride_accuracy_on_stream () =
   let acc =
-    Vp_predict.Predictor.accuracy
-      (Vp_predict.Stride.as_predictor ())
+    Predictor_ref.accuracy_of Vp_predict.Predictor.Stride
       (List.init 100 (fun i -> 3 * i))
   in
   (* misses only the first two (cold + unconfirmed stride) *)
@@ -56,27 +56,27 @@ let test_stride_accuracy_on_stream () =
 (* --- FCM --- *)
 
 let test_fcm_learns_period () =
-  let p = Vp_predict.Fcm.create ~order:2 ~table_bits:8 () in
+  let p = Predictor_ref.Fcm.create ~order:2 ~table_bits:8 () in
   let pattern = [ 1; 7; 3 ] in
   (* two laps to train every context *)
-  List.iter (Vp_predict.Fcm.update p) (pattern @ pattern);
+  List.iter (Predictor_ref.Fcm.update p) (pattern @ pattern);
   (* context is now (7, 3) -> next is 1 *)
-  checkoi "predicts the pattern" (Some 1) (Vp_predict.Fcm.predict p);
-  Vp_predict.Fcm.update p 1;
-  checkoi "and the next element" (Some 7) (Vp_predict.Fcm.predict p)
+  checkoi "predicts the pattern" (Some 1) (Predictor_ref.Fcm.predict p);
+  Predictor_ref.Fcm.update p 1;
+  checkoi "and the next element" (Some 7) (Predictor_ref.Fcm.predict p)
 
 let test_fcm_cold_and_reset () =
-  let p = Vp_predict.Fcm.create ~order:3 () in
-  checkoi "cold" None (Vp_predict.Fcm.predict p);
-  Vp_predict.Fcm.update p 1;
-  Vp_predict.Fcm.update p 2;
-  checkoi "context not full" None (Vp_predict.Fcm.predict p);
-  Vp_predict.Fcm.update p 3;
+  let p = Predictor_ref.Fcm.create ~order:3 () in
+  checkoi "cold" None (Predictor_ref.Fcm.predict p);
+  Predictor_ref.Fcm.update p 1;
+  Predictor_ref.Fcm.update p 2;
+  checkoi "context not full" None (Predictor_ref.Fcm.predict p);
+  Predictor_ref.Fcm.update p 3;
   (* context full but second level still cold *)
-  checkoi "table miss" None (Vp_predict.Fcm.predict p);
-  Vp_predict.Fcm.reset p;
-  checkoi "reset clears" None (Vp_predict.Fcm.predict p);
-  checki "order" 3 (Vp_predict.Fcm.order p)
+  checkoi "table miss" None (Predictor_ref.Fcm.predict p);
+  Predictor_ref.Fcm.reset p;
+  checkoi "reset clears" None (Predictor_ref.Fcm.predict p);
+  checki "order" 3 (Predictor_ref.Fcm.order p)
 
 let test_fcm_beats_stride_on_pointer_chain () =
   let rng = Vp_util.Rng.create 1 in
@@ -87,28 +87,28 @@ let test_fcm_beats_stride_on_pointer_chain () =
       400
   in
   let fcm =
-    Vp_predict.Predictor.accuracy
-      (Vp_predict.Fcm.as_predictor ~order:2 ~table_bits:10 ())
+    Predictor_ref.accuracy_of
+      (Vp_predict.Predictor.Fcm { order = 2; table_bits = 10 })
       values
   in
-  let stride =
-    Vp_predict.Predictor.accuracy (Vp_predict.Stride.as_predictor ()) values
-  in
+  let stride = Predictor_ref.accuracy_of Vp_predict.Predictor.Stride values in
   checkb "fcm learns the chain" true (fcm > 0.9);
   checkb "stride cannot" true (stride < 0.2)
 
 let test_fcm_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  checkb "order 0" true (raises (fun () -> Vp_predict.Fcm.create ~order:0 ()));
+  checkb "order 0" true
+    (raises (fun () -> Predictor_ref.Fcm.create ~order:0 ()));
   checkb "table too small" true
-    (raises (fun () -> Vp_predict.Fcm.create ~table_bits:2 ()))
+    (raises (fun () -> Predictor_ref.Fcm.create ~table_bits:2 ()))
 
 (* --- DFCM --- *)
 
 let test_dfcm_strided () =
-  let p = Vp_predict.Dfcm.create ~order:2 ~table_bits:10 () in
-  List.iter (Vp_predict.Dfcm.update p) [ 0; 7; 14; 21; 28 ];
-  checkoi "predicts the next stride step" (Some 35) (Vp_predict.Dfcm.predict p)
+  let p = Predictor_ref.Dfcm.create ~order:2 ~table_bits:10 () in
+  List.iter (Predictor_ref.Dfcm.update p) [ 0; 7; 14; 21; 28 ];
+  checkoi "predicts the next stride step" (Some 35)
+    (Predictor_ref.Dfcm.predict p)
 
 let test_dfcm_stride_pattern () =
   (* alternating strides +1/+9: stride prediction fails, DFCM learns it *)
@@ -116,31 +116,29 @@ let test_dfcm_stride_pattern () =
     List.concat (List.init 100 (fun i -> [ 10 * i; (10 * i) + 1 ]))
   in
   let dfcm =
-    Vp_predict.Predictor.accuracy
-      (Vp_predict.Dfcm.as_predictor ~order:2 ~table_bits:10 ())
+    Predictor_ref.accuracy_of
+      (Vp_predict.Predictor.Dfcm { order = 2; table_bits = 10 })
       values
   in
-  let stride =
-    Vp_predict.Predictor.accuracy (Vp_predict.Stride.as_predictor ()) values
-  in
+  let stride = Predictor_ref.accuracy_of Vp_predict.Predictor.Stride values in
   checkb "dfcm learns alternating strides" true (dfcm > 0.9);
   checkb "2-delta stride cannot" true (stride < 0.2)
 
 let test_dfcm_reset () =
-  let p = Vp_predict.Dfcm.create () in
-  List.iter (Vp_predict.Dfcm.update p) [ 1; 2; 3; 4 ];
-  Vp_predict.Dfcm.reset p;
-  checkoi "cold after reset" None (Vp_predict.Dfcm.predict p)
+  let p = Predictor_ref.Dfcm.create () in
+  List.iter (Predictor_ref.Dfcm.update p) [ 1; 2; 3; 4 ];
+  Predictor_ref.Dfcm.reset p;
+  checkoi "cold after reset" None (Predictor_ref.Dfcm.predict p)
 
 (* --- Hybrid --- *)
 
 let test_hybrid_tracks_better_component () =
-  let h = Vp_predict.Hybrid.create ~order:2 ~table_bits:10 () in
+  let h = Predictor_ref.Hybrid.create ~order:2 ~table_bits:10 () in
   (* strided stream: stride component should win *)
-  List.iter (Vp_predict.Hybrid.update h) (List.init 60 (fun i -> 5 * i));
-  let stride_acc, fcm_acc = Vp_predict.Hybrid.component_accuracies h in
+  List.iter (Predictor_ref.Hybrid.update h) (List.init 60 (fun i -> 5 * i));
+  let stride_acc, fcm_acc = Predictor_ref.Hybrid.component_accuracies h in
   checkb "stride component better" true (stride_acc > fcm_acc);
-  checkoi "predicts stride" (Some 300) (Vp_predict.Hybrid.predict h)
+  checkoi "predicts stride" (Some 300) (Predictor_ref.Hybrid.predict h)
 
 let test_hybrid_max_rule () =
   (* On each stream family the hybrid should track the better component,
@@ -159,18 +157,17 @@ let test_hybrid_max_rule () =
           500
       in
       let hybrid =
-        Vp_predict.Predictor.accuracy
-          (Vp_predict.Hybrid.as_predictor ~order:2 ~table_bits:10 ())
+        Predictor_ref.accuracy_of
+          (Vp_predict.Predictor.Hybrid_stride_fcm
+             { order = 2; table_bits = 10 })
           (sample ())
       in
       let stride =
-        Vp_predict.Predictor.accuracy
-          (Vp_predict.Stride.as_predictor ())
-          (sample ())
+        Predictor_ref.accuracy_of Vp_predict.Predictor.Stride (sample ())
       in
       let fcm =
-        Vp_predict.Predictor.accuracy
-          (Vp_predict.Fcm.as_predictor ~order:2 ~table_bits:10 ())
+        Predictor_ref.accuracy_of
+          (Vp_predict.Predictor.Fcm { order = 2; table_bits = 10 })
           (sample ())
       in
       checkb "hybrid close to max" true
@@ -181,25 +178,26 @@ let test_hybrid_max_rule () =
 
 let test_accuracy_empty () =
   checkf "empty accuracy" 0.0
-    (Vp_predict.Predictor.accuracy (Vp_predict.Stride.as_predictor ()) [])
+    (Predictor_ref.accuracy_of Vp_predict.Predictor.Stride [])
 
 let test_accuracy_resets () =
-  let p = Vp_predict.Last_value.as_predictor () in
-  let a1 = Vp_predict.Predictor.accuracy p [ 1; 1; 1; 1 ] in
-  let a2 = Vp_predict.Predictor.accuracy p [ 2; 2; 2; 2 ] in
+  let p = Predictor_ref.instantiate Vp_predict.Predictor.Last_value in
+  let a1 = Predictor_ref.accuracy p [ 1; 1; 1; 1 ] in
+  let a2 = Predictor_ref.accuracy p [ 2; 2; 2; 2 ] in
   checkf "same accuracy after reset" a1 a2;
   checkf "3 of 4 correct" 0.75 a1
 
 let test_instantiate_kinds () =
   List.iter
     (fun kind ->
-      let p = Vp_predict.Predictor.instantiate kind in
-      checkb "cold predictor returns None" true (p.Vp_predict.Predictor.predict () = None);
-      p.Vp_predict.Predictor.update 5;
+      let p = Predictor_ref.instantiate kind in
+      checkb "cold predictor returns None" true
+        (p.Predictor_ref.predict () = None);
+      p.Predictor_ref.update 5;
       (* after training on a constant it should eventually predict *)
-      p.Vp_predict.Predictor.update 5;
-      p.Vp_predict.Predictor.update 5;
-      ignore (p.Vp_predict.Predictor.predict ()))
+      p.Predictor_ref.update 5;
+      p.Predictor_ref.update 5;
+      ignore (p.Predictor_ref.predict ()))
     [
       Vp_predict.Predictor.Last_value;
       Vp_predict.Predictor.Stride;
@@ -309,8 +307,7 @@ let prop_stride_perfect_on_arithmetic =
     QCheck.(pair (int_range (-1000) 1000) (int_range (-50) 50))
     (fun (base, stride) ->
       let values = List.init 64 (fun i -> base + (stride * i)) in
-      Vp_predict.Predictor.accuracy (Vp_predict.Stride.as_predictor ()) values
-      >= 0.95)
+      Predictor_ref.accuracy_of Vp_predict.Predictor.Stride values >= 0.95)
 
 let prop_accuracy_bounds =
   QCheck.Test.make ~name:"accuracy always lies in [0, 1]" ~count:100
@@ -318,11 +315,7 @@ let prop_accuracy_bounds =
     (fun values ->
       List.for_all
         (fun kind ->
-          let a =
-            Vp_predict.Predictor.accuracy
-              (Vp_predict.Predictor.instantiate kind)
-              values
-          in
+          let a = Predictor_ref.accuracy_of kind values in
           a >= 0.0 && a <= 1.0)
         [
           Vp_predict.Predictor.Last_value;
@@ -333,10 +326,10 @@ let prop_accuracy_bounds =
         ])
 
 (* The unboxed kernels in [Kernel] are an independent reimplementation
-   of the closure predictors; this property pins them to the closures as
-   oracle across every kind and a range of FCM geometries. Values stay
-   far from [min_int], which the kernels reserve as the "no prediction"
-   sentinel. *)
+   of the closure predictors in [Predictor_ref]; this property pins them
+   to the closures as oracle across every kind and a range of FCM
+   geometries. Values stay far from [min_int], which the kernels reserve
+   as the "no prediction" sentinel. *)
 let prop_kernel_matches_closures =
   QCheck.Test.make ~name:"unboxed kernels match closure predictors" ~count:200
     QCheck.(
@@ -358,11 +351,7 @@ let prop_kernel_matches_closures =
         Vp_predict.Kernel.accuracies ~kinds arr ~off:0 ~len:(Array.length arr)
       in
       List.for_all2
-        (fun kind k ->
-          Float.equal k
-            (Vp_predict.Predictor.accuracy
-               (Vp_predict.Predictor.instantiate kind)
-               values))
+        (fun kind k -> Float.equal k (Predictor_ref.accuracy_of kind values))
         kinds
         (Array.to_list kernel))
 

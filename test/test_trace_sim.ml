@@ -1,11 +1,11 @@
-(* Trace-simulation fast lane vs the legacy scalar loop.
+(* Trace simulation vs the per-execution reference loop.
 
-   The phased fast lane (pre-drawn schedule, slot-batched predictor
-   kernels, mask-memo replay) must be byte-identical to the per-execution
-   scalar oracle for every model, seed, and table configuration — results
-   AND the final VP-table state (evictions, utilization). The scalar lane
-   stays reachable through [Trace_sim.run ~fast:false] (the
-   [VP_NO_TRACE_FAST] escape hatch takes the same path). *)
+   The phased simulator (pre-drawn schedule, slot-batched predictor
+   kernels, mask-memo replay) must be byte-identical to [Trace_sim_ref],
+   a scalar loop over public APIs (fresh value streams, one
+   [predict_and_train] per load, [Dual_engine.run] per execution), for
+   every model, seed, and table configuration — results AND the final
+   VP-table state (evictions, utilization). *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -59,8 +59,8 @@ let prop_fast_matches_scalar =
         Vp_predict.Vp_table.create ~entries ~use_confidence ~tagged ()
       in
       let ta = mk () and tb = mk () in
-      let ra = Vliw_vp.Trace_sim.run ~executions ~table:ta ~fast:true p in
-      let rb = Vliw_vp.Trace_sim.run ~executions ~table:tb ~fast:false p in
+      let ra = Vliw_vp.Trace_sim.run ~executions ~table:ta p in
+      let rb = Trace_sim_ref.run ~executions ~table:tb p in
       ra = rb
       && Vp_predict.Vp_table.evictions ta = Vp_predict.Vp_table.evictions tb
       && Vp_predict.Vp_table.utilization ta
@@ -69,7 +69,7 @@ let prop_fast_matches_scalar =
 (* --- Slot aliasing regression ---
 
    Two PCs hashing to the same slot of a tagged table evict each other on
-   every alternation; the fast lane must replay those evictions in
+   every alternation; the simulator must replay those evictions in
    schedule order, not slot-discovery order. A 1-entry table forces every
    static load of the model onto one slot — the maximal aliasing case. *)
 
@@ -77,8 +77,8 @@ let test_aliasing_one_entry () =
   let p = pipeline_of Vp_workload.Spec_model.compress 42 in
   let mk () = Vp_predict.Vp_table.create ~entries:1 () in
   let ta = mk () and tb = mk () in
-  let ra = Vliw_vp.Trace_sim.run ~executions:600 ~table:ta ~fast:true p in
-  let rb = Vliw_vp.Trace_sim.run ~executions:600 ~table:tb ~fast:false p in
+  let ra = Vliw_vp.Trace_sim.run ~executions:600 ~table:ta p in
+  let rb = Trace_sim_ref.run ~executions:600 ~table:tb p in
   Alcotest.check result "one-slot table: identical results" rb ra;
   checki "identical eviction counts"
     (Vp_predict.Vp_table.evictions tb)
@@ -160,8 +160,8 @@ let test_uniform_empty_does_not_claim () =
 
 let test_fast_deterministic () =
   let p = pipeline_of Vp_workload.Spec_model.compress 42 in
-  let r1 = Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p in
-  let r2 = Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p in
+  let r1 = Vliw_vp.Trace_sim.run ~executions:500 p in
+  let r2 = Vliw_vp.Trace_sim.run ~executions:500 p in
   Alcotest.check result "repeat run identical" r1 r2
 
 let test_telemetry_counters () =
@@ -172,30 +172,29 @@ let test_telemetry_counters () =
   Vliw_vp.Trace_sim.clear_stats ();
   let s0 = Vliw_vp.Trace_sim.stats () in
   checki "cleared" 0
-    (s0.fast_runs + s0.scalar_runs + s0.memo_hits + s0.engine_replays
-   + s0.alias_evictions);
-  ignore (Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p);
+    (s0.runs + s0.memo_hits + s0.engine_replays + s0.alias_evictions);
+  ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s1 = Vliw_vp.Trace_sim.stats () in
-  checki "one fast run" 1 s1.fast_runs;
+  checki "one run" 1 s1.runs;
   checkb "engine ran at least once" true (s1.engine_replays > 0);
   checkb "memo served repeats" true (s1.memo_hits > 0);
   (* non-speculated block executions touch neither counter *)
   checkb "speculated executions = memo hits + replays" true
     (s1.memo_hits + s1.engine_replays <= 500);
-  ignore (Vliw_vp.Trace_sim.run ~executions:500 ~fast:false p);
+  ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s2 = Vliw_vp.Trace_sim.stats () in
-  checki "one scalar run" 1 s2.scalar_runs;
-  (* The memo persists per pipeline and is shared by both lanes: the
-     scalar replay of the same schedule finds every one of its
+  checki "two runs" 2 s2.runs;
+  (* The memo persists per pipeline: a repeat run on the same pipeline
+     draws the same schedule, finds every one of its
      (memo_hits1 + engine_replays1) speculated executions already
      memoized, and replays nothing. *)
   checki "no new engine replays against the warm memo" s1.engine_replays
     s2.engine_replays;
-  checki "scalar lane fully served from the persistent memo"
+  checki "repeat run fully served from the persistent memo"
     ((2 * s1.memo_hits) + s1.engine_replays)
     s2.memo_hits;
   let aliased = Vp_predict.Vp_table.create ~entries:1 () in
-  ignore (Vliw_vp.Trace_sim.run ~executions:200 ~table:aliased ~fast:true p);
+  ignore (Vliw_vp.Trace_sim.run ~executions:200 ~table:aliased p);
   let s3 = Vliw_vp.Trace_sim.stats () in
   checkb "alias evictions surfaced" true (s3.alias_evictions > 0);
   let contains hay needle =
@@ -209,9 +208,7 @@ let test_telemetry_counters () =
      && String.sub j 0 1 = "{"
      && List.for_all (contains j)
           [
-            "fast_enabled";
-            "fast_runs";
-            "scalar_runs";
+            "\"runs\"";
             "memo_hits";
             "engine_replays";
             "alias_evictions";

@@ -32,8 +32,8 @@ let test_noisy_periodic_rate () =
   in
   let values = Vp_workload.Value_stream.take s 2000 in
   let rate =
-    Vp_predict.Predictor.accuracy
-      (Vp_predict.Fcm.as_predictor ~order:2 ~table_bits:12 ())
+    Predictor_ref.accuracy_of
+      (Vp_predict.Predictor.Fcm { order = 2; table_bits = 12 })
       values
   in
   (* each noise event costs a handful of FCM predictions *)
@@ -47,9 +47,7 @@ let test_mostly_strided_rate () =
       4
   in
   let values = Vp_workload.Value_stream.take s 2000 in
-  let rate =
-    Vp_predict.Predictor.accuracy (Vp_predict.Stride.as_predictor ()) values
-  in
+  let rate = Predictor_ref.accuracy_of Vp_predict.Predictor.Stride values in
   checkb "stride rate ~ 1 - jump" true (abs_float (rate -. 0.8) < 0.07)
 
 let test_pointer_chain_cycles () =
