@@ -1,6 +1,6 @@
 # Convenience wrapper around dune. `make check` is what CI runs.
 
-.PHONY: all build test check fmt bench bench-smoke serve-smoke clean
+.PHONY: all build test check fmt bench bench-smoke ab serve-smoke clean
 
 all: build
 
@@ -36,6 +36,18 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- --smoke --json BENCH.smoke.json
 	dune exec bench/check.exe -- BENCH.json BENCH.smoke.json
+
+# Interleaved end-to-end A/B against another revision: perfbench runs in a
+# detached worktree of BASE (under .bench_build/ab/) and in this tree, for
+# PAIRS seeds from SEED, alternating which side goes first; prints medians,
+# quartiles and pairs won per metric. See bench/ab.py.
+BASE ?= HEAD
+WORKLOAD ?= suite-cold
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	python3 bench/ab.py --base $(BASE) --workload $(WORKLOAD) \
+	  --pairs $(PAIRS) --seed $(SEED)
 
 # End-to-end smoke of the serve daemon: capture a direct `vliw_vp all`
 # run (and a direct frontier sweep), then drive the sharded daemon with

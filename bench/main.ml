@@ -489,6 +489,14 @@ let tests =
     Test.make ~name:"kernel:list-schedule"
       (Staged.stage (fun () ->
            Vp_sched.List_scheduler.schedule_block kernel_machine kernel_block));
+    (* One dependence graph of the same block: the unit of work the
+       scheduler and the transform repeat (the transform builds one per
+       selection step and per schedule fixpoint round). *)
+    Test.make ~name:"kernel:depgraph-build"
+      (Staged.stage (fun () ->
+           Vp_ir.Depgraph.build
+             ~latency:(Vp_machine.Descr.latency kernel_machine)
+             kernel_block));
     Test.make ~name:"kernel:transform"
       (Staged.stage (fun () ->
            Vp_vspec.Transform.apply kernel_machine

@@ -754,15 +754,34 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
          p.blocks)
   in
   let descr = Config.machine config in
+  (* A block's reference and plain schedule depend only on the block, and
+     a solo run only on the block and its outcomes, so each is computed
+     once per row, at its first sample. The RNG draws are unchanged. *)
+  let once table index f =
+    match table.(index) with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        table.(index) <- Some v;
+        v
+  in
+  let references = Array.make (Array.length p.blocks) None in
+  let plain_schedules = Array.make (Array.length p.blocks) None in
+  let solo_runs = Hashtbl.create 64 in
   let items_with_bounds =
     List.init executions (fun _ ->
         let bi = Vp_util.Rng.sample rng blocks in
         let b = p.blocks.(bi) in
-        let reference = Pipeline.reference_of_block p bi in
+        let reference =
+          once references bi (fun () -> Pipeline.reference_of_block p bi)
+        in
         match b.spec with
         | None ->
-            let wb = Vp_ir.Program.nth p.program bi in
-            let s = Vp_sched.List_scheduler.schedule_block descr wb.block in
+            let s =
+              once plain_schedules bi (fun () ->
+                  Vp_sched.List_scheduler.schedule_block descr
+                    (Vp_ir.Program.nth p.program bi).block)
+            in
             ( Vp_engine.Sequence_engine.Plain (s, reference),
               b.original_cycles,
               b.original_cycles )
@@ -771,9 +790,16 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
               Vp_engine.Scenario.sample rng ~rates:spec.rates
             in
             let solo =
-              Vp_engine.Dual_engine.run
-                ~cce_retire_width:config.cce_retire_width spec.sb
-                ~reference ~live_in:Pipeline.live_in ~outcomes
+              match Hashtbl.find_opt solo_runs (bi, outcomes) with
+              | Some solo -> solo
+              | None ->
+                  let solo =
+                    Vp_engine.Dual_engine.run
+                      ~cce_retire_width:config.cce_retire_width spec.sb
+                      ~reference ~live_in:Pipeline.live_in ~outcomes
+                  in
+                  Hashtbl.add solo_runs (bi, outcomes) solo;
+                  solo
             in
             ( Vp_engine.Sequence_engine.Speculated
                 { sb = spec.sb; reference; outcomes },

@@ -19,63 +19,112 @@ let edges t =
   Array.to_list t.succs |> List.concat
   |> List.sort (fun a b -> compare (a.src, a.dst, a.kind) (b.src, b.dst, b.kind))
 
+let kind_index = function
+  | Flow -> 0
+  | Anti -> 1
+  | Output -> 2
+  | Mem -> 3
+  | Control -> 4
+  | Verify -> 5
+
+let num_kinds = 6
+
+(* Dense register numbering: registers are numbered 0, 1, ... in order of
+   first mention through a small open-addressed table ([min_int] marks a
+   free slot). The table and the per-register arrays of [build] are sized
+   by the operands the block names, never by a register number. *)
+type numbering = { keys : int array; ids : int array; mutable next : int }
+
+let operands ops =
+  Array.fold_left
+    (fun acc (op : Operation.t) ->
+      acc + List.length op.srcs
+      + (match op.guard with Some _ -> 1 | None -> 0)
+      + match op.dst with Some _ -> 1 | None -> 0)
+    0 ops
+
+let numbering ~operands =
+  let cap = ref 8 in
+  while !cap < 2 * operands do
+    cap := 2 * !cap
+  done;
+  { keys = Array.make !cap min_int; ids = Array.make !cap 0; next = 0 }
+
+let number t r =
+  let mask = Array.length t.keys - 1 in
+  let rec probe slot =
+    let k = t.keys.(slot) in
+    if k = r then t.ids.(slot)
+    else if k = min_int then begin
+      t.keys.(slot) <- r;
+      t.ids.(slot) <- t.next;
+      t.next <- t.next + 1;
+      t.ids.(slot)
+    end
+    else probe ((slot + 1) land mask)
+  in
+  probe (r land mask)
+
 let build ?(extra = []) ~latency block =
   let n = Block.size block in
   let ops = Block.ops block in
   let lat = Array.map latency ops in
   let preds = Array.make n [] and succs = Array.make n [] in
-  let seen = Hashtbl.create 64 in
+  let link e =
+    preds.(e.dst) <- e :: preds.(e.dst);
+    succs.(e.src) <- e :: succs.(e.src)
+  in
+  (* Every edge the main loop adds ends at the operation being visited, so
+     remembering the last destination of each (src, kind) pair is an exact
+     duplicate test. *)
+  let stamp = Array.make (n * num_kinds) (-1) in
   let add_edge src dst kind delay =
     assert (src < dst);
-    if not (Hashtbl.mem seen (src, dst, kind)) then begin
-      Hashtbl.replace seen (src, dst, kind) ();
-      let e = { src; dst; kind; delay } in
-      preds.(dst) <- e :: preds.(dst);
-      succs.(src) <- e :: succs.(src)
+    let slot = (src * num_kinds) + kind_index kind in
+    if stamp.(slot) <> dst then begin
+      stamp.(slot) <- dst;
+      link { src; dst; kind; delay }
     end
   in
-  let last_writer = Hashtbl.create 32 in
-  let readers_since_write = Hashtbl.create 32 in
-  let last_store = ref None and loads_since_store = ref [] in
+  let operands = operands ops in
+  let regs = numbering ~operands in
+  let reg = number regs in
+  let last_writer = Array.make operands (-1) in
+  let readers_since_write = Array.make operands [] in
+  let last_store = ref (-1) and loads_since_store = ref [] in
   Array.iteri
     (fun i op ->
       (* Register dependences. *)
       List.iter
         (fun r ->
-          (match Hashtbl.find_opt last_writer r with
-          | Some w -> add_edge w i Flow lat.(w)
-          | None -> ());
-          let rs =
-            Option.value ~default:[] (Hashtbl.find_opt readers_since_write r)
-          in
-          Hashtbl.replace readers_since_write r (i :: rs))
+          let r = reg r in
+          let w = last_writer.(r) in
+          if w >= 0 then add_edge w i Flow lat.(w);
+          readers_since_write.(r) <- i :: readers_since_write.(r))
         (Operation.reads op);
       (match Operation.writes op with
       | Some r ->
-          (match Hashtbl.find_opt last_writer r with
-          | Some w ->
-              add_edge w i Output (max 1 (lat.(w) - lat.(i) + 1))
-          | None -> ());
+          let r = reg r in
+          let w = last_writer.(r) in
+          if w >= 0 then
+            add_edge w i Output (Int.max 1 (lat.(w) - lat.(i) + 1));
           List.iter
             (fun rd -> if rd <> i then add_edge rd i Anti 0)
-            (Option.value ~default:[]
-               (Hashtbl.find_opt readers_since_write r));
-          Hashtbl.replace last_writer r i;
-          Hashtbl.replace readers_since_write r []
+            readers_since_write.(r);
+          last_writer.(r) <- i;
+          readers_since_write.(r) <- []
       | None -> ());
       (* Conservative memory ordering. *)
       if Operation.is_load op then begin
-        (match !last_store with
-        | Some s -> add_edge s i Mem lat.(s)
-        | None -> ());
+        let s = !last_store in
+        if s >= 0 then add_edge s i Mem lat.(s);
         loads_since_store := i :: !loads_since_store
       end;
       if Operation.is_store op then begin
-        (match !last_store with
-        | Some s -> add_edge s i Mem lat.(s)
-        | None -> ());
+        let s = !last_store in
+        if s >= 0 then add_edge s i Mem lat.(s);
         List.iter (fun l -> add_edge l i Mem 1) !loads_since_store;
-        last_store := Some i;
+        last_store := i;
         loads_since_store := []
       end;
       (* Pin the branch behind every other operation. *)
@@ -84,20 +133,44 @@ let build ?(extra = []) ~latency block =
           add_edge j i Control 0
         done)
     ops;
+  (* Extra edges may end anywhere, so their duplicates are found in the
+     destination's (short) incoming list instead. *)
   List.iter
     (fun e ->
       if e.src >= e.dst || e.src < 0 || e.dst >= n then
         invalid_arg "Depgraph.build: extra edge must go forward in the block";
-      add_edge e.src e.dst e.kind e.delay)
+      if
+        not
+          (List.exists
+             (fun p -> p.src = e.src && p.kind = e.kind)
+             preds.(e.dst))
+      then link e)
     extra;
   { block; lat; preds; succs }
+
+let with_block t block =
+  let n = size t in
+  let rec same i =
+    i = n
+    ||
+    let (a : Operation.t) = Block.op t.block i
+    and (b : Operation.t) = Block.op block i in
+    Opcode.equal a.opcode b.opcode
+    && a.dst = b.dst && a.srcs = b.srcs && a.guard = b.guard
+    && same (i + 1)
+  in
+  if Block.size block <> n || not (same 0) then
+    invalid_arg
+      "Depgraph.with_block: an operation changed its opcode, registers or \
+       guard";
+  { t with block }
 
 let earliest t =
   let n = size t in
   let est = Array.make n 0 in
   for i = 0 to n - 1 do
     List.iter
-      (fun e -> est.(i) <- max est.(i) (est.(e.src) + e.delay))
+      (fun e -> est.(i) <- Int.max est.(i) (est.(e.src) + e.delay))
       t.preds.(i)
   done;
   est
@@ -108,7 +181,7 @@ let priority t =
   for i = n - 1 downto 0 do
     prio.(i) <- t.lat.(i);
     List.iter
-      (fun e -> prio.(i) <- max prio.(i) (e.delay + prio.(e.dst)))
+      (fun e -> prio.(i) <- Int.max prio.(i) (e.delay + prio.(e.dst)))
       t.succs.(i)
   done;
   prio
@@ -117,7 +190,7 @@ let critical_path_length t =
   let est = earliest t in
   let len = ref 0 in
   for i = 0 to size t - 1 do
-    len := max !len (est.(i) + t.lat.(i))
+    len := Int.max !len (est.(i) + t.lat.(i))
   done;
   !len
 

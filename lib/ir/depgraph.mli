@@ -31,9 +31,34 @@ type t
 
 val build : ?extra:edge list -> latency:(Operation.t -> int) -> Block.t -> t
 (** Construct the graph of a block under the given latency model. [extra]
-    edges (typically [Verify]) are merged in; they must go forward
-    ([src < dst]) and duplicates of existing (src, dst, kind) triples are
-    dropped. *)
+    edges (typically [Verify]) are merged in after the block's own edges;
+    they must go forward ([src < dst]) and duplicates of existing
+    (src, dst, kind) triples are dropped, so the first edge added for a
+    triple keeps its delay.
+
+    Edge order is part of the contract: operations are visited in program
+    order, each visit adds its incoming edges (per register read: flow;
+    then output and anti for the register written, anti newest reader
+    first; then memory; then control), and the [extra] edges follow in
+    list order. Every added edge is pushed on the front of its
+    destination's {!preds} and its source's {!succs} list, so both lists
+    are newest first. {!critical_path} breaks ties by that order, and the
+    value-speculation transform's load selection depends on it.
+
+    Registers are numbered densely once per build (the registers the
+    block names, sorted), so the per-register tables are sized by the
+    number of operands, never by the largest register number. Raises
+    [Invalid_argument] on an [extra] edge that does not go forward inside
+    the block. *)
+
+val with_block : t -> Block.t -> t
+(** [with_block t block] is [t] describing [block] instead, with the same
+    edges and latencies: the graph of a block that differs only in
+    operation forms (forms create no dependences), without rebuilding it.
+    The latencies are kept, so the latency model [t] was built with must
+    not depend on forms ([Vp_machine.Descr.latency] reads only the
+    opcode). Raises [Invalid_argument] unless [block] has the same size and
+    every operation keeps its opcode, [dst], [srcs] and [guard]. *)
 
 val block : t -> Block.t
 

@@ -32,6 +32,10 @@ let make ?dst ?(srcs = []) ?guard ?stream ~id opcode =
          (Opcode.mnemonic opcode)
          (Opcode.num_sources opcode)
          (List.length srcs));
+  (match dst with
+  | Some r when r < 0 ->
+      invalid_arg "Operation.make: negative destination register"
+  | _ -> ());
   if List.exists (fun r -> r < 0) srcs then
     invalid_arg "Operation.make: negative source register";
   (match guard with

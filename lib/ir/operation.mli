@@ -64,7 +64,8 @@ val make :
 (** [make ~id opcode] builds a [Normal]-form operation, checking that the
     destination/source shape matches the opcode (a writing opcode needs
     [dst]; [srcs] must have the opcode's arity; loads should carry a
-    [stream]). Raises [Invalid_argument] on shape errors. *)
+    [stream]) and that no register is negative. Raises [Invalid_argument]
+    on shape errors. *)
 
 val with_form : t -> form -> t
 (** Same operation with a different ISA form. *)

@@ -10,6 +10,10 @@ let of_opcode (op : Vp_ir.Opcode.t) =
   | Add | Sub | Mul | Div | And | Or | Xor | Shift | Move | Cmp | Ld_pred ->
       Integer
 
+let count = List.length all
+
+let index = function Integer -> 0 | Memory -> 1 | Float -> 2 | Branch -> 3
+
 let name = function
   | Integer -> "int"
   | Memory -> "mem"

@@ -16,6 +16,12 @@ val of_opcode : Vp_ir.Opcode.t -> t
     check-prediction form still map to [Memory] because the opcode is the
     original load. *)
 
+val count : int
+(** Number of unit classes. *)
+
+val index : t -> int
+(** Position of a class in {!all}: [0 .. count - 1], for per-class tables. *)
+
 val name : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -28,6 +28,9 @@ let schedule descr graph =
   for i = 0 to n - 1 do
     if npreds.(i) = 0 then released := Iset.add rank.(i) !released
   done;
+  (* Operations issued this cycle, per unit class. *)
+  let per_class = Array.make Vp_machine.Unit_class.count 0 in
+  let class_count c = per_class.(Vp_machine.Unit_class.index c) in
   let cycle = ref 0 in
   while !remaining > 0 do
     (* The set is persistent, so the cycle-start value is a free snapshot:
@@ -37,10 +40,7 @@ let schedule descr graph =
        by this cycle's issues — all their predecessors already issued. *)
     let snapshot = !released in
     let total = ref 0 in
-    let per_class = Hashtbl.create 4 in
-    let class_count c =
-      Option.value ~default:0 (Hashtbl.find_opt per_class c)
-    in
+    Array.fill per_class 0 Vp_machine.Unit_class.count 0;
     Iset.iter
       (fun r ->
         let i = order.(r) in
@@ -52,22 +52,36 @@ let schedule descr graph =
           then begin
             issue.(i) <- !cycle;
             incr total;
-            let c = Vp_machine.Unit_class.of_opcode op.opcode in
-            Hashtbl.replace per_class c (class_count c + 1);
+            let c =
+              Vp_machine.Unit_class.index
+                (Vp_machine.Unit_class.of_opcode op.opcode)
+            in
+            per_class.(c) <- per_class.(c) + 1;
             decr remaining;
             released := Iset.remove r !released;
             List.iter
               (fun (e : Vp_ir.Depgraph.edge) ->
                 npreds.(e.dst) <- npreds.(e.dst) - 1;
                 ready_time.(e.dst) <-
-                  max ready_time.(e.dst) (!cycle + e.delay);
+                  Int.max ready_time.(e.dst) (!cycle + e.delay);
                 if npreds.(e.dst) = 0 then
                   released := Iset.add rank.(e.dst) !released)
               (Vp_ir.Depgraph.succs graph i)
           end
         end)
       snapshot;
-    incr cycle
+    if !total > 0 then incr cycle
+    else
+      (* An idle cycle changes no state, so skip straight to the first
+         cycle at which a released operation's delays have elapsed. (An
+         operation that fits no instruction at all never issues; keep
+         stepping so that case behaves as it always did.) *)
+      let next =
+        Iset.fold
+          (fun r acc -> Int.min acc ready_time.(order.(r)))
+          !released max_int
+      in
+      cycle := Int.max (!cycle + 1) next
   done;
   Schedule.make descr graph ~issue
 
@@ -89,8 +103,8 @@ let sequential_length descr block =
     issue.(i) <- earliest;
     List.iter
       (fun (e : Vp_ir.Depgraph.edge) ->
-        issue.(i) <- max issue.(i) (issue.(e.src) + e.delay))
+        issue.(i) <- Int.max issue.(i) (issue.(e.src) + e.delay))
       (Vp_ir.Depgraph.preds graph i);
-    len := max !len (issue.(i) + Vp_ir.Depgraph.latency graph i)
+    len := Int.max !len (issue.(i) + Vp_ir.Depgraph.latency graph i)
   done;
   !len

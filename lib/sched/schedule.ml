@@ -26,12 +26,12 @@ let completion_cycle t i = issue_cycle t i + Vp_ir.Depgraph.latency t.graph i
 let length t =
   let len = ref 0 in
   Array.iteri
-    (fun i c -> len := max !len (c + Vp_ir.Depgraph.latency t.graph i))
+    (fun i c -> len := Int.max !len (c + Vp_ir.Depgraph.latency t.graph i))
     t.issue;
   !len
 
 let num_instructions t =
-  Array.fold_left (fun acc c -> max acc (c + 1)) 0 t.issue
+  Array.fold_left (fun acc c -> Int.max acc (c + 1)) 0 t.issue
 
 let at_cycle t c =
   let ops = ref [] in

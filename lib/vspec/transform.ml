@@ -17,6 +17,29 @@ let flow_succs graph i =
     (fun (e : Vp_ir.Depgraph.edge) -> e.kind = Flow)
     (Vp_ir.Depgraph.succs graph i)
 
+(* The largest register the block names (0 for none): registers above it
+   are free for LdPred destinations and dependence-free virtual reads. *)
+let max_reg block =
+  Array.fold_left
+    (fun acc (op : Vp_ir.Operation.t) ->
+      List.fold_left Int.max
+        (Int.max acc (Option.value ~default:0 op.dst))
+        op.srcs)
+    0 (Vp_ir.Block.ops block)
+
+(* [block] with each operation [replaced] turned into a dependence-free
+   unit-latency producer of its destination: the selection-time stand-in
+   for a predicted load, whose consumers no longer wait for it. *)
+let virtual_block block ~replaced =
+  (* A register no operation writes: reading it creates no dependence. *)
+  let unwritten_reg = max_reg block + 1 in
+  Vp_ir.Block.map block (fun op ->
+      if replaced.(op.id) then
+        Vp_ir.Operation.make
+          ~dst:(Option.get (Vp_ir.Operation.writes op))
+          ~srcs:[ unwritten_reg ] ~id:op.id Vp_ir.Opcode.Move
+      else op)
+
 (* A guarded operation may be speculated only when its destination has no
    earlier writer in the block: the engines capture the destination's old
    value at issue so recovery can *restore* it when the operation turns out
@@ -41,6 +64,7 @@ let speculable policy block (op : Vp_ir.Operation.t) =
    dependence-free unit-latency producer, the selection-time approximation
    of its LdPred. *)
 let select policy ~latency graph ~rate block =
+  let n = Vp_ir.Block.size block in
   let priority = Vp_ir.Depgraph.priority graph in
   let restorable (op : Vp_ir.Operation.t) =
     op.guard = None
@@ -72,41 +96,27 @@ let select policy ~latency graph ~rate block =
     |> List.filteri (fun rank _ -> rank < policy.Policy.max_predictions)
     |> List.sort compare
   in
-  let all_qualifying =
-    Array.to_list (Vp_ir.Block.ops block)
-    |> List.filter qualifies
-    |> List.map (fun (op : Vp_ir.Operation.t) -> op.id)
-  in
-  if not policy.Policy.critical_path_only then cap all_qualifying
+  let qualifying = Array.map qualifies (Vp_ir.Block.ops block) in
+  if not policy.Policy.critical_path_only then
+    cap (List.filter (fun i -> qualifying.(i)) (List.init n Fun.id))
   else begin
-    (* A register no operation writes: reading it creates no dependence. *)
-    let unwritten_reg =
-      1
-      + Array.fold_left
-          (fun acc (op : Vp_ir.Operation.t) ->
-            List.fold_left max (max acc (Option.value ~default:0 op.dst)) op.srcs)
-          0 (Vp_ir.Block.ops block)
-    in
-    let virtual_block chosen =
-      Vp_ir.Block.map block (fun op ->
-          if List.mem op.id chosen then
-            Vp_ir.Operation.make
-              ~dst:(Option.get (Vp_ir.Operation.writes op))
-              ~srcs:[ unwritten_reg ] ~id:op.id Vp_ir.Opcode.Move
-          else op)
-    in
+    let in_chosen = Array.make n false in
     let rec grow chosen =
       if List.length chosen >= policy.Policy.max_predictions then chosen
       else begin
-        let g = Vp_ir.Depgraph.build ~latency (virtual_block chosen) in
+        let g =
+          Vp_ir.Depgraph.build ~latency
+            (virtual_block block ~replaced:in_chosen)
+        in
         let path = Vp_ir.Depgraph.critical_path g in
         let fresh =
-          List.filter
-            (fun i ->
-              (not (List.mem i chosen)) && List.mem i all_qualifying)
-            path
+          List.filter (fun i -> (not in_chosen.(i)) && qualifying.(i)) path
         in
-        match fresh with [] -> chosen | _ -> grow (chosen @ fresh)
+        match fresh with
+        | [] -> chosen
+        | _ ->
+            List.iter (fun i -> in_chosen.(i) <- true) fresh;
+            grow (chosen @ fresh)
       end
     in
     cap (grow [])
@@ -117,14 +127,15 @@ let select policy ~latency graph ~rate block =
 let build_spec policy descr orig_graph orig_sched ~rate block selection =
   let latency = Vp_machine.Descr.latency descr in
   let n = Vp_ir.Block.size block in
-  let num_sel = List.length selection in
+  let selected = Array.of_list selection in
+  let num_sel = Array.length selected in
   let sel = Array.make n false in
   let k_of = Array.make n (-1) in
-  List.iteri
+  Array.iteri
     (fun k i ->
       sel.(i) <- true;
       k_of.(i) <- k)
-    selection;
+    selected;
   (* Classify: which operations consume predicted values, and which of
      those may be speculated. The Synchronization register has
      [max_sync_bits] bits — one per LdPred plus one per speculative
@@ -134,7 +145,7 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
      the ones on the shortened critical path. *)
   let spec_budget = policy.Policy.max_sync_bits - num_sel in
   if spec_budget < 1 then
-    raise (Drop_prediction (List.nth selection (num_sel - 1)));
+    raise (Drop_prediction selected.(num_sel - 1));
   (* Speculating an operation is only useful if prediction actually lets it
      issue earlier: compare its unconstrained earliest issue time with and
      without the selected loads' dependences (the loads virtually replaced
@@ -143,22 +154,8 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
      Synchronization-register bit while buying nothing. *)
   let est_orig = Vp_ir.Depgraph.earliest orig_graph in
   let est_virtual =
-    let unwritten_reg =
-      1
-      + Array.fold_left
-          (fun acc (op : Vp_ir.Operation.t) ->
-            List.fold_left max (max acc (Option.value ~default:0 op.dst)) op.srcs)
-          0 (Vp_ir.Block.ops block)
-    in
-    let virtual_block =
-      Vp_ir.Block.map block (fun op ->
-          if sel.(op.id) then
-            Vp_ir.Operation.make
-              ~dst:(Option.get (Vp_ir.Operation.writes op))
-              ~srcs:[ unwritten_reg ] ~id:op.id Vp_ir.Opcode.Move
-          else op)
-    in
-    Vp_ir.Depgraph.earliest (Vp_ir.Depgraph.build ~latency virtual_block)
+    Vp_ir.Depgraph.earliest
+      (Vp_ir.Depgraph.build ~latency (virtual_block block ~replaced:sel))
   in
   let speculated = Array.make n false in
   let from_pred = Array.make n false in
@@ -216,14 +213,7 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
         |> List.sort_uniq compare
   done;
   (* Fresh predicted-value registers. *)
-  let max_reg =
-    Array.fold_left
-      (fun acc (op : Vp_ir.Operation.t) ->
-        List.fold_left max
-          (max acc (Option.value ~default:0 op.dst))
-          op.srcs)
-      0 (Vp_ir.Block.ops block)
-  in
+  let max_reg = max_reg block in
   let pred_reg k = max_reg + 1 + k in
   let dest_reg i =
     match Vp_ir.Operation.writes (Vp_ir.Block.op block i) with
@@ -289,13 +279,11 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
   done;
   (* Verify edges: a stalling consumer may issue only after the checks that
      resolve its producers' bits have completed. *)
-  let check_new_id k = new_id (List.nth selection k) in
-  let check_latency k =
-    latency (Vp_ir.Block.op block (List.nth selection k))
-  in
+  let check_new_id k = new_id selected.(k) in
+  let check_latency k = latency (Vp_ir.Block.op block selected.(k)) in
   let verify_edge k x =
     let src = check_new_id k in
-    if src >= x then raise (Drop_prediction (List.nth selection k));
+    if src >= x then raise (Drop_prediction selected.(k));
     { Vp_ir.Depgraph.src; dst = x; kind = Verify; delay = check_latency k }
   in
   let base_extra =
@@ -326,19 +314,21 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
   let waiting_ops =
     List.init new_n (fun i -> i) |> List.filter (fun i -> wait_bits.(i) <> [])
   in
+  (* Verify edges from one check share its delay, so (src, dst) orders and
+     identifies them. *)
   let dedup edges =
     List.sort_uniq
       (fun (a : Vp_ir.Depgraph.edge) b ->
-        compare (a.src, a.dst, a.kind) (b.src, b.dst, b.kind))
+        match Int.compare a.src b.src with
+        | 0 -> Int.compare a.dst b.dst
+        | c -> c)
       edges
   in
   (* Transformed id of the speculative operation owning each sync bit. *)
   let producer_of_bit =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun s -> Hashtbl.replace tbl bit_of.(s - num_sel) s)
-      spec_new_ids;
-    fun b -> Hashtbl.find tbl b
+    let producer = Array.make sync_bits_used (-1) in
+    List.iter (fun s -> producer.(bit_of.(s - num_sel)) <- s) spec_new_ids;
+    Array.get producer
   in
   let rec schedule_fixpoint extra iterations =
     if iterations > 32 then
@@ -378,10 +368,10 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
         waiting_ops
       |> dedup
     in
-    if violations = [] then (extra, graph, sched)
+    if violations = [] then (graph, sched)
     else schedule_fixpoint (dedup (violations @ extra)) (iterations + 1)
   in
-  let extra, _graph, sched = schedule_fixpoint (dedup base_extra) 0 in
+  let graph, sched = schedule_fixpoint (dedup base_extra) 0 in
   (* Assign each speculative operation's bit to the check that completes
      last among the predictions it depends on — that check's success is the
      one that clears the bit (Section 2.1's conditional clearing). *)
@@ -422,7 +412,9 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
       body
   in
   let final_block = make_block final_body in
-  let final_graph = Vp_ir.Depgraph.build ~extra ~latency final_block in
+  (* Only the checks' [spec_bits] changed, and forms create no
+     dependences: the fixpoint's graph is the final block's. *)
+  let final_graph = Vp_ir.Depgraph.with_block graph final_block in
   let final_sched =
     Vp_sched.Schedule.make descr final_graph
       ~issue:

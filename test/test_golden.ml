@@ -88,6 +88,68 @@ let test_comparison_shape () =
         && c.recovery_spec_ratio >= c.ours_spec_ratio -. 1e-9))
     (Lazy.force summaries)
 
+(* Overlap validation at the defaults, recorded before the per-block memo
+   in [overlap_row]: (benchmark, sequence total, sum VLIW-retire, sum
+   full-drain, stalls). Every state must be ok. *)
+let overlap_expectations =
+  [
+    ("compress", 3705, 3722, 3740, 161);
+    ("ijpeg", 3688, 3786, 3871, 54);
+    ("li", 2746, 2780, 2851, 157);
+    ("m88ksim", 3416, 3444, 3537, 195);
+    ("vortex", 5600, 5586, 5663, 334);
+    ("hydro2d", 6086, 6066, 6074, 406);
+    ("swim", 4823, 4884, 4919, 3);
+    ("tomcatv", 4942, 5052, 5075, 41);
+  ]
+
+let test_overlap_rows () =
+  let rows =
+    Vliw_vp.Experiments.overlap_validation Vp_workload.Spec_model.all
+  in
+  Alcotest.(check int) "one row per benchmark"
+    (List.length overlap_expectations) (List.length rows);
+  List.iter2
+    (fun (name, total, vliw, drain, stalls)
+         (r : Vliw_vp.Experiments.overlap_row) ->
+      Alcotest.(check string) "benchmark" name r.overlap_bench;
+      Alcotest.(check int) (name ^ " sequence total") total r.sequence_total;
+      Alcotest.(check int) (name ^ " sum VLIW-retire") vliw r.sum_vliw;
+      Alcotest.(check int) (name ^ " sum full-drain") drain r.sum_drain;
+      Alcotest.(check int) (name ^ " stalls") stalls r.sequence_stalls;
+      Alcotest.(check bool) (name ^ " state ok") true r.sequence_ok)
+    overlap_expectations rows
+
+(* The superblock-region table at the defaults, every cell as printed. *)
+let regions_expectations =
+  [
+    "compress,0.84,0.86,1.068x,1.083x,18,3.4";
+    "ijpeg,0.87,0.89,1.069x,1.073x,18,3.7";
+    "li,0.80,0.81,1.119x,1.124x,23,3.5";
+    "m88ksim,0.80,0.81,1.120x,1.126x,19,3.4";
+    "vortex,0.83,0.85,1.106x,1.117x,22,3.0";
+    "hydro2d,0.80,0.81,1.150x,1.169x,19,3.4";
+    "swim,0.95,0.94,1.025x,1.031x,20,3.2";
+    "tomcatv,0.97,0.95,1.005x,1.015x,17,3.6";
+  ]
+
+let test_regions_cells () =
+  let csv =
+    Vliw_vp.Experiments.render_regions ~format:`Csv
+      (Vliw_vp.Experiments.regions Vp_workload.Spec_model.all)
+  in
+  match List.filter (( <> ) "") (String.split_on_char '\n' csv) with
+  | [] -> Alcotest.fail "empty regions table"
+  | _header :: rows ->
+      Alcotest.(check int) "one row per benchmark"
+        (List.length regions_expectations) (List.length rows);
+      List.iter2
+        (fun expected row ->
+          let cells = String.split_on_char ',' in
+          Alcotest.(check (list string))
+            (List.hd (cells expected)) (cells expected) (cells row))
+        regions_expectations rows
+
 let () =
   Alcotest.run "golden"
     [
@@ -98,5 +160,7 @@ let () =
           Alcotest.test_case "worked example cycles" `Quick test_example_cycles;
           Alcotest.test_case "figure 8 pooled" `Slow test_figure8_pooled;
           Alcotest.test_case "comparison shape" `Slow test_comparison_shape;
+          Alcotest.test_case "overlap rows" `Slow test_overlap_rows;
+          Alcotest.test_case "regions cells" `Slow test_regions_cells;
         ] );
     ]

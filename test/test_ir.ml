@@ -45,7 +45,9 @@ let test_operation_make_invalid () =
   checkb "bad arity" true (raises (fun () ->
       op ~dst:1 ~srcs:[ 1 ] ~id:0 Vp_ir.Opcode.Add));
   checkb "negative source" true (raises (fun () ->
-      op ~dst:1 ~srcs:[ -1; 2 ] ~id:0 Vp_ir.Opcode.Add))
+      op ~dst:1 ~srcs:[ -1; 2 ] ~id:0 Vp_ir.Opcode.Add));
+  checkb "negative destination" true (raises (fun () ->
+      op ~dst:(-1) ~srcs:[ 1; 2 ] ~id:0 Vp_ir.Opcode.Add))
 
 let test_operation_forms () =
   let o = op ~dst:1 ~srcs:[ 2; 3 ] ~id:5 Vp_ir.Opcode.Add in
@@ -337,7 +339,8 @@ let test_asm_errors () =
   expect_error "add r2, r3" (* missing destination *);
   expect_error "r1 <- store r2, r3" (* store writes nothing *);
   expect_error "r1 <- add r2, r3 @s4" (* stream on a non-load *);
-  expect_error "branch r1\nr2 <- add r3, r4" (* branch not last *)
+  expect_error "branch r1\nr2 <- add r3, r4" (* branch not last *);
+  expect_error "r-1 <- add r1, r2" (* negative destination *)
 
 let test_asm_program () =
   let src =
@@ -552,6 +555,166 @@ let prop_priority_at_least_latency =
         (Array.init (Vp_ir.Block.size b) (fun i ->
              prio.(i) >= Vp_ir.Depgraph.latency g i)))
 
+(* --- Depgraph against the Hashtbl oracle (test/depgraph_ref.ml) --- *)
+
+(* Hand-made blocks for the builder's corner cases. *)
+let corner_blocks =
+  let module O = Vp_ir.Opcode in
+  let ld ?guard dst addr =
+    op ~dst ~srcs:[ addr ] ?guard ~stream:0 ~id:0 O.Load
+  in
+  let st addr v = op ~srcs:[ addr; v ] ~id:0 O.Store in
+  let bin ?guard o dst a b = op ~dst ~srcs:[ a; b ] ?guard ~id:0 o in
+  List.map (Vp_ir.Block.of_ops ~label:"corner")
+    [
+      (* repeated sources, and operations reading the register they write *)
+      [ bin O.Add 1 2 2; bin O.Add 1 1 1; bin O.Mul 3 1 1; bin O.Sub 1 3 1;
+        bin O.Add 3 3 3 ];
+      (* guards: the guard register is read like a source *)
+      [ bin O.Cmp 5 1 2; bin O.Add 6 1 2 ~guard:(5, true);
+        bin O.Mul 6 6 1 ~guard:(5, false); bin O.Add 5 6 6 ~guard:(5, true);
+        ld 7 6 ~guard:(5, false); bin O.Add 8 7 5 ];
+      (* runs of stores and loads *)
+      [ ld 1 0; ld 2 0; st 0 1; st 0 2; ld 3 0; st 1 3; st 2 3; ld 4 1;
+        ld 5 2; ld 6 3; st 4 5 ];
+      (* a final branch pinned behind everything *)
+      [ ld 1 0; bin O.Add 2 1 1; st 0 2; bin O.Cmp 3 2 1;
+        op ~srcs:[ 3 ] ~id:0 O.Branch ];
+      (* the smallest and a huge register side by side *)
+      [ ld 999999999 0; bin O.Add 0 999999999 0; st 0 999999999;
+        bin O.Mul 999999999 0 999999999 ];
+    ]
+
+let block_of_choice = function
+  | `Generated (seed, pick) ->
+      let models = Vp_workload.Spec_model.all in
+      let model = List.nth models (pick mod List.length models) in
+      fst
+        (Vp_workload.Block_gen.generate model ~rng:(Vp_util.Rng.create seed)
+           ~stream_base:0 ~label:"prop")
+  | `Corner k -> List.nth corner_blocks k
+
+(* [extra] edges for [b]: copies of some of the block's own edges (with a
+   different delay, which must lose to the first), random forward edges of
+   every kind, then repeats of some of those. *)
+let extra_edges b rng =
+  let n = Vp_ir.Block.size b in
+  if n < 2 then []
+  else begin
+    let own = Depgraph_ref.build ~latency:latency_3_loads b in
+    let copies =
+      List.concat_map
+        (fun es ->
+          List.filter_map
+            (fun (e : Vp_ir.Depgraph.edge) ->
+              if Random.State.int rng 3 = 0 then
+                Some { e with delay = e.delay + 1 + Random.State.int rng 3 }
+              else None)
+            es)
+        (Array.to_list own.preds)
+    in
+    let kinds =
+      Vp_ir.Depgraph.[| Flow; Anti; Output; Mem; Control; Verify |]
+    in
+    let fresh =
+      List.init (Random.State.int rng 8) (fun _ ->
+          let dst = 1 + Random.State.int rng (n - 1) in
+          {
+            Vp_ir.Depgraph.src = Random.State.int rng dst;
+            dst;
+            kind = kinds.(Random.State.int rng (Array.length kinds));
+            delay = Random.State.int rng 5;
+          })
+    in
+    let repeats =
+      List.filter_map
+        (fun (e : Vp_ir.Depgraph.edge) ->
+          if Random.State.bool rng then Some { e with delay = e.delay + 2 }
+          else None)
+        (copies @ fresh)
+    in
+    let mixed = copies @ fresh @ repeats in
+    (* reversed half the time, so repeats also come before their originals *)
+    if Random.State.bool rng then List.rev mixed else mixed
+  end
+
+let prop_depgraph_matches_oracle =
+  QCheck.Test.make ~name:"build = Hashtbl oracle, edge order included"
+    ~count:300
+    QCheck.(
+      pair
+        (oneof
+           [
+             map (fun sp -> `Generated sp) (pair int (int_bound 7));
+             map (fun k -> `Corner k)
+               (int_bound (List.length corner_blocks - 1));
+           ])
+        int)
+    (fun (choice, seed) ->
+      let b = block_of_choice choice in
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun extra ->
+          let g = Vp_ir.Depgraph.build ~extra ~latency:latency_3_loads b in
+          let r = Depgraph_ref.build ~extra ~latency:latency_3_loads b in
+          List.for_all
+            (fun i ->
+              Vp_ir.Depgraph.preds g i = r.preds.(i)
+              && Vp_ir.Depgraph.succs g i = r.succs.(i)
+              && Vp_ir.Depgraph.latency g i = r.lat.(i))
+            (List.init (Vp_ir.Block.size b) Fun.id))
+        [ []; extra_edges b rng ])
+
+(* The per-register tables are sized by the operands a block names: a
+   register-number-sized table would need gigabytes here. Counted with
+   [Gc.allocated_bytes], which (unlike a [Gc.minor_words] delta) also sees
+   an array large enough to be allocated straight in the major heap. *)
+let test_depgraph_alloc_bounded () =
+  let b = List.nth corner_blocks 4 in
+  checki "four operations" 4 (Vp_ir.Block.size b);
+  let build () = Vp_ir.Depgraph.build ~latency:latency_3_loads b in
+  ignore (build ());
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (build ()));
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 65536.0 then
+    Alcotest.failf "building a 4-op block allocated %.0f bytes" bytes
+
+let test_depgraph_with_block () =
+  let b = List.nth corner_blocks 2 in
+  let g = Vp_ir.Depgraph.build ~latency:latency_3_loads b in
+  let reformed =
+    Vp_ir.Block.map b (fun o ->
+        if Vp_ir.Operation.is_load o then
+          Vp_ir.Operation.with_form o
+            (Check { pred_bit = 0; spec_bits = [ 1; 2 ] })
+        else Vp_ir.Operation.with_form o Non_speculative)
+  in
+  let g' = Vp_ir.Depgraph.with_block g reformed in
+  checkb "new block" true (Vp_ir.Depgraph.block g' == reformed);
+  for i = 0 to Vp_ir.Block.size b - 1 do
+    checkb "same preds" true
+      (Vp_ir.Depgraph.preds g' i = Vp_ir.Depgraph.preds g i);
+    checkb "same succs" true
+      (Vp_ir.Depgraph.succs g' i = Vp_ir.Depgraph.succs g i);
+    checki "same latency" (Vp_ir.Depgraph.latency g i)
+      (Vp_ir.Depgraph.latency g' i)
+  done;
+  let raises b' =
+    try
+      ignore (Vp_ir.Depgraph.with_block g b');
+      false
+    with Invalid_argument _ -> true
+  in
+  checkb "changed srcs rejected" true
+    (raises
+       (Vp_ir.Block.map b (fun o ->
+            if o.id = 2 then { o with srcs = [ 0; 2 ] } else o)));
+  checkb "changed size rejected" true
+    (raises
+       (Vp_ir.Block.of_ops
+          (List.tl (Array.to_list (Vp_ir.Block.ops b)))))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_ir"
@@ -615,5 +778,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_earliest_respects_edges;
           QCheck_alcotest.to_alcotest prop_critical_path_consistent;
           QCheck_alcotest.to_alcotest prop_priority_at_least_latency;
+          QCheck_alcotest.to_alcotest prop_depgraph_matches_oracle;
+          tc "allocation bounded by operands" test_depgraph_alloc_bounded;
+          tc "with_block" test_depgraph_with_block;
         ] );
     ]
