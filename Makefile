@@ -41,11 +41,9 @@ bench-smoke:
 # detached worktree of BASE (under .bench_build/ab/) and in this tree, for
 # PAIRS seeds from SEED, alternating which side goes first; prints medians,
 # quartiles and pairs won per metric. See bench/ab.py.
-BASE ?= HEAD
-WORKLOAD ?= suite-cold
-PAIRS ?= 10
-SEED ?= 1
 ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(PAIRS)" -a -n "$(SEED)" \
+	  || { echo "usage: make ab BASE=<rev> WORKLOAD=<w> PAIRS=<n> SEED=<s>" >&2; exit 2; }
 	python3 bench/ab.py --base $(BASE) --workload $(WORKLOAD) \
 	  --pairs $(PAIRS) --seed $(SEED)
 

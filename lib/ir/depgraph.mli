@@ -45,9 +45,9 @@ val build : ?extra:edge list -> latency:(Operation.t -> int) -> Block.t -> t
     are newest first. {!critical_path} breaks ties by that order, and the
     value-speculation transform's load selection depends on it.
 
-    Registers are numbered densely once per build (the registers the
-    block names, sorted), so the per-register tables are sized by the
-    number of operands, never by the largest register number. Raises
+    Registers are numbered densely once per build, in order of first
+    mention, so the per-register tables are sized by the number of
+    operands, never by the largest register number. Raises
     [Invalid_argument] on an [extra] edge that does not go forward inside
     the block. *)
 
