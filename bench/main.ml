@@ -22,7 +22,13 @@ let section title = Printf.printf "%s\n%s\n%s\n" line title line
                    budget — a seconds-scale CI sanity run
 
    Output is byte-identical whatever --jobs says; telemetry goes to stderr
-   (or the --telemetry file) so it never perturbs the regenerated tables. *)
+   (or the --telemetry file) so it never perturbs the regenerated tables.
+
+   Without --cache-dir the harness keeps its result store in _cache/bench/,
+   not vliw_vp's _cache/: entries carry the digest of the executable that
+   wrote them, so in a shared store an entry under a key both binaries
+   compute (the closure-free spec-unit keys; job keys marshal closures and
+   differ per binary) would be evicted back and forth as stale. *)
 
 let exec_opts, json_path, smoke =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -34,6 +40,14 @@ let exec_opts, json_path, smoke =
   match Vp_exec.Cli.parse args with
   | Error msg -> fail msg
   | Ok (opts, leftover) ->
+      let opts =
+        if List.mem "--cache-dir" args then opts
+        else
+          {
+            opts with
+            cache_dir = Filename.concat Vp_exec.Store.default_dir "bench";
+          }
+      in
       let json = ref None and smoke = ref false in
       let rec go = function
         | [] -> ()
@@ -387,9 +401,12 @@ let tests =
        kernel:cache-comparison times the computation itself. *)
     Test.make ~name:"comparison"
       (Staged.stage
-         (let s = bench_summary () in
+         (let p = Vliw_vp.Pipeline.run ~config:bench_config bench_model in
           let rows =
-            [ (Vliw_vp.Experiments.name s, Vliw_vp.Experiments.comparison_of s) ]
+            [
+              ( bench_model.Vp_workload.Spec_model.name,
+                Vliw_vp.Experiments.comparison_of p );
+            ]
           in
           fun () -> Vliw_vp.Experiments.render_comparison rows));
     Test.make ~name:"example(fig2/3)"
@@ -577,13 +594,13 @@ let tests =
           fun () ->
             Vp_predict.Vp_table.run_slot_uniform table ~pc:42 values
               ~len:2000 ~correct));
-    (* One static-recovery comparison of a prebuilt summary: the dynamic
+    (* One static-recovery comparison of a prebuilt pipeline: the dynamic
        trace (one prepared-sampler draw per execution) and the two flat
        icache walks — what each comparison leaf pays on a store miss. *)
     Test.make ~name:"kernel:cache-comparison"
       (Staged.stage
-         (let s = bench_summary () in
-          fun () -> Vliw_vp.Experiments.comparison_of s));
+         (let p = Vliw_vp.Pipeline.run ~config:bench_config bench_model in
+          fun () -> Vliw_vp.Experiments.comparison_of p));
     (* The trace simulator alone against a prebuilt pipeline — the phased
        fast lane without hardware-validation's (memoized) pipeline
        rebuild. *)

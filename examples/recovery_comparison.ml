@@ -26,13 +26,9 @@ let () =
       Vp_workload.Spec_model.vortex;
     ]
   in
-  let summaries = Vliw_vp.Experiments.run_all ~config models in
   print_string
     (Vliw_vp.Experiments.render_comparison
-       (List.map
-          (fun s ->
-            (Vliw_vp.Experiments.name s, Vliw_vp.Experiments.comparison_of s))
-          summaries));
+       (Vliw_vp.Experiments.comparison ~config models));
   print_newline ();
 
   (* CCB sizing: the high-water occupancy across every simulated scenario
@@ -46,7 +42,8 @@ let () =
       ]
   in
   List.iter
-    (fun (s : Vliw_vp.Experiments.benchmark_summary) ->
+    (fun (model : Vp_workload.Spec_model.t) ->
+      let p = Vliw_vp.Pipeline.run ~config model in
       let hw = ref 0 and recomputed = ref [] in
       Array.iter
         (fun (b : Vliw_vp.Pipeline.block_eval) ->
@@ -61,14 +58,14 @@ let () =
                 float_of_int spec.worst.Vp_engine.Dual_engine.recomputed
                 :: !recomputed
           | None -> ())
-        s.pipeline.blocks;
+        p.blocks;
       Vp_util.Table.add_row table
         [
-          Vliw_vp.Experiments.name s;
+          model.name;
           string_of_int !hw;
           Printf.sprintf "%.1f" (Vp_util.Stats.mean !recomputed);
         ])
-    summaries;
+    models;
   print_string (Vp_util.Table.render table);
 
   (* And the effect of actually bounding the CCB: a tiny buffer stalls the

@@ -8,7 +8,7 @@ type comparison = {
 }
 
 type benchmark_summary = {
-  pipeline : Pipeline.t;
+  bench : string;
   stats : Vp_metrics.Summary.block_stats array;
   fractions : Vp_metrics.Summary.time_fractions;
   ratios : Vp_metrics.Summary.length_ratios;
@@ -18,7 +18,7 @@ type benchmark_summary = {
   total_blocks : int;
 }
 
-let name s = s.pipeline.Pipeline.model.Vp_workload.Spec_model.name
+let name s = s.bench
 
 (* A dynamic trace of (block, outcomes) pairs for the cache comparison:
    blocks drawn proportionally to profiled frequency, outcomes drawn from
@@ -105,8 +105,7 @@ let cache_comparison (p : Pipeline.t) =
   in
   (extra_per_exec, Vp_baseline.Layout.code_growth layout_recovery)
 
-let comparison_of (s : benchmark_summary) =
-  let p = s.pipeline in
+let comparison_of (p : Pipeline.t) =
   let total_executions =
     Array.fold_left (fun acc (b : Pipeline.block_eval) -> acc + b.count) 0
       p.blocks
@@ -117,7 +116,7 @@ let comparison_of (s : benchmark_summary) =
         acc +. (float_of_int b.count *. f b))
       0.0 p.blocks
   in
-  let ours_total = Vp_metrics.Summary.total_time s.stats in
+  let ours_total = Vp_metrics.Summary.total_time (Pipeline.stats p) in
   let ours_stalls = sum Pipeline.expected_stall_cycles in
   let recovery_comp = sum Pipeline.expected_recovery_compensation in
   let cache_extra_per_exec, code_growth = cache_comparison p in
@@ -156,7 +155,7 @@ let comparison_of (s : benchmark_summary) =
 let summarize (p : Pipeline.t) =
   let stats = Pipeline.stats p in
   {
-    pipeline = p;
+    bench = p.model.Vp_workload.Spec_model.name;
     stats;
     fractions = Vp_metrics.Summary.table2 stats;
     ratios = Vp_metrics.Summary.table3 stats;
@@ -420,10 +419,13 @@ let render_figure8 summaries =
 (* --- Comparison with static recovery --- *)
 
 (* The comparison of one benchmark at one configuration: a store-cached
-   leaf over the benchmark's summary node, which dedups onto [run_all]'s
-   when both sit on one graph. Only the artifacts that print the
-   comparison declare it, so no other summary pays for its trace and two
-   icache walks. The comparison is a pure function of the summary, so its
+   leaf ordered after the benchmark's summary node, which dedups onto
+   [run_all]'s when both sit on one graph. Only the artifacts that print
+   the comparison declare it, so no other summary pays for its trace and
+   two icache walks. The summary is plain data, so the leaf reads the
+   pipeline through the whole-run memo; the dependency makes that a memo
+   hit rather than a race with the summary under [--jobs N]. The
+   comparison is a pure function of the summary's (model, config), so its
    key is derived from the summary's — a short digest instead of a second
    marshalled model, which keeps re-declaring it (every warm serve
    request does) cheap. *)
@@ -434,7 +436,7 @@ let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
     ~group
     ~key:(Digest.to_hex (Digest.string ("comparison:" ^ G.key bench)))
     ~deps:[ G.pack bench ]
-    (fun _ctx -> comparison_of (G.value bench))
+    (fun _ctx -> comparison_of (Pipeline.run ~config model))
 
 let suite_comparison g ~config models =
   let leaves =

@@ -1,10 +1,11 @@
 (** One entry point per paper artifact (see DESIGN.md's experiment index).
 
     [run_benchmark] executes the full pipeline for one benchmark and
-    reduces it to everything Tables 2–4 and Figure 8 need; {!comparison_of}
-    adds the recovery-scheme comparison on top, for the artifacts that
-    print it. The [render_*] functions lay the results out in the paper's
-    table formats. *)
+    reduces it to everything Tables 2–4 and Figure 8 need: a
+    {!benchmark_summary} is plain data that keeps none of the pipeline it
+    came from. {!comparison_of} computes the recovery-scheme comparison
+    from a pipeline, for the artifacts that print it. The [render_*]
+    functions lay the results out in the paper's table formats. *)
 
 (** The Section 3 comparison of the dual-engine scheme against the
     static-recovery scheme of paper-reference [4]. *)
@@ -29,8 +30,12 @@ type comparison = {
           over main-code bytes) *)
 }
 
+(** What the paper's per-benchmark artifacts print, and nothing more: plain
+    data with no closures, so it marshals without [Marshal.Closures] and a
+    warm run reads back a few kilobytes per benchmark rather than the whole
+    pipeline (workload, program, profile and every evaluated block). *)
 type benchmark_summary = {
-  pipeline : Pipeline.t;
+  bench : string;  (** benchmark name *)
   stats : Vp_metrics.Summary.block_stats array;
   fractions : Vp_metrics.Summary.time_fractions;  (** Table 2 row *)
   ratios : Vp_metrics.Summary.length_ratios;  (** Table 3 row *)
@@ -47,12 +52,14 @@ val summarize : Pipeline.t -> benchmark_summary
 val run_benchmark :
   ?config:Config.t -> Vp_workload.Spec_model.t -> benchmark_summary
 
-val comparison_of : benchmark_summary -> comparison
-(** The Section 3 comparison for one summarized benchmark. Its cache
+val comparison_of : Pipeline.t -> comparison
+(** The Section 3 comparison for one benchmark's pipeline. Its cache
     component replays a [trace_length]-long dynamic trace through two
     icache layouts, so only the artifacts that print the comparison
     compute it — through {!comparison} or {!Suite.comparison}, which the
-    graph dedups in flight and the store caches across runs. *)
+    graph dedups in flight and the store caches across runs. Those leaves
+    read the pipeline through {!Pipeline.run}'s whole-run memo, which the
+    benchmark's summary job has already filled. *)
 
 val run_all :
   ?config:Config.t ->
@@ -110,7 +117,8 @@ val comparison :
   Vp_workload.Spec_model.t list ->
   (string * comparison) list
 (** One [(benchmark name, comparison)] row per model: a {!comparison_of}
-    leaf per benchmark over that benchmark's {!run_all} job. *)
+    leaf per benchmark, ordered after that benchmark's {!run_all} job so
+    that its {!Pipeline.run} is a whole-run memo hit. *)
 
 val render_comparison :
   ?format:[ `Ascii | `Csv ] -> (string * comparison) list -> string

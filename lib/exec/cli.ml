@@ -52,7 +52,8 @@ let context ?progress opts =
     else
       (* Detect an unusable cache directory once, here, rather than letting
          every job rediscover it: [Store.create] raises on a path that is
-         not (or cannot become) a directory, and the write probe catches
+         not (or cannot become) a directory, or when the executable cannot
+         be digested to version the entries, and the write probe catches
          the read-only-directory case, where creation succeeds but every
          [Store.put] would fail one at a time. Either way the run proceeds
          without a cache after a single warning. *)

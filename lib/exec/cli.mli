@@ -36,7 +36,8 @@ val parse : string list -> (opts * string list, string) result
 val context : ?progress:Progress.t -> opts -> Context.t
 (** Build the execution context the options describe. An unusable cache
     directory (uncreatable, not a directory, or read-only — probed with
-    one temp-file write) downgrades to a storeless context with a single
+    one temp-file write), or an executable that cannot be digested to
+    version the entries, downgrades to a storeless context with a single
     [stderr] warning instead of failing per job. *)
 
 val emit_telemetry :

@@ -9,14 +9,16 @@ let default_dir = "_cache"
 (* The executable digest makes stale entries self-invalidating: a rebuilt
    binary reads a version mismatch, evicts and recomputes. It also makes
    [Marshal.Closures] payloads safe — they are only ever read back by the
-   bit-identical binary that wrote them. *)
+   bit-identical binary that wrote them. An executable that cannot be
+   digested has no such stamp, and any constant in its place would let a
+   rebuilt binary accept an older one's entries, so it gets no store. *)
 let default_version =
   lazy
-    (let exe =
-       try Digest.to_hex (Digest.file Sys.executable_name)
-       with Sys_error _ -> "unknown-exe"
-     in
-     Printf.sprintf "%s-ocaml%s" exe Sys.ocaml_version)
+    (match Digest.file Sys.executable_name with
+    | d -> Printf.sprintf "%s-ocaml%s" (Digest.to_hex d) Sys.ocaml_version
+    | exception Sys_error msg ->
+        raise
+          (Sys_error ("cannot digest the executable to stamp entries: " ^ msg)))
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -121,8 +123,13 @@ let put t ~key v =
   | exception _ -> ()
   | payload -> (
       try
-        let tmp = Filename.temp_file ~temp_dir:t.dir "vpexec" ".tmp" in
-        let oc = open_out_bin tmp in
+        (* One exclusive create ([O_CREAT|O_EXCL]) that hands back the
+           channel: the entry's bytes go to a file no one else has opened,
+           never reopened or truncated. *)
+        let tmp, oc =
+          Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:t.dir
+            "vpexec" ".tmp"
+        in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->

@@ -12,13 +12,15 @@
     v}
 
     Guarantees:
-    - {b atomicity} — [put] writes a temp file in the store directory and
-      [Sys.rename]s it over the entry, so readers never observe a partial
-      write and concurrent writers of the same key are last-wins;
+    - {b atomicity} — [put] writes a temp file in the store directory,
+      created exclusively and written through the one channel that created
+      it, and [Sys.rename]s it over the entry, so readers never observe a
+      partial write and concurrent writers of the same key are last-wins;
     - {b versioning} — the header carries the store's version string
       (default: MD5 of the running executable plus the OCaml version), so a
       rebuilt binary silently recomputes rather than deserializing
-      incompatible data;
+      incompatible data. There is no fallback stamp: a process that cannot
+      digest its own executable cannot create a default-versioned store;
     - {b corruption recovery} — any unreadable entry (truncated file, bad
       magic, stale version, digest mismatch, undeserializable payload) is
       evicted and reported as {!Evicted}; it is never fatal. Eviction is
@@ -45,7 +47,8 @@ val default_dir : string
 
 val create : ?version:string -> dir:string -> unit -> t
 (** Creates [dir] (and parents) if missing. Raises [Sys_error] if the
-    directory cannot be created or is not writable. *)
+    directory cannot be created or is not writable, or if [version] is
+    omitted and the running executable cannot be digested. *)
 
 val dir : t -> string
 val version : t -> string

@@ -154,9 +154,12 @@ let test_telemetry_trace_sim () =
 (* The cold suite's job-graph shape, counted exactly: 45 jobs (run_all,
    table4, regions and overlap at 9 each, plus 8 comparison leaves and
    their reducer), 16 in-flight dedups (table4's narrow points and the
-   comparison leaves' summary dependencies onto run_all's jobs), and
-   whole-run memo hits for the region and overlap base runs that repeat
-   run_all's pipelines. The comparison memo's telemetry is gone. *)
+   comparison leaves' summary dependencies onto run_all's jobs), and 24
+   whole-run memo hits: the region and overlap base runs that repeat
+   run_all's pipelines (16), plus one per comparison leaf, which reads its
+   benchmark's pipeline through the memo after the summary job (8). The
+   24 misses are the only pipelines computed. The comparison memo's
+   telemetry is gone. *)
 let test_telemetry_suite_counts () =
   let code, err =
     run
@@ -174,7 +177,7 @@ let test_telemetry_suite_counts () =
     [
       "\"done\": 45,";
       "\"deduped\": 16,";
-      "\"run_memo_hits\": 16,";
+      "\"run_memo_hits\": 24,";
       "\"run_memo_misses\": 24}";
     ];
   checkb "no comparison memo section" false (contains_sub err "comparison")

@@ -301,6 +301,58 @@ let test_cli_context_unusable_cache_dir () =
       in
       checkb "store disabled" true (Option.is_none ctx.Vp_exec.Context.store))
 
+let test_cli_context_undigestable_executable () =
+  (* vliw_vp run from a deleted copy of itself (executed through
+     /proc/self/fd/0, the copy's descriptor passed as its stdin) with an
+     argv[0] that names no file: the runtime resolves [Sys.executable_name]
+     to a path that cannot be read, so there is no executable digest to
+     stamp entries with. The run must go storeless after one warning,
+     never write entries under a constant stamp that a rebuilt binary
+     would accept. *)
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let vliw_vp =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "vliw_vp.exe")
+  in
+  let copy = Filename.concat dir "vliw_vp.exe" in
+  Out_channel.with_open_gen
+    [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+    0o755 copy
+    (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_bin vliw_vp In_channel.input_all));
+  let exe = Unix.openfile copy [ Unix.O_RDONLY ] 0 in
+  Sys.remove copy;
+  let cache = Filename.concat dir "cache" in
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let open_w f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  let out_fd = open_w out and err_fd = open_w err in
+  let pid =
+    Unix.create_process "/proc/self/fd/0"
+      [|
+        "/nonexistent/vliw_vp.exe"; "table2"; "-b"; "compress"; "--cache-dir";
+        cache;
+      |]
+      exe out_fd err_fd
+  in
+  List.iter Unix.close [ exe; out_fd; err_fd ];
+  let code =
+    match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  checki "exit 0" 0 code;
+  checkb "tables printed" true
+    (String.starts_with ~prefix:"Table 2" (read out));
+  (match String.split_on_char '\n' (read err) with
+  | [ line; "" ] ->
+      checkb line true
+        (String.starts_with ~prefix:"warning: result cache disabled" line)
+  | lines ->
+      Alcotest.failf "expected one warning line, got %d" (List.length lines - 1));
+  checkb "no cache directory created" false (Sys.file_exists cache)
+
 (* --- Graph --- *)
 
 module G = Vp_exec.Graph
@@ -494,7 +546,8 @@ let test_hardware_validation_parallel_determinism () =
    and the report (recovery-sensitivity points deduped onto them too) —
    render byte-identically storeless, against a cold store at jobs=1 and
    against the warm store at jobs=N. The graph path also agrees with
-   {!Experiments.comparison_of} applied to the summaries directly. *)
+   {!Experiments.comparison_of} applied to each benchmark's pipeline
+   directly. *)
 let test_comparison_artifacts_identity () =
   let model = List.hd small_models in
   let render ~exec =
@@ -532,10 +585,11 @@ let test_comparison_artifacts_identity () =
   let direct =
     Vliw_vp.Experiments.render_comparison ~format:`Csv
       (List.map
-         (fun s ->
-           ( Vliw_vp.Experiments.name s,
-             Vliw_vp.Experiments.comparison_of s ))
-         (Vliw_vp.Experiments.run_all ~config:small_config small_models))
+         (fun (m : Vp_workload.Spec_model.t) ->
+           ( m.name,
+             Vliw_vp.Experiments.comparison_of
+               (Vliw_vp.Pipeline.run ~config:small_config m) ))
+         small_models)
   in
   checks "graph comparison = comparison_of" direct reference_compare;
   let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
@@ -618,6 +672,8 @@ let () =
           tc "spec-unit version bump evicts" test_spec_unit_version_bump_evicts;
           tc "spec-unit version is in the key" test_spec_unit_version_in_key;
           tc "unusable cache dir downgrades" test_cli_context_unusable_cache_dir;
+          tc "undigestable executable downgrades"
+            test_cli_context_undigestable_executable;
         ] );
       ( "graph",
         [

@@ -79,14 +79,14 @@ let test_figure8_pooled () =
 
 let test_comparison_shape () =
   List.iter
-    (fun (s : Vliw_vp.Experiments.benchmark_summary) ->
-      let c = Vliw_vp.Experiments.comparison_of s in
+    (fun (m : Vp_workload.Spec_model.t) ->
+      let c = Vliw_vp.Experiments.comparison_of (Vliw_vp.Pipeline.run m) in
       Alcotest.(check bool)
-        (Vliw_vp.Experiments.name s ^ ": static scheme worse")
+        (m.name ^ ": static scheme worse")
         true
         (c.recovery_comp_share > c.ours_comp_share
         && c.recovery_spec_ratio >= c.ours_spec_ratio -. 1e-9))
-    (Lazy.force summaries)
+    Vp_workload.Spec_model.all
 
 (* Overlap validation at the defaults, recorded before the per-block memo
    in [overlap_row]: (benchmark, sequence total, sum VLIW-retire, sum

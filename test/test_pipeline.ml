@@ -224,13 +224,33 @@ let test_summary_shape () =
   checki "total blocks" model.num_blocks summary.total_blocks
 
 let test_summary_comparison () =
-  let c = Vliw_vp.Experiments.comparison_of summary in
+  let c = Vliw_vp.Experiments.comparison_of pipeline in
   checkb "our compensation share is small" true (c.ours_comp_share < 0.10);
   checkb "their share is at least twice ours" true
     (c.recovery_comp_share > 2.0 *. c.ours_comp_share);
   checkb "our expected ratio beats theirs" true
     (c.ours_spec_ratio <= c.recovery_spec_ratio +. 1e-9);
   checkb "their scheme grows the code" true (c.code_growth > 0.0)
+
+(* A summary is what the result store holds for every benchmark and what a
+   warm run reads back, so it must stay plain data: [Marshal] without
+   [Closures] rejects any closure (the pipeline's workload holds the
+   model's stream generators), and the byte bound, about 4x the measured
+   ~1.8 KB (compress) and ~2.5 KB (li), catches bulk creeping back in. *)
+let test_summary_is_lean () =
+  List.iter
+    (fun (m : Vp_workload.Spec_model.t) ->
+      let s = Vliw_vp.Experiments.run_benchmark ~config:fast_config m in
+      match Marshal.to_string s [] with
+      | exception Invalid_argument msg ->
+          Alcotest.failf "%s: summary does not marshal without closures (%s)"
+            m.name msg
+      | bytes ->
+          let n = String.length bytes in
+          if n >= 10_000 then
+            Alcotest.failf "%s: summary marshals to %d bytes (bound 10000)"
+              m.name n)
+    [ Vp_workload.Spec_model.compress; Vp_workload.Spec_model.li ]
 
 let test_renders_mention_benchmarks () =
   let contains hay needle =
@@ -248,7 +268,8 @@ let test_renders_mention_benchmarks () =
         Vliw_vp.Experiments.render_comparison
           (List.map
              (fun s ->
-               (Vliw_vp.Experiments.name s, Vliw_vp.Experiments.comparison_of s))
+               ( Vliw_vp.Experiments.name s,
+                 Vliw_vp.Experiments.comparison_of pipeline ))
              summaries));
     ]
 
@@ -423,6 +444,7 @@ let () =
         [
           tc "summary shape" test_summary_shape;
           tc "recovery comparison" test_summary_comparison;
+          tc "summary is lean" test_summary_is_lean;
           tc "renders mention benchmarks" test_renders_mention_benchmarks;
           tc "table 4" test_table4;
         ] );
