@@ -63,26 +63,10 @@ let exec_opts, json_path, smoke =
       go leftover;
       (opts, !json, !smoke)
 
-let () =
-  Vliw_vp.Spec_unit.set_enabled (not exec_opts.Vp_exec.Cli.no_spec_cache)
-
 let exec_context = Vp_exec.Cli.context exec_opts
 
-let stats_json (s : Vliw_vp.Spec_unit.stats) =
-  Printf.sprintf {|{"hits": %d, "misses": %d, "evictions": %d}|} s.hits
-    s.misses s.evictions
-
 let emit_telemetry () =
-  let extra =
-    [
-      ( "spec_unit",
-        Vliw_vp.Spec_unit.telemetry_json
-          ~extra:[ ("region_unit", stats_json (Vliw_vp.Region_unit.stats ())) ]
-          () );
-      ("spec_eval", Vliw_vp.Pipeline.telemetry_json ());
-      ("trace_sim", Vliw_vp.Trace_sim.telemetry_json ());
-    ]
-  in
+  let extra = Vliw_vp.Experiments.telemetry_sections () in
   match exec_opts.Vp_exec.Cli.telemetry with
   | Some _ -> Vp_exec.Cli.emit_telemetry ~extra exec_opts exec_context
   | None ->
@@ -417,7 +401,7 @@ let tests =
              (Vliw_vp.Experiments.regions ~config:bench_config [ bench_model ])));
     (* Identical work to [regions] plus [hyperblocks], but guaranteed to
        start against warm region caches (one untimed prewarm run fills the
-       formation memo, the spec-unit stripes and the whole-run memo) — the
+       formation memo, the spec-unit memos and the whole-run memo) — the
        number the region fast lane is accountable for. *)
     Test.make ~name:"sweep:regions-warm"
       (Staged.stage

@@ -75,15 +75,6 @@ let no_cache_t =
   let doc = "Disable the on-disk result cache." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let no_spec_cache_t =
-  let doc =
-    "Disable the in-memory spec-unit cache (per-block schedule, transform \
-     and compiled-kernel artifacts shared across sweep points). Output is \
-     byte-identical either way; this exists for benchmarking and \
-     debugging."
-  in
-  Arg.(value & flag & info [ "no-spec-cache" ] ~doc)
-
 let cache_dir_t =
   let doc = "Result-cache directory." in
   Arg.(
@@ -102,38 +93,16 @@ let telemetry_t =
 (* The flag vocabulary and its semantics live in [Vp_exec.Cli], shared with
    the bench harness; this front end only maps cmdliner terms onto it. *)
 let exec_opts_t =
-  let pack jobs no_cache no_spec_cache cache_dir telemetry =
-    { Vp_exec.Cli.jobs; no_cache; no_spec_cache; cache_dir; telemetry }
+  let pack jobs no_cache cache_dir telemetry =
+    { Vp_exec.Cli.jobs; no_cache; cache_dir; telemetry }
   in
-  Term.(
-    const pack $ jobs_t $ no_cache_t $ no_spec_cache_t $ cache_dir_t
-    $ telemetry_t)
+  Term.(const pack $ jobs_t $ no_cache_t $ cache_dir_t $ telemetry_t)
 
-let make_exec (opts : Vp_exec.Cli.opts) =
-  Vliw_vp.Spec_unit.set_enabled (not opts.no_spec_cache);
-  Vp_exec.Cli.context ?progress:None opts
-
-(* The spec-unit stripe counters and the scenario-engine occupancy ride
-   along in the telemetry JSON so a [--telemetry] run shows cache and
-   bitset-lane behaviour next to the job-graph stats. The sibling
-   region-formation memo nests under the spec_unit section as an extra
-   field. *)
-let stats_json (s : Vliw_vp.Spec_unit.stats) =
-  Printf.sprintf {|{"hits": %d, "misses": %d, "evictions": %d}|} s.hits
-    s.misses s.evictions
-
+(* The compute layers' cache and scenario-engine counters ride along in
+   the telemetry JSON next to the job-graph stats. *)
 let emit_telemetry opts exec =
   Vp_exec.Cli.emit_telemetry
-    ~extra:
-      [
-        ( "spec_unit",
-          Vliw_vp.Spec_unit.telemetry_json
-            ~extra:
-              [ ("region_unit", stats_json (Vliw_vp.Region_unit.stats ())) ]
-            () );
-        ("spec_eval", Vliw_vp.Pipeline.telemetry_json ());
-        ("trace_sim", Vliw_vp.Trace_sim.telemetry_json ());
-      ]
+    ~extra:(Vliw_vp.Experiments.telemetry_sections ())
     opts exec
 
 let with_setup f =
@@ -141,7 +110,7 @@ let with_setup f =
     match models_of_names names with
     | Error (`Msg m) -> `Error (false, m)
     | Ok models ->
-        let exec = make_exec exec_opts in
+        let exec = Vp_exec.Cli.context exec_opts in
         f ~config:(config ~width ~seed ~threshold) ~exec ~models;
         emit_telemetry exec_opts exec;
         `Ok ()
@@ -251,7 +220,7 @@ let table_cmd name ~doc render =
     | Ok models ->
         let config = config ~width ~seed ~threshold in
         let format = if csv then `Csv else `Ascii in
-        let exec = make_exec exec_opts in
+        let exec = Vp_exec.Cli.context exec_opts in
         print_string
           (render ~format (Vliw_vp.Experiments.run_all ~config ~exec models));
         emit_telemetry exec_opts exec;
@@ -272,7 +241,7 @@ let experiment_cmd name ~doc experiment render =
     | Ok models ->
         let config = config ~width ~seed ~threshold in
         let format = if csv then `Csv else `Ascii in
-        let exec = make_exec exec_opts in
+        let exec = Vp_exec.Cli.context exec_opts in
         print_string (render ~format (experiment ~config ~exec models));
         emit_telemetry exec_opts exec;
         `Ok ()
@@ -347,7 +316,7 @@ let ablate_cmd =
         with
         | None -> `Error (false, Printf.sprintf "unknown sweep %S" sweep)
         | Some settings ->
-            let exec = make_exec exec_opts in
+            let exec = Vp_exec.Cli.context exec_opts in
             (* All models' sweeps on one graph: a later model's points can
                run while an earlier model's reducer still waits. *)
             let g = Vp_exec.Graph.create exec in
@@ -612,7 +581,7 @@ let report_cmd =
     | Error (`Msg m) -> `Error (false, m)
     | Ok models ->
         let config = config ~width ~seed ~threshold in
-        let exec = make_exec exec_opts in
+        let exec = Vp_exec.Cli.context exec_opts in
         (match out with
         | Some path ->
             Vliw_vp.Report.write_file ~config ~exec ~models ~path ();
@@ -753,12 +722,14 @@ let serve_cmd =
     match
       if workers = 0 then
         (* reference path: one process, one shared graph *)
-        Vp_serve.Server.run ~on_ready ~exec:(make_exec exec_opts) cfg
+        Vp_serve.Server.run ~on_ready
+          ~exec:(Vp_exec.Cli.context exec_opts)
+          cfg
       else
         (* the execution contexts are built inside the forked shards; the
            supervisor itself never touches the simulator *)
         Vp_serve.Supervisor.run ~on_ready
-          ~make_exec:(fun () -> make_exec exec_opts)
+          ~make_exec:(fun () -> Vp_exec.Cli.context exec_opts)
           ~workers cfg
     with
     | _final_stats -> `Ok ()

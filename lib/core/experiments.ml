@@ -186,14 +186,10 @@ let job_key ~kind ~(config : Config.t) payload =
      their [Marshal] bytes. [Closures] is required because benchmark models
      embed value-stream generators; closure serialization is stable within
      one binary, which is exactly the cache's validity domain (the store's
-     version header is the executable digest). The spec-unit artifact
-     version is hashed in because every experiment result is derived from
-     those artifacts: bumping it must invalidate derived entries too. *)
+     version header is the executable digest). *)
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string
-          (kind, Spec_unit.version, payload, config)
-          [ Marshal.Closures ]))
+       (Marshal.to_string (kind, payload, config) [ Marshal.Closures ]))
 
 (* One keying helper for every region-formed leaf — the formation params
    ride in the payload as a typed variant, so a superblock point and a
@@ -854,19 +850,14 @@ let suite_hardware_validation g ~config ?executions models =
         G.node g
           ~label:("hardware:" ^ model.Vp_workload.Spec_model.name)
           ~group:"hardware"
-          ~key:
-            (* [Trace_sim.version] is hashed in so algorithm changes in the
-               simulator invalidate stored hardware rows instead of being
-               served stale bytes. *)
-            (job_key ~kind:"hardware" ~config
-               (model, executions, Trace_sim.version))
+          ~key:(job_key ~kind:"hardware" ~config (model, executions))
           (fun _ctx ->
             ( model.Vp_workload.Spec_model.name,
               Trace_sim.run ?executions (Pipeline.run ~config model) )))
       models
   in
   reduce g ~kind:"hardware" ~config
-    ~payload:(models, executions, Trace_sim.version) leaves
+    ~payload:(models, executions) leaves
     (fun () -> List.map G.value leaves)
 
 let hardware_validation ?(config = Config.default)
@@ -1285,6 +1276,22 @@ let render_ablation ?format ~title points =
         ])
     points;
   emit ?format table
+
+(* --- Telemetry --- *)
+
+let telemetry_sections () =
+  let fields (s : Spec_unit.stats) =
+    Printf.sprintf {|"hits": %d, "misses": %d, "evictions": %d|} s.hits
+      s.misses s.evictions
+  in
+  [
+    ( "spec_unit",
+      Printf.sprintf {|{%s, "region_unit": {%s}}|}
+        (fields (Spec_unit.stats ()))
+        (fields (Region_unit.stats ())) );
+    ("spec_eval", Pipeline.telemetry_json ());
+    ("trace_sim", Trace_sim.telemetry_json ());
+  ]
 
 (* --- Suite declarations --- *)
 

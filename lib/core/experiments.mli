@@ -335,6 +335,14 @@ val accounting_sweep : (string * (Config.t -> Config.t)) list
 val render_ablation :
   ?format:[ `Ascii | `Csv ] -> title:string -> ablation_point list -> string
 
+val telemetry_sections : unit -> (string * string) list
+(** The compute layers' sections of the [--telemetry] summary, as
+    [(name, json)] pairs for [Vp_exec.Cli.emit_telemetry ~extra]:
+    [spec_unit] (the {!Spec_unit} counters, with the {!Region_unit}
+    formation memo's nested as [region_unit]), [spec_eval]
+    ({!Pipeline.telemetry_json}) and [trace_sim]
+    ({!Trace_sim.telemetry_json}). *)
+
 (** {1 Suite declarations}
 
     The graph-declaration forms of the entry points above. Each declares

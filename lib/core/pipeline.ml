@@ -104,26 +104,6 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
    seen, so steady-state batches allocate only their result records. *)
 let lanes_key = Domain.DLS.new_key Vp_engine.Compiled.Lanes.create
 
-(* Whole-run memo counters (the tables live just above [run_program]). *)
-let run_memo_hits = Atomic.make 0
-let run_memo_misses = Atomic.make 0
-
-let telemetry_json () =
-  let s = Vp_engine.Compiled.bitset_stats () in
-  let occupancy =
-    if s.Vp_engine.Compiled.words = 0 then 0.0
-    else
-      float_of_int s.Vp_engine.Compiled.vectors
-      /. float_of_int s.Vp_engine.Compiled.words
-  in
-  Printf.sprintf
-    "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
-     \"vectors_per_word\": %.2f, \"scalar_fallbacks\": %d, \
-     \"run_memo_hits\": %d, \"run_memo_misses\": %d}"
-    s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
-    s.Vp_engine.Compiled.fallbacks (Atomic.get run_memo_hits)
-    (Atomic.get run_memo_misses)
-
 (* Simulate a block's whole scenario set: compile the block once (through
    the spec-unit cache, so sweep points sharing the transform also share
    the kernel), then evaluate the whole vector set bit-parallel —
@@ -195,17 +175,13 @@ let eval_of_prep prep (results, best, worst, unique) =
 
 let batch_key config prep =
   (* Content address of one block's scenario batch: everything the results
-     depend on, including the spec-unit artifact version — a version bump
-     changes what the cached transform/schedule/kernel artifacts mean, so
-     batch results derived from them must not survive it either.
-     [Closures] for the same reason as the experiment layer's keys —
-     models and graphs may embed closures, and the store is only valid
-     within one binary anyway. *)
+     depend on. [Closures] for the same reason as the experiment layer's
+     keys — models and graphs may embed closures, and the store is only
+     valid within one binary anyway. *)
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
           ( "scenario-batch",
-            Spec_unit.version,
             prep.prep_sb,
             prep.prep_reference,
             prep.prep_vectors,
@@ -228,60 +204,27 @@ let job_key exec config index prep =
    state nor observes the machine shape, the speculation policy or any
    other [Config] knob. Sweeps that vary those knobs — every [ablate]
    sweep, Table 4's two widths — would recompute byte-identical profiles;
-   memoize them instead. Keyed by (model name, seed) with a physical-
-   identity check on the model itself (models embed stream-generator
-   closures, so structural comparison is unavailable); entries per key are
-   capped so ephemeral model values cannot grow the table without bound. *)
-type profile_entry = {
-  pe_model : Vp_workload.Spec_model.t;
-  pe_predictors : Vp_predict.Predictor.kind list option;
-  pe_profile : Vp_profile.Value_profile.t;
-}
-
-let profile_cache : (string * int, profile_entry list) Hashtbl.t =
-  Hashtbl.create 8
-
-let profile_cache_mutex = Mutex.create ()
-let profile_cache_cap = 4
+   memoize them instead. Keyed physically on the model (models embed
+   stream-generator closures, so structural comparison is unavailable) and
+   structurally on the seed and predictors, hashed on (model name, seed). *)
+let profile_memo :
+    ( Vp_workload.Spec_model.t * int * Vp_predict.Predictor.kind list option,
+      Vp_profile.Value_profile.t )
+    Vp_util.Memo.t =
+  Vp_util.Memo.create 256
+    ~hash:(fun (model, seed, _) ->
+      Hashtbl.hash (model.Vp_workload.Spec_model.name, seed))
+    ~equal:(fun (m, seed, predictors) (m', seed', predictors') ->
+      m == m' && seed = seed' && predictors = predictors')
 
 let memoized_profile ?store (config : Config.t) model workload program =
-  let key = (model.Vp_workload.Spec_model.name, config.seed) in
-  let predictors = config.profile_predictors in
-  let lookup () =
-    List.find_map
-      (fun e ->
-        if e.pe_model == model && e.pe_predictors = predictors then
-          Some e.pe_profile
-        else None)
-      (Option.value ~default:[] (Hashtbl.find_opt profile_cache key))
-  in
-  match Mutex.protect profile_cache_mutex lookup with
-  | Some profile -> profile
-  | None ->
-      (* Computed outside the lock: racing domains derive identical
-         profiles from identical inputs, so a duplicate insert is only a
-         little wasted work, never a wrong answer. *)
-      let profile =
-        Vp_profile.Value_profile.profile ~program
-          ?predictors:config.profile_predictors
-          ~rates:(Spec_unit.profile_rates ?store workload)
-          workload
-      in
-      Mutex.protect profile_cache_mutex (fun () ->
-          match lookup () with
-          | Some existing -> existing
-          | None ->
-              let entries =
-                { pe_model = model; pe_predictors = predictors;
-                  pe_profile = profile }
-                :: Option.value ~default:[]
-                     (Hashtbl.find_opt profile_cache key)
-              in
-              let entries =
-                List.filteri (fun i _ -> i < profile_cache_cap) entries
-              in
-              Hashtbl.replace profile_cache key entries;
-              profile)
+  Vp_util.Memo.find_or_add profile_memo
+    (model, config.seed, config.profile_predictors)
+    (fun () ->
+      Vp_profile.Value_profile.profile ~program
+        ?predictors:config.profile_predictors
+        ~rates:(Spec_unit.profile_rates ?store workload)
+        workload)
 
 let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
   let descr = Config.machine config in
@@ -400,83 +343,53 @@ let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
    context only affects caching and parallelism — results are
    bit-identical across worker counts by construction. Keyed physically on
    the program (the workload memo and the region-formation memo make every
-   holder of one content share one physical value), with entries matched
-   on the workload (physical), the config ({!Config.structural_equal}) and
-   the profile argument (physical option): warm reruns — bench
-   repetitions, the region experiments' shared base runs, frontier points
-   sharing a width — return the finished evaluation outright. *)
-module Run_tbl = Hashtbl.Make (struct
-  type t = Vp_ir.Program.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type run_entry = {
-  re_workload : Vp_workload.Workload.t;
-  re_config : Config.t;
-  re_profile : Vp_profile.Value_profile.t option;
-  re_result : t;
+   holder of one content share one physical value) and matched on the
+   workload (physical), the config ({!Config.structural_equal}) and the
+   profile argument (physical option): warm reruns — bench repetitions,
+   the region experiments' shared base runs, frontier points sharing a
+   width — return the finished evaluation outright. *)
+type run_key = {
+  rk_program : Vp_ir.Program.t;
+  rk_workload : Vp_workload.Workload.t;
+  rk_config : Config.t;
+  rk_profile : Vp_profile.Value_profile.t option;
 }
 
-let run_tbl : run_entry list ref Run_tbl.t = Run_tbl.create 32
-let run_mutex = Mutex.create ()
-let run_cap = 128
-let run_entries_cap = 16
-
-let profile_arg_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> a == b
-  | _ -> false
+let run_memo : (run_key, t) Vp_util.Memo.t =
+  Vp_util.Memo.create 2048
+    ~hash:(fun k -> Hashtbl.hash k.rk_program)
+    ~equal:(fun a b ->
+      a.rk_program == b.rk_program
+      && a.rk_workload == b.rk_workload
+      && Config.structural_equal a.rk_config b.rk_config
+      && Option.equal ( == ) a.rk_profile b.rk_profile)
 
 let run_program ?(config = Config.default)
     ?(exec = Vp_exec.Context.sequential) ?profile workload program =
-  if not (Spec_unit.enabled ()) then
-    run_program_fresh ~config ~exec ~profile workload program
-  else
-    let find () =
-      match Run_tbl.find_opt run_tbl program with
-      | None -> None
-      | Some entries ->
-          List.find_opt
-            (fun e ->
-              e.re_workload == workload
-              && Config.structural_equal e.re_config config
-              && profile_arg_equal e.re_profile profile)
-            !entries
-    in
-    match Mutex.protect run_mutex find with
-    | Some e ->
-        Atomic.incr run_memo_hits;
-        e.re_result
-    | None ->
-        (* Computed outside the lock: racing domains derive identical
-           results from identical inputs, so a duplicate insert is only
-           wasted work, never a wrong answer. *)
-        let result = run_program_fresh ~config ~exec ~profile workload program in
-        Atomic.incr run_memo_misses;
-        Mutex.protect run_mutex (fun () ->
-            if Run_tbl.length run_tbl >= run_cap then Run_tbl.reset run_tbl;
-            let entries =
-              match Run_tbl.find_opt run_tbl program with
-              | Some entries -> entries
-              | None ->
-                  let entries = ref [] in
-                  Run_tbl.add run_tbl program entries;
-                  entries
-            in
-            entries :=
-              {
-                re_workload = workload;
-                re_config = config;
-                re_profile = profile;
-                re_result = result;
-              }
-              :: (if List.length !entries >= run_entries_cap then
-                    List.filteri (fun i _ -> i < run_entries_cap - 1) !entries
-                  else !entries));
-        result
+  Vp_util.Memo.find_or_add run_memo
+    {
+      rk_program = program;
+      rk_workload = workload;
+      rk_config = config;
+      rk_profile = profile;
+    }
+    (fun () -> run_program_fresh ~config ~exec ~profile workload program)
+
+let telemetry_json () =
+  let s = Vp_engine.Compiled.bitset_stats () in
+  let runs = Vp_util.Memo.stats run_memo in
+  let occupancy =
+    if s.Vp_engine.Compiled.words = 0 then 0.0
+    else
+      float_of_int s.Vp_engine.Compiled.vectors
+      /. float_of_int s.Vp_engine.Compiled.words
+  in
+  Printf.sprintf
+    "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
+     \"vectors_per_word\": %.2f, \"scalar_fallbacks\": %d, \
+     \"run_memo_hits\": %d, \"run_memo_misses\": %d}"
+    s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
+    s.Vp_engine.Compiled.fallbacks runs.hits runs.misses
 
 let run ?(config = Config.default) ?exec model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in

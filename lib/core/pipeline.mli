@@ -14,7 +14,9 @@
       [Vp_baseline]).
 
     The result contains everything the experiment layer needs; nothing
-    downstream re-runs a simulator. *)
+    downstream re-runs a simulator. Value profiles and whole runs are
+    memoized in bounded {!Vp_util.Memo} instances (see {!run_program});
+    the per-block artifacts go through {!Spec_unit}. *)
 
 type scenario_eval = {
   outcomes : Vp_engine.Scenario.t;
@@ -93,17 +95,17 @@ val run_program :
     vectors per machine word and simulates each distinct vector once,
     sharing its result with the repeats. [exec] defaults to
     [Vp_exec.Context.sequential] (inline, no cache); results are
-    bit-identical for any worker count, and for any spec-unit cache state
-    (on, off, cold, warm).
+    bit-identical for any worker count, and whether the spec-unit cache
+    is cold or warm.
 
-    Whole runs are memoized (unless [Spec_unit.enabled] is off): the
-    result is pure in [(workload, program, config, profile)] — the
-    reference draws fresh replayable stream instances, and [exec] affects
-    only caching and parallelism — so a repeat call holding the same
-    physical workload/program (the workload memo and
-    [Region_unit] guarantee that for warm reruns and region sweep points)
-    with a structurally equal config returns the finished evaluation.
-    Bounded: 128 programs, 16 entries each. *)
+    Whole runs are memoized: the result is pure in
+    [(workload, program, config, profile)] — the reference draws fresh
+    replayable stream instances, and [exec] affects only caching and
+    parallelism — so a repeat call holding the same physical
+    workload/program (the workload memo and [Region_unit] guarantee that
+    for warm reruns and region sweep points) with a structurally equal
+    config returns the finished evaluation. The memo is a
+    {!Vp_util.Memo} bounded at 2048 runs. *)
 
 val live_in : int -> int
 (** The deterministic live-in register values used for every simulation

@@ -6,9 +6,9 @@
     [(workload, cfg, seed, params)], yet the region experiments used to
     re-run it — and everything downstream of the fresh program it
     returns — on every call. This module memoizes formation on a content
-    key derived from exactly those inputs (plus {!Spec_unit.version}), in
-    a sharded in-process table optionally backed by a {!Vp_exec.Store},
-    with two guarantees the rest of the fast lane builds on:
+    key derived from exactly those inputs, in {!Vp_util.Memo} instances
+    optionally backed by a {!Vp_exec.Store}, with two guarantees the rest
+    of the fast lane builds on:
 
     + {b physical sharing}: every in-process call with one key returns the
       {e same physical} [Vp_ir.Program.t] (racing domains converge on the
@@ -24,13 +24,8 @@
     [stitch] parameter (selection never reads it), so frontier sweep
     points over formation params share the selection work.
 
-    Keys include {!Spec_unit.version}: a version bump retires cached
-    region artifacts — in memory, on disk, and in every derived cache —
-    together with the spec-unit artifacts they were built against.
-    Everything is gated on {!Spec_unit.enabled}: under [--no-spec-cache]
-    each call forms fresh and registers nothing, and results are
-    structurally identical either way (QCheck-tested in
-    [test/test_region_unit.ml]). *)
+    Cached results are structurally identical to fresh formation
+    (QCheck-tested in [test/test_region_unit.ml]). *)
 
 val superblock :
   ?store:Vp_exec.Store.t ->
@@ -59,7 +54,7 @@ val digest_of : Vp_ir.Program.t -> string option
 val stats : unit -> Spec_unit.stats
 (** Process-wide formation-memo counters: [hits] counts memory and store
     hits, [misses] actual formations, [evictions] entries dropped by a
-    stripe's table cap. *)
+    table's bound. *)
 
 val clear : unit -> unit
 (** Drop every in-memory entry (including the digest registry) and zero

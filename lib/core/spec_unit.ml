@@ -1,187 +1,60 @@
 (* Shared spec-unit cache: per-block schedule / transform / compiled-kernel
    artifacts, memoized across sweep points (and, store-backed, across
    runs). See the interface for the key construction and the threshold
-   normalization argument.
+   normalization argument. *)
 
-   The cache is sharded: a key hashes to one of [stripe_count] stripes,
-   each with its own mutex and tables, so worker domains draining a warm
-   sweep contend on 1/16th of the lock traffic instead of serializing on
-   one global mutex. Hit/miss/eviction counters are per-stripe atomics,
-   bumped outside any lock — exact under any interleaving, and summing
-   them for [stats] needs no stop-the-world. *)
+type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
-(* 2: the prediction fast lane added the profile-rates artifact kind and
-   moved profiling onto the unboxed kernels (results are byte-identical,
-   but the bump retires any store entry written before the kernels were
-   the path of record). Striping the tables changes no artifact content,
-   so it keeps the version.
-   3: the bit-parallel scenario engine became the batch path of record
-   (results are byte-identical again, but compiled artifacts written by a
-   v2 binary predate [insn_wait_bits] and the lane-deduplicated batch
-   semantics — recompute rather than trust a stale serialization). *)
-let version = 3
+(* The content-keyed tables hold 8192 entries each. The compiled-kernel
+   table holds 1024 spec blocks times 8 machine shapes. *)
+let sched : (string, Vp_sched.Schedule.t) Vp_util.Memo.t =
+  Vp_util.Memo.create 8192
 
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+let xform : (string, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
+  Vp_util.Memo.create 8192
 
-type stats = { hits : int; misses : int; evictions : int }
+let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 8192
 
-type compiled_entry = {
-  ce_ccb : int option;
-  ce_cce : int;
-  ce_live_in : int -> int;
-  ce_reference : Vp_engine.Reference.t;
-  ce_compiled : Vp_engine.Compiled.t;
+(* Compiled kernels: keyed physically on the spec block and matched on
+   the machine shape, reference and live-ins. The reuse this cache exists
+   for — the same block under several CCE shapes, or repeated runs of one
+   sweep point — always goes through the transform cache first and
+   therefore holds the same physical [sb]; content-digesting a whole spec
+   block would cost more than the compile it saves. *)
+type compiled_key = {
+  sb : Vp_vspec.Spec_block.t;
+  ccb : int option;
+  cce : int;
+  live_in : int -> int;
+  reference : Vp_engine.Reference.t;
 }
 
-module Phys_tbl = Hashtbl.Make (struct
-  type t = Vp_vspec.Spec_block.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type stripe = {
-  lock : Mutex.t;
-  sched : (string, Vp_sched.Schedule.t) Hashtbl.t;
-  xform : (string, Vp_vspec.Transform.outcome) Hashtbl.t;
-  rates : (string, float array) Hashtbl.t;
-  comp : compiled_entry list ref Phys_tbl.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-}
-
-let stripe_count = 16
-
-let stripes =
-  Array.init stripe_count (fun _ ->
-      {
-        lock = Mutex.create ();
-        sched = Hashtbl.create 32;
-        xform = Hashtbl.create 32;
-        rates = Hashtbl.create 32;
-        comp = Phys_tbl.create 32;
-        hits = Atomic.make 0;
-        misses = Atomic.make 0;
-        evictions = Atomic.make 0;
-      })
-
-(* [Hashtbl.hash] over a digest string mixes well; mask to a stripe. *)
-let stripe_of hashable = stripes.(Hashtbl.hash hashable land (stripe_count - 1))
-
-let stripe_stats () =
-  Array.map
-    (fun s : stats ->
-      {
-        hits = Atomic.get s.hits;
-        misses = Atomic.get s.misses;
-        evictions = Atomic.get s.evictions;
-      })
-    stripes
+let comp : (compiled_key, Vp_engine.Compiled.t) Vp_util.Memo.t =
+  Vp_util.Memo.create 8192
+    ~hash:(fun k -> Hashtbl.hash k.sb)
+    ~equal:(fun a b ->
+      a.sb == b.sb && a.ccb = b.ccb && a.cce = b.cce && a.live_in == b.live_in
+      && a.reference = b.reference)
 
 let stats () =
-  Array.fold_left
-    (fun (acc : stats) s : stats ->
-      {
-        hits = acc.hits + Atomic.get s.hits;
-        misses = acc.misses + Atomic.get s.misses;
-        evictions = acc.evictions + Atomic.get s.evictions;
-      })
-    { hits = 0; misses = 0; evictions = 0 }
-    stripes
-
-let telemetry_json ?(extra = []) () =
-  let buf = Buffer.create 256 in
-  let total = stats () in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"hits\": %d, \"misses\": %d, \"evictions\": %d, \"stripes\": ["
-       total.hits total.misses total.evictions);
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"hits\": %d, \"misses\": %d}" (Atomic.get s.hits)
-           (Atomic.get s.misses)))
-    stripes;
-  Buffer.add_string buf "]";
-  List.iter
-    (fun (name, json) ->
-      Buffer.add_string buf (Printf.sprintf ", \"%s\": %s" name json))
-    extra;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
-
-(* Per-stripe caps keep the totals of the unsharded design: 8192 content
-   entries and 1024 compiled blocks overall; a full stripe resets alone,
-   so an unbounded sweep sheds 1/16th of its working set at a time. *)
-let table_cap = 8192 / stripe_count
-let comp_cap = 1024 / stripe_count
-let comp_entries_cap = 8
+  Vp_util.Memo.(total [ stats sched; stats xform; stats rates; stats comp ])
 
 let digest_key payload =
   Digest.to_hex (Digest.string (Marshal.to_string payload [ Marshal.Closures ]))
-
-(* Memory, then store, then compute — computation runs outside the stripe
-   lock, so racing domains can duplicate work but never see a partial
-   entry. The table selector is a field access so [cached] works on any
-   of the string-keyed artifact tables of the key's stripe. *)
-let cached (table : stripe -> (string, 'a) Hashtbl.t) ?store ~key
-    (compute : unit -> 'a) : 'a =
-  if not (enabled ()) then compute ()
-  else
-    let s = stripe_of key in
-    let tbl = table s in
-    let mem = Mutex.protect s.lock (fun () -> Hashtbl.find_opt tbl key) in
-    match mem with
-    | Some v ->
-        Atomic.incr s.hits;
-        v
-    | None ->
-        let from_store =
-          match store with
-          | None -> None
-          | Some st -> (
-              match Vp_exec.Store.find st ~key with
-              | Vp_exec.Store.Hit v -> Some v
-              | Vp_exec.Store.Miss | Vp_exec.Store.Evicted -> None)
-        in
-        let v, was_hit =
-          match from_store with
-          | Some v -> (v, true)
-          | None ->
-              let v = compute () in
-              (match store with
-              | Some st -> Vp_exec.Store.put st ~key v
-              | None -> ());
-              (v, false)
-        in
-        if was_hit then Atomic.incr s.hits else Atomic.incr s.misses;
-        Mutex.protect s.lock (fun () ->
-            if Hashtbl.length tbl >= table_cap then begin
-              ignore
-                (Atomic.fetch_and_add s.evictions (Hashtbl.length tbl));
-              Hashtbl.reset tbl
-            end;
-            if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
-        v
 
 (* An [ident] is a (region formation digest, block index) pair: a complete
    content identity for the block — formation is deterministic in the
    digested inputs — in a few dozen bytes. It substitutes the marshalled
    block IR in the artifact keys below under a distinct tag, so the two
-   keyings can never collide; [None] preserves the historical key bytes
-   exactly (warm stores keep answering). *)
+   keyings can never collide. *)
 let schedule ?store ?ident descr block =
   let key =
     match ident with
     | Some (digest, index) ->
-        digest_key ("spec-unit-schedule-ident", version, descr, digest, index)
-    | None -> digest_key ("spec-unit-schedule", version, descr, block)
+        digest_key ("spec-unit-schedule-ident", descr, digest, index)
+    | None -> digest_key ("spec-unit-schedule", descr, block)
   in
-  cached (fun s -> s.sched) ?store ~key (fun () ->
+  Vp_exec.Store.cached ?store sched ~key (fun () ->
       Vp_sched.List_scheduler.schedule_block descr block)
 
 (* The transform reads the threshold only through the predicate
@@ -207,19 +80,11 @@ let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
     match ident with
     | Some (digest, index) ->
         digest_key
-          ( "spec-unit-transform-ident",
-            version,
-            descr,
-            policy0,
-            masked,
-            digest,
-            index )
-    | None ->
-        digest_key
-          ("spec-unit-transform", version, descr, policy0, masked, block)
+          ("spec-unit-transform-ident", descr, policy0, masked, digest, index)
+    | None -> digest_key ("spec-unit-transform", descr, policy0, masked, block)
   in
   let outcome =
-    cached (fun s -> s.xform) ?store ~key (fun () ->
+    Vp_exec.Store.cached ?store xform ~key (fun () ->
         let baseline = schedule ?store ?ident descr block in
         Vp_vspec.Transform.apply ~policy:policy0 ~baseline descr
           ~rate:(fun (op : Vp_ir.Operation.t) -> masked.(op.id))
@@ -245,86 +110,24 @@ let profile_rates ?store workload ~stream ~samples ~kinds =
   let key =
     digest_key
       ( "spec-unit-profile-rates",
-        version,
         Vp_workload.Workload.seed workload,
         stream,
         Vp_workload.Workload.shape workload stream,
         samples,
         kinds )
   in
-  cached (fun s -> s.rates) ?store ~key (fun () ->
+  Vp_exec.Store.cached ?store rates ~key (fun () ->
       Vp_profile.Value_profile.stream_rates workload ~stream ~samples ~kinds)
 
-(* Compiled kernels: keyed physically on the spec block. The reuse this
-   cache exists for — the same block under several CCE shapes, or repeated
-   runs of one sweep point — always goes through the transform cache first
-   and therefore holds the same physical [sb]; content-digesting a whole
-   spec block would cost more than the compile it saves. The stripe is
-   chosen by the block's physical hash, the same hash [Phys_tbl] uses. *)
 let compiled ?ccb_capacity ~cce_retire_width ~live_in sb ~reference =
-  if not (enabled ()) then
-    Vp_engine.Compiled.compile ?ccb_capacity ~cce_retire_width sb ~reference
-      ~live_in
-  else
-    let s = stripe_of sb in
-    let find () =
-      match Phys_tbl.find_opt s.comp sb with
-      | None -> None
-      | Some entries ->
-          List.find_opt
-            (fun e ->
-              e.ce_ccb = ccb_capacity
-              && e.ce_cce = cce_retire_width
-              && e.ce_live_in == live_in
-              && e.ce_reference = reference)
-            !entries
-    in
-    match Mutex.protect s.lock find with
-    | Some e ->
-        Atomic.incr s.hits;
-        e.ce_compiled
-    | None ->
-        let compiled =
-          Vp_engine.Compiled.compile ?ccb_capacity ~cce_retire_width sb
-            ~reference ~live_in
-        in
-        Atomic.incr s.misses;
-        Mutex.protect s.lock (fun () ->
-            if Phys_tbl.length s.comp >= comp_cap then begin
-              ignore
-                (Atomic.fetch_and_add s.evictions (Phys_tbl.length s.comp));
-              Phys_tbl.reset s.comp
-            end;
-            let entries =
-              match Phys_tbl.find_opt s.comp sb with
-              | Some entries -> entries
-              | None ->
-                  let entries = ref [] in
-                  Phys_tbl.add s.comp sb entries;
-                  entries
-            in
-            entries :=
-              {
-                ce_ccb = ccb_capacity;
-                ce_cce = cce_retire_width;
-                ce_live_in = live_in;
-                ce_reference = reference;
-                ce_compiled = compiled;
-              }
-              :: (if List.length !entries >= comp_entries_cap then
-                    List.filteri (fun i _ -> i < comp_entries_cap - 1) !entries
-                  else !entries));
-        compiled
+  Vp_util.Memo.find_or_add comp
+    { sb; ccb = ccb_capacity; cce = cce_retire_width; live_in; reference }
+    (fun () ->
+      Vp_engine.Compiled.compile ?ccb_capacity ~cce_retire_width sb
+        ~reference ~live_in)
 
 let clear () =
-  Array.iter
-    (fun s ->
-      Mutex.protect s.lock (fun () ->
-          Hashtbl.reset s.sched;
-          Hashtbl.reset s.xform;
-          Hashtbl.reset s.rates;
-          Phys_tbl.reset s.comp;
-          Atomic.set s.hits 0;
-          Atomic.set s.misses 0;
-          Atomic.set s.evictions 0))
-    stripes
+  Vp_util.Memo.clear sched;
+  Vp_util.Memo.clear xform;
+  Vp_util.Memo.clear rates;
+  Vp_util.Memo.clear comp

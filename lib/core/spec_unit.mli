@@ -30,52 +30,17 @@
     observable difference — the "no load above the %.2f profile threshold"
     message embeds the threshold — is rewritten on every return.
 
-    All operations are thread-safe and {b sharded}: a key hashes to one of
-    {!stripe_count} stripes, each with its own mutex and tables, so worker
-    domains draining a warm sweep stop serializing on a single global
-    lock. Computation happens outside the stripe lock — racing domains may
-    duplicate work but never produce a wrong answer — and the
-    hit/miss/eviction counters are per-stripe atomics bumped outside any
-    lock, so {!stats} stays exact under any interleaving. Results are
-    structurally equal to the uncached computations — property-tested in
-    [test/test_spec_unit.ml] — so pipeline output is byte-identical with
-    the cache on, off, warm or cold. *)
+    Every table is a {!Vp_util.Memo}: bounded, striped, first insert wins.
+    Results are structurally equal to the uncached computations —
+    property-tested in [test/test_spec_unit.ml] — so pipeline output is
+    byte-identical whether the cache is warm or cold. *)
 
-val version : int
-(** Artifact-format version. Bumped whenever the semantics of the cached
-    artifacts change; it is part of every content key here {e and} must be
-    hashed into any job key whose results depend on these artifacts (the
-    pipeline's scenario batches, the experiment layer's table keys), so
-    stale entries — in memory, on disk, or in derived caches — can never
-    resurface across a version bump. *)
-
-val set_enabled : bool -> unit
-(** [set_enabled false] (the [--no-spec-cache] flag) makes every call
-    compute directly; existing entries are kept but not consulted. *)
-
-val enabled : unit -> bool
-
-type stats = { hits : int; misses : int; evictions : int }
+type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
 val stats : unit -> stats
-(** Process-wide counters, summed over stripes: [hits] counts memory and
-    store hits, [misses] actual computations, [evictions] entries dropped
-    by a stripe's table cap. *)
-
-val stripe_count : int
-(** Number of cache shards (a power of two; keys hash to a stripe). *)
-
-val stripe_stats : unit -> stats array
-(** Per-stripe counters, index-aligned with the stripes — the telemetry
-    view of how evenly the key hash spreads the load. *)
-
-val telemetry_json : ?extra:(string * string) list -> unit -> string
-(** [{"hits": .., "misses": .., "evictions": .., "stripes": [{"hits": ..,
-    "misses": ..}, ...]}] — the [spec_unit] section front ends attach to
-    the [--telemetry] summary via [Vp_exec.Cli.emit_telemetry ~extra].
-    [extra] appends [(name, json)] pairs as further fields of the object —
-    the front ends use it to nest the sibling region-formation memo's
-    counters under the same section. *)
+(** Process-wide counters summed over the four artifact tables: [hits]
+    counts memory and store hits, [misses] actual computations,
+    [evictions] entries dropped by a table's bound. *)
 
 val clear : unit -> unit
 (** Drop every in-memory entry and zero {!stats} (tests, benchmarks). *)
@@ -93,7 +58,7 @@ val schedule :
     the key (under a distinct tag, so the two keyings cannot collide):
     keying a region block costs a few dozen digested bytes instead of its
     whole IR. Callers are responsible for the digest actually determining
-    the block's content; [None] keeps the historical key bytes. *)
+    the block's content. *)
 
 val transform :
   ?store:Vp_exec.Store.t ->
@@ -132,5 +97,4 @@ val compiled :
   Vp_engine.Compiled.t
 (** Cached [Vp_engine.Compiled.compile], keyed physically on [sb] and
     structurally on the reference and machine shape; [live_in] is compared
-    physically. In-memory only, bounded by a table cap (a full reset when
-    exceeded, counted in {!stats} evictions). *)
+    physically. In-memory only. *)

@@ -9,11 +9,6 @@ type result = {
   profile_speedup : float;
 }
 
-(* Bumped whenever the simulation algorithm changes in a way that could
-   produce different bytes from stored artifacts; the experiment layer
-   hashes it into hardware job keys so stale store entries miss. *)
-let version = 2
-
 (* A stable hardware PC for a static load: block index spread across the
    address space, plus the operation's slot. Op ids at or past the 256-slot
    spread would alias a neighbouring block's PCs (block b op 256 = block
@@ -181,9 +176,10 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
 
    Concurrency: runs on the same pipeline serialize on the state's lock
    ([fb_outcomes] and the engine arena are shared scratch); runs on
-   different pipelines don't contend. The registry is bounded — past
-   [states_cap] pipelines it is emptied and rebuilt — so resident memo
-   memory stays capped alongside the per-block [Bounded] caps. *)
+   different pipelines don't contend. The registry is a bounded memo
+   keyed physically on the pipeline, hashed on (model, seed, width), so
+   resident memo memory stays capped alongside the per-block [Bounded]
+   caps, and racing first runs of one pipeline share one state. *)
 
 type sim_state = {
   ss_lock : Mutex.t;
@@ -191,35 +187,20 @@ type sim_state = {
   ss_scratch : Vp_engine.Compiled.Arena.t;
 }
 
-let states : (string * int * int, Pipeline.t * sim_state) Hashtbl.t =
-  Hashtbl.create 16
-
-let states_lock = Mutex.create ()
-let states_cap = 64
+let states : (Pipeline.t, sim_state) Vp_util.Memo.t =
+  Vp_util.Memo.create 64 ~equal:( == ) ~hash:(fun (p : Pipeline.t) ->
+      Hashtbl.hash
+        ( p.model.Vp_workload.Spec_model.name,
+          p.config.Config.seed,
+          p.config.Config.width ))
 
 let state_for (p : Pipeline.t) =
-  (* Keyed on (model, seed, width) with a physical check on the pipeline:
-     the pipeline memo hands out one [Pipeline.t] per sweep point, so a
-     physical miss means a genuinely new pipeline took the key. *)
-  let key =
-    ( p.Pipeline.model.Vp_workload.Spec_model.name,
-      p.Pipeline.config.Config.seed,
-      p.Pipeline.config.Config.width )
-  in
-  Mutex.protect states_lock (fun () ->
-      match Hashtbl.find_opt states key with
-      | Some (pp, ss) when pp == p -> ss
-      | _ ->
-          if Hashtbl.length states >= states_cap then Hashtbl.reset states;
-          let ss =
-            {
-              ss_lock = Mutex.create ();
-              ss_blocks = Array.make (Array.length p.blocks) None;
-              ss_scratch = Vp_engine.Compiled.Arena.create ();
-            }
-          in
-          Hashtbl.replace states key (p, ss);
-          ss)
+  Vp_util.Memo.find_or_add states p (fun () ->
+      {
+        ss_lock = Mutex.create ();
+        ss_blocks = Array.make (Array.length p.blocks) None;
+        ss_scratch = Vp_engine.Compiled.Arena.create ();
+      })
 
 let block_for ss config p bi spec =
   match ss.ss_blocks.(bi) with

@@ -29,11 +29,6 @@ type result = {
           comparison *)
 }
 
-val version : int
-(** Simulation algorithm version, bumped whenever results could change;
-    the experiment layer hashes it into hardware job keys so stale store
-    artifacts miss instead of being served. *)
-
 val pc_of : block:int -> op:int -> int
 (** The hardware PC of static load [op] in block [block]: the block index
     spread across 256-slot frames. Raises [Invalid_argument] when [op] is
@@ -63,8 +58,9 @@ val run :
     (the test oracle in [test/trace_sim_ref.ml]).
 
     Per-pipeline simulation state (compiled blocks, stream/PC maps, the
-    mask memos) persists across runs in a bounded registry: it is a pure
-    function of the pipeline, so reuse changes how often the engine
+    mask memos) persists across runs in a registry, a {!Vp_util.Memo}
+    keyed physically on the pipeline and bounded at 64 pipelines: it is a
+    pure function of the pipeline, so reuse changes how often the engine
     replays, never the result. Runs on the same pipeline serialize on
     that state's lock. *)
 

@@ -1,7 +1,6 @@
 type opts = {
   jobs : int;
   no_cache : bool;
-  no_spec_cache : bool;
   cache_dir : string;
   telemetry : string option;
 }
@@ -10,15 +9,13 @@ let default =
   {
     jobs = 1;
     no_cache = false;
-    no_spec_cache = false;
     cache_dir = Store.default_dir;
     telemetry = None;
   }
 
 let usage =
   "--jobs N (worker domains; output is byte-identical for any N), \
-   --no-cache (disable the on-disk result cache), --no-spec-cache (disable \
-   the in-memory per-block artifact cache), --cache-dir DIR, \
+   --no-cache (disable the on-disk result cache), --cache-dir DIR, \
    --telemetry FILE (JSON job/cache/utilization summary; \"-\" = stderr)"
 
 let parse args =
@@ -32,8 +29,6 @@ let parse args =
             | _ -> Error (Printf.sprintf "--jobs: not a positive integer: %s" n))
         | [] -> Error "--jobs requires a value")
     | "--no-cache" :: rest -> go { opts with no_cache = true } leftover rest
-    | "--no-spec-cache" :: rest ->
-        go { opts with no_spec_cache = true } leftover rest
     | "--cache-dir" :: rest -> (
         match rest with
         | d :: rest -> go { opts with cache_dir = d } leftover rest

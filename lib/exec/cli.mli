@@ -5,17 +5,11 @@
     the same semantics, defined once here: [--jobs N], [--no-cache],
     [--cache-dir DIR] and [--telemetry FILE]. The cmdliner front end maps
     its parsed terms onto {!opts}; plain front ends call {!parse}
-    directly.
-
-    [--no-spec-cache] is parsed here for uniformity but applied by the
-    caller (the spec-unit cache lives above this library): front ends must
-    forward [opts.no_spec_cache] to [Vliw_vp.Spec_unit.set_enabled]. *)
+    directly. *)
 
 type opts = {
   jobs : int;  (** worker domains; 1 = sequential *)
   no_cache : bool;  (** disable the on-disk result {!Store} *)
-  no_spec_cache : bool;
-      (** disable the in-memory per-block artifact (spec-unit) cache *)
   cache_dir : string;
   telemetry : string option;
       (** where to write the JSON telemetry summary; ["-"] = stderr *)
@@ -45,4 +39,4 @@ val emit_telemetry :
 (** Write the context's telemetry summary to the configured destination,
     if any. [extra] pairs are appended as top-level JSON fields (see
     {!Progress.json_summary}) — the front ends use this to attach the
-    spec-unit stripe counters, which live in a library above this one. *)
+    compute layers' sections, which live in a library above this one. *)

@@ -89,4 +89,4 @@ val json_summary : ?extra:(string * string) list -> t -> string
     fork-join estimate next to the barrier-free ["wall_s".total]. Each
     [extra] pair [(name, json)] is appended verbatim as a top-level
     field — the hook callers use to attach sections this library cannot
-    see (e.g. the spec-unit stripe counters, which live above it). *)
+    see (e.g. the spec-unit memo counters, which live above it). *)

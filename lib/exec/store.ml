@@ -144,3 +144,15 @@ let put t ~key v =
             output_string oc payload);
         Sys.rename tmp (entry_path t ~key)
       with Sys_error _ -> ())
+
+let cached ?store memo ~key compute =
+  match store with
+  | None -> Vp_util.Memo.find_or_add memo key compute
+  | Some t ->
+      Vp_util.Memo.find_or_add memo key
+        ~load:(fun () ->
+          match find t ~key with Hit v -> Some v | Miss | Evicted -> None)
+        (fun () ->
+          let v = compute () in
+          put t ~key v;
+          v)

@@ -61,3 +61,9 @@ val put : t -> key:string -> 'a -> unit
 
 val entry_path : t -> key:string -> string
 (** Where [key]'s entry lives — exposed for tests and debugging. *)
+
+val cached :
+  ?store:t -> (string, 'a) Vp_util.Memo.t -> key:string -> (unit -> 'a) -> 'a
+(** A memo backed by [store]: memory, then the store (a hit counts as a
+    memo hit), then [compute], whose result is [put] under [key] before
+    it is inserted. Without [store], the memo alone. *)

@@ -64,6 +64,11 @@ let to_string v =
 
 exception Parse_error of string
 
+(* Frames come from clients and are parsed inside the daemon's select
+   loop, so recursion must stay bounded: protocol frames nest about six
+   levels deep. *)
+let max_depth = 64
+
 let parse_exn s =
   let len = String.length s in
   let pos = ref 0 in
@@ -162,7 +167,12 @@ let parse_exn s =
         | Some f -> Float f
         | None -> error (Printf.sprintf "bad number %S" raw))
   in
-  let rec parse_value () =
+  let enter depth =
+    if depth >= max_depth then
+      error (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> error "unexpected end of input"
@@ -171,7 +181,7 @@ let parse_exn s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -179,7 +189,7 @@ let parse_exn s =
         end
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -192,7 +202,7 @@ let parse_exn s =
           in
           items []
     | Some '{' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -204,7 +214,7 @@ let parse_exn s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -222,7 +232,7 @@ let parse_exn s =
           fields []
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> len then error "trailing garbage";
   v

@@ -21,7 +21,9 @@ val to_string : t -> string
     payload is always newline-free apart from escaped [\n]s. *)
 
 val parse : string -> (t, string) result
-(** Whole-string parse; the error carries a byte offset. *)
+(** Whole-string parse; the error carries a byte offset. Arrays and
+    objects nested more than 64 deep are rejected with an error naming
+    the limit, so a hostile frame costs at most 64 stack frames. *)
 
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 

@@ -199,7 +199,6 @@ let render_key spec ~artifact =
        (Marshal.to_string
           ( "serve-render",
             artifact,
-            Vliw_vp.Spec_unit.version,
             spec.models,
             spec.config,
             spec.csv,

@@ -28,13 +28,15 @@ let zipf_counts ~rng ~skew ~blocks ~total =
 
 (* [generate] is pure in (seed, model) and [t] is immutable, so repeat
    generations — every sweep point of a suite re-runs it — can share one
-   instance. Keyed like the arenas: (seed, model name) plus a physical
-   model check, so a custom model reusing a stock name misses instead of
+   instance. Keyed on the seed and the physical model, hashed on (seed,
+   model name), so a custom model reusing a stock name misses instead of
    aliasing. Physical sharing also concentrates the phys-keyed caches
    downstream (profile memo, compiled kernels) onto single entries. *)
-let gen_cache : (int * string, Spec_model.t * t) Hashtbl.t = Hashtbl.create 32
-let gen_mutex = Mutex.create ()
-let gen_cache_cap = 256
+let generated : (int * Spec_model.t, t) Vp_util.Memo.t =
+  Vp_util.Memo.create 256
+    ~hash:(fun (seed, model) -> Hashtbl.hash (seed, model.Spec_model.name))
+    ~equal:(fun (seed, model) (seed', model') ->
+      seed = seed' && model == model')
 
 let generate_fresh ~seed model =
   let rng = Vp_util.Rng.create seed in
@@ -69,18 +71,8 @@ let generate_fresh ~seed model =
   }
 
 let generate ?(seed = 42) model =
-  let key = (seed, model.Spec_model.name) in
-  match
-    Mutex.protect gen_mutex (fun () -> Hashtbl.find_opt gen_cache key)
-  with
-  | Some (m, w) when m == model -> w
-  | Some _ | None ->
-      let w = generate_fresh ~seed model in
-      Mutex.protect gen_mutex (fun () ->
-          if Hashtbl.length gen_cache >= gen_cache_cap then
-            Hashtbl.reset gen_cache;
-          Hashtbl.replace gen_cache key (model, w));
-      w
+  Vp_util.Memo.find_or_add generated (seed, model) (fun () ->
+      generate_fresh ~seed model)
 
 let model t = t.model
 let seed t = t.seed

@@ -17,8 +17,8 @@ type t
 val generate : ?seed:int -> Spec_model.t -> t
 (** Default [seed] 42. Memoized: [t] is immutable and pure in
     [(seed, model)], so repeat generations — one per sweep point in a
-    suite — return one shared instance (keyed by [(seed, name)] with a
-    physical model check, like the arenas). *)
+    suite — return one shared instance (keyed on the seed and the physical
+    model, in a bounded {!Vp_util.Memo}). *)
 
 val model : t -> Spec_model.t
 

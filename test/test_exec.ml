@@ -249,45 +249,6 @@ let test_spec_unit_version_bump_evicts () =
   checki "recomputed under new version" 1 stats.misses;
   checki "no stale hit" 0 stats.hits
 
-let test_spec_unit_version_in_key () =
-  (* The schema version is marshalled into every spec-unit digest key: an
-     artifact persisted by a previous-version binary sits under a
-     different key in the same store, so the current version recomputes
-     it instead of deserializing the stale bytes. The stale entry is
-     planted under a manually replicated old-version key with a poisoned
-     payload — a lookup that found it would blow up, not just be slow. *)
-  let dir = fresh_dir () in
-  let machine = Vp_machine.Descr.playdoh ~width:4 in
-  let block =
-    fst
-      (Vp_workload.Block_gen.generate
-         (List.hd Vp_workload.Spec_model.all)
-         ~rng:(Vp_util.Rng.create 2)
-         ~stream_base:0 ~label:"vkey")
-  in
-  let store = Vp_exec.Store.create ~version:"same" ~dir () in
-  let old_key =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            ( "spec-unit-schedule",
-              Vliw_vp.Spec_unit.version - 1,
-              machine,
-              block )
-            [ Marshal.Closures ]))
-  in
-  Vp_exec.Store.put store ~key:old_key "poisoned stale artifact";
-  Vliw_vp.Spec_unit.clear ();
-  ignore (Vliw_vp.Spec_unit.schedule ~store machine block);
-  checki "recomputed, not deserialized" 1 (Vliw_vp.Spec_unit.stats ()).misses;
-  checki "no stale hit" 0 (Vliw_vp.Spec_unit.stats ()).hits;
-  (* The poisoned entry is untouched under its own key — the bump changed
-     the key, it did not overwrite the slot. *)
-  checkb "stale entry still present under the old key" true
-    (match Vp_exec.Store.find store ~key:old_key with
-    | Vp_exec.Store.Hit _ -> true
-    | _ -> false)
-
 let test_cli_context_unusable_cache_dir () =
   (* A cache path that exists but is a file: [Store.create] raises, and
      [Cli.context] must downgrade to a storeless context (with one stderr
@@ -670,7 +631,6 @@ let () =
           tc "concurrent evict once" test_store_concurrent_evict_once;
           tc "rejects stale version" test_store_rejects_stale_version;
           tc "spec-unit version bump evicts" test_spec_unit_version_bump_evicts;
-          tc "spec-unit version is in the key" test_spec_unit_version_in_key;
           tc "unusable cache dir downgrades" test_cli_context_unusable_cache_dir;
           tc "undigestable executable downgrades"
             test_cli_context_undigestable_executable;

@@ -79,21 +79,6 @@ let test_digest_registered () =
     (Vliw_vp.Region_unit.digest_of (Vp_workload.Workload.program workload)
     = None)
 
-let test_disabled_forms_fresh () =
-  clear_memos ();
-  Vliw_vp.Spec_unit.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Vliw_vp.Spec_unit.set_enabled true)
-    (fun () ->
-      let p1, t1 = Vliw_vp.Region_unit.superblock workload cfg sb_params in
-      let p2, t2 = Vliw_vp.Region_unit.superblock workload cfg sb_params in
-      checkb "fresh program per call" true (p1 != p2);
-      checkb "still deterministic" true ((p1, t1) = (p2, t2));
-      checkb "nothing registered" true
-        (Vliw_vp.Region_unit.digest_of p1 = None);
-      let s = Vliw_vp.Region_unit.stats () in
-      checki "no lookups counted" 0 (s.hits + s.misses))
-
 (* --- store backing and version retirement --- *)
 
 let test_store_backing_and_version_bump () =
@@ -191,7 +176,6 @@ let () =
       ( "identity",
         [
           tc "digest registered" test_digest_registered;
-          tc "disabled forms fresh" test_disabled_forms_fresh;
           tc "store backing + version bump" test_store_backing_and_version_bump;
         ] );
       ( "experiments",

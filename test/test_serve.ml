@@ -23,6 +23,11 @@ let par_jobs =
   | Some n when n > 0 -> n
   | _ -> 4
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 (* --- Jsonx --- *)
 
 let test_jsonx_roundtrip () =
@@ -54,7 +59,24 @@ let test_jsonx_parse () =
     (Result.is_error (J.parse "{} junk"));
   checkb "bad literal rejected" true (Result.is_error (J.parse "trueish"));
   checkb "unterminated string rejected" true
-    (Result.is_error (J.parse "\"abc"))
+    (Result.is_error (J.parse "\"abc"));
+  (* Nesting is bounded at 64 arrays/objects: the limit itself parses, one
+     more level is rejected with an error naming the limit, and so is a
+     frame-sized tower, balanced or not. *)
+  let nested n = String.make n '[' ^ String.make n ']' in
+  checkb "64 levels parse" true (Result.is_ok (J.parse (nested 64)));
+  let rejected label doc =
+    match J.parse doc with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error msg ->
+        checkb (label ^ " names the depth") true (contains ~sub:"64" msg)
+  in
+  rejected "65 levels" (nested 65);
+  rejected "65 objects"
+    (String.concat "" (List.init 65 (fun _ -> {|{"a":|}))
+    ^ "1" ^ String.make 65 '}');
+  rejected "100k levels" (nested 100_000);
+  rejected "unbalanced 1M" (String.make 1_000_000 '[')
 
 (* --- frame decoder --- *)
 
@@ -182,9 +204,9 @@ let test_sweep_and_override_validation () =
 
 (* --- end-to-end over a real daemon --- *)
 
-(* Start a daemon in its own domain, run [f client], shut down cleanly.
-   Returns [f]'s result after the daemon has exited. *)
-let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) ?store f =
+(* Start a daemon in its own domain, run [f ~socket client], shut down
+   cleanly. Returns [f]'s result after the daemon has exited. *)
+let with_server_at ?(cfg = fun c -> c) ?(jobs = par_jobs) ?store f =
   let socket = fresh_socket () in
   let config = cfg (Vp_serve.Server.default_config ~socket ()) in
   let ready = Atomic.make false in
@@ -207,10 +229,13 @@ let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) ?store f =
         (try Vp_serve.Client.shutdown client with _ -> ());
         Vp_serve.Client.close client;
         ignore (Domain.join srv))
-      (fun () -> f client)
+      (fun () -> f ~socket client)
   in
   checkb "socket removed after shutdown" false (Sys.file_exists socket);
   result
+
+let with_server ?cfg ?jobs ?store f =
+  with_server_at ?cfg ?jobs ?store (fun ~socket:_ client -> f client)
 
 let compress = [ Vp_workload.Spec_model.compress ]
 
@@ -358,8 +383,40 @@ let test_e2e_timeout () =
       | None -> Alcotest.fail "no timeout reported");
       checkb "timeout reported promptly" true (elapsed < 5.0))
 
+(* [f exchange] over one raw connection, where [exchange payload] sends a
+   frame and returns the parsed reply. *)
+let with_raw_connection socket f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      f (fun payload ->
+          P.write_frame fd payload;
+          match P.read_frame fd with
+          | None -> Alcotest.fail "connection closed without a reply"
+          | Some reply -> (
+              match J.parse reply with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "unparseable reply: %s" e)))
+
 let test_e2e_stats_and_ping () =
-  with_server (fun client ->
+  with_server_at (fun ~socket client ->
+      (* A ping nested 100,000 levels deep is refused as a bad request
+         before it reaches the protocol layer, and the same connection
+         still gets its next ping answered. *)
+      with_raw_connection socket (fun exchange ->
+          let deep =
+            {|{"op":"ping","id":"deep","pad":|}
+            ^ String.make 100_000 '[' ^ String.make 100_000 ']' ^ "}"
+          in
+          let member field reply =
+            Option.value ~default:"" (J.string_member field reply)
+          in
+          checks "deep frame rejected" "bad_request"
+            (member "code" (exchange deep));
+          checks "then pong" "pong"
+            (member "event" (exchange {|{"op":"ping","id":"p"}|})));
       Vp_serve.Client.ping client;
       ignore (Vp_serve.Client.submit client (table2_spec ()));
       let stats = Vp_serve.Client.stats client in
@@ -373,11 +430,6 @@ let test_e2e_stats_and_ping () =
       let latency = Option.get (member "latency") in
       checki "latency count" 1
         (Option.value ~default:(-1) (J.int_member "count" latency)))
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
 
 let test_e2e_overrides_and_custom_sweep () =
   with_server (fun client ->

@@ -155,28 +155,6 @@ let test_threshold_sharing () =
         "no load above the 0.99 profile threshold" msg
   | Vp_vspec.Transform.Speculated _ -> Alcotest.fail "expected Unchanged"
 
-(* --- disabling the cache bypasses it --- *)
-
-let test_disabled_computes_directly () =
-  Fun.protect
-    ~finally:(fun () -> Vliw_vp.Spec_unit.set_enabled true)
-    (fun () ->
-      Vliw_vp.Spec_unit.clear ();
-      Vliw_vp.Spec_unit.set_enabled false;
-      let block = gen_block ~seed:5 ~pick:1 in
-      let rates = gen_rates ~rseed:5 block in
-      let policy = Vp_vspec.Policy.default in
-      let a = Vliw_vp.Spec_unit.transform ~policy machine ~rates block in
-      let b = Vliw_vp.Spec_unit.transform ~policy machine ~rates block in
-      checkb "still equal" true (outcome_proj a = outcome_proj b);
-      (match (a, b) with
-      | Vp_vspec.Transform.Speculated sa, Vp_vspec.Transform.Speculated sb ->
-          checkb "not shared when disabled" false (sa == sb)
-      | _ -> ());
-      let stats = Vliw_vp.Spec_unit.stats () in
-      checki "no hits" 0 stats.hits;
-      checki "no misses counted" 0 stats.misses)
-
 (* --- store backing round-trips across a memory clear --- *)
 
 let fresh_dir =
@@ -261,7 +239,6 @@ let () =
       ( "sharing",
         [
           tc "threshold normalization shares entries" test_threshold_sharing;
-          tc "disabled cache computes directly" test_disabled_computes_directly;
           tc "store backing survives a memory clear" test_store_backing;
           tc "profile rates cached and store-backed" test_profile_rates_caching;
         ] );

@@ -1,4 +1,5 @@
-(* Tests for vp_util: RNG, bitsets, FIFOs, statistics, histograms, tables. *)
+(* Tests for vp_util: RNG, bitsets, FIFOs, statistics, histograms, tables,
+   memos. *)
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -477,6 +478,69 @@ let test_table_cells () =
   check Alcotest.string "cell_f" "0.48" (Vp_util.Table.cell_f 0.4811);
   check Alcotest.string "cell_pct" "48.1%" (Vp_util.Table.cell_pct 0.4811)
 
+(* --- Memo --- *)
+
+let test_memo_bounded () =
+  let cap = 64 in
+  let m = Vp_util.Memo.create cap in
+  for k = 1 to 2 * cap do
+    checki "computed value" k (Vp_util.Memo.find_or_add m k (fun () -> k))
+  done;
+  let s = Vp_util.Memo.stats m in
+  let held = Vp_util.Memo.length m in
+  checkb "holds at most cap" true (held <= cap);
+  checki "every key missed" (2 * cap) s.misses;
+  checki "every dropped entry counted" (2 * cap) (held + s.evictions);
+  checkb "at least cap evicted" true (s.evictions >= cap)
+
+(* Two domains miss one key together: a barrier inside [compute] holds
+   each until both are computing, so each builds its own value, and the
+   one inserted first is what both get back. *)
+let test_memo_race_first_insert_wins () =
+  let m = Vp_util.Memo.create 16 in
+  let computing = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computing;
+    while Atomic.get computing < 2 do
+      Domain.cpu_relax ()
+    done;
+    ref 0
+  in
+  let other = Domain.spawn (fun () -> Vp_util.Memo.find_or_add m "k" compute) in
+  let mine = Vp_util.Memo.find_or_add m "k" compute in
+  let theirs = Domain.join other in
+  checkb "one physical value" true (mine == theirs);
+  checki "both computed" 2 (Vp_util.Memo.stats m).misses;
+  checki "one entry" 1 (Vp_util.Memo.length m)
+
+let test_memo_load_hit () =
+  let m = Vp_util.Memo.create 16 in
+  let never () = Alcotest.fail "computed on a hit" in
+  checki "loaded value" 7
+    (Vp_util.Memo.find_or_add m "k" ~load:(fun () -> Some 7) never);
+  let s = Vp_util.Memo.stats m in
+  checki "load counts as a hit" 1 s.hits;
+  checki "no miss" 0 s.misses;
+  checki "then held in memory" 7 (Vp_util.Memo.find_or_add m "k" never);
+  checki "load miss computes" 9
+    (Vp_util.Memo.find_or_add m "j" ~load:(fun () -> None) (fun () -> 9));
+  let s = Vp_util.Memo.stats m in
+  checki "hits" 2 s.hits;
+  checki "misses" 1 s.misses
+
+let test_memo_clear () =
+  let m = Vp_util.Memo.create 16 in
+  for k = 1 to 40 do
+    ignore (Vp_util.Memo.find_or_add m (k mod 20) (fun () -> k))
+  done;
+  Vp_util.Memo.clear m;
+  checki "empty" 0 (Vp_util.Memo.length m);
+  checkb "nothing held" true (Vp_util.Memo.find_opt m 1 = None);
+  let s = Vp_util.Memo.stats m in
+  checki "hits zeroed" 0 s.hits;
+  checki "misses zeroed" 0 s.misses;
+  checki "evictions zeroed" 0 s.evictions
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_util"
@@ -545,5 +609,13 @@ let () =
           tc "arity" test_table_arity;
           tc "csv" test_table_csv;
           tc "cells" test_table_cells;
+        ] );
+      ( "memo",
+        [
+          tc "bounded" test_memo_bounded;
+          tc "racing misses share the first insert"
+            test_memo_race_first_insert_wins;
+          tc "load hit" test_memo_load_hit;
+          tc "clear" test_memo_clear;
         ] );
     ]
