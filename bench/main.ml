@@ -25,10 +25,11 @@ let section title = Printf.printf "%s\n%s\n%s\n" line title line
    (or the --telemetry file) so it never perturbs the regenerated tables.
 
    Without --cache-dir the harness keeps its result store in _cache/bench/,
-   not vliw_vp's _cache/: entries carry the digest of the executable that
-   wrote them, so in a shared store an entry under a key both binaries
-   compute (the closure-free spec-unit keys; job keys marshal closures and
-   differ per binary) would be evicted back and forth as stale. *)
+   not vliw_vp's _cache/: entries carry the stamp of the executable that
+   wrote them (its build ID, or its MD5), so in a shared store an entry
+   under a key both binaries compute (the closure-free spec-unit keys; job
+   keys marshal closures and differ per binary) would be evicted back and
+   forth as stale. *)
 
 let exec_opts, json_path, smoke =
   let args = List.tl (Array.to_list Sys.argv) in

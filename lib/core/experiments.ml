@@ -186,7 +186,7 @@ let job_key ~kind ~(config : Config.t) payload =
      their [Marshal] bytes. [Closures] is required because benchmark models
      embed value-stream generators; closure serialization is stable within
      one binary, which is exactly the cache's validity domain (the store's
-     version header is the executable digest). *)
+     version header stamps the executable: its build ID, or its MD5). *)
   Digest.to_hex
     (Digest.string
        (Marshal.to_string (kind, payload, config) [ Marshal.Closures ]))

@@ -48,7 +48,7 @@ let context ?progress opts =
       (* Detect an unusable cache directory once, here, rather than letting
          every job rediscover it: [Store.create] raises on a path that is
          not (or cannot become) a directory, or when the executable cannot
-         be digested to version the entries, and the write probe catches
+         be read to stamp the entries, and the write probe catches
          the read-only-directory case, where creation succeeds but every
          [Store.put] would fail one at a time. Either way the run proceeds
          without a cache after a single warning. *)

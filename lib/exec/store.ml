@@ -6,19 +6,126 @@ let magic = "VPEXEC-CACHE 1"
 
 let default_dir = "_cache"
 
-(* The executable digest makes stale entries self-invalidating: a rebuilt
-   binary reads a version mismatch, evicts and recomputes. It also makes
-   [Marshal.Closures] payloads safe — they are only ever read back by the
-   bit-identical binary that wrote them. An executable that cannot be
-   digested has no such stamp, and any constant in its place would let a
-   rebuilt binary accept an older one's entries, so it gets no store. *)
+(* [build_id image] reads the GNU build ID out of [image], a prefix of an
+   ELF64 little-endian executable: the descriptor of the first note named
+   "GNU" with type 3 (NT_GNU_BUILD_ID) and a non-empty descriptor, searched
+   in program-header order through the PT_NOTE segments. Every offset, size
+   and count is checked against [image] before it is used, so any other,
+   truncated or corrupt input yields [None], never an exception. *)
+let build_id image =
+  let len = String.length image in
+  let ( let* ) = Option.bind in
+  (* The unsigned little-endian field of [size] bytes at [off], when it
+     lies in [image] and its value is at most [len]. Each field read here
+     is an offset, a size, a count or a small tag, so a larger value is
+     out of bounds (or not a tag we look for) anyway. *)
+  let field off size =
+    if off < 0 || size > len - off then None
+    else
+      let v =
+        match size with
+        | 2 -> Int64.of_int (String.get_uint16_le image off)
+        | 4 ->
+            Int64.logand
+              (Int64.of_int32 (String.get_int32_le image off))
+              0xFFFF_FFFFL
+        | _ -> String.get_int64_le image off
+      in
+      if Int64.compare v 0L >= 0 && Int64.compare v (Int64.of_int len) <= 0
+      then Some (Int64.to_int v)
+      else None
+  in
+  let align_up n a = (n + a - 1) land lnot (a - 1) in
+  (* The notes in [pos, stop): 12 bytes of namesz, descsz and type, then
+     the name and the descriptor, each padded to [a]. *)
+  let rec note pos stop a =
+    if pos + 12 > stop then None
+    else
+      let* namesz = field pos 4 in
+      let* descsz = field (pos + 4) 4 in
+      let name = pos + 12 in
+      let desc = name + align_up namesz a in
+      if desc + descsz > stop then None
+      else if
+        namesz = 4
+        && field (pos + 8) 4 = Some 3
+        && descsz > 0
+        && String.sub image name 4 = "GNU\000"
+      then Some (String.sub image desc descsz)
+      else note (desc + align_up descsz a) stop a
+  in
+  let* () =
+    if len >= 64 && String.sub image 0 6 = "\127ELF\002\001" then Some ()
+    else None
+  in
+  let* phoff = field 0x20 8 in
+  let* phentsize = field 0x36 2 in
+  let* phnum = field 0x38 2 in
+  if phentsize < 56 || phnum > (len - phoff) / phentsize then None
+  else
+    let rec segment i =
+      if i = phnum then None
+      else
+        let ph = phoff + (i * phentsize) in
+        let id =
+          match field ph 4 with
+          | Some 4 (* PT_NOTE *) ->
+              let* off = field (ph + 8) 8 in
+              let* filesz = field (ph + 32) 8 in
+              let align = if field (ph + 48) 8 = Some 8 then 8 else 4 in
+              if filesz > len - off then None
+              else note off (off + filesz) align
+          | _ -> None
+        in
+        match id with Some _ -> id | None -> segment (i + 1)
+    in
+    segment 0
+
+(* The notes of a linked executable sit just after its program headers;
+   this prefix holds them with room to spare. *)
+let prefix_bytes = 4096
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* The stamp makes stale entries self-invalidating: a rebuilt binary reads
+   a version mismatch, evicts and recomputes. It also makes
+   [Marshal.Closures] payloads safe: they are only ever read back by the
+   binary that wrote them. A native executable's stamp is the build ID the
+   linker hashed over the whole linked output, code and data alike, read
+   from the first few KiB instead of digesting every byte. Without one
+   (bytecode, whose [-custom] images append their code after linking; a
+   link with [--build-id=none]; a non-ELF platform) the stamp is the MD5 of
+   the whole file. An executable that cannot be read has no stamp, and any
+   constant in its place would let a rebuilt binary accept an older one's
+   entries, so it gets no store. *)
+let stamp exe =
+  let id =
+    match Sys.backend_type with
+    | Native ->
+        Option.bind
+          (In_channel.with_open_bin exe (fun ic ->
+               In_channel.really_input_string ic
+                 (min prefix_bytes (in_channel_length ic))))
+          build_id
+    | Bytecode | Other _ -> None
+  in
+  match id with
+  | Some id -> Printf.sprintf "build-id-%s-ocaml%s" (hex id) Sys.ocaml_version
+  | None ->
+      Printf.sprintf "%s-ocaml%s"
+        (Digest.to_hex (Digest.file exe))
+        Sys.ocaml_version
+
 let default_version =
   lazy
-    (match Digest.file Sys.executable_name with
-    | d -> Printf.sprintf "%s-ocaml%s" (Digest.to_hex d) Sys.ocaml_version
+    (match stamp Sys.executable_name with
+    | v -> v
     | exception Sys_error msg ->
         raise
-          (Sys_error ("cannot digest the executable to stamp entries: " ^ msg)))
+          (Sys_error ("cannot read the executable to stamp entries: " ^ msg)))
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -122,28 +229,32 @@ let put t ~key v =
   match Marshal.to_string v [ Marshal.Closures ] with
   | exception _ -> ()
   | payload -> (
-      try
-        (* One exclusive create ([O_CREAT|O_EXCL]) that hands back the
-           channel: the entry's bytes go to a file no one else has opened,
-           never reopened or truncated. *)
-        let tmp, oc =
-          Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:t.dir
-            "vpexec" ".tmp"
-        in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc magic;
-            output_char oc '\n';
-            output_string oc t.version;
-            output_char oc '\n';
-            output_string oc (String.escaped key);
-            output_char oc '\n';
-            output_string oc (Digest.to_hex (Digest.string payload));
-            output_char oc '\n';
-            output_string oc payload);
-        Sys.rename tmp (entry_path t ~key)
-      with Sys_error _ -> ())
+      (* One exclusive create ([O_CREAT|O_EXCL]) that hands back the
+         channel: the entry's bytes go to a file no one else has opened,
+         never reopened or truncated. A failed write (the flush on
+         [close_out] included) or rename removes it again. *)
+      match
+        Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:t.dir "vpexec"
+          ".tmp"
+      with
+      | exception Sys_error _ -> ()
+      | tmp, oc -> (
+          try
+            Fun.protect
+              ~finally:(fun () -> close_out_noerr oc)
+              (fun () ->
+                output_string oc magic;
+                output_char oc '\n';
+                output_string oc t.version;
+                output_char oc '\n';
+                output_string oc (String.escaped key);
+                output_char oc '\n';
+                output_string oc (Digest.to_hex (Digest.string payload));
+                output_char oc '\n';
+                output_string oc payload;
+                close_out oc);
+            Sys.rename tmp (entry_path t ~key)
+          with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())))
 
 let cached ?store memo ~key compute =
   match store with

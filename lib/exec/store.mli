@@ -16,11 +16,15 @@
       created exclusively and written through the one channel that created
       it, and [Sys.rename]s it over the entry, so readers never observe a
       partial write and concurrent writers of the same key are last-wins;
-    - {b versioning} — the header carries the store's version string
-      (default: MD5 of the running executable plus the OCaml version), so a
-      rebuilt binary silently recomputes rather than deserializing
-      incompatible data. There is no fallback stamp: a process that cannot
-      digest its own executable cannot create a default-versioned store;
+    - {b versioning} — the header carries the store's version string, so
+      a rebuilt binary silently recomputes rather than deserializing
+      incompatible data. The default stamps the running executable: a
+      native ELF executable's GNU build ID (the linker's hash of the whole
+      linked output, read from its first 4 KiB, see {!build_id}) as
+      [build-id-<hex>-ocaml<version>], and otherwise the MD5 of the whole
+      file as [<hex>-ocaml<version>]. There is no constant stamp: a process
+      that cannot read its own executable cannot create a default-versioned
+      store;
     - {b corruption recovery} — any unreadable entry (truncated file, bad
       magic, stale version, digest mismatch, undeserializable payload) is
       evicted and reported as {!Evicted}; it is never fatal. Eviction is
@@ -48,7 +52,7 @@ val default_dir : string
 val create : ?version:string -> dir:string -> unit -> t
 (** Creates [dir] (and parents) if missing. Raises [Sys_error] if the
     directory cannot be created or is not writable, or if [version] is
-    omitted and the running executable cannot be digested. *)
+    omitted and the running executable cannot be read to stamp entries. *)
 
 val dir : t -> string
 val version : t -> string
@@ -56,11 +60,19 @@ val version : t -> string
 val find : t -> key:string -> 'a lookup
 
 val put : t -> key:string -> 'a -> unit
-(** Serialization failures (a value [Marshal] rejects) degrade to a no-op:
-    the result is simply not cached. *)
+(** Serialization failures (a value [Marshal] rejects) and I/O failures (a
+    full disk, a directory at the entry's path) degrade to a no-op: the
+    result is simply not cached, and no temp file is left behind. *)
 
 val entry_path : t -> key:string -> string
 (** Where [key]'s entry lives — exposed for tests and debugging. *)
+
+val build_id : string -> string option
+(** [build_id image] is the GNU build ID (the raw descriptor bytes) of an
+    ELF64 little-endian image, of which [image] may be just a prefix: the
+    first note named ["GNU"] with type 3 and a non-empty descriptor in a
+    PT_NOTE segment whose bytes lie inside [image]. [None] for any other,
+    truncated or corrupt input; it never raises. Exposed for tests. *)
 
 val cached :
   ?store:t -> (string, 'a) Vp_util.Memo.t -> key:string -> (unit -> 'a) -> 'a

@@ -48,66 +48,81 @@ let read_frame ?(max_frame = default_max_frame) fd =
       fill 0;
       Some (Bytes.to_string buf)
 
-(* Incremental decoder (server side, non-blocking sockets). *)
+(* Incremental decoder (server side, non-blocking sockets). The unconsumed
+   bytes are [buf.[start .. stop - 1]]: a frame only advances [start], and
+   [feed] moves the live bytes to the front, or into a buffer twice the
+   size, only when the new bytes do not fit behind them. It compacts only
+   when at least as many bytes have been consumed as are live, so each byte
+   is copied a bounded number of times however the input is chunked. *)
 module Decoder = struct
   type t = {
     max_frame : int;
-    buf : Buffer.t;
+    mutable buf : bytes;
+    mutable start : int;
+    mutable stop : int;
     mutable expect : int option;  (* payload length once the header parsed *)
   }
 
-  let create ?(max_frame = default_max_frame) () =
-    { max_frame; buf = Buffer.create 1024; expect = None }
+  (* A header is at most this many bytes before its newline. *)
+  let max_header = 20
 
-  let feed t bytes n = Buffer.add_subbytes t.buf bytes 0 n
+  let create ?(max_frame = default_max_frame) () =
+    { max_frame; buf = Bytes.create 1024; start = 0; stop = 0; expect = None }
+
+  let feed t bytes n =
+    let live = t.stop - t.start in
+    if t.stop + n > Bytes.length t.buf then begin
+      let dst =
+        if live + n <= Bytes.length t.buf && t.start >= live then t.buf
+        else Bytes.create (max (2 * Bytes.length t.buf) (live + n))
+      in
+      Bytes.blit t.buf t.start dst 0 live;
+      t.buf <- dst;
+      t.start <- 0;
+      t.stop <- live
+    end;
+    Bytes.blit bytes 0 t.buf t.stop n;
+    t.stop <- t.stop + n
 
   (* [next t] is [Ok (Some payload)] when a whole frame is buffered,
      [Ok None] when more bytes are needed, [Error msg] on a malformed
-     header or an oversized frame (the connection should be dropped). *)
-  let next t =
-    let contents = Buffer.contents t.buf in
-    let parse_header () =
-      match String.index_opt contents '\n' with
-      | None ->
-          if String.length contents > 20 then
-            Error "frame header too long (missing newline)"
-          else Ok None
-      | Some nl -> (
-          let raw = String.sub contents 0 nl in
-          match int_of_string_opt raw with
-          | Some len when len >= 0 ->
-              if len > t.max_frame then
-                Error (Printf.sprintf "frame of %d bytes exceeds limit" len)
-              else begin
-                t.expect <- Some len;
-                Buffer.clear t.buf;
-                Buffer.add_string t.buf
-                  (String.sub contents (nl + 1)
-                     (String.length contents - nl - 1));
-                Ok (Some ())
-              end
-          | _ -> Error (Printf.sprintf "bad frame length %S" raw))
-    in
-    let rec go () =
-      match t.expect with
-      | None -> (
-          match parse_header () with
-          | Error e -> Error e
-          | Ok None -> Ok None
-          | Ok (Some ()) -> go ())
-      | Some len ->
-          if Buffer.length t.buf < len then Ok None
-          else begin
-            let contents = Buffer.contents t.buf in
-            let payload = String.sub contents 0 len in
-            Buffer.clear t.buf;
-            Buffer.add_string t.buf
-              (String.sub contents len (String.length contents - len));
-            t.expect <- None;
-            Ok (Some payload)
-          end
-    in
-    go ()
+     header or an oversized frame (the connection should be dropped). The
+     header's newline is looked for only within its first [max_header + 1]
+     bytes, so the answer never depends on how the bytes were chunked. *)
+  let rec next t =
+    match t.expect with
+    | None -> (
+        let window = min (t.stop - t.start) (max_header + 1) in
+        let rec newline i =
+          if i = t.start + window then None
+          else if Bytes.get t.buf i = '\n' then Some i
+          else newline (i + 1)
+        in
+        match newline t.start with
+        | Some nl -> (
+            let raw = Bytes.sub_string t.buf t.start (nl - t.start) in
+            match int_of_string_opt raw with
+            | Some len when len >= 0 ->
+                if len > t.max_frame then
+                  Error (Printf.sprintf "frame of %d bytes exceeds limit" len)
+                else begin
+                  t.expect <- Some len;
+                  t.start <- nl + 1;
+                  next t
+                end
+            | _ -> Error (Printf.sprintf "bad frame length %S" raw))
+        | None ->
+            if window > max_header then
+              Error "frame header too long (missing newline)"
+            else Ok None)
+    | Some len ->
+        if t.stop - t.start < len then Ok None
+        else begin
+          let payload = Bytes.sub_string t.buf t.start len in
+          t.start <- t.start + len;
+          t.expect <- None;
+          Ok (Some payload)
+        end
 end
 
 (* --- experiment registry --- *)

@@ -6,6 +6,7 @@
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
+let checks = Alcotest.(check string)
 
 (* The driver binary, located relative to the test executable inside
    _build (test/foo.exe -> bin/vliw_vp.exe). *)
@@ -48,13 +49,14 @@ let run args =
   let code = wait_exit pid in
   (code, stderr_out)
 
-(* Run vliw_vp, return (exit code, stdout). stderr goes to /dev/null. *)
-let run_stdout args =
+(* Run vliw_vp (or [exe]), return (exit code, stdout). stderr goes to
+   /dev/null. *)
+let run_stdout ?(exe = vliw_vp) args =
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
-    Unix.create_process vliw_vp
-      (Array.of_list (vliw_vp :: args))
+    Unix.create_process exe
+      (Array.of_list (exe :: args))
       Unix.stdin out_w devnull
   in
   Unix.close out_w;
@@ -203,6 +205,148 @@ let test_parallel_sweep_identity () =
       reference out
   done
 
+(* --- the store's stamp --- *)
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* The GNU build-ID note within the first 4 KiB of an ELF image, found by
+   a byte search for its header (namesz 4, descsz, type 3) and name:
+   [Some (offset of the type field, descriptor)]. *)
+let build_id_note image =
+  let head = String.sub image 0 (min 4096 (String.length image)) in
+  let rec go i =
+    if i + 12 > String.length head then None
+    else if
+      String.sub head i 4 = "\004\000\000\000"
+      && String.sub head (i + 8) 8 = "\003\000\000\000GNU\000"
+    then
+      let descsz = Int32.to_int (String.get_int32_le head (i + 4)) in
+      if descsz > 0 && i + 16 + descsz <= String.length head then
+        Some (i + 8, String.sub head (i + 16) descsz)
+      else go (i + 1)
+    else go (i + 1)
+  in
+  if String.starts_with ~prefix:"\127ELF" head then go 0 else None
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f dir] in a fresh directory, removed afterwards with all it holds. *)
+let with_dir =
+  let n = ref 0 in
+  fun f ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "vp_cli_test_%d_%d" (Unix.getpid ()) !n)
+    in
+    Unix.mkdir dir 0o755;
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* The version line of every entry in the store [dir]. *)
+let entry_versions dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".bin")
+  |> List.map (fun f ->
+         match
+           String.split_on_char '\n' (read_file (Filename.concat dir f))
+         with
+         | _magic :: version :: _ -> version
+         | _ -> Alcotest.failf "entry %s has no version line" f)
+
+(* [table2 -b compress] over the store [dir]: (stdout, telemetry JSON). *)
+let table2 ?exe dir =
+  let tel = Filename.concat dir "telemetry.json" in
+  let code, out =
+    run_stdout ?exe
+      [ "table2"; "-b"; "compress"; "--cache-dir"; dir; "--telemetry"; tel ]
+  in
+  checki "exit 0" 0 code;
+  (out, read_file tel)
+
+(* The [cache] section's counter [name] in a telemetry JSON. *)
+let cache_counter json name =
+  let section = "\"cache\": {" in
+  let rec find sub i =
+    if String.sub json i (String.length sub) = sub then i + String.length sub
+    else find sub (i + 1)
+  in
+  let at = find (Printf.sprintf "\"%s\": " name) (find section 0) in
+  let stop = ref at in
+  while json.[!stop] >= '0' && json.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub json at (!stop - at))
+
+(* A native ELF build carries a GNU build ID: the store stamps each entry
+   with it, and a second run of the same binary reads every entry back. *)
+let test_stamp_build_id () =
+  match build_id_note (read_file vliw_vp) with
+  | None -> Alcotest.skip ()
+  | Some (_, id) ->
+      with_dir @@ fun dir ->
+      let cold, _ = table2 dir in
+      let warm, tel = table2 dir in
+      checks "warm tables" cold warm;
+      checki "warm misses" 0 (cache_counter tel "misses");
+      checkb "warm hits" true (cache_counter tel "hits" > 0);
+      let expected =
+        Printf.sprintf "build-id-%s-ocaml%s" (hex id) Sys.ocaml_version
+      in
+      let versions = entry_versions dir in
+      checkb "entries written" true (versions <> []);
+      List.iter (checks "entry version" expected) versions
+
+(* A copy whose note type is patched has no build ID: it stamps the MD5 of
+   its whole file, prints the same tables, and it and the original each
+   evict the other's entries from one shared store. *)
+let test_stamp_fallback_evicts () =
+  let image = read_file vliw_vp in
+  match build_id_note image with
+  | None -> Alcotest.skip ()
+  | Some (type_at, id) ->
+      with_dir @@ fun dir ->
+      let copy = Filename.concat dir "vliw_vp_no_build_id.exe" in
+      let patched = Bytes.of_string image in
+      Bytes.set patched type_at '\127';
+      Out_channel.with_open_gen
+        [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+        0o755 copy
+        (fun oc -> Out_channel.output_bytes oc patched);
+      let store = Filename.concat dir "store" in
+      let original =
+        Printf.sprintf "build-id-%s-ocaml%s" (hex id) Sys.ocaml_version
+      in
+      let fallback =
+        Printf.sprintf "%s-ocaml%s" (Digest.to_hex (Digest.file copy))
+          Sys.ocaml_version
+      in
+      let reference, _ = table2 store in
+      let entries = List.length (entry_versions store) in
+      checkb "entries written" true (entries > 0);
+      let stamped_by label exe version =
+        let out, tel = table2 ?exe store in
+        checks (label ^ " tables") reference out;
+        checki (label ^ " evicts every entry") entries
+          (cache_counter tel "corrupt_evicted");
+        List.iter
+          (checks (label ^ " entry version") version)
+          (entry_versions store)
+      in
+      stamped_by "copy" (Some copy) fallback;
+      stamped_by "original" None original
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vliw_vp_cli"
@@ -222,4 +366,9 @@ let () =
           tc "suite job counts" test_telemetry_suite_counts;
         ] );
       ("parallel", [ tc "sweep jobs 4 = jobs 1" test_parallel_sweep_identity ]);
+      ( "store stamp",
+        [
+          tc "build ID stamps a warm store" test_stamp_build_id;
+          tc "MD5 fallback evicts across binaries" test_stamp_fallback_evicts;
+        ] );
     ]

@@ -137,6 +137,22 @@ let test_store_round_trip () =
   | Vp_exec.Store.Hit v -> checks "newline key" "payload" v
   | _ -> Alcotest.fail "expected Hit for newline key"
 
+let test_store_put_failure_leaves_no_temp () =
+  (* A non-empty directory where the entry should go: the rename fails,
+     [put] stays a no-op, and the temp file it wrote is removed. *)
+  let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
+  let path = Vp_exec.Store.entry_path store ~key:"k" in
+  Unix.mkdir path 0o755;
+  close_out (open_out (Filename.concat path "occupant"));
+  Vp_exec.Store.put store ~key:"k" [ 1; 2; 3 ];
+  checkb "directory still there" true (Sys.is_directory path);
+  let temps =
+    List.filter
+      (fun f -> Filename.check_suffix f ".tmp")
+      (Array.to_list (Sys.readdir (Vp_exec.Store.dir store)))
+  in
+  Alcotest.(check (list string)) "no temp file left" [] temps
+
 let test_store_evicts_corrupt () =
   let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
   Vp_exec.Store.put store ~key:"k" 42;
@@ -313,6 +329,171 @@ let test_cli_context_undigestable_executable () =
   | lines ->
       Alcotest.failf "expected one warning line, got %d" (List.length lines - 1));
   checkb "no cache directory created" false (Sys.file_exists cache)
+
+(* --- Store.build_id --- *)
+
+let le n v = String.init n (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+
+let pad a s = s ^ String.make ((a - (String.length s mod a)) mod a) '\000'
+
+(* One ELF note: namesz, descsz and type, then the name and the
+   descriptor, each padded to the segment's alignment. *)
+let note_bytes align (name, typ, desc) =
+  le 4 (String.length name)
+  ^ le 4 (String.length desc)
+  ^ le 4 typ ^ pad align name ^ pad align desc
+
+type segment = Notes of int * (string * int * string) list | Other of int
+
+(* An ELF64 little-endian image: the 64-byte header, one 56-byte program
+   header per segment, then each note segment's bytes at an offset aligned
+   to its alignment. Non-note segments ([Other p_type]) cover no bytes. *)
+let elf_image segments =
+  let body_start = 64 + (56 * List.length segments) in
+  let body = Buffer.create 256 in
+  let phdr (typ, off, size, align) =
+    le 4 typ ^ le 4 4 ^ le 8 off ^ le 8 0 ^ le 8 0 ^ le 8 size ^ le 8 size
+    ^ le 8 align
+  in
+  let phdrs =
+    List.map
+      (function
+        | Other typ -> phdr (typ, 0, 0, 8)
+        | Notes (align, notes) ->
+            let here = body_start + Buffer.length body in
+            let gap = (align - (here mod align)) mod align in
+            Buffer.add_string body (String.make gap '\000');
+            let off = body_start + Buffer.length body in
+            let bytes = String.concat "" (List.map (note_bytes align) notes) in
+            Buffer.add_string body bytes;
+            phdr (4, off, String.length bytes, align))
+      segments
+  in
+  "\127ELF\002\001\001" ^ String.make 9 '\000' ^ le 2 3 ^ le 2 62 ^ le 4 1
+  ^ le 8 0 ^ le 8 64 ^ le 8 0 ^ le 4 0 ^ le 2 64 ^ le 2 56
+  ^ le 2 (List.length segments)
+  ^ le 2 64 ^ le 2 0 ^ le 2 0 ^ String.concat "" phdrs ^ Buffer.contents body
+
+(* An image holding one build ID among other notes (other owners, other
+   GNU types, an empty type-3 descriptor), in one or two note segments of
+   alignment 4 or 8, with non-note program headers mixed in. *)
+let build_id_image_gen =
+  QCheck.Gen.(
+    let other_note =
+      let* name = oneofl [ "GNU\000"; "Go\000"; "stapsdt\000"; "GNUX\000" ] in
+      let* typ = oneofl [ 1; 3; 4; 5 ] in
+      let* desc = string_size (0 -- 12) in
+      (* a GNU type-3 note among the others has an empty descriptor *)
+      let desc = if name = "GNU\000" && typ = 3 then "" else desc in
+      return (name, typ, desc)
+    in
+    let* id = string_size (1 -- 32) in
+    let* a1 = oneofl [ 4; 8 ] and* a2 = oneofl [ 4; 8 ] in
+    let* before = list_size (0 -- 2) other_note
+    and* after = list_size (0 -- 2) other_note
+    and* elsewhere = list_size (0 -- 3) other_note in
+    let holder align = Notes (align, before @ [ ("GNU\000", 3, id) ] @ after) in
+    let* segments =
+      oneofl
+        [
+          [ holder a1 ];
+          [ Other 1; holder a1; Other 0x6474e551 ];
+          [ Notes (a1, elsewhere); holder a2 ];
+          [ holder a1; Other 1; Notes (a2, elsewhere) ];
+        ]
+    in
+    return (id, elf_image segments))
+
+let print_image (id, image) = Printf.sprintf "id=%S image=%S" id image
+
+let prop_build_id_found =
+  QCheck.Test.make ~name:"build_id reads the note" ~count:300
+    (QCheck.make ~print:print_image build_id_image_gen)
+    (fun (id, image) -> Vp_exec.Store.build_id image = Some id)
+
+(* The first 4 KiB of the vliw_vp executable, as the store reads them. *)
+let exe_prefix =
+  lazy
+    (let exe =
+       Filename.concat
+         (Filename.dirname (Filename.dirname Sys.executable_name))
+         (Filename.concat "bin" "vliw_vp.exe")
+     in
+     In_channel.with_open_bin exe (fun ic ->
+         really_input_string ic (min 4096 (in_channel_length ic))))
+
+(* Every prefix of an image, and the image with random bytes overwritten,
+   parse without raising; a prefix finds the whole ID or nothing. *)
+let prop_build_id_total =
+  QCheck.Test.make ~name:"build_id never raises" ~count:200
+    (QCheck.make
+       ~print:(fun ((id, image), _) -> print_image (id, image))
+       QCheck.Gen.(
+         pair
+           (frequency
+              [
+                (4, build_id_image_gen);
+                (1, return ("", Lazy.force exe_prefix));
+              ])
+           (list_size (1 -- 8) (pair nat char))))
+    (fun ((id, image), writes) ->
+      let prefixes_ok =
+        List.for_all
+          (fun n ->
+            match Vp_exec.Store.build_id (String.sub image 0 n) with
+            | None -> true
+            | Some got -> id = "" || got = id)
+          (List.init (String.length image + 1) Fun.id)
+      in
+      let corrupt = Bytes.of_string image in
+      List.iter
+        (fun (pos, c) -> Bytes.set corrupt (pos mod Bytes.length corrupt) c)
+        writes;
+      let corrupt = Bytes.to_string corrupt in
+      ignore (Vp_exec.Store.build_id corrupt);
+      List.iter
+        (fun n -> ignore (Vp_exec.Store.build_id (String.sub corrupt 0 n)))
+        (List.init (String.length corrupt + 1) Fun.id);
+      prefixes_ok)
+
+let test_build_id_rejects () =
+  let id = "\001\002\003\004\005\006\007\008" in
+  let image = elf_image [ Notes (4, [ ("GNU\000", 3, id) ]) ] in
+  Alcotest.(check (option string)) "well-formed" (Some id)
+    (Vp_exec.Store.build_id image);
+  let len = String.length image in
+  let ph = 64 and note = 64 + 56 in
+  let patched name off size v =
+    let b = Bytes.of_string image in
+    (match size with
+    | 1 -> Bytes.set_uint8 b off v
+    | 2 -> Bytes.set_uint16_le b off v
+    | 4 -> Bytes.set_int32_le b off (Int32.of_int v)
+    | _ -> Bytes.set_int64_le b off (Int64.of_int v));
+    Alcotest.(check (option string)) name None
+      (Vp_exec.Store.build_id (Bytes.to_string b))
+  in
+  patched "e_phoff past the end" 0x20 8 len;
+  patched "e_phoff negative" 0x20 8 min_int;
+  patched "e_phnum past the end" 0x38 2 0xffff;
+  patched "e_phnum one too many" 0x38 2 ((len - 64) / 56 + 1);
+  patched "e_phentsize too small" 0x36 2 32;
+  patched "p_offset past the end" (ph + 8) 8 (len + 1);
+  patched "p_offset huge" (ph + 8) 8 max_int;
+  patched "p_filesz past the end" (ph + 32) 8 (len - note + 1);
+  patched "p_filesz huge" (ph + 32) 8 max_int;
+  patched "namesz past the segment" note 4 0xffff_ffff;
+  patched "descsz past the segment" (note + 4) 4 (String.length id + 1);
+  patched "descsz huge" (note + 4) 4 0xffff_ffff;
+  patched "empty descriptor" (note + 4) 4 0;
+  patched "other note type" (note + 8) 4 4;
+  patched "other owner" (note + 12) 1 (Char.code 'X');
+  patched "ELF32" 4 1 1;
+  patched "big-endian" 5 1 2;
+  patched "not ELF" 1 1 (Char.code 'X');
+  Alcotest.(check (option string)) "short header" None
+    (Vp_exec.Store.build_id (String.sub image 0 63));
+  Alcotest.(check (option string)) "empty" None (Vp_exec.Store.build_id "")
 
 (* --- Graph --- *)
 
@@ -626,6 +807,8 @@ let () =
       ( "store",
         [
           tc "round trip" test_store_round_trip;
+          tc "failed put leaves no temp file"
+            test_store_put_failure_leaves_no_temp;
           tc "evicts corrupt" test_store_evicts_corrupt;
           tc "concurrent writers" test_store_concurrent_writers;
           tc "concurrent evict once" test_store_concurrent_evict_once;
@@ -634,6 +817,9 @@ let () =
           tc "unusable cache dir downgrades" test_cli_context_unusable_cache_dir;
           tc "undigestable executable downgrades"
             test_cli_context_undigestable_executable;
+          QCheck_alcotest.to_alcotest prop_build_id_found;
+          QCheck_alcotest.to_alcotest prop_build_id_total;
+          tc "build_id rejects out-of-range fields" test_build_id_rejects;
         ] );
       ( "graph",
         [

@@ -112,6 +112,119 @@ let test_decoder_rejects_garbage () =
   P.Decoder.feed dec (Bytes.of_string wire) (String.length wire);
   checkb "garbage rejected" true (Result.is_error (P.Decoder.next dec))
 
+(* Feed [chunks] in order, draining after each: the payloads decoded and
+   the first error, after which nothing more is fed. *)
+let decode_chunks ?max_frame chunks =
+  let dec = P.Decoder.create ?max_frame () in
+  let rec drain acc =
+    match P.Decoder.next dec with
+    | Ok (Some p) -> drain (p :: acc)
+    | Ok None -> Ok acc
+    | Error e -> Error (acc, e)
+  in
+  let rec go acc = function
+    | [] -> (List.rev acc, None)
+    | c :: rest -> (
+        P.Decoder.feed dec (Bytes.of_string c) (String.length c);
+        match drain acc with
+        | Ok acc -> go acc rest
+        | Error (acc, e) -> (List.rev acc, Some e))
+  in
+  go [] chunks
+
+(* One wire item: a well-formed frame, or one of the malformed headers the
+   decoder rejects (a non-numeric or negative length, a frame over the
+   limit, a header with no newline in its first 21 bytes). *)
+type item = Frame of string | Malformed of string
+
+let decoder_max_frame = 48
+
+let item_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map
+            (fun s -> Frame s)
+            (string_size ~gen:(oneofl [ 'a'; '7'; '\n'; '{'; ' ' ]) (0 -- 40))
+        );
+        ( 1,
+          map
+            (fun s -> Malformed s)
+            (oneof
+               [
+                 oneofl [ "12x\n"; "-3\n"; "\n"; "0x\n"; " 5\n" ];
+                 map
+                   (fun n -> P.frame (String.make n 'z'))
+                   (decoder_max_frame + 1 -- 80);
+                 map (fun n -> String.make n '9') (21 -- 30);
+               ]) );
+      ])
+
+let wire_of items =
+  String.concat ""
+    (List.map (function Frame p -> P.frame p | Malformed h -> h) items)
+
+(* Any chunking of a frame sequence decodes exactly as one feed of it:
+   the same payloads, then the same error (or none). Without truncation,
+   those are the frames before the first malformed item, and the error is
+   there exactly when a malformed item is. *)
+let prop_decoder_chunking =
+  QCheck.Test.make ~name:"any chunking decodes as one feed" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (items, cuts, trunc) ->
+          Printf.sprintf "wire=%S cuts=[%s] truncated=%b"
+            (wire_of items)
+            (String.concat ";" (List.map string_of_int cuts))
+            trunc)
+        Gen.(
+          triple
+            (list_size (0 -- 12) item_gen)
+            (list_size (0 -- 20) (1 -- 400))
+            bool))
+    (fun (items, cuts, trunc) ->
+      let wire = wire_of items in
+      let wire =
+        if trunc then String.sub wire 0 (String.length wire * 2 / 3) else wire
+      in
+      let rec chunks off = function
+        | _ when off >= String.length wire -> []
+        | [] -> [ String.sub wire off (String.length wire - off) ]
+        | c :: rest ->
+            let n = min c (String.length wire - off) in
+            String.sub wire off n :: chunks (off + n) rest
+      in
+      let decode = decode_chunks ~max_frame:decoder_max_frame in
+      let whole = decode [ wire ] in
+      let rec model acc = function
+        | [] -> (List.rev acc, false)
+        | Frame p :: rest -> model (p :: acc) rest
+        | Malformed _ :: _ -> (List.rev acc, true)
+      in
+      let payloads, malformed = model [] items in
+      let bytewise =
+        List.init (String.length wire) (fun i -> String.make 1 wire.[i])
+      in
+      decode (chunks 0 cuts) = whole
+      && decode bytewise = whole
+      && (trunc
+         || (fst whole = payloads && Option.is_some (snd whole) = malformed)))
+
+(* A megabyte of 4-byte frames in one feed decodes in linear time: every
+   byte is copied a bounded number of times, not once per frame. *)
+let test_decoder_linear () =
+  let n = (1 lsl 20) / 4 in
+  let payload i = Printf.sprintf "%04d" (i mod 10_000) in
+  let wire = String.concat "" (List.init n (fun i -> P.frame (payload i))) in
+  let t0 = Unix.gettimeofday () in
+  let payloads, err = decode_chunks [ wire ] in
+  let dt = Unix.gettimeofday () -. t0 in
+  checkb "no error" true (Option.is_none err);
+  checki "every frame" n (List.length payloads);
+  checks "last payload" (payload (n - 1)) (List.nth payloads (n - 1));
+  checkb (Printf.sprintf "decoded in %.2f s (limit 2 s)" dt) true (dt < 2.0)
+
 (* --- request validation --- *)
 
 let parse_req s =
@@ -682,6 +795,8 @@ let () =
           tc "split frames" test_decoder_split_frames;
           tc "rejects oversized" test_decoder_rejects_oversized;
           tc "rejects garbage" test_decoder_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_decoder_chunking;
+          tc "linear in its input" test_decoder_linear;
         ] );
       ( "protocol",
         [
