@@ -10,7 +10,10 @@
      FILE] — CI passes a direct [vliw_vp all] capture);
    - {e payload jobs run once}: a second identical wave of requests must
      add {e zero} executed jobs to the daemon's graph counters — in-flight
-     dedup and the warm graph absorb everything;
+     dedup and the warm graph absorb everything — and must answer each
+     artifact with one lookup of its render node: the dedup counter rises
+     by exactly requests x artifacts, so a warm request that re-declares
+     the leaves behind its render nodes fails the check;
    - {e admission control}: a one-write burst of more requests than the
      per-client quota must produce structured rejections, never a hang.
 
@@ -212,7 +215,8 @@ let () =
 
   (* Wave 2: identical load against the now-warm daemon. The graph job
      counters must not move — that is the "payload simulations run once"
-     guarantee, observable from outside the process. *)
+     guarantee, observable from outside the process — and each artifact
+     must cost exactly one lookup, one dedup. *)
   let w2_t0 = Unix.gettimeofday () in
   let wave2 = run_wave () in
   let wave2_s = Unix.gettimeofday () -. w2_t0 in
@@ -221,8 +225,16 @@ let () =
   check "wave2-no-errors"
     (List.for_all (function Ok _ -> true | Error _ -> false) wave2)
     (Printf.sprintf "%d requests" (List.length wave2));
-  check "warm-wave-zero-new-jobs" (q2 = q1 && d2 = d1)
-    (Printf.sprintf "jobs %d -> %d (dedup %d -> %d)" q1 q2 dedup1 dedup2);
+  let artifacts =
+    match Vp_serve.Protocol.expand_experiments !experiments with
+    | Ok names -> List.length names
+    | Error _ -> 0
+  in
+  let lookups = List.length wave2 * artifacts in
+  check "warm-wave-zero-new-jobs"
+    (q2 = q1 && d2 = d1 && dedup2 - dedup1 = lookups)
+    (Printf.sprintf "jobs %d -> %d (dedup %d -> %d, want +%d = %d x %d)" q1 q2
+       dedup1 dedup2 lookups (List.length wave2) artifacts);
   let wave2_digests = List.map stream_digest wave2 in
   (* slot-for-slot: each warm stream must match its cold counterpart
      (with identical requests this is the old all-equal check; with

@@ -35,9 +35,18 @@ let config ~width ~seed ~threshold =
 
 open Cmdliner
 
+(* Only the machine presets' widths are accepted, so a bad width is one
+   usage error here rather than an exception in every job. *)
 let width_t =
   let doc = "Machine issue width (2, 4, 8 or 16)." in
-  Arg.(value & opt int 4 & info [ "w"; "width" ] ~docv:"WIDTH" ~doc)
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun w ->
+        Result.map_error
+          (fun m -> `Msg (Printf.sprintf "invalid value '%s', %s" s m))
+          (Vp_machine.Descr.check_width w))
+  in
+  let width = Arg.conv ~docv:"WIDTH" (parse, Format.pp_print_int) in
+  Arg.(value & opt width 4 & info [ "w"; "width" ] ~docv:"WIDTH" ~doc)
 
 let seed_t =
   let doc = "Master random seed (workloads, scenario sampling)." in
@@ -879,11 +888,14 @@ let main_cmd =
    backtrace. Command-line errors — an unknown subcommand, a malformed
    flag — get the same treatment: cmdliner's error output is captured and
    only its diagnostic line reaches stderr (the multi-line usage dump is
-   for $(b,--help)), and the exit code stays cmdliner's 124. *)
+   for $(b,--help)), and the exit code stays cmdliner's 124. The capture
+   has no right margin, so a long diagnostic is not wrapped onto a second
+   line that would be dropped. *)
 let () =
   let fail fmt = Printf.kfprintf (fun _ -> exit 2) stderr ("vliw_vp: " ^^ fmt ^^ "\n") in
   let errbuf = Buffer.create 256 in
   let errfmt = Format.formatter_of_buffer errbuf in
+  Format.pp_set_margin errfmt 100_000;
   match Cmd.eval ~catch:false ~err:errfmt main_cmd with
   | code ->
       Format.pp_print_flush errfmt ();

@@ -36,8 +36,8 @@ type nd = {
   mutable waiters : ((Obj.t, string) result -> unit) list;
       (** completion subscriptions; fired once, outside the graph mutex *)
   mutable stamp : int;
-      (** LRU recency: the graph tick of the last declaration (dedup hit)
-          or completion that touched this node *)
+      (** LRU recency: the graph tick of the last declaration (dedup hit),
+          lookup or completion that touched this node *)
 }
 
 type 'a node = nd
@@ -385,6 +385,17 @@ let node t ?label ?group ?(cache = true) ~key ?(deps = []) payload =
      may have subscriptions to fire *)
   flush_fired t;
   n
+
+(* The dedup branch of [node] without a declaration: no payload, no
+   dependencies to link, so nothing can fire. *)
+let find t ~key =
+  Mutex.protect t.mutex (fun () ->
+      match Hashtbl.find_opt t.by_key key with
+      | Some existing ->
+          Progress.job_deduped t.ctx.Context.progress;
+          touch t existing;
+          Some existing
+      | None -> None)
 
 let add_dep t n ~on =
   Mutex.protect t.mutex (fun () ->

@@ -82,6 +82,15 @@ val node :
     {e and} dependencies; later [deps] are still linked (and
     cycle-checked) so the union of declared orderings holds. *)
 
+val find : t -> key:string -> 'a node option
+(** The node already on the graph under [key], exactly as the dedup branch
+    of {!node} would return it — in flight, finished or failed — with the
+    same bookkeeping: one {!Progress.job_deduped} and an LRU touch, so a
+    node answered by lookup stays as warm as one deduped onto. [None]
+    when no node holds the key (never declared, or evicted by the node
+    cap); a miss declares nothing. The phantom type is the caller's claim,
+    as for {!node}: the key must have been declared at type ['a]. *)
+
 val value : 'a node -> 'a
 (** The node's result. Only valid once the node finished successfully —
     inside a dependent's payload, or after {!await}/{!drain} — and raises
@@ -146,13 +155,13 @@ val retained : t -> int
 
 val set_node_cap : t -> int option -> unit
 (** Bound the number of retained nodes. Beyond the cap, the coldest
-    successfully finished nodes (least recently declared, deduped onto or
-    completed) are evicted in batches down to 90% of it: their [by_key]
-    entry and edges are dropped, {!Progress.node_evicted} is recorded,
-    and a later declaration of the same key recomputes — store-cached
-    payloads answer from the warm on-disk store, so eviction bounds
-    resident memory without forgetting results. Unfinished and failed
-    nodes are never evicted (failures stay sticky for {!await});
-    dependents are unaffected because they capture their dependencies'
-    values directly. [None] (the default) retains every node for the
-    graph's lifetime. *)
+    successfully finished nodes (least recently declared, deduped onto,
+    found by {!find} or completed) are evicted in batches down to 90% of
+    it: their [by_key] entry and edges are dropped,
+    {!Progress.node_evicted} is recorded, and a later declaration of the
+    same key recomputes — store-cached payloads answer from the warm
+    on-disk store, so eviction bounds resident memory without forgetting
+    results. Unfinished and failed nodes are never evicted (failures stay
+    sticky for {!await}); dependents are unaffected because they capture
+    their dependencies' values directly. [None] (the default) retains
+    every node for the graph's lifetime. *)

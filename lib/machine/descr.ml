@@ -46,26 +46,40 @@ let default_latency (op : Vp_ir.Opcode.t) =
 let example_latency (op : Vp_ir.Opcode.t) =
   match op with Load -> 3 | _ -> 1
 
+(* The scaled Playdoh presets, by issue width: the only widths the
+   machine model has unit mixes for. *)
+let presets =
+  [
+    ( 2,
+      [ (Unit_class.Integer, 1); (Unit_class.Memory, 1);
+        (Unit_class.Float, 1); (Unit_class.Branch, 1) ] );
+    ( 4,
+      [ (Unit_class.Integer, 2); (Unit_class.Memory, 1);
+        (Unit_class.Float, 1); (Unit_class.Branch, 1) ] );
+    ( 8,
+      [ (Unit_class.Integer, 4); (Unit_class.Memory, 2);
+        (Unit_class.Float, 2); (Unit_class.Branch, 1) ] );
+    ( 16,
+      [ (Unit_class.Integer, 8); (Unit_class.Memory, 4);
+        (Unit_class.Float, 3); (Unit_class.Branch, 1) ] );
+  ]
+
+let widths = List.map fst presets
+
+let unsupported width =
+  Printf.sprintf "unsupported width %d (supported: %s)" width
+    (String.concat ", " (List.map string_of_int widths))
+
+let check_width width =
+  if List.mem width widths then Ok width else Error (unsupported width)
+
 let playdoh ~width =
-  let units =
-    match width with
-    | 2 ->
-        [ (Unit_class.Integer, 1); (Unit_class.Memory, 1);
-          (Unit_class.Float, 1); (Unit_class.Branch, 1) ]
-    | 4 ->
-        [ (Unit_class.Integer, 2); (Unit_class.Memory, 1);
-          (Unit_class.Float, 1); (Unit_class.Branch, 1) ]
-    | 8 ->
-        [ (Unit_class.Integer, 4); (Unit_class.Memory, 2);
-          (Unit_class.Float, 2); (Unit_class.Branch, 1) ]
-    | 16 ->
-        [ (Unit_class.Integer, 8); (Unit_class.Memory, 4);
-          (Unit_class.Float, 3); (Unit_class.Branch, 1) ]
-    | w -> invalid_arg (Printf.sprintf "Descr.playdoh: unsupported width %d" w)
-  in
-  make
-    ~name:(Printf.sprintf "playdoh-%dw" width)
-    ~units ~latency:default_latency ~issue_width:width ()
+  match List.assoc_opt width presets with
+  | Some units ->
+      make
+        ~name:(Printf.sprintf "playdoh-%dw" width)
+        ~units ~latency:default_latency ~issue_width:width ()
+  | None -> invalid_arg ("Descr.playdoh: " ^ unsupported width)
 
 let example_machine =
   make ~name:"example-4w"

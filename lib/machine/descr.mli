@@ -48,13 +48,22 @@ val default_latency : Vp_ir.Opcode.t -> int
 val example_latency : Vp_ir.Opcode.t -> int
 (** The worked example's table: everything unit latency except loads (3). *)
 
+val widths : int list
+(** The widths {!playdoh} has presets for, ascending: [[2; 4; 8; 16]]. *)
+
+val check_width : int -> (int, string) result
+(** [Ok width] if {!playdoh} models it, else an error message naming the
+    supported widths. Front ends validate user-supplied widths with it,
+    so a bad width is refused at the door instead of failing every job. *)
+
 val playdoh : width:int -> t
 (** The scaled Playdoh-style preset. Supported widths and their unit mixes,
     written integer/memory/float/branch: 2 → 1/1/1/1, 4 → 2/1/1/1 (the
     paper's base machine), 8 → 4/2/2/1 (the paper's wide machine),
     16 → 8/4/3/1. The issue width equals the nominal width, so on the
     2-wide machine at most two of the four units fire per cycle. Uses
-    [default_latency]. Raises [Invalid_argument] for other widths. *)
+    [default_latency]. Raises [Invalid_argument] with {!check_width}'s
+    message for other widths. *)
 
 val example_machine : t
 (** 4-wide machine with [example_latency], used to reproduce the paper's

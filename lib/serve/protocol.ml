@@ -324,26 +324,28 @@ let request_of_json json =
                 | _ -> false
               in
               let timeout_s = Jsonx.float_member "timeout_s" json in
-              if width < 1 || width > 64 then
-                Error (id, reject "bad_request" "width out of range: %d" width)
-              else if not (threshold >= 0.0 && threshold <= 1.0) then
-                Error
-                  (id, reject "bad_request" "threshold out of range: %g" threshold)
-              else
-                Ok
-                  (Submit
-                     {
-                       id;
-                       experiments;
-                       benchmarks;
-                       width;
-                       seed;
-                       threshold;
-                       overrides;
-                       sweeps;
-                       csv;
-                       timeout_s;
-                     })))
+              match Vp_machine.Descr.check_width width with
+              | Error msg -> Error (id, reject "bad_request" "%s" msg)
+              | Ok _ when not (threshold >= 0.0 && threshold <= 1.0) ->
+                  Error
+                    ( id,
+                      reject "bad_request" "threshold out of range: %g"
+                        threshold )
+              | Ok width ->
+                  Ok
+                    (Submit
+                       {
+                         id;
+                         experiments;
+                         benchmarks;
+                         width;
+                         seed;
+                         threshold;
+                         overrides;
+                         sweeps;
+                         csv;
+                         timeout_s;
+                       })))
   | Some op -> Error (id, reject "bad_request" "unknown op %S" op)
 
 let json_of_submit (s : submit) =

@@ -7,9 +7,9 @@
 
    Supervisor and workers must agree exactly on all of this: the
    supervisor routes an artifact to the shard its render key hashes to,
-   and the worker dedups equal work under the same key. Keys digest
-   [Marshal] bytes with [Closures], which is stable across forked workers
-   because they share the supervisor's process image. *)
+   and the worker answers equal work from the node under the same key.
+   Keys digest [Marshal] bytes with [Closures], which is stable across
+   forked workers because they share the supervisor's process image. *)
 
 module G = Vp_exec.Graph
 
@@ -65,7 +65,13 @@ let apply_override (c : Vliw_vp.Config.t) (key, (v : Jsonx.t)) :
     | None -> Error (Printf.sprintf "%s must be an integer" key)
   in
   match key with
-  | "width" -> int_range 1 64 (fun width -> { c with C.width })
+  | "width" -> (
+      match Jsonx.get_int v with
+      | Some n ->
+          Result.map
+            (fun width -> { c with C.width })
+            (Vp_machine.Descr.check_width n)
+      | None -> Error "width must be an integer")
   | "seed" -> int_range min_int max_int (fun seed -> { c with C.seed })
   | "threshold" -> (
       match Jsonx.get_float v with
@@ -129,6 +135,10 @@ type t = {
   csv : bool;
   sweeps : (string * (string * Vliw_vp.Config.t) list) list;
       (* custom sweeps: each point's overrides applied to [config] *)
+  shared : string Lazy.t;
+      (* raw digest of what every render key of the spec shares: models,
+         config and csv — marshalled at most once per spec, and not at
+         all by a caller that needs no key *)
 }
 
 let resolve_models = function
@@ -171,8 +181,16 @@ let of_submit (s : Protocol.submit) : (t, Protocol.reject) result =
                 | Error _ as e -> e
                 | Ok sweep -> sweeps (sweep :: acc) rest)
           in
+          let csv = s.csv in
+          let shared =
+            lazy
+              (Digest.string
+                 (Marshal.to_string
+                    ("serve-render", models, config, csv)
+                    [ Marshal.Closures ]))
+          in
           Result.map
-            (fun sweeps -> { config; models; csv = s.csv; sweeps })
+            (fun sweeps -> { config; models; csv; sweeps; shared })
             (sweeps [] s.sweeps))
 
 (* --- render keys and shard routing -------------------------------------- *)
@@ -182,28 +200,28 @@ let sweep_name artifact =
     Some (String.sub artifact 6 (String.length artifact - 6))
   else None
 
-(* The render node's content address. For custom sweeps the applied point
-   configs are salted in: two requests declaring different points under
-   the same sweep name (and base config) must not dedup onto each other. *)
+(* The render node's content address: the spec's shared digest, a sweep
+   salt and the artifact name. The salt is the digest of a custom sweep's
+   applied point configs — two requests declaring different points under
+   the same sweep name (and base config) must not share a node — and a
+   constant for every other artifact. Both digests have a fixed width and
+   the name comes last, so distinct inputs never concatenate equal. *)
+let no_salt = Digest.string ""
+
 let render_key spec ~artifact =
+  let points =
+    Option.bind (sweep_name artifact) (fun name ->
+        List.assoc_opt name spec.sweeps)
+  in
   let salt =
-    match sweep_name artifact with
-    | None -> []
-    | Some name -> (
-        match List.assoc_opt name spec.sweeps with
-        | Some points -> points
-        | None -> [])
+    match points with
+    | Some points ->
+        Digest.string (Marshal.to_string points [ Marshal.Closures ])
+    | None -> no_salt
   in
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string
-          ( "serve-render",
-            artifact,
-            spec.models,
-            spec.config,
-            spec.csv,
-            salt )
-          [ Marshal.Closures ]))
+       (String.concat "" [ Lazy.force spec.shared; salt; artifact ]))
 
 (* Shard routing: a stable function of the render key alone, so equal work
    always lands on the same shard (preserving in-flight dedup) and the
@@ -225,21 +243,18 @@ let ablate_sweeps =
 
 (* --- artifact declaration ----------------------------------------------- *)
 
-(* Declare the artifact's work on the shared graph and return one node
-   whose value is the artifact's rendered bytes — exactly the bytes
-   [vliw_vp all] prints for that artifact, trailing separator newline
-   included, so a client can reassemble the byte-identical document. The
-   render node is a [~cache:false] reducer like the experiments' own: its
-   key dedups repeat submissions at the graph level (the graph keeps
-   finished nodes — up to the node-cache LRU — so a repeated artifact
-   answers without touching the store), while the underlying simulation
-   leaves dedup/cache exactly as they do for the CLI. *)
-let declare_artifact g spec artifact : string G.node =
+(* Declare the artifact's work on the shared graph under its render key
+   [key] and return one node whose value is the artifact's rendered bytes
+   — exactly the bytes [vliw_vp all] prints for that artifact, trailing
+   separator newline included, so a client can reassemble the
+   byte-identical document. The render node is a [~cache:false] reducer
+   like the experiments' own; the underlying simulation leaves dedup and
+   cache exactly as they do for the CLI. *)
+let declare g spec artifact ~key : string G.node =
   let module E = Vliw_vp.Experiments in
   let module S = E.Suite in
-  let { config; models; csv; sweeps = _ } = spec in
+  let { config; models; csv; sweeps = _; shared = _ } = spec in
   let format = if csv then `Csv else `Ascii in
-  let key = render_key spec ~artifact in
   let render ?(deps = []) f =
     G.node g ~label:("render:" ^ artifact) ~group:"serve" ~cache:false ~key
       ~deps
@@ -335,3 +350,14 @@ let declare_artifact g spec artifact : string G.node =
               in
               ablation_artifact ~title_sweep sweep (fun m sweep ->
                   S.ablate g ~config m sweep)))
+
+(* A warm request is one lookup per artifact. Equal render keys mean equal
+   leaves, and the graph keeps finished nodes (up to the node-cache LRU),
+   so a render node already on the graph — in flight, finished or failed —
+   is the node a full re-declaration would dedup onto; only a miss (the
+   key's first request, or an eviction) declares leaves and reducers. *)
+let declare_artifact g spec artifact : string G.node =
+  let key = render_key spec ~artifact in
+  match G.find g ~key with
+  | Some n -> n
+  | None -> declare g spec artifact ~key

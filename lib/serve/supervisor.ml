@@ -393,13 +393,17 @@ let handle_submit t conn (s : P.submit) =
            shard whose graph holds (or will hold) that exact node, so
            concurrent equal requests — from this client or any other —
            dedup inside the shard just as in the single-process daemon.
-           Duplicate names in one request share a key, hence a shard. *)
+           Duplicate names in one request share a key, hence a shard.
+           With one shard there is nothing to route, and no key to
+           compute. *)
         let n = Array.length t.workers in
         let buckets = Array.make n [] in
         List.iter
           (fun a ->
             let shard =
-              Spec.shard_of_key ~workers:n (Spec.render_key spec ~artifact:a)
+              if n = 1 then 0
+              else
+                Spec.shard_of_key ~workers:n (Spec.render_key spec ~artifact:a)
             in
             buckets.(shard) <- a :: buckets.(shard))
           s.experiments;

@@ -98,6 +98,23 @@ let test_bad_flag_value () =
   check_one_line_error "malformed flag value"
     [ "table2"; "--width"; "not-a-number" ] ~expect_sub:"invalid value"
 
+(* A width the machine has no preset for is a usage error naming the
+   widths it does model, not an exception from every job. *)
+let test_unsupported_width () =
+  List.iter
+    (fun (args, w) ->
+      check_one_line_error
+        ("unsupported width: " ^ String.concat " " args)
+        args
+        ~expect_sub:
+          (Printf.sprintf
+             "invalid value '%d', unsupported width %d (supported: 2, 4, 8, 16)"
+             w w))
+    [
+      ([ "table2"; "-w"; "3" ], 3);
+      ([ "all"; "--width"; "64"; "--no-cache" ], 64);
+    ]
+
 let test_valid_command_still_works () =
   let code, err = run [ "example" ] in
   checki "exit 0" 0 code;
@@ -357,6 +374,7 @@ let () =
           tc "unknown flag" test_unknown_flag;
           tc "missing flag value" test_missing_flag_value;
           tc "bad flag value" test_bad_flag_value;
+          tc "unsupported width" test_unsupported_width;
           tc "valid command unaffected" test_valid_command_still_works;
         ] );
       ( "telemetry",

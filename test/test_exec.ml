@@ -646,6 +646,55 @@ let test_graph_node_cache_lru () =
   checki "no evictions without a cap" before
     (Vp_exec.Progress.snapshot progress).nodes_evicted
 
+let test_graph_find () =
+  (* [find] is [node]'s dedup branch without a declaration: a miss creates
+     no node and counts nothing, a hit returns the declared node and
+     counts one dedup, a key the node cap evicted misses, and a lookup
+     touches the LRU stamp like a dedup does. *)
+  let progress = Vp_exec.Progress.silent () in
+  let g = G.create (Vp_exec.Context.create ~progress ()) in
+  let deduped () = (Vp_exec.Progress.snapshot progress).deduped in
+  let find key : int G.node option = G.find g ~key in
+  checkb "miss on an empty graph" true (Option.is_none (find "find-a"));
+  checki "a miss declares nothing" 0 (G.size g);
+  checki "nor retains anything" 0 (G.retained g);
+  checki "nor counts a dedup" 0 (deduped ());
+  let runs = Atomic.make 0 in
+  let n =
+    G.node g ~cache:false ~key:"find-a" (fun _ ->
+        Atomic.incr runs;
+        7)
+  in
+  (match find "find-a" with
+  | Some m ->
+      checkb "a hit returns the declared node" true (m == n);
+      checki "an unfinished hit awaits the node's value" 7 (G.await g m)
+  | None -> Alcotest.fail "declared key missed");
+  checki "one dedup per hit" 1 (deduped ());
+  checki "a hit declares nothing" 1 (G.size g);
+  (match find "find-a" with
+  | Some m -> checki "a finished hit holds the value" 7 (G.value m)
+  | None -> Alcotest.fail "finished key missed");
+  checki "payload ran once" 1 (Atomic.get runs);
+  (* a node kept hot by lookups alone outlives waves of colder nodes *)
+  G.set_node_cap g (Some 10);
+  let fill i =
+    ignore
+      (G.await g
+         (G.node g ~cache:false ~key:(Printf.sprintf "find-fill-%d" i)
+            (fun _ -> i)))
+  in
+  ignore (G.await g (G.node g ~cache:false ~key:"find-hot" (fun _ -> -1)));
+  for i = 0 to 40 do
+    fill i;
+    ignore (find "find-hot")
+  done;
+  checkb "evictions happened" true
+    ((Vp_exec.Progress.snapshot progress).nodes_evicted > 0);
+  checkb "an evicted key misses" true (Option.is_none (find "find-a"));
+  checkb "an evicted fill misses" true (Option.is_none (find "find-fill-0"));
+  checkb "a looked-up node stays" true (Option.is_some (find "find-hot"))
+
 let test_graph_suite_parallel_determinism () =
   (* The full suite path: several experiments declared on one shared
      graph, drained barrier-free. jobs=1 (declaration-order drain) is the
@@ -829,6 +878,7 @@ let () =
             test_graph_failure_poisons_dependents_only;
           tc "await after failure" test_graph_await_after_failure;
           tc "node-cache LRU" test_graph_node_cache_lru;
+          tc "find: lookup without declaration" test_graph_find;
           tc "suite parallel determinism" test_graph_suite_parallel_determinism;
         ] );
       ( "experiments",

@@ -254,6 +254,33 @@ let test_request_validation () =
    with
   | Error (_, r) -> checks "code" "bad_request" r.code
   | Ok _ -> Alcotest.fail "width 9999 accepted");
+  (* widths inside the old 1-64 range that the machine has no preset for
+     are refused at the door too, naming the widths it does model *)
+  List.iter
+    (fun w ->
+      match
+        parse_req
+          (Printf.sprintf {|{"op":"submit","id":"w%d","config":{"width":%d}}|}
+             w w)
+      with
+      | Error (_, r) ->
+          checks (Printf.sprintf "width %d code" w) "bad_request" r.code;
+          checkb
+            (Printf.sprintf "width %d message names the presets (%s)" w
+               r.message)
+            true
+            (contains ~sub:"2, 4, 8, 16" r.message)
+      | Ok _ -> Alcotest.failf "width %d accepted" w)
+    [ 1; 3; 64 ];
+  List.iter
+    (fun w ->
+      match
+        parse_req
+          (Printf.sprintf {|{"op":"submit","id":"w","config":{"width":%d}}|} w)
+      with
+      | Ok (P.Submit s) -> checki "preset width kept" w s.width
+      | _ -> Alcotest.failf "preset width %d refused" w)
+    Vp_machine.Descr.widths;
   (match parse_req {|{"id":"r5"}|} with
   | Error (_, r) -> checks "code" "bad_request" r.code
   | Ok _ -> Alcotest.fail "missing op accepted");
@@ -314,6 +341,119 @@ let test_sweep_and_override_validation () =
       | _ -> Alcotest.fail "override not captured")
   | Ok _ -> Alcotest.fail "expected submit"
   | Error (_, r) -> Alcotest.failf "override rejected: %s" r.message
+
+(* A width the machine has no preset for is a structured rejection at
+   admission — [bad_config] as an override, [bad_sweep] as a sweep point —
+   never a [job_failed] from inside every benchmark job. *)
+let test_width_override_validation () =
+  let code_of spec =
+    match Vp_serve.Spec.of_submit spec with
+    | Ok _ -> "accepted"
+    | Error (r : P.reject) ->
+        checkb
+          (Printf.sprintf "message names the presets (%s)" r.message)
+          true
+          (contains ~sub:"2, 4, 8, 16" r.message);
+        r.code
+  in
+  checks "override" "bad_config"
+    (code_of
+       (Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
+          ~overrides:[ ("width", J.Int 3) ] ()));
+  checks "sweep point" "bad_sweep"
+    (code_of
+       (Vp_serve.Client.submit_spec ~experiments:[ "sweep:w" ]
+          ~sweeps:[ ("w", [ ("ok", [ ("width", J.Int 8) ]);
+                            ("bad", [ ("width", J.Int 64) ]) ]) ]
+          ()));
+  checkb "preset widths admitted" true
+    (Result.is_ok
+       (Vp_serve.Spec.of_submit
+          (Vp_serve.Client.submit_spec ~experiments:[ "sweep:w" ]
+             ~sweeps:
+               [ ("w", List.map
+                         (fun w -> (string_of_int w, [ ("width", J.Int w) ]))
+                         Vp_machine.Descr.widths) ]
+             ())))
+
+(* Render keys are a function of the request's content: two admissions of
+   one submit agree, and changing any one input that shapes an artifact's
+   work changes its key. A sweep point salts only its sweep's artifact. *)
+let test_render_keys () =
+  let key ?(artifact = "table2") submit =
+    match Vp_serve.Spec.of_submit submit with
+    | Ok spec -> Vp_serve.Spec.render_key spec ~artifact
+    | Error (r : P.reject) -> Alcotest.failf "rejected: %s" r.message
+  in
+  let base_points =
+    [ ("a", [ ("trace_length", J.Int 1000) ]);
+      ("b", [ ("trace_length", J.Int 3000) ]) ]
+  in
+  let submit ?(benchmarks = [ "compress" ]) ?(width = 4) ?(seed = 42)
+      ?(threshold = 0.65) ?(csv = false) ?(overrides = [])
+      ?(points = base_points) () =
+    Vp_serve.Client.submit_spec ~experiments:[ "table2"; "sweep:x" ]
+      ~benchmarks ~width ~seed ~threshold ~csv ~overrides
+      ~sweeps:[ ("x", points) ] ()
+  in
+  let base = submit () in
+  checks "one submit, equal keys" (key base) (key base);
+  checks "equal submits, equal keys" (key base) (key (submit ()));
+  checks "equal sweep keys" (key ~artifact:"sweep:x" base)
+    (key ~artifact:"sweep:x" (submit ()));
+  let differs label k =
+    checkb (label ^ " changes the key") true (k <> key base)
+  in
+  differs "artifact" (key ~artifact:"table3" base);
+  differs "seed" (key (submit ~seed:43 ()));
+  differs "width" (key (submit ~width:8 ()));
+  differs "threshold" (key (submit ~threshold:0.7 ()));
+  differs "an override"
+    (key (submit ~overrides:[ ("branch_penalty", J.Int 3) ] ()));
+  differs "the benchmark list"
+    (key (submit ~benchmarks:[ "compress"; "li" ] ()));
+  differs "csv" (key (submit ~csv:true ()));
+  let other_points =
+    [ ("a", [ ("trace_length", J.Int 1000) ]);
+      ("b", [ ("trace_length", J.Int 3001) ]) ]
+  in
+  checkb "a sweep point changes its sweep's key" true
+    (key ~artifact:"sweep:x" (submit ~points:other_points ())
+    <> key ~artifact:"sweep:x" base);
+  checks "a sweep point leaves other artifacts' keys" (key base)
+    (key (submit ~points:other_points ()))
+
+(* On a bare graph, where size and retention are visible: declaring every
+   artifact of [all] again finds each render node, so the graph neither
+   grows nor retains more, and each artifact counts one dedup. *)
+let test_warm_declaration_is_lookup () =
+  let progress = Vp_exec.Progress.silent () in
+  let g = Vp_exec.Graph.create (Vp_exec.Context.create ~progress ()) in
+  let submit =
+    Vp_serve.Client.submit_spec ~experiments:[ "all" ]
+      ~benchmarks:[ "compress" ] ()
+  in
+  let request () =
+    match Vp_serve.Spec.of_submit submit with
+    | Error (r : P.reject) -> Alcotest.failf "rejected: %s" r.message
+    | Ok spec ->
+        List.map
+          (fun a ->
+            Vp_exec.Graph.await g (Vp_serve.Spec.declare_artifact g spec a))
+          submit.experiments
+  in
+  let deduped () = (Vp_exec.Progress.snapshot progress).deduped in
+  let cold = request () in
+  let size = Vp_exec.Graph.size g
+  and retained = Vp_exec.Graph.retained g
+  and dedup = deduped () in
+  let warm = request () in
+  checkb "identical bytes" true (cold = warm);
+  checki "graph size unchanged" size (Vp_exec.Graph.size g);
+  checki "retained nodes unchanged" retained (Vp_exec.Graph.retained g);
+  checki "one dedup per artifact"
+    (List.length submit.experiments)
+    (deduped () - dedup)
 
 (* --- end-to-end over a real daemon --- *)
 
@@ -414,11 +554,16 @@ let test_e2e_comparison_identity () =
         (Printf.sprintf "warm store, jobs=%d" warm_jobs))
     [ (1, par_jobs); (par_jobs, 1) ]
 
-let graph_jobs client =
+(* One counter of the stats' graph section: [jobs_queued] counts the
+   nodes declared (the graph's size), [deduped] the declarations and
+   lookups answered by a node already on the graph. *)
+let graph_counter client name =
   let stats = Vp_serve.Client.stats client in
   match J.member "graph" stats with
-  | Some g -> Option.value ~default:(-1) (J.int_member "jobs_queued" g)
+  | Some g -> Option.value ~default:(-1) (J.int_member name g)
   | None -> Alcotest.fail "stats without graph section"
+
+let graph_jobs client = graph_counter client "jobs_queued"
 
 let test_e2e_warm_resubmit_runs_nothing () =
   with_server (fun client ->
@@ -430,6 +575,27 @@ let test_e2e_warm_resubmit_runs_nothing () =
       checkb "second ok" true (o2.error = None);
       checki "warm resubmit adds zero jobs" jobs1 (graph_jobs client);
       checkb "identical bytes" true (o1.results = o2.results))
+
+(* A warm resubmit of [all] answers each artifact from its finished render
+   node: one lookup, counted as one dedup, per artifact, and no node
+   declared — the leaves behind the render nodes are not re-declared. *)
+let check_warm_all_is_lookups client =
+  let all () =
+    Vp_serve.Client.submit_spec ~experiments:[ "all" ]
+      ~benchmarks:[ "compress" ] ()
+  in
+  let o1 = Vp_serve.Client.submit client (all ()) in
+  checkb "cold ok" true (o1.error = None);
+  let jobs = graph_jobs client and dedup = graph_counter client "deduped" in
+  let o2 = Vp_serve.Client.submit client (all ()) in
+  checkb "warm ok" true (o2.error = None);
+  checkb "identical bytes" true (o1.results = o2.results);
+  checki "no node declared" jobs (graph_jobs client);
+  checki "one dedup per artifact"
+    (List.length P.all_sequence)
+    (graph_counter client "deduped" - dedup)
+
+let test_e2e_warm_all_is_lookups () = with_server check_warm_all_is_lookups
 
 let test_e2e_overlap_identical_streams () =
   (* Two overlapping cold submits of the same request, pipelined so both
@@ -481,11 +647,15 @@ let test_e2e_unknown_benchmark () =
 
 let test_e2e_timeout () =
   with_server (fun client ->
-      (* a cold full-size request with a microscopic budget: the timeout
-         fires at the next serve-loop tick, long before the work is done *)
+      (* A cold request with a 1 us budget, which no request can meet: the
+         deadline is stamped at admission, and [Server.handle_completion]
+         checks it again before it delivers any result, so however fast
+         the work finishes the reply is a timeout. A budget a request can
+         meet would race the work: a cold table2 over compress can finish
+         inside 10 ms. *)
       let spec =
         Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
-          ~benchmarks:[ "compress" ] ~seed:987 ~timeout_s:0.01 ()
+          ~benchmarks:[ "compress" ] ~seed:987 ~timeout_s:1e-6 ()
       in
       let t0 = Unix.gettimeofday () in
       let o = Vp_serve.Client.submit client spec in
@@ -615,6 +785,60 @@ let test_e2e_sweep_point_validation () =
       | Some (code, _) -> Alcotest.failf "expected bad_sweep, got %s" code
       | None -> Alcotest.fail "invalid sweep point accepted")
 
+(* A width the machine cannot model never reaches a job: the daemon
+   rejects it at admission, as the core field and as a sweep point. *)
+let test_e2e_unsupported_width () =
+  with_server (fun client ->
+      let code spec =
+        match (Vp_serve.Client.submit client spec).error with
+        | Some (code, _) -> code
+        | None -> "accepted"
+      in
+      checks "core width" "bad_request"
+        (code
+           (Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
+              ~benchmarks:[ "compress" ] ~width:3 ()));
+      checks "sweep point width" "bad_sweep"
+        (code
+           (Vp_serve.Client.submit_spec ~experiments:[ "sweep:w" ]
+              ~benchmarks:[ "compress" ]
+              ~sweeps:[ ("w", [ ("three", [ ("width", J.Int 3) ]) ]) ]
+              ())))
+
+(* With a one-node cache, a cold table2 leaves only its render node (the
+   newest), and an unrelated request evicts it. The resubmit's lookup then
+   misses and the artifact is declared again, byte-identically; the next
+   resubmit finds the re-declared render node. *)
+let test_e2e_render_node_eviction () =
+  with_server
+    ~cfg:(fun c -> { c with Vp_serve.Server.node_cap = Some 1 })
+    (fun client ->
+      let submit experiments =
+        let o =
+          Vp_serve.Client.submit client
+            (Vp_serve.Client.submit_spec ~experiments
+               ~benchmarks:[ "compress" ] ())
+        in
+        (match o.error with
+        | Some (code, m) -> Alcotest.failf "%s: %s" code m
+        | None -> ());
+        o.results
+      in
+      let cold = submit [ "table2" ] in
+      ignore (submit [ "example" ]);
+      checkb "evictions reported" true
+        (graph_counter client "node_evictions" > 0);
+      let jobs = graph_jobs client in
+      let again = submit [ "table2" ] in
+      checkb "evicted render node declared again" true
+        (graph_jobs client > jobs);
+      checkb "identical after re-declaration" true (cold = again);
+      let jobs = graph_jobs client and dedup = graph_counter client "deduped" in
+      let warm = submit [ "table2" ] in
+      checki "re-declared node found" jobs (graph_jobs client);
+      checki "by one lookup" 1 (graph_counter client "deduped" - dedup);
+      checkb "identical when found" true (cold = warm))
+
 let test_e2e_node_cache_eviction () =
   (* a tiny node cap forces LRU evictions between two identical submits;
      the resubmit recomputes (or re-reads the store) and must still be
@@ -737,6 +961,9 @@ let poll_busy_shard client ~seconds =
   in
   go ()
 
+let test_sharded_warm_all_is_lookups () =
+  with_sharded ~workers:1 check_warm_all_is_lookups
+
 let test_sharded_worker_lost () =
   with_sharded ~workers:2 (fun client ->
       (* The kill must land while the victim shard holds sub-work: submit a
@@ -803,12 +1030,16 @@ let () =
           tc "request validation" test_request_validation;
           tc "sweep and override validation"
             test_sweep_and_override_validation;
+          tc "width override validation" test_width_override_validation;
+          tc "render keys" test_render_keys;
+          tc "warm declaration is a lookup" test_warm_declaration_is_lookup;
         ] );
       ( "daemon",
         [
           tc "byte identity" test_e2e_byte_identity;
           tc "comparison identity" test_e2e_comparison_identity;
           tc "warm resubmit runs nothing" test_e2e_warm_resubmit_runs_nothing;
+          tc "warm all is lookups" test_e2e_warm_all_is_lookups;
           tc "overlap identical streams" test_e2e_overlap_identical_streams;
           tc "admission: overloaded" test_e2e_admission_overloaded;
           tc "admission: quota" test_e2e_admission_quota;
@@ -818,10 +1049,13 @@ let () =
           tc "overrides and custom sweep" test_e2e_overrides_and_custom_sweep;
           tc "sweep point validation" test_e2e_sweep_point_validation;
           tc "node-cache eviction" test_e2e_node_cache_eviction;
+          tc "unsupported width" test_e2e_unsupported_width;
+          tc "render node eviction" test_e2e_render_node_eviction;
         ] );
       ( "sharded",
         [
           tc "byte identity" test_sharded_byte_identity;
+          tc "warm all is lookups" test_sharded_warm_all_is_lookups;
           tc "worker lost and re-fork" test_sharded_worker_lost;
         ] );
     ]
