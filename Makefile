@@ -48,14 +48,14 @@ ab:
 	  --pairs $(PAIRS) --seed $(SEED)
 
 # End-to-end smoke of the serve daemon: capture a direct `vliw_vp all`
-# run (and a direct frontier sweep), then drive the sharded daemon with
-# the load generator at two shard counts (--workers 1 and --workers 4)
-# over the same (now warm) on-disk cache. Each round first submits the
-# regions:frontier artifact and byte-compares it against the direct
-# capture; serve_load then asserts every client's stream is
-# byte-identical to the direct capture, a repeat wave executes zero new
-# payload jobs, and a burst past the client quota is rejected with
-# structured errors. All scratch state (sockets, cache, stats,
+# run (and a direct frontier sweep), then drive the daemon with the load
+# generator in-process (--workers 0) and at two shard counts (--workers 1
+# and --workers 4) over the same (now warm) on-disk cache. Each round
+# first submits the regions:frontier artifact and byte-compares it
+# against the direct capture; serve_load then asserts every client's
+# stream is byte-identical to the direct capture, a repeat wave executes
+# zero new payload jobs, and a burst past the client quota is rejected
+# with structured errors. All scratch state (sockets, cache, stats,
 # telemetry) stays under _serve_ci/.
 serve-smoke: build
 	rm -rf _serve_ci && mkdir -p _serve_ci
@@ -63,7 +63,7 @@ serve-smoke: build
 	  > _serve_ci/expected.txt
 	( ./_build/default/bin/vliw_vp.exe frontier --jobs 4 \
 	    --cache-dir _serve_ci/cache; echo ) > _serve_ci/expected-frontier.txt
-	@for w in 1 4; do \
+	@for w in 0 1 4; do \
 	  echo "== serve-smoke: --workers $$w =="; \
 	  ( ./_build/default/bin/vliw_vp.exe serve --socket _serve_ci/d$$w.sock \
 	      --workers $$w --jobs 1 --client-quota 4 --node-cache 256 \

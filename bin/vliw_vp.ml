@@ -8,28 +8,10 @@
      vliw_vp table2 / table3 / table4 / fig8 / compare / all
 *)
 
-let default_models = Vp_workload.Spec_model.all
-
-let models_of_names = function
-  | [] -> Ok default_models
-  | names ->
-      let rec resolve acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-            match Vp_workload.Spec_model.by_name n with
-            | Some m -> resolve (m :: acc) rest
-            | None -> Error (`Msg (Printf.sprintf "unknown benchmark %S" n)))
-      in
-      resolve [] names
-
-let config ~width ~seed ~threshold =
-  let base = Vliw_vp.Config.default in
-  {
-    base with
-    Vliw_vp.Config.width;
-    seed;
-    policy = { base.policy with threshold };
-  }
+let models_of_names names =
+  Result.map_error
+    (Printf.sprintf "unknown benchmark %S")
+    (Vp_workload.Spec_model.resolve names)
 
 (* --- common command-line terms --- *)
 
@@ -117,10 +99,10 @@ let emit_telemetry opts exec =
 let with_setup f =
   let run width seed threshold names exec_opts =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models ->
         let exec = Vp_exec.Cli.context exec_opts in
-        f ~config:(config ~width ~seed ~threshold) ~exec ~models;
+        f ~config:(Vliw_vp.Config.make ~width ~seed ~threshold) ~exec ~models;
         emit_telemetry exec_opts exec;
         `Ok ()
   in
@@ -188,9 +170,9 @@ let schedule_cmd =
   in
   let run width seed threshold names index dot =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models ->
-        let config = config ~width ~seed ~threshold in
+        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
         List.iter
           (fun model ->
             let p = Vliw_vp.Pipeline.run ~config model in
@@ -225,9 +207,9 @@ let schedule_cmd =
 let table_cmd name ~doc render =
   let run width seed threshold names csv exec_opts =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models ->
-        let config = config ~width ~seed ~threshold in
+        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
         let format = if csv then `Csv else `Ascii in
         let exec = Vp_exec.Cli.context exec_opts in
         print_string
@@ -246,9 +228,9 @@ let table_cmd name ~doc render =
 let experiment_cmd name ~doc experiment render =
   let run width seed threshold names csv exec_opts =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models ->
-        let config = config ~width ~seed ~threshold in
+        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
         let format = if csv then `Csv else `Ascii in
         let exec = Vp_exec.Cli.context exec_opts in
         print_string (render ~format (experiment ~config ~exec models));
@@ -302,27 +284,17 @@ let frontier_cmd =
 let ablate_cmd =
   let sweep_t =
     let doc =
-      "Which sweep: threshold, predictions, ccb, syncbits, ccewidth, predictors, accounting."
+      Printf.sprintf "Which sweep: %s."
+        (String.concat ", " (List.map fst Vliw_vp.Experiments.ablation_sweeps))
     in
     Arg.(value & opt string "threshold" & info [ "sweep" ] ~docv:"NAME" ~doc)
   in
   let run width seed threshold names sweep exec_opts =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models -> (
-        let config = config ~width ~seed ~threshold in
-        match
-          List.assoc_opt sweep
-            [
-              ("threshold", Vliw_vp.Experiments.threshold_sweep);
-              ("predictions", Vliw_vp.Experiments.prediction_budget_sweep);
-              ("ccb", Vliw_vp.Experiments.ccb_capacity_sweep);
-              ("syncbits", Vliw_vp.Experiments.sync_width_sweep);
-              ("ccewidth", Vliw_vp.Experiments.cce_width_sweep);
-              ("predictors", Vliw_vp.Experiments.predictor_sweep);
-              ("accounting", Vliw_vp.Experiments.accounting_sweep);
-            ]
-        with
+        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
+        match List.assoc_opt sweep Vliw_vp.Experiments.ablation_sweeps with
         | None -> `Error (false, Printf.sprintf "unknown sweep %S" sweep)
         | Some settings ->
             let exec = Vp_exec.Cli.context exec_opts in
@@ -587,9 +559,9 @@ let report_cmd =
   in
   let run width seed threshold names out exec_opts =
     match models_of_names names with
-    | Error (`Msg m) -> `Error (false, m)
+    | Error m -> `Error (false, m)
     | Ok models ->
-        let config = config ~width ~seed ~threshold in
+        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
         let exec = Vp_exec.Cli.context exec_opts in
         (match out with
         | Some path ->

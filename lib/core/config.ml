@@ -35,6 +35,14 @@ let default =
     profile_predictors = None;
   }
 
+let make ~width ~seed ~threshold =
+  {
+    default with
+    width;
+    seed;
+    policy = { default.policy with Vp_vspec.Policy.threshold };
+  }
+
 let effective_cycles t (r : Vp_engine.Dual_engine.result) =
   if t.charge_cce_drain then r.cycles else r.vliw_cycles
 

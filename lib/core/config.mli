@@ -43,6 +43,12 @@ val default : t
     cache with 32-byte lines, 8-cycle miss penalty, 20000-execution
     trace, VLIW-retire accounting. *)
 
+val make : width:int -> seed:int -> threshold:float -> t
+(** {!default} with the three knobs every front end takes — the CLI's
+    [--width], [--seed] and [--threshold], a serve request's core
+    [config] fields. Served bytes equal CLI bytes because both build
+    their configuration here. *)
+
 val effective_cycles : t -> Vp_engine.Dual_engine.result -> int
 (** The block-latency reading selected by [charge_cce_drain]. *)
 

@@ -1251,6 +1251,17 @@ let accounting_sweep =
       fun (c : Config.t) -> { c with charge_cce_drain = true } );
   ]
 
+let ablation_sweeps =
+  [
+    ("threshold", threshold_sweep);
+    ("predictions", prediction_budget_sweep);
+    ("ccb", ccb_capacity_sweep);
+    ("syncbits", sync_width_sweep);
+    ("ccewidth", cce_width_sweep);
+    ("predictors", predictor_sweep);
+    ("accounting", accounting_sweep);
+  ]
+
 let render_ablation ?format ~title points =
   let table =
     Vp_util.Table.create ~title

@@ -332,6 +332,11 @@ val accounting_sweep : (string * (Config.t -> Config.t)) list
 (** VLIW-retire vs full-CCE-drain block accounting (see
     {!Config.t.charge_cce_drain}). *)
 
+val ablation_sweeps : (string * (string * (Config.t -> Config.t)) list) list
+(** The seven sweeps above under the names [vliw_vp ablate --sweep] and a
+    serve request's [ablate:NAME] artifacts take: threshold, predictions,
+    ccb, syncbits, ccewidth, predictors, accounting. *)
+
 val render_ablation :
   ?format:[ `Ascii | `Csv ] -> title:string -> ablation_point list -> string
 

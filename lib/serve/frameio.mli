@@ -1,9 +1,9 @@
-(** Non-blocking framed-connection plumbing, shared by the server's and
-    supervisor's client connections and the supervisor's worker links: an
-    incremental {!Protocol.Decoder} on the read side, a queue of encoded
-    frames with a partial-write offset on the write side. The owner runs
-    the select loop and decides what a frame or a closed peer means; this
-    module only moves bytes. *)
+(** Non-blocking framed-connection plumbing, shared by the serve loop's
+    client connections and the supervisor's shard links: an incremental
+    {!Protocol.Decoder} on the read side, a queue of encoded frames with a
+    partial-write offset on the write side. The owner runs the select loop
+    and decides what a frame or a closed peer means; this module only
+    moves bytes. *)
 
 type t
 

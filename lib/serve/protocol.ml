@@ -137,10 +137,7 @@ let all_sequence =
 let known_experiments =
   all_sequence
   @ [ "hyperblocks"; "hardware"; "stability"; "recovery"; "regions:frontier" ]
-  @ List.map
-      (fun s -> "ablate:" ^ s)
-      [ "threshold"; "predictions"; "ccb"; "syncbits"; "ccewidth";
-        "predictors"; "accounting" ]
+  @ List.map (fun (s, _) -> "ablate:" ^ s) Vliw_vp.Experiments.ablation_sweeps
 
 (* [sweeps] are the request-declared custom sweep names: a submit carrying
    a ["sweeps"] spec may reference each as the experiment ["sweep:NAME"]. *)
@@ -266,6 +263,84 @@ let parse_sweeps json =
       go [] entries
   | Some _ -> Error (reject "bad_sweep" "\"sweeps\" must be an object")
 
+(* A field that is present must have its type, named in the rejection;
+   an absent one takes its default. *)
+let field name ~what get ~default json =
+  match Jsonx.member name json with
+  | None -> Ok default
+  | Some v -> (
+      match get v with
+      | Some x -> Ok x
+      | None -> Error (reject "bad_request" "%S must be %s" name what))
+
+let string_list name json =
+  match Jsonx.member name json with
+  | None -> Ok []
+  | Some (Jsonx.List xs) -> (
+      let strings = List.filter_map Jsonx.get_string xs in
+      if List.compare_lengths strings xs = 0 then Ok strings
+      else Error (reject "bad_request" "%s must be strings" name))
+  | Some _ -> Error (reject "bad_request" "%S must be a list of strings" name)
+
+let submit_of_json id json =
+  let ( let* ) = Result.bind in
+  let* names = string_list "experiments" json in
+  let* benchmarks = string_list "benchmarks" json in
+  let* sweeps = parse_sweeps json in
+  let* experiments =
+    match expand_experiments ~sweeps:(List.map fst sweeps) names with
+    | Ok experiments -> Ok experiments
+    | Error name ->
+        Error (reject "unknown_experiment" "unknown experiment %S" name)
+  in
+  let* config =
+    field "config" ~what:"an object"
+      (function Jsonx.Obj _ as c -> Some c | _ -> None)
+      ~default:(Jsonx.Obj []) json
+  in
+  let* width =
+    field "width" ~what:"an integer" Jsonx.get_int ~default:4 config
+  in
+  let* seed = field "seed" ~what:"an integer" Jsonx.get_int ~default:42 config in
+  let* threshold =
+    field "threshold" ~what:"a number" Jsonx.get_float ~default:0.65 config
+  in
+  let* csv =
+    field "format" ~what:{|"ascii" or "csv"|}
+      (function
+        | Jsonx.Str "ascii" -> Some false
+        | Jsonx.Str "csv" -> Some true
+        | _ -> None)
+      ~default:false json
+  in
+  (* [Jsonx] reads an out-of-range literal such as 1e400 as infinity *)
+  let* timeout_s =
+    field "timeout_s" ~what:"a finite number"
+      (fun v ->
+        match Jsonx.get_float v with
+        | Some t when Float.is_finite t -> Some (Some t)
+        | _ -> None)
+      ~default:None json
+  in
+  match Vp_machine.Descr.check_width width with
+  | Error msg -> Error (reject "bad_request" "%s" msg)
+  | Ok _ when not (threshold >= 0.0 && threshold <= 1.0) ->
+      Error (reject "bad_request" "threshold out of range: %g" threshold)
+  | Ok width ->
+      Ok
+        {
+          id;
+          experiments;
+          benchmarks;
+          width;
+          seed;
+          threshold;
+          overrides = config_overrides config;
+          sweeps;
+          csv;
+          timeout_s;
+        }
+
 let request_of_json json =
   let id = Option.value ~default:"" (Jsonx.string_member "id" json) in
   match Jsonx.string_member "op" json with
@@ -274,78 +349,9 @@ let request_of_json json =
   | Some "ping" -> Ok (Ping id)
   | Some "shutdown" -> Ok (Shutdown id)
   | Some "submit" -> (
-      let names =
-        match Jsonx.list_member "experiments" json with
-        | None -> Ok []
-        | Some xs ->
-            List.fold_left
-              (fun acc x ->
-                match (acc, Jsonx.get_string x) with
-                | Ok acc, Some s -> Ok (s :: acc)
-                | (Error _ as e), _ -> e
-                | Ok _, None ->
-                    Error
-                      (reject "bad_request" "experiments must be strings"))
-              (Ok []) xs
-            |> Result.map List.rev
-      in
-      let benchmarks =
-        match Jsonx.list_member "benchmarks" json with
-        | None -> Ok []
-        | Some xs ->
-            List.fold_left
-              (fun acc x ->
-                match (acc, Jsonx.get_string x) with
-                | Ok acc, Some s -> Ok (s :: acc)
-                | (Error _ as e), _ -> e
-                | Ok _, None ->
-                    Error (reject "bad_request" "benchmarks must be strings"))
-              (Ok []) xs
-            |> Result.map List.rev
-      in
-      let sweeps = parse_sweeps json in
-      match (names, benchmarks, sweeps) with
-      | Error r, _, _ | _, Error r, _ | _, _, Error r -> Error (id, r)
-      | Ok names, Ok benchmarks, Ok sweeps -> (
-          match expand_experiments ~sweeps:(List.map fst sweeps) names with
-          | Error name ->
-              Error (id, reject "unknown_experiment" "unknown experiment %S" name)
-          | Ok experiments ->
-              let config = Option.value ~default:(Jsonx.Obj []) (Jsonx.member "config" json) in
-              let width = Option.value ~default:4 (Jsonx.int_member "width" config) in
-              let seed = Option.value ~default:42 (Jsonx.int_member "seed" config) in
-              let threshold =
-                Option.value ~default:0.65 (Jsonx.float_member "threshold" config)
-              in
-              let overrides = config_overrides config in
-              let csv =
-                match Jsonx.string_member "format" json with
-                | Some "csv" -> true
-                | _ -> false
-              in
-              let timeout_s = Jsonx.float_member "timeout_s" json in
-              match Vp_machine.Descr.check_width width with
-              | Error msg -> Error (id, reject "bad_request" "%s" msg)
-              | Ok _ when not (threshold >= 0.0 && threshold <= 1.0) ->
-                  Error
-                    ( id,
-                      reject "bad_request" "threshold out of range: %g"
-                        threshold )
-              | Ok width ->
-                  Ok
-                    (Submit
-                       {
-                         id;
-                         experiments;
-                         benchmarks;
-                         width;
-                         seed;
-                         threshold;
-                         overrides;
-                         sweeps;
-                         csv;
-                         timeout_s;
-                       })))
+      match submit_of_json id json with
+      | Ok s -> Ok (Submit s)
+      | Error r -> Error (id, r))
   | Some op -> Error (id, reject "bad_request" "unknown op %S" op)
 
 let json_of_submit (s : submit) =

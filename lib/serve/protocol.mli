@@ -77,7 +77,8 @@ type submit = {
           point configs take the same keys as ["config"] (core and
           override) and are validated at admission ([bad_sweep]). *)
   csv : bool;
-  timeout_s : float option;  (** [None] = the server default *)
+  timeout_s : float option;
+      (** [None] = the server default; zero or negative = no timeout *)
 }
 
 type request =
@@ -97,8 +98,13 @@ val reject : string -> ('a, unit, string, reject) format4 -> 'a
 
 val request_of_json : Jsonx.t -> (request, string * reject) result
 (** Parse and validate one request frame; errors carry the request id ([""]
-    if absent) for the error frame. Benchmark names are validated by the
-    server, which owns the model list. *)
+    if absent) for the error frame. A submit field that is present must
+    have its type — [experiments] and [benchmarks] lists of strings,
+    [config] an object whose [width] and [seed] are integers and
+    [threshold] a number, [format] ["ascii"] or ["csv"], [timeout_s] a
+    finite number — or the reply is [bad_request] naming the field;
+    absent fields take their defaults. Benchmark names are validated by
+    the server, which owns the model list. *)
 
 val json_of_submit : submit -> Jsonx.t
 

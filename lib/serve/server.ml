@@ -1,33 +1,38 @@
-(* The resident simulation daemon.
+(* The resident simulation daemon: its one client-facing loop and the
+   in-process work side.
 
-   One process, two kinds of threads:
+   Every daemon runs {!serve}: a [Unix.select] loop on the caller's thread
+   over non-blocking sockets that accepts connections, decodes request
+   frames, admits requests, answers [accepted], enforces deadlines,
+   settles requests and keeps their telemetry, drops vanished clients,
+   turns SIGINT/SIGTERM into a graceful drain and writes the
+   [--stats-file] snapshots. It does not do the work: an admitted request
+   goes to a {!work} side, which hands each artifact back through
+   {!deliver} or {!fail}. There are two:
 
-   - the {e serve loop} (the caller's thread): a [Unix.select] loop over
-     non-blocking sockets that accepts connections, decodes request
-     frames, validates and admits them, declares their work as nodes on
-     the one shared {!Vp_exec.Graph}, and streams response frames as
-     results arrive;
-   - the graph's {e resident workers} ([Graph.start_workers], one domain
-     per [--jobs]): they execute ready nodes as they are declared.
+   - {!local}, for [--workers 0] ({!run}) and for every shard
+     ({!run_worker}): the request's artifacts are declared as nodes on one
+     shared {!Vp_exec.Graph} whose resident worker domains
+     ([Graph.start_workers], one per [--jobs]) execute them. Each artifact
+     subscribes with [Graph.on_complete]; the callback — running on
+     whichever worker domain finished the node — pushes the rendered
+     result onto a mutex-protected completion queue and pokes the
+     self-pipe, so the select loop wakes at once. Nothing in the loop ever
+     blocks on a simulation.
+   - the forked shards of {!Supervisor}, reached over socketpairs.
 
-   The two meet in [completions]: each admitted artifact subscribes with
-   [Graph.on_complete], and the callback — running on whichever worker
-   domain finished the node — pushes the rendered result onto the
-   mutex-protected completion queue and pokes the self-pipe so the select
-   loop wakes immediately. Nothing in the serve loop ever blocks on a
-   simulation.
+   Sharing is the point of the local side: every request's nodes are
+   declared onto the same graph with the same content-addressed keys the
+   CLI uses (see {!Spec}), so overlapping requests from any number of
+   clients resolve to in-flight nodes (graph dedup), to already-finished
+   nodes of an earlier request (the graph keeps results, bounded by the
+   node-cache LRU), or to the on-disk store (warm cache) — the payload
+   simulations run once.
 
-   Sharing is the whole point: every request's nodes are declared onto the
-   same graph with the same content-addressed keys the CLI uses (see
-   {!Spec}), so overlapping requests from any number of clients resolve to
-   in-flight nodes (graph dedup), to already-finished nodes of an earlier
-   request (the graph keeps results, bounded by the node-cache LRU), or to
-   the on-disk store (warm cache) — the payload simulations run once.
-
-   The same loop also runs as one {e shard} of the sharded daemon
-   ({!run_worker}): a forked worker process serves exactly one connection
-   — the socketpair to its {!Supervisor} — with admission and timeouts
-   handled upstream. *)
+   A shard runs the same loop over exactly one connection — the
+   socketpair to its supervisor — with no listeners and no signal
+   handlers; admission limits and client-facing deadlines are the
+   supervisor's, and its own are off. *)
 
 module G = Vp_exec.Graph
 
@@ -56,7 +61,7 @@ let default_config ~socket () =
     node_cap = None;
   }
 
-(* --- connections and requests ----------------------------------------- *)
+(* --- connections, requests and the work side --------------------------- *)
 
 type conn = {
   io : Frameio.t;
@@ -69,38 +74,43 @@ type req = {
   rid : string;
   rconn : conn;
   total : int;
-  mutable done_count : int;
+  mutable delivered : int;  (* result frames sent *)
   mutable settled : bool;  (* done, errored, timed out or client gone *)
-  cancel : Vp_exec.Cancel.t;
+  deadline : float option;
   rt0 : float;
 }
 
-type completion = {
-  c_req : req;
-  c_artifact : string;
-  c_result : (string, string) result;
+let delivered r = r.delivered
+let total r = r.total
+
+type work = {
+  dispatch : req -> Spec.t -> Protocol.submit -> unit;
+  stats : ((string * Jsonx.t) list -> unit) -> unit;
+  fds : unit -> Unix.file_descr list * Unix.file_descr list;
+  step : Unix.file_descr list -> unit;
+  idle_timeout : float;
+  wind_down : unit -> bool;
+  stop : unit -> (string * Jsonx.t) list;
 }
 
-type t = {
+type front = {
   cfg : config;
-  exec : Vp_exec.Context.t;
-  graph : G.t;
   telemetry : Telemetry.t;
-  (* worker-to-loop handoff *)
-  cmutex : Mutex.t;
-  mutable completions : completion list;  (* reversed *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  (* serve-loop state *)
+  interrupted : bool Atomic.t;  (* set by the SIGINT/SIGTERM handler *)
+  mutable listeners : Unix.file_descr list;  (* [] once closed *)
   mutable conns : conn list;
   mutable live : req list;
   mutable outstanding : int;
   mutable shutting : bool;
+  mutable draining : bool;  (* shutting, with nothing outstanding *)
   mutable next_cid : int;
   mutable last_stats : float;
+  mutable snapshot_pending : bool;  (* a [--stats-file] snapshot in flight *)
 }
 
-let send _t conn json = if not conn.dropped then Frameio.send conn.io json
+let send conn json = if not conn.dropped then Frameio.send conn.io json
 
 let wake t =
   (* a full pipe already guarantees a pending wakeup *)
@@ -108,22 +118,30 @@ let wake t =
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
     ()
 
-let push_completion t c =
-  Mutex.protect t.cmutex (fun () -> t.completions <- c :: t.completions);
-  wake t
+let drain_wake t =
+  let buf = Bytes.create 256 in
+  let rec go () =
+    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
+    | n when n > 0 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
 
-let take_completions t =
-  List.rev (Mutex.protect t.cmutex (fun () ->
-      let cs = t.completions in
-      t.completions <- [];
-      cs))
+let close_quiet fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
-let stats_json t =
-  Telemetry.json t.telemetry
-    ~pool:(Vp_exec.Progress.snapshot t.exec.Vp_exec.Context.progress)
-    ~queue_depth:t.outstanding
+let inherited_fds t =
+  (t.wake_r :: t.wake_w :: t.listeners)
+  @ List.map (fun c -> Frameio.fd c.io) t.conns
 
-let write_stats_file t =
+(* --- telemetry --------------------------------------------------------- *)
+
+let stats_json t sections =
+  Jsonx.Obj
+    (Telemetry.core_sections t.telemetry ~queue_depth:t.outstanding @ sections)
+
+let write_stats_file t json =
   match t.cfg.stats_file with
   | None -> ()
   | Some path -> (
@@ -133,25 +151,72 @@ let write_stats_file t =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            output_string oc (Jsonx.to_string (stats_json t));
+            output_string oc (Jsonx.to_string json);
             output_char oc '\n');
         Sys.rename tmp path
       with Sys_error _ -> ())
 
-(* --- request handling -------------------------------------------------- *)
+(* --- settlement -------------------------------------------------------- *)
 
-let settle_request t (r : req) =
+let settle t r =
   if not r.settled then begin
     r.settled <- true;
     r.rconn.outstanding <- max 0 (r.rconn.outstanding - 1);
     t.outstanding <- max 0 (t.outstanding - 1)
   end
 
+let expired r =
+  match r.deadline with Some d -> Unix.gettimeofday () > d | None -> false
+
+let time_out t r =
+  send r.rconn
+    (Protocol.error ~id:r.rid
+       (Protocol.reject "timeout"
+          "request exceeded its budget after %d/%d artifacts" r.delivered
+          r.total));
+  settle t r;
+  Telemetry.timed_out t.telemetry ~cid:r.rconn.cid
+
+(* Budget enforcement is by deadline, not by luck of scheduling: whatever
+   arrives for a request past its deadline turns into its timeout, even if
+   no tick has fired yet. *)
+let deliver t r ~artifact ~data =
+  if not r.settled then
+    if expired r then time_out t r
+    else begin
+      send r.rconn (Protocol.result ~id:r.rid ~artifact ~data);
+      r.delivered <- r.delivered + 1;
+      if r.delivered = r.total then begin
+        let wall = Unix.gettimeofday () -. r.rt0 in
+        send r.rconn (Protocol.done_ ~id:r.rid ~wall_s:wall);
+        settle t r;
+        Telemetry.completed t.telemetry ~cid:r.rconn.cid ~wall
+      end
+    end
+
+let fail t r (rej : Protocol.reject) =
+  if not r.settled then
+    if expired r then time_out t r
+    else begin
+      send r.rconn (Protocol.error ~id:r.rid rej);
+      settle t r;
+      if rej.code = "timeout" then
+        Telemetry.timed_out t.telemetry ~cid:r.rconn.cid
+      else Telemetry.failed t.telemetry ~cid:r.rconn.cid
+    end
+
+let check_timeouts t =
+  List.iter (fun r -> if (not r.settled) && expired r then time_out t r) t.live;
+  t.live <- List.filter (fun r -> not r.settled) t.live
+
+(* --- admission --------------------------------------------------------- *)
+
 let reject_submit t conn ~id (rej : Protocol.reject) =
   Telemetry.rejected t.telemetry ~cid:conn.cid ~code:rej.code;
-  send t conn (Protocol.error ~id rej)
+  send conn (Protocol.error ~id rej)
 
-let handle_submit t conn (s : Protocol.submit) =
+(* The fixed order keeps rejections deterministic under test. *)
+let handle_submit t w conn (s : Protocol.submit) =
   if t.shutting then
     reject_submit t conn ~id:s.id
       (Protocol.reject "shutting_down" "server is draining for shutdown")
@@ -178,19 +243,14 @@ let handle_submit t conn (s : Protocol.submit) =
               else None
         in
         let now = Unix.gettimeofday () in
-        let cancel =
-          Vp_exec.Cancel.create
-            ?deadline:(Option.map (fun ts -> now +. ts) timeout)
-            ()
-        in
         let r =
           {
             rid = s.id;
             rconn = conn;
             total = List.length s.experiments;
-            done_count = 0;
+            delivered = 0;
             settled = false;
-            cancel;
+            deadline = Option.map (fun ts -> now +. ts) timeout;
             rt0 = now;
           }
         in
@@ -198,130 +258,77 @@ let handle_submit t conn (s : Protocol.submit) =
         t.outstanding <- t.outstanding + 1;
         t.live <- r :: t.live;
         Telemetry.accepted t.telemetry ~cid:conn.cid;
-        send t conn
+        send conn
           (Protocol.accepted ~id:s.id ~artifacts:s.experiments
              ~queue_depth:t.outstanding);
-        (* Declare every artifact before subscribing can settle the
-           request: declaration is cheap (payloads run on the worker
-           domains), and the callbacks only touch the completion queue. *)
-        List.iter
-          (fun artifact ->
-            let node = Spec.declare_artifact t.graph spec artifact in
-            G.on_complete t.graph node (fun result ->
-                push_completion t
-                  { c_req = r; c_artifact = artifact; c_result = result }))
-          s.experiments
+        w.dispatch r spec { s with timeout_s = timeout }
 
-let handle_frame t conn payload =
+let handle_frame t w conn payload =
   match Jsonx.parse payload with
   | Error msg ->
-      send t conn
+      send conn
         (Protocol.error ~id:""
            (Protocol.reject "bad_request" "unparseable frame: %s" msg))
   | Ok json -> (
       Telemetry.received t.telemetry;
       match Protocol.request_of_json json with
       | Error (id, rej) -> reject_submit t conn ~id rej
-      | Ok (Protocol.Ping id) -> send t conn (Protocol.event ~id ~event:"pong" [])
+      | Ok (Protocol.Ping id) -> send conn (Protocol.event ~id ~event:"pong" [])
       | Ok (Protocol.Stats id) ->
-          send t conn
-            (Protocol.event ~id ~event:"stats" [ ("stats", stats_json t) ])
+          w.stats (fun sections ->
+              send conn
+                (Protocol.event ~id ~event:"stats"
+                   [ ("stats", stats_json t sections) ]))
       | Ok (Protocol.Shutdown id) ->
           t.shutting <- true;
-          send t conn (Protocol.event ~id ~event:"shutting_down" [])
-      | Ok (Protocol.Submit s) -> handle_submit t conn s)
-
-let time_out_request t (r : req) =
-  Vp_exec.Cancel.cancel r.cancel ~reason:"request timeout";
-  send t r.rconn
-    (Protocol.error ~id:r.rid
-       (Protocol.reject "timeout"
-          "request exceeded its budget after %d/%d artifacts" r.done_count
-          r.total));
-  settle_request t r;
-  Telemetry.timed_out t.telemetry ~cid:r.rconn.cid
-
-let handle_completion t (c : completion) =
-  let r = c.c_req in
-  (* budget enforcement is by deadline, not by luck of scheduling: a
-     result that arrives past the request's deadline is a timeout even if
-     no tick has fired yet *)
-  if (not r.settled) && Vp_exec.Cancel.should_stop r.cancel then
-    time_out_request t r;
-  if not r.settled then
-    match c.c_result with
-    | Ok data ->
-        send t r.rconn (Protocol.result ~id:r.rid ~artifact:c.c_artifact ~data);
-        r.done_count <- r.done_count + 1;
-        if r.done_count = r.total then begin
-          let wall = Unix.gettimeofday () -. r.rt0 in
-          send t r.rconn (Protocol.done_ ~id:r.rid ~wall_s:wall);
-          settle_request t r;
-          Telemetry.completed t.telemetry ~cid:r.rconn.cid ~wall
-        end
-    | Error msg ->
-        send t r.rconn
-          (Protocol.error ~id:r.rid
-             (Protocol.reject "job_failed" "%s (artifact %s)" msg c.c_artifact));
-        settle_request t r;
-        Telemetry.failed t.telemetry ~cid:r.rconn.cid
-
-let check_timeouts t =
-  List.iter
-    (fun r ->
-      if (not r.settled) && Vp_exec.Cancel.should_stop r.cancel then
-        time_out_request t r)
-    t.live;
-  t.live <- List.filter (fun r -> not r.settled) t.live
+          send conn (Protocol.event ~id ~event:"shutting_down" [])
+      | Ok (Protocol.Submit s) -> handle_submit t w conn s)
 
 (* --- socket plumbing --------------------------------------------------- *)
+
+let add_conn t fd ~peer =
+  let cid = t.next_cid in
+  t.next_cid <- cid + 1;
+  Telemetry.client_connected t.telemetry ~cid ~peer;
+  t.conns <-
+    { io = Frameio.create ~max_frame:t.cfg.max_frame fd; cid; outstanding = 0;
+      dropped = false }
+    :: t.conns
 
 let drop_conn t conn =
   if not conn.dropped then begin
     conn.dropped <- true;
     Telemetry.client_disconnected t.telemetry ~cid:conn.cid;
     (* requests of a vanished client: stop tracking, nothing to send *)
-    List.iter (fun r -> if r.rconn == conn then settle_request t r) t.live;
+    List.iter (fun r -> if r.rconn == conn then settle t r) t.live;
     t.live <- List.filter (fun r -> not r.settled) t.live;
     Frameio.close conn.io;
     t.conns <- List.filter (fun c -> not (c == conn)) t.conns
   end
 
-let accept_loop t listener ~peer_name =
+let accept_loop t listener =
   let rec go () =
     match Unix.accept ~cloexec:true listener with
     | fd, addr ->
         Unix.set_nonblock fd;
-        let cid = t.next_cid in
-        t.next_cid <- cid + 1;
-        let peer =
-          match addr with
-          | Unix.ADDR_UNIX _ -> peer_name
-          | Unix.ADDR_INET (host, port) ->
-              Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-        in
-        let conn =
-          {
-            io = Frameio.create ~max_frame:t.cfg.max_frame fd;
-            cid;
-            outstanding = 0;
-            dropped = false;
-          }
-        in
-        Telemetry.client_connected t.telemetry ~cid ~peer;
-        t.conns <- conn :: t.conns;
+        add_conn t fd
+          ~peer:
+            (match addr with
+            | Unix.ADDR_UNIX _ -> t.cfg.socket_path
+            | Unix.ADDR_INET (host, port) ->
+                Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port);
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
 
-let read_conn t conn =
-  match Frameio.read_step conn.io ~on_frame:(handle_frame t conn) with
+let read_conn t w conn =
+  match Frameio.read_step conn.io ~on_frame:(handle_frame t w conn) with
   | `Ok | `Closed -> ()
   | `Eof | `Io_error -> drop_conn t conn
   | `Frame_error msg ->
-      send t conn (Protocol.error ~id:"" (Protocol.reject "protocol" "%s" msg));
+      send conn (Protocol.error ~id:"" (Protocol.reject "protocol" "%s" msg));
       (* flush the error best-effort, then drop *)
       ignore (Frameio.write_step conn.io);
       drop_conn t conn
@@ -356,173 +363,205 @@ let tcp_listener port =
   Unix.set_nonblock fd;
   fd
 
-(* --- shared scaffolding ------------------------------------------------ *)
+(* --- the loop ---------------------------------------------------------- *)
 
-let make ~exec cfg =
-  let graph = G.create exec in
-  G.set_node_cap graph cfg.node_cap;
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  {
-    cfg;
-    exec;
-    graph;
-    telemetry = Telemetry.create ();
-    cmutex = Mutex.create ();
-    completions = [];
-    wake_r;
-    wake_w;
-    conns = [];
-    live = [];
-    outstanding = 0;
-    shutting = false;
-    next_cid = 1;
-    last_stats = Unix.gettimeofday ();
-  }
+let close_listeners t =
+  List.iter close_quiet t.listeners;
+  t.listeners <- []
 
-let drain_wake t =
-  let buf = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | n when n > 0 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let close_wake t =
-  (try Unix.close t.wake_r with Unix.Unix_error (_, _, _) -> ());
-  try Unix.close t.wake_w with Unix.Unix_error (_, _, _) -> ()
-
-let maybe_write_stats t =
+let maybe_snapshot t w =
   match t.cfg.stats_file with
-  | Some _ ->
+  | Some _ when not (t.draining || t.snapshot_pending) ->
       let now = Unix.gettimeofday () in
       if now -. t.last_stats >= t.cfg.stats_every_s then begin
         t.last_stats <- now;
-        write_stats_file t
+        t.snapshot_pending <- true;
+        w.stats (fun sections ->
+            t.snapshot_pending <- false;
+            write_stats_file t (stats_json t sections))
       end
-  | None -> ()
+  | _ -> ()
 
-(* --- main loop --------------------------------------------------------- *)
-
-let interrupted = Atomic.make false
-
-let run ?(on_ready = fun () -> ()) ~exec cfg =
-  let t = make ~exec cfg in
-  let unix_l = unix_listener cfg.socket_path in
-  let tcp_l = Option.map tcp_listener cfg.tcp_port in
-  let listeners = unix_l :: Option.to_list tcp_l in
-  Atomic.set interrupted false;
-  (* The handler also writes the self-pipe so a signal that lands just
-     before an idle (infinite-timeout) select still wakes the loop. *)
-  let on_signal _ =
-    Atomic.set interrupted true;
-    wake t
-  in
-  let old_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
-  let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
-  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  G.start_workers t.graph;
-  on_ready ();
-  let listeners_open = ref true in
-  let close_listeners () =
-    if !listeners_open then begin
-      listeners_open := false;
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-        listeners
-    end
-  in
-  let finished () =
-    t.shutting && t.outstanding = 0
-    && List.for_all (fun c -> not (Frameio.pending_out c.io)) t.conns
-  in
-  let rec loop () =
-    if Atomic.get interrupted then t.shutting <- true;
-    if t.shutting then close_listeners ();
-    if not (finished ()) then begin
-      let reads =
-        (t.wake_r :: (if !listeners_open then listeners else []))
-        @ List.map (fun c -> Frameio.fd c.io) t.conns
-      in
-      let writes =
-        List.filter_map
+let rec loop t w =
+  (* with no listener and no connection left, nothing can arrive *)
+  if Atomic.get t.interrupted || (t.listeners = [] && t.conns = []) then
+    t.shutting <- true;
+  if t.shutting then begin
+    close_listeners t;
+    if t.outstanding = 0 then t.draining <- true
+  end;
+  if
+    not
+      (t.draining && w.wind_down ()
+      && List.for_all (fun c -> not (Frameio.pending_out c.io)) t.conns)
+  then begin
+    let work_reads, work_writes = w.fds () in
+    let reads =
+      (t.wake_r :: t.listeners) @ work_reads
+      @ List.map (fun c -> Frameio.fd c.io) t.conns
+    in
+    let writes =
+      work_writes
+      @ List.filter_map
           (fun c ->
             if Frameio.pending_out c.io then Some (Frameio.fd c.io) else None)
           t.conns
-      in
-      (* Only tick when something is time-driven: request deadlines or
-         periodic stats snapshots (shutdown progress is event-driven but
-         ticks too, cheaply, as a backstop). A fully idle daemon blocks
-         until a socket or the self-pipe wakes it — zero allocation and
-         zero CPU between requests, which also keeps a resident daemon
-         from defeating heap stabilization (Gc.compact convergence) for
-         anything else in the process, e.g. the bench harness. *)
-      let timeout =
-        if t.live = [] && (not t.shutting) && t.cfg.stats_file = None then
-          -1.0
-        else 0.2
-      in
-      let readable, writable, _ =
-        match Unix.select reads writes [] timeout with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if List.mem t.wake_r readable then drain_wake t;
-      if !listeners_open then
-        List.iter
-          (fun l ->
-            if List.mem l readable then
-              accept_loop t l
-                ~peer_name:
-                  (if Some l = tcp_l then "tcp" else cfg.socket_path))
-          listeners;
-      List.iter
-        (fun c -> if List.mem (Frameio.fd c.io) readable then read_conn t c)
-        t.conns;
-      List.iter (handle_completion t) (take_completions t);
-      check_timeouts t;
-      List.iter
-        (fun c ->
-          if List.mem (Frameio.fd c.io) writable && Frameio.pending_out c.io
-          then write_conn t c)
-        t.conns;
-      (* opportunistic flush: frames enqueued this iteration *)
-      List.iter
-        (fun c -> if Frameio.pending_out c.io then write_conn t c)
-        t.conns;
-      maybe_write_stats t;
-      loop ()
-    end
+    in
+    (* Only tick when something is time-driven: request deadlines or
+       periodic stats snapshots (shutdown progress is event-driven but
+       ticks too, cheaply, as a backstop). Otherwise the work side says:
+       an idle in-process daemon blocks until a socket or the self-pipe
+       wakes it — zero allocation and zero CPU between requests, which
+       also keeps a resident daemon from defeating heap stabilization
+       (Gc.compact convergence) for anything else in the process, e.g.
+       the bench harness. *)
+    let timeout =
+      if t.live <> [] || t.shutting || t.cfg.stats_file <> None then 0.2
+      else w.idle_timeout
+    in
+    let readable, _, _ =
+      match Unix.select reads writes [] timeout with
+      | r -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    if List.mem t.wake_r readable then drain_wake t;
+    List.iter (fun l -> if List.mem l readable then accept_loop t l) t.listeners;
+    List.iter
+      (fun c -> if List.mem (Frameio.fd c.io) readable then read_conn t w c)
+      t.conns;
+    w.step readable;
+    check_timeouts t;
+    maybe_snapshot t w;
+    List.iter (fun c -> if Frameio.pending_out c.io then write_conn t c) t.conns;
+    loop t w
+  end
+
+(* Run the loop until it winds down, on the listeners (with SIGINT and
+   SIGTERM draining it) or, for a shard, on the one [link] connection. *)
+let run_front ?(on_ready = fun () -> ()) ?link cfg make_work =
+  let listeners =
+    match link with
+    | Some _ -> []
+    | None ->
+        unix_listener cfg.socket_path
+        :: Option.to_list (Option.map tcp_listener cfg.tcp_port)
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let t =
+    {
+      cfg;
+      telemetry = Telemetry.create ();
+      wake_r;
+      wake_w;
+      interrupted = Atomic.make false;
+      listeners;
+      conns = [];
+      live = [];
+      outstanding = 0;
+      shutting = false;
+      draining = false;
+      next_cid = 1;
+      last_stats = Unix.gettimeofday ();
+      snapshot_pending = false;
+    }
+  in
+  Option.iter
+    (fun fd ->
+      Unix.set_nonblock fd;
+      add_conn t fd ~peer:"supervisor")
+    link;
+  (* A sharded work side forks here, before any domain exists; its
+     children close what they inherit of the above. *)
+  let w = make_work t in
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let restore =
+    match link with
+    | Some _ -> fun () -> Sys.set_signal Sys.sigpipe old_pipe
+    | None ->
+        (* The handler also writes the self-pipe so a signal that lands
+           just before an idle (infinite-timeout) select still wakes the
+           loop. *)
+        let on_signal _ =
+          Atomic.set t.interrupted true;
+          wake t
+        in
+        let old_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
+        let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
+        fun () ->
+          (try Sys.remove cfg.socket_path with Sys_error _ -> ());
+          Sys.set_signal Sys.sigint old_int;
+          Sys.set_signal Sys.sigterm old_term;
+          Sys.set_signal Sys.sigpipe old_pipe
+  in
+  on_ready ();
+  let final = ref (Jsonx.Obj []) in
   Fun.protect
     ~finally:(fun () ->
-      close_listeners ();
-      G.stop_workers t.graph;
-      write_stats_file t;
-      List.iter (fun c -> drop_conn t c) t.conns;
-      close_wake t;
-      (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-      Sys.set_signal Sys.sigint old_int;
-      Sys.set_signal Sys.sigterm old_term;
-      Sys.set_signal Sys.sigpipe old_pipe)
-    loop;
-  stats_json t
+      close_listeners t;
+      final := stats_json t (w.stop ());
+      write_stats_file t !final;
+      List.iter (drop_conn t) t.conns;
+      close_quiet t.wake_r;
+      close_quiet t.wake_w;
+      restore ())
+    (fun () -> loop t w);
+  !final
 
-(* --- shard worker loop ------------------------------------------------- *)
+let serve ?on_ready cfg make_work = run_front ?on_ready cfg make_work
 
-(* One shard of the sharded daemon: the same serve loop over exactly one
-   connection — the socketpair to the supervisor — with no listeners and
-   no signal handling (the forked child ignores SIGINT/SIGTERM; the
-   supervisor owns the process group's lifecycle and tells us to drain
-   with a [shutdown] frame, or vanishes, which reads as EOF). Admission
-   and client-facing timeouts live in the supervisor; the worker's own
-   quotas are effectively unbounded and deadlines arrive as explicit
-   [timeout_s] on each forwarded sub-request. *)
-let run_worker ?(on_ready = fun () -> ()) ~exec cfg fd =
+(* --- the in-process work side ------------------------------------------ *)
+
+let local ~exec cfg t =
+  let graph = G.create exec in
+  G.set_node_cap graph cfg.node_cap;
+  let lock = Mutex.create () and completions = ref [] in
+  let sections () =
+    Telemetry.pool_sections
+      (Vp_exec.Progress.snapshot exec.Vp_exec.Context.progress)
+  in
+  G.start_workers graph;
+  {
+    dispatch =
+      (fun r spec (s : Protocol.submit) ->
+        List.iter
+          (fun artifact ->
+            let node = Spec.declare_artifact graph spec artifact in
+            G.on_complete graph node (fun result ->
+                Mutex.protect lock (fun () ->
+                    completions := (r, artifact, result) :: !completions);
+                wake t))
+          s.experiments);
+    step =
+      (fun _ ->
+        let taken =
+          Mutex.protect lock (fun () ->
+              let cs = !completions in
+              completions := [];
+              cs)
+        in
+        List.iter
+          (fun (r, artifact, result) ->
+            match result with
+            | Ok data -> deliver t r ~artifact ~data
+            | Error msg ->
+                fail t r
+                  (Protocol.reject "job_failed" "%s (artifact %s)" msg artifact))
+          (List.rev taken));
+    fds = (fun () -> ([], []));
+    stats = (fun k -> k (sections ()));
+    idle_timeout = -1.0;
+    wind_down = (fun () -> true);
+    stop =
+      (fun () ->
+        G.stop_workers graph;
+        sections ());
+  }
+
+let run ?on_ready ~exec cfg = run_front ?on_ready cfg (local ~exec cfg)
+
+let run_worker ?on_ready ~exec cfg fd =
   let cfg =
     {
       cfg with
@@ -532,58 +571,4 @@ let run_worker ?(on_ready = fun () -> ()) ~exec cfg fd =
       stats_file = None;
     }
   in
-  let t = make ~exec cfg in
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  Unix.set_nonblock fd;
-  let conn =
-    {
-      io = Frameio.create ~max_frame:cfg.max_frame fd;
-      cid = 0;
-      outstanding = 0;
-      dropped = false;
-    }
-  in
-  Telemetry.client_connected t.telemetry ~cid:0 ~peer:"supervisor";
-  t.conns <- [ conn ];
-  G.start_workers t.graph;
-  on_ready ();
-  let finished () =
-    conn.dropped
-    || (t.shutting && t.outstanding = 0 && not (Frameio.pending_out conn.io))
-  in
-  let rec loop () =
-    if not (finished ()) then begin
-      let reads = [ t.wake_r; Frameio.fd conn.io ] in
-      let writes =
-        if Frameio.pending_out conn.io then [ Frameio.fd conn.io ] else []
-      in
-      let timeout = if t.live = [] && not t.shutting then -1.0 else 0.2 in
-      let readable, writable, _ =
-        match Unix.select reads writes [] timeout with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if List.mem t.wake_r readable then drain_wake t;
-      if (not conn.dropped) && List.mem (Frameio.fd conn.io) readable then
-        read_conn t conn;
-      List.iter (handle_completion t) (take_completions t);
-      check_timeouts t;
-      if
-        (not conn.dropped)
-        && (List.mem (Frameio.fd conn.io) writable
-           || Frameio.pending_out conn.io)
-      then write_conn t conn;
-      loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      G.stop_workers t.graph;
-      (* the workers may have settled more nodes while draining *)
-      List.iter (handle_completion t) (take_completions t);
-      if (not conn.dropped) && Frameio.pending_out conn.io then
-        ignore (Frameio.write_step conn.io);
-      drop_conn t conn;
-      close_wake t)
-    loop;
-  stats_json t
+  run_front ?on_ready ~link:fd cfg (local ~exec cfg)

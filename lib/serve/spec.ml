@@ -13,20 +13,7 @@
 
 module G = Vp_exec.Graph
 
-(* --- config construction ------------------------------------------------ *)
-
-(* Mirror of the CLI's config construction (bin/vliw_vp.ml) — byte-identity
-   of served results with direct runs depends on building the identical
-   [Config.t], which also makes the job keys (and so dedup and the warm
-   cache) line up. *)
-let build_config ~width ~seed ~threshold =
-  let base = Vliw_vp.Config.default in
-  {
-    base with
-    Vliw_vp.Config.width;
-    seed;
-    policy = { base.policy with threshold };
-  }
+(* --- machine-config overrides ------------------------------------------ *)
 
 (* Wire names for profiling-predictor kinds ("stride", "fcm-2", ...). *)
 let predictor_of_name name =
@@ -141,25 +128,15 @@ type t = {
          all by a caller that needs no key *)
 }
 
-let resolve_models = function
-  | [] -> Ok Vp_workload.Spec_model.all
-  | names ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-            match Vp_workload.Spec_model.by_name n with
-            | Some m -> go (m :: acc) rest
-            | None -> Error n)
-      in
-      go [] names
-
 let of_submit (s : Protocol.submit) : (t, Protocol.reject) result =
-  match resolve_models s.benchmarks with
+  match Vp_workload.Spec_model.resolve s.benchmarks with
   | Error name ->
       Error (Protocol.reject "unknown_benchmark" "unknown benchmark %S" name)
   | Ok models -> (
+      (* the CLI's construction too: served bytes equal CLI bytes, and
+         job keys (so dedup and the warm store) line up *)
       let base =
-        build_config ~width:s.width ~seed:s.seed ~threshold:s.threshold
+        Vliw_vp.Config.make ~width:s.width ~seed:s.seed ~threshold:s.threshold
       in
       match apply_overrides base s.overrides with
       | Error msg -> Error (Protocol.reject "bad_config" "%s" msg)
@@ -229,17 +206,6 @@ let render_key spec ~artifact =
 let shard_of_key ~workers key =
   if workers <= 1 then 0
   else int_of_string ("0x" ^ String.sub key 0 7) mod workers
-
-let ablate_sweeps =
-  [
-    ("threshold", Vliw_vp.Experiments.threshold_sweep);
-    ("predictions", Vliw_vp.Experiments.prediction_budget_sweep);
-    ("ccb", Vliw_vp.Experiments.ccb_capacity_sweep);
-    ("syncbits", Vliw_vp.Experiments.sync_width_sweep);
-    ("ccewidth", Vliw_vp.Experiments.cce_width_sweep);
-    ("predictors", Vliw_vp.Experiments.predictor_sweep);
-    ("accounting", Vliw_vp.Experiments.accounting_sweep);
-  ]
 
 (* --- artifact declaration ----------------------------------------------- *)
 
@@ -337,7 +303,7 @@ let declare g spec artifact ~key : string G.node =
             then
               List.assoc_opt
                 (String.sub artifact 7 (String.length artifact - 7))
-                ablate_sweeps
+                E.ablation_sweeps
             else None
           with
           | None ->

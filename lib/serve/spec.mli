@@ -26,16 +26,6 @@ val of_submit : Protocol.submit -> (t, Protocol.reject) result
     custom-sweep points ([bad_sweep]). Pure — admission decisions
     (quotas, shutdown) stay with the caller. *)
 
-val build_config :
-  width:int -> seed:int -> threshold:float -> Vliw_vp.Config.t
-(** The CLI-equivalent core configuration (see bin/vliw_vp.ml);
-    byte-identity of served results depends on both sides building the
-    identical [Config.t]. *)
-
-val resolve_models :
-  string list -> (Vp_workload.Spec_model.t list, string) result
-(** [[]] means the full benchmark set; [Error name] on an unknown one. *)
-
 val render_key : t -> artifact:string -> string
 (** Content address of one artifact's render node: the hex digest of the
     spec's shared digest, a sweep salt and the artifact name. The shared

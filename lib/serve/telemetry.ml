@@ -125,9 +125,9 @@ let latency_json t =
           (if t.n_lat = 0 then 0.0 else 1000.0 *. sorted.(t.n_lat - 1)) );
     ]
 
-(* Server-side sections alone: uptime, request counters, latency
-   percentiles, per-client counters. The supervisor composes these with
-   graph/cache sections aggregated across its workers' snapshots. *)
+(* The serve loop's sections: uptime, request counters, latency
+   percentiles, per-client counters. A stats object is these followed by
+   the work side's graph/cache sections. *)
 let core_sections t ~queue_depth =
   let clients =
     Hashtbl.fold (fun _ c acc -> c :: acc) t.clients []
@@ -198,8 +198,3 @@ let pool_sections (pool : Vp_exec.Progress.snapshot) =
                else float_of_int pool.cache_hits /. float_of_int cache_total) );
         ] );
   ]
-
-(* The full stats object of a [stats] response and of the periodic
-   snapshot file. *)
-let json t ~(pool : Vp_exec.Progress.snapshot) ~queue_depth =
-  Jsonx.Obj (core_sections t ~queue_depth @ pool_sections pool)

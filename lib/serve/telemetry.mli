@@ -2,11 +2,10 @@
     percentiles. All calls happen on the serve loop thread — the type is
     deliberately not thread-safe.
 
-    The [stats] response and the periodic snapshot file both render
-    {!json}, which combines these server-side counters with the shared
-    execution context's {!Vp_exec.Progress.snapshot} — the cache hit rate
-    and in-flight dedup count that prove overlapping requests resolve to
-    one computation. *)
+    The [stats] response and the periodic snapshot file both combine
+    these counters with the work side's graph and cache counters — the
+    cache hit rate and in-flight dedup count that prove overlapping
+    requests resolve to one computation. *)
 
 type t
 
@@ -28,17 +27,15 @@ val failed : t -> cid:int -> unit
 val timed_out : t -> cid:int -> unit
 val rejected : t -> cid:int -> code:string -> unit
 
-(** {1 Rendering} *)
+(** {1 Rendering}
 
-val json : t -> pool:Vp_exec.Progress.snapshot -> queue_depth:int -> Jsonx.t
-(** The full stats object: {!core_sections} followed by
-    {!pool_sections}. *)
+    A stats object is {!core_sections} followed by the work side's
+    sections: {!pool_sections} of the one graph in process, or those of
+    every shard summed, plus a [workers] section, by the supervisor. *)
 
 val core_sections : t -> queue_depth:int -> (string * Jsonx.t) list
-(** Just the server-side sections ([uptime_s], [requests], [latency],
-    [clients]) — the supervisor composes these with graph/cache sections
-    aggregated across its workers' snapshots and a [workers] section of
-    its own. *)
+(** The serve loop's sections: [uptime_s], [requests], [latency],
+    [clients]. *)
 
 val pool_sections : Vp_exec.Progress.snapshot -> (string * Jsonx.t) list
 (** The [graph] and [cache] sections of one execution context's

@@ -321,6 +321,14 @@ let by_name name =
   let name = if name = "tjpeg" then "ijpeg" else name in
   List.find_opt (fun t -> t.name = name) all
 
+let resolve names =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | n :: rest -> (
+        match by_name n with Some m -> go (m :: acc) rest | None -> Error n)
+  in
+  if names = [] then Ok all else go [] names
+
 let draw_from mix rng =
   let weights = Array.of_list (List.map (fun sw -> sw.weight) mix) in
   let i = Vp_util.Rng.weighted_index rng weights in

@@ -76,6 +76,11 @@ val spec_fp : t list
 val by_name : string -> t option
 (** Case-insensitive lookup; accepts "tjpeg" as an alias for ijpeg. *)
 
+val resolve : string list -> (t list, string) result
+(** The models a benchmark list names, in its order, through {!by_name};
+    [[]] means {!all}. [Error name] carries the first unknown name, so
+    each caller words its own message. *)
+
 val draw_shape : ?chained:bool -> t -> Vp_util.Rng.t -> Value_stream.shape
 (** Sample a load value-stream shape; [~chained:true] (the load's address is
     another load's result) uses [chain_mix]. *)

@@ -232,6 +232,28 @@ let parse_req s =
   | Error e -> Alcotest.fail e
   | Ok j -> P.request_of_json j
 
+let frame_id frame =
+  match J.parse frame with
+  | Ok j -> Option.value ~default:"" (J.string_member "id" j)
+  | Error e -> Alcotest.fail e
+
+(* Submit frames each with one field of the wrong type, and the field its
+   rejection must name. [1e400] is a budget JSON cannot keep finite:
+   [Jsonx] reads it as infinity, which no deadline and no frame forwarded
+   to a shard can carry. *)
+let ill_typed_submits =
+  [
+    ({|{"op":"submit","id":"inf","timeout_s":1e400}|}, "timeout_s");
+    ({|{"op":"submit","id":"soon","timeout_s":"soon"}|}, "timeout_s");
+    ({|{"op":"submit","id":"w","config":{"width":"8"}}|}, "width");
+    ({|{"op":"submit","id":"s","config":{"seed":"7"}}|}, "seed");
+    ({|{"op":"submit","id":"th","config":{"threshold":"0.7"}}|}, "threshold");
+    ({|{"op":"submit","id":"cfg","config":[4]}|}, "config");
+    ({|{"op":"submit","id":"b","benchmarks":"compress"}|}, "benchmarks");
+    ({|{"op":"submit","id":"e","experiments":"example"}|}, "experiments");
+    ({|{"op":"submit","id":"f","format":"CSV"}|}, "format");
+  ]
+
 let test_request_validation () =
   (match parse_req {|{"op":"submit","id":"r1","experiments":["table2"]}|} with
   | Ok (P.Submit s) ->
@@ -284,6 +306,32 @@ let test_request_validation () =
   (match parse_req {|{"id":"r5"}|} with
   | Error (_, r) -> checks "code" "bad_request" r.code
   | Ok _ -> Alcotest.fail "missing op accepted");
+  List.iter
+    (fun (frame, field) ->
+      match parse_req frame with
+      | Error (id, r) ->
+          checks (frame ^ " id") (frame_id frame) id;
+          checks (frame ^ " code") "bad_request" r.code;
+          checkb
+            (Printf.sprintf "%s: message names %s (%s)" frame field r.message)
+            true
+            (contains ~sub:field r.message)
+      | Ok _ -> Alcotest.failf "%s accepted" frame)
+    ill_typed_submits;
+  (* zero and negative budgets parse: they mean "no timeout" *)
+  List.iter
+    (fun t ->
+      match
+        parse_req
+          (Printf.sprintf {|{"op":"submit","id":"t","timeout_s":%s}|} t)
+      with
+      | Ok (P.Submit s) ->
+          checkb ("timeout_s " ^ t ^ " kept") true (s.timeout_s <> None)
+      | _ -> Alcotest.failf "timeout_s %s refused" t)
+    [ "0"; "-5"; "0.5" ];
+  (match parse_req {|{"op":"submit","id":"c","format":"csv"}|} with
+  | Ok (P.Submit s) -> checkb "format csv" true s.csv
+  | _ -> Alcotest.fail "format csv refused");
   match parse_req {|{"op":"frobnicate","id":"r6"}|} with
   | Error (_, r) -> checks "code" "bad_request" r.code
   | Ok _ -> Alcotest.fail "unknown op accepted"
@@ -612,28 +660,42 @@ let test_e2e_overlap_identical_streams () =
       checks "against direct render" (Lazy.force direct_table2)
         (String.concat "" (List.map snd o1.results)))
 
-let test_e2e_admission_overloaded () =
-  with_server
-    ~cfg:(fun c -> { c with Vp_serve.Server.max_pending = 0 })
-    (fun client ->
+(* --- the envelope, against both daemons ---
+
+   Each case takes the daemon to run against: [run limits f] starts one
+   with the admission [limits] (given as the serve flags that set them),
+   runs [f ~socket client] and shuts it down. [in_process] is defined
+   here, [one_shard] with the sharded tests below. *)
+
+let in_process limits f =
+  with_server_at
+    ~cfg:(fun c ->
+      List.fold_left
+        (fun (c : Vp_serve.Server.config) -> function
+          | "--max-pending", n -> { c with max_pending = n }
+          | "--client-quota", n -> { c with client_quota = n }
+          | flag, _ -> invalid_arg flag)
+        c limits)
+    f
+
+let admission_overloaded run () =
+  run [ ("--max-pending", 0) ] (fun ~socket:_ client ->
       let o = Vp_serve.Client.submit client (table2_spec ()) in
       match o.error with
       | Some ("overloaded", _) -> ()
       | Some (code, _) -> Alcotest.failf "expected overloaded, got %s" code
       | None -> Alcotest.fail "admitted despite max_pending=0")
 
-let test_e2e_admission_quota () =
-  with_server
-    ~cfg:(fun c -> { c with Vp_serve.Server.client_quota = 0 })
-    (fun client ->
+let admission_quota run () =
+  run [ ("--client-quota", 0) ] (fun ~socket:_ client ->
       let o = Vp_serve.Client.submit client (table2_spec ()) in
       match o.error with
       | Some ("quota_exceeded", _) -> ()
       | Some (code, _) -> Alcotest.failf "expected quota_exceeded, got %s" code
       | None -> Alcotest.fail "admitted despite client_quota=0")
 
-let test_e2e_unknown_benchmark () =
-  with_server (fun client ->
+let unknown_benchmark run () =
+  run [] (fun ~socket:_ client ->
       let spec =
         Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
           ~benchmarks:[ "nonesuch" ] ()
@@ -645,46 +707,59 @@ let test_e2e_unknown_benchmark () =
           Alcotest.failf "expected unknown_benchmark, got %s" code
       | None -> Alcotest.fail "unknown benchmark accepted")
 
-let test_e2e_timeout () =
-  with_server (fun client ->
-      (* A cold request with a 1 us budget, which no request can meet: the
-         deadline is stamped at admission, and [Server.handle_completion]
-         checks it again before it delivers any result, so however fast
-         the work finishes the reply is a timeout. A budget a request can
+let timeout run () =
+  run [] (fun ~socket:_ client ->
+      (* A request with a 1 us budget, which no request can meet: the
+         deadline is stamped at admission, and [Server.deliver] checks it
+         again before it delivers any result, so however fast the work
+         finishes the reply is a timeout — cold, and warm, where the
+         in-process graph answers before any tick. A budget a request can
          meet would race the work: a cold table2 over compress can finish
          inside 10 ms. *)
-      let spec =
+      let spec ?timeout_s () =
         Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
-          ~benchmarks:[ "compress" ] ~seed:987 ~timeout_s:1e-6 ()
+          ~benchmarks:[ "compress" ] ~seed:987 ?timeout_s ()
       in
-      let t0 = Unix.gettimeofday () in
-      let o = Vp_serve.Client.submit client spec in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      (match o.error with
-      | Some ("timeout", _) -> ()
-      | Some (code, m) -> Alcotest.failf "expected timeout, got %s: %s" code m
-      | None -> Alcotest.fail "no timeout reported");
-      checkb "timeout reported promptly" true (elapsed < 5.0))
+      let expect_timeout label =
+        let t0 = Unix.gettimeofday () in
+        let o = Vp_serve.Client.submit client (spec ~timeout_s:1e-6 ()) in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        (match o.error with
+        | Some ("timeout", _) -> ()
+        | Some (code, m) ->
+            Alcotest.failf "%s: expected timeout, got %s: %s" label code m
+        | None -> Alcotest.failf "%s: no timeout reported" label);
+        checkb (label ^ ": timeout reported promptly") true (elapsed < 5.0)
+      in
+      expect_timeout "cold";
+      checkb "unbounded resubmit completes" true
+        ((Vp_serve.Client.submit client (spec ())).error = None);
+      expect_timeout "warm")
 
 (* [f exchange] over one raw connection, where [exchange payload] sends a
-   frame and returns the parsed reply. *)
+   frame and returns the parsed reply; a daemon that sends none within
+   10 s fails the case instead of hanging it. *)
 let with_raw_connection socket f =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
       f (fun payload ->
           P.write_frame fd payload;
           match P.read_frame fd with
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              Alcotest.failf "no reply within 10 s to %s" payload
           | None -> Alcotest.fail "connection closed without a reply"
           | Some reply -> (
               match J.parse reply with
               | Ok j -> j
               | Error e -> Alcotest.failf "unparseable reply: %s" e)))
 
-let test_e2e_stats_and_ping () =
-  with_server_at (fun ~socket client ->
+let stats_and_ping run () =
+  run [] (fun ~socket client ->
       (* A ping nested 100,000 levels deep is refused as a bad request
          before it reaches the protocol layer, and the same connection
          still gets its next ping answered. *)
@@ -713,6 +788,23 @@ let test_e2e_stats_and_ping () =
       let latency = Option.get (member "latency") in
       checki "latency count" 1
         (Option.value ~default:(-1) (J.int_member "count" latency)))
+
+(* Every ill-typed submit, the infinite budget first, is answered with a
+   structured [bad_request] under its own id — and before any [accepted]:
+   the parse is the reply. *)
+let ill_typed_submits_rejected run () =
+  run [] (fun ~socket _client ->
+      with_raw_connection socket (fun exchange ->
+          List.iter
+            (fun (frame, _) ->
+              let reply = exchange frame in
+              let member field =
+                Option.value ~default:"" (J.string_member field reply)
+              in
+              checks (frame ^ ": event") "error" (member "event");
+              checks (frame ^ ": code") "bad_request" (member "code");
+              checks (frame ^ ": id") (frame_id frame) (member "id"))
+            ill_typed_submits))
 
 let test_e2e_overrides_and_custom_sweep () =
   with_server (fun client ->
@@ -868,16 +960,18 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "vp_serve_shard_%d_%d" (Unix.getpid ()) !n)
 
-let with_sharded ?(workers = 2) f =
+let with_sharded_at ?(workers = 2) ?(flags = []) f =
   let socket = fresh_socket () in
   let cache = fresh_dir () in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Unix.create_process bin
-      [|
-        bin; "serve"; "--workers"; string_of_int workers; "--socket"; socket;
-        "--cache-dir"; cache; "-j"; "1"; "--timeout"; "120";
-      |]
+      (Array.of_list
+         ([
+            bin; "serve"; "--workers"; string_of_int workers; "--socket";
+            socket; "--cache-dir"; cache; "-j"; "1"; "--timeout"; "120";
+          ]
+         @ flags))
       Unix.stdin null null
   in
   Unix.close null;
@@ -917,7 +1011,15 @@ let with_sharded ?(workers = 2) f =
         | _ -> ()
       in
       reap ())
-    (fun () -> f client)
+    (fun () -> f ~socket client)
+
+let with_sharded ?workers f =
+  with_sharded_at ?workers (fun ~socket:_ client -> f client)
+
+let one_shard limits f =
+  with_sharded_at ~workers:1
+    ~flags:(List.concat_map (fun (flag, n) -> [ flag; string_of_int n ]) limits)
+    f
 
 let test_sharded_byte_identity () =
   with_sharded ~workers:2 (fun client ->
@@ -1041,11 +1143,12 @@ let () =
           tc "warm resubmit runs nothing" test_e2e_warm_resubmit_runs_nothing;
           tc "warm all is lookups" test_e2e_warm_all_is_lookups;
           tc "overlap identical streams" test_e2e_overlap_identical_streams;
-          tc "admission: overloaded" test_e2e_admission_overloaded;
-          tc "admission: quota" test_e2e_admission_quota;
-          tc "unknown benchmark" test_e2e_unknown_benchmark;
-          tc "timeout" test_e2e_timeout;
-          tc "stats and ping" test_e2e_stats_and_ping;
+          tc "admission: overloaded" (admission_overloaded in_process);
+          tc "admission: quota" (admission_quota in_process);
+          tc "unknown benchmark" (unknown_benchmark in_process);
+          tc "timeout" (timeout in_process);
+          tc "stats and ping" (stats_and_ping in_process);
+          tc "ill-typed submits" (ill_typed_submits_rejected in_process);
           tc "overrides and custom sweep" test_e2e_overrides_and_custom_sweep;
           tc "sweep point validation" test_e2e_sweep_point_validation;
           tc "node-cache eviction" test_e2e_node_cache_eviction;
@@ -1057,5 +1160,11 @@ let () =
           tc "byte identity" test_sharded_byte_identity;
           tc "warm all is lookups" test_sharded_warm_all_is_lookups;
           tc "worker lost and re-fork" test_sharded_worker_lost;
+          tc "admission: overloaded" (admission_overloaded one_shard);
+          tc "admission: quota" (admission_quota one_shard);
+          tc "unknown benchmark" (unknown_benchmark one_shard);
+          tc "timeout" (timeout one_shard);
+          tc "stats and ping" (stats_and_ping one_shard);
+          tc "ill-typed submits" (ill_typed_submits_rejected one_shard);
         ] );
     ]
