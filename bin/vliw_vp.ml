@@ -888,5 +888,4 @@ let () =
       fail "simulator deadlock: %s" m
   | exception Vp_exec.Context.Job_failed { key; label; message } ->
       fail "job %s failed (key %s): %s" label key message
-  | exception Vp_exec.Cancel.Cancelled m -> fail "cancelled: %s" m
   | exception Sys_error m -> fail "%s" m

@@ -73,8 +73,8 @@ val run_all :
     recomputation of anything already cached, and the context's progress
     sink accumulates telemetry. The default context is sequential,
     storeless and silent, and drains in declaration order — bit-identical
-    to the historical in-process evaluation. A failed or watchdog-killed
-    job raises {!Vp_exec.Context.Job_failed}. Suite drivers that want
+    to the historical in-process evaluation. A failed job raises
+    {!Vp_exec.Context.Job_failed}. Suite drivers that want
     several experiments on one barrier-free graph declare them through
     {!Suite} instead. *)
 

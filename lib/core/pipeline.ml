@@ -99,10 +99,12 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
     prep_recovery = recovery;
   }
 
-(* One lane arena per worker domain, reused across batch jobs — the lane
-   slabs are Bigarray-backed and sized to the largest block the domain has
-   seen, so steady-state batches allocate only their result records. *)
+(* One lane arena per worker domain, reused across batch jobs and
+   trace-sim replays — the lane slabs are Bigarray-backed and sized to the
+   largest block the domain has seen, so steady-state batches allocate
+   only their result records. *)
 let lanes_key = Domain.DLS.new_key Vp_engine.Compiled.Lanes.create
+let lanes () = Domain.DLS.get lanes_key
 
 (* Simulate a block's whole scenario set: compile the block once (through
    the spec-unit cache, so sweep points sharing the transform also share
@@ -129,7 +131,7 @@ let simulate_batch config prep =
       |]
   in
   let all =
-    Vp_engine.Compiled.run_bitset compiled (Domain.DLS.get lanes_key) ~vectors
+    Vp_engine.Compiled.run_bitset compiled (lanes ()) ~vectors
   in
   let unique =
     let seen = Hashtbl.create 16 in
@@ -386,10 +388,10 @@ let telemetry_json () =
   in
   Printf.sprintf
     "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
-     \"vectors_per_word\": %.2f, \"scalar_fallbacks\": %d, \
-     \"run_memo_hits\": %d, \"run_memo_misses\": %d}"
+     \"vectors_per_word\": %.2f, \"run_memo_hits\": %d, \
+     \"run_memo_misses\": %d}"
     s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
-    s.Vp_engine.Compiled.fallbacks runs.hits runs.misses
+    runs.hits runs.misses
 
 let run ?(config = Config.default) ?exec model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in

@@ -116,12 +116,16 @@ val reference_of_block : t -> int -> Vp_engine.Reference.t
 (** Reference execution of block [index] with its first dynamic load
     values — the one the pipeline simulated against. *)
 
+val lanes : unit -> Vp_engine.Compiled.Lanes.t
+(** The calling domain's lane arena, the one its scenario batches run in.
+    Anything else evaluating compiled blocks on this domain (the trace
+    simulator) reuses it instead of growing a second one. *)
+
 val telemetry_json : unit -> string
 (** Scenario-evaluation counters as a JSON object, for the [--telemetry]
     summary (the [spec_eval] section): how many lane words ran, how many
     vectors they carried ([vectors_per_word] is the resulting lane
-    occupancy), how many deadlocks fell back to a scalar replay, and the
-    whole-run memo's hit/miss counters. *)
+    occupancy), and the whole-run memo's hit/miss counters. *)
 
 val stats : t -> Vp_metrics.Summary.block_stats array
 (** Reduce to the metric layer's per-block records. *)

@@ -175,8 +175,10 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
    masks never seen by *any* prior run on that pipeline.
 
    Concurrency: runs on the same pipeline serialize on the state's lock
-   ([fb_outcomes] and the engine arena are shared scratch); runs on
-   different pipelines don't contend. The registry is a bounded memo
+   ([fb_outcomes] and the mask memos are shared scratch); runs on
+   different pipelines don't contend. The engine itself runs in the
+   calling domain's lane arena ([Pipeline.lanes]), which no other domain
+   touches. The registry is a bounded memo
    keyed physically on the pipeline, hashed on (model, seed, width), so
    resident memo memory stays capped alongside the per-block [Bounded]
    caps, and racing first runs of one pipeline share one state. *)
@@ -184,7 +186,6 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
 type sim_state = {
   ss_lock : Mutex.t;
   ss_blocks : fast_block option array; (* built on first execution *)
-  ss_scratch : Vp_engine.Compiled.Arena.t;
 }
 
 let states : (Pipeline.t, sim_state) Vp_util.Memo.t =
@@ -199,7 +200,6 @@ let state_for (p : Pipeline.t) =
       {
         ss_lock = Mutex.create ();
         ss_blocks = Array.make (Array.length p.blocks) None;
-        ss_scratch = Vp_engine.Compiled.Arena.create ();
       })
 
 let block_for ss config p bi spec =
@@ -404,8 +404,10 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           done)
     groups;
   (* Phase 2: replay the schedule over the precomputed outcome bits,
-     accumulating cycles through the per-block mask memo. *)
-  let scratch = ss.ss_scratch in
+     accumulating cycles through the per-block mask memo. A miss runs the
+     engine on its one vector, in schedule order, so the first deadlocking
+     execution raises, as in the per-execution loop. *)
+  let lanes = Pipeline.lanes () in
   let kpos = Array.make total_loads 0 in
   let cycles = ref 0 in
   let original_cycles = ref 0 in
@@ -443,8 +445,8 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           else begin
             incr engine_replays;
             let r =
-              Vp_engine.Compiled.run_scenario f.fb_compiled scratch
-                ~outcomes:f.fb_outcomes
+              (Vp_engine.Compiled.run_bitset f.fb_compiled lanes
+                 ~vectors:[| f.fb_outcomes |]).(0)
             in
             let eff = Config.effective_cycles config r in
             memo_add f.fb_memo !mask eff;

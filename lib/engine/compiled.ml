@@ -7,20 +7,21 @@
 
    - [compile] lowers a speculated block ONCE into flat immutable arrays:
      per-operation latencies, dense register indices, sync-bit ids,
-     prediction-dependency counts, per-cycle issue slots and wait-mask
-     words, and the reference results every scenario shares;
-   - [run_scenario] replays one outcome vector against the compiled form
-     using a caller-owned {!Arena.t} — preallocated register / event / CCB
-     buffers recycled with an epoch counter — so the per-scenario cost is
-     array resets, not allocation.
+     prediction-dependency counts, per-cycle issue slots and wait bits,
+     and the reference results every scenario shares;
+   - [run_bitset] replays a set of outcome vectors against the compiled
+     form, up to [Sys.int_size] of them per machine word, in a
+     caller-owned {!Lanes.t} of preallocated slabs, so the per-scenario
+     cost is slab resets, not allocation.
 
    The semantics are bit-for-bit those of [Dual_engine.run] (no observer):
    the event calendar preserves insertion order per cycle, prediction
    dependents are visited in ascending operation order, and the CCE operand
    scan reproduces the engine's fold exactly. [test_kernel_equiv] checks
-   structural equality of the result records on random blocks x random
-   outcome vectors; the paper tables are regenerated through this kernel
-   and must stay byte-identical to the oracle's output. *)
+   structural equality of the result records, and of the deadlock
+   messages, on random blocks x random outcome vectors; the paper tables
+   are regenerated through this kernel and must stay byte-identical to the
+   oracle's output. *)
 
 type osrc = O_verified | O_pred of int | O_spec of int
 
@@ -69,7 +70,6 @@ type t = {
   unresolved_init : int array;  (* per op: prediction-dependency count *)
   insn_ops : int array array;  (* static cycle -> op ids, ascending *)
   insn_spec : int array;  (* static cycle -> speculative ops in the insn *)
-  insn_mask : int array array;  (* static cycle -> wait-mask words *)
   insn_wait_bits : int array array;  (* static cycle -> wait-mask bit ids *)
   sync_words : int;
   nregs : int;
@@ -78,104 +78,6 @@ type t = {
   limit : int;
   horizon : int;  (* event-ring size: max latency + 2 *)
 }
-
-(* --- Arena: the reusable mutable half --- *)
-
-module Arena = struct
-  type t = {
-    mutable epoch : int;
-    (* register file: value valid iff stamp = epoch, else live-in *)
-    mutable reg_val : int array;
-    mutable reg_stamp : int array;
-    mutable sync : int array;
-    (* per prediction *)
-    mutable ovb_pred_known : int array;
-    (* per transformed op *)
-    mutable unresolved : int array;
-    mutable tainted : bool array;
-    mutable spec_correct_known : int array;
-    mutable cce_value_time : int array;
-    mutable captured_old : int array;
-    mutable correct_known_scheduled : bool array;
-    (* CCB ring *)
-    mutable ccb_s : int array;
-    mutable ccb_t : int array;
-    mutable ccb_head : int;
-    mutable ccb_len : int;
-    mutable ccb_high : int;
-    (* event calendar: ring of buckets, 3 ints (tag, a, b) per event *)
-    mutable ev_buf : int array array;
-    mutable ev_len : int array;
-    mutable pending : int;
-    (* store commits, in order *)
-    mutable stores_a : int array;
-    mutable stores_v : int array;
-    mutable stores_n : int;
-    (* accounting *)
-    mutable last_completion : int;
-    mutable vliw_last : int;
-    mutable stall_cycles : int;
-    mutable flushed : int;
-    mutable recomputed : int;
-  }
-
-  let create () =
-    {
-      epoch = 0;
-      reg_val = [||];
-      reg_stamp = [||];
-      sync = [||];
-      ovb_pred_known = [||];
-      unresolved = [||];
-      tainted = [||];
-      spec_correct_known = [||];
-      cce_value_time = [||];
-      captured_old = [||];
-      correct_known_scheduled = [||];
-      ccb_s = [||];
-      ccb_t = [||];
-      ccb_head = 0;
-      ccb_len = 0;
-      ccb_high = 0;
-      ev_buf = [||];
-      ev_len = [||];
-      pending = 0;
-      stores_a = [||];
-      stores_v = [||];
-      stores_n = 0;
-      last_completion = 0;
-      vliw_last = 0;
-      stall_cycles = 0;
-      flushed = 0;
-      recomputed = 0;
-    }
-end
-
-(* Grow (never shrink) the arena to the compiled block's needs. Growth
-   replaces with fresh zeroed arrays — every run resets the slices it uses,
-   and register stamps from other epochs are ignored by construction. *)
-let ensure (t : t) (a : Arena.t) =
-  let ints n arr = if Array.length arr < n then Array.make n 0 else arr in
-  let bools n arr = if Array.length arr < n then Array.make n false else arr in
-  a.Arena.reg_val <- ints t.nregs a.Arena.reg_val;
-  a.Arena.reg_stamp <- ints t.nregs a.Arena.reg_stamp;
-  a.Arena.sync <- ints t.sync_words a.Arena.sync;
-  a.Arena.ovb_pred_known <- ints t.num_preds a.Arena.ovb_pred_known;
-  a.Arena.unresolved <- ints t.new_n a.Arena.unresolved;
-  a.Arena.tainted <- bools t.new_n a.Arena.tainted;
-  a.Arena.spec_correct_known <- ints t.new_n a.Arena.spec_correct_known;
-  a.Arena.cce_value_time <- ints t.new_n a.Arena.cce_value_time;
-  a.Arena.captured_old <- ints t.new_n a.Arena.captured_old;
-  a.Arena.correct_known_scheduled <-
-    bools t.new_n a.Arena.correct_known_scheduled;
-  a.Arena.ccb_s <- ints (max 1 t.new_n) a.Arena.ccb_s;
-  a.Arena.ccb_t <- ints (max 1 t.new_n) a.Arena.ccb_t;
-  a.Arena.stores_a <- ints (max 1 t.new_n) a.Arena.stores_a;
-  a.Arena.stores_v <- ints (max 1 t.new_n) a.Arena.stores_v;
-  if Array.length a.Arena.ev_len < t.horizon then begin
-    a.Arena.ev_len <- Array.make t.horizon 0;
-    a.Arena.ev_buf <- Array.init t.horizon (fun _ -> Array.make 24 0)
-  end
 
 (* --- Compile phase --- *)
 
@@ -330,19 +232,15 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
         List.length (List.filter Vp_ir.Operation.is_speculative l))
       insns
   in
-  let insn_mask =
-    Array.init (Array.length insns) (fun c ->
-        Vp_util.Bitset.to_words sb.wait_masks.(c))
-  in
   let insn_wait_bits =
     Array.init (Array.length insns) (fun c ->
         Array.of_list (Vp_util.Bitset.elements sb.wait_masks.(c)))
   in
   let sync_words =
     Array.fold_left
-      (fun acc m -> max acc (Array.length m))
+      (Array.fold_left (fun acc b -> max acc ((b / Sys.int_size) + 1)))
       (max 1 ((sb.sync_bits_used / Sys.int_size) + 1))
-      insn_mask
+      insn_wait_bits
   in
   let reg_init = Array.make (max 1 !nregs) 0 in
   List.iter (fun r -> reg_init.(Hashtbl.find reg_ids r) <- live_in r) !reg_list;
@@ -368,7 +266,6 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
     unresolved_init;
     insn_ops;
     insn_spec;
-    insn_mask;
     insn_wait_bits;
     sync_words;
     nregs = max 1 !nregs;
@@ -385,7 +282,20 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
 
 let num_predictions t = t.num_preds
 
-(* --- Run phase --- *)
+(* --- Run phase: up to [Sys.int_size] outcome vectors per word ---
+
+   Every per-scenario boolean of the machine (a sync bit, a taint flag, an
+   outcome) is one machine word whose bit [i] tracks lane [i]; every
+   per-scenario integer (a register value, an event time, a CCB slot) is a
+   64-stride row of a Bigarray, so one pass over the compiled block
+   advances all lanes together. Lanes share the global clock — each lane's
+   row is exactly the state [Dual_engine.run] holds for that lane's
+   vector, only the representation is shared — and a shared event calendar
+   carries a lane mask per entry, appended in each lane's own order, so
+   per-lane insertion order (the only order the results can observe) is
+   preserved. Values are computed once per event when the source registers
+   agree across the participating lanes ([reg_div] tracks which lanes have
+   diverged from the shared [reg_base] value) and per lane otherwise. *)
 
 (* Event tags. *)
 let ev_write = 0 (* a = dense register, b = value *)
@@ -394,356 +304,6 @@ let ev_ovb = 2 (* a = prediction index *)
 let ev_spec_known = 3 (* a = op id *)
 let ev_cce = 4 (* a = op id, b = value *)
 let ev_store = 5 (* a = address, b = value *)
-
-let[@inline] reg_read (t : t) (a : Arena.t) idx =
-  if a.Arena.reg_stamp.(idx) = a.Arena.epoch then a.Arena.reg_val.(idx)
-  else t.reg_init.(idx)
-
-let[@inline] reg_write (a : Arena.t) idx v =
-  a.Arena.reg_val.(idx) <- v;
-  a.Arena.reg_stamp.(idx) <- a.Arena.epoch
-
-let[@inline] sync_set (a : Arena.t) bit =
-  let w = bit / Sys.int_size and b = bit mod Sys.int_size in
-  a.Arena.sync.(w) <- a.Arena.sync.(w) lor (1 lsl b)
-
-let[@inline] sync_clear (a : Arena.t) bit =
-  let w = bit / Sys.int_size and b = bit mod Sys.int_size in
-  a.Arena.sync.(w) <- a.Arena.sync.(w) land lnot (1 lsl b)
-
-let[@inline] complete_at (a : Arena.t) time =
-  if time > a.Arena.last_completion then a.Arena.last_completion <- time
-
-let[@inline] vliw_complete_at (a : Arena.t) time =
-  complete_at a time;
-  if time > a.Arena.vliw_last then a.Arena.vliw_last <- time
-
-let schedule_event (t : t) (a : Arena.t) time tag x y =
-  let b = time mod t.horizon in
-  let len = a.Arena.ev_len.(b) in
-  let buf = a.Arena.ev_buf.(b) in
-  let buf =
-    if (3 * len) + 3 > Array.length buf then begin
-      let nbuf = Array.make (max 24 (2 * Array.length buf)) 0 in
-      Array.blit buf 0 nbuf 0 (3 * len);
-      a.Arena.ev_buf.(b) <- nbuf;
-      nbuf
-    end
-    else buf
-  in
-  buf.(3 * len) <- tag;
-  buf.((3 * len) + 1) <- x;
-  buf.((3 * len) + 2) <- y;
-  a.Arena.ev_len.(b) <- len + 1;
-  a.Arena.pending <- a.Arena.pending + 1
-
-let ccb_push (a : Arena.t) s time =
-  let phys = Array.length a.Arena.ccb_s in
-  let tail = a.Arena.ccb_head + a.Arena.ccb_len in
-  let tail = if tail >= phys then tail - phys else tail in
-  a.Arena.ccb_s.(tail) <- s;
-  a.Arena.ccb_t.(tail) <- time;
-  a.Arena.ccb_len <- a.Arena.ccb_len + 1;
-  if a.Arena.ccb_len > a.Arena.ccb_high then a.Arena.ccb_high <- a.Arena.ccb_len
-
-let ccb_pop (a : Arena.t) =
-  let phys = Array.length a.Arena.ccb_s in
-  let head = a.Arena.ccb_head + 1 in
-  a.Arena.ccb_head <- (if head >= phys then 0 else head);
-  a.Arena.ccb_len <- a.Arena.ccb_len - 1
-
-(* A speculative operation whose every prediction has verified correct is
-   resolved (see [Dual_engine.run]). *)
-let resolve_if_verified (t : t) (a : Arena.t) now s =
-  if a.Arena.unresolved.(s) = 0 && not a.Arena.tainted.(s) then begin
-    sync_clear a t.ops.(s).sync_bit;
-    if not a.Arena.correct_known_scheduled.(s) then begin
-      a.Arena.correct_known_scheduled.(s) <- true;
-      schedule_event t a (now + 1) ev_spec_known s 0
-    end
-  end
-
-let handle_check_complete (t : t) (a : Arena.t) ~outcomes now k =
-  let p = t.preds.(k) in
-  sync_clear a p.p_sync_bit;
-  if p.check_executed then reg_write a p.check_dst p.check_value;
-  complete_at a now;
-  schedule_event t a (now + 1) ev_ovb k 0;
-  let correct : bool = outcomes.(k) in
-  let deps = p.dependents in
-  for j = 0 to Array.length deps - 1 do
-    let s = deps.(j) in
-    a.Arena.unresolved.(s) <- a.Arena.unresolved.(s) - 1;
-    if not correct then a.Arena.tainted.(s) <- true;
-    resolve_if_verified t a now s
-  done
-
-let handle_event (t : t) (a : Arena.t) ~outcomes now tag x y =
-  if tag = ev_write then begin
-    reg_write a x y;
-    complete_at a now
-  end
-  else if tag = ev_check then handle_check_complete t a ~outcomes now x
-  else if tag = ev_ovb then a.Arena.ovb_pred_known.(x) <- now
-  else if tag = ev_spec_known then a.Arena.spec_correct_known.(x) <- now
-  else if tag = ev_cce then begin
-    a.Arena.cce_value_time.(x) <- now;
-    sync_clear a t.ops.(x).sync_bit;
-    if t.ops.(x).writeback then reg_write a t.ops.(x).dst y;
-    complete_at a now
-  end
-  else begin
-    (* ev_store *)
-    let n = a.Arena.stores_n in
-    a.Arena.stores_a.(n) <- x;
-    a.Arena.stores_v.(n) <- y;
-    a.Arena.stores_n <- n + 1;
-    complete_at a now
-  end
-
-(* One CCE head step: [true] if the head was retired. *)
-let cce_step (t : t) (a : Arena.t) ~outcomes now =
-  if a.Arena.ccb_len = 0 then false
-  else begin
-    let s = a.Arena.ccb_s.(a.Arena.ccb_head) in
-    let entry_time = a.Arena.ccb_t.(a.Arena.ccb_head) in
-    if entry_time >= now then false (* entered this very cycle *)
-    else begin
-      let o = t.ops.(s) in
-      (* The engine's fold over operand sources: [known = false] is the
-         fold's [None] and absorbs everything after it. *)
-      let known = ref true and correct = ref true in
-      let os = o.osrcs in
-      for j = 0 to Array.length os - 1 do
-        if !known then
-          match os.(j) with
-          | O_verified -> ()
-          | O_pred k ->
-              if a.Arena.ovb_pred_known.(k) <= now then begin
-                if not outcomes.(k) then correct := false
-              end
-              else known := false
-          | O_spec s' ->
-              if a.Arena.spec_correct_known.(s') <= now then ()
-              else if a.Arena.cce_value_time.(s') <= now then correct := false
-              else known := false
-      done;
-      if not !known then false (* head stalls on an unresolved operand *)
-      else if !correct then begin
-        ccb_pop a;
-        a.Arena.flushed <- a.Arena.flushed + 1;
-        true
-      end
-      else begin
-        ccb_pop a;
-        a.Arena.recomputed <- a.Arena.recomputed + 1;
-        let value =
-          if o.executed then o.result else a.Arena.captured_old.(s)
-        in
-        schedule_event t a (now + o.lat) ev_cce s value;
-        true
-      end
-    end
-  end
-
-let issue_instruction (t : t) (a : Arena.t) ~outcomes now c =
-  let ids = t.insn_ops.(c) in
-  for j = 0 to Array.length ids - 1 do
-    let i = ids.(j) in
-    let o = t.ops.(i) in
-    vliw_complete_at a (now + o.lat);
-    let guard_on () =
-      o.guard < 0 || reg_read t a o.guard <> 0 = o.guard_pol
-    in
-    match o.action with
-    | A_ldpred { k; v_correct; v_wrong } ->
-        sync_set a o.sync_bit;
-        schedule_event t a (now + o.lat) ev_write o.dst
-          (if outcomes.(k) then v_correct else v_wrong)
-    | A_check { k } -> schedule_event t a (now + o.lat) ev_check k 0
-    | A_spec ->
-        sync_set a o.sync_bit;
-        a.Arena.captured_old.(i) <- reg_read t a o.dst;
-        (* the guard is evaluated from the (possibly predicted) register
-           file: a wrong decision here is what the CCE recovers from *)
-        if guard_on () then begin
-          let value =
-            if o.is_load then
-              Alu.load_result
-                ~addr:(reg_read t a o.srcs.(0))
-                ~correct_addr:o.correct_addr ~correct_value:o.result
-            else if Array.length o.srcs = 1 then
-              Alu.eval1 o.opcode (reg_read t a o.srcs.(0))
-            else
-              Alu.eval2 o.opcode
-                (reg_read t a o.srcs.(0))
-                (reg_read t a o.srcs.(1))
-          in
-          schedule_event t a (now + o.lat) ev_write o.dst value
-        end;
-        ccb_push a i now;
-        resolve_if_verified t a now i
-    | A_store ->
-        if guard_on () then
-          schedule_event t a (now + o.lat) ev_store
-            (reg_read t a o.srcs.(0))
-            (reg_read t a o.srcs.(1))
-    | A_branch -> ()
-    | A_load ->
-        if guard_on () then
-          schedule_event t a (now + o.lat) ev_write o.dst o.result
-    | A_alu ->
-        if guard_on () then
-          let value =
-            if Array.length o.srcs = 1 then
-              Alu.eval1 o.opcode (reg_read t a o.srcs.(0))
-            else
-              Alu.eval2 o.opcode
-                (reg_read t a o.srcs.(0))
-                (reg_read t a o.srcs.(1))
-          in
-          schedule_event t a (now + o.lat) ev_write o.dst value
-  done
-
-let deadlock (t : t) (a : Arena.t) ~now ~next_insn =
-  let head =
-    if a.Arena.ccb_len = 0 then "none"
-    else
-      Printf.sprintf "op %d (entered %d)"
-        a.Arena.ccb_s.(a.Arena.ccb_head)
-        a.Arena.ccb_t.(a.Arena.ccb_head)
-  in
-  let bits = ref [] in
-  for b = (t.sync_words * Sys.int_size) - 1 downto 0 do
-    if a.Arena.sync.(b / Sys.int_size) land (1 lsl (b mod Sys.int_size)) <> 0
-    then bits := b :: !bits
-  done;
-  raise
-    (Dual_engine.Deadlock
-       (Printf.sprintf
-          "block %s: no progress by cycle %d (insn %d/%d, %d pending events, \
-           CCB %d head %s, sync {%s})"
-          t.label now next_insn
-          (Array.length t.insn_ops)
-          a.Arena.pending a.Arena.ccb_len head
-          (String.concat "," (List.map string_of_int !bits))))
-
-(* Reset the slices this block uses; a bumped epoch invalidates every
-   register stamp at once. *)
-let reset_for_run (t : t) (a : Arena.t) =
-  a.Arena.epoch <- a.Arena.epoch + 1;
-  Array.fill a.Arena.sync 0 (Array.length a.Arena.sync) 0;
-  Array.fill a.Arena.ovb_pred_known 0 t.num_preds max_int;
-  Array.blit t.unresolved_init 0 a.Arena.unresolved 0 t.new_n;
-  Array.fill a.Arena.tainted 0 t.new_n false;
-  Array.fill a.Arena.spec_correct_known 0 t.new_n max_int;
-  Array.fill a.Arena.cce_value_time 0 t.new_n max_int;
-  Array.fill a.Arena.captured_old 0 t.new_n 0;
-  Array.fill a.Arena.correct_known_scheduled 0 t.new_n false;
-  a.Arena.ccb_head <- 0;
-  a.Arena.ccb_len <- 0;
-  a.Arena.ccb_high <- 0;
-  Array.fill a.Arena.ev_len 0 (Array.length a.Arena.ev_len) 0;
-  a.Arena.pending <- 0;
-  a.Arena.stores_n <- 0;
-  a.Arena.last_completion <- 0;
-  a.Arena.vliw_last <- 0;
-  a.Arena.stall_cycles <- 0;
-  a.Arena.flushed <- 0;
-  a.Arena.recomputed <- 0
-
-(* Run the block to completion: every instruction issued, every event
-   delivered and the CCB drained. Each cycle delivers that cycle's
-   completions, lets the CCE retire up to [cce_retire_width] heads, then
-   tries to issue the next instruction. *)
-let simulate (t : t) (a : Arena.t) ~outcomes =
-  let num_insns = Array.length t.insn_ops in
-  let next_insn = ref 0 in
-  let now = ref 0 in
-  while !next_insn < num_insns || a.Arena.pending > 0 || a.Arena.ccb_len > 0 do
-    if !now > t.limit then deadlock t a ~now:!now ~next_insn:!next_insn;
-    (* 1. Completions scheduled for this cycle (insertion order). All new
-       events land 1..horizon-2 cycles ahead, never in this bucket. *)
-    let b = !now mod t.horizon in
-    let n_ev = a.Arena.ev_len.(b) in
-    if n_ev > 0 then begin
-      let buf = a.Arena.ev_buf.(b) in
-      for j = 0 to n_ev - 1 do
-        a.Arena.pending <- a.Arena.pending - 1;
-        handle_event t a ~outcomes !now
-          buf.(3 * j)
-          buf.((3 * j) + 1)
-          buf.((3 * j) + 2)
-      done;
-      a.Arena.ev_len.(b) <- 0
-    end;
-    (* 2. CCE: up to [cce_retire_width] head retirements per cycle. *)
-    let budget = ref t.cce_retire_width in
-    while !budget > 0 && cce_step t a ~outcomes !now do
-      decr budget
-    done;
-    (* 3. VLIW issue. *)
-    if !next_insn < num_insns then begin
-      let c = !next_insn in
-      let mask = t.insn_mask.(c) in
-      let stalled_on_sync = ref false in
-      for w = 0 to Array.length mask - 1 do
-        if mask.(w) land a.Arena.sync.(w) <> 0 then stalled_on_sync := true
-      done;
-      let ccb_room = a.Arena.ccb_len + t.insn_spec.(c) <= t.ccb_capacity in
-      if (not !stalled_on_sync) && ccb_room then begin
-        issue_instruction t a ~outcomes !now c;
-        incr next_insn
-      end
-      else a.Arena.stall_cycles <- a.Arena.stall_cycles + 1
-    end;
-    incr now
-  done
-
-let extract_result (t : t) (a : Arena.t) ~outcomes : Dual_engine.result =
-  let final_regs = ref [] in
-  for j = Array.length t.final_pairs - 1 downto 0 do
-    let r, idx = t.final_pairs.(j) in
-    final_regs := (r, reg_read t a idx) :: !final_regs
-  done;
-  let stores = ref [] in
-  for j = a.Arena.stores_n - 1 downto 0 do
-    stores := (a.Arena.stores_a.(j), a.Arena.stores_v.(j)) :: !stores
-  done;
-  {
-    Dual_engine.cycles = a.Arena.last_completion;
-    vliw_cycles = a.Arena.vliw_last;
-    stall_cycles = a.Arena.stall_cycles;
-    flushed = a.Arena.flushed;
-    recomputed = a.Arena.recomputed;
-    ccb_high_water = a.Arena.ccb_high;
-    mispredicted = t.num_preds - Scenario.count_correct outcomes;
-    final_regs = !final_regs;
-    stores = !stores;
-  }
-
-let run_scenario (t : t) (a : Arena.t) ~outcomes : Dual_engine.result =
-  if Array.length outcomes <> t.num_preds then
-    invalid_arg "Compiled.run_scenario: outcomes length mismatch";
-  ensure t a;
-  reset_for_run t a;
-  simulate t a ~outcomes;
-  extract_result t a ~outcomes
-
-(* --- Bitset mode: up to [Sys.int_size] outcome vectors per word --- *)
-
-(* Every per-scenario boolean in the scalar engine (a sync bit, a taint
-   flag, an outcome) becomes one machine word whose bit [i] tracks lane
-   [i]; every per-scenario integer (a register value, an event time, a CCB
-   slot) becomes a 64-stride row of a Bigarray so one pass over the
-   compiled block advances all lanes together. Lanes share the global
-   clock — the machine state of each lane is exactly the scalar engine's,
-   only the representation is shared — and a shared event calendar carries
-   a lane mask per entry, appended in each lane's own scalar order, so
-   per-lane insertion order (the only order the results can observe) is
-   preserved. Values are computed once per event when the source registers
-   agree across the participating lanes ([reg_div] tracks which lanes have
-   diverged from the shared [reg_base] value) and per lane otherwise. *)
 
 let max_lanes = Sys.int_size
 let lane_stride = 64
@@ -806,8 +366,6 @@ module Lanes = struct
     flushed : int array;
     recomputed : int array;
     next_insn : int array;
-    (* scalar replay arena for the deadlock fallback *)
-    scalar : Arena.t;
   }
 
   let create () =
@@ -843,7 +401,6 @@ module Lanes = struct
       flushed = Array.make lane_stride 0;
       recomputed = Array.make lane_stride 0;
       next_insn = Array.make lane_stride 0;
-      scalar = Arena.create ();
     }
 end
 
@@ -1278,10 +835,33 @@ let reset_lanes (t : t) (la : Lanes.t) n =
   Array.fill la.Lanes.recomputed 0 n 0;
   Array.fill la.Lanes.next_insn 0 n 0
 
+(* The [Dual_engine.Deadlock] that [Dual_engine.run] raises at cycle [now]
+   for lane [i]'s vector: the lane's row is that run's machine state. *)
+let lane_deadlock (t : t) (la : Lanes.t) ~now i =
+  let head =
+    if la.Lanes.ccb_len.(i) = 0 then "none"
+    else
+      let slot = (i * la.Lanes.ccb_cap) + la.Lanes.ccb_head.(i) in
+      Printf.sprintf "op %d (entered %d)"
+        (BA1.unsafe_get la.Lanes.ccb_s slot)
+        (BA1.unsafe_get la.Lanes.ccb_t slot)
+  in
+  let bits = ref [] in
+  for b = (t.sync_words * Sys.int_size) - 1 downto 0 do
+    if la.Lanes.sync_lane.(b) land (1 lsl i) <> 0 then bits := b :: !bits
+  done;
+  Dual_engine.Deadlock
+    (Printf.sprintf
+       "block %s: no progress by cycle %d (insn %d/%d, %d pending events, \
+        CCB %d head %s, sync {%s})"
+       t.label now la.Lanes.next_insn.(i)
+       (Array.length t.insn_ops)
+       la.Lanes.pending.(i) la.Lanes.ccb_len.(i) head
+       (String.concat "," (List.map string_of_int !bits)))
+
 (* Simulate lanes 0..n-1 against vectors.(off..off+n-1) to completion.
-   Returns the word of lanes still live past the deadlock limit (0 on
-   success); their per-lane state is exactly what the scalar engine would
-   hold at that cycle, so a scalar replay of any of them deadlocks too. *)
+   A lane still live past the deadlock limit deadlocks; the lowest such
+   lane raises, as [Dual_engine.run] on its vector would. *)
 let run_lanes (t : t) (la : Lanes.t) (vectors : Scenario.t array) off n =
   let full = full_mask n in
   for k = 0 to t.num_preds - 1 do
@@ -1294,117 +874,110 @@ let run_lanes (t : t) (la : Lanes.t) (vectors : Scenario.t array) off n =
   reset_lanes t la n;
   let num_insns = Array.length t.insn_ops in
   let active = ref (if num_insns > 0 then full else 0) in
-  let failed = ref 0 in
   let now = ref 0 in
   while !active <> 0 do
-    if !now > t.limit then begin
-      failed := !active;
-      active := 0
-    end
-    else begin
-      (* 1. Completions scheduled for this cycle (insertion order). *)
-      let b = !now mod t.horizon in
-      let n_ev = la.Lanes.ev_len.(b) in
-      if n_ev > 0 then begin
-        let buf = la.Lanes.ev_buf.(b) in
-        for j = 0 to n_ev - 1 do
-          let m = buf.((4 * j) + 3) in
-          let w = ref m in
-          while !w <> 0 do
-            let i = ctz !w in
-            la.Lanes.pending.(i) <- la.Lanes.pending.(i) - 1;
-            w := !w land (!w - 1)
-          done;
-          lhandle_event t la ~full !now
-            buf.(4 * j)
-            buf.((4 * j) + 1)
-            buf.((4 * j) + 2)
-            m
+    if !now > t.limit then raise (lane_deadlock t la ~now:!now (ctz !active));
+    (* 1. Completions scheduled for this cycle (insertion order). *)
+    let b = !now mod t.horizon in
+    let n_ev = la.Lanes.ev_len.(b) in
+    if n_ev > 0 then begin
+      let buf = la.Lanes.ev_buf.(b) in
+      for j = 0 to n_ev - 1 do
+        let m = buf.((4 * j) + 3) in
+        let w = ref m in
+        while !w <> 0 do
+          let i = ctz !w in
+          la.Lanes.pending.(i) <- la.Lanes.pending.(i) - 1;
+          w := !w land (!w - 1)
         done;
-        la.Lanes.ev_len.(b) <- 0
+        lhandle_event t la ~full !now
+          buf.(4 * j)
+          buf.((4 * j) + 1)
+          buf.((4 * j) + 2)
+          m
+      done;
+      la.Lanes.ev_len.(b) <- 0
+    end;
+    (* 2. CCE: up to [cce_retire_width] head retirements per lane. *)
+    let w = ref !active in
+    while !w <> 0 do
+      let i = ctz !w in
+      if la.Lanes.ccb_len.(i) > 0 then begin
+        let budget = ref t.cce_retire_width in
+        while !budget > 0 && lcce_step t la !now i do
+          decr budget
+        done
       end;
-      (* 2. CCE: up to [cce_retire_width] head retirements per lane. *)
-      let w = ref !active in
-      while !w <> 0 do
-        let i = ctz !w in
-        if la.Lanes.ccb_len.(i) > 0 then begin
-          let budget = ref t.cce_retire_width in
-          while !budget > 0 && lcce_step t la !now i do
-            decr budget
-          done
-        end;
-        w := !w land (!w - 1)
+      w := !w land (!w - 1)
+    done;
+    (* 3. VLIW issue, frontier-grouped: lanes whose timing has diverged
+       sit at different static cycles; group the frontier by instruction
+       and issue each group with one pass over its ops. *)
+    let rem = ref 0 in
+    let w = ref !active in
+    while !w <> 0 do
+      let i = ctz !w in
+      if la.Lanes.next_insn.(i) < num_insns then rem := !rem lor (1 lsl i);
+      w := !w land (!w - 1)
+    done;
+    while !rem <> 0 do
+      let c = la.Lanes.next_insn.(ctz !rem) in
+      let members = ref 0 in
+      let w2 = ref !rem in
+      while !w2 <> 0 do
+        let i = ctz !w2 in
+        if la.Lanes.next_insn.(i) = c then members := !members lor (1 lsl i);
+        w2 := !w2 land (!w2 - 1)
       done;
-      (* 3. VLIW issue, frontier-grouped: lanes whose timing has diverged
-         sit at different static cycles; group the frontier by instruction
-         and issue each group with one pass over its ops. *)
-      let rem = ref 0 in
-      let w = ref !active in
-      while !w <> 0 do
-        let i = ctz !w in
-        if la.Lanes.next_insn.(i) < num_insns then rem := !rem lor (1 lsl i);
-        w := !w land (!w - 1)
+      rem := !rem land lnot !members;
+      let stalled = ref 0 in
+      let wb = t.insn_wait_bits.(c) in
+      for j = 0 to Array.length wb - 1 do
+        stalled := !stalled lor la.Lanes.sync_lane.(wb.(j))
       done;
-      while !rem <> 0 do
-        let c = la.Lanes.next_insn.(ctz !rem) in
-        let members = ref 0 in
-        let w2 = ref !rem in
-        while !w2 <> 0 do
-          let i = ctz !w2 in
-          if la.Lanes.next_insn.(i) = c then members := !members lor (1 lsl i);
-          w2 := !w2 land (!w2 - 1)
-        done;
-        rem := !rem land lnot !members;
-        let stalled = ref 0 in
-        let wb = t.insn_wait_bits.(c) in
-        for j = 0 to Array.length wb - 1 do
-          stalled := !stalled lor la.Lanes.sync_lane.(wb.(j))
-        done;
-        let go0 = !members land lnot !stalled in
-        let go = ref go0 in
-        let spec_n = t.insn_spec.(c) in
-        if spec_n > 0 && go0 <> 0 then begin
-          go := 0;
-          let w3 = ref go0 in
-          while !w3 <> 0 do
-            let i = ctz !w3 in
-            if la.Lanes.ccb_len.(i) + spec_n <= t.ccb_capacity then
-              go := !go lor (1 lsl i);
-            w3 := !w3 land (!w3 - 1)
-          done
-        end;
-        let no_go = !members land lnot !go in
-        let w4 = ref no_go in
-        while !w4 <> 0 do
-          let i = ctz !w4 in
-          la.Lanes.stall.(i) <- la.Lanes.stall.(i) + 1;
-          w4 := !w4 land (!w4 - 1)
-        done;
-        if !go <> 0 then begin
-          lissue_instruction t la !now c !go;
-          let w5 = ref !go in
-          while !w5 <> 0 do
-            let i = ctz !w5 in
-            la.Lanes.next_insn.(i) <- c + 1;
-            w5 := !w5 land (!w5 - 1)
-          done
-        end
+      let go0 = !members land lnot !stalled in
+      let go = ref go0 in
+      let spec_n = t.insn_spec.(c) in
+      if spec_n > 0 && go0 <> 0 then begin
+        go := 0;
+        let w3 = ref go0 in
+        while !w3 <> 0 do
+          let i = ctz !w3 in
+          if la.Lanes.ccb_len.(i) + spec_n <= t.ccb_capacity then
+            go := !go lor (1 lsl i);
+          w3 := !w3 land (!w3 - 1)
+        done
+      end;
+      let no_go = !members land lnot !go in
+      let w4 = ref no_go in
+      while !w4 <> 0 do
+        let i = ctz !w4 in
+        la.Lanes.stall.(i) <- la.Lanes.stall.(i) + 1;
+        w4 := !w4 land (!w4 - 1)
       done;
-      incr now;
-      (* 4. Retire lanes with no instructions, events or CCB work left. *)
-      let w6 = ref !active in
-      while !w6 <> 0 do
-        let i = ctz !w6 in
-        if
-          la.Lanes.next_insn.(i) >= num_insns
-          && la.Lanes.pending.(i) = 0
-          && la.Lanes.ccb_len.(i) = 0
-        then active := !active land lnot (1 lsl i);
-        w6 := !w6 land (!w6 - 1)
-      done
-    end
-  done;
-  !failed
+      if !go <> 0 then begin
+        lissue_instruction t la !now c !go;
+        let w5 = ref !go in
+        while !w5 <> 0 do
+          let i = ctz !w5 in
+          la.Lanes.next_insn.(i) <- c + 1;
+          w5 := !w5 land (!w5 - 1)
+        done
+      end
+    done;
+    incr now;
+    (* 4. Retire lanes with no instructions, events or CCB work left. *)
+    let w6 = ref !active in
+    while !w6 <> 0 do
+      let i = ctz !w6 in
+      if
+        la.Lanes.next_insn.(i) >= num_insns
+        && la.Lanes.pending.(i) = 0
+        && la.Lanes.ccb_len.(i) = 0
+      then active := !active land lnot (1 lsl i);
+      w6 := !w6 land (!w6 - 1)
+    done
+  done
 
 let extract_lane (t : t) (la : Lanes.t) ~outcomes lane : Dual_engine.result =
   let final_regs = ref [] in
@@ -1431,20 +1004,18 @@ let extract_lane (t : t) (la : Lanes.t) ~outcomes lane : Dual_engine.result =
     stores = !stores;
   }
 
-(* Occupancy counters for the telemetry surface: how many lane words ran,
-   how many vectors they carried, and how often a deadlock forced a scalar
-   replay. Atomics: batches run concurrently across domains. *)
+(* Occupancy counters for the telemetry surface: how many lane words ran
+   and how many vectors they carried. Atomics: batches run concurrently
+   across domains. *)
 let bitset_words_ctr = Atomic.make 0
 let bitset_vectors_ctr = Atomic.make 0
-let bitset_fallbacks_ctr = Atomic.make 0
 
-type bitset_stats = { words : int; vectors : int; fallbacks : int }
+type bitset_stats = { words : int; vectors : int }
 
 let bitset_stats () =
   {
     words = Atomic.get bitset_words_ctr;
     vectors = Atomic.get bitset_vectors_ctr;
-    fallbacks = Atomic.get bitset_fallbacks_ctr;
   }
 
 let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
@@ -1462,8 +1033,9 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
        batches repeat vectors freely, and the engine is deterministic, so
        duplicates share a result record.
        First-occurrence order is preserved, which keeps the deadlock
-       order: the lowest failed lane is still the first failing vector in
-       input order, duplicates of an earlier failure failing no earlier. *)
+       order: words run in order and the lowest live lane raises, so the
+       first deadlocking vector in input order wins, duplicates of an
+       earlier failure failing no earlier. *)
     let tbl = Hashtbl.create (2 * nvec) in
     let u_of = Array.make nvec 0 in
     let nu = ref 0 in
@@ -1480,36 +1052,13 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
     for i = nvec - 1 downto 0 do
       uvecs.(u_of.(i)) <- vectors.(i)
     done;
-    (* Word parallelism cannot amortize the per-word lane setup (state
-       reset, uniformity tracking, masked calendar) below ~3 live lanes;
-       single- and two-prediction blocks dedup to 2-4 vectors where the
-       scalar engine's epoch-stamped reset is strictly cheaper. Replay
-       those through the scalar engine, in input order so a deadlock
-       surfaces on the same vector either way. *)
-    if nu <= 2 then begin
-      let u_res =
-        Array.map (fun v -> run_scenario t la.Lanes.scalar ~outcomes:v) uvecs
-      in
-      Array.init nvec (fun i -> u_res.(u_of.(i)))
-    end
-    else begin
     let u_res = Array.make nu None in
     let off = ref 0 in
     while !off < nu do
       let n = min max_lanes (nu - !off) in
-      let failed = run_lanes t la uvecs !off n in
+      run_lanes t la uvecs !off n;
       Atomic.incr bitset_words_ctr;
       ignore (Atomic.fetch_and_add bitset_vectors_ctr n);
-      if failed <> 0 then begin
-        (* Some lane passed the deadlock limit while still live; the lane
-           state is the scalar state, so replaying the first such vector
-           (input order) through the scalar engine raises the byte-
-           identical [Deadlock] a per-vector loop would. *)
-        Atomic.incr bitset_fallbacks_ctr;
-        match run_scenario t la.Lanes.scalar ~outcomes:uvecs.(!off + ctz failed) with
-        | _ -> assert false (* the scalar oracle must deadlock identically *)
-        | exception (Dual_engine.Deadlock _ as e) -> raise e
-      end;
       for i = 0 to n - 1 do
         u_res.(!off + i) <-
           Some (extract_lane t la ~outcomes:uvecs.(!off + i) i)
@@ -1518,5 +1067,4 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
     done;
     Array.init nvec (fun i ->
         match u_res.(u_of.(i)) with Some r -> r | None -> assert false)
-    end
   end

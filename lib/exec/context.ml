@@ -2,7 +2,6 @@ type t = {
   jobs : int;
   store : Store.t option;
   progress : Progress.t;
-  watchdog_s : float option;
 }
 
 exception Job_failed of { key : string; label : string; message : string }
@@ -13,11 +12,11 @@ let () =
         Some (Printf.sprintf "job %s (key %s) failed: %s" label key message)
     | _ -> None)
 
-let create ?(jobs = 1) ?store ?progress ?watchdog_s () =
+let create ?(jobs = 1) ?store ?progress () =
   let progress =
     match progress with Some p -> p | None -> Progress.silent ()
   in
-  { jobs; store; progress; watchdog_s }
+  { jobs; store; progress }
 
 let sequential = create ()
 
@@ -47,9 +46,7 @@ let with_store t (spec : 'a Job.spec) : 'a Job.spec =
 
 let map t specs =
   let specs = List.map (with_store t) specs in
-  let outcomes =
-    Pool.run ?watchdog_s:t.watchdog_s ~progress:t.progress ~jobs:t.jobs specs
-  in
+  let outcomes = Pool.run ~progress:t.progress ~jobs:t.jobs specs in
   Progress.finish t.progress;
   outcomes
 
@@ -60,13 +57,5 @@ let map_exn t specs =
       match (outcome : _ Job.outcome) with
       | Job.Done v -> v
       | Job.Failed message ->
-          raise (Job_failed { key = spec.key; label = spec.label; message })
-      | Job.Timed_out message ->
-          raise
-            (Job_failed
-               {
-                 key = spec.key;
-                 label = spec.label;
-                 message = "timed out: " ^ message;
-               }))
+          raise (Job_failed { key = spec.key; label = spec.label; message }))
     specs outcomes

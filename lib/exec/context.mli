@@ -1,41 +1,39 @@
 (** The execution context the experiment layer threads through: how many
-    worker domains, which result cache (if any), where telemetry goes, and
-    the per-job watchdog budget.
+    worker domains, which result cache (if any), and where telemetry
+    goes.
 
     {!map} is the one orchestration entry point: it wraps every job with a
     {!Store} lookup (hit → the cached value, no recomputation; miss → run
     the job, then cache), submits the batch to the {!Pool} and returns the
     outcomes in submission order. {!map_exn} is the strict form the
-    experiment layer uses — the first failed or timed-out job raises
-    {!Job_failed} with its key and diagnostic, which the CLI turns into a
-    one-line stderr message and a non-zero exit. *)
+    experiment layer uses — the first failed job raises {!Job_failed}
+    with its key and diagnostic, which the CLI turns into a one-line
+    stderr message and a non-zero exit. *)
 
 type t = {
   jobs : int;  (** worker domains; 1 = sequential, bit-identical *)
   store : Store.t option;  (** [None] disables caching *)
   progress : Progress.t;
-  watchdog_s : float option;  (** per-job wall-clock budget *)
 }
 
 exception
   Job_failed of {
     key : string;
     label : string;
-    message : string;  (** includes a ["timed out"] marker for watchdog kills *)
+    message : string;  (** the printed exception *)
   }
 
 val sequential : t
-(** One worker, no store, silent progress, no watchdog — the drop-in
-    replacement for the old sequential code paths. *)
+(** One worker, no store, silent progress — the drop-in replacement for
+    the old sequential code paths. *)
 
 val create :
   ?jobs:int ->
   ?store:Store.t ->
   ?progress:Progress.t ->
-  ?watchdog_s:float ->
   unit ->
   t
-(** Defaults: [jobs = 1], no store, silent progress, no watchdog. *)
+(** Defaults: [jobs = 1], no store, silent progress. *)
 
 val with_store : t -> 'a Job.spec -> 'a Job.spec
 (** Wrap a job's [run] with the context's store lookup (hit → the cached

@@ -1,10 +1,10 @@
 (* The suite job graph. All structural state — nodes, edges, readiness,
    the priority heap — lives behind one graph mutex; payloads execute
-   outside it (through [Pool.execute], so job accounting, RNG contexts and
-   the watchdog behave exactly as in a flat pool batch). Results are
-   stored as [Obj.t]: the key is the node's only identity under in-flight
-   dedup, so the phantom type on ['a node] is the caller's contract, as
-   with the store's [Marshal] payloads. *)
+   outside it (through [Pool.execute], so job accounting and RNG contexts
+   behave exactly as in a flat pool batch). Results are stored as
+   [Obj.t]: the key is the node's only identity under in-flight dedup, so
+   the phantom type on ['a node] is the caller's contract, as with the
+   store's [Marshal] payloads. *)
 
 exception Cycle of string list
 
@@ -323,7 +323,6 @@ let settle t n (outcome : Obj.t Job.outcome) =
         n.dependents;
       maybe_evict t
   | Job.Failed msg -> fail_node t n msg
-  | Job.Timed_out msg -> fail_node t n ("timed out: " ^ msg)
 
 let rec pop_ready t =
   match Heap.pop t.heap with
@@ -436,10 +435,7 @@ let execute_node t n =
   let spec = Job.make ~label:n.label ~key:n.key n.payload in
   let spec = if n.cache then Context.with_store t.ctx spec else spec in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    Pool.execute ?watchdog_s:t.ctx.Context.watchdog_s
-      ~progress:t.ctx.Context.progress spec
-  in
+  let outcome = Pool.execute ~progress:t.ctx.Context.progress spec in
   (match n.group with
   | Some group ->
       Progress.group_wall t.ctx.Context.progress ~group

@@ -27,10 +27,10 @@
     deterministic — nodes run one at a time in that order — which keeps
     sequential output the byte-identical reference for any [--jobs N].
 
-    {b Failure.} A node that raises (or times out under the context's
-    watchdog) poisons its transitive dependents: they are marked failed
-    without running. Independent nodes are unaffected; {!await} on a
-    failed or poisoned node raises {!Context.Job_failed}.
+    {b Failure.} A node that raises poisons its transitive dependents:
+    they are marked failed without running. Independent nodes are
+    unaffected; {!await} on a failed or poisoned node raises
+    {!Context.Job_failed}.
 
     {b Cycles.} Dependency edges are checked at declaration; an edge that
     would close a cycle raises {!Cycle} with the offending key path, so a
@@ -52,8 +52,8 @@ exception Cycle of string list
 (** The key path of the rejected dependency cycle, source first. *)
 
 val create : Context.t -> t
-(** An empty graph over the context's pool width, store, progress sink and
-    watchdog. *)
+(** An empty graph over the context's pool width, store and progress
+    sink. *)
 
 val context : t -> Context.t
 

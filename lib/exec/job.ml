@@ -1,8 +1,8 @@
-type ctx = { cancel : Cancel.t; seed : int; rng : Vp_util.Rng.t }
+type ctx = { seed : int; rng : Vp_util.Rng.t }
 
 type 'a spec = { key : string; label : string; run : ctx -> 'a }
 
-type 'a outcome = Done of 'a | Failed of string | Timed_out of string
+type 'a outcome = Done of 'a | Failed of string
 
 let derived_seed ~key =
   (* FNV-1a over the key; the RNG's own [create] runs the result through a
@@ -23,13 +23,9 @@ let make ?label ~key run =
   in
   { key; label; run }
 
-let ctx_of ~key cancel =
+let ctx_of ~key =
   let seed = derived_seed ~key in
-  { cancel; seed; rng = Vp_util.Rng.create seed }
+  { seed; rng = Vp_util.Rng.create seed }
 
-let outcome_ok = function Done v -> Some v | Failed _ | Timed_out _ -> None
-
-let outcome_error = function
-  | Done _ -> None
-  | Failed m -> Some m
-  | Timed_out m -> Some ("timed out: " ^ m)
+let outcome_ok = function Done v -> Some v | Failed _ -> None
+let outcome_error = function Done _ -> None | Failed m -> Some m

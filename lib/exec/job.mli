@@ -14,8 +14,6 @@
     each derives everything from its own [(config, model)] pair. *)
 
 type ctx = {
-  cancel : Cancel.t;
-      (** poll or {!Cancel.check} this to honour the pool's watchdog *)
   seed : int;  (** {!derived_seed} of the job key *)
   rng : Vp_util.Rng.t;
       (** private RNG seeded from the key — fresh per execution *)
@@ -30,7 +28,6 @@ type 'a spec = {
 type 'a outcome =
   | Done of 'a
   | Failed of string  (** the job raised; payload is the printed exception *)
-  | Timed_out of string  (** the watchdog cancelled the job *)
 
 val make : ?label:string -> key:string -> (ctx -> 'a) -> 'a spec
 (** [label] defaults to a prefix of [key]. *)
@@ -39,10 +36,9 @@ val derived_seed : key:string -> int
 (** Non-negative seed derived from the key alone (FNV-1a folded through
     SplitMix64 finalization). Stable across processes and OCaml versions. *)
 
-val ctx_of : key:string -> Cancel.t -> ctx
+val ctx_of : key:string -> ctx
 (** Build the execution context the pool passes to [run]. *)
 
 val outcome_ok : 'a outcome -> 'a option
 val outcome_error : 'a outcome -> string option
-(** [None] for [Done]; the diagnostic (prefixed ["timed out: "] for
-    [Timed_out]) otherwise. *)
+(** [None] for [Done]; the diagnostic otherwise. *)

@@ -48,30 +48,22 @@ module Wq = struct
     r
 end
 
-let execute ?watchdog_s ~progress (spec : 'a Job.spec) : 'a Job.outcome =
-  let deadline =
-    Option.map (fun s -> Unix.gettimeofday () +. s) watchdog_s
-  in
-  let cancel = Cancel.create ?deadline () in
-  let ctx = Job.ctx_of ~key:spec.key cancel in
+let execute ~progress (spec : 'a Job.spec) : 'a Job.outcome =
+  let ctx = Job.ctx_of ~key:spec.key in
   Progress.job_started progress ~label:spec.label;
   let t0 = Unix.gettimeofday () in
   let outcome =
     match spec.run ctx with
     | v -> Job.Done v
-    | exception Cancel.Cancelled reason ->
-        if Cancel.timed_out cancel then Job.Timed_out reason
-        else Job.Failed reason
     | exception exn -> Job.Failed (Printexc.to_string exn)
   in
   let wall = Unix.gettimeofday () -. t0 in
   (match outcome with
   | Job.Done _ -> Progress.job_done progress ~wall
-  | Job.Failed _ -> Progress.job_failed progress ~wall
-  | Job.Timed_out _ -> Progress.job_timed_out progress ~wall);
+  | Job.Failed _ -> Progress.job_failed progress ~wall);
   outcome
 
-let run ?watchdog_s ?progress ~jobs specs =
+let run ?progress ~jobs specs =
   let progress =
     match progress with Some p -> p | None -> Progress.silent ()
   in
@@ -79,7 +71,7 @@ let run ?watchdog_s ?progress ~jobs specs =
   let n = Array.length specs in
   Progress.add_queued progress n;
   let results = Array.make n None in
-  let exec i = results.(i) <- Some (execute ?watchdog_s ~progress specs.(i)) in
+  let exec i = results.(i) <- Some (execute ~progress specs.(i)) in
   let workers = max 1 (min jobs n) in
   Progress.set_workers progress workers;
   if workers <= 1 then

@@ -12,25 +12,18 @@
     draws the same random stream whichever worker runs it and wherever it
     sat in the queue.
 
-    Watchdog: with [watchdog_s], each job gets a cancellation deadline that
-    many seconds after it starts. A job that honours its token (calls
-    {!Cancel.check} periodically) unwinds and is reported as
-    [Timed_out] — the pool keeps draining the remaining jobs either way.
-
     Failure isolation: an exception inside one job becomes its [Failed]
     outcome; other jobs are unaffected. *)
 
 val run :
-  ?watchdog_s:float ->
   ?progress:Progress.t ->
   jobs:int ->
   'a Job.spec list ->
   'a Job.outcome list
 
-val execute :
-  ?watchdog_s:float -> progress:Progress.t -> 'a Job.spec -> 'a Job.outcome
+val execute : progress:Progress.t -> 'a Job.spec -> 'a Job.outcome
 (** Run one job in the calling domain with the pool's per-job machinery —
-    key-derived RNG context, watchdog deadline, progress accounting,
-    exception-to-outcome conversion. This is the single-job primitive
-    {!run} loops over; {!Graph} drives it directly so a DAG scheduler and
-    a flat batch execute jobs identically. *)
+    key-derived RNG context, progress accounting, exception-to-outcome
+    conversion. This is the single-job primitive {!run} loops over;
+    {!Graph} drives it directly so a DAG scheduler and a flat batch
+    execute jobs identically. *)

@@ -3,7 +3,6 @@ type snapshot = {
   running : int;
   completed : int;
   failed : int;
-  timed_out : int;
   deduped : int;
   peak_in_flight : int;
   cache_hits : int;
@@ -26,7 +25,6 @@ type t = {
   mutable running : int;
   mutable completed : int;
   mutable failed : int;
-  mutable timed_out : int;
   mutable deduped : int;
   mutable peak_in_flight : int;
   mutable cache_hits : int;
@@ -49,7 +47,6 @@ let make ~live =
     running = 0;
     completed = 0;
     failed = 0;
-    timed_out = 0;
     deduped = 0;
     peak_in_flight = 0;
     cache_hits = 0;
@@ -76,14 +73,12 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> f ())
 
 let unsafe_render_line t =
-  let finished = t.completed + t.failed + t.timed_out in
+  let finished = t.completed + t.failed in
   let b = Buffer.create 96 in
   Buffer.add_string b (Printf.sprintf "jobs %d/%d" finished t.queued);
   if t.running > 0 then
     Buffer.add_string b (Printf.sprintf " (%d running)" t.running);
   if t.failed > 0 then Buffer.add_string b (Printf.sprintf " %d failed" t.failed);
-  if t.timed_out > 0 then
-    Buffer.add_string b (Printf.sprintf " %d timed out" t.timed_out);
   if t.cache_hits + t.cache_misses > 0 then
     Buffer.add_string b
       (Printf.sprintf " | cache %d hit %d miss" t.cache_hits t.cache_misses);
@@ -138,11 +133,6 @@ let job_failed t ~wall =
       settle t ~wall;
       t.failed <- t.failed + 1)
 
-let job_timed_out t ~wall =
-  record t (fun t ->
-      settle t ~wall;
-      t.timed_out <- t.timed_out + 1)
-
 let cache_hit t = record t (fun t -> t.cache_hits <- t.cache_hits + 1)
 let cache_miss t = record t (fun t -> t.cache_misses <- t.cache_misses + 1)
 
@@ -167,7 +157,6 @@ let snapshot t =
         running = t.running;
         completed = t.completed;
         failed = t.failed;
-        timed_out = t.timed_out;
         deduped = t.deduped;
         peak_in_flight = t.peak_in_flight;
         cache_hits = t.cache_hits;
@@ -188,7 +177,7 @@ let render_line t = locked t (fun () -> unsafe_render_line t)
 let json_summary ?(extra = []) t =
   let s = snapshot t in
   let mean_job =
-    let n = s.completed + s.failed + s.timed_out in
+    let n = s.completed + s.failed in
     if n = 0 then 0.0 else s.job_wall_total /. float_of_int n
   in
   let utilization =
@@ -202,14 +191,14 @@ let json_summary ?(extra = []) t =
          extra)
   in
   Printf.sprintf
-    "{\"jobs\": {\"queued\": %d, \"done\": %d, \"failed\": %d, \
-     \"timed_out\": %d}, \"cache\": {\"hits\": %d, \"misses\": %d, \
-     \"corrupt_evicted\": %d}, \"wall_s\": {\"total\": %.3f, \"mean_job\": \
-     %.3f, \"max_job\": %.3f}, \"workers\": {\"count\": %d, \
-     \"utilization\": %.3f}, \"graph\": {\"deduped\": %d, \
+    "{\"jobs\": {\"queued\": %d, \"done\": %d, \"failed\": %d}, \
+     \"cache\": {\"hits\": %d, \"misses\": %d, \"corrupt_evicted\": %d}, \
+     \"wall_s\": {\"total\": %.3f, \"mean_job\": %.3f, \"max_job\": %.3f}, \
+     \"workers\": {\"count\": %d, \"utilization\": %.3f}, \
+     \"graph\": {\"deduped\": %d, \
      \"peak_in_flight\": %d, \"nodes_evicted\": %d, \"groups\": %d, \
      \"fork_join_estimate_s\": %.3f}%s}"
-    s.queued s.completed s.failed s.timed_out s.cache_hits s.cache_misses
+    s.queued s.completed s.failed s.cache_hits s.cache_misses
     s.corrupt_evicted s.wall_total mean_job s.job_wall_max s.workers
     utilization s.deduped s.peak_in_flight s.nodes_evicted s.groups
     s.fork_join_estimate_s extra_fields

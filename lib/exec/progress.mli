@@ -20,7 +20,6 @@ type snapshot = {
   running : int;
   completed : int;  (** jobs that returned a value *)
   failed : int;
-  timed_out : int;
   deduped : int;
       (** graph nodes resolved by in-flight deduplication — a submission
           whose key matched a node already declared on the same graph *)
@@ -53,7 +52,6 @@ val add_queued : t -> int -> unit
 val job_started : t -> label:string -> unit
 val job_done : t -> wall:float -> unit
 val job_failed : t -> wall:float -> unit
-val job_timed_out : t -> wall:float -> unit
 
 val job_deduped : t -> unit
 (** A graph submission was answered by an already-declared node. *)

@@ -37,7 +37,6 @@ let of_list l =
   t
 
 let copy t = { words = Array.copy t.words }
-let to_words t = Array.copy t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 

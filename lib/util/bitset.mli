@@ -16,12 +16,6 @@ val of_list : int list -> t
 
 val copy : t -> t
 
-val to_words : t -> int array
-(** The underlying machine words (bit [i] lives in word [i / int_size]), as
-    a fresh array. Lets precompiled kernels lower a mask once into a flat
-    word array and test intersection without touching the growable
-    structure. *)
-
 val set : t -> int -> unit
 (** [set t i] adds index [i]. [i] must be non-negative. *)
 

@@ -129,8 +129,7 @@ let contains_sub line expect_sub =
 
 (* [--telemetry -] must report the bit-parallel scenario engine's lane
    occupancy in a [spec_eval] section: how many lane words ran and how
-   many vectors they carried, and how many deadlock lanes fell back to a
-   scalar replay. *)
+   many vectors they carried. *)
 let test_telemetry_spec_eval () =
   let code, err = run [ "table2"; "--telemetry"; "-" ] in
   checki "exit 0" 0 code;
@@ -144,7 +143,6 @@ let test_telemetry_spec_eval () =
       "\"bitset_words\"";
       "\"bitset_vectors\"";
       "\"vectors_per_word\"";
-      "\"scalar_fallbacks\"";
     ]
 
 (* The hardware-validation run must surface the trace simulator's counters

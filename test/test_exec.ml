@@ -1,5 +1,5 @@
 (* Tests for Vp_exec: pool determinism, store round-trips and corruption
-   recovery, watchdog timeouts, and the experiment-layer wiring. *)
+   recovery, and the experiment-layer wiring. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -88,28 +88,6 @@ let test_pool_failure_isolation () =
   | [ Done 1; Failed msg; Done 2 ] ->
       checkb "diagnostic mentions the exception" true (contains ~sub:"boom" msg)
   | _ -> Alcotest.fail "expected Done/Failed/Done in submission order"
-
-let test_pool_watchdog () =
-  (* The runaway job polls its token and is reported Timed_out; the quick
-     jobs around it still complete. *)
-  let runaway =
-    Vp_exec.Job.make ~key:"runaway" (fun ctx ->
-        let rec loop () =
-          Vp_exec.Cancel.check ctx.cancel;
-          Unix.sleepf 0.005;
-          loop ()
-        in
-        loop ())
-  in
-  let quick key = Vp_exec.Job.make ~key (fun _ -> 0) in
-  let outcomes =
-    Vp_exec.Pool.run ~watchdog_s:0.05 ~jobs:2
-      [ quick "q1"; runaway; quick "q2" ]
-  in
-  let open Vp_exec.Job in
-  match outcomes with
-  | [ Done 0; Timed_out _; Done 0 ] -> ()
-  | _ -> Alcotest.fail "expected Done/Timed_out/Done"
 
 let test_map_exn_raises () =
   let exec = Vp_exec.Context.sequential in
@@ -850,7 +828,6 @@ let () =
         [
           tc "submission order" test_pool_submission_order;
           tc "failure isolation" test_pool_failure_isolation;
-          tc "watchdog" test_pool_watchdog;
           tc "map_exn raises" test_map_exn_raises;
         ] );
       ( "store",

@@ -1,8 +1,9 @@
 (* Kernel equivalence: the compiled scenario kernel ([Vp_engine.Compiled])
    must be indistinguishable from the interpreting oracle
    ([Vp_engine.Dual_engine.run]) — structurally equal [result] records for
-   every block and every outcome vector — and the arena path must not
-   allocate per run beyond the result record itself. *)
+   every block and every outcome vector, and the same deadlock message —
+   and its lane arena must not allocate per run beyond the result records
+   themselves. *)
 
 let checkb = Alcotest.(check bool)
 let machine = Vp_machine.Descr.playdoh ~width:4
@@ -22,9 +23,14 @@ let pp_result ppf (r : Vp_engine.Dual_engine.result) =
 
 let result = Alcotest.testable pp_result ( = )
 
-(* One shared arena across every test exercises cross-block reuse: each
-   compiled block must reset exactly the state it touches. *)
-let arena = Vp_engine.Compiled.Arena.create ()
+(* One shared lane arena across every test exercises cross-block reuse:
+   each compiled block must reset exactly the state it touches. *)
+let lanes = Vp_engine.Compiled.Lanes.create ()
+
+(* One outcome vector as a one-lane word: the call a trace-sim mask-memo
+   miss makes. *)
+let run_one compiled outcomes =
+  (Vp_engine.Compiled.run_bitset compiled lanes ~vectors:[| outcomes |]).(0)
 
 let reference_of (sb : Vp_vspec.Spec_block.t) =
   Vp_engine.Reference.run sb.original_block
@@ -38,9 +44,9 @@ let check_block ?ccb_capacity ?cce_retire_width label sb outcomes_list =
       ~live_in
   in
   (* A tight CCB can genuinely deadlock the machine; the kernel must then
-     deadlock exactly when the oracle does. *)
+     deadlock exactly when the oracle does, with the same message. *)
   let under f =
-    try Ok (f ()) with Vp_engine.Dual_engine.Deadlock _ -> Error `Deadlock
+    try Ok (f ()) with Vp_engine.Dual_engine.Deadlock m -> Error (`Deadlock m)
   in
   List.iter
     (fun outcomes ->
@@ -49,13 +55,10 @@ let check_block ?ccb_capacity ?cce_retire_width label sb outcomes_list =
             Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width sb
               ~reference ~live_in ~outcomes)
       in
-      let kernel =
-        under (fun () ->
-            Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-      in
+      let kernel = under (fun () -> run_one compiled outcomes) in
       Alcotest.check
-        (Alcotest.result result (Alcotest.of_pp (fun ppf `Deadlock ->
-             Format.fprintf ppf "deadlock")))
+        (Alcotest.result result (Alcotest.of_pp (fun ppf (`Deadlock m) ->
+             Format.fprintf ppf "deadlock: %s" m)))
         (Printf.sprintf "%s %s" label
            (String.concat ""
               (List.map
@@ -152,10 +155,10 @@ let prop_kernel_matches_oracle =
           List.for_all
             (fun outcomes ->
               Vp_engine.Dual_engine.run sb ~reference ~live_in ~outcomes
-              = Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
+              = run_one compiled outcomes)
             (outcome_vectors n ~rng ~draws:8))
 
-(* --- Bitset lanes vs per-vector replay --- *)
+(* --- Bitset batches vs per-vector oracle runs --- *)
 
 let batch_vectors n ~rng =
   (* enumerated prefix + random draws + deliberate duplicates *)
@@ -166,17 +169,12 @@ let batch_vectors n ~rng =
   let all = enum @ draws in
   Array.of_list (all @ [ List.hd all ] @ [ List.nth all (List.length all / 2) ])
 
-(* One shared lane arena, like [arena]: every block must reset what it
-   uses. *)
-let lanes = Vp_engine.Compiled.Lanes.create ()
-
 (* [run_bitset] must be observationally identical to mapping
-   [run_scenario] over the vectors — including duplicated vectors, lanes
+   [Dual_engine.run] over the vectors — including duplicated vectors, lanes
    whose timing diverges, and the per-vector-loop deadlock behaviour
-   (first deadlocking vector in input order wins, with the same message).
-   With [~spec:true] the per-vector side is [Dual_engine.run] itself. *)
-let check_bitset ?ccb_capacity ?cce_retire_width ?(spec = false) label sb
-    vectors =
+   (first deadlocking vector in input order wins, with the same
+   message). *)
+let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
   let reference = reference_of sb in
   let compiled =
     Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
@@ -187,10 +185,8 @@ let check_bitset ?ccb_capacity ?cce_retire_width ?(spec = false) label sb
     with Vp_engine.Dual_engine.Deadlock m -> Error (`Deadlock m)
   in
   let one outcomes =
-    if spec then
-      Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width sb ~reference
-        ~live_in ~outcomes
-    else Vp_engine.Compiled.run_scenario compiled arena ~outcomes
+    Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width sb ~reference
+      ~live_in ~outcomes
   in
   let seq = under (fun () -> Array.map one vectors) in
   let bitset =
@@ -251,14 +247,13 @@ let test_bitset_chunking () =
       check_bitset (Printf.sprintf "chunking %d vectors" count) sb vectors)
     [ 1; 62; 63; 64; 127 ]
 
-(* --- Bitset lanes vs the executable spec --- *)
+(* --- Bitset batches vs the executable spec, every shape --- *)
 
-(* [run_bitset] is the only production evaluator of a speculated block, so
-   it is pinned straight to [Dual_engine.run] as well, not only through
-   [run_scenario]: the worked example at every scenario, then the workload
-   blocks under the default, CCB-1 and CCB-2 / CCE-2 shapes in turn. *)
+(* [run_bitset] is the only evaluator of a speculated block outside the
+   oracle: the worked example at every scenario, then the workload blocks
+   under the default, CCB-1 and CCB-2 / CCE-2 shapes in turn. *)
 let test_bitset_spec_engine () =
-  check_bitset ~spec:true "example" (Vliw_vp.Example.spec ())
+  check_bitset "example" (Vliw_vp.Example.spec ())
     (Array.of_list (Vp_engine.Scenario.enumerate 2));
   let rng = Vp_util.Rng.create 47 in
   List.iteri
@@ -266,21 +261,19 @@ let test_bitset_spec_engine () =
       let label = Vp_ir.Block.label sb.block in
       let vectors = batch_vectors (Array.length sb.predicted) ~rng in
       match i mod 3 with
-      | 0 -> check_bitset ~spec:true label sb vectors
-      | 1 ->
-          check_bitset ~spec:true ~ccb_capacity:1 (label ^ " ccb=1") sb
-            vectors
+      | 0 -> check_bitset label sb vectors
+      | 1 -> check_bitset ~ccb_capacity:1 (label ^ " ccb=1") sb vectors
       | _ ->
-          check_bitset ~spec:true ~ccb_capacity:2 ~cce_retire_width:2
+          check_bitset ~ccb_capacity:2 ~cce_retire_width:2
             (label ^ " ccb=2 w=2") sb vectors)
     (Lazy.force speculated_blocks)
 
-(* The whole chain on arbitrary blocks and CCB/CCE shapes: [run_bitset] =
-   per-vector [run_scenario] = per-vector [Dual_engine.run], deadlock
-   messages included. *)
+(* Arbitrary blocks and CCB/CCE shapes: [run_bitset] on a whole batch =
+   [run_bitset] on each vector alone = per-vector [Dual_engine.run],
+   deadlock messages included. *)
 let prop_bitset_matches_per_vector =
   QCheck.Test.make ~count:60
-    ~name:"run_bitset = per-vector run_scenario on arbitrary blocks"
+    ~name:"run_bitset = per-vector oracle"
     QCheck.(quad small_int (int_bound 7) small_int (int_bound 2))
     (fun (seed, pick, oseed, shape) ->
       let models = Vp_workload.Spec_model.all in
@@ -313,12 +306,7 @@ let prop_bitset_matches_per_vector =
             under (fun () ->
                 Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
           in
-          under (fun () ->
-              Array.map
-                (fun outcomes ->
-                  Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-                vectors)
-          = bitset
+          under (fun () -> Array.map (run_one compiled) vectors) = bitset
           && under (fun () ->
                  Array.map
                    (fun outcomes ->
@@ -329,23 +317,24 @@ let prop_bitset_matches_per_vector =
 
 (* --- Allocation regression --- *)
 
-(* The arena path's whole point: a scenario run allocates only the result
-   record and its lists. The oracle's hashtables/queues cost tens of
+(* The lane arena's whole point: a one-vector run — a trace-sim memo
+   miss — allocates only the result record, its lists and the call's
+   small bookkeeping. The oracle's hashtables/queues cost tens of
    kilowords per run; a generous fixed budget still fails loudly if any
    per-run structure creeps back in. *)
 let test_arena_allocation () =
   let sb = Vliw_vp.Example.spec () in
   let reference = Vliw_vp.Example.reference () in
   let compiled = Vp_engine.Compiled.compile sb ~reference ~live_in in
-  let arena = Vp_engine.Compiled.Arena.create () in
-  let outcomes = [| true; false |] in
+  let lanes = Vp_engine.Compiled.Lanes.create () in
+  let vectors = [| [| true; false |] |] in
   for _ = 1 to 3 do
-    ignore (Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
+    ignore (Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
   done;
   let runs = 100 in
   let before = Gc.minor_words () in
   for _ = 1 to runs do
-    ignore (Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
+    ignore (Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
   done;
   let per_run = (Gc.minor_words () -. before) /. float_of_int runs in
   checkb

@@ -156,6 +156,29 @@ let test_uniform_empty_does_not_claim () =
     "len = 0 leaves the table untouched" 0.0
     (Vp_predict.Vp_table.utilization t)
 
+(* --- Deadlock order ---
+
+   A CCB too small for a block's speculation deadlocks the machine. The
+   per-execution loop raises at the first deadlocking execution in
+   schedule order. At CCB 2 that is not compress's lowest-numbered
+   deadlocking block, so a phase 2 that replayed memo misses in block
+   order would raise a different block's deadlock. *)
+
+let test_deadlock_order () =
+  let p = pipeline_of Vp_workload.Spec_model.compress 42 in
+  let p = { p with config = { p.config with ccb_capacity = Some 2 } } in
+  let under f =
+    try
+      ignore (f ());
+      Ok ()
+    with Vp_engine.Dual_engine.Deadlock m -> Error m
+  in
+  let expect = under (fun () -> Trace_sim_ref.run p) in
+  checkb "the small CCB deadlocks" true (Result.is_error expect);
+  Alcotest.(check (result unit string))
+    "same deadlock as the per-execution loop" expect
+    (under (fun () -> Vliw_vp.Trace_sim.run p))
+
 (* --- Determinism and telemetry --- *)
 
 let test_fast_deterministic () =
@@ -227,6 +250,7 @@ let () =
             test_run_slot_uniform_matches_scalar;
           Alcotest.test_case "empty uniform run claims nothing" `Quick
             test_uniform_empty_does_not_claim;
+          Alcotest.test_case "deadlock order" `Quick test_deadlock_order;
         ] );
       ( "fast lane",
         [
