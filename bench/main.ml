@@ -26,10 +26,9 @@ let section title = Printf.printf "%s\n%s\n%s\n" line title line
 
    Without --cache-dir the harness keeps its result store in _cache/bench/,
    not vliw_vp's _cache/: entries carry the stamp of the executable that
-   wrote them (its build ID, or its MD5), so in a shared store an entry
-   under a key both binaries compute (the closure-free spec-unit keys; job
-   keys marshal closures and differ per binary) would be evicted back and
-   forth as stale. *)
+   wrote them (its build ID, or its MD5), and both binaries compute the
+   same key for the same work, so in a shared store every entry both
+   compute would be evicted back and forth as stale. *)
 
 let exec_opts, json_path, smoke =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -179,7 +178,7 @@ let kernel_reference = Vliw_vp.Example.reference ()
    the kernel's speedup. *)
 let kernel_compiled =
   Vp_engine.Compiled.compile kernel_spec ~reference:kernel_reference
-    ~live_in:Vliw_vp.Pipeline.live_in
+    ~live_in:Vp_engine.Reference.live_in
 
 (* Not shared with the dense-block targets: a run resets the arena's
    sync and calendar rows over their grown length, so sharing would tie
@@ -213,10 +212,11 @@ let bitset_compiled, bitset_vectors, bitset_pair =
   let reference =
     Vp_engine.Reference.run sb.Vp_vspec.Spec_block.original_block
       ~load_values:(fun id -> 1000 + (13 * id))
-      ~live_in:Vliw_vp.Pipeline.live_in
+      ~live_in:Vp_engine.Reference.live_in
   in
   let compiled =
-    Vp_engine.Compiled.compile sb ~reference ~live_in:Vliw_vp.Pipeline.live_in
+    Vp_engine.Compiled.compile sb ~reference
+      ~live_in:Vp_engine.Reference.live_in
   in
   (* One full lane word of outcome vectors, distinct whenever the block
      has >= 6 predictions (63 of the 2^n combinations). *)
@@ -528,11 +528,11 @@ let tests =
     Test.make ~name:"kernel:dual-engine-oracle"
       (Staged.stage (fun () ->
            Vp_engine.Dual_engine.run kernel_spec ~reference:kernel_reference
-             ~live_in:Vliw_vp.Pipeline.live_in ~outcomes:[| false; true |]));
+             ~live_in:Vp_engine.Reference.live_in ~outcomes:[| false; true |]));
     Test.make ~name:"kernel:compile"
       (Staged.stage (fun () ->
            Vp_engine.Compiled.compile kernel_spec ~reference:kernel_reference
-             ~live_in:Vliw_vp.Pipeline.live_in));
+             ~live_in:Vp_engine.Reference.live_in));
     (* The unboxed predictor kernels on 512 values: the paper's predictor
        pair (stride + order-2 FCM) scored in one pass, with fresh states
        (including the FCM table) built per call. *)

@@ -415,7 +415,7 @@ let run_cmd =
             in
             let reference =
               Vp_engine.Reference.run block ~load_values
-                ~live_in:Vliw_vp.Pipeline.live_in
+                ~live_in:Vp_engine.Reference.live_in
             in
             let n = Vp_vspec.Spec_block.num_predictions sb in
             if n <= 4 then
@@ -426,7 +426,7 @@ let run_cmd =
                   in
                   let r =
                     Vp_engine.Dual_engine.run ~observer sb ~reference
-                      ~live_in:Vliw_vp.Pipeline.live_in ~outcomes
+                      ~live_in:Vp_engine.Reference.live_in ~outcomes
                   in
                   Format.printf
                     "%a: %d cycles (original %d), %d stalls, %d flushed, %d recomputed@."
@@ -474,7 +474,7 @@ let simulate_cmd =
     | Ok (program, rates) ->
         let machine = Vp_machine.Descr.playdoh ~width in
         let policy = { Vp_vspec.Policy.default with threshold } in
-        let live_in = Vliw_vp.Pipeline.live_in in
+        let live_in = Vp_engine.Reference.live_in in
         let load_values (op : Vp_ir.Operation.t) =
           match op.stream with Some s -> 1000 + (37 * s) | None -> 0
         in

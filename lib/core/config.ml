@@ -46,22 +46,6 @@ let make ~width ~seed ~threshold =
 let effective_cycles t (r : Vp_engine.Dual_engine.result) =
   if t.charge_cce_drain then r.cycles else r.vliw_cycles
 
-(* [t] embeds one closure (the policy's [speculate_op] veto), so
-   polymorphic equality would raise on it. Compare the veto physically —
-   record updates preserve it, so sweep points share the one default
-   closure — and everything else structurally, by masking the veto to one
-   shared function on both sides. [compare] rather than [=]: only the
-   former short-circuits physically equal subvalues (here the shared
-   mask), [=] would still raise on the closure field. *)
-let masked_veto (_ : Vp_ir.Operation.t) = true
-
-let structural_equal a b =
-  let mask c =
-    { c with policy = { c.policy with Vp_vspec.Policy.speculate_op = masked_veto } }
-  in
-  a.policy.Vp_vspec.Policy.speculate_op == b.policy.Vp_vspec.Policy.speculate_op
-  && compare (mask a) (mask b) = 0
-
 let with_width width t = { t with width }
 
 let machine t = Vp_machine.Descr.playdoh ~width:t.width

@@ -52,14 +52,6 @@ val make : width:int -> seed:int -> threshold:float -> t
 val effective_cycles : t -> Vp_engine.Dual_engine.result -> int
 (** The block-latency reading selected by [charge_cce_drain]. *)
 
-val structural_equal : t -> t -> bool
-(** Structural equality over every field except the policy's
-    [speculate_op] veto, which is a closure and is compared physically
-    instead (record updates preserve the shared default, so sweep points
-    built by [{ c with ... }] tweaks compare equal whenever their
-    observable knobs do). This is the equality the memo layers key on —
-    two configs that compare equal here drive byte-identical pipelines. *)
-
 val with_width : int -> t -> t
 
 val machine : t -> Vp_machine.Descr.t

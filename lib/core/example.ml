@@ -26,7 +26,7 @@ let policy =
     critical_path_only = false;
     (* The paper's scheduler chooses not to speculate operations 10 and 11
        (ids 9 and 10). *)
-    speculate_op = (fun (op : Vp_ir.Operation.t) -> op.id < 9);
+    non_speculative = [ 9; 10 ];
   }
 
 let rate (op : Vp_ir.Operation.t) =
@@ -44,7 +44,8 @@ let spec () =
       failwith ("Example.spec: transform declined: " ^ reason)
 
 let reference () =
-  Vp_engine.Reference.run block ~load_values ~live_in:Pipeline.live_in
+  Vp_engine.Reference.run block ~load_values
+    ~live_in:Vp_engine.Reference.live_in
 
 type case = {
   label : string;
@@ -64,8 +65,8 @@ let cases () =
       label;
       outcomes;
       result =
-        Vp_engine.Dual_engine.run sb ~reference ~live_in:Pipeline.live_in
-          ~outcomes;
+        Vp_engine.Dual_engine.run sb ~reference
+          ~live_in:Vp_engine.Reference.live_in ~outcomes;
       recovery_cycles = Vp_baseline.Static_recovery.cycles recovery ~outcomes;
     }
   in
@@ -83,7 +84,7 @@ let figure7 () =
   (* Figure 7's scenario: r4 correct, r7 mispredicted — case (c). *)
   let (_ : Vp_engine.Dual_engine.result) =
     Vp_engine.Dual_engine.run ~observer sb ~reference
-      ~live_in:Pipeline.live_in ~outcomes:[| true; false |]
+      ~live_in:Vp_engine.Reference.live_in ~outcomes:[| true; false |]
   in
   trace ()
 

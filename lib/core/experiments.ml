@@ -179,17 +179,11 @@ let run_benchmark ?config model = summarize (Pipeline.run ?config model)
    sequential and storeless, which replays the jobs in submission order in
    the calling domain — bit-identical to the historical [List.map] code. *)
 
+(* Content address of one experiment result: the experiment kind, the
+   full benchmark model (not just its name — custom models must not
+   collide), the full configuration and any extra payload. *)
 let job_key ~kind ~(config : Config.t) payload =
-  (* Content address of one experiment result: the experiment kind, the
-     full benchmark model (not just its name — custom models must not
-     collide), the full configuration and any extra payload, digested over
-     their [Marshal] bytes. [Closures] is required because benchmark models
-     embed value-stream generators; closure serialization is stable within
-     one binary, which is exactly the cache's validity domain (the store's
-     version header stamps the executable: its build ID, or its MD5). *)
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string (kind, payload, config) [ Marshal.Closures ]))
+  Vp_exec.Store.key (kind, payload, config)
 
 (* One keying helper for every region-formed leaf — the formation params
    ride in the payload as a typed variant, so a superblock point and a
@@ -430,7 +424,7 @@ let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
   G.node g
     ~label:("comparison:" ^ model.Vp_workload.Spec_model.name)
     ~group
-    ~key:(Digest.to_hex (Digest.string ("comparison:" ^ G.key bench)))
+    ~key:(Vp_exec.Store.key ("comparison", G.key bench))
     ~deps:[ G.pack bench ]
     (fun _ctx -> comparison_of (Pipeline.run ~config model))
 
@@ -794,7 +788,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
                   let solo =
                     Vp_engine.Dual_engine.run
                       ~cce_retire_width:config.cce_retire_width spec.sb
-                      ~reference ~live_in:Pipeline.live_in ~outcomes
+                      ~reference ~live_in:Vp_engine.Reference.live_in ~outcomes
                   in
                   Hashtbl.add solo_runs (bi, outcomes) solo;
                   solo
@@ -806,7 +800,8 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
   in
   let r =
     Vp_engine.Sequence_engine.run
-      ~cce_retire_width:config.cce_retire_width ~live_in:Pipeline.live_in
+      ~cce_retire_width:config.cce_retire_width
+      ~live_in:Vp_engine.Reference.live_in
       (List.map (fun (i, _, _) -> i) items_with_bounds)
   in
   {

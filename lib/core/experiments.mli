@@ -31,9 +31,9 @@ type comparison = {
 }
 
 (** What the paper's per-benchmark artifacts print, and nothing more: plain
-    data with no closures, so it marshals without [Marshal.Closures] and a
-    warm run reads back a few kilobytes per benchmark rather than the whole
-    pipeline (workload, program, profile and every evaluated block). *)
+    data, so a warm run reads back a few kilobytes per benchmark rather
+    than the whole pipeline (workload, program, profile and every
+    evaluated block). *)
 type benchmark_summary = {
   bench : string;  (** benchmark name *)
   stats : Vp_metrics.Summary.block_stats array;

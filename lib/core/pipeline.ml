@@ -39,8 +39,6 @@ type t = {
   blocks : block_eval array;
 }
 
-let live_in r = (1009 * r) + 77
-
 let block_reference workload (block : Vp_ir.Block.t) =
   let values = Hashtbl.create 8 in
   List.iter
@@ -53,7 +51,7 @@ let block_reference workload (block : Vp_ir.Block.t) =
     (Vp_ir.Block.loads block);
   Vp_engine.Reference.run block
     ~load_values:(fun i -> Hashtbl.find values i)
-    ~live_in
+    ~live_in:Vp_engine.Reference.live_in
 
 (* Outcome-independent preparation for one speculated block. Built
    sequentially, in block order: the reference draws each load's dynamic
@@ -118,7 +116,7 @@ let lanes () = Domain.DLS.get lanes_key
 let simulate_batch config prep =
   let compiled =
     Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
-      ~cce_retire_width:config.Config.cce_retire_width ~live_in prep.prep_sb
+      ~cce_retire_width:config.Config.cce_retire_width prep.prep_sb
       ~reference:prep.prep_reference
   in
   let n = Array.length prep.prep_rates in
@@ -175,20 +173,15 @@ let eval_of_prep prep (results, best, worst, unique) =
     recovery = prep.prep_recovery;
   }
 
+(* Content address of one block's scenario batch: everything the results
+   depend on. *)
 let batch_key config prep =
-  (* Content address of one block's scenario batch: everything the results
-     depend on. [Closures] for the same reason as the experiment layer's
-     keys — models and graphs may embed closures, and the store is only
-     valid within one binary anyway. *)
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( "scenario-batch",
-            prep.prep_sb,
-            prep.prep_reference,
-            prep.prep_vectors,
-            config )
-          [ Marshal.Closures ]))
+  Vp_exec.Store.key
+    ( "scenario-batch",
+      prep.prep_sb,
+      prep.prep_reference,
+      prep.prep_vectors,
+      config )
 
 (* The content-addressed key exists to index the on-disk store; digesting a
    whole marshalled spec block per job is pure overhead when the context has
@@ -206,9 +199,10 @@ let job_key exec config index prep =
    state nor observes the machine shape, the speculation policy or any
    other [Config] knob. Sweeps that vary those knobs — every [ablate]
    sweep, Table 4's two widths — would recompute byte-identical profiles;
-   memoize them instead. Keyed physically on the model (models embed
-   stream-generator closures, so structural comparison is unavailable) and
-   structurally on the seed and predictors, hashed on (model name, seed). *)
+   memoize them instead. Keyed physically on the model (a model is plain
+   data, but every caller holds the stock model values, and [==] is
+   cheaper than comparing two models field by field) and structurally on
+   the seed and predictors, hashed on (model name, seed). *)
 let profile_memo :
     ( Vp_workload.Spec_model.t * int * Vp_predict.Predictor.kind list option,
       Vp_profile.Value_profile.t )
@@ -346,10 +340,10 @@ let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
    bit-identical across worker counts by construction. Keyed physically on
    the program (the workload memo and the region-formation memo make every
    holder of one content share one physical value) and matched on the
-   workload (physical), the config ({!Config.structural_equal}) and the
-   profile argument (physical option): warm reruns — bench repetitions,
-   the region experiments' shared base runs, frontier points sharing a
-   width — return the finished evaluation outright. *)
+   workload (physical), the config ([=]) and the profile argument
+   (physical option): warm reruns — bench repetitions, the region
+   experiments' shared base runs, frontier points sharing a width —
+   return the finished evaluation outright. *)
 type run_key = {
   rk_program : Vp_ir.Program.t;
   rk_workload : Vp_workload.Workload.t;
@@ -363,7 +357,7 @@ let run_memo : (run_key, t) Vp_util.Memo.t =
     ~equal:(fun a b ->
       a.rk_program == b.rk_program
       && a.rk_workload == b.rk_workload
-      && Config.structural_equal a.rk_config b.rk_config
+      && a.rk_config = b.rk_config
       && Option.equal ( == ) a.rk_profile b.rk_profile)
 
 let run_program ?(config = Config.default)

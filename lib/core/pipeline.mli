@@ -107,11 +107,6 @@ val run_program :
     config returns the finished evaluation. The memo is a
     {!Vp_util.Memo} bounded at 2048 runs. *)
 
-val live_in : int -> int
-(** The deterministic live-in register values used for every simulation
-    ([live_in r = 1009 * r + 77]). Exposed so examples and tests can build
-    matching references. *)
-
 val reference_of_block : t -> int -> Vp_engine.Reference.t
 (** Reference execution of block [index] with its first dynamic load
     values — the one the pipeline simulated against. *)

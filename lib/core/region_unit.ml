@@ -39,16 +39,12 @@ let digest_of program = Vp_util.Memo.find_opt registry program
    [Workload.generate] is pure in [(seed, model)] and [Cfg.derive] in
    [(seed, workload)], so [(workload seed, model, cfg, params)] is a
    complete content address of a formation result. The model (not just its
-   name) is marshalled so custom models cannot collide; [Closures] because
-   models embed stream generators — stable within one binary, which is the
-   store's validity domain anyway. *)
-let digest_key payload =
-  Digest.to_hex (Digest.string (Marshal.to_string payload [ Marshal.Closures ]))
+   name) is in the key so custom models cannot collide. *)
 
 let traces_key workload cfg (params : Vp_region.Superblock.params) =
   (* Trace selection never reads [stitch]: sweep points that vary only the
      stitch probability share one selection. *)
-  digest_key
+  Vp_exec.Store.key
     ( "region-traces",
       Vp_workload.Workload.seed workload,
       Vp_workload.Workload.model workload,
@@ -58,7 +54,7 @@ let traces_key workload cfg (params : Vp_region.Superblock.params) =
       params.min_count )
 
 let superblock_key ~seed workload cfg (params : Vp_region.Superblock.params) =
-  digest_key
+  Vp_exec.Store.key
     ( "region-superblock",
       seed,
       Vp_workload.Workload.seed workload,
@@ -67,7 +63,7 @@ let superblock_key ~seed workload cfg (params : Vp_region.Superblock.params) =
       params )
 
 let hyperblock_key workload cfg (params : Vp_region.Hyperblock.params) =
-  digest_key
+  Vp_exec.Store.key
     ( "region-hyperblock",
       Vp_workload.Workload.seed workload,
       Vp_workload.Workload.model workload,

@@ -16,16 +16,17 @@ let xform : (string, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
 let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 8192
 
 (* Compiled kernels: keyed physically on the spec block and matched on
-   the machine shape, reference and live-ins. The reuse this cache exists
-   for — the same block under several CCE shapes, or repeated runs of one
-   sweep point — always goes through the transform cache first and
-   therefore holds the same physical [sb]; content-digesting a whole spec
-   block would cost more than the compile it saves. *)
+   the machine shape and reference. The reuse this cache exists for — the
+   same block under several CCE shapes, or repeated runs of one sweep
+   point — always goes through the transform cache first and therefore
+   holds the same physical [sb]; content-digesting a whole spec block
+   would cost more than the compile it saves. Every kernel is compiled
+   against {!Vp_engine.Reference.live_in}, so the live-ins are no part of
+   the key. *)
 type compiled_key = {
   sb : Vp_vspec.Spec_block.t;
   ccb : int option;
   cce : int;
-  live_in : int -> int;
   reference : Vp_engine.Reference.t;
 }
 
@@ -33,14 +34,11 @@ let comp : (compiled_key, Vp_engine.Compiled.t) Vp_util.Memo.t =
   Vp_util.Memo.create 8192
     ~hash:(fun k -> Hashtbl.hash k.sb)
     ~equal:(fun a b ->
-      a.sb == b.sb && a.ccb = b.ccb && a.cce = b.cce && a.live_in == b.live_in
+      a.sb == b.sb && a.ccb = b.ccb && a.cce = b.cce
       && a.reference = b.reference)
 
 let stats () =
   Vp_util.Memo.(total [ stats sched; stats xform; stats rates; stats comp ])
-
-let digest_key payload =
-  Digest.to_hex (Digest.string (Marshal.to_string payload [ Marshal.Closures ]))
 
 (* An [ident] is a (region formation digest, block index) pair: a complete
    content identity for the block — formation is deterministic in the
@@ -51,8 +49,8 @@ let schedule ?store ?ident descr block =
   let key =
     match ident with
     | Some (digest, index) ->
-        digest_key ("spec-unit-schedule-ident", descr, digest, index)
-    | None -> digest_key ("spec-unit-schedule", descr, block)
+        Vp_exec.Store.key ("spec-unit-schedule-ident", descr, digest, index)
+    | None -> Vp_exec.Store.key ("spec-unit-schedule", descr, block)
   in
   Vp_exec.Store.cached ?store sched ~key (fun () ->
       Vp_sched.List_scheduler.schedule_block descr block)
@@ -79,9 +77,10 @@ let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
   let key =
     match ident with
     | Some (digest, index) ->
-        digest_key
+        Vp_exec.Store.key
           ("spec-unit-transform-ident", descr, policy0, masked, digest, index)
-    | None -> digest_key ("spec-unit-transform", descr, policy0, masked, block)
+    | None ->
+        Vp_exec.Store.key ("spec-unit-transform", descr, policy0, masked, block)
   in
   let outcome =
     Vp_exec.Store.cached ?store xform ~key (fun () ->
@@ -108,7 +107,7 @@ let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
    entry. *)
 let profile_rates ?store workload ~stream ~samples ~kinds =
   let key =
-    digest_key
+    Vp_exec.Store.key
       ( "spec-unit-profile-rates",
         Vp_workload.Workload.seed workload,
         stream,
@@ -119,12 +118,12 @@ let profile_rates ?store workload ~stream ~samples ~kinds =
   Vp_exec.Store.cached ?store rates ~key (fun () ->
       Vp_profile.Value_profile.stream_rates workload ~stream ~samples ~kinds)
 
-let compiled ?ccb_capacity ~cce_retire_width ~live_in sb ~reference =
+let compiled ?ccb_capacity ~cce_retire_width sb ~reference =
   Vp_util.Memo.find_or_add comp
-    { sb; ccb = ccb_capacity; cce = cce_retire_width; live_in; reference }
+    { sb; ccb = ccb_capacity; cce = cce_retire_width; reference }
     (fun () ->
       Vp_engine.Compiled.compile ?ccb_capacity ~cce_retire_width sb
-        ~reference ~live_in)
+        ~reference ~live_in:Vp_engine.Reference.live_in)
 
 let clear () =
   Vp_util.Memo.clear sched;

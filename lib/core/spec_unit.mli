@@ -8,18 +8,17 @@
       load rates, block IR), and {e not} the CCE shape, the scenario caps,
       or any other [Config] knob;
     - the {b compiled kernel} ([Vp_engine.Compiled.t]) — (spec block,
-      reference, live-ins, CCB capacity, CCE retire width).
+      reference, CCB capacity, CCE retire width).
 
     This module memoizes all three so neighbouring sweep points share them
     instead of recomputing. Schedules and transform outcomes live in
     process-wide hash tables keyed by a content digest
-    ([Marshal] + MD5, with [Marshal.Closures] — keys are only meaningful
-    within one binary, exactly the [Vp_exec.Store] contract) and are
-    optionally backed by an on-disk store so repeated {e runs} also share;
-    compiled kernels are keyed physically on the spec block (a transform
-    cache hit returns the same physical block, which is precisely the
-    sweep-reuse case) because digesting a whole spec block would cost more
-    than the ~6 µs compile it saves.
+    ({!Vp_exec.Store.key}: every input is plain data, so equal inputs get
+    one key) and are optionally backed by an on-disk store so repeated
+    {e runs} also share; compiled kernels are keyed physically on the
+    spec block (a transform cache hit returns the same physical block,
+    which is precisely the sweep-reuse case) because digesting a whole
+    spec block would cost more than the ~6 µs compile it saves.
 
     {b Threshold normalization.} The transform consults the policy
     threshold only as the predicate [rate >= threshold] (selection and the
@@ -91,10 +90,9 @@ val profile_rates :
 val compiled :
   ?ccb_capacity:int ->
   cce_retire_width:int ->
-  live_in:(int -> int) ->
   Vp_vspec.Spec_block.t ->
   reference:Vp_engine.Reference.t ->
   Vp_engine.Compiled.t
-(** Cached [Vp_engine.Compiled.compile], keyed physically on [sb] and
-    structurally on the reference and machine shape; [live_in] is compared
-    physically. In-memory only. *)
+(** Cached [Vp_engine.Compiled.compile] with the live-ins every simulation
+    uses ({!Vp_engine.Reference.live_in}), keyed physically on [sb] and
+    structurally on the reference and machine shape. In-memory only. *)

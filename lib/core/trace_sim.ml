@@ -139,8 +139,7 @@ type fast_block = {
 let build_fast_block config p bi (spec : Pipeline.spec_eval) =
   let compiled =
     Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
-      ~cce_retire_width:config.Config.cce_retire_width
-      ~live_in:Pipeline.live_in spec.Pipeline.sb
+      ~cce_retire_width:config.Config.cce_retire_width spec.Pipeline.sb
       ~reference:(Pipeline.reference_of_block p bi)
   in
   let preds = spec.Pipeline.sb.Vp_vspec.Spec_block.predicted in

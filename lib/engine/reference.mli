@@ -24,6 +24,11 @@ type t = {
   stores : (int * int) list;  (** (address, value) pairs in program order *)
 }
 
+val live_in : int -> int
+(** The deterministic live-in register values every simulation uses
+    ([live_in r = 1009 * r + 77]): the pipeline's references and compiled
+    kernels, the examples and the tests. *)
+
 val run :
   Vp_ir.Block.t -> load_values:(int -> int) -> live_in:(int -> int) -> t
 (** [run block ~load_values ~live_in] executes the block. [load_values i]

@@ -91,16 +91,15 @@ let hex s =
        (List.of_seq (String.to_seq s)))
 
 (* The stamp makes stale entries self-invalidating: a rebuilt binary reads
-   a version mismatch, evicts and recomputes. It also makes
-   [Marshal.Closures] payloads safe: they are only ever read back by the
-   binary that wrote them. A native executable's stamp is the build ID the
-   linker hashed over the whole linked output, code and data alike, read
-   from the first few KiB instead of digesting every byte. Without one
-   (bytecode, whose [-custom] images append their code after linking; a
-   link with [--build-id=none]; a non-ELF platform) the stamp is the MD5 of
-   the whole file. An executable that cannot be read has no stamp, and any
-   constant in its place would let a rebuilt binary accept an older one's
-   entries, so it gets no store. *)
+   a version mismatch, evicts and recomputes, so a payload is only ever
+   read back by the binary that wrote it. A native executable's stamp is
+   the build ID the linker hashed over the whole linked output, code and
+   data alike, read from the first few KiB instead of digesting every
+   byte. Without one (bytecode, whose [-custom] images append their code
+   after linking; a link with [--build-id=none]; a non-ELF platform) the
+   stamp is the MD5 of the whole file. An executable that cannot be read
+   has no stamp, and any constant in its place would let a rebuilt binary
+   accept an older one's entries, so it gets no store. *)
 let stamp exe =
   let id =
     match Sys.backend_type with
@@ -150,6 +149,11 @@ let create ?version ~dir () =
 
 let dir t = t.dir
 let version t = t.version
+
+(* [No_sharing] makes the bytes a function of the value's structure alone:
+   default flags also encode which parts are physically shared, so an
+   [=]-equal copy built field by field would get a different key. *)
+let key v = Digest.to_hex (Digest.string (Marshal.to_string v [ No_sharing ]))
 
 let entry_path t ~key =
   Filename.concat t.dir (Digest.to_hex (Digest.string key) ^ ".bin")
@@ -226,7 +230,7 @@ let find t ~key =
       | exception Corrupt -> if evict path ~ino then Evicted else Miss)
 
 let put t ~key v =
-  match Marshal.to_string v [ Marshal.Closures ] with
+  match Marshal.to_string v [] with
   | exception _ -> ()
   | payload -> (
       (* One exclusive create ([O_CREAT|O_EXCL]) that hands back the

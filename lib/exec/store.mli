@@ -37,7 +37,7 @@
     [put] under a key, and [find] returns it at whatever type the caller
     expects — exactly the [Marshal] contract. Keys must therefore encode
     everything the value depends on (the experiment layer digests the whole
-    [(kind, model, config)] triple). *)
+    [(kind, model, config)] triple with {!key}). *)
 
 type t
 
@@ -60,9 +60,16 @@ val version : t -> string
 val find : t -> key:string -> 'a lookup
 
 val put : t -> key:string -> 'a -> unit
-(** Serialization failures (a value [Marshal] rejects) and I/O failures (a
-    full disk, a directory at the entry's path) degrade to a no-op: the
-    result is simply not cached, and no temp file is left behind. *)
+(** Serialization failures (a value [Marshal] rejects, such as one
+    holding a closure) and I/O failures (a full disk, a directory at the
+    entry's path) degrade to a no-op: the result is simply not cached, and
+    no temp file is left behind. *)
+
+val key : 'a -> string
+(** [key v] is the hex MD5 of [v]'s [Marshal] bytes under [No_sharing]:
+    every cache and graph key is built here. [=]-equal values get one key
+    however their parts are physically shared. Raises [Invalid_argument]
+    on a closure: key inputs are plain (and acyclic) data. *)
 
 val entry_path : t -> key:string -> string
 (** Where [key]'s entry lives — exposed for tests and debugging. *)

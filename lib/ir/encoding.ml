@@ -1,10 +1,3 @@
-let opcode_code op =
-  let rec index i = function
-    | [] -> assert false (* Opcode.all is total *)
-    | o :: rest -> if Opcode.equal o op then i else index (i + 1) rest
-  in
-  index 0 Opcode.all
-
 let opcode_of_code c =
   match List.nth_opt Opcode.all c with
   | Some o -> o
@@ -62,7 +55,7 @@ let encode_op (op : Operation.t) =
           Some (mask_of_bits spec_bits) )
   in
   let low =
-    opcode_code op.opcode
+    Opcode.index op.opcode
     lor (reg_field ~name:"destination" op.dst lsl 6)
     lor (reg_field ~name:"source 1" (src 0) lsl 14)
     lor (reg_field ~name:"source 2" (src 1) lsl 22)

@@ -21,6 +21,11 @@ let all =
   [ Add; Sub; Mul; Div; And; Or; Xor; Shift; Move; Cmp; Load; Store; Fadd;
     Fmul; Fdiv; Branch; Ld_pred ]
 
+let index = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | And -> 4 | Or -> 5 | Xor -> 6
+  | Shift -> 7 | Move -> 8 | Cmp -> 9 | Load -> 10 | Store -> 11 | Fadd -> 12
+  | Fmul -> 13 | Fdiv -> 14 | Branch -> 15 | Ld_pred -> 16
+
 let is_memory = function Load | Store -> true | _ -> false
 let is_load = function Load -> true | _ -> false
 let is_store = function Store -> true | _ -> false

@@ -34,6 +34,10 @@ type t =
 val all : t list
 (** Every opcode, for exhaustive iteration in tests. *)
 
+val index : t -> int
+(** The opcode's position in {!all}, in O(1): the index of per-opcode
+    tables and the binary encoding's opcode field. *)
+
 val is_memory : t -> bool
 (** Loads and stores (the operations that serialize conservatively). *)
 

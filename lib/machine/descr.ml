@@ -1,7 +1,7 @@
 type t = {
   name : string;
   unit_counts : (Unit_class.t * int) list;
-  latency : Vp_ir.Opcode.t -> int;
+  latencies : int array;  (* by [Opcode.index] *)
   issue_width : int;
 }
 
@@ -19,7 +19,12 @@ let make ~name ~units ~latency ?issue_width () =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 units in
   let issue_width = Option.value ~default:total issue_width in
   if issue_width <= 0 then invalid_arg "Descr.make: issue width <= 0";
-  { name; unit_counts = units; latency; issue_width }
+  {
+    name;
+    unit_counts = units;
+    latencies = Array.of_list (List.map latency Vp_ir.Opcode.all);
+    issue_width;
+  }
 
 let name t = t.name
 let issue_width t = t.issue_width
@@ -27,8 +32,8 @@ let issue_width t = t.issue_width
 let units t c =
   match List.assoc_opt c t.unit_counts with Some n -> n | None -> 0
 
-let opcode_latency t op = t.latency op
-let latency t (op : Vp_ir.Operation.t) = t.latency op.opcode
+let opcode_latency t op = t.latencies.(Vp_ir.Opcode.index op)
+let latency t (op : Vp_ir.Operation.t) = opcode_latency t op.opcode
 
 let default_latency (op : Vp_ir.Opcode.t) =
   match op with

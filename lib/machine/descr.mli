@@ -23,8 +23,9 @@ val make :
   t
 (** [make ~name ~units ~latency ()] builds a description. Unit counts must
     be positive; missing classes default to 0 units. [issue_width] defaults
-    to the sum of unit counts. All latencies must be ≥ 1 (checked for every
-    opcode eagerly). *)
+    to the sum of unit counts. All latencies must be ≥ 1. [latency] is
+    read once per opcode here and tabulated, so a description is plain
+    data: it compares with [=] and marshals without closures. *)
 
 val name : t -> string
 
@@ -34,9 +35,9 @@ val units : t -> Unit_class.t -> int
 (** Number of units of the class. *)
 
 val latency : t -> Vp_ir.Operation.t -> int
-(** Operation latency. Check-prediction loads keep the full load latency
-    (the comparison is folded into the final cycle); [Ld_pred] costs the
-    latency of its opcode entry (1 in all presets). *)
+(** Operation latency, one array read. Check-prediction loads keep the
+    full load latency (the comparison is folded into the final cycle);
+    [Ld_pred] costs the latency of its opcode entry (1 in all presets). *)
 
 val opcode_latency : t -> Vp_ir.Opcode.t -> int
 

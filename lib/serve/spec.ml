@@ -8,8 +8,8 @@
    Supervisor and workers must agree exactly on all of this: the
    supervisor routes an artifact to the shard its render key hashes to,
    and the worker answers equal work from the node under the same key.
-   Keys digest [Marshal] bytes with [Closures], which is stable across
-   forked workers because they share the supervisor's process image. *)
+   Keys are {!Vp_exec.Store.key} digests of plain data, so supervisor and
+   workers compute the same key for equal work. *)
 
 module G = Vp_exec.Graph
 
@@ -123,7 +123,7 @@ type t = {
   sweeps : (string * (string * Vliw_vp.Config.t) list) list;
       (* custom sweeps: each point's overrides applied to [config] *)
   shared : string Lazy.t;
-      (* raw digest of what every render key of the spec shares: models,
+      (* the key of what every render key of the spec shares: models,
          config and csv — marshalled at most once per spec, and not at
          all by a caller that needs no key *)
 }
@@ -160,11 +160,7 @@ let of_submit (s : Protocol.submit) : (t, Protocol.reject) result =
           in
           let csv = s.csv in
           let shared =
-            lazy
-              (Digest.string
-                 (Marshal.to_string
-                    ("serve-render", models, config, csv)
-                    [ Marshal.Closures ]))
+            lazy (Vp_exec.Store.key ("serve-render", models, config, csv))
           in
           Result.map
             (fun sweeps -> { config; models; csv; sweeps; shared })
@@ -177,28 +173,16 @@ let sweep_name artifact =
     Some (String.sub artifact 6 (String.length artifact - 6))
   else None
 
-(* The render node's content address: the spec's shared digest, a sweep
-   salt and the artifact name. The salt is the digest of a custom sweep's
-   applied point configs — two requests declaring different points under
-   the same sweep name (and base config) must not share a node — and a
-   constant for every other artifact. Both digests have a fixed width and
-   the name comes last, so distinct inputs never concatenate equal. *)
-let no_salt = Digest.string ""
-
+(* The render node's content address: the spec's shared key, a custom
+   sweep's applied point configs — two requests declaring different points
+   under the same sweep name (and base config) must not share a node —
+   and the artifact name. *)
 let render_key spec ~artifact =
   let points =
     Option.bind (sweep_name artifact) (fun name ->
         List.assoc_opt name spec.sweeps)
   in
-  let salt =
-    match points with
-    | Some points ->
-        Digest.string (Marshal.to_string points [ Marshal.Closures ])
-    | None -> no_salt
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "" [ Lazy.force spec.shared; salt; artifact ]))
+  Vp_exec.Store.key (Lazy.force spec.shared, points, artifact)
 
 (* Shard routing: a stable function of the render key alone, so equal work
    always lands on the same shard (preserving in-flight dedup) and the

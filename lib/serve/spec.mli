@@ -8,8 +8,8 @@
     Supervisor and workers must agree exactly on all of this: the
     supervisor routes an artifact to the shard its render key hashes to,
     and the worker answers equal work from the node under the same key.
-    The keys digest [Marshal] bytes with [Closures], which is stable
-    across forked workers because they share one process image. Render
+    The keys are {!Vp_exec.Store.key} digests of plain data, so
+    supervisor and workers compute the same key for equal work. Render
     keys name graph nodes only: render nodes are never store-cached, so
     no key reaches the on-disk store. *)
 
@@ -27,13 +27,13 @@ val of_submit : Protocol.submit -> (t, Protocol.reject) result
     (quotas, shutdown) stay with the caller. *)
 
 val render_key : t -> artifact:string -> string
-(** Content address of one artifact's render node: the hex digest of the
-    spec's shared digest, a sweep salt and the artifact name. The shared
-    digest covers models, configuration and csv flag; it is marshalled on
-    the spec's first key and reused by the rest, so a request digests its
-    full spec at most once. Custom sweeps salt in their applied point
-    configs, so same-named sweeps with different points never share a
-    node. *)
+(** Content address of one artifact's render node: the key of the spec's
+    shared key, a custom sweep's applied point configs and the artifact
+    name. The shared key covers models, configuration and csv flag; it is
+    marshalled on the spec's first key and reused by the rest, so a
+    request digests its full spec at most once. Custom sweep artifacts
+    key in their applied point configs, so same-named sweeps with
+    different points never share a node. *)
 
 val shard_of_key : workers:int -> string -> int
 (** The shard an artifact key routes to — a stable function of the key

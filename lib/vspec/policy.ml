@@ -4,7 +4,7 @@ type t = {
   max_sync_bits : int;
   min_dependents : int;
   critical_path_only : bool;
-  speculate_op : Vp_ir.Operation.t -> bool;
+  non_speculative : int list;
 }
 
 let default =
@@ -14,7 +14,7 @@ let default =
     max_sync_bits = 32;
     min_dependents = 1;
     critical_path_only = true;
-    speculate_op = (fun _ -> true);
+    non_speculative = [];
   }
 
 let aggressive =
@@ -24,7 +24,7 @@ let aggressive =
     max_sync_bits = 64;
     min_dependents = 1;
     critical_path_only = false;
-    speculate_op = (fun _ -> true);
+    non_speculative = [];
   }
 
 let pp ppf t =

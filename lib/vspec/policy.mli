@@ -25,16 +25,17 @@ type t = {
   critical_path_only : bool;
       (** Restrict candidate loads to the critical path (the paper's rule).
           [false] considers every load meeting the threshold. *)
-  speculate_op : Vp_ir.Operation.t -> bool;
-      (** Extra veto over which dependents may be speculated (side-effecting
-          operations are always excluded regardless). The paper's worked
-          example keeps two dependents non-speculative by choice; the
-          default allows everything. *)
+  non_speculative : int list;
+      (** Ids of operations that must not be speculated even when they
+          depend on a predicted load (side-effecting operations are always
+          excluded regardless). The paper's worked example keeps two
+          dependents non-speculative by choice; the presets veto
+          nothing. *)
 }
 
 val default : t
 (** threshold 0.65, max 4 predictions, 32 sync bits, ≥ 1 dependent,
-    critical-path only. *)
+    critical-path only, no vetoed operation. *)
 
 val aggressive : t
 (** No critical-path restriction, 8 predictions, 64 bits — used by the

@@ -52,7 +52,7 @@ let speculable policy block (op : Vp_ir.Operation.t) =
      match Vp_ir.Operation.writes op with
      | Some r -> Vp_ir.Block.last_writer block ~before:op.id r = None
      | None -> false)
-  && policy.Policy.speculate_op op
+  && not (List.mem op.id policy.Policy.non_speculative)
 
 (* Candidate selection: loads on the longest critical path whose profiled
    rate meets the threshold and that have speculable dependents. Selection

@@ -1,7 +1,13 @@
-type shape_weight = {
-  weight : float;
-  generate : Vp_util.Rng.t -> Value_stream.shape;
-}
+type shape_dist =
+  | Constant
+  | Strided
+  | Mostly_strided_band of float * float
+  | Noisy_periodic_band of float * float
+  | Pointer_chain_band of int * int
+  | Random
+  | Fixed of Value_stream.shape
+
+type shape_weight = { weight : float; dist : shape_dist }
 
 type t = {
   name : string;
@@ -24,40 +30,40 @@ type t = {
   dynamic_executions : int;
 }
 
-(* Shape constructors used by the mixes. *)
-let constant rng = Value_stream.Constant (Vp_util.Rng.int rng 4096)
+(* Each case draws its parameters from [rng] in a fixed order; every
+   generated workload, and so every table, depends on that order. *)
+let draw dist rng =
+  match dist with
+  | Constant -> Value_stream.Constant (Vp_util.Rng.int rng 4096)
+  | Strided ->
+      Value_stream.Strided
+        {
+          base = Vp_util.Rng.int rng 65536;
+          stride = 4 * (1 + Vp_util.Rng.int rng 8);
+        }
+  | Mostly_strided_band (lo, hi) ->
+      (* stride rate ~ 1 - jump probability *)
+      Value_stream.Mostly_strided
+        {
+          base = Vp_util.Rng.int rng 65536;
+          stride = 4 * (1 + Vp_util.Rng.int rng 4);
+          jump_probability = lo +. Vp_util.Rng.float rng (hi -. lo);
+        }
+  | Noisy_periodic_band (lo, hi) ->
+      (* FCM rate degrades a few times the noise *)
+      Value_stream.Noisy_periodic
+        {
+          period = 2 + Vp_util.Rng.int rng 3;
+          noise = lo +. Vp_util.Rng.float rng (hi -. lo);
+        }
+  | Pointer_chain_band (lo, hi) ->
+      Value_stream.Pointer_chain
+        { nodes = lo + Vp_util.Rng.int rng (hi - lo + 1) }
+  | Random ->
+      Value_stream.Random { range = 1 lsl (8 + Vp_util.Rng.int rng 16) }
+  | Fixed shape -> shape
 
-let strided rng =
-  Value_stream.Strided
-    {
-      base = Vp_util.Rng.int rng 65536;
-      stride = 4 * (1 + Vp_util.Rng.int rng 8);
-    }
-
-(* jump probability uniform in [lo, hi]: stride rate ~ 1 - jump *)
-let mostly_strided_band lo hi rng =
-  Value_stream.Mostly_strided
-    {
-      base = Vp_util.Rng.int rng 65536;
-      stride = 4 * (1 + Vp_util.Rng.int rng 4);
-      jump_probability = lo +. Vp_util.Rng.float rng (hi -. lo);
-    }
-
-(* noise uniform in [lo, hi]: FCM rate degrades a few times the noise *)
-let noisy_periodic lo hi rng =
-  Value_stream.Noisy_periodic
-    {
-      period = 2 + Vp_util.Rng.int rng 3;
-      noise = lo +. Vp_util.Rng.float rng (hi -. lo);
-    }
-
-let pointer_chain lo hi rng =
-  Value_stream.Pointer_chain { nodes = lo + Vp_util.Rng.int rng (hi - lo + 1) }
-
-let random rng =
-  Value_stream.Random { range = 1 lsl (8 + Vp_util.Rng.int rng 16) }
-
-let w weight generate = { weight; generate }
+let w weight dist = { weight; dist }
 
 let compress =
   {
@@ -77,11 +83,11 @@ let compress =
     load_chain_bias = 0.30;
     shape_mix =
       [
-        w 0.08 constant;
-        w 0.06 strided;
-        w 0.32 (mostly_strided_band 0.05 0.25);
-        w 0.12 (noisy_periodic 0.03 0.10);
-        w 0.42 random;
+        w 0.08 Constant;
+        w 0.06 Strided;
+        w 0.32 (Mostly_strided_band (0.05, 0.25));
+        w 0.12 (Noisy_periodic_band (0.03, 0.10));
+        w 0.42 Random;
       ];
     chain_mix = None;
     zipf_skew = 1.0;
@@ -106,11 +112,11 @@ let ijpeg =
     load_chain_bias = 0.15;
     shape_mix =
       [
-        w 0.05 constant;
-        w 0.06 strided;
-        w 0.32 (mostly_strided_band 0.08 0.30);
-        w 0.11 (noisy_periodic 0.05 0.12);
-        w 0.46 random;
+        w 0.05 Constant;
+        w 0.06 Strided;
+        w 0.32 (Mostly_strided_band (0.08, 0.30));
+        w 0.11 (Noisy_periodic_band (0.05, 0.12));
+        w 0.46 Random;
       ];
     chain_mix = None;
     zipf_skew = 1.0;
@@ -135,19 +141,19 @@ let li =
     load_chain_bias = 0.45;
     shape_mix =
       [
-        w 0.10 constant;
-        w 0.12 (pointer_chain 4 16);
-        w 0.44 (mostly_strided_band 0.05 0.25);
-        w 0.14 (noisy_periodic 0.04 0.10);
-        w 0.20 random;
+        w 0.10 Constant;
+        w 0.12 (Pointer_chain_band (4, 16));
+        w 0.44 (Mostly_strided_band (0.05, 0.25));
+        w 0.14 (Noisy_periodic_band (0.04, 0.10));
+        w 0.20 Random;
       ];
     chain_mix =
       Some
         [
-          w 0.40 (pointer_chain 4 16);
-          w 0.35 (mostly_strided_band 0.05 0.25);
-          w 0.10 constant;
-          w 0.15 random;
+          w 0.40 (Pointer_chain_band (4, 16));
+          w 0.35 (Mostly_strided_band (0.05, 0.25));
+          w 0.10 Constant;
+          w 0.15 Random;
         ];
     zipf_skew = 1.0;
     dynamic_executions = 10_000;
@@ -171,19 +177,19 @@ let m88ksim =
     load_chain_bias = 0.50;
     shape_mix =
       [
-        w 0.10 constant;
-        w 0.10 (pointer_chain 4 12);
-        w 0.50 (mostly_strided_band 0.08 0.28);
-        w 0.18 (noisy_periodic 0.04 0.12);
-        w 0.12 random;
+        w 0.10 Constant;
+        w 0.10 (Pointer_chain_band (4, 12));
+        w 0.50 (Mostly_strided_band (0.08, 0.28));
+        w 0.18 (Noisy_periodic_band (0.04, 0.12));
+        w 0.12 Random;
       ];
     chain_mix =
       Some
         [
-          w 0.35 (pointer_chain 4 12);
-          w 0.40 (mostly_strided_band 0.06 0.24);
-          w 0.10 constant;
-          w 0.15 random;
+          w 0.35 (Pointer_chain_band (4, 12));
+          w 0.40 (Mostly_strided_band (0.06, 0.24));
+          w 0.10 Constant;
+          w 0.15 Random;
         ];
     zipf_skew = 1.0;
     dynamic_executions = 10_000;
@@ -207,19 +213,19 @@ let vortex =
     load_chain_bias = 0.70;
     shape_mix =
       [
-        w 0.06 constant;
-        w 0.14 (pointer_chain 4 24);
-        w 0.40 (mostly_strided_band 0.15 0.35);
-        w 0.12 (noisy_periodic 0.05 0.14);
-        w 0.28 random;
+        w 0.06 Constant;
+        w 0.14 (Pointer_chain_band (4, 24));
+        w 0.40 (Mostly_strided_band (0.15, 0.35));
+        w 0.12 (Noisy_periodic_band (0.05, 0.14));
+        w 0.28 Random;
       ];
     chain_mix =
       Some
         [
-          w 0.45 (pointer_chain 4 24);
-          w 0.35 (mostly_strided_band 0.10 0.30);
-          w 0.08 constant;
-          w 0.12 random;
+          w 0.45 (Pointer_chain_band (4, 24));
+          w 0.35 (Mostly_strided_band (0.10, 0.30));
+          w 0.08 Constant;
+          w 0.12 Random;
         ];
     zipf_skew = 1.0;
     dynamic_executions = 10_000;
@@ -243,11 +249,11 @@ let hydro2d =
     load_chain_bias = 0.25;
     shape_mix =
       [
-        w 0.12 constant;
-        w 0.16 strided;
-        w 0.46 (mostly_strided_band 0.03 0.15);
-        w 0.06 (noisy_periodic 0.03 0.08);
-        w 0.20 random;
+        w 0.12 Constant;
+        w 0.16 Strided;
+        w 0.46 (Mostly_strided_band (0.03, 0.15));
+        w 0.06 (Noisy_periodic_band (0.03, 0.08));
+        w 0.20 Random;
       ];
     chain_mix = None;
     zipf_skew = 1.0;
@@ -272,11 +278,11 @@ let swim =
     load_chain_bias = 0.02;
     shape_mix =
       [
-        w 0.06 constant;
-        w 0.10 strided;
-        w 0.52 (mostly_strided_band 0.04 0.18);
-        w 0.10 (noisy_periodic 0.03 0.08);
-        w 0.22 random;
+        w 0.06 Constant;
+        w 0.10 Strided;
+        w 0.52 (Mostly_strided_band (0.04, 0.18));
+        w 0.10 (Noisy_periodic_band (0.03, 0.08));
+        w 0.22 Random;
       ];
     chain_mix = None;
     zipf_skew = 1.0;
@@ -301,11 +307,11 @@ let tomcatv =
     load_chain_bias = 0.03;
     shape_mix =
       [
-        w 0.08 constant;
-        w 0.12 strided;
-        w 0.62 (mostly_strided_band 0.04 0.18);
-        w 0.08 (noisy_periodic 0.03 0.08);
-        w 0.10 random;
+        w 0.08 Constant;
+        w 0.12 Strided;
+        w 0.62 (Mostly_strided_band (0.04, 0.18));
+        w 0.08 (Noisy_periodic_band (0.03, 0.08));
+        w 0.10 Random;
       ];
     chain_mix = None;
     zipf_skew = 1.0;
@@ -329,14 +335,10 @@ let resolve names =
   in
   if names = [] then Ok all else go [] names
 
-let draw_from mix rng =
-  let weights = Array.of_list (List.map (fun sw -> sw.weight) mix) in
-  let i = Vp_util.Rng.weighted_index rng weights in
-  (List.nth mix i).generate rng
-
 let draw_shape ?(chained = false) t rng =
   let mix =
     if chained then Option.value ~default:t.shape_mix t.chain_mix
     else t.shape_mix
   in
-  draw_from mix rng
+  let weights = Array.of_list (List.map (fun sw -> sw.weight) mix) in
+  draw (List.nth mix (Vp_util.Rng.weighted_index rng weights)).dist rng

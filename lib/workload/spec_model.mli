@@ -21,10 +21,21 @@
     - block frequencies follow a Zipf law (hot loops dominate), FP codes
       more skewed than integer codes. *)
 
-type shape_weight = {
-  weight : float;
-  generate : Vp_util.Rng.t -> Value_stream.shape;
-}
+(** A distribution over load value-stream shapes: which shape, and the
+    band each drawn parameter falls in. Plain data, so a model compares
+    with [=] and marshals without closures. *)
+type shape_dist =
+  | Constant  (** [Constant v], [v] uniform in [\[0, 4096)] *)
+  | Strided  (** base below 65536, stride a multiple of 4 up to 32 *)
+  | Mostly_strided_band of float * float
+      (** stride up to 16; jump probability uniform in [\[lo, hi)] *)
+  | Noisy_periodic_band of float * float
+      (** period 2 to 4; noise uniform in [\[lo, hi)] *)
+  | Pointer_chain_band of int * int  (** node count uniform in [lo..hi] *)
+  | Random  (** value range [2^8] to [2^23] *)
+  | Fixed of Value_stream.shape  (** always this shape; draws nothing *)
+
+type shape_weight = { weight : float; dist : shape_dist }
 (** One entry of a benchmark's load-predictability mix. *)
 
 type t = {

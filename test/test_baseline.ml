@@ -72,13 +72,13 @@ let test_dual_always_at_least_as_good_under_mispredict () =
   let reference =
     Vp_engine.Reference.run (chain_block ())
       ~load_values:(fun _ -> 5)
-      ~live_in:Vliw_vp.Pipeline.live_in
+      ~live_in:Vp_engine.Reference.live_in
   in
   List.iter
     (fun outcomes ->
       let dual =
         Vp_engine.Dual_engine.run sb ~reference
-          ~live_in:Vliw_vp.Pipeline.live_in ~outcomes
+          ~live_in:Vp_engine.Reference.live_in ~outcomes
       in
       checkb "dual <= static recovery" true
         (dual.cycles <= Vp_baseline.Static_recovery.cycles rec_scheme ~outcomes))

@@ -7,7 +7,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let op = Vp_ir.Operation.make
 let machine = Vp_machine.Descr.playdoh ~width:4
-let live_in = Vliw_vp.Pipeline.live_in
+let live_in = Vp_engine.Reference.live_in
 
 (* --- Alu --- *)
 

@@ -17,6 +17,9 @@ let test_opcode_consistency () =
       checkb "arity non-negative" true (Vp_ir.Opcode.num_sources o >= 0);
       checkb "mnemonic nonempty" true
         (String.length (Vp_ir.Opcode.mnemonic o) > 0))
+    Vp_ir.Opcode.all;
+  List.iteri
+    (fun i o -> checki "index = position in [all]" i (Vp_ir.Opcode.index o))
     Vp_ir.Opcode.all
 
 let test_opcode_classes () =

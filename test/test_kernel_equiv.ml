@@ -7,7 +7,7 @@
 
 let checkb = Alcotest.(check bool)
 let machine = Vp_machine.Descr.playdoh ~width:4
-let live_in = Vliw_vp.Pipeline.live_in
+let live_in = Vp_engine.Reference.live_in
 let rate_all r (_ : Vp_ir.Operation.t) = Some r
 
 let pp_result ppf (r : Vp_engine.Dual_engine.result) =
@@ -199,34 +199,6 @@ let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
             Format.fprintf ppf "deadlock: %s" m)))
     label seq bitset
 
-let test_bitset_equivalence () =
-  let rng = Vp_util.Rng.create 44 in
-  List.iter
-    (fun (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      check_bitset
-        (Vp_ir.Block.label sb.block)
-        sb
-        (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
-let test_bitset_equivalence_constrained () =
-  let rng = Vp_util.Rng.create 45 in
-  List.iteri
-    (fun i (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      if i mod 2 = 0 then
-        check_bitset ~ccb_capacity:1
-          (Printf.sprintf "%s ccb=1" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng)
-      else
-        check_bitset ~ccb_capacity:2 ~cce_retire_width:2
-          (Printf.sprintf "%s ccb=2 w=2" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
 (* Chunking boundaries: a word holds 63 lanes, so 62 / 63 / 64 / 127
    vectors cross the one-word and two-word edges. Built by cycling a base
    set, so chunks carry duplicates and mixed outcomes. *)
@@ -249,24 +221,35 @@ let test_bitset_chunking () =
 
 (* --- Bitset batches vs the executable spec, every shape --- *)
 
+(* The machine shapes every batch runs under: the default unbounded CCB,
+   a one-entry CCB, and a two-entry CCB retiring two per cycle. *)
+let shapes =
+  [ ("", None, None); (" ccb=1", Some 1, None); (" ccb=2 w=2", Some 2, Some 2) ]
+
 (* [run_bitset] is the only evaluator of a speculated block outside the
-   oracle: the worked example at every scenario, then the workload blocks
-   under the default, CCB-1 and CCB-2 / CCE-2 shapes in turn. *)
+   oracle: the worked example at every scenario, then every workload block
+   with duplicated and random vectors, each under every shape. *)
 let test_bitset_spec_engine () =
-  check_bitset "example" (Vliw_vp.Example.spec ())
-    (Array.of_list (Vp_engine.Scenario.enumerate 2));
-  let rng = Vp_util.Rng.create 47 in
-  List.iteri
-    (fun i (sb : Vp_vspec.Spec_block.t) ->
-      let label = Vp_ir.Block.label sb.block in
-      let vectors = batch_vectors (Array.length sb.predicted) ~rng in
-      match i mod 3 with
-      | 0 -> check_bitset label sb vectors
-      | 1 -> check_bitset ~ccb_capacity:1 (label ^ " ccb=1") sb vectors
-      | _ ->
-          check_bitset ~ccb_capacity:2 ~cce_retire_width:2
-            (label ^ " ccb=2 w=2") sb vectors)
-    (Lazy.force speculated_blocks)
+  let rng = Vp_util.Rng.create 44 in
+  let cases =
+    ( "example",
+      Vliw_vp.Example.spec (),
+      Array.of_list (Vp_engine.Scenario.enumerate 2) )
+    :: List.map
+         (fun (sb : Vp_vspec.Spec_block.t) ->
+           ( Vp_ir.Block.label sb.block,
+             sb,
+             batch_vectors (Array.length sb.predicted) ~rng ))
+         (Lazy.force speculated_blocks)
+  in
+  List.iter
+    (fun (label, sb, vectors) ->
+      List.iter
+        (fun (suffix, ccb_capacity, cce_retire_width) ->
+          check_bitset ?ccb_capacity ?cce_retire_width (label ^ suffix) sb
+            vectors)
+        shapes)
+    cases
 
 (* Arbitrary blocks and CCB/CCE shapes: [run_bitset] on a whole batch =
    [run_bitset] on each vector alone = per-vector [Dual_engine.run],
@@ -286,10 +269,7 @@ let prop_bitset_matches_per_vector =
       match Vp_vspec.Transform.apply machine ~rate:(rate_all 0.8) block with
       | Vp_vspec.Transform.Unchanged _ -> true
       | Vp_vspec.Transform.Speculated sb ->
-          let ccb_capacity, cce_retire_width =
-            match shape with 0 -> (None, None) | 1 -> (Some 1, None)
-            | _ -> (Some 2, Some 2)
-          in
+          let _, ccb_capacity, cce_retire_width = List.nth shapes shape in
           let reference = reference_of sb in
           let compiled =
             Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb
@@ -386,9 +366,6 @@ let () =
         ] );
       ( "bitset-lanes",
         [
-          tc "bitset = per-vector on random blocks" test_bitset_equivalence;
-          tc "bitset = per-vector, tight CCB / wide CCE"
-            test_bitset_equivalence_constrained;
           tc "chunking boundaries 62/63/64/127" test_bitset_chunking;
           QCheck_alcotest.to_alcotest prop_bitset_matches_per_vector;
         ] );

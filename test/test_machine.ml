@@ -53,7 +53,23 @@ let test_latencies () =
   checki "load latency" 3 (Vp_machine.Descr.opcode_latency d Vp_ir.Opcode.Load);
   checki "ldpred latency" 1
     (Vp_machine.Descr.opcode_latency d Vp_ir.Opcode.Ld_pred);
-  checki "add latency" 1 (Vp_machine.Descr.opcode_latency d Vp_ir.Opcode.Add)
+  checki "add latency" 1 (Vp_machine.Descr.opcode_latency d Vp_ir.Opcode.Add);
+  (* [make] tabulates the latency function: every preset reads it back
+     unchanged for every opcode. *)
+  let table_matches d latency =
+    List.for_all
+      (fun o -> Vp_machine.Descr.opcode_latency d o = latency o)
+      Vp_ir.Opcode.all
+  in
+  List.iter
+    (fun width ->
+      checkb "preset table = default_latency" true
+        (table_matches (Vp_machine.Descr.playdoh ~width)
+           Vp_machine.Descr.default_latency))
+    Vp_machine.Descr.widths;
+  checkb "example table = example_latency" true
+    (table_matches Vp_machine.Descr.example_machine
+       Vp_machine.Descr.example_latency)
 
 let test_example_machine () =
   let d = Vp_machine.Descr.example_machine in

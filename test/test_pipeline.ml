@@ -169,7 +169,7 @@ let test_pipeline_matches_spec_engine () =
                   (Vp_engine.Dual_engine.run
                      ?ccb_capacity:config.ccb_capacity
                      ~cce_retire_width:config.cce_retire_width spec.sb
-                     ~reference ~live_in:Vliw_vp.Pipeline.live_in ~outcomes)
+                     ~reference ~live_in:Vp_engine.Reference.live_in ~outcomes)
                   got
               in
               let n = Array.length spec.rates in
@@ -233,10 +233,11 @@ let test_summary_comparison () =
   checkb "their scheme grows the code" true (c.code_growth > 0.0)
 
 (* A summary is what the result store holds for every benchmark and what a
-   warm run reads back, so it must stay plain data: [Marshal] without
-   [Closures] rejects any closure (the pipeline's workload holds the
-   model's stream generators), and the byte bound, about 4x the measured
-   ~1.8 KB (compress) and ~2.5 KB (li), catches bulk creeping back in. *)
+   warm run reads back, so it must stay lean: the byte bound, about 4x the
+   measured ~1.8 KB (compress) and ~2.5 KB (li), catches the pipeline
+   (workload, program, profile, evaluated blocks) creeping back in, and
+   [Marshal] without [Closures] still rejects any closure, which the store
+   would silently decline to cache. *)
 let test_summary_is_lean () =
   List.iter
     (fun (m : Vp_workload.Spec_model.t) ->

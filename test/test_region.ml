@@ -236,7 +236,7 @@ let test_hyperblock_equivalence () =
             (fun sc ->
               let r =
                 Vp_engine.Dual_engine.run spec.sb ~reference
-                  ~live_in:Vliw_vp.Pipeline.live_in
+                  ~live_in:Vp_engine.Reference.live_in
                   ~outcomes:sc.Vliw_vp.Pipeline.outcomes
               in
               checkb "state equivalence" true

@@ -127,11 +127,11 @@ let test_unchanged_reasons () =
   | Vp_vspec.Transform.Unchanged _ -> ()
   | Vp_vspec.Transform.Speculated _ -> Alcotest.fail "store-only consumer"
 
-let test_speculate_op_veto () =
+let test_non_speculative_veto () =
   let policy =
     {
       Vp_vspec.Policy.default with
-      speculate_op = (fun (o : Vp_ir.Operation.t) -> o.id <> 3);
+      non_speculative = [ 3 ];
     }
   in
   let sb = speculate ~policy (chain_block ()) in
@@ -347,7 +347,7 @@ let () =
           tc "schedules validate" test_transform_schedules_validate;
           tc "wait bits" test_wait_bits;
           tc "unchanged reasons" test_unchanged_reasons;
-          tc "speculate_op veto" test_speculate_op_veto;
+          tc "non_speculative veto" test_non_speculative_veto;
           tc "max predictions cap" test_max_predictions_cap;
           tc "sync budget demotes" test_sync_budget_demotes;
           tc "critical path restriction" test_critical_path_only;

@@ -243,7 +243,9 @@ let test_workload_invalid_stream () =
    (noisy-periodic draws per value; pointer-chain and periodic seed their
    structure at creation). *)
 let every_shape_model =
-  let sw generate = { Vp_workload.Spec_model.weight = 1.0 /. 7.0; generate } in
+  let sw shape =
+    { Vp_workload.Spec_model.weight = 1.0 /. 7.0; dist = Fixed shape }
+  in
   let open Vp_workload.Value_stream in
   {
     Vp_workload.Spec_model.compress with
@@ -251,13 +253,13 @@ let every_shape_model =
     num_blocks = 24;
     shape_mix =
       [
-        sw (fun _ -> Constant 9);
-        sw (fun _ -> Strided { base = 10; stride = 4 });
-        sw (fun _ -> Periodic { period = 3 });
-        sw (fun _ -> Noisy_periodic { period = 3; noise = 0.1 });
-        sw (fun _ -> Mostly_strided { base = 0; stride = 4; jump_probability = 0.3 });
-        sw (fun _ -> Pointer_chain { nodes = 7 });
-        sw (fun _ -> Random { range = 1000 });
+        sw (Constant 9);
+        sw (Strided { base = 10; stride = 4 });
+        sw (Periodic { period = 3 });
+        sw (Noisy_periodic { period = 3; noise = 0.1 });
+        sw (Mostly_strided { base = 0; stride = 4; jump_probability = 0.3 });
+        sw (Pointer_chain { nodes = 7 });
+        sw (Random { range = 1000 });
       ];
     chain_mix = None;
   }
@@ -379,9 +381,7 @@ let test_shape_mix_statistics () =
   let weight_of_random =
     List.fold_left
       (fun acc (sw : Vp_workload.Spec_model.shape_weight) ->
-        match sw.generate (Vp_util.Rng.create 1) with
-        | Vp_workload.Value_stream.Random _ -> acc +. sw.weight
-        | _ -> acc)
+        match sw.dist with Random -> acc +. sw.weight | _ -> acc)
       0.0 model.shape_mix
   in
   checkb "random share tracks its weight" true

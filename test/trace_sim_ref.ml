@@ -65,7 +65,7 @@ let run ?(executions = 5000) ?table (p : Pipeline.t) : Trace_sim.result =
           Vp_engine.Dual_engine.run ?ccb_capacity:config.ccb_capacity
             ~cce_retire_width:config.cce_retire_width spec.sb
             ~reference:(Pipeline.reference_of_block p bi)
-            ~live_in:Pipeline.live_in ~outcomes
+            ~live_in:Vp_engine.Reference.live_in ~outcomes
         in
         cycles := !cycles + Config.effective_cycles config r
   done;
