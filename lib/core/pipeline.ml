@@ -104,6 +104,17 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
 let lanes_key = Domain.DLS.new_key Vp_engine.Compiled.Lanes.create
 let lanes () = Domain.DLS.get lanes_key
 
+(* Occupancy of the scenario batches, for the telemetry surface: how many
+   lane words they ran and how many vectors those carried. Trace-sim's
+   one-vector replays are counted apart, as its [engine_replays].
+   Atomics: batches run concurrently across domains. *)
+let bitset_words = Atomic.make 0
+let bitset_vectors = Atomic.make 0
+
+let count_word n =
+  Atomic.incr bitset_words;
+  ignore (Atomic.fetch_and_add bitset_vectors n)
+
 (* Simulate a block's whole scenario set: compile the block once (through
    the spec-unit cache, so sweep points sharing the transform also share
    the kernel), then evaluate the whole vector set bit-parallel —
@@ -129,7 +140,8 @@ let simulate_batch config prep =
       |]
   in
   let all =
-    Vp_engine.Compiled.run_bitset compiled (lanes ()) ~vectors
+    Vp_engine.Compiled.run_bitset ~on_word:count_word compiled (lanes ())
+      ~vectors
   in
   let unique =
     let seen = Hashtbl.create 16 in
@@ -372,20 +384,17 @@ let run_program ?(config = Config.default)
     (fun () -> run_program_fresh ~config ~exec ~profile workload program)
 
 let telemetry_json () =
-  let s = Vp_engine.Compiled.bitset_stats () in
+  let words = Atomic.get bitset_words
+  and vectors = Atomic.get bitset_vectors in
   let runs = Vp_util.Memo.stats run_memo in
   let occupancy =
-    if s.Vp_engine.Compiled.words = 0 then 0.0
-    else
-      float_of_int s.Vp_engine.Compiled.vectors
-      /. float_of_int s.Vp_engine.Compiled.words
+    if words = 0 then 0.0 else float_of_int vectors /. float_of_int words
   in
   Printf.sprintf
     "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
      \"vectors_per_word\": %.2f, \"run_memo_hits\": %d, \
      \"run_memo_misses\": %d}"
-    s.Vp_engine.Compiled.words s.Vp_engine.Compiled.vectors occupancy
-    runs.hits runs.misses
+    words vectors occupancy runs.hits runs.misses
 
 let run ?(config = Config.default) ?exec model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in

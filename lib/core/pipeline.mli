@@ -118,9 +118,11 @@ val lanes : unit -> Vp_engine.Compiled.Lanes.t
 
 val telemetry_json : unit -> string
 (** Scenario-evaluation counters as a JSON object, for the [--telemetry]
-    summary (the [spec_eval] section): how many lane words ran, how many
-    vectors they carried ([vectors_per_word] is the resulting lane
-    occupancy), and the whole-run memo's hit/miss counters. *)
+    summary (the [spec_eval] section): how many lane words the scenario
+    batches ran, how many vectors they carried ([vectors_per_word] is the
+    resulting lane occupancy), and the whole-run memo's hit/miss
+    counters. The trace simulator's one-vector replays are not batches;
+    they count as its [engine_replays]. *)
 
 val stats : t -> Vp_metrics.Summary.block_stats array
 (** Reduce to the metric layer's per-block records. *)

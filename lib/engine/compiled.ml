@@ -1004,22 +1004,8 @@ let extract_lane (t : t) (la : Lanes.t) ~outcomes lane : Dual_engine.result =
     stores = !stores;
   }
 
-(* Occupancy counters for the telemetry surface: how many lane words ran
-   and how many vectors they carried. Atomics: batches run concurrently
-   across domains. *)
-let bitset_words_ctr = Atomic.make 0
-let bitset_vectors_ctr = Atomic.make 0
-
-type bitset_stats = { words : int; vectors : int }
-
-let bitset_stats () =
-  {
-    words = Atomic.get bitset_words_ctr;
-    vectors = Atomic.get bitset_vectors_ctr;
-  }
-
-let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
-    Dual_engine.result array =
+let run_bitset ?(on_word = ignore) (t : t) (la : Lanes.t)
+    ~(vectors : Scenario.t array) : Dual_engine.result array =
   Array.iter
     (fun v ->
       if Array.length v <> t.num_preds then
@@ -1057,8 +1043,7 @@ let run_bitset (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
     while !off < nu do
       let n = min max_lanes (nu - !off) in
       run_lanes t la uvecs !off n;
-      Atomic.incr bitset_words_ctr;
-      ignore (Atomic.fetch_and_add bitset_vectors_ctr n);
+      on_word n;
       for i = 0 to n - 1 do
         u_res.(!off + i) <-
           Some (extract_lane t la ~outcomes:uvecs.(!off + i) i)

@@ -53,7 +53,11 @@ module Lanes : sig
 end
 
 val run_bitset :
-  t -> Lanes.t -> vectors:Scenario.t array -> Dual_engine.result array
+  ?on_word:(int -> unit) ->
+  t ->
+  Lanes.t ->
+  vectors:Scenario.t array ->
+  Dual_engine.result array
 (** [run_bitset t lanes ~vectors] simulates the whole outcome-vector set
     bit-parallel — up to [Sys.int_size] (63) vectors advance per machine
     word, each engine-state bit-field becoming one word over the lanes —
@@ -71,14 +75,9 @@ val run_bitset :
     records and their lists, plus the small duplicate-collapsing table.
 
     Duplicate vectors are collapsed to one lane and share one result
-    record.
+    record. [on_word n] is called after each lane word runs, with the
+    number of distinct vectors [n] it carried.
 
     If any vector deadlocks, [run_bitset] raises the [Dual_engine.Deadlock]
     a per-vector loop over [Dual_engine.run] would: the first deadlocking
     vector in input order, with the same message. *)
-
-type bitset_stats = { words : int; vectors : int }
-(** Process-wide occupancy counters for {!run_bitset}: lane words run and
-    the vectors they carried. *)
-
-val bitset_stats : unit -> bitset_stats

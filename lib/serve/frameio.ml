@@ -26,18 +26,22 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
   end
 
-let send t json =
-  if not t.closed then
-    Queue.add (Protocol.frame (Jsonx.to_string json)) t.outq
+let send_frame t frame = if not t.closed then Queue.add frame t.outq
+let send t json = if not t.closed then send_frame t (Protocol.encode json)
 
 let pending_out t = not (Queue.is_empty t.outq)
+
+(* One read buffer per domain, shared by all its connections: the decoder
+   copies what it is fed before any frame is delivered, so the buffer is
+   free again by the time [on_frame] runs. *)
+let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
 (* Drain readable bytes, delivering each complete frame to [on_frame].
    [on_frame] may close the connection (e.g. a shutdown request); the
    loop stops as soon as it does. The caller owns the close on `Eof /
    `Frame_error / `Io_error — it may want to flush a diagnostic first. *)
 let read_step t ~on_frame =
-  let buf = Bytes.create 65536 in
+  let buf = Domain.DLS.get read_buf in
   let rec go () =
     if t.closed then `Closed
     else

@@ -17,7 +17,11 @@ val close : t -> unit
 (** Close the descriptor (once); subsequent sends and steps are no-ops. *)
 
 val send : t -> Jsonx.t -> unit
-(** Enqueue one frame for {!write_step}. No-op when closed. *)
+(** Enqueue one frame for {!write_step}, encoded by {!Protocol.encode}.
+    No-op when closed. *)
+
+val send_frame : t -> string -> unit
+(** Enqueue bytes already framed by {!Protocol}. No-op when closed. *)
 
 val pending_out : t -> bool
 (** Frames (or a partial frame) are waiting to be written. *)
@@ -30,7 +34,8 @@ val read_step :
     [on_frame] (which may {!close} the connection — the loop stops and
     reports [`Closed]). [`Ok] means the socket would block; the caller
     owns the close on [`Eof] / [`Frame_error] / [`Io_error], e.g. to
-    flush a diagnostic frame first. *)
+    flush a diagnostic frame first. Reads go through one 64 KiB buffer
+    per domain, reused across calls and connections. *)
 
 val write_step : t -> [ `Ok | `Io_error ]
 (** Flush as much of the out-queue as the socket accepts. *)

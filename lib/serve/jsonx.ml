@@ -9,18 +9,31 @@ type t =
 
 (* --- printing --- *)
 
+(* Runs of bytes that need no escaping are copied whole; only quotes,
+   backslashes and control bytes are written one at a time. *)
 let escape_into b s =
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  let hex = "0123456789abcdef" in
+  let len = String.length s in
+  let rec go start i =
+    if i = len then Buffer.add_substring b s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring b s start (i - start);
+          (match c with
+          | '"' -> Buffer.add_string b "\\\""
+          | '\\' -> Buffer.add_string b "\\\\"
+          | '\n' -> Buffer.add_string b "\\n"
+          | '\r' -> Buffer.add_string b "\\r"
+          | '\t' -> Buffer.add_string b "\\t"
+          | c ->
+              Buffer.add_string b "\\u00";
+              Buffer.add_char b hex.[Char.code c lsr 4];
+              Buffer.add_char b hex.[Char.code c land 15]);
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
 
 let rec emit b = function
   | Null -> Buffer.add_string b "null"

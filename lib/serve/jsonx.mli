@@ -20,6 +20,9 @@ val to_string : t -> string
 (** Compact (single-line) rendering with full string escaping — one frame
     payload is always newline-free apart from escaped [\n]s. *)
 
+val emit : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes to the buffer. *)
+
 val parse : string -> (t, string) result
 (** Whole-string parse; the error carries a byte offset. Arrays and
     objects nested more than 64 deep are rejected with an error naming

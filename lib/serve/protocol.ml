@@ -6,8 +6,40 @@
 
 let default_max_frame = 4 * 1024 * 1024
 
+(* A frame of [len] payload bytes, built in one allocation of its final
+   size; [fill dst off] writes the payload at [dst.[off]]. *)
+let framed len fill =
+  let header = string_of_int len in
+  let h = String.length header in
+  let dst = Bytes.create (h + 1 + len) in
+  Bytes.blit_string header 0 dst 0 h;
+  Bytes.set dst h '\n';
+  fill dst (h + 1);
+  Bytes.unsafe_to_string dst
+
 let frame payload =
-  Printf.sprintf "%d\n%s" (String.length payload) payload
+  framed (String.length payload) (fun dst off ->
+      Bytes.blit_string payload 0 dst off (String.length payload))
+
+(* One encode buffer per domain, reused by every frame the domain builds,
+   so a steady stream of frames allocates only the frames themselves.
+   Once a frame has grown it past [keep_bytes] it goes back to its
+   initial size, so one large frame does not pin its capacity. *)
+let keep_bytes = 65536
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let with_scratch f =
+  let b = Domain.DLS.get scratch in
+  Buffer.clear b;
+  let r = f b in
+  if Buffer.length b > keep_bytes then Buffer.reset b;
+  r
+
+let encode json =
+  with_scratch (fun b ->
+      Jsonx.emit b json;
+      framed (Buffer.length b) (fun dst off ->
+          Buffer.blit b 0 dst off (Buffer.length b)))
 
 let write_frame fd payload =
   let data = frame payload in
@@ -417,3 +449,50 @@ let done_ ~id ~wall_s = event ~id ~event:"done" [ ("wall_s", Jsonx.Float wall_s)
 let error ~id (r : reject) =
   event ~id ~event:"error"
     [ ("code", Jsonx.Str r.code); ("message", Jsonx.Str r.message) ]
+
+(* --- result frames: [{"id":<id>], [result_head], then the body --- *)
+
+type body = { src : string; off : int }  (* the body is [src.[off ..]] *)
+
+let result_head = {|,"event":"result",|}
+
+let result_body ~artifact ~data =
+  with_scratch (fun b ->
+      Buffer.add_string b {|"artifact":|};
+      Jsonx.emit b (Jsonx.Str artifact);
+      Buffer.add_string b {|,"data":|};
+      Jsonx.emit b (Jsonx.Str data);
+      Buffer.add_char b '}';
+      { src = Buffer.contents b; off = 0 })
+
+(* An id written with no escape is its own bytes and ends at the first
+   quote; a payload with any other id is left to the parse. *)
+let split_result payload =
+  let prefix = {|{"id":"|} in
+  let p = String.length prefix in
+  if not (String.starts_with ~prefix payload) then None
+  else
+    match String.index_from_opt payload p '"' with
+    | None -> None
+    | Some q ->
+        let id = String.sub payload p (q - p) in
+        let h = String.length result_head in
+        let rec head_at i =
+          i = h || (payload.[q + 1 + i] = result_head.[i] && head_at (i + 1))
+        in
+        if
+          q + 1 + h <= String.length payload
+          && head_at 0
+          && not (String.contains id '\\')
+        then Some (id, { src = payload; off = q + 1 + h })
+        else None
+
+let result_frame ~id body =
+  with_scratch (fun b ->
+      Buffer.add_string b {|{"id":|};
+      Jsonx.emit b (Jsonx.Str id);
+      Buffer.add_string b result_head;
+      let h = Buffer.length b and n = String.length body.src - body.off in
+      framed (h + n) (fun dst off ->
+          Buffer.blit b 0 dst off h;
+          Bytes.blit_string body.src body.off dst (off + h) n))

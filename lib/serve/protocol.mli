@@ -19,7 +19,13 @@ val default_max_frame : int
 (** 4 MiB. *)
 
 val frame : string -> string
-(** [frame payload] is the on-wire encoding. *)
+(** [frame payload] is the on-wire encoding, built in one allocation of
+    its final size. *)
+
+val encode : Jsonx.t -> string
+(** [encode json] is [frame (Jsonx.to_string json)], with the payload
+    written into an encode buffer the calling domain reuses, so the frame
+    is the one allocation. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Blocking full write of one frame. *)
@@ -115,7 +121,33 @@ val event : id:string -> event:string -> (string * Jsonx.t) list -> Jsonx.t
 val accepted : id:string -> artifacts:string list -> queue_depth:int -> Jsonx.t
 
 val result : id:string -> artifact:string -> data:string -> Jsonx.t
+(** The tree form of a result frame. The work sides deliver results as
+    {!body}s instead, which {!result_frame} encodes to the same bytes. *)
 
 val done_ : id:string -> wall_s:float -> Jsonx.t
 
 val error : id:string -> reject -> Jsonx.t
+
+(** {1 Result frames, encoded once}
+
+    A result frame's payload is the head [{"id":<id>,"event":"result",]
+    followed by its {e body}, [ "artifact":<artifact>,"data":<data>} ].
+    The body is encoded once; delivering it under another request id
+    replaces only the head. *)
+
+type body
+(** The encoded body of a result frame. *)
+
+val result_body : artifact:string -> data:string -> body
+
+val split_result : string -> (string * body) option
+(** [split_result payload] is [Some (id, body)] when [payload] starts
+    exactly with [{"id":"<id>","event":"result",] and [<id>] is written
+    without an escape; [None] for any other payload, which the caller
+    parses. The body is not checked: this is for frames from a trusted
+    peer (a shard), never for client bytes. *)
+
+val result_frame : id:string -> body -> string
+(** The framed result under [id], in one allocation of its final size:
+    [result_frame ~id (result_body ~artifact ~data)] is
+    [frame (Jsonx.to_string (result ~id ~artifact ~data))]. *)

@@ -180,11 +180,11 @@ let time_out t r =
 (* Budget enforcement is by deadline, not by luck of scheduling: whatever
    arrives for a request past its deadline turns into its timeout, even if
    no tick has fired yet. *)
-let deliver t r ~artifact ~data =
+let deliver t r body =
   if not r.settled then
     if expired r then time_out t r
     else begin
-      send r.rconn (Protocol.result ~id:r.rid ~artifact ~data);
+      Frameio.send_frame r.rconn.io (Protocol.result_frame ~id:r.rid body);
       r.delivered <- r.delivered + 1;
       if r.delivered = r.total then begin
         let wall = Unix.gettimeofday () -. r.rt0 in
@@ -544,7 +544,7 @@ let local ~exec cfg t =
         List.iter
           (fun (r, artifact, result) ->
             match result with
-            | Ok data -> deliver t r ~artifact ~data
+            | Ok data -> deliver t r (Protocol.result_body ~artifact ~data)
             | Error msg ->
                 fail t r
                   (Protocol.reject "job_failed" "%s (artifact %s)" msg artifact))

@@ -116,9 +116,10 @@ type work = {
       (** Release everything; returns the final stats sections. *)
 }
 
-val deliver : front -> req -> artifact:string -> data:string -> unit
-(** Stream one result; the request's [done] follows its last. Past the
-    deadline the request times out instead. No-op on a settled
+val deliver : front -> req -> Protocol.body -> unit
+(** Stream one result, its encoded body re-headed with the request's id
+    ({!Protocol.result_frame}); the request's [done] follows its last.
+    Past the deadline the request times out instead. No-op on a settled
     request. *)
 
 val fail : front -> req -> Protocol.reject -> unit

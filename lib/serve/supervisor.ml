@@ -300,43 +300,47 @@ let close_sub t w sid =
 
 (* A request is done when all its results are delivered, which the front
    loop counts; a shard's [done] only closes its sub-request. *)
+let handle_event t w json =
+  let id = Option.value ~default:"" (Jsonx.string_member "id" json) in
+  let str field = Option.value ~default:"" (Jsonx.string_member field json) in
+  match Jsonx.string_member "event" json with
+  | Some "stats" -> (
+      let pool = Jsonx.member "stats" json in
+      if pool <> None then w.last_pool <- pool;
+      match Hashtbl.find_opt t.polls id with
+      | None -> ()
+      | Some p ->
+          p.p_pools <- Option.to_list pool @ p.p_pools;
+          p.p_pending <- List.filter (fun s -> s <> w.slot) p.p_pending;
+          if p.p_pending = [] then finish_poll t p)
+  | Some "done" -> close_sub t w id
+  | Some "error" -> (
+      match Hashtbl.find_opt t.subs id with
+      | None -> ()
+      | Some s ->
+          close_sub t w id;
+          let code =
+            Option.value ~default:"job_failed" (Jsonx.string_member "code" json)
+          in
+          Server.fail t.front s.s_req (P.reject code "%s" (str "message")))
+  | Some _ | None -> ()
+
+(* A result frame is re-headed with the client's id as it stands, never
+   parsed: the shard is this same binary, whose results
+   [Protocol.result_frame] lays out under an id with no escape ("s:N"),
+   so [Protocol.split_result] takes every one apart. The other frames
+   ([accepted], [done], [error], [stats], [pong]) are parsed. *)
 let handle_worker_frame t w payload =
   w.last_seen <- Unix.gettimeofday ();
-  match Jsonx.parse payload with
-  | Error _ -> () (* a corrupt frame surfaces as a Frame_error upstream *)
-  | Ok json -> (
-      let id = Option.value ~default:"" (Jsonx.string_member "id" json) in
-      let str field =
-        Option.value ~default:"" (Jsonx.string_member field json)
-      in
-      match Jsonx.string_member "event" json with
-      | Some "stats" -> (
-          let pool = Jsonx.member "stats" json in
-          if pool <> None then w.last_pool <- pool;
-          match Hashtbl.find_opt t.polls id with
-          | None -> ()
-          | Some p ->
-              p.p_pools <- Option.to_list pool @ p.p_pools;
-              p.p_pending <- List.filter (fun s -> s <> w.slot) p.p_pending;
-              if p.p_pending = [] then finish_poll t p)
-      | Some "result" -> (
-          match Hashtbl.find_opt t.subs id with
-          | None -> ()
-          | Some s ->
-              Server.deliver t.front s.s_req ~artifact:(str "artifact")
-                ~data:(str "data"))
-      | Some "done" -> close_sub t w id
-      | Some "error" -> (
-          match Hashtbl.find_opt t.subs id with
-          | None -> ()
-          | Some s ->
-              close_sub t w id;
-              let code =
-                Option.value ~default:"job_failed"
-                  (Jsonx.string_member "code" json)
-              in
-              Server.fail t.front s.s_req (P.reject code "%s" (str "message")))
-      | Some _ | None -> ())
+  match P.split_result payload with
+  | Some (sid, body) -> (
+      match Hashtbl.find_opt t.subs sid with
+      | None -> ()
+      | Some s -> Server.deliver t.front s.s_req body)
+  | None -> (
+      match Jsonx.parse payload with
+      | Ok json -> handle_event t w json
+      | Error _ -> () (* a corrupt frame surfaces as a Frame_error upstream *))
 
 (* --- the work side ----------------------------------------------------- *)
 

@@ -14,9 +14,10 @@
     number of clients lands on the same shard and dedups inside its
     graph exactly as in the single-process daemon, and the mapping —
     a pure function of the key — survives shard re-forks. Result frames
-    stream back through the supervisor under the client's request id;
-    per-artifact framing, result bytes and reassembly order are identical
-    to the unsharded path.
+    stream back through the supervisor re-headed with the client's
+    request id, unparsed ({!Protocol.split_result}); per-artifact
+    framing, result bytes and reassembly order are identical to the
+    unsharded path.
 
     A shard that exits or wedges (socketpair EOF, or >15 s of heartbeat
     silence) is SIGKILLed and reaped; requests with sub-work in flight

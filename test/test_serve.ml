@@ -78,6 +78,51 @@ let test_jsonx_parse () =
   rejected "100k levels" (nested 100_000);
   rejected "unbalanced 1M" (String.make 1_000_000 '[')
 
+(* The escaper as the protocol defines it, one byte at a time: a quote,
+   a backslash and the control bytes are escaped, every other byte (DEL
+   and UTF-8 included) is copied. *)
+let reference_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Byte strings over all 256 values, weighted towards the bytes the
+   escaper treats specially, multi-byte UTF-8 and runs of plain text. *)
+let bytes_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 40)
+         (frequency
+            [
+              (4, map (fun c -> String.make 1 (Char.chr c)) (0 -- 255));
+              ( 2,
+                oneofl
+                  [ "\""; "\\"; "\n"; "\r"; "\t"; "\000"; "\b"; "\031";
+                    "\127" ] );
+              (1, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e" ]);
+              (2, string_size ~gen:(char_range 'a' 'z') (1 -- 30));
+            ])))
+
+let prop_jsonx_escape =
+  QCheck.Test.make ~name:"string escaping = the per-byte reference"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") bytes_gen)
+    (fun s ->
+      let encoded = J.to_string (J.Str s) in
+      encoded = reference_escape s && J.parse encoded = Ok (J.Str s))
+
 (* --- frame decoder --- *)
 
 let test_decoder_split_frames () =
@@ -224,6 +269,115 @@ let test_decoder_linear () =
   checki "every frame" n (List.length payloads);
   checks "last payload" (payload (n - 1)) (List.nth payloads (n - 1));
   checkb (Printf.sprintf "decoded in %.2f s (limit 2 s)" dt) true (dt < 2.0)
+
+(* --- result frames and the frame path's allocation --- *)
+
+(* Ids over an alphabet with the bytes an id must be escaped for. *)
+let id_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneofl [ 'a'; 's'; ':'; '7'; ' '; '"'; '\\'; '\n'; '\001'; '\xc3' ])
+      (0 -- 12))
+
+(* A shard's result frame, re-headed with the client's id, is the frame
+   the client's id would have been encoded under directly — byte for
+   byte. An id that is written with an escape is declined, and so is
+   every frame that is not a result; those go through the parse. *)
+let prop_reheading =
+  QCheck.Test.make ~name:"re-heading a result = encoding it directly"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (sid, cid, artifact, data) ->
+         Printf.sprintf "sid=%S cid=%S artifact=%S data=%S" sid cid artifact
+           data)
+       QCheck.Gen.(quad id_gen id_gen bytes_gen bytes_gen))
+    (fun (sid, cid, artifact, data) ->
+      let direct = P.frame (J.to_string (P.result ~id:cid ~artifact ~data)) in
+      let shard = J.to_string (P.result ~id:sid ~artifact ~data) in
+      let escaped = J.to_string (J.Str sid) <> "\"" ^ sid ^ "\"" in
+      let parsed_id payload =
+        match J.parse payload with
+        | Ok j -> J.string_member "id" j
+        | Error _ -> None
+      in
+      let others =
+        [
+          P.accepted ~id:sid ~artifacts:[ artifact ] ~queue_depth:1;
+          P.done_ ~id:sid ~wall_s:0.25;
+          P.error ~id:sid (P.reject "timeout" "%s" data);
+          P.event ~id:sid ~event:"pong" [];
+          P.event ~id:sid ~event:"stats" [ ("stats", J.Obj []) ];
+        ]
+      in
+      P.result_frame ~id:cid (P.result_body ~artifact ~data) = direct
+      && List.for_all
+           (fun f -> Option.is_none (P.split_result (J.to_string f)))
+           others
+      &&
+      match P.split_result shard with
+      | Some (sid', body) ->
+          (not escaped) && sid' = sid && P.result_frame ~id:cid body = direct
+      | None -> escaped && parsed_id shard = Some sid)
+
+(* [f io peer] over a socketpair whose [io] end is a nonblocking
+   [Frameio]. *)
+let with_frameio f =
+  let a, peer = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  let io = Vp_serve.Frameio.create a in
+  Fun.protect
+    ~finally:(fun () ->
+      Vp_serve.Frameio.close io;
+      Unix.close peer)
+    (fun () -> f io peer)
+
+(* Bytes allocated by [f ()], read with [Gc.allocated_bytes], which also
+   sees blocks too large for the minor heap. *)
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. before
+
+(* Reading a small frame costs about the frame, not a fresh 64 KiB read
+   buffer per call. *)
+let test_read_step_alloc () =
+  with_frameio (fun io peer ->
+      let payload = {|{"op":"ping","id":"|} ^ String.make 72 'p' ^ {|"}|} in
+      let got = ref 0 in
+      let on_frame p =
+        checks "payload" payload p;
+        incr got
+      in
+      let read () =
+        match Vp_serve.Frameio.read_step io ~on_frame with
+        | `Ok -> ()
+        | _ -> Alcotest.fail "read_step did not drain the socket"
+      in
+      P.write_frame peer payload;
+      read ();
+      P.write_frame peer payload;
+      let bytes = allocated read in
+      checki "both frames delivered" 2 !got;
+      checkb
+        (Printf.sprintf "read_step allocated %.0f bytes (limit 8192)" bytes)
+        true (bytes < 8192.))
+
+(* A result frame is built in one allocation of its final size: sending
+   one costs at most about twice the frame. *)
+let test_send_alloc () =
+  with_frameio (fun io _peer ->
+      let row i = Printf.sprintf "| row %3d | 0.%04d | \"li\" |\n" i (i * 37) in
+      let data = String.concat "" (List.init 300 row) in
+      let json = P.result ~id:"c41-0-1" ~artifact:"table2" ~data in
+      let frame = String.length (P.frame (J.to_string json)) in
+      checkb "a 9 KB result" true (frame > 9000);
+      Vp_serve.Frameio.send io json;
+      let bytes = allocated (fun () -> Vp_serve.Frameio.send io json) in
+      checkb
+        (Printf.sprintf "send allocated %.0f bytes for a %d-byte frame" bytes
+           frame)
+        true
+        (bytes <= 2. *. float_of_int frame))
 
 (* --- request validation --- *)
 
@@ -736,9 +890,7 @@ let timeout run () =
         ((Vp_serve.Client.submit client (spec ())).error = None);
       expect_timeout "warm")
 
-(* [f exchange] over one raw connection, where [exchange payload] sends a
-   frame and returns the parsed reply; a daemon that sends none within
-   10 s fails the case instead of hanging it. *)
+(* [f fd] over one raw connection to the daemon. *)
 let with_raw_connection socket f =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -746,24 +898,30 @@ let with_raw_connection socket f =
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-      f (fun payload ->
-          P.write_frame fd payload;
-          match P.read_frame fd with
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              Alcotest.failf "no reply within 10 s to %s" payload
-          | None -> Alcotest.fail "connection closed without a reply"
-          | Some reply -> (
-              match J.parse reply with
-              | Ok j -> j
-              | Error e -> Alcotest.failf "unparseable reply: %s" e)))
+      f fd)
+
+(* The next frame's payload; a daemon that sends none within 10 s fails
+   the case instead of hanging it. *)
+let recv_raw fd =
+  match P.read_frame fd with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "no frame within 10 s"
+  | None -> Alcotest.fail "connection closed without a reply"
+  | Some payload -> payload
+
+(* Send a frame; the parsed reply. *)
+let exchange fd payload =
+  P.write_frame fd payload;
+  match J.parse (recv_raw fd) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable reply: %s" e
 
 let stats_and_ping run () =
   run [] (fun ~socket client ->
       (* A ping nested 100,000 levels deep is refused as a bad request
          before it reaches the protocol layer, and the same connection
          still gets its next ping answered. *)
-      with_raw_connection socket (fun exchange ->
+      with_raw_connection socket (fun fd ->
           let deep =
             {|{"op":"ping","id":"deep","pad":|}
             ^ String.make 100_000 '[' ^ String.make 100_000 ']' ^ "}"
@@ -772,9 +930,9 @@ let stats_and_ping run () =
             Option.value ~default:"" (J.string_member field reply)
           in
           checks "deep frame rejected" "bad_request"
-            (member "code" (exchange deep));
+            (member "code" (exchange fd deep));
           checks "then pong" "pong"
-            (member "event" (exchange {|{"op":"ping","id":"p"}|})));
+            (member "event" (exchange fd {|{"op":"ping","id":"p"}|})));
       Vp_serve.Client.ping client;
       ignore (Vp_serve.Client.submit client (table2_spec ()));
       let stats = Vp_serve.Client.stats client in
@@ -794,10 +952,10 @@ let stats_and_ping run () =
    the parse is the reply. *)
 let ill_typed_submits_rejected run () =
   run [] (fun ~socket _client ->
-      with_raw_connection socket (fun exchange ->
+      with_raw_connection socket (fun fd ->
           List.iter
             (fun (frame, _) ->
-              let reply = exchange frame in
+              let reply = exchange fd frame in
               let member field =
                 Option.value ~default:"" (J.string_member field reply)
               in
@@ -1066,6 +1224,36 @@ let poll_busy_shard client ~seconds =
 let test_sharded_warm_all_is_lookups () =
   with_sharded ~workers:1 check_warm_all_is_lookups
 
+(* One raw submit, under one id that must be escaped, sent to the
+   in-process daemon and to a one-shard daemon: the client gets the same
+   frames, byte for byte, in the same order, whether a result was encoded
+   in the loop's own process or re-headed on its way from a shard. Only
+   the wall time in [done] may differ. *)
+let test_raw_streams_agree () =
+  let submit =
+    {|{"op":"submit","id":"raw \"1\" \\ \u00e9","experiments":["table2","example"],"benchmarks":["compress"]}|}
+  in
+  let stream ~socket _client =
+    with_raw_connection socket (fun fd ->
+        P.write_frame fd submit;
+        let rec go acc =
+          let frame = recv_raw fd in
+          match J.parse frame with
+          | Ok j when J.string_member "event" j = Some "done" ->
+              (* up to the wall time, its last field *)
+              List.rev (String.sub frame 0 (String.rindex frame ':') :: acc)
+          | Ok j when J.string_member "event" j = Some "error" ->
+              Alcotest.failf "error frame: %s" frame
+          | Ok _ -> go (frame :: acc)
+          | Error e -> Alcotest.failf "unparseable frame: %s" e
+        in
+        go [])
+  in
+  let local = with_server_at ~jobs:1 stream in
+  let sharded = one_shard [] stream in
+  checki "accepted, two results, done" 4 (List.length local);
+  Alcotest.(check (list string)) "same frames" local sharded
+
 let test_sharded_worker_lost () =
   with_sharded ~workers:2 (fun client ->
       (* The kill must land while the victim shard holds sub-work: submit a
@@ -1118,7 +1306,11 @@ let () =
   Alcotest.run "vp_serve"
     [
       ( "jsonx",
-        [ tc "roundtrip" test_jsonx_roundtrip; tc "parse" test_jsonx_parse ] );
+        [
+          tc "roundtrip" test_jsonx_roundtrip;
+          tc "parse" test_jsonx_parse;
+          QCheck_alcotest.to_alcotest prop_jsonx_escape;
+        ] );
       ( "decoder",
         [
           tc "split frames" test_decoder_split_frames;
@@ -1126,6 +1318,12 @@ let () =
           tc "rejects garbage" test_decoder_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_decoder_chunking;
           tc "linear in its input" test_decoder_linear;
+        ] );
+      ( "frames",
+        [
+          QCheck_alcotest.to_alcotest prop_reheading;
+          tc "read_step reuses its buffer" test_read_step_alloc;
+          tc "send allocates the frame once" test_send_alloc;
         ] );
       ( "protocol",
         [
@@ -1159,6 +1357,7 @@ let () =
         [
           tc "byte identity" test_sharded_byte_identity;
           tc "warm all is lookups" test_sharded_warm_all_is_lookups;
+          tc "raw streams agree with in-process" test_raw_streams_agree;
           tc "worker lost and re-fork" test_sharded_worker_lost;
           tc "admission: overloaded" (admission_overloaded one_shard);
           tc "admission: quota" (admission_quota one_shard);

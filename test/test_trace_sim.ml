@@ -196,9 +196,15 @@ let test_telemetry_counters () =
   let s0 = Vliw_vp.Trace_sim.stats () in
   checki "cleared" 0
     (s0.runs + s0.memo_hits + s0.engine_replays + s0.alias_evictions);
+  let spec_eval = Vliw_vp.Pipeline.telemetry_json () in
   ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s1 = Vliw_vp.Trace_sim.stats () in
   checki "one run" 1 s1.runs;
+  (* the replays are trace-sim's own count, not scenario batches: the
+     batch occupancy counters do not move *)
+  Alcotest.(check string)
+    "spec_eval counters unchanged" spec_eval
+    (Vliw_vp.Pipeline.telemetry_json ());
   checkb "engine ran at least once" true (s1.engine_replays > 0);
   checkb "memo served repeats" true (s1.memo_hits > 0);
   (* non-speculated block executions touch neither counter *)
