@@ -520,21 +520,21 @@ let simulate_cmd =
               let _, reference, schedule, spec = compiled.(bi) in
               baseline := !baseline + Vp_sched.Schedule.length schedule;
               match spec with
-              | None -> Vp_engine.Sequence_engine.Plain (schedule, reference)
+              | None -> Vp_engine.Dual_engine.Plain (schedule, reference)
               | Some sb ->
                   let rates =
                     Array.map
                       (fun (p : Vp_vspec.Spec_block.predicted_load) -> p.rate)
                       sb.predicted
                   in
-                  Vp_engine.Sequence_engine.Speculated
+                  Vp_engine.Dual_engine.Speculated
                     {
                       sb;
                       reference;
                       outcomes = Vp_engine.Scenario.sample rng ~rates;
                     })
         in
-        let r = Vp_engine.Sequence_engine.run ~live_in items in
+        let r = Vp_engine.Dual_engine.run_sequence ~live_in items in
         Printf.printf
           "%d dynamic blocks: %d cycles with value prediction, %d without (%.3fx);\n%d stalls, %d flushed, %d recomputed, CCB high water %d, state %s\n"
           length r.total_cycles !baseline
@@ -883,8 +883,6 @@ let () =
        else if captured <> "" then prerr_string captured);
       exit code
   | exception Vp_engine.Dual_engine.Deadlock m ->
-      fail "simulator deadlock: %s" m
-  | exception Vp_engine.Sequence_engine.Deadlock m ->
       fail "simulator deadlock: %s" m
   | exception Vp_exec.Context.Job_failed { key; label; message } ->
       fail "job %s failed (key %s): %s" label key message

@@ -724,11 +724,11 @@ let render_regions_frontier ?format rows =
     rows;
   emit ?format table
 
-(* --- Overlap validation (the sequence engine) --- *)
+(* --- Overlap validation (block sequences on one clock) --- *)
 
 type overlap_row = {
   overlap_bench : string;
-  sequence_total : int;  (** measured on the shared-clock sequence engine *)
+  sequence_total : int;  (** measured by [Dual_engine.run_sequence] *)
   sum_vliw : int;  (** per-block VLIW-retire accounting summed *)
   sum_drain : int;  (** per-block full-drain accounting summed *)
   sequence_stalls : int;
@@ -774,7 +774,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
                   Vp_sched.List_scheduler.schedule_block descr
                     (Vp_ir.Program.nth p.program bi).block)
             in
-            ( Vp_engine.Sequence_engine.Plain (s, reference),
+            ( Vp_engine.Dual_engine.Plain (s, reference),
               b.original_cycles,
               b.original_cycles )
         | Some spec ->
@@ -793,13 +793,13 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
                   Hashtbl.add solo_runs (bi, outcomes) solo;
                   solo
             in
-            ( Vp_engine.Sequence_engine.Speculated
+            ( Vp_engine.Dual_engine.Speculated
                 { sb = spec.sb; reference; outcomes },
               solo.vliw_cycles,
               solo.cycles ))
   in
   let r =
-    Vp_engine.Sequence_engine.run
+    Vp_engine.Dual_engine.run_sequence
       ~cce_retire_width:config.cce_retire_width
       ~live_in:Vp_engine.Reference.live_in
       (List.map (fun (i, _, _) -> i) items_with_bounds)
@@ -1099,38 +1099,12 @@ type ablation_point = {
   speculated : int;
 }
 
-let suite_ablate g ~config model settings =
-  let leaves =
-    List.map
-      (fun (setting, tweak) ->
-        let config = tweak config in
-        G.node g ~label:("ablate:" ^ setting) ~group:"ablate"
-          ~key:(job_key ~kind:"ablate" ~config (model, setting))
-          (fun _ctx ->
-            let s = run_benchmark ~config model in
-            {
-              setting;
-              t2_best = s.fractions.best;
-              t3_best = s.ratios.best;
-              t3_worst = s.ratios.worst;
-              speedup = Vp_metrics.Summary.expected_speedup s.stats;
-              speculated = s.speculated_blocks;
-            }))
-      settings
-  in
-  reduce g ~kind:"ablate" ~config
-    ~payload:(model, List.map fst settings)
-    leaves
-    (fun () -> List.map G.value leaves)
-
-(* Like [suite_ablate], but each point carries a fully-applied
-   configuration instead of a tweak closure. This is the serve daemon's
-   custom-sweep entry: wire requests describe points as config overrides,
-   which may differ between two sweeps that happen to reuse the same
-   labels — so unlike the named ablations, the reducer is keyed by the
-   full [(label, config)] point list, and each leaf by its applied
-   config. Leaves are store-cached, so two sweeps sharing a point share
-   its simulation. *)
+(* One leaf per point, each carrying a fully-applied configuration. Wire
+   requests describe points as config overrides, which may differ between
+   two sweeps that happen to reuse the same labels — so the reducer is
+   keyed by the full [(label, config)] point list, and each leaf by its
+   applied config. Leaves are store-cached, so two sweeps sharing a point
+   share its simulation. *)
 let suite_config_sweep g ~config model points =
   let leaves =
     List.map
@@ -1153,6 +1127,11 @@ let suite_config_sweep g ~config model points =
   in
   reduce g ~kind:"config-sweep" ~config ~payload:(model, points) leaves
     (fun () -> List.map G.value leaves)
+
+(* A named ablation is the config sweep of its tweaks applied to [config]. *)
+let suite_ablate g ~config model settings =
+  suite_config_sweep g ~config model
+    (List.map (fun (setting, tweak) -> (setting, tweak config)) settings)
 
 let ablate ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
     model settings =

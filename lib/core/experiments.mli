@@ -187,10 +187,12 @@ val regions_frontier :
 val render_regions_frontier :
   ?format:[ `Ascii | `Csv ] -> frontier_row list -> string
 
-(** The overlap-validation experiment: a dynamic sequence of blocks on the
-    shared-clock {!Vp_engine.Sequence_engine}, compared against the two
-    per-block accountings it must fall between. Justifies the default
-    VLIW-retire charge empirically. *)
+(** The overlap-validation experiment: a dynamic sequence of blocks on one
+    shared clock ({!Vp_engine.Dual_engine.run_sequence}), compared against
+    the two per-block accountings it must fall between, which come from
+    {!Vp_engine.Dual_engine.run} on each block alone — the same rules, fed
+    one block at a time. Justifies the default VLIW-retire charge
+    empirically. *)
 type overlap_row = {
   overlap_bench : string;
   sequence_total : int;
@@ -440,6 +442,9 @@ module Suite : sig
     Vp_workload.Spec_model.t ->
     (string * (Config.t -> Config.t)) list ->
     ablation_point list Vp_exec.Graph.node
+  (** {!config_sweep} over each tweak applied to [config]: a named
+      ablation declares the same leaves and reducer as a custom sweep of
+      the same points, so the two share nodes and store entries. *)
 
   val config_sweep :
     Vp_exec.Graph.t ->

@@ -1,6 +1,13 @@
 (** Cycle-level co-simulation of the proposed architecture: the VLIW Engine
-    and the Compensation Code Engine executing one speculated block under a
-    given misprediction scenario.
+    and the Compensation Code Engine executing speculated blocks under given
+    misprediction scenarios.
+
+    One clock loop runs a fetch stream of block instances. Each speculated
+    instance has its own registers and Synchronization register; every
+    instance shares the one CCB and the one CCE. Two entry points feed it:
+    {!run} streams a single block (the Figure-7 machine, and the reference
+    the compiled kernels are held to), and {!run_sequence} streams
+    consecutive dynamic blocks.
 
     The simulator implements the semantics of Sections 2.2–2.3:
 
@@ -29,6 +36,28 @@
     destinations, making the capture exact). Results are written back to
     the VLIW register file only where the transform's write-back analysis
     allows (see [Vp_vspec.Spec_block]).
+
+    {b Shared clock.} Pricing a block alone forces an accounting decision:
+    charge compensation work still draining in the CCE to the block that
+    spawned it ([cycles]), or let it overlap the next block
+    ([vliw_cycles])? The machine the paper describes does the latter —
+    "Any code executed due to mispredictions is executed in parallel with
+    the VLIW instructions" — but the overlap is not free: the single
+    in-order CCE is shared, so one block's recovery backlog delays the
+    next block's. {!run_sequence} simulates this: instance [i+1]'s first
+    instruction follows instance [i]'s last, every speculated operation
+    enters the one CCB in global order, and each instance stalls on its
+    own Synchronization register. A sequence total therefore lands between
+    the two per-block bounds:
+
+    {v  Σ vliw_cycles  ≲  total  ≤  Σ cycles  v}
+
+    which the overlap-validation experiment measures per benchmark.
+    Registers are private per instance except the read-only live-ins
+    (generated blocks are register-disjoint apart from those), and
+    Synchronization-register bits are namespaced per in-flight instance
+    (hardware tags; the compiler's per-block bit indices never collide
+    because blocks share no speculative dataflow).
 
     A full CCB stalls the VLIW engine (structural hazard), letting
     experiments study CCB sizing. Bounding the CCB is a hardware/compiler
@@ -90,10 +119,51 @@ val run :
     a single-retire CCE becomes the recovery bottleneck. [observer]
     receives one [Engine_trace.snapshot] per simulated cycle (the paper's
     Figure-7 view); omit it for plain timing runs. Raises
-    [Invalid_argument] on shape mismatches. *)
+    [Invalid_argument] on shape mismatches, and {!Deadlock} with a message
+    naming the block, the cycle, the next instruction, the pending events,
+    the CCB head and the set sync bits — the message
+    [Compiled.run_bitset] reproduces byte for byte. *)
 
 val run_unspeculated :
   Vp_sched.Schedule.t -> reference:Reference.t -> result
 (** Execution of an untransformed block: no stalls, no compensation — the
     result simply packages the static schedule length with the reference's
     architectural state, for uniform accounting in the experiments. *)
+
+(** {1 Block sequences} *)
+
+type item =
+  | Plain of Vp_sched.Schedule.t * Reference.t
+      (** an unspeculated block: occupies the fetch stream for its
+          schedule, no predictions *)
+  | Speculated of {
+      sb : Vp_vspec.Spec_block.t;
+      reference : Reference.t;
+      outcomes : Scenario.t;
+    }
+
+type sequence_result = {
+  total_cycles : int;
+      (** last completion of anything (VLIW results, CCE recoveries,
+          stores) across the whole sequence *)
+  issue_cycles : int;  (** cycle after the last instruction issued *)
+  stall_cycles : int;  (** total VLIW stall cycles *)
+  flushed : int;
+  recomputed : int;
+  ccb_high_water : int;
+  state_ok : bool;
+      (** every instance's final registers and stores matched its
+          reference — the sequence-level equivalence check *)
+}
+
+val run_sequence :
+  ?ccb_capacity:int ->
+  ?cce_retire_width:int ->
+  live_in:(int -> int) ->
+  item list ->
+  sequence_result
+(** Simulate the items back to back on one clock. Raises
+    [Invalid_argument] on the shape mismatches {!run} rejects, and
+    {!Deadlock} (message ["sequence: no progress by cycle N (P pending)"])
+    on lack of progress, impossible for transforms produced with an
+    unbounded CCB. *)

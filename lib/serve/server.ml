@@ -520,6 +520,7 @@ let local ~exec cfg t =
   let sections () =
     Telemetry.pool_sections
       (Vp_exec.Progress.snapshot exec.Vp_exec.Context.progress)
+    @ [ Telemetry.spec_unit_section () ]
   in
   G.start_workers graph;
   {

@@ -149,43 +149,56 @@ let workers_json t =
            ])
        (all_workers t))
 
-(* Sum the graph/cache sections of the shards' own stats objects. Peak
-   in-flight is summed too: it over-counts true simultaneity across
-   shards, but as a capacity figure the sum of per-shard peaks is the
-   honest bound on what the fleet had running. *)
+(* Sum the graph/cache/spec_unit sections of the shards' own stats
+   objects. Peak in-flight is summed too: it over-counts true simultaneity
+   across shards, but as a capacity figure the sum of per-shard peaks is
+   the honest bound on what the fleet had running. *)
 let sections t pools =
-  let gi sect field p =
-    match Jsonx.member sect p with
-    | Some o -> Option.value ~default:0 (Jsonx.int_member field o)
-    | None -> 0
+  let rec get o = function
+    | [] -> Jsonx.get_int o
+    | field :: rest -> Option.bind (Jsonx.member field o) (fun o -> get o rest)
   in
-  let sum sect field =
-    List.fold_left (fun acc p -> acc + gi sect field p) 0 pools
+  let sum path =
+    List.fold_left
+      (fun acc p -> acc + Option.value ~default:0 (get p path))
+      0 pools
   in
-  let hits = sum "cache" "hits" and misses = sum "cache" "misses" in
+  let ints sect fields =
+    List.map (fun f -> (f, Jsonx.Int (sum (sect @ [ f ])))) fields
+  in
+  let hits = sum [ "cache"; "hits" ] and misses = sum [ "cache"; "misses" ] in
   let total = hits + misses in
+  let memo = [ "hits"; "misses"; "evictions" ] in
   [
     ( "graph",
       Jsonx.Obj
-        [
-          ("jobs_queued", Jsonx.Int (sum "graph" "jobs_queued"));
-          ("jobs_done", Jsonx.Int (sum "graph" "jobs_done"));
-          ("jobs_failed", Jsonx.Int (sum "graph" "jobs_failed"));
-          ("deduped", Jsonx.Int (sum "graph" "deduped"));
-          ("peak_in_flight", Jsonx.Int (sum "graph" "peak_in_flight"));
-          ("node_evictions", Jsonx.Int (sum "graph" "node_evictions"));
-        ] );
+        (ints [ "graph" ]
+           [
+             "jobs_queued";
+             "jobs_done";
+             "jobs_failed";
+             "deduped";
+             "peak_in_flight";
+             "node_evictions";
+           ]) );
     ( "cache",
       Jsonx.Obj
         [
           ("hits", Jsonx.Int hits);
           ("misses", Jsonx.Int misses);
-          ("evicted", Jsonx.Int (sum "cache" "evicted"));
+          ("evicted", Jsonx.Int (sum [ "cache"; "evicted" ]));
           ( "hit_rate",
             Jsonx.Float
               (if total = 0 then 0.0
                else float_of_int hits /. float_of_int total) );
         ] );
+    ( "spec_unit",
+      Jsonx.Obj
+        (ints [ "spec_unit" ] memo
+        @ [
+            ( "region_unit",
+              Jsonx.Obj (ints [ "spec_unit"; "region_unit" ] memo) );
+          ]) );
     ("workers", workers_json t);
   ]
 

@@ -36,9 +36,9 @@ val run :
   Server.config ->
   Jsonx.t
 (** Run the sharded daemon until shutdown; returns the final telemetry
-    snapshot (the loop's request counters, the shards' graph/cache
-    sections summed as of their last stats replies, and a [workers]
-    section). [make_exec] is called once {e inside} each freshly forked
+    snapshot (the loop's request counters, the shards' graph, cache and
+    spec_unit sections summed as of their last stats replies, and a
+    [workers] section). [make_exec] is called once {e inside} each freshly forked
     shard to build its execution context — the contexts must all point at
     the same store for cross-shard warmth. [on_ready] fires once the
     listeners are bound and every shard is forked. Raises

@@ -198,3 +198,20 @@ let pool_sections (pool : Vp_exec.Progress.snapshot) =
                else float_of_int pool.cache_hits /. float_of_int cache_total) );
         ] );
   ]
+
+(* The compute layers' memo counters, under the name and shape the
+   [--telemetry] summary gives them: the spec-unit artifact memo, with the
+   region-formation memo nested as [region_unit]. *)
+let spec_unit_section () =
+  let fields (s : Vliw_vp.Spec_unit.stats) =
+    [
+      ("hits", Jsonx.Int s.hits);
+      ("misses", Jsonx.Int s.misses);
+      ("evictions", Jsonx.Int s.evictions);
+    ]
+  in
+  ( "spec_unit",
+    Jsonx.Obj
+      (fields (Vliw_vp.Spec_unit.stats ())
+      @ [ ("region_unit", Jsonx.Obj (fields (Vliw_vp.Region_unit.stats ()))) ])
+  )

@@ -30,8 +30,9 @@ val rejected : t -> cid:int -> code:string -> unit
 (** {1 Rendering}
 
     A stats object is {!core_sections} followed by the work side's
-    sections: {!pool_sections} of the one graph in process, or those of
-    every shard summed, plus a [workers] section, by the supervisor. *)
+    sections: {!pool_sections} and {!spec_unit_section} of the one graph
+    in process, or those of every shard summed, plus a [workers] section,
+    by the supervisor. *)
 
 val core_sections : t -> queue_depth:int -> (string * Jsonx.t) list
 (** The serve loop's sections: [uptime_s], [requests], [latency],
@@ -41,3 +42,9 @@ val pool_sections : Vp_exec.Progress.snapshot -> (string * Jsonx.t) list
 (** The [graph] and [cache] sections of one execution context's
     counters (including [node_evictions], the node-cache LRU's count of
     dropped completed nodes). *)
+
+val spec_unit_section : unit -> string * Jsonx.t
+(** The [spec_unit] section: this process's {!Vliw_vp.Spec_unit} memo
+    counters ([hits], [misses], [evictions]) with the
+    {!Vliw_vp.Region_unit} formation memo's nested as [region_unit] — the
+    numbers [--telemetry] prints under the same name. *)

@@ -362,6 +362,211 @@ let test_stamp_fallback_evicts () =
       stamped_by "copy" (Some copy) fallback;
       stamped_by "original" None original
 
+(* --- hand-written assembly: [simulate] and [run] --- *)
+
+(* Three blocks for [simulate]: a hot pointer chase, a warm two-load
+   chain, and a cold block with no loads (an unspeculated fetch). *)
+let program_source = {|# three blocks: a hot pointer chase, a warm two-load chain, a cold ALU tail
+label hot * 10:
+r16 <- load r1 !0.95
+r17 <- add r16, r2
+r18 <- mul r17, r17
+store r3, r18
+label warm * 4:
+r20 <- load r4
+r21 <- load r20 !0.7
+r22 <- add r21, r5
+r23 <- xor r22, r20
+store r6, r23
+label cold * 1:
+r30 <- add r7, r8
+r31 <- mul r30, r9
+store r10, r31
+|}
+
+(* One block for [run]: two predicted loads at the default rate, one of
+   them annotated, so [--rate 0.5] leaves a single prediction. *)
+let block_source = {|# a predicted load feeding a chain, and an unannotated second load
+r16 <- load r1 @s0 !0.9
+r17 <- load r2 @s1
+r18 <- add r16, r3
+r19 <- mul r18, r17
+r20 <- xor r19, r4
+store r5, r20
+r21 <- cmp r20, r6
+branch r21
+|}
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* [simulate] is the CLI's way into [Dual_engine.run_sequence]: its whole
+   stdout is pinned for the default, a longer seeded run and a wider
+   machine. *)
+let test_simulate_program () =
+  with_dir @@ fun dir ->
+  let file = Filename.concat dir "prog.vasm" in
+  write_file file program_source;
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_stdout ([ "simulate" ] @ args @ [ file ]) in
+      let name = String.concat " " ("simulate" :: args) in
+      checki (name ^ ": exit 0") 0 code;
+      checks (name ^ ": stdout") expected out)
+    [
+      ([], {|200 dynamic blocks: 1156 cycles with value prediction, 1446 without (1.251x);
+78 stalls, 319 flushed, 49 recomputed, CCB high water 2, state ok
+|});
+      ([ "-n"; "2000"; "--seed"; "7" ], {|2000 dynamic blocks: 11686 cycles with value prediction, 14657 without (1.254x);
+771 stalls, 3266 flushed, 476 recomputed, CCB high water 2, state ok
+|});
+      ([ "-w"; "8"; "-n"; "500" ], {|500 dynamic blocks: 2917 cycles with value prediction, 3648 without (1.251x);
+201 stalls, 808 flushed, 124 recomputed, CCB high water 2, state ok
+|});
+    ]
+
+(* [run --trace] prints the transformed block, then every scenario's
+   timing and its Figure-7 cycle table from the [Dual_engine.run]
+   observer. *)
+let test_run_trace_block () =
+  with_dir @@ fun dir ->
+  let file = Filename.concat dir "block.vasm" in
+  write_file file block_source;
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_stdout ([ "run"; "--trace" ] @ args @ [ file ]) in
+      let name = String.concat " " ("run --trace" :: args) in
+      checki (name ^ ": exit 0") 0 code;
+      checks (name ^ ": stdout") expected out)
+    [
+      ([], {|speculated block block: 2 predictions, 6 sync bits
+  pred 0: load 0 (rate 0.90) -> ldpred 0 (r22, bit 0), check 2
+  pred 1: load 1 (rate 0.90) -> ldpred 1 (r23, bit 1), check 3
+original: schedule of block on playdoh-4w (length 9):
+          cycle  0: 0: r16 <- load r1 @s0
+          cycle  1: 1: r17 <- load r2 @s1
+          cycle  2: (nop)
+          cycle  3: 2: r18 <- add r16, r3
+          cycle  4: 3: r19 <- mul r18, r17
+          cycle  5: (nop)
+          cycle  6: 4: r20 <- xor r19, r4
+          cycle  7: 5: store r5, r20 || 6: r21 <- cmp r20, r6
+          cycle  8: 7: branch r21
+          
+speculative: schedule of block+vp on playdoh-4w (length 7):
+             cycle  0: 0: r22 <- ldpred  (ldpred sets b0, checked by 2) || 1: r23 <- ldpred  (ldpred sets b1, checked by 3) || 2: r16 <- load r1 @s0 (check b0; spec b2)
+             cycle  1: 3: r17 <- load r2 @s1 (check b1; spec b3,b4,b5) || 4: r18 <- add r22, r3 (spec sets b2)
+             cycle  2: 5: r19 <- mul r18, r23 (spec sets b3)
+             cycle  3: (nop)
+             cycle  4: 6: r20 <- xor r19, r4 (spec sets b4)
+             cycle  5: 7: store r5, r20 (nonspec) || 8: r21 <- cmp r20, r6 (spec sets b5)
+             cycle  6: 9: branch r21 (nonspec)
+             
+wait masks: c5={4} c6={5}
+
+[--]: 11 cycles (original 9), 4 stalls, 0 flushed, 4 recomputed
+cycle  0 | issue 0 1 2 | CCB [] | OVB v16:PPN v17:PPN | CCE idle
+cycle  1 | issue 3 4 | CCB [4] | OVB v16:PPN v17:PPN v18:SRN | CCE idle
+cycle  2 | issue 5 | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  3 | issue - | CCB [4;5] | OVB v16:PPN v17:PPN v18:SR v19:SRN | CCE stall op 4
+cycle  4 | issue 6 | CCB [5;6] | OVB v16:PR v17:PPN v18:SR v19:SR v20:SR | CCE recompute op 4
+cycle  5 | issue (stall) | CCB [6] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR | CCE recompute op 5
+cycle  6 | issue (stall) | CCB [6] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR | CCE stall op 6
+cycle  7 | issue (stall) | CCB [] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR | CCE recompute op 6
+cycle  8 | issue 7 8 | CCB [8] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR v21:SR | CCE idle
+cycle  9 | issue (stall) | CCB [] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR v21:SR | CCE recompute op 8
+cycle 10 | issue 9 | CCB [] | OVB v16:PR v17:PR v18:SR v19:SR v20:SR v21:SR | CCE idle
+
+[+-]: 11 cycles (original 9), 4 stalls, 1 flushed, 3 recomputed
+cycle  0 | issue 0 1 2 | CCB [] | OVB v16:PPN v17:PPN | CCE idle
+cycle  1 | issue 3 4 | CCB [4] | OVB v16:PPN v17:PPN v18:SRN | CCE idle
+cycle  2 | issue 5 | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  3 | issue - | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  4 | issue 6 | CCB [5;6] | OVB v16:PC v17:PPN v18:SC v19:SR v20:SR | CCE flush op 4
+cycle  5 | issue (stall) | CCB [6] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR | CCE recompute op 5
+cycle  6 | issue (stall) | CCB [6] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR | CCE stall op 6
+cycle  7 | issue (stall) | CCB [] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR | CCE recompute op 6
+cycle  8 | issue 7 8 | CCB [8] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR v21:SR | CCE idle
+cycle  9 | issue (stall) | CCB [] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR v21:SR | CCE recompute op 8
+cycle 10 | issue 9 | CCB [] | OVB v16:PC v17:PR v18:SC v19:SR v20:SR v21:SR | CCE idle
+
+[-+]: 11 cycles (original 9), 4 stalls, 0 flushed, 4 recomputed
+cycle  0 | issue 0 1 2 | CCB [] | OVB v16:PPN v17:PPN | CCE idle
+cycle  1 | issue 3 4 | CCB [4] | OVB v16:PPN v17:PPN v18:SRN | CCE idle
+cycle  2 | issue 5 | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  3 | issue - | CCB [4;5] | OVB v16:PPN v17:PPN v18:SR v19:SRN | CCE stall op 4
+cycle  4 | issue 6 | CCB [5;6] | OVB v16:PR v17:PPN v18:SR v19:SR v20:SR | CCE recompute op 4
+cycle  5 | issue (stall) | CCB [6] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR | CCE recompute op 5
+cycle  6 | issue (stall) | CCB [6] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR | CCE stall op 6
+cycle  7 | issue (stall) | CCB [] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR | CCE recompute op 6
+cycle  8 | issue 7 8 | CCB [8] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR v21:SR | CCE idle
+cycle  9 | issue (stall) | CCB [] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR v21:SR | CCE recompute op 8
+cycle 10 | issue 9 | CCB [] | OVB v16:PR v17:PC v18:SR v19:SR v20:SR v21:SR | CCE idle
+
+[++]: 7 cycles (original 9), 0 stalls, 4 flushed, 0 recomputed
+cycle  0 | issue 0 1 2 | CCB [] | OVB v16:PPN v17:PPN | CCE idle
+cycle  1 | issue 3 4 | CCB [4] | OVB v16:PPN v17:PPN v18:SRN | CCE idle
+cycle  2 | issue 5 | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  3 | issue - | CCB [4;5] | OVB v16:PPN v17:PPN v18:SRN v19:SRN | CCE stall op 4
+cycle  4 | issue 6 | CCB [5;6] | OVB v16:PC v17:PPN v18:SC v19:SRN v20:SRN | CCE flush op 4
+cycle  5 | issue 7 8 | CCB [6;8] | OVB v16:PC v17:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 5
+cycle  6 | issue 9 | CCB [8] | OVB v16:PC v17:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 6
+cycle  7 | issue - | CCB [] | OVB v16:PC v17:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 8
+
+|});
+      ([ "-w"; "2"; "--rate"; "0.5" ], {|speculated block block: 1 predictions, 5 sync bits
+  pred 0: load 0 (rate 0.90) -> ldpred 0 (r22, bit 0), check 1
+original: schedule of block on playdoh-2w (length 9):
+          cycle  0: 0: r16 <- load r1 @s0
+          cycle  1: 1: r17 <- load r2 @s1
+          cycle  2: (nop)
+          cycle  3: 2: r18 <- add r16, r3
+          cycle  4: 3: r19 <- mul r18, r17
+          cycle  5: (nop)
+          cycle  6: 4: r20 <- xor r19, r4
+          cycle  7: 5: store r5, r20 || 6: r21 <- cmp r20, r6
+          cycle  8: 7: branch r21
+          
+speculative: schedule of block+vp on playdoh-2w (length 8):
+             cycle  0: 0: r22 <- ldpred  (ldpred sets b0, checked by 1) || 2: r17 <- load r2 @s1
+             cycle  1: 1: r16 <- load r1 @s0 (check b0; spec b1,b2,b3,b4) || 3: r18 <- add r22, r3 (spec sets b1)
+             cycle  2: (nop)
+             cycle  3: 4: r19 <- mul r18, r17 (spec sets b2)
+             cycle  4: (nop)
+             cycle  5: 5: r20 <- xor r19, r4 (spec sets b3)
+             cycle  6: 6: store r5, r20 (nonspec) || 7: r21 <- cmp r20, r6 (spec sets b4)
+             cycle  7: 8: branch r21 (nonspec)
+             
+wait masks: c6={3} c7={4}
+
+[-]: 12 cycles (original 9), 4 stalls, 0 flushed, 4 recomputed
+cycle  0 | issue 0 2 | CCB [] | OVB v16:PPN | CCE idle
+cycle  1 | issue 1 3 | CCB [3] | OVB v16:PPN v18:SRN | CCE idle
+cycle  2 | issue - | CCB [3] | OVB v16:PPN v18:SRN | CCE stall op 3
+cycle  3 | issue 4 | CCB [3;4] | OVB v16:PPN v18:SRN v19:SRN | CCE stall op 3
+cycle  4 | issue - | CCB [3;4] | OVB v16:PPN v18:SR v19:SR | CCE stall op 3
+cycle  5 | issue 5 | CCB [4;5] | OVB v16:PR v18:SR v19:SR v20:SR | CCE recompute op 3
+cycle  6 | issue (stall) | CCB [5] | OVB v16:PR v18:SR v19:SR v20:SR | CCE recompute op 4
+cycle  7 | issue (stall) | CCB [5] | OVB v16:PR v18:SR v19:SR v20:SR | CCE stall op 5
+cycle  8 | issue (stall) | CCB [] | OVB v16:PR v18:SR v19:SR v20:SR | CCE recompute op 5
+cycle  9 | issue 6 7 | CCB [7] | OVB v16:PR v18:SR v19:SR v20:SR v21:SR | CCE idle
+cycle 10 | issue (stall) | CCB [] | OVB v16:PR v18:SR v19:SR v20:SR v21:SR | CCE recompute op 7
+cycle 11 | issue 8 | CCB [] | OVB v16:PR v18:SR v19:SR v20:SR v21:SR | CCE idle
+
+[+]: 8 cycles (original 9), 0 stalls, 4 flushed, 0 recomputed
+cycle  0 | issue 0 2 | CCB [] | OVB v16:PPN | CCE idle
+cycle  1 | issue 1 3 | CCB [3] | OVB v16:PPN v18:SRN | CCE idle
+cycle  2 | issue - | CCB [3] | OVB v16:PPN v18:SRN | CCE stall op 3
+cycle  3 | issue 4 | CCB [3;4] | OVB v16:PPN v18:SRN v19:SRN | CCE stall op 3
+cycle  4 | issue - | CCB [3;4] | OVB v16:PPN v18:SRN v19:SRN | CCE stall op 3
+cycle  5 | issue 5 | CCB [4;5] | OVB v16:PC v18:SC v19:SC v20:SC | CCE flush op 3
+cycle  6 | issue 6 7 | CCB [5;7] | OVB v16:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 4
+cycle  7 | issue 8 | CCB [7] | OVB v16:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 5
+cycle  8 | issue - | CCB [] | OVB v16:PC v18:SC v19:SC v20:SC v21:SC | CCE flush op 7
+
+|});
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vliw_vp_cli"
@@ -382,6 +587,11 @@ let () =
           tc "suite job counts" test_telemetry_suite_counts;
         ] );
       ("parallel", [ tc "sweep jobs 4 = jobs 1" test_parallel_sweep_identity ]);
+      ( "assembly",
+        [
+          tc "simulate a program" test_simulate_program;
+          tc "run --trace a block" test_run_trace_block;
+        ] );
       ( "store stamp",
         [
           tc "build ID stamps a warm store" test_stamp_build_id;

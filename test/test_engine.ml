@@ -478,7 +478,7 @@ let test_speculative_guard_producer () =
         (Vp_engine.Scenario.enumerate 1))
     [ 0; 50_000; 999_999 ]
 
-(* --- Sequence engine --- *)
+(* --- Block sequences: Dual_engine.run_sequence --- *)
 
 let seq_pipeline =
   lazy
@@ -500,7 +500,7 @@ let test_sequence_matches_solo () =
               incr checked;
               let reference = Vliw_vp.Pipeline.reference_of_block p b.index in
               let seq =
-                Vp_engine.Sequence_engine.run ~live_in
+                Vp_engine.Dual_engine.run_sequence ~live_in
                   [
                     Speculated
                       { sb = spec.sb; reference; outcomes = sc.outcomes };
@@ -534,18 +534,18 @@ let test_sequence_multi_block () =
               Vp_ir.Program.nth p.program bi
             in
             let s = Vp_sched.List_scheduler.schedule_block machine wb.block in
-            (Vp_engine.Sequence_engine.Plain (s, reference), b.original_cycles)
+            (Vp_engine.Dual_engine.Plain (s, reference), b.original_cycles)
         | Some spec ->
             let outcomes = Vp_engine.Scenario.sample rng ~rates:spec.rates in
             let solo =
               Vp_engine.Dual_engine.run spec.sb ~reference ~live_in ~outcomes
             in
-            ( Vp_engine.Sequence_engine.Speculated
+            ( Vp_engine.Dual_engine.Speculated
                 { sb = spec.sb; reference; outcomes },
               solo.cycles ))
   in
   let r =
-    Vp_engine.Sequence_engine.run ~live_in (List.map fst items_bounds)
+    Vp_engine.Dual_engine.run_sequence ~live_in (List.map fst items_bounds)
   in
   let sum_drain = List.fold_left (fun a (_, d) -> a + d) 0 items_bounds in
   checkb "state equivalence across the sequence" true r.state_ok;
@@ -566,10 +566,10 @@ let test_sequence_retire_width () =
         match p.blocks.(bi).spec with
         | None ->
             let wb = Vp_ir.Program.nth p.program bi in
-            Vp_engine.Sequence_engine.Plain
+            Vp_engine.Dual_engine.Plain
               (Vp_sched.List_scheduler.schedule_block machine wb.block, reference)
         | Some spec ->
-            Vp_engine.Sequence_engine.Speculated
+            Vp_engine.Dual_engine.Speculated
               {
                 sb = spec.sb;
                 reference;
@@ -578,19 +578,21 @@ let test_sequence_retire_width () =
                     (Vp_vspec.Spec_block.num_predictions spec.sb);
               })
   in
-  let narrow = Vp_engine.Sequence_engine.run ~cce_retire_width:1 ~live_in items in
-  let wide = Vp_engine.Sequence_engine.run ~cce_retire_width:4 ~live_in items in
+  let run cce_retire_width =
+    Vp_engine.Dual_engine.run_sequence ~cce_retire_width ~live_in items
+  in
+  let narrow = run 1 and wide = run 4 in
   checkb "wide no slower" true (wide.total_cycles <= narrow.total_cycles);
   checkb "both correct" true (narrow.state_ok && wide.state_ok)
 
 let test_sequence_empty_and_plain () =
-  let r = Vp_engine.Sequence_engine.run ~live_in [] in
+  let r = Vp_engine.Dual_engine.run_sequence ~live_in [] in
   checki "empty sequence" 0 r.total_cycles;
   let b = reference_block () in
   let reference = Vp_engine.Reference.run b ~load_values:(fun _ -> 6) ~live_in in
   let s = Vp_sched.List_scheduler.schedule_block machine b in
   let r =
-    Vp_engine.Sequence_engine.run ~live_in
+    Vp_engine.Dual_engine.run_sequence ~live_in
       [ Plain (s, reference); Plain (s, reference) ]
   in
   (* two plain blocks back to back: second starts right after the first's
@@ -599,6 +601,107 @@ let test_sequence_empty_and_plain () =
     (Vp_sched.Schedule.num_instructions s + Vp_sched.Schedule.length s)
     r.total_cycles;
   checkb "no stalls" true (r.stall_cycles = 0)
+
+(* --- Conservation: every speculated operation leaves the CCB once --- *)
+
+(* A CCB entry is either flushed or re-executed, exactly once, so a run's
+   [flushed + recomputed] is its block's count of speculative-form
+   operations — under every scenario and retire width — and nothing is
+   re-executed when every prediction is correct. A sequence's sums are the
+   sums over its instances. Every speculated block of every model at seed
+   42 and widths 4 and 8, all-correct, all-incorrect and every profiled
+   scenario, with no block filtered out. *)
+let test_ccb_conservation () =
+  let violations = ref [] and runs = ref 0 in
+  let violation fmt =
+    Printf.ksprintf (fun m -> violations := m :: !violations) fmt
+  in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun (model : Vp_workload.Spec_model.t) ->
+          let config = { Vliw_vp.Config.default with width; seed = 42 } in
+          let p = Vliw_vp.Pipeline.run ~config model in
+          let items = ref [] and spec_total = ref 0 in
+          Array.iter
+            (fun (b : Vliw_vp.Pipeline.block_eval) ->
+              let reference = Vliw_vp.Pipeline.reference_of_block p b.index in
+              match b.spec with
+              | None ->
+                  let block = (Vp_ir.Program.nth p.program b.index).block in
+                  let s =
+                    Vp_sched.List_scheduler.schedule_block
+                      (Vliw_vp.Config.machine config) block
+                  in
+                  items := Vp_engine.Dual_engine.Plain (s, reference) :: !items
+              | Some spec ->
+                  let spec_ops =
+                    List.length (Vp_vspec.Spec_block.spec_ops spec.sb)
+                  in
+                  let n = Vp_vspec.Spec_block.num_predictions spec.sb in
+                  List.iter
+                    (fun outcomes ->
+                      List.iter
+                        (fun cce_retire_width ->
+                          incr runs;
+                          let r =
+                            Vp_engine.Dual_engine.run ~cce_retire_width spec.sb
+                              ~reference ~live_in ~outcomes
+                          in
+                          let where =
+                            Format.asprintf "%s %dw block %d %a retire %d"
+                              model.name width b.index Vp_engine.Scenario.pp
+                              outcomes cce_retire_width
+                          in
+                          if r.flushed + r.recomputed <> spec_ops then
+                            violation "%s: %d flushed + %d recomputed <> %d"
+                              where r.flushed r.recomputed spec_ops;
+                          if
+                            Vp_engine.Scenario.is_all_correct outcomes
+                            && r.recomputed <> 0
+                          then
+                            violation "%s: %d recomputed when all correct"
+                              where r.recomputed;
+                          if
+                            r.final_regs <> reference.final_regs
+                            || r.stores <> reference.stores
+                          then violation "%s: state differs" where)
+                        [ 1; 4 ];
+                      items :=
+                        Vp_engine.Dual_engine.Speculated
+                          { sb = spec.sb; reference; outcomes }
+                        :: !items;
+                      spec_total := !spec_total + spec_ops)
+                    (Vp_engine.Scenario.all_correct n
+                    :: Vp_engine.Scenario.all_incorrect n
+                    :: List.map
+                         (fun (sc : Vliw_vp.Pipeline.scenario_eval) ->
+                           sc.outcomes)
+                         spec.scenarios))
+            p.blocks;
+          List.iter
+            (fun cce_retire_width ->
+              let r =
+                Vp_engine.Dual_engine.run_sequence ~cce_retire_width ~live_in
+                  (List.rev !items)
+              in
+              let where =
+                Printf.sprintf "%s %dw sequence retire %d" model.name width
+                  cce_retire_width
+              in
+              if r.flushed + r.recomputed <> !spec_total then
+                violation "%s: %d flushed + %d recomputed <> %d" where
+                  r.flushed r.recomputed !spec_total;
+              if not r.state_ok then violation "%s: state differs" where)
+            [ 1; 4 ])
+        Vp_workload.Spec_model.all)
+    [ 4; 8 ];
+  checkb "exercised" true (!runs > 1000);
+  match List.rev !violations with
+  | [] -> ()
+  | first :: _ as l ->
+      Alcotest.failf "%d conservation violations over %d runs; first: %s"
+        (List.length l) !runs first
 
 (* --- The exhaustive equivalence property --- *)
 
@@ -807,6 +910,9 @@ let () =
           tc "retire width" test_sequence_retire_width;
           tc "empty and plain" test_sequence_empty_and_plain;
         ] );
+      ( "conservation",
+        [ slow "flushed + recomputed = speculated ops" test_ccb_conservation ]
+      );
       ( "engine trace",
         [
           tc "structure" test_trace_structure;

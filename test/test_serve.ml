@@ -945,7 +945,13 @@ let stats_and_ping run () =
         (Option.value ~default:(-1) (J.int_member "completed" requests));
       let latency = Option.get (member "latency") in
       checki "latency count" 1
-        (Option.value ~default:(-1) (J.int_member "count" latency)))
+        (Option.value ~default:(-1) (J.int_member "count" latency));
+      (* the compute layers' memo counters, as [--telemetry] names them *)
+      List.iter
+        (fun k ->
+          checkb ("spec_unit." ^ k ^ " is an integer") true
+            (Option.bind (member "spec_unit") (J.int_member k) <> None))
+        [ "hits"; "misses" ])
 
 (* Every ill-typed submit, the infinite budget first, is answered with a
    structured [bad_request] under its own id — and before any [accepted]:
