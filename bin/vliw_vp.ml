@@ -17,17 +17,21 @@ let models_of_names names =
 
 open Cmdliner
 
-(* Only the machine presets' widths are accepted, so a bad width is one
-   usage error here rather than an exception in every job. *)
-let width_t =
-  let doc = "Machine issue width (2, 4, 8 or 16)." in
+(* An integer that [check] vets, so a value the program cannot run is
+   one usage error here rather than an exception in every job. *)
+let checked_int ~docv check =
   let parse s =
-    Result.bind (Arg.conv_parser Arg.int s) (fun w ->
+    Result.bind (Arg.conv_parser Arg.int s) (fun v ->
         Result.map_error
           (fun m -> `Msg (Printf.sprintf "invalid value '%s', %s" s m))
-          (Vp_machine.Descr.check_width w))
+          (check v))
   in
-  let width = Arg.conv ~docv:"WIDTH" (parse, Format.pp_print_int) in
+  Arg.conv ~docv (parse, Format.pp_print_int)
+
+(* Only the machine presets' widths are accepted. *)
+let width_t =
+  let doc = "Machine issue width (2, 4, 8 or 16)." in
+  let width = checked_int ~docv:"WIDTH" Vp_machine.Descr.check_width in
   Arg.(value & opt width 4 & info [ "w"; "width" ] ~docv:"WIDTH" ~doc)
 
 let seed_t =
@@ -57,10 +61,14 @@ let csv_t =
 
 let jobs_t =
   let doc =
-    "Worker domains for the experiment jobs. 1 (the default) runs \
-     sequentially in-process; any value produces byte-identical output."
+    Printf.sprintf
+      "Worker domains for the experiment jobs, 1 to %d. 1 (the default) \
+       runs sequentially in-process; any value produces byte-identical \
+       output."
+      Vp_exec.Cli.max_jobs
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let jobs = checked_int ~docv:"N" Vp_exec.Cli.check_jobs in
+  Arg.(value & opt jobs 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_cache_t =
   let doc = "Disable the on-disk result cache." in
@@ -118,23 +126,34 @@ let example_cmd =
        ~doc:"Reproduce the paper's Figures 2/3 worked example")
     Term.(const run $ const ())
 
+(* One store-cached graph node per model, holding the model's printed
+   text: [--jobs] runs the models in parallel, and a warm run reads one
+   store entry per model. *)
 let summary_cmd =
+  let summary ~config model =
+    let p = Vliw_vp.Pipeline.run ~config model in
+    let spec =
+      Array.fold_left
+        (fun acc (b : Vliw_vp.Pipeline.block_eval) ->
+          if b.spec <> None then acc + 1 else acc)
+        0 p.blocks
+    in
+    Format.asprintf "%a@.mean prediction rate %.3f; %d/%d blocks speculated@.@."
+      Vp_workload.Workload.pp_summary p.workload
+      (Vp_profile.Value_profile.mean_rate p.profile)
+      spec (Array.length p.blocks)
+  in
   let f ~config ~exec ~models =
-    List.iter
-      (fun model ->
-        let p = Vliw_vp.Pipeline.run ~config ~exec model in
-        Format.printf "%a@." Vp_workload.Workload.pp_summary p.workload;
-        let spec =
-          Array.fold_left
-            (fun acc (b : Vliw_vp.Pipeline.block_eval) ->
-              if b.spec <> None then acc + 1 else acc)
-            0 p.blocks
-        in
-        Format.printf
-          "mean prediction rate %.3f; %d/%d blocks speculated@.@."
-          (Vp_profile.Value_profile.mean_rate p.profile)
-          spec (Array.length p.blocks))
-      models
+    let g = Vp_exec.Graph.create exec in
+    let nodes =
+      List.map
+        (fun (model : Vp_workload.Spec_model.t) ->
+          Vp_exec.Graph.node g ~label:("summary:" ^ model.name)
+            ~key:(Vp_exec.Store.key ("summary", model, config))
+            (fun () -> summary ~config model))
+        models
+    in
+    List.iter (fun n -> print_string (Vp_exec.Graph.await g n)) nodes
   in
   Cmd.v
     (Cmd.info "summary" ~doc:"Workload and profile overview per benchmark")

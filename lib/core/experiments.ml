@@ -173,11 +173,11 @@ let run_benchmark ?config model = summarize (Pipeline.run ?config model)
 
 (* --- Orchestration (Vp_exec) ---
 
-   Every experiment entry point below fans its independent simulations out
-   through an execution context: worker domains, an optional
-   content-addressed result store, telemetry. The default context is
-   sequential and storeless, which replays the jobs in submission order in
-   the calling domain — bit-identical to the historical [List.map] code. *)
+   Every experiment entry point below declares its independent simulations
+   as nodes of a job graph over an execution context: worker domains, an
+   optional content-addressed result store, telemetry. The default context
+   is sequential and storeless, which runs the nodes in declaration order
+   in the calling domain. *)
 
 (* Content address of one experiment result: the experiment kind, the
    full benchmark model (not just its name — custom models must not
@@ -203,12 +203,11 @@ let region_job_key ~config point (model : Vp_workload.Spec_model.t) =
 (* Suite-graph declaration helpers (see the [Suite] module at the end of
    this file for the public grouping). Each experiment declares leaf
    simulation nodes plus one reducer node that folds the leaf values into
-   the experiment's row list. Leaves are store-cached like the old
-   [map_exn] jobs and share their keys across experiments — the graph
-   dedups a key that is merely in flight, the store one that already
-   completed. Reducers pass [~cache:false]: their inputs are already
-   cached or deduped, and the fold is cheaper than its own store
-   round-trip would be. *)
+   the experiment's row list. Leaves are store-cached and share their
+   keys across experiments — the graph dedups a key that is merely in
+   flight, the store one that already completed. Reducers pass
+   [~cache:false]: their inputs are already cached or deduped, and the
+   fold is cheaper than its own store round-trip would be. *)
 
 module G = Vp_exec.Graph
 
@@ -217,13 +216,13 @@ let bench_node g ~group ~config (model : Vp_workload.Spec_model.t) =
     ~label:("bench:" ^ model.Vp_workload.Spec_model.name)
     ~group
     ~key:(job_key ~kind:"benchmark" ~config model)
-    (fun _ctx -> run_benchmark ~config model)
+    (fun () -> run_benchmark ~config model)
 
 let reduce g ~kind ~config ~payload leaves f =
   G.node g ~label:("reduce:" ^ kind) ~group:kind ~cache:false
     ~key:(job_key ~kind:("reduce-" ^ kind) ~config payload)
     ~deps:(List.map G.pack leaves)
-    (fun _ctx -> f ())
+    f
 
 let suite_run_all g ~config models =
   let leaves = List.map (bench_node g ~group:"run_all" ~config) models in
@@ -426,7 +425,7 @@ let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
     ~group
     ~key:(Vp_exec.Store.key ("comparison", G.key bench))
     ~deps:[ G.pack bench ]
-    (fun _ctx -> comparison_of (Pipeline.run ~config model))
+    (fun () -> comparison_of (Pipeline.run ~config model))
 
 let suite_comparison g ~config models =
   let leaves =
@@ -555,7 +554,7 @@ let suite_regions g ~config ?(params = Vp_region.Superblock.default_params)
           ~label:("regions:" ^ model.Vp_workload.Spec_model.name)
           ~group:"regions"
           ~key:(region_job_key ~config (Superblock_point params) model)
-          (fun _ctx -> region_row ?store ~config ~params model))
+          (fun () -> region_row ?store ~config ~params model))
       models
   in
   reduce g ~kind:"regions" ~config ~payload:(models, params) leaves (fun () ->
@@ -656,7 +655,7 @@ let suite_regions_frontier g ~config
                      model.Vp_workload.Spec_model.name mb mp w)
                 ~group:"frontier"
                 ~key:(region_job_key ~config:pconfig (Superblock_point params) model)
-                (fun _ctx -> region_row ?store ~config:pconfig ~params model)
+                (fun () -> region_row ?store ~config:pconfig ~params model)
             in
             ((model, mb, mp, w), node))
           points)
@@ -823,7 +822,7 @@ let suite_overlap_validation g ~config ?(executions = 400) models =
           ~label:("overlap:" ^ model.Vp_workload.Spec_model.name)
           ~group:"overlap"
           ~key:(job_key ~kind:"overlap" ~config (model, executions))
-          (fun _ctx -> overlap_row ~config ~executions model))
+          (fun () -> overlap_row ~config ~executions model))
       models
   in
   reduce g ~kind:"overlap" ~config ~payload:(models, executions) leaves
@@ -846,7 +845,7 @@ let suite_hardware_validation g ~config ?executions models =
           ~label:("hardware:" ^ model.Vp_workload.Spec_model.name)
           ~group:"hardware"
           ~key:(job_key ~kind:"hardware" ~config (model, executions))
-          (fun _ctx ->
+          (fun () ->
             ( model.Vp_workload.Spec_model.name,
               Trace_sim.run ?executions (Pipeline.run ~config model) )))
       models
@@ -927,7 +926,7 @@ let suite_hyperblocks g ~config
           ~label:("hyperblocks:" ^ model.Vp_workload.Spec_model.name)
           ~group:"hyperblocks"
           ~key:(region_job_key ~config (Hyperblock_point params) model)
-          (fun _ctx -> hyperblock_row ?store ~config ~params model))
+          (fun () -> hyperblock_row ?store ~config ~params model))
       models
   in
   reduce g ~kind:"hyperblocks" ~config ~payload:(models, params) leaves
@@ -1113,7 +1112,7 @@ let suite_config_sweep g ~config model points =
           ~label:("sweep:" ^ setting)
           ~group:"sweep"
           ~key:(job_key ~kind:"config-sweep" ~config:pconfig (model, setting))
-          (fun _ctx ->
+          (fun () ->
             let s = run_benchmark ~config:pconfig model in
             {
               setting;

@@ -53,10 +53,9 @@ let block_reference workload (block : Vp_ir.Block.t) =
     ~load_values:(fun i -> Hashtbl.find values i)
     ~live_in:Vp_engine.Reference.live_in
 
-(* Outcome-independent preparation for one speculated block. Built
-   sequentially, in block order: the reference draws each load's dynamic
-   value from the workload's shared value streams, so the draw order must
-   stay exactly the order the old single-pass evaluator used. *)
+(* Outcome-independent preparation for one speculated block: its reference
+   run (on the first values of fresh stream instances), its static-recovery
+   model, its profiled rates and the outcome vectors to simulate. *)
 type spec_prep = {
   prep_sb : Vp_vspec.Spec_block.t;
   prep_reference : Vp_engine.Reference.t;
@@ -97,7 +96,7 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
     prep_recovery = recovery;
   }
 
-(* One lane arena per worker domain, reused across batch jobs and
+(* One lane arena per worker domain, reused across scenario batches and
    trace-sim replays — the lane slabs are Bigarray-backed and sized to the
    largest block the domain has seen, so steady-state batches allocate
    only their result records. *)
@@ -107,7 +106,7 @@ let lanes () = Domain.DLS.get lanes_key
 (* Occupancy of the scenario batches, for the telemetry surface: how many
    lane words they ran and how many vectors those carried. Trace-sim's
    one-vector replays are counted apart, as its [engine_replays].
-   Atomics: batches run concurrently across domains. *)
+   Atomics: pipelines run concurrently in graph jobs across domains. *)
 let bitset_words = Atomic.make 0
 let bitset_vectors = Atomic.make 0
 
@@ -185,26 +184,6 @@ let eval_of_prep prep (results, best, worst, unique) =
     recovery = prep.prep_recovery;
   }
 
-(* Content address of one block's scenario batch: everything the results
-   depend on. *)
-let batch_key config prep =
-  Vp_exec.Store.key
-    ( "scenario-batch",
-      prep.prep_sb,
-      prep.prep_reference,
-      prep.prep_vectors,
-      config )
-
-(* The content-addressed key exists to index the on-disk store; digesting a
-   whole marshalled spec block per job is pure overhead when the context has
-   no store (the batch job never touches its key-seeded RNG). Small-sample
-   configs — the bench harness's reduced Monte-Carlo settings — would
-   otherwise pay more for the digest than the batch itself costs. *)
-let job_key exec config index prep =
-  match exec.Vp_exec.Context.store with
-  | Some _ -> batch_key config prep
-  | None -> Printf.sprintf "scenario-batch-uncached:%d" index
-
 (* The value profile is a pure function of (model, seed, predictors):
    [Workload.stream] hands out fresh replayable instances seeded from
    (workload seed, stream id), so profiling neither consumes shared stream
@@ -225,40 +204,35 @@ let profile_memo :
     ~equal:(fun (m, seed, predictors) (m', seed', predictors') ->
       m == m' && seed = seed' && predictors = predictors')
 
-let memoized_profile ?store (config : Config.t) model workload program =
+let profile_fresh (config : Config.t) workload program =
+  Vp_profile.Value_profile.profile ~program
+    ?predictors:config.profile_predictors
+    ~rates:(Spec_unit.profile_rates workload)
+    workload
+
+let memoized_profile (config : Config.t) model workload program =
   Vp_util.Memo.find_or_add profile_memo
     (model, config.seed, config.profile_predictors)
-    (fun () ->
-      Vp_profile.Value_profile.profile ~program
-        ?predictors:config.profile_predictors
-        ~rates:(Spec_unit.profile_rates ?store workload)
-        workload)
+    (fun () -> profile_fresh config workload program)
 
-let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
+let run_program_fresh ~(config : Config.t) ~profile workload program =
   let descr = Config.machine config in
   let profile =
     match profile with
     | Some profile -> profile
-    | None ->
-        Vp_profile.Value_profile.profile ~program
-          ?predictors:config.profile_predictors
-          ~rates:
-            (Spec_unit.profile_rates ?store:exec.Vp_exec.Context.store
-               workload)
-          workload
+    | None -> profile_fresh config workload program
   in
   (* Region-formed programs carry a content digest; naming each block by
      (digest, index) keys its spec-unit artifacts in a few dozen bytes
      instead of its marshalled IR. *)
   let region_digest = Region_unit.digest_of program in
-  (* Pass 1 (sequential): schedule, transform and prepare every block in
-     order — value-stream draws and profiling stay deterministic. Both
-     artifacts go through the spec-unit cache: sweep points that vary only
-     the CCE shape, the scenario caps or the threshold reuse a
+  (* Every block in order: schedule and transform it, and run a
+     speculated block's whole scenario set through the compiled kernel.
+     Both artifacts go through the spec-unit cache: sweep points that vary
+     only the CCE shape, the scenario caps or the threshold reuse a
      neighbouring config's schedule and transform instead of recomputing
-     them (and, when the run has a store, reuse them across runs too). *)
-  let store = exec.Vp_exec.Context.store in
-  let pre =
+     them. *)
+  let blocks =
     Array.mapi
       (fun index (wb : Vp_ir.Program.weighted_block) ->
         let rates =
@@ -270,70 +244,27 @@ let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
             (Vp_ir.Block.ops wb.block)
         in
         let ident = Option.map (fun d -> (d, index)) region_digest in
-        let original_schedule = Spec_unit.schedule ?store ?ident descr wb.block in
-        let original_cycles = Vp_sched.Schedule.length original_schedule in
-        let original_instructions =
-          Vp_sched.Schedule.num_instructions original_schedule
+        let original_schedule = Spec_unit.schedule ?ident descr wb.block in
+        let skip_reason, spec =
+          match
+            Spec_unit.transform ?ident ~policy:config.policy descr ~rates
+              wb.block
+          with
+          | Vp_vspec.Transform.Unchanged reason -> (Some reason, None)
+          | Vp_vspec.Transform.Speculated sb ->
+              let prep = prep_spec config workload wb sb in
+              (None, Some (eval_of_prep prep (simulate_batch config prep)))
         in
-        match
-          Spec_unit.transform ?store ?ident ~policy:config.policy descr ~rates
-            wb.block
-        with
-        | Vp_vspec.Transform.Unchanged reason ->
-            ( index,
-              wb,
-              original_cycles,
-              original_instructions,
-              Some reason,
-              None )
-        | Vp_vspec.Transform.Speculated sb ->
-            ( index,
-              wb,
-              original_cycles,
-              original_instructions,
-              None,
-              Some (prep_spec config workload wb sb) ))
-      (Vp_ir.Program.blocks program)
-  in
-  (* Pass 2: one job per speculated block — its whole scenario set runs
-     through the compiled kernel on one worker. Results return in
-     submission order whatever the worker count, so parallel runs are
-     bit-identical to sequential ones. *)
-  let jobs =
-    Array.to_list pre
-    |> List.filter_map (fun (index, _, _, _, _, prep) ->
-           Option.map
-             (fun prep ->
-               Vp_exec.Job.make
-                 ~label:
-                   (Printf.sprintf "scenarios:%s"
-                      (Vp_ir.Block.label prep.prep_sb.original_block))
-                 ~key:(job_key exec config index prep)
-                 (fun _ctx -> simulate_batch config prep))
-             prep)
-  in
-  let batch_results = ref (Vp_exec.Context.map_exn exec jobs) in
-  let next_batch () =
-    match !batch_results with
-    | [] -> assert false
-    | r :: rest ->
-        batch_results := rest;
-        r
-  in
-  (* Pass 3 (sequential): reattach and assemble. *)
-  let blocks =
-    Array.map
-      (fun (index, (wb : Vp_ir.Program.weighted_block), original_cycles,
-            original_instructions, skip_reason, prep) ->
         {
           index;
           count = wb.count;
-          original_cycles;
-          original_instructions;
+          original_cycles = Vp_sched.Schedule.length original_schedule;
+          original_instructions =
+            Vp_sched.Schedule.num_instructions original_schedule;
           skip_reason;
-          spec = Option.map (fun p -> eval_of_prep p (next_batch ())) prep;
+          spec;
         })
-      pre
+      (Vp_ir.Program.blocks program)
   in
   {
     config;
@@ -347,8 +278,8 @@ let run_program_fresh ~(config : Config.t) ~exec ~profile workload program =
 (* Whole-run memo. [run_program] is pure in (workload, program, config,
    profile): [block_reference] draws the first values of fresh replayable
    stream instances ([Workload.stream] never consumes shared state), the
-   Monte-Carlo RNG splits from (config seed, block label), and the exec
-   context only affects caching and parallelism — results are
+   Monte-Carlo RNG splits from (config seed, block label), and every
+   block is evaluated in order in the calling domain — results are
    bit-identical across worker counts by construction. Keyed physically on
    the program (the workload memo and the region-formation memo make every
    holder of one content share one physical value) and matched on the
@@ -372,8 +303,7 @@ let run_memo : (run_key, t) Vp_util.Memo.t =
       && a.rk_config = b.rk_config
       && Option.equal ( == ) a.rk_profile b.rk_profile)
 
-let run_program ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?profile workload program =
+let run_program ?(config = Config.default) ?profile workload program =
   Vp_util.Memo.find_or_add run_memo
     {
       rk_program = program;
@@ -381,7 +311,7 @@ let run_program ?(config = Config.default)
       rk_config = config;
       rk_profile = profile;
     }
-    (fun () -> run_program_fresh ~config ~exec ~profile workload program)
+    (fun () -> run_program_fresh ~config ~profile workload program)
 
 let telemetry_json () =
   let words = Atomic.get bitset_words
@@ -396,14 +326,11 @@ let telemetry_json () =
      \"run_memo_misses\": %d}"
     words vectors occupancy runs.hits runs.misses
 
-let run ?(config = Config.default) ?exec model =
+let run ?(config = Config.default) model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in
   let program = Vp_workload.Workload.program workload in
-  let store =
-    Option.bind exec (fun e -> e.Vp_exec.Context.store)
-  in
-  let profile = memoized_profile ?store config model workload program in
-  run_program ~config ?exec ~profile workload program
+  let profile = memoized_profile config model workload program in
+  run_program ~config ~profile workload program
 
 let reference_of_block t index =
   let wb = Vp_ir.Program.nth t.program index in

@@ -67,11 +67,10 @@ type t = {
   blocks : block_eval array;
 }
 
-val run : ?config:Config.t -> ?exec:Vp_exec.Context.t -> Vp_workload.Spec_model.t -> t
+val run : ?config:Config.t -> Vp_workload.Spec_model.t -> t
 
 val run_program :
   ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
   ?profile:Vp_profile.Value_profile.t ->
   Vp_workload.Workload.t ->
   Vp_ir.Program.t ->
@@ -90,22 +89,21 @@ val run_program :
     [Vp_engine.Compiled] — through the {!Spec_unit} cache, as are the
     baseline schedule and the transform, so sweep points varying only the
     CCE shape or the policy threshold reuse neighbouring artifacts — and
-    its whole scenario set runs as one [exec] job via
+    its whole scenario set runs in one call of
     [Vp_engine.Compiled.run_bitset], which advances up to 63 outcome
     vectors per machine word and simulates each distinct vector once,
-    sharing its result with the repeats. [exec] defaults to
-    [Vp_exec.Context.sequential] (inline, no cache); results are
-    bit-identical for any worker count, and whether the spec-unit cache
-    is cold or warm.
+    sharing its result with the repeats. Blocks are evaluated in order in
+    the calling domain; parallelism and the on-disk store live one level
+    up, on the {!Vp_exec.Graph} nodes that call the pipeline. Results are
+    the same whether the spec-unit cache is cold or warm.
 
     Whole runs are memoized: the result is pure in
     [(workload, program, config, profile)] — the reference draws fresh
-    replayable stream instances, and [exec] affects only caching and
-    parallelism — so a repeat call holding the same physical
-    workload/program (the workload memo and [Region_unit] guarantee that
-    for warm reruns and region sweep points) with a structurally equal
-    config returns the finished evaluation. The memo is a
-    {!Vp_util.Memo} bounded at 2048 runs. *)
+    replayable stream instances — so a repeat call holding the same
+    physical workload/program (the workload memo and [Region_unit]
+    guarantee that for warm reruns and region sweep points) with a
+    structurally equal config returns the finished evaluation. The memo
+    is a {!Vp_util.Memo} bounded at 2048 runs. *)
 
 val reference_of_block : t -> int -> Vp_engine.Reference.t
 (** Reference execution of block [index] with its first dynamic load

@@ -1,6 +1,5 @@
 (* Shared spec-unit cache: per-block schedule / transform / compiled-kernel
-   artifacts, memoized across sweep points (and, store-backed, across
-   runs). See the interface for the key construction and the threshold
+   artifacts, memoized across sweep points. See the interface for the key construction and the threshold
    normalization argument. *)
 
 type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
@@ -45,14 +44,14 @@ let stats () =
    digested inputs — in a few dozen bytes. It substitutes the marshalled
    block IR in the artifact keys below under a distinct tag, so the two
    keyings can never collide. *)
-let schedule ?store ?ident descr block =
+let schedule ?ident descr block =
   let key =
     match ident with
     | Some (digest, index) ->
         Vp_exec.Store.key ("spec-unit-schedule-ident", descr, digest, index)
     | None -> Vp_exec.Store.key ("spec-unit-schedule", descr, block)
   in
-  Vp_exec.Store.cached ?store sched ~key (fun () ->
+  Vp_util.Memo.find_or_add sched key (fun () ->
       Vp_sched.List_scheduler.schedule_block descr block)
 
 (* The transform reads the threshold only through the predicate
@@ -64,7 +63,7 @@ let schedule ?store ?ident descr block =
    threshold" message, is rewritten on the way out. *)
 let threshold_msg_prefix = "no load above the "
 
-let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
+let transform ?ident ~(policy : Vp_vspec.Policy.t) descr
     ~(rates : float option array) block =
   let masked =
     Array.map
@@ -83,8 +82,8 @@ let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
         Vp_exec.Store.key ("spec-unit-transform", descr, policy0, masked, block)
   in
   let outcome =
-    Vp_exec.Store.cached ?store xform ~key (fun () ->
-        let baseline = schedule ?store ?ident descr block in
+    Vp_util.Memo.find_or_add xform key (fun () ->
+        let baseline = schedule ?ident descr block in
         Vp_vspec.Transform.apply ~policy:policy0 ~baseline descr
           ~rate:(fun (op : Vp_ir.Operation.t) -> masked.(op.id))
           block)
@@ -105,7 +104,7 @@ let transform ?store ?ident ~(policy : Vp_vspec.Policy.t) descr
    the key carries exactly those, never the program: sweep points, region
    programs and repeated runs that profile the same streams share one
    entry. *)
-let profile_rates ?store workload ~stream ~samples ~kinds =
+let profile_rates workload ~stream ~samples ~kinds =
   let key =
     Vp_exec.Store.key
       ( "spec-unit-profile-rates",
@@ -115,7 +114,7 @@ let profile_rates ?store workload ~stream ~samples ~kinds =
         samples,
         kinds )
   in
-  Vp_exec.Store.cached ?store rates ~key (fun () ->
+  Vp_util.Memo.find_or_add rates key (fun () ->
       Vp_profile.Value_profile.stream_rates workload ~stream ~samples ~kinds)
 
 let compiled ?ccb_capacity ~cce_retire_width sb ~reference =

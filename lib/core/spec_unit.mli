@@ -14,11 +14,10 @@
     instead of recomputing. Schedules and transform outcomes live in
     process-wide hash tables keyed by a content digest
     ({!Vp_exec.Store.key}: every input is plain data, so equal inputs get
-    one key) and are optionally backed by an on-disk store so repeated
-    {e runs} also share; compiled kernels are keyed physically on the
-    spec block (a transform cache hit returns the same physical block,
-    which is precisely the sweep-reuse case) because digesting a whole
-    spec block would cost more than the ~6 µs compile it saves.
+    one key); compiled kernels are keyed physically on the spec block (a
+    transform cache hit returns the same physical block, which is
+    precisely the sweep-reuse case) because digesting a whole spec block
+    would cost more than the ~6 µs compile it saves.
 
     {b Threshold normalization.} The transform consults the policy
     threshold only as the predicate [rate >= threshold] (selection and the
@@ -38,14 +37,13 @@ type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
 val stats : unit -> stats
 (** Process-wide counters summed over the four artifact tables: [hits]
-    counts memory and store hits, [misses] actual computations,
+    counts lookups a table answered, [misses] actual computations,
     [evictions] entries dropped by a table's bound. *)
 
 val clear : unit -> unit
 (** Drop every in-memory entry and zero {!stats} (tests, benchmarks). *)
 
 val schedule :
-  ?store:Vp_exec.Store.t ->
   ?ident:string * int ->
   Vp_machine.Descr.t ->
   Vp_ir.Block.t ->
@@ -60,7 +58,6 @@ val schedule :
     the block's content. *)
 
 val transform :
-  ?store:Vp_exec.Store.t ->
   ?ident:string * int ->
   policy:Vp_vspec.Policy.t ->
   Vp_machine.Descr.t ->
@@ -75,7 +72,6 @@ val transform :
     rates stay in the key — they depend on the profile, not the block). *)
 
 val profile_rates :
-  ?store:Vp_exec.Store.t ->
   Vp_workload.Workload.t ->
   stream:int ->
   samples:int ->

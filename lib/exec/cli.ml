@@ -13,6 +13,18 @@ let default =
     telemetry = None;
   }
 
+(* OCaml 5.1 runs at most 128 domains per process, the main one included
+   ([Max_domains] in caml/domain.h), and a drain or the resident workers
+   spawn up to [jobs] more. *)
+let max_jobs = 127
+
+let check_jobs jobs =
+  if jobs >= 1 && jobs <= max_jobs then Ok jobs
+  else
+    Error
+      (Printf.sprintf "unsupported worker count %d (supported: 1 to %d)" jobs
+         max_jobs)
+
 let usage =
   "--jobs N (worker domains; output is byte-identical for any N), \
    --no-cache (disable the on-disk result cache), --cache-dir DIR, \
@@ -24,9 +36,11 @@ let parse args =
     | ("--jobs" | "-j") :: rest -> (
         match rest with
         | n :: rest -> (
-            match int_of_string_opt n with
-            | Some jobs when jobs >= 1 -> go { opts with jobs } leftover rest
-            | _ -> Error (Printf.sprintf "--jobs: not a positive integer: %s" n))
+            match Option.map check_jobs (int_of_string_opt n) with
+            | Some (Ok jobs) -> go { opts with jobs } leftover rest
+            | Some (Error m) -> Error (Printf.sprintf "--jobs: %s" m)
+            | None ->
+                Error (Printf.sprintf "--jobs: not a positive integer: %s" n))
         | [] -> Error "--jobs requires a value")
     | "--no-cache" :: rest -> go { opts with no_cache = true } leftover rest
     | "--cache-dir" :: rest -> (

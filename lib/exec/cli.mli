@@ -15,6 +15,15 @@ type opts = {
       (** where to write the JSON telemetry summary; ["-"] = stderr *)
 }
 
+val max_jobs : int
+(** 127: OCaml 5.1 runs at most 128 domains per process, the main one
+    included, and [--jobs N] spawns up to [N] worker domains. *)
+
+val check_jobs : int -> (int, string) result
+(** [Ok jobs] for [1 <= jobs <= ]{!max_jobs}, else an error message naming
+    the range. Both front ends validate [--jobs] with it, so a value no
+    drain can run is refused before any domain starts. *)
+
 val default : opts
 (** One worker, caching on in {!Store.default_dir}, no telemetry. *)
 

@@ -1,10 +1,10 @@
-(* The suite job graph. All structural state — nodes, edges, readiness,
-   the priority heap — lives behind one graph mutex; payloads execute
-   outside it (through [Pool.execute], so job accounting and RNG contexts
-   behave exactly as in a flat pool batch). Results are stored as
-   [Obj.t]: the key is the node's only identity under in-flight dedup, so
-   the phantom type on ['a node] is the caller's contract, as with the
-   store's [Marshal] payloads. *)
+(* The suite job graph, and the one executor. All structural state —
+   nodes, edges, readiness, the priority heap — lives behind one graph
+   mutex; payloads execute outside it, in [execute_node], which also does
+   the store lookup of a cacheable node and the job accounting. Results
+   are stored as [Obj.t]: the key is the node's only identity under
+   in-flight dedup, so the phantom type on ['a node] is the caller's
+   contract, as with the store's [Marshal] payloads. *)
 
 exception Cycle of string list
 
@@ -27,7 +27,7 @@ type nd = {
   label : string;
   group : string option;
   cache : bool;
-  payload : Job.ctx -> Obj.t;
+  payload : unit -> Obj.t;
   mutable status : status;
   mutable deps : nd list;
   mutable dependents : nd list;
@@ -272,7 +272,7 @@ let rec poison t n ~root ~msg =
       t.pending <- t.pending - 1;
       (* account the node as a failed job: it was queued and will never
          run, so started/failed keeps the progress ledger balanced *)
-      Progress.job_started t.ctx.Context.progress ~label:n.label;
+      Progress.job_started t.ctx.Context.progress;
       Progress.job_failed t.ctx.Context.progress ~wall:0.0;
       List.iter (fun d -> poison t d ~root ~msg) n.dependents
   | Running | Finished _ -> ()
@@ -306,9 +306,9 @@ let fail_node t n msg =
   t.pending <- t.pending - 1;
   List.iter (fun d -> poison t d ~root:n.key ~msg) n.dependents
 
-let settle t n (outcome : Obj.t Job.outcome) =
+let settle t n (outcome : (Obj.t, string) result) =
   match outcome with
-  | Job.Done v ->
+  | Ok v ->
       n.status <- Finished (Ok v);
       touch t n;
       enqueue_waiters t n (Ok v);
@@ -322,7 +322,7 @@ let settle t n (outcome : Obj.t Job.outcome) =
           | Ready | Running | Finished _ -> ())
         n.dependents;
       maybe_evict t
-  | Job.Failed msg -> fail_node t n msg
+  | Error msg -> fail_node t n msg
 
 let rec pop_ready t =
   match Heap.pop t.heap with
@@ -360,7 +360,7 @@ let node t ?label ?group ?(cache = true) ~key ?(deps = []) payload =
                 label;
                 group;
                 cache;
-                payload = (fun ctx -> Obj.repr (payload ctx));
+                payload = (fun () -> Obj.repr (payload ()));
                 status = Pending;
                 deps = [];
                 dependents = [];
@@ -431,16 +431,46 @@ let value (n : 'a node) : 'a =
 
 (* --- execution --- *)
 
+(* A cacheable node's payload behind the store: a hit skips the payload,
+   a miss runs it and writes the result. The lookup runs in the worker, so
+   store I/O parallelizes along with the computation. *)
+let cached_payload t n =
+  match t.ctx.Context.store with
+  | Some store when n.cache -> (
+      let progress = t.ctx.Context.progress in
+      let compute () =
+        Progress.cache_miss progress;
+        let v = n.payload () in
+        Store.put store ~key:n.key v;
+        v
+      in
+      match (Store.find store ~key:n.key : Obj.t Store.lookup) with
+      | Store.Hit v ->
+          Progress.cache_hit progress;
+          v
+      | Store.Evicted ->
+          Progress.corrupt_evicted progress;
+          compute ()
+      | Store.Miss -> compute ())
+  | Some _ | None -> n.payload ()
+
+(* Run one node in the calling domain: its payload (through the store),
+   the job and group accounting, and an exception turned into the node's
+   failure. *)
 let execute_node t n =
-  let spec = Job.make ~label:n.label ~key:n.key n.payload in
-  let spec = if n.cache then Context.with_store t.ctx spec else spec in
+  let progress = t.ctx.Context.progress in
+  Progress.job_started progress;
   let t0 = Unix.gettimeofday () in
-  let outcome = Pool.execute ~progress:t.ctx.Context.progress spec in
-  (match n.group with
-  | Some group ->
-      Progress.group_wall t.ctx.Context.progress ~group
-        ~wall:(Unix.gettimeofday () -. t0)
-  | None -> ());
+  let outcome =
+    match cached_payload t n with
+    | v -> Ok v
+    | exception exn -> Error (Printexc.to_string exn)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match outcome with
+  | Ok _ -> Progress.job_done progress ~wall
+  | Error _ -> Progress.job_failed progress ~wall);
+  Option.iter (fun group -> Progress.group_wall progress ~group ~wall) n.group;
   outcome
 
 let stall_keys t =
@@ -451,6 +481,7 @@ let stall_keys t =
        t.by_key [])
 
 let drain_sequential t =
+  Progress.set_workers t.ctx.Context.progress 1;
   let rec loop () =
     match Mutex.protect t.mutex (fun () -> pop_ready t) with
     | Some n ->
@@ -506,6 +537,7 @@ let drain_parallel t =
     Mutex.protect t.mutex (fun () ->
         max 1 (min t.ctx.Context.jobs t.pending))
   in
+  Progress.set_workers t.ctx.Context.progress workers;
   let domains = Array.init workers (fun _ -> Domain.spawn worker) in
   Array.iter Domain.join domains
 
@@ -513,10 +545,8 @@ let drain t =
   if t.resident <> None then
     invalid_arg "Graph.drain: resident workers are running (await instead)";
   if Mutex.protect t.mutex (fun () -> t.pending > 0) then begin
-    let progress = t.ctx.Context.progress in
-    Progress.set_workers progress (max 1 t.ctx.Context.jobs);
     if t.ctx.Context.jobs <= 1 then drain_sequential t else drain_parallel t;
-    Progress.finish progress;
+    Progress.finish t.ctx.Context.progress;
     if Mutex.protect t.mutex (fun () -> t.pending > 0) then
       raise (Cycle (stall_keys t))
   end

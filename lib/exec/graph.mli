@@ -1,14 +1,16 @@
 (** Dependency-aware suite executor: a DAG of keyed jobs over one
-    {!Context}.
+    {!Context}, and the only executor there is.
 
     Experiments declare their work as {e nodes} — a content-addressed job
     key, a payload closure, dependencies on other nodes and (typically) a
-    reducer node that folds dependency values into the experiment's result
-    — instead of running one barriered {!Context.map_exn} batch each. One
-    scheduler then drains every declared node through the {!Pool}
-    machinery with no inter-experiment barriers: a reducer becomes ready
-    the moment its own dependencies finish, regardless of how many
-    unrelated nodes are still queued.
+    reducer node that folds dependency values into the experiment's result.
+    One scheduler then drains every declared node on [jobs] worker domains
+    with no inter-experiment barriers: a reducer becomes ready the moment
+    its own dependencies finish, regardless of how many unrelated nodes
+    are still queued. Running a node means: the {!Store} lookup of a
+    cacheable node (a hit skips the payload, a miss runs it and writes
+    the result), the job, cache and group accounting on the context's
+    {!Progress} sink, and an exception turned into the node's failure.
 
     {b In-flight deduplication.} Declaring a node whose [key] is already
     on the graph returns the {e existing} node ({!Progress.job_deduped} is
@@ -52,7 +54,7 @@ exception Cycle of string list
 (** The key path of the rejected dependency cycle, source first. *)
 
 val create : Context.t -> t
-(** An empty graph over the context's pool width, store and progress
+(** An empty graph over the context's worker count, store and progress
     sink. *)
 
 val context : t -> Context.t
@@ -69,14 +71,15 @@ val node :
   ?cache:bool ->
   key:string ->
   ?deps:packed list ->
-  (Job.ctx -> 'a) ->
+  (unit -> 'a) ->
   'a node
 (** Declare (or dedup onto) the node for [key]. [deps] must finish before
     the payload runs; read their results inside the payload with {!value}.
-    [cache ]defaults to [true]: the payload is wrapped with the context's
-    {!Store} lookup exactly like a {!Context.map} job. Reducers pass
-    [~cache:false] — their inputs are already cached or deduped, and a
-    store round-trip on the fold would just marshal the same data twice.
+    [cache] defaults to [true]: with a store on the context, a stored
+    result under [key] answers the node without running the payload, and
+    a computed one is written back. Reducers pass [~cache:false] — their
+    inputs are already cached or deduped, and a store round-trip on the
+    fold would just marshal the same data twice.
     [group] names the experiment for {!Progress.group_wall} telemetry.
     Dedup keeps the first declaration's label, group, cache flag, payload
     {e and} dependencies; later [deps] are still linked (and
@@ -113,9 +116,12 @@ val await : t -> 'a node -> 'a
 
 val drain : t -> unit
 (** Run every unfinished node; referenced results stay readable through
-    {!value}. Raises {!Cycle} if the drain stalls with unfinished nodes —
-    defensive, {!node}/{!add_dep} already reject cyclic edges. Raises
-    [Invalid_argument] while resident workers ({!start_workers}) run. *)
+    {!value}. The drain runs in the calling domain at [jobs = 1] and
+    otherwise spawns [min jobs unfinished] domains; that count is what
+    {!Progress.set_workers} records. Raises {!Cycle} if the drain stalls
+    with unfinished nodes — defensive, {!node}/{!add_dep} already reject
+    cyclic edges. Raises [Invalid_argument] while resident workers
+    ({!start_workers}) run. *)
 
 val on_complete : t -> 'a node -> (('a, string) result -> unit) -> unit
 (** Subscribe to the node's completion: the callback fires exactly once

@@ -101,7 +101,7 @@ let record t f =
 
 let add_queued t n = record t (fun t -> t.queued <- t.queued + n)
 
-let job_started t ~label:_ =
+let job_started t =
   record t (fun t ->
       t.running <- t.running + 1;
       if t.running > t.peak_in_flight then t.peak_in_flight <- t.running)

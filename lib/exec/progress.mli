@@ -1,8 +1,8 @@
 (** Telemetry sink for a batch of jobs.
 
-    One [t] accumulates everything a run of the {!Pool} (and the {!Store}
-    lookups wrapped around it) wants to report: job state counts, cache
-    hits/misses/evictions, per-job wall times and aggregate worker
+    One [t] accumulates everything a {!Graph} drain (and the {!Store}
+    lookups of its cacheable nodes) wants to report: job state counts,
+    cache hits/misses/evictions, per-job wall times and aggregate worker
     utilization. All recording entry points are mutex-protected and safe to
     call from any domain.
 
@@ -30,7 +30,9 @@ type snapshot = {
   nodes_evicted : int;
       (** completed graph nodes dropped by the node-cache LRU — their
           results remain in the on-disk store *)
-  workers : int;  (** worker domains of the last pool run (1 = sequential) *)
+  workers : int;
+      (** worker domains the last drain ran on (1 = sequential); the
+          resident worker count while a daemon's workers run *)
   wall_total : float;  (** seconds since [create] *)
   job_wall_total : float;  (** summed per-job wall seconds *)
   job_wall_max : float;
@@ -49,7 +51,7 @@ val silent : unit -> t
 (** {1 Recording} *)
 
 val add_queued : t -> int -> unit
-val job_started : t -> label:string -> unit
+val job_started : t -> unit
 val job_done : t -> wall:float -> unit
 val job_failed : t -> wall:float -> unit
 

@@ -207,8 +207,7 @@ let declare g spec artifact ~key : string G.node =
   let format = if csv then `Csv else `Ascii in
   let render ?(deps = []) f =
     G.node g ~label:("render:" ^ artifact) ~group:"serve" ~cache:false ~key
-      ~deps
-      (fun _ctx -> f ())
+      ~deps f
   in
   let with_summaries f =
     let n = S.run_all g ~config models in

@@ -1,8 +1,8 @@
 (* Subprocess tests for the vliw_vp executable: an unknown subcommand or
    malformed flag must produce exactly one diagnostic line on stderr (no
-   usage dump) and a non-zero exit; [--telemetry] reports its sections and
-   the suite's exact job counts; and fresh processes at [--jobs 4] print
-   the sequential bytes. *)
+   usage dump) and cmdliner's exit 124; [--telemetry] reports its sections
+   and the suite's exact job counts; [summary] prints pinned bytes cold and
+   warm; and fresh processes at [--jobs 4] print the sequential bytes. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -69,9 +69,16 @@ let run_stdout ?(exe = vliw_vp) args =
 let nonempty_lines s =
   List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
 
+let contains_sub line expect_sub =
+  let n = String.length expect_sub and m = String.length line in
+  let rec go i =
+    i + n <= m && (String.sub line i n = expect_sub || go (i + 1))
+  in
+  go 0
+
 let check_one_line_error name args ~expect_sub =
   let code, err = run args in
-  checkb (name ^ ": non-zero exit") true (code <> 0);
+  checki (name ^ ": exit 124") 124 code;
   let lines = nonempty_lines err in
   checki (name ^ ": exactly one stderr line") 1 (List.length lines);
   let line = List.hd lines in
@@ -115,17 +122,27 @@ let test_unsupported_width () =
       ([ "all"; "--width"; "64"; "--no-cache" ], 64);
     ]
 
+(* [--jobs] takes 1 to 127: OCaml 5.1 runs at most 128 domains per
+   process, the main one included. Out-of-range values are refused at the
+   command line, before any domain starts. Should one be accepted, Table 2
+   over one benchmark drains on two domains at most. *)
+let test_jobs_out_of_range () =
+  List.iter
+    (fun (flags, j) ->
+      check_one_line_error
+        ("jobs out of range: " ^ String.concat " " flags)
+        ([ "table2"; "-b"; "compress"; "--no-cache" ] @ flags)
+        ~expect_sub:
+          (Printf.sprintf
+             "invalid value '%d', unsupported worker count %d (supported: 1 \
+              to 127)"
+             j j))
+    [ ([ "--jobs"; "0" ], 0); ([ "--jobs=-3" ], -3); ([ "--jobs"; "128" ], 128) ]
+
 let test_valid_command_still_works () =
   let code, err = run [ "example" ] in
   checki "exit 0" 0 code;
   checki "no stderr" 0 (List.length (nonempty_lines err))
-
-let contains_sub line expect_sub =
-  let n = String.length expect_sub and m = String.length line in
-  let rec go i =
-    i + n <= m && (String.sub line i n = expect_sub || go (i + 1))
-  in
-  go 0
 
 (* [--telemetry -] must report the bit-parallel scenario engine's lane
    occupancy in a [spec_eval] section: how many lane words ran and how
@@ -167,6 +184,26 @@ let test_telemetry_trace_sim () =
      engine *)
   checkb "engine replays recorded" true
     (not (contains_sub err "\"engine_replays\": 0,"))
+
+(* [workers.count] is the number of domains a drain ran on: Table 2 over
+   one benchmark is a two-node graph (the benchmark leaf and its
+   reducer), which [--jobs 4] drains on two domains. *)
+let test_telemetry_workers_count () =
+  List.iter
+    (fun (jobs, count) ->
+      let code, err =
+        run
+          [
+            "table2"; "-b"; "compress"; "--jobs"; string_of_int jobs;
+            "--no-cache"; "--telemetry"; "-";
+          ]
+      in
+      checki "exit 0" 0 code;
+      let field = Printf.sprintf "\"workers\": {\"count\": %d," count in
+      checkb
+        (Printf.sprintf "--jobs %d telemetry has %S" jobs field)
+        true (contains_sub err field))
+    [ (4, 2); (1, 1) ]
 
 (* The cold suite's job-graph shape, counted exactly: 45 jobs (run_all,
    table4, regions and overlap at 9 each, plus 8 comparison leaves and
@@ -280,29 +317,36 @@ let entry_versions dir =
          | _magic :: version :: _ -> version
          | _ -> Alcotest.failf "entry %s has no version line" f)
 
-(* [table2 -b compress] over the store [dir]: (stdout, telemetry JSON). *)
-let table2 ?exe dir =
+(* [vliw_vp args] over the store [dir]: (stdout, telemetry JSON). *)
+let over_store ?exe dir args =
   let tel = Filename.concat dir "telemetry.json" in
   let code, out =
-    run_stdout ?exe
-      [ "table2"; "-b"; "compress"; "--cache-dir"; dir; "--telemetry"; tel ]
+    run_stdout ?exe (args @ [ "--cache-dir"; dir; "--telemetry"; tel ])
   in
-  checki "exit 0" 0 code;
+  checki (String.concat " " args ^ ": exit 0") 0 code;
   (out, read_file tel)
 
-(* The [cache] section's counter [name] in a telemetry JSON. *)
-let cache_counter json name =
-  let section = "\"cache\": {" in
+(* [table2 -b compress] over the store [dir]. *)
+let table2 ?exe dir = over_store ?exe dir [ "table2"; "-b"; "compress" ]
+
+(* The counter [name] of the telemetry JSON's [section]. *)
+let counter json ~section name =
   let rec find sub i =
     if String.sub json i (String.length sub) = sub then i + String.length sub
     else find sub (i + 1)
   in
-  let at = find (Printf.sprintf "\"%s\": " name) (find section 0) in
+  let at =
+    find
+      (Printf.sprintf "\"%s\": " name)
+      (find (Printf.sprintf "\"%s\": {" section) 0)
+  in
   let stop = ref at in
   while json.[!stop] >= '0' && json.[!stop] <= '9' do
     incr stop
   done;
   int_of_string (String.sub json at (!stop - at))
+
+let cache_counter json name = counter json ~section:"cache" name
 
 (* A native ELF build carries a GNU build ID: the store stamps each entry
    with it, and a second run of the same binary reads every entry back. *)
@@ -361,6 +405,42 @@ let test_stamp_fallback_evicts () =
       in
       stamped_by "copy" (Some copy) fallback;
       stamped_by "original" None original
+
+(* --- summary --- *)
+
+(* [summary] is one store-cached graph node per model. Its stdout is
+   pinned at [--jobs 1] and [--jobs 4], cold and warm over one store, and
+   a warm run reads one entry per model and computes nothing. *)
+let summary_bytes = {|compress (seed 42): 80 blocks, 927 static ops, 152 loads, 10000 dynamic block executions
+stream mix: constant=11 mostly-strided=60 strided=4 noisy-periodic=14 random=63
+mean prediction rate 0.460; 31/80 blocks speculated
+
+li (seed 42): 88 blocks, 808 static ops, 194 loads, 10000 dynamic block executions
+stream mix: constant=17 pointer-chain=35 mostly-strided=81 noisy-periodic=23 random=38
+mean prediction rate 0.676; 48/88 blocks speculated
+
+|}
+
+let test_summary () =
+  List.iter
+    (fun (cold_jobs, warm_jobs) ->
+      with_dir @@ fun dir ->
+      let summary jobs =
+        over_store dir
+          [ "summary"; "-b"; "compress,li"; "--jobs"; string_of_int jobs ]
+      in
+      let label phase jobs = Printf.sprintf "%s --jobs %d" phase jobs in
+      let cold, cold_tel = summary cold_jobs in
+      checks (label "cold" cold_jobs) summary_bytes cold;
+      checki (label "cold misses" cold_jobs) 2 (cache_counter cold_tel "misses");
+      let warm, warm_tel = summary warm_jobs in
+      checks (label "warm" warm_jobs) summary_bytes warm;
+      checki (label "warm jobs done" warm_jobs) 2
+        (counter warm_tel ~section:"jobs" "done");
+      checki (label "warm hits" warm_jobs) 2 (cache_counter warm_tel "hits");
+      checki (label "warm misses" warm_jobs) 0
+        (cache_counter warm_tel "misses"))
+    [ (1, 4); (4, 1) ]
 
 (* --- hand-written assembly: [simulate] and [run] --- *)
 
@@ -578,6 +658,7 @@ let () =
           tc "missing flag value" test_missing_flag_value;
           tc "bad flag value" test_bad_flag_value;
           tc "unsupported width" test_unsupported_width;
+          tc "jobs out of range" test_jobs_out_of_range;
           tc "valid command unaffected" test_valid_command_still_works;
         ] );
       ( "telemetry",
@@ -585,7 +666,10 @@ let () =
           tc "spec_eval section" test_telemetry_spec_eval;
           tc "trace_sim section" test_telemetry_trace_sim;
           tc "suite job counts" test_telemetry_suite_counts;
+          tc "workers.count is the domains that ran"
+            test_telemetry_workers_count;
         ] );
+      ("summary", [ tc "pinned bytes, cold and warm" test_summary ]);
       ("parallel", [ tc "sweep jobs 4 = jobs 1" test_parallel_sweep_identity ]);
       ( "assembly",
         [

@@ -1,5 +1,6 @@
-(* Tests for Vp_exec: pool determinism, store round-trips and corruption
-   recovery, and the experiment-layer wiring. *)
+(* Tests for Vp_exec: store round-trips and corruption recovery, the job
+   graph (dedup, failure, eviction, parallel determinism), and the
+   experiment-layer wiring. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -34,69 +35,10 @@ let render ~exec () =
   Vliw_vp.Experiments.render_table2 summaries
   ^ Vliw_vp.Experiments.render_table3 summaries
 
-(* --- Job --- *)
-
-let test_derived_seed () =
-  let s = Vp_exec.Job.derived_seed ~key:"alpha" in
-  checki "stable" s (Vp_exec.Job.derived_seed ~key:"alpha");
-  checkb "non-negative" true (s >= 0);
-  checkb "key-dependent" true (s <> Vp_exec.Job.derived_seed ~key:"beta")
-
-let test_job_rng_is_key_seeded () =
-  (* The same key draws the same stream whichever pool configuration runs
-     it; distinct keys draw distinct streams. *)
-  let draw key = Vp_exec.Job.make ~key (fun ctx -> Vp_util.Rng.bits64 ctx.rng) in
-  let seq = Vp_exec.Pool.run ~jobs:1 [ draw "a"; draw "b"; draw "c" ] in
-  let par = Vp_exec.Pool.run ~jobs:4 [ draw "a"; draw "b"; draw "c" ] in
-  let values outs = List.filter_map Vp_exec.Job.outcome_ok outs in
-  Alcotest.(check (list int64)) "jobs=1 = jobs=4" (values seq) (values par);
-  match values seq with
-  | [ a; b; _ ] -> checkb "distinct keys, distinct streams" true (a <> b)
-  | _ -> Alcotest.fail "expected three outcomes"
-
-(* --- Pool --- *)
-
-let test_pool_submission_order () =
-  let specs =
-    List.init 20 (fun i ->
-        Vp_exec.Job.make ~key:(string_of_int i) (fun _ctx -> i * i))
-  in
-  let expected = List.init 20 (fun i -> i * i) in
-  List.iter
-    (fun jobs ->
-      let got =
-        List.filter_map Vp_exec.Job.outcome_ok (Vp_exec.Pool.run ~jobs specs)
-      in
-      Alcotest.(check (list int)) "submission order" expected got)
-    [ 1; 3; 8 ]
-
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
-
-let test_pool_failure_isolation () =
-  let specs =
-    [
-      Vp_exec.Job.make ~key:"ok1" (fun _ -> 1);
-      Vp_exec.Job.make ~key:"boom" (fun _ -> failwith "boom");
-      Vp_exec.Job.make ~key:"ok2" (fun _ -> 2);
-    ]
-  in
-  let open Vp_exec.Job in
-  match Vp_exec.Pool.run ~jobs:2 specs with
-  | [ Done 1; Failed msg; Done 2 ] ->
-      checkb "diagnostic mentions the exception" true (contains ~sub:"boom" msg)
-  | _ -> Alcotest.fail "expected Done/Failed/Done in submission order"
-
-let test_map_exn_raises () =
-  let exec = Vp_exec.Context.sequential in
-  match
-    Vp_exec.Context.map_exn exec
-      [ Vp_exec.Job.make ~key:"bad" (fun _ -> failwith "nope") ]
-  with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Vp_exec.Context.Job_failed { key; _ } -> checks "key" "bad" key
 
 (* --- Store --- *)
 
@@ -219,30 +161,6 @@ let test_store_rejects_stale_version () =
   | Vp_exec.Store.Evicted -> ()
   | _ -> Alcotest.fail "expected stale-version entry to be evicted"
 
-let test_spec_unit_version_bump_evicts () =
-  (* Spec-unit artifacts written through an old-version store must be
-     recomputed, not resurrected, after a version bump of the same cache
-     directory. *)
-  let dir = fresh_dir () in
-  let machine = Vp_machine.Descr.playdoh ~width:4 in
-  let block =
-    fst
-      (Vp_workload.Block_gen.generate
-         (List.hd Vp_workload.Spec_model.all)
-         ~rng:(Vp_util.Rng.create 1)
-         ~stream_base:0 ~label:"vbump")
-  in
-  Vliw_vp.Spec_unit.clear ();
-  let old_store = Vp_exec.Store.create ~version:"v-old" ~dir () in
-  ignore (Vliw_vp.Spec_unit.schedule ~store:old_store machine block);
-  checki "computed once" 1 (Vliw_vp.Spec_unit.stats ()).misses;
-  Vliw_vp.Spec_unit.clear ();
-  let bumped = Vp_exec.Store.create ~version:"v-new" ~dir () in
-  ignore (Vliw_vp.Spec_unit.schedule ~store:bumped machine block);
-  let stats = Vliw_vp.Spec_unit.stats () in
-  checki "recomputed under new version" 1 stats.misses;
-  checki "no stale hit" 0 stats.hits
-
 let test_cli_context_unusable_cache_dir () =
   (* A cache path that exists but is a file: [Store.create] raises, and
      [Cli.context] must downgrade to a storeless context (with one stderr
@@ -307,6 +225,30 @@ let test_cli_context_undigestable_executable () =
   | lines ->
       Alcotest.failf "expected one warning line, got %d" (List.length lines - 1));
   checkb "no cache directory created" false (Sys.file_exists cache)
+
+(* The bench harness's parser refuses the [--jobs] values the CLI does,
+   with the same range check, and keeps the flags it does not know. *)
+let test_cli_parse_jobs_range () =
+  let jobs args =
+    match Vp_exec.Cli.parse args with
+    | Ok (opts, rest) -> Ok (opts.Vp_exec.Cli.jobs, rest)
+    | Error m -> Error m
+  in
+  let ok = Alcotest.(result (pair int (list string)) string) in
+  Alcotest.check ok "1" (Ok (1, [ "--smoke" ])) (jobs [ "--jobs"; "1"; "--smoke" ]);
+  Alcotest.check ok "max" (Ok (Vp_exec.Cli.max_jobs, []))
+    (jobs [ "-j"; string_of_int Vp_exec.Cli.max_jobs ]);
+  List.iter
+    (fun n ->
+      match jobs [ "--jobs"; n ] with
+      | Ok _ -> Alcotest.failf "--jobs %s accepted" n
+      | Error m ->
+          checkb (Printf.sprintf "--jobs %s: %S names the range" n m) true
+            (contains ~sub:"(supported: 1 to 127)" m))
+    [ "0"; "-3"; "128" ];
+  match jobs [ "--jobs"; "four" ] with
+  | Ok _ -> Alcotest.fail "--jobs four accepted"
+  | Error m -> checks "non-integer" "--jobs: not a positive integer: four" m
 
 (* --- Store.build_id --- *)
 
@@ -698,8 +640,8 @@ let test_experiments_parallel_determinism () =
   checks "jobs=1 = jobs=4" seq par
 
 let test_hardware_validation_parallel_determinism () =
-  (* the hardware-validation sweep fans one job per benchmark through the
-     pool; its rendered table must be byte-identical to a sequential run *)
+  (* the hardware-validation sweep declares one graph job per benchmark;
+     its rendered table must be byte-identical to a sequential run *)
   let table ~exec =
     Vliw_vp.Trace_sim.render
       (Vliw_vp.Experiments.hardware_validation ~config:small_config ~exec
@@ -819,17 +761,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_exec"
     [
-      ( "job",
-        [
-          tc "derived seed" test_derived_seed;
-          tc "key-seeded rng" test_job_rng_is_key_seeded;
-        ] );
-      ( "pool",
-        [
-          tc "submission order" test_pool_submission_order;
-          tc "failure isolation" test_pool_failure_isolation;
-          tc "map_exn raises" test_map_exn_raises;
-        ] );
       ( "store",
         [
           tc "round trip" test_store_round_trip;
@@ -839,8 +770,8 @@ let () =
           tc "concurrent writers" test_store_concurrent_writers;
           tc "concurrent evict once" test_store_concurrent_evict_once;
           tc "rejects stale version" test_store_rejects_stale_version;
-          tc "spec-unit version bump evicts" test_spec_unit_version_bump_evicts;
           tc "unusable cache dir downgrades" test_cli_context_unusable_cache_dir;
+          tc "cli parse: --jobs range" test_cli_parse_jobs_range;
           tc "undigestable executable downgrades"
             test_cli_context_undigestable_executable;
           QCheck_alcotest.to_alcotest prop_build_id_found;
