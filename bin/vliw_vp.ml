@@ -6,7 +6,9 @@
      vliw_vp summary  -b li       workload + profile overview
      vliw_vp schedule -b li -i 3  original vs speculative schedule of a block
      vliw_vp table2 / table3 / table4 / fig8 / compare / all
-*)
+
+   The artifact subcommands, [ablate]'s sweeps and [all] are built from
+   [Vliw_vp.Artifact.registry]. *)
 
 let models_of_names names =
   Result.map_error
@@ -17,21 +19,21 @@ let models_of_names names =
 
 open Cmdliner
 
-(* An integer that [check] vets, so a value the program cannot run is
-   one usage error here rather than an exception in every job. *)
-let checked_int ~docv check =
+(* A value of [conv] that [check] vets, so a value the program cannot run
+   is one usage error here rather than an exception in every job. *)
+let checked conv ~docv check =
   let parse s =
-    Result.bind (Arg.conv_parser Arg.int s) (fun v ->
+    Result.bind (Arg.conv_parser conv s) (fun v ->
         Result.map_error
           (fun m -> `Msg (Printf.sprintf "invalid value '%s', %s" s m))
           (check v))
   in
-  Arg.conv ~docv (parse, Format.pp_print_int)
+  Arg.conv ~docv (parse, Arg.conv_printer conv)
 
 (* Only the machine presets' widths are accepted. *)
 let width_t =
   let doc = "Machine issue width (2, 4, 8 or 16)." in
-  let width = checked_int ~docv:"WIDTH" Vp_machine.Descr.check_width in
+  let width = checked Arg.int ~docv:"WIDTH" Vp_machine.Descr.check_width in
   Arg.(value & opt width 4 & info [ "w"; "width" ] ~docv:"WIDTH" ~doc)
 
 let seed_t =
@@ -40,7 +42,8 @@ let seed_t =
 
 let threshold_t =
   let doc = "Value-profile prediction threshold (paper: 0.65)." in
-  Arg.(value & opt float 0.65 & info [ "threshold" ] ~docv:"RATE" ~doc)
+  let rate = checked Arg.float ~docv:"RATE" Vp_vspec.Policy.check_threshold in
+  Arg.(value & opt rate 0.65 & info [ "threshold" ] ~docv:"RATE" ~doc)
 
 let benchmarks_t =
   let doc =
@@ -67,7 +70,7 @@ let jobs_t =
        output."
       Vp_exec.Cli.max_jobs
   in
-  let jobs = checked_int ~docv:"N" Vp_exec.Cli.check_jobs in
+  let jobs = checked Arg.int ~docv:"N" Vp_exec.Cli.check_jobs in
   Arg.(value & opt jobs 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_cache_t =
@@ -104,27 +107,57 @@ let emit_telemetry opts exec =
     ~extra:(Vliw_vp.Experiments.telemetry_sections ())
     opts exec
 
-let with_setup f =
-  let run width seed threshold names exec_opts =
+(* The experiment flags, and [--csv] too when [csv] holds: [f] runs with
+   the configuration, execution context, models and format they name,
+   and the telemetry is written after it. *)
+let with_setup ?(csv = false) f =
+  let run width seed threshold names csv exec_opts =
     match models_of_names names with
     | Error m -> `Error (false, m)
     | Ok models ->
         let exec = Vp_exec.Cli.context exec_opts in
-        f ~config:(Vliw_vp.Config.make ~width ~seed ~threshold) ~exec ~models;
+        f
+          ~config:(Vliw_vp.Config.make ~width ~seed ~threshold)
+          ~exec ~models
+          ~format:(if csv then `Csv else `Ascii);
         emit_telemetry exec_opts exec;
         `Ok ()
   in
   Term.(
-    ret (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ exec_opts_t))
+    ret
+      (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t
+      $ (if csv then csv_t else const false)
+      $ exec_opts_t))
+
+(* Declare [entries] on one graph before the first await, then print each
+   one's bytes in order: [bytes a value] is what the command prints of
+   [a]'s value. *)
+let print_artifacts ~bytes ~config ~exec ~models ~format entries =
+  let g = Vp_exec.Graph.create exec in
+  List.iter2
+    (fun a n -> print_string (bytes a (Vp_exec.Graph.await g n)))
+    entries
+    (Vliw_vp.Artifact.nodes g ~config ~models ~format entries)
+
+let print_stdout = print_artifacts ~bytes:Vliw_vp.Artifact.stdout
 
 (* --- commands --- *)
 
-let example_cmd =
-  let run () = Format.printf "%a@." Vliw_vp.Example.describe () in
-  Cmd.v
-    (Cmd.info "example"
-       ~doc:"Reproduce the paper's Figures 2/3 worked example")
-    Term.(const run $ const ())
+(* The subcommand of a registry entry that has one of its own. *)
+let artifact_cmd (a : Vliw_vp.Artifact.t) =
+  match a.command with
+  | Some (Table { cmd; doc; csv }) ->
+      Some
+        (Cmd.v (Cmd.info cmd ~doc)
+           (with_setup ~csv (fun ~config ~exec ~models ~format ->
+                print_stdout ~config ~exec ~models ~format [ a ])))
+  | Some (Bare { cmd; doc }) ->
+      let run () =
+        print_stdout ~config:Vliw_vp.Config.default
+          ~exec:Vp_exec.Context.sequential ~models:[] ~format:`Ascii [ a ]
+      in
+      Some (Cmd.v (Cmd.info cmd ~doc) Term.(const run $ const ()))
+  | Some (Sweep _) | None -> None
 
 (* One store-cached graph node per model, holding the model's printed
    text: [--jobs] runs the models in parallel, and a warm run reads one
@@ -143,7 +176,7 @@ let summary_cmd =
       (Vp_profile.Value_profile.mean_rate p.profile)
       spec (Array.length p.blocks)
   in
-  let f ~config ~exec ~models =
+  let f ~config ~exec ~models ~format:_ =
     let g = Vp_exec.Graph.create exec in
     let nodes =
       List.map
@@ -160,7 +193,7 @@ let summary_cmd =
     (with_setup f)
 
 let profile_cmd =
-  let f ~config ~exec:_ ~models =
+  let f ~config ~exec:_ ~models ~format:_ =
     List.iter
       (fun model ->
         let workload =
@@ -190,30 +223,40 @@ let schedule_cmd =
   let run width seed threshold names index dot =
     match models_of_names names with
     | Error m -> `Error (false, m)
-    | Ok models ->
+    | Ok models -> (
         let config = Vliw_vp.Config.make ~width ~seed ~threshold in
-        List.iter
-          (fun model ->
-            let p = Vliw_vp.Pipeline.run ~config model in
-            if index < 0 || index >= Array.length p.blocks then
-              Format.printf "%s: block %d out of range (0..%d)@."
-                model.Vp_workload.Spec_model.name index
-                (Array.length p.blocks - 1)
-            else
-              match p.blocks.(index).spec with
-              | Some spec ->
-                  if dot then
-                    print_string
-                      (Vp_ir.Depgraph.to_dot
-                         ~highlight:(Vp_ir.Depgraph.critical_path spec.sb.graph)
-                         spec.sb.graph)
-                  else Format.printf "%a@." Vp_vspec.Spec_block.pp spec.sb
-              | None ->
-                  Format.printf "%s block %d not speculated: %s@."
-                    model.Vp_workload.Spec_model.name index
-                    (Option.value ~default:"?" p.blocks.(index).skip_reason))
-          models;
-        `Ok ()
+        let runs =
+          List.map (fun model -> (model, Vliw_vp.Pipeline.run ~config model)) models
+        in
+        (* every selected model has the block, or nothing prints *)
+        match
+          List.find_opt
+            (fun (_, (p : Vliw_vp.Pipeline.t)) ->
+              index < 0 || index >= Array.length p.blocks)
+            runs
+        with
+        | Some ((model : Vp_workload.Spec_model.t), p) ->
+            `Error
+              ( false,
+                Printf.sprintf "%s: block %d out of range (0..%d)" model.name
+                  index (Array.length p.blocks - 1) )
+        | None ->
+            List.iter
+              (fun ((model : Vp_workload.Spec_model.t), (p : Vliw_vp.Pipeline.t)) ->
+                match p.blocks.(index).spec with
+                | Some spec ->
+                    if dot then
+                      print_string
+                        (Vp_ir.Depgraph.to_dot
+                           ~highlight:(Vp_ir.Depgraph.critical_path spec.sb.graph)
+                           spec.sb.graph)
+                    else Format.printf "%a@." Vp_vspec.Spec_block.pp spec.sb
+                | None ->
+                    Format.printf "%s block %d not speculated: %s@." model.name
+                      index
+                      (Option.value ~default:"?" p.blocks.(index).skip_reason))
+              runs;
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "schedule"
@@ -223,88 +266,17 @@ let schedule_cmd =
         (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ block_t
        $ dot_t))
 
-let table_cmd name ~doc render =
-  let run width seed threshold names csv exec_opts =
-    match models_of_names names with
-    | Error m -> `Error (false, m)
-    | Ok models ->
-        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
-        let format = if csv then `Csv else `Ascii in
-        let exec = Vp_exec.Cli.context exec_opts in
-        print_string
-          (render ~format (Vliw_vp.Experiments.run_all ~config ~exec models));
-        emit_telemetry exec_opts exec;
-        `Ok ()
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      ret
-        (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ csv_t
-       $ exec_opts_t))
-
-(* A command that renders one experiment's own rows (not [run_all]'s
-   summaries). *)
-let experiment_cmd name ~doc experiment render =
-  let run width seed threshold names csv exec_opts =
-    match models_of_names names with
-    | Error m -> `Error (false, m)
-    | Ok models ->
-        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
-        let format = if csv then `Csv else `Ascii in
-        let exec = Vp_exec.Cli.context exec_opts in
-        print_string (render ~format (experiment ~config ~exec models));
-        emit_telemetry exec_opts exec;
-        `Ok ()
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      ret
-        (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ csv_t
-       $ exec_opts_t))
-
-let table4_cmd =
-  experiment_cmd "table4" ~doc:"Reproduce Table 4 (issue width 4 vs 8)"
-    (fun ~config ~exec models ->
-      Vliw_vp.Experiments.table4 ~config ~exec models)
-    (fun ~format rows -> Vliw_vp.Experiments.render_table4 ~format rows)
-
-let compare_cmd =
-  experiment_cmd "compare"
-    ~doc:"Compare against the static-recovery scheme of [4]"
-    (fun ~config ~exec models ->
-      Vliw_vp.Experiments.comparison ~config ~exec models)
-    (fun ~format rows -> Vliw_vp.Experiments.render_comparison ~format rows)
-
-let regions_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Experiments.render_regions
-         (Vliw_vp.Experiments.regions ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "regions"
-       ~doc:
-         "Superblock-region extension: basic-block vs region-granularity value prediction")
-    (with_setup f)
-
-let frontier_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Experiments.render_regions_frontier
-         (Vliw_vp.Experiments.regions_frontier ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "frontier"
-       ~doc:
-         "Region-parameter frontier: sweep superblock formation (max blocks \
-          x min edge probability) across machine widths")
-    (with_setup f)
-
 let ablate_cmd =
+  let sweeps =
+    List.filter_map
+      (fun (a : Vliw_vp.Artifact.t) ->
+        match a.command with Some (Sweep name) -> Some (name, a) | _ -> None)
+      Vliw_vp.Artifact.registry
+  in
   let sweep_t =
     let doc =
       Printf.sprintf "Which sweep: %s."
-        (String.concat ", " (List.map fst Vliw_vp.Experiments.ablation_sweeps))
+        (String.concat ", " (List.map fst sweeps))
     in
     Arg.(value & opt string "threshold" & info [ "sweep" ] ~docv:"NAME" ~doc)
   in
@@ -312,30 +284,13 @@ let ablate_cmd =
     match models_of_names names with
     | Error m -> `Error (false, m)
     | Ok models -> (
-        let config = Vliw_vp.Config.make ~width ~seed ~threshold in
-        match List.assoc_opt sweep Vliw_vp.Experiments.ablation_sweeps with
+        match List.assoc_opt sweep sweeps with
         | None -> `Error (false, Printf.sprintf "unknown sweep %S" sweep)
-        | Some settings ->
+        | Some a ->
             let exec = Vp_exec.Cli.context exec_opts in
-            (* All models' sweeps on one graph: a later model's points can
-               run while an earlier model's reducer still waits. *)
-            let g = Vp_exec.Graph.create exec in
-            let nodes =
-              List.map
-                (fun model ->
-                  (model, Vliw_vp.Experiments.Suite.ablate g ~config model settings))
-                models
-            in
-            List.iter
-              (fun ((model : Vp_workload.Spec_model.t), node) ->
-                print_string
-                  (Vliw_vp.Experiments.render_ablation
-                     ~title:
-                       (Printf.sprintf "%s: %s sweep"
-                          model.Vp_workload.Spec_model.name sweep)
-                     (Vp_exec.Graph.await g node));
-                print_newline ())
-              nodes;
+            print_stdout
+              ~config:(Vliw_vp.Config.make ~width ~seed ~threshold)
+              ~exec ~models ~format:`Ascii [ a ];
             emit_telemetry exec_opts exec;
             `Ok ())
   in
@@ -345,54 +300,6 @@ let ablate_cmd =
       ret
         (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ sweep_t
        $ exec_opts_t))
-
-let stability_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Experiments.render_stability
-         (Vliw_vp.Experiments.stability ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "stability"
-       ~doc:"Headline results across workload seeds (mean +/- sd)")
-    (with_setup f)
-
-let overlap_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Experiments.render_overlap
-         (Vliw_vp.Experiments.overlap_validation ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "overlap"
-       ~doc:
-         "Validate the per-block accounting against a shared-clock block sequence")
-    (with_setup f)
-
-let hyperblocks_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Experiments.render_hyperblocks
-         (Vliw_vp.Experiments.hyperblocks ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "hyperblocks"
-       ~doc:
-         "Hyperblock (if-conversion) extension: predicated regions vs basic \
-          blocks")
-    (with_setup f)
-
-let hardware_cmd =
-  let f ~config ~exec ~models =
-    print_string
-      (Vliw_vp.Trace_sim.render
-         (Vliw_vp.Experiments.hardware_validation ~config ~exec models))
-  in
-  Cmd.v
-    (Cmd.info "hardware"
-       ~doc:
-         "Hardware-mode validation: whole-program trace simulation with a run-time value-prediction table")
-    (with_setup f)
 
 let run_cmd =
   let file_t =
@@ -599,40 +506,17 @@ let report_cmd =
         (const run $ width_t $ seed_t $ threshold_t $ benchmarks_t $ out_t
        $ exec_opts_t))
 
+(* Every artifact of [all] on one graph: jobs from different tables
+   interleave barrier-free, and [table4]'s narrow-width points and the
+   comparison leaves dedup onto [run_all]'s benchmark jobs while they are
+   still in flight. *)
 let all_cmd =
-  let f ~config ~exec ~models =
-    (* Declare every experiment on one graph before the first await: jobs
-       from different tables interleave barrier-free, and [table4]'s
-       narrow-width points and the comparison leaves dedup onto
-       [run_all]'s benchmark jobs while they are still in flight. *)
-    let module S = Vliw_vp.Experiments.Suite in
-    let g = Vp_exec.Graph.create exec in
-    let summaries_n = S.run_all g ~config models in
-    let table4_n = S.table4 g ~config models in
-    let comparison_n = S.comparison g ~config models in
-    let regions_n = S.regions g ~config models in
-    let overlap_n = S.overlap_validation g ~config models in
-    let await n = Vp_exec.Graph.await g n in
-    let summaries = await summaries_n in
-    print_string (Vliw_vp.Experiments.render_table2 summaries);
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_table3 summaries);
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_table4 (await table4_n));
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_figure8 summaries);
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_comparison (await comparison_n));
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_regions (await regions_n));
-    print_newline ();
-    print_string (Vliw_vp.Experiments.render_overlap (await overlap_n));
-    print_newline ();
-    Format.printf "%a@." Vliw_vp.Example.describe ()
-  in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment (tables 2-4, figure 8, comparison, example)")
-    (with_setup f)
+    (with_setup
+       (print_artifacts
+          ~bytes:(fun _ value -> value)
+          Vliw_vp.Artifact.all_sequence))
 
 (* --- serve / submit: the resident daemon and its client --- *)
 
@@ -755,9 +639,11 @@ let serve_cmd =
 let submit_cmd =
   let experiments_t =
     let doc =
-      "Experiments to run: all, table2, table3, table4, fig8, comparison, \
-       regions, regions:frontier, overlap, example, hyperblocks, hardware, \
-       stability, recovery, ablate:NAME. Default: all."
+      Printf.sprintf "Experiments to run: all, %s. Default: all."
+        (String.concat ", "
+           (List.map
+              (fun (a : Vliw_vp.Artifact.t) -> a.name)
+              Vliw_vp.Artifact.registry))
     in
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
   in
@@ -841,38 +727,19 @@ let main_cmd =
   in
   Cmd.group
     (Cmd.info "vliw_vp" ~version:"1.0.0" ~doc)
-    [
-      example_cmd;
-      summary_cmd;
-      profile_cmd;
-      schedule_cmd;
-      table_cmd "table2"
-        ~doc:"Reproduce Table 2 (execution-time fractions)"
-        (fun ~format s -> Vliw_vp.Experiments.render_table2 ~format s);
-      table_cmd "table3"
-        ~doc:"Reproduce Table 3 (schedule-length fractions)"
-        (fun ~format s -> Vliw_vp.Experiments.render_table3 ~format s);
-      table4_cmd;
-      table_cmd "fig8"
-        ~doc:"Reproduce Figure 8 (schedule-length change distribution)"
-        (fun ~format s ->
-          ignore format;
-          Vliw_vp.Experiments.render_figure8 s);
-      compare_cmd;
-      regions_cmd;
-      hyperblocks_cmd;
-      frontier_cmd;
-      ablate_cmd;
-      hardware_cmd;
-      overlap_cmd;
-      stability_cmd;
-      report_cmd;
-      run_cmd;
-      simulate_cmd;
-      all_cmd;
-      serve_cmd;
-      submit_cmd;
-    ]
+    ([
+       summary_cmd;
+       profile_cmd;
+       schedule_cmd;
+       ablate_cmd;
+       report_cmd;
+       run_cmd;
+       simulate_cmd;
+       all_cmd;
+       serve_cmd;
+       submit_cmd;
+     ]
+    @ List.filter_map artifact_cmd Vliw_vp.Artifact.registry)
 
 (* Exit-code hygiene: simulator failures and orchestration failures exit
    non-zero with a one-line diagnostic on stderr rather than dumping a raw

@@ -1224,16 +1224,25 @@ let accounting_sweep =
       fun (c : Config.t) -> { c with charge_cce_drain = true } );
   ]
 
+type ablation = {
+  sweep_name : string;
+  sweep_title : string;
+  sweep_settings : (string * (Config.t -> Config.t)) list;
+}
+
 let ablation_sweeps =
-  [
-    ("threshold", threshold_sweep);
-    ("predictions", prediction_budget_sweep);
-    ("ccb", ccb_capacity_sweep);
-    ("syncbits", sync_width_sweep);
-    ("ccewidth", cce_width_sweep);
-    ("predictors", predictor_sweep);
-    ("accounting", accounting_sweep);
-  ]
+  List.map
+    (fun (sweep_name, sweep_title, sweep_settings) ->
+      { sweep_name; sweep_title; sweep_settings })
+    [
+      ("threshold", "Profile threshold", threshold_sweep);
+      ("predictions", "Prediction budget", prediction_budget_sweep);
+      ("ccb", "CCB capacity", ccb_capacity_sweep);
+      ("syncbits", "Synchronization-register width", sync_width_sweep);
+      ("ccewidth", "CCE retire width", cce_width_sweep);
+      ("predictors", "Profiling predictors", predictor_sweep);
+      ("accounting", "Latency accounting", accounting_sweep);
+    ]
 
 let render_ablation ?format ~title points =
   let table =

@@ -334,10 +334,19 @@ val accounting_sweep : (string * (Config.t -> Config.t)) list
 (** VLIW-retire vs full-CCE-drain block accounting (see
     {!Config.t.charge_cce_drain}). *)
 
-val ablation_sweeps : (string * (string * (Config.t -> Config.t)) list) list
-(** The seven sweeps above under the names [vliw_vp ablate --sweep] and a
-    serve request's [ablate:NAME] artifacts take: threshold, predictions,
-    ccb, syncbits, ccewidth, predictors, accounting. *)
+(** A named ablation sweep. *)
+type ablation = {
+  sweep_name : string;
+      (** the name [vliw_vp ablate --sweep] takes, and the [NAME] of its
+          [ablate:NAME] artifact *)
+  sweep_title : string;  (** its heading in the report *)
+  sweep_settings : (string * (Config.t -> Config.t)) list;
+}
+
+val ablation_sweeps : ablation list
+(** The seven sweeps above: threshold, predictions, ccb, syncbits,
+    ccewidth, predictors, accounting. {!Artifact} makes one artifact of
+    each. *)
 
 val render_ablation :
   ?format:[ `Ascii | `Csv ] -> title:string -> ablation_point list -> string

@@ -10,20 +10,19 @@ val generate :
   ?config:Config.t ->
   ?exec:Vp_exec.Context.t ->
   ?models:Vp_workload.Spec_model.t list ->
-  ?include_extensions:bool ->
   unit ->
   string
 (** Defaults: the standard configuration, a sequential execution context,
-    all eight benchmarks, extensions included. The result is a complete
-    markdown document. [exec] parallelizes and caches the underlying
-    experiment jobs (see {!Experiments.run_all}) without changing the
-    document. *)
+    all eight benchmarks. The result is a complete markdown document: the
+    paper's artifacts and the extensions, each a {!Artifact} entry fenced
+    under its title, then the first model's ablation sweeps and recovery
+    sensitivity. [exec] parallelizes and caches the underlying experiment
+    jobs (see {!Experiments.run_all}) without changing the document. *)
 
 val write_file :
   ?config:Config.t ->
   ?exec:Vp_exec.Context.t ->
   ?models:Vp_workload.Spec_model.t list ->
-  ?include_extensions:bool ->
   path:string ->
   unit ->
   unit

@@ -157,19 +157,13 @@ module Decoder = struct
         end
 end
 
-(* --- experiment registry --- *)
+(* --- experiments --- *)
 
-(* The names a submit request may ask for. "all" expands to the exact
+(* A submit may ask for any artifact of the registry, or "all": the exact
    artifact sequence `vliw_vp all` prints, so a submit of ["all"] can be
    reassembled byte-identically to the direct CLI run. *)
-let all_sequence =
-  [ "table2"; "table3"; "table4"; "fig8"; "comparison"; "regions"; "overlap";
-    "example" ]
-
-let known_experiments =
-  all_sequence
-  @ [ "hyperblocks"; "hardware"; "stability"; "recovery"; "regions:frontier" ]
-  @ List.map (fun (s, _) -> "ablate:" ^ s) Vliw_vp.Experiments.ablation_sweeps
+let all_names =
+  List.map (fun (a : Vliw_vp.Artifact.t) -> a.name) Vliw_vp.Artifact.all_sequence
 
 (* [sweeps] are the request-declared custom sweep names: a submit carrying
    a ["sweeps"] spec may reference each as the experiment ["sweep:NAME"]. *)
@@ -181,9 +175,9 @@ let expand_experiments ?(sweeps = []) names =
   in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | "all" :: rest -> go (List.rev_append all_sequence acc) rest
+    | "all" :: rest -> go (List.rev_append all_names acc) rest
     | name :: rest ->
-        if List.mem name known_experiments || is_sweep name then
+        if Option.is_some (Vliw_vp.Artifact.find name) || is_sweep name then
           go (name :: acc) rest
         else Error name
   in
@@ -354,24 +348,24 @@ let submit_of_json id json =
         | _ -> None)
       ~default:None json
   in
-  match Vp_machine.Descr.check_width width with
-  | Error msg -> Error (reject "bad_request" "%s" msg)
-  | Ok _ when not (threshold >= 0.0 && threshold <= 1.0) ->
-      Error (reject "bad_request" "threshold out of range: %g" threshold)
-  | Ok width ->
-      Ok
-        {
-          id;
-          experiments;
-          benchmarks;
-          width;
-          seed;
-          threshold;
-          overrides = config_overrides config;
-          sweeps;
-          csv;
-          timeout_s;
-        }
+  let bad_request r =
+    Result.map_error (fun msg -> reject "bad_request" "%s" msg) r
+  in
+  let* width = bad_request (Vp_machine.Descr.check_width width) in
+  let* threshold = bad_request (Vp_vspec.Policy.check_threshold threshold) in
+  Ok
+    {
+      id;
+      experiments;
+      benchmarks;
+      width;
+      seed;
+      threshold;
+      overrides = config_overrides config;
+      sweeps;
+      csv;
+      timeout_s;
+    }
 
 let request_of_json json =
   let id = Option.value ~default:"" (Jsonx.string_member "id" json) in

@@ -50,17 +50,13 @@ end
 
 (** {1 Experiments} *)
 
-val all_sequence : string list
-(** What ["all"] expands to — the artifact sequence of [vliw_vp all], in
-    its print order. *)
-
-val known_experiments : string list
-
 val expand_experiments :
   ?sweeps:string list -> string list -> (string list, string) result
-(** Expand ["all"] and validate names ([Error name] on an unknown one).
-    The empty list means ["all"]. [sweeps] are the request-declared custom
-    sweep names, each addressable as ["sweep:NAME"]. *)
+(** Expand ["all"] into {!Vliw_vp.Artifact.all_sequence}'s names and
+    validate the rest against {!Vliw_vp.Artifact.registry} ([Error name]
+    on an unknown one). The empty list means ["all"]. [sweeps] are the
+    request-declared custom sweep names, each addressable as
+    ["sweep:NAME"]. *)
 
 (** {1 Requests} *)
 

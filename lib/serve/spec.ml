@@ -7,9 +7,7 @@
 
    Supervisor and workers must agree exactly on all of this: the
    supervisor routes an artifact to the shard its render key hashes to,
-   and the worker answers equal work from the node under the same key.
-   Keys are {!Vp_exec.Store.key} digests of plain data, so supervisor and
-   workers compute the same key for equal work. *)
+   and the worker answers equal work from the node under the same key. *)
 
 module G = Vp_exec.Graph
 
@@ -62,9 +60,10 @@ let apply_override (c : Vliw_vp.Config.t) (key, (v : Jsonx.t)) :
   | "seed" -> int_range min_int max_int (fun seed -> { c with C.seed })
   | "threshold" -> (
       match Jsonx.get_float v with
-      | Some t when t >= 0.0 && t <= 1.0 ->
-          Ok { c with C.policy = { c.C.policy with threshold = t } }
-      | Some t -> Error (Printf.sprintf "threshold out of range: %g" t)
+      | Some t ->
+          Result.map
+            (fun threshold -> { c with C.policy = { c.C.policy with threshold } })
+            (Vp_vspec.Policy.check_threshold t)
       | None -> Error "threshold must be a number")
   | "max_enumerated_predictions" ->
       int_range 0 16 (fun max_enumerated_predictions ->
@@ -119,12 +118,12 @@ let apply_overrides config overrides =
 type t = {
   config : Vliw_vp.Config.t;  (* core fields + overrides, fully applied *)
   models : Vp_workload.Spec_model.t list;
-  csv : bool;
+  format : Vliw_vp.Artifact.format;
   sweeps : (string * (string * Vliw_vp.Config.t) list) list;
       (* custom sweeps: each point's overrides applied to [config] *)
   shared : string Lazy.t;
       (* the key of what every render key of the spec shares: models,
-         config and csv — marshalled at most once per spec, and not at
+         config and format — marshalled at most once per spec, and not at
          all by a caller that needs no key *)
 }
 
@@ -158,31 +157,30 @@ let of_submit (s : Protocol.submit) : (t, Protocol.reject) result =
                 | Error _ as e -> e
                 | Ok sweep -> sweeps (sweep :: acc) rest)
           in
-          let csv = s.csv in
+          let format = if s.csv then `Csv else `Ascii in
           let shared =
-            lazy (Vp_exec.Store.key ("serve-render", models, config, csv))
+            lazy (Vliw_vp.Artifact.shared_key ~config ~models ~format)
           in
           Result.map
-            (fun sweeps -> { config; models; csv; sweeps; shared })
+            (fun sweeps -> { config; models; format; sweeps; shared })
             (sweeps [] s.sweeps))
 
 (* --- render keys and shard routing -------------------------------------- *)
 
 let sweep_name artifact =
-  if String.length artifact > 6 && String.sub artifact 0 6 = "sweep:" then
+  if String.starts_with ~prefix:"sweep:" artifact then
     Some (String.sub artifact 6 (String.length artifact - 6))
   else None
 
-(* The render node's content address: the spec's shared key, a custom
-   sweep's applied point configs — two requests declaring different points
-   under the same sweep name (and base config) must not share a node —
-   and the artifact name. *)
+(* A request-declared sweep's applied point configs go into its render
+   key: two requests declaring different points under the same sweep name
+   (and base config) must not share a node. *)
 let render_key spec ~artifact =
-  let points =
-    Option.bind (sweep_name artifact) (fun name ->
-        List.assoc_opt name spec.sweeps)
-  in
-  Vp_exec.Store.key (Lazy.force spec.shared, points, artifact)
+  Vliw_vp.Artifact.render_key ~shared:(Lazy.force spec.shared)
+    ?points:
+      (Option.bind (sweep_name artifact) (fun name ->
+           List.assoc_opt name spec.sweeps))
+    artifact
 
 (* Shard routing: a stable function of the render key alone, so equal work
    always lands on the same shard (preserving in-flight dedup) and the
@@ -193,112 +191,17 @@ let shard_of_key ~workers key =
 
 (* --- artifact declaration ----------------------------------------------- *)
 
-(* Declare the artifact's work on the shared graph under its render key
-   [key] and return one node whose value is the artifact's rendered bytes
-   — exactly the bytes [vliw_vp all] prints for that artifact, trailing
-   separator newline included, so a client can reassemble the
-   byte-identical document. The render node is a [~cache:false] reducer
-   like the experiments' own; the underlying simulation leaves dedup and
-   cache exactly as they do for the CLI. *)
+(* A registry artifact declares through its entry; anything else
+   [Protocol.expand_experiments] admitted is one of the request's own
+   sweeps. *)
 let declare g spec artifact ~key : string G.node =
-  let module E = Vliw_vp.Experiments in
-  let module S = E.Suite in
-  let { config; models; csv; sweeps = _; shared = _ } = spec in
-  let format = if csv then `Csv else `Ascii in
-  let render ?(deps = []) f =
-    G.node g ~label:("render:" ^ artifact) ~group:"serve" ~cache:false ~key
-      ~deps f
-  in
-  let with_summaries f =
-    let n = S.run_all g ~config models in
-    render ~deps:[ G.pack n ] (fun () -> f (G.value n))
-  in
-  let ablation_artifact ~title_sweep settings declare =
-    let nodes = List.map (fun m -> (m, declare m settings)) models in
-    render
-      ~deps:(List.map (fun (_, n) -> G.pack n) nodes)
-      (fun () ->
-        String.concat ""
-          (List.map
-             (fun ((m : Vp_workload.Spec_model.t), n) ->
-               E.render_ablation ~format
-                 ~title:
-                   (Printf.sprintf "%s: %s sweep" m.Vp_workload.Spec_model.name
-                      title_sweep)
-                 (G.value n)
-               ^ "\n")
-             nodes))
-  in
-  match artifact with
-  | "table2" -> with_summaries (fun s -> E.render_table2 ~format s ^ "\n")
-  | "table3" -> with_summaries (fun s -> E.render_table3 ~format s ^ "\n")
-  | "fig8" -> with_summaries (fun s -> E.render_figure8 s ^ "\n")
-  | "comparison" ->
-      let n = S.comparison g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_comparison ~format (G.value n) ^ "\n")
-  | "table4" ->
-      let n = S.table4 g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_table4 ~format (G.value n) ^ "\n")
-  | "regions" ->
-      let n = S.regions g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_regions ~format (G.value n) ^ "\n")
-  | "regions:frontier" ->
-      let n = S.regions_frontier g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_regions_frontier ~format (G.value n) ^ "\n")
-  | "overlap" ->
-      let n = S.overlap_validation g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_overlap ~format (G.value n) ^ "\n")
-  | "hyperblocks" ->
-      let n = S.hyperblocks g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_hyperblocks ~format (G.value n) ^ "\n")
-  | "hardware" ->
-      let n = S.hardware_validation g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          Vliw_vp.Trace_sim.render (G.value n) ^ "\n")
-  | "stability" ->
-      let n = S.stability g ~config models in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_stability ~format (G.value n) ^ "\n")
-  | "recovery" ->
-      let model = List.hd models in
-      let n = S.recovery_sensitivity g ~config model in
-      render ~deps:[ G.pack n ] (fun () ->
-          E.render_recovery_sensitivity ~format
-            ~bench:model.Vp_workload.Spec_model.name (G.value n)
-          ^ "\n")
-  | "example" ->
-      render (fun () -> Format.asprintf "%a@." Vliw_vp.Example.describe ())
-  | _ -> (
-      match sweep_name artifact with
-      | Some name when List.mem_assoc name spec.sweeps ->
-          let points = List.assoc name spec.sweeps in
-          ablation_artifact ~title_sweep:name points (fun m points ->
-              S.config_sweep g ~config m points)
-      | _ -> (
-          match
-            if String.length artifact > 7 && String.sub artifact 0 7 = "ablate:"
-            then
-              List.assoc_opt
-                (String.sub artifact 7 (String.length artifact - 7))
-                E.ablation_sweeps
-            else None
-          with
-          | None ->
-              (* [Protocol.expand_experiments] validated the name; reaching
-                 here means the registry and this match diverged *)
-              invalid_arg ("Vp_serve.Spec: unmapped artifact " ^ artifact)
-          | Some sweep ->
-              let title_sweep =
-                String.sub artifact 7 (String.length artifact - 7)
-              in
-              ablation_artifact ~title_sweep sweep (fun m sweep ->
-                  S.ablate g ~config m sweep)))
+  let { config; models; format; sweeps; shared = _ } = spec in
+  match Vliw_vp.Artifact.find artifact with
+  | Some a -> a.declare g ~key ~config ~models ~format
+  | None ->
+      let name = Option.get (sweep_name artifact) in
+      Vliw_vp.Artifact.sweep g ~key ~config ~models ~format ~name
+        (List.assoc name sweeps)
 
 (* A warm request is one lookup per artifact. Equal render keys mean equal
    leaves, and the graph keeps finished nodes (up to the node-cache LRU),

@@ -8,15 +8,13 @@
     Supervisor and workers must agree exactly on all of this: the
     supervisor routes an artifact to the shard its render key hashes to,
     and the worker answers equal work from the node under the same key.
-    The keys are {!Vp_exec.Store.key} digests of plain data, so
-    supervisor and workers compute the same key for equal work. Render
-    keys name graph nodes only: render nodes are never store-cached, so
-    no key reaches the on-disk store. *)
+    Render keys are {!Vliw_vp.Artifact.render_key}s, plain-data digests
+    that every process computes alike. *)
 
 type t
 (** A validated request: the experiment configuration (core fields plus
     machine-config overrides, fully applied), the benchmark models, the
-    csv flag and the custom sweeps with each point's overrides applied on
+    format and the custom sweeps with each point's overrides applied on
     top of the configuration. One spec serves one request and belongs to
     the thread that admitted it. *)
 
@@ -27,13 +25,12 @@ val of_submit : Protocol.submit -> (t, Protocol.reject) result
     (quotas, shutdown) stay with the caller. *)
 
 val render_key : t -> artifact:string -> string
-(** Content address of one artifact's render node: the key of the spec's
-    shared key, a custom sweep's applied point configs and the artifact
-    name. The shared key covers models, configuration and csv flag; it is
+(** Content address of one artifact's render node:
+    {!Vliw_vp.Artifact.render_key} of the spec's shared key, a custom
+    sweep's applied point configs and the artifact name, so the CLI
+    computes the same key for the same work. The shared key is
     marshalled on the spec's first key and reused by the rest, so a
-    request digests its full spec at most once. Custom sweep artifacts
-    key in their applied point configs, so same-named sweeps with
-    different points never share a node. *)
+    request digests its full spec at most once. *)
 
 val shard_of_key : workers:int -> string -> int
 (** The shard an artifact key routes to — a stable function of the key
@@ -42,12 +39,12 @@ val shard_of_key : workers:int -> string -> int
 
 val declare_artifact :
   Vp_exec.Graph.t -> t -> string -> string Vp_exec.Graph.node
-(** The artifact's render node; its value is the artifact's rendered
-    bytes — exactly what [vliw_vp all] prints for it, trailing separator
-    newline included. A node already on the graph under the render key
-    (in flight, finished or failed) is returned by one
+(** The artifact's render node; its value is the artifact's value as
+    {!Vliw_vp.Artifact} defines it. A node already on the graph under the
+    render key (in flight, finished or failed) is returned by one
     {!Vp_exec.Graph.find}, which counts one dedup; only when that misses
     (the key's first request, or the node-cache LRU evicted the node)
-    are the artifact's leaves, reducers and render node declared. Raises
-    [Invalid_argument] on an artifact name {!Protocol.expand_experiments}
-    would have rejected. *)
+    does the registry entry, or {!Vliw_vp.Artifact.sweep} for one of the
+    request's own sweeps, declare the leaves, reducers and render node.
+    Raises on an artifact name {!Protocol.expand_experiments} would have
+    rejected. *)

@@ -27,6 +27,12 @@ let aggressive =
     non_speculative = [];
   }
 
+(* NaN fails both comparisons and an infinity fails one, so only finite
+   rates in [0, 1] pass. *)
+let check_threshold threshold =
+  if threshold >= 0.0 && threshold <= 1.0 then Ok threshold
+  else Error (Printf.sprintf "threshold out of range: %g" threshold)
+
 let pp ppf t =
   Format.fprintf ppf
     "threshold %.2f, max %d predictions, %d sync bits, min %d dependents%s"

@@ -42,4 +42,10 @@ val aggressive : t
     recovery-scheme comparison to stress compensation handling, mirroring
     the paper's "aggressive prediction mechanisms" discussion. *)
 
+val check_threshold : float -> (float, string) result
+(** [Ok threshold] for a finite rate in [[0, 1]], else the message
+    [threshold out of range: <value>]. Front ends validate user-supplied
+    thresholds with it: a rate above 1 would speculate nothing and a
+    negative one every load, so a bad value is refused at the door. *)
+
 val pp : Format.formatter -> t -> unit

@@ -139,6 +139,36 @@ let test_jobs_out_of_range () =
              j j))
     [ ([ "--jobs"; "0" ], 0); ([ "--jobs=-3" ], -3); ([ "--jobs"; "128" ], 128) ]
 
+(* A threshold is a rate: above 1 would speculate nothing, below 0 every
+   load, and NaN compares false with both bounds. *)
+let test_threshold_out_of_range () =
+  List.iter
+    (fun (flags, shown) ->
+      check_one_line_error
+        ("threshold out of range: " ^ String.concat " " flags)
+        ([ "table2"; "-b"; "compress"; "--no-cache" ] @ flags)
+        ~expect_sub:("threshold out of range: " ^ shown))
+    [
+      ([ "--threshold"; "2.0" ], "2");
+      ([ "--threshold"; "nan" ], "nan");
+      ([ "--threshold=-1" ], "-1");
+    ]
+
+(* A block index past any selected model's blocks is refused before
+   anything prints, naming the model and its range. *)
+let test_schedule_block_out_of_range () =
+  List.iter
+    (fun (flags, expect_sub) ->
+      let args = [ "schedule"; "-b"; "compress,li" ] @ flags in
+      check_one_line_error (String.concat " " args) args ~expect_sub;
+      let _, out = run_stdout args in
+      checks (String.concat " " args ^ ": no stdout") "" out)
+    [
+      ([ "-i"; "999" ], "compress: block 999 out of range (0..79)");
+      ([ "--block=-1" ], "compress: block -1 out of range (0..79)");
+      ([ "-i"; "85" ], "compress: block 85 out of range (0..79)");
+    ]
+
 let test_valid_command_still_works () =
   let code, err = run [ "example" ] in
   checki "exit 0" 0 code;
@@ -186,8 +216,9 @@ let test_telemetry_trace_sim () =
     (not (contains_sub err "\"engine_replays\": 0,"))
 
 (* [workers.count] is the number of domains a drain ran on: Table 2 over
-   one benchmark is a two-node graph (the benchmark leaf and its
-   reducer), which [--jobs 4] drains on two domains. *)
+   one benchmark is a three-node graph (the benchmark leaf, its reducer
+   and the table's render node), which [--jobs 4] drains on three
+   domains. *)
 let test_telemetry_workers_count () =
   List.iter
     (fun (jobs, count) ->
@@ -203,14 +234,16 @@ let test_telemetry_workers_count () =
       checkb
         (Printf.sprintf "--jobs %d telemetry has %S" jobs field)
         true (contains_sub err field))
-    [ (4, 2); (1, 1) ]
+    [ (4, 3); (1, 1) ]
 
-(* The cold suite's job-graph shape, counted exactly: 45 jobs (run_all,
-   table4, regions and overlap at 9 each, plus 8 comparison leaves and
-   their reducer), 16 in-flight dedups (table4's narrow points and the
-   comparison leaves' summary dependencies onto run_all's jobs), and 24
-   whole-run memo hits: the region and overlap base runs that repeat
-   run_all's pipelines (16), plus one per comparison leaf, which reads its
+(* The cold suite's job-graph shape, counted exactly: 53 jobs (run_all,
+   table4, regions and overlap at 9 each, 8 comparison leaves and their
+   reducer, and one render node per artifact of [all], 8), 34 in-flight
+   dedups (table4's narrow points and the comparison leaves' summary
+   dependencies onto run_all's jobs, 16, plus table3 and fig8 each
+   declaring run_all's 8 leaves and reducer again, 18), and 24 whole-run
+   memo hits: the region and overlap base runs that repeat run_all's
+   pipelines (16), plus one per comparison leaf, which reads its
    benchmark's pipeline through the memo after the summary job (8). The
    24 misses are the only pipelines computed. The comparison memo's
    telemetry is gone. *)
@@ -229,8 +262,8 @@ let test_telemetry_suite_counts () =
         (Printf.sprintf "telemetry has %S" field)
         true (contains_sub err field))
     [
-      "\"done\": 45,";
-      "\"deduped\": 16,";
+      "\"done\": 53,";
+      "\"deduped\": 34,";
       "\"run_memo_hits\": 24,";
       "\"run_memo_misses\": 24}";
     ];
@@ -659,6 +692,8 @@ let () =
           tc "bad flag value" test_bad_flag_value;
           tc "unsupported width" test_unsupported_width;
           tc "jobs out of range" test_jobs_out_of_range;
+          tc "threshold out of range" test_threshold_out_of_range;
+          tc "schedule block out of range" test_schedule_block_out_of_range;
           tc "valid command unaffected" test_valid_command_still_works;
         ] );
       ( "telemetry",

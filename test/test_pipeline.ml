@@ -378,10 +378,7 @@ let test_csv_render () =
 (* --- Report generation --- *)
 
 let test_report () =
-  let doc =
-    Vliw_vp.Report.generate ~config:fast_config ~models:[ model ]
-      ~include_extensions:false ()
-  in
+  let doc = Vliw_vp.Report.generate ~config:fast_config ~models:[ model ] () in
   let contains needle =
     let lh = String.length doc and ln = String.length needle in
     let rec go i = i + ln <= lh && (String.sub doc i ln = needle || go (i + 1)) in
@@ -390,22 +387,11 @@ let test_report () =
   checkb "has title" true (contains "# Value Prediction in VLIW Machines");
   checkb "has table 2" true (contains "## Table 2");
   checkb "has the example" true (contains "Worked example");
-  checkb "no extensions when disabled" false (contains "superblock regions");
-  let with_ext =
-    Vliw_vp.Report.generate ~config:fast_config ~models:[ model ] ()
-  in
-  checkb "extensions present by default" true
-    (let needle = "superblock regions" in
-     let lh = String.length with_ext and ln = String.length needle in
-     let rec go i =
-       i + ln <= lh && (String.sub with_ext i ln = needle || go (i + 1))
-     in
-     go 0)
+  checkb "extensions present" true (contains "superblock regions")
 
 let test_report_write_file () =
   let path = Filename.temp_file "vliwvp" ".md" in
-  Vliw_vp.Report.write_file ~config:fast_config ~models:[ model ]
-    ~include_extensions:false ~path ();
+  Vliw_vp.Report.write_file ~config:fast_config ~models:[ model ] ~path ();
   let ic = open_in path in
   let len = in_channel_length ic in
   close_in ic;

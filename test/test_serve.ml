@@ -10,6 +10,10 @@ let checks = Alcotest.(check string)
 module J = Vp_serve.Jsonx
 module P = Vp_serve.Protocol
 
+(* What ["all"] expands to: the names of the registry's [all] entries. *)
+let all_names =
+  List.map (fun (a : Vliw_vp.Artifact.t) -> a.name) Vliw_vp.Artifact.all_sequence
+
 let fresh_socket =
   let n = ref 0 in
   fun () ->
@@ -418,7 +422,7 @@ let test_request_validation () =
   | _ -> Alcotest.fail "expected submit");
   (match parse_req {|{"op":"submit","id":"r2"}|} with
   | Ok (P.Submit s) ->
-      Alcotest.(check (list string)) "empty = all" P.all_sequence s.experiments
+      Alcotest.(check (list string)) "empty = all" all_names s.experiments
   | _ -> Alcotest.fail "expected submit");
   (match parse_req {|{"op":"submit","id":"r3","experiments":["bogus"]}|} with
   | Error (id, r) ->
@@ -486,6 +490,29 @@ let test_request_validation () =
   (match parse_req {|{"op":"submit","id":"c","format":"csv"}|} with
   | Ok (P.Submit s) -> checkb "format csv" true s.csv
   | _ -> Alcotest.fail "format csv refused");
+  (* a threshold is a rate in [0, 1]: checked at the door as a core field,
+     and at admission as a sweep point *)
+  (match parse_req {|{"op":"submit","id":"th","config":{"threshold":1.5}}|} with
+  | Error (id, r) ->
+      checks "threshold 1.5 id" "th" id;
+      checks "threshold 1.5 code" "bad_request" r.code;
+      checks "threshold 1.5 message" "threshold out of range: 1.5" r.message
+  | Ok _ -> Alcotest.fail "threshold 1.5 accepted");
+  (match
+     parse_req
+       {|{"op":"submit","id":"tp","experiments":["sweep:t"],
+          "sweeps":{"t":[{"label":"neg","config":{"threshold":-0.5}}]}}|}
+   with
+  | Ok (P.Submit s) -> (
+      match Vp_serve.Spec.of_submit s with
+      | Error (r : P.reject) ->
+          checks "sweep threshold code" "bad_sweep" r.code;
+          checkb
+            (Printf.sprintf "sweep threshold message (%s)" r.message)
+            true
+            (contains ~sub:"threshold out of range: -0.5" r.message)
+      | Ok _ -> Alcotest.fail "sweep point threshold -0.5 admitted")
+  | _ -> Alcotest.fail "sweep with a threshold point refused at parse");
   match parse_req {|{"op":"frobnicate","id":"r6"}|} with
   | Error (_, r) -> checks "code" "bad_request" r.code
   | Ok _ -> Alcotest.fail "unknown op accepted"
@@ -794,7 +821,7 @@ let check_warm_all_is_lookups client =
   checkb "identical bytes" true (o1.results = o2.results);
   checki "no node declared" jobs (graph_jobs client);
   checki "one dedup per artifact"
-    (List.length P.all_sequence)
+    (List.length Vliw_vp.Artifact.all_sequence)
     (graph_counter client "deduped" - dedup)
 
 let test_e2e_warm_all_is_lookups () = with_server check_warm_all_is_lookups
@@ -1307,6 +1334,83 @@ let test_sharded_worker_lost () =
       checkb "resubmit byte-identical to in-process daemon" true
         (o.results = reference.results))
 
+(* --- the artifact registry: the one list every driver iterates --- *)
+
+(* [vliw_vp args]'s stdout; the run must exit 0. *)
+let cli_stdout args =
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process bin (Array.of_list (bin :: args)) Unix.stdin out_w null
+  in
+  Unix.close out_w;
+  Unix.close null;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "vliw_vp %s failed" (String.concat " " args));
+  out
+
+(* Every entry with a command prints what the daemon serves for the same
+   request, under artifact.mli's one rule: a table subcommand's stdout is
+   the served bytes without the separator, [example]'s and [ablate]'s is
+   the served bytes. [all] prints the [all] entries' bytes in order, and
+   the wire accepts exactly the registry's names. *)
+let test_registry_bytes () =
+  let module A = Vliw_vp.Artifact in
+  let g =
+    Vp_exec.Graph.create
+      (Vp_exec.Context.create ~progress:(Vp_exec.Progress.silent ()) ())
+  in
+  let served ?(csv = false) name =
+    match
+      Vp_serve.Spec.of_submit
+        (Vp_serve.Client.submit_spec ~experiments:[ name ]
+           ~benchmarks:[ "compress" ] ~csv ())
+    with
+    | Ok spec -> Vp_exec.Graph.await g (Vp_serve.Spec.declare_artifact g spec name)
+    | Error (r : P.reject) -> Alcotest.failf "%s rejected: %s" name r.message
+  in
+  let flags = [ "-b"; "compress"; "--no-cache" ] in
+  List.iter
+    (fun (a : A.t) ->
+      let check args ~csv =
+        let out = cli_stdout args in
+        checks
+          (String.concat " " ("vliw_vp" :: args))
+          (served ~csv a.name)
+          (match a.command with Some (A.Table _) -> out ^ "\n" | _ -> out)
+      in
+      match a.command with
+      | None -> ()
+      | Some (A.Bare { cmd; _ }) -> check [ cmd ] ~csv:false
+      | Some (A.Table { cmd; csv; _ }) ->
+          check (cmd :: flags) ~csv:false;
+          if csv then check ((cmd :: flags) @ [ "--csv" ]) ~csv:true
+      | Some (A.Sweep name) ->
+          check ([ "ablate"; "--sweep"; name ] @ flags) ~csv:false)
+    A.registry;
+  checks "all = the all entries' bytes"
+    (String.concat "" (List.map (fun (a : A.t) -> served a.name) A.all_sequence))
+    (cli_stdout ("all" :: flags));
+  List.iter
+    (fun (a : A.t) ->
+      Alcotest.(check (result (list string) string))
+        (a.name ^ " accepted") (Ok [ a.name ])
+        (P.expand_experiments [ a.name ]))
+    A.registry;
+  Alcotest.(check (result (list string) string))
+    "all expands to the all entries" (Ok all_names)
+    (P.expand_experiments [ "all" ]);
+  List.iter
+    (fun name ->
+      Alcotest.(check (result (list string) string))
+        (name ^ " rejected") (Error name)
+        (P.expand_experiments [ name ]))
+    [ "bogus"; "compare"; "frontier"; "ablate:nope"; "ablate"; "sweep:x"; "" ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_serve"
@@ -1339,6 +1443,7 @@ let () =
           tc "width override validation" test_width_override_validation;
           tc "render keys" test_render_keys;
           tc "warm declaration is a lookup" test_warm_declaration_is_lookup;
+          tc "subcommand bytes = served bytes" test_registry_bytes;
         ] );
       ( "daemon",
         [
