@@ -500,7 +500,8 @@ let tests =
            Vp_sched.List_scheduler.schedule_block kernel_machine kernel_block));
     (* One dependence graph of the same block: the unit of work the
        scheduler and the transform repeat (the transform builds one per
-       selection step and per schedule fixpoint round). *)
+       schedule fixpoint round; its selection reads the baseline graph
+       through a predicted-load mask). *)
     Test.make ~name:"kernel:depgraph-build"
       (Staged.stage (fun () ->
            Vp_ir.Depgraph.build

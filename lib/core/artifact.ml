@@ -97,8 +97,7 @@ let all_sequence =
     of_suite "fig8" "Figure 8 — schedule-length change distribution"
       (table ~csv:true "fig8"
          "Reproduce Figure 8 (schedule-length change distribution)")
-      S.run_all
-      (fun ?format:_ s -> E.render_figure8 s);
+      S.run_all E.render_figure8;
     of_suite "comparison" "Comparison with the static-recovery scheme"
       (table ~csv:true "compare"
          "Compare against the static-recovery scheme of [4]")
@@ -135,11 +134,11 @@ let extensions =
       (fun g ~config ms -> S.hyperblocks g ~config ms)
       E.render_hyperblocks;
     of_suite "hardware" "Extension: hardware-mode validation"
-      (table "hardware"
+      (table ~csv:true "hardware"
          "Hardware-mode validation: whole-program trace simulation with a \
           run-time value-prediction table")
       (fun g ~config ms -> S.hardware_validation g ~config ms)
-      (fun ?format:_ rows -> Trace_sim.render rows);
+      Trace_sim.render;
     of_suite "stability" "Seed stability"
       (table "stability" "Headline results across workload seeds (mean +/- sd)")
       (fun g ~config ms -> S.stability g ~config ms)

@@ -385,25 +385,49 @@ let render_table4 ?format rows =
     ];
   emit ?format table
 
-let render_figure8 summaries =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "Figure 8: distribution of change in schedule lengths due to prediction\n\
-     (per executed block, all-correct case; positive = cycles saved)\n\n";
+let render_figure8 ?(format = `Ascii) summaries =
+  let histograms = List.map (fun s -> (name s, s.fig8)) summaries in
   let pooled =
     Vp_metrics.Summary.figure8
       (Array.concat (List.map (fun s -> s.stats) summaries))
   in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (name s);
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Format.asprintf "%a" Vp_util.Histogram.pp s.fig8);
-      Buffer.add_char buf '\n')
-    summaries;
-  Buffer.add_string buf "all benchmarks pooled\n";
-  Buffer.add_string buf (Format.asprintf "%a" Vp_util.Histogram.pp pooled);
-  Buffer.contents buf
+  match format with
+  | `Ascii ->
+      let buf = Buffer.create 512 in
+      Buffer.add_string buf
+        "Figure 8: distribution of change in schedule lengths due to \
+         prediction\n\
+         (per executed block, all-correct case; positive = cycles saved)\n\n";
+      List.iter
+        (fun (bench, histogram) ->
+          Buffer.add_string buf bench;
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf
+            (Format.asprintf "%a" Vp_util.Histogram.pp histogram);
+          Buffer.add_char buf '\n')
+        histograms;
+      Buffer.add_string buf "all benchmarks pooled\n";
+      Buffer.add_string buf (Format.asprintf "%a" Vp_util.Histogram.pp pooled);
+      Buffer.contents buf
+  | `Csv ->
+      (* One row per (benchmark, bucket), the pooled distribution last. *)
+      let table =
+        Vp_util.Table.create
+          [
+            ("Benchmark", Vp_util.Table.Left);
+            ("Bucket", Vp_util.Table.Left);
+            ("Percent", Vp_util.Table.Right);
+          ]
+      in
+      List.iter
+        (fun (bench, histogram) ->
+          List.iter
+            (fun (bucket, f) ->
+              Vp_util.Table.add_row table
+                [ bench; bucket; Printf.sprintf "%.2f" (f *. 100.0) ])
+            (Vp_util.Histogram.fractions histogram))
+        (histograms @ [ ("pooled", pooled) ]);
+      Vp_util.Table.render_csv table
 
 (* --- Comparison with static recovery --- *)
 

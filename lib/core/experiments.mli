@@ -108,8 +108,12 @@ val table4 :
 
 val render_table4 : ?format:[ `Ascii | `Csv ] -> table4_row list -> string
 
-val render_figure8 : benchmark_summary list -> string
-(** Per-benchmark and pooled distribution of schedule-length change. *)
+val render_figure8 :
+  ?format:[ `Ascii | `Csv ] -> benchmark_summary list -> string
+(** Per-benchmark and pooled distribution of schedule-length change: an
+    aligned bar chart per benchmark, or in CSV one
+    [Benchmark,Bucket,Percent] row per bucket of each benchmark and then
+    of the pooled distribution (benchmark [pooled]). *)
 
 val comparison :
   ?config:Config.t ->

@@ -64,9 +64,9 @@ type spec_prep = {
   prep_recovery : Vp_baseline.Static_recovery.t;
 }
 
-let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
+let prep_spec config workload (sb : Vp_vspec.Spec_block.t) =
   let descr = Config.machine config in
-  let reference = block_reference workload wb.block in
+  let reference = block_reference workload sb.original_block in
   let recovery =
     Vp_baseline.Static_recovery.build ~branch_penalty:config.branch_penalty
       descr sb
@@ -82,7 +82,9 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
         (Vp_engine.Scenario.enumerate n)
     else begin
       let rng = Vp_util.Rng.create config.seed in
-      let rng = Vp_util.Rng.split_named rng (Vp_ir.Block.label wb.block) in
+      let rng =
+        Vp_util.Rng.split_named rng (Vp_ir.Block.label sb.original_block)
+      in
       let w = 1.0 /. float_of_int config.monte_carlo_draws in
       List.init config.monte_carlo_draws (fun _ ->
           (Vp_engine.Scenario.sample rng ~rates, w))
@@ -95,6 +97,49 @@ let prep_spec config workload (wb : Vp_ir.Program.weighted_block) sb =
     prep_vectors = outcome_vectors;
     prep_recovery = recovery;
   }
+
+(* Preparation memo. [prep_spec] reads the spec block, the workload's
+   streams and five config fields — the machine width, the branch
+   penalty, the enumeration cap, the draw count and the seed — and no
+   other input, none of the CCE shape, the accounting or the scenario
+   results among them. Keyed like [Spec_unit.compiled], physically on the
+   spec block (a transform memo hit hands every sharer one physical
+   block) and the workload, and by value on those fields: every CCE-width
+   and accounting point of a sweep, threshold points whose masks agree
+   and repeated served sweeps share their neighbours' preparation. *)
+type prep_key = {
+  pk_sb : Vp_vspec.Spec_block.t;
+  pk_workload : Vp_workload.Workload.t;
+  pk_width : int;
+  pk_seed : int;
+  pk_branch_penalty : int;
+  pk_max_enumerated : int;
+  pk_draws : int;
+}
+
+let prep_memo : (prep_key, spec_prep) Vp_util.Memo.t =
+  Vp_util.Memo.create 8192
+    ~hash:(fun k -> Hashtbl.hash k.pk_sb)
+    ~equal:(fun a b ->
+      a.pk_sb == b.pk_sb
+      && a.pk_workload == b.pk_workload
+      && a.pk_width = b.pk_width && a.pk_seed = b.pk_seed
+      && a.pk_branch_penalty = b.pk_branch_penalty
+      && a.pk_max_enumerated = b.pk_max_enumerated
+      && a.pk_draws = b.pk_draws)
+
+let prep_cached (config : Config.t) workload sb =
+  Vp_util.Memo.find_or_add prep_memo
+    {
+      pk_sb = sb;
+      pk_workload = workload;
+      pk_width = config.width;
+      pk_seed = config.seed;
+      pk_branch_penalty = config.branch_penalty;
+      pk_max_enumerated = config.max_enumerated_predictions;
+      pk_draws = config.monte_carlo_draws;
+    }
+    (fun () -> prep_spec config workload sb)
 
 (* One lane arena per worker domain, reused across scenario batches and
    trace-sim replays — the lane slabs are Bigarray-backed and sized to the
@@ -231,7 +276,9 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
      Both artifacts go through the spec-unit cache: sweep points that vary
      only the CCE shape, the scenario caps or the threshold reuse a
      neighbouring config's schedule and transform instead of recomputing
-     them. *)
+     them. Through the preparation memo, points that vary only the CCE
+     shape or the accounting also share each speculated block's
+     reference run, recovery model and outcome vectors. *)
   let blocks =
     Array.mapi
       (fun index (wb : Vp_ir.Program.weighted_block) ->
@@ -252,7 +299,7 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
           with
           | Vp_vspec.Transform.Unchanged reason -> (Some reason, None)
           | Vp_vspec.Transform.Speculated sb ->
-              let prep = prep_spec config workload wb sb in
+              let prep = prep_cached config workload sb in
               (None, Some (eval_of_prep prep (simulate_batch config prep)))
         in
         {
@@ -316,15 +363,17 @@ let run_program ?(config = Config.default) ?profile workload program =
 let telemetry_json () =
   let words = Atomic.get bitset_words
   and vectors = Atomic.get bitset_vectors in
-  let runs = Vp_util.Memo.stats run_memo in
+  let runs = Vp_util.Memo.stats run_memo
+  and preps = Vp_util.Memo.stats prep_memo in
   let occupancy =
     if words = 0 then 0.0 else float_of_int vectors /. float_of_int words
   in
   Printf.sprintf
     "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
-     \"vectors_per_word\": %.2f, \"run_memo_hits\": %d, \
+     \"vectors_per_word\": %.2f, \"prep_memo_hits\": %d, \
+     \"prep_memo_misses\": %d, \"run_memo_hits\": %d, \
      \"run_memo_misses\": %d}"
-    words vectors occupancy runs.hits runs.misses
+    words vectors occupancy preps.hits preps.misses runs.hits runs.misses
 
 let run ?(config = Config.default) model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in

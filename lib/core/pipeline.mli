@@ -85,17 +85,19 @@ val run_program :
     only vary the machine or the speculation policy reuse it instead of
     recomputing identical rates.
 
-    Simulation is batched: each speculated block is lowered once by
-    [Vp_engine.Compiled] — through the {!Spec_unit} cache, as are the
-    baseline schedule and the transform, so sweep points varying only the
-    CCE shape or the policy threshold reuse neighbouring artifacts — and
-    its whole scenario set runs in one call of
-    [Vp_engine.Compiled.run_bitset], which advances up to 63 outcome
+    Each speculated block's outcome-independent preparation goes through
+    {!prep_cached}. Simulation is batched: each speculated block is
+    lowered once by [Vp_engine.Compiled] — through the {!Spec_unit}
+    cache, as are the baseline schedule and the transform, so sweep
+    points varying only the CCE shape or the policy threshold reuse
+    neighbouring artifacts — and its whole scenario set runs in one call
+    of [Vp_engine.Compiled.run_bitset], which advances up to 63 outcome
     vectors per machine word and simulates each distinct vector once,
     sharing its result with the repeats. Blocks are evaluated in order in
     the calling domain; parallelism and the on-disk store live one level
     up, on the {!Vp_exec.Graph} nodes that call the pipeline. Results are
-    the same whether the spec-unit cache is cold or warm.
+    the same whether the spec-unit cache and the preparation memo are
+    cold or warm.
 
     Whole runs are memoized: the result is pure in
     [(workload, program, config, profile)] — the reference draws fresh
@@ -104,6 +106,33 @@ val run_program :
     guarantee that for warm reruns and region sweep points) with a
     structurally equal config returns the finished evaluation. The memo
     is a {!Vp_util.Memo} bounded at 2048 runs. *)
+
+(** The outcome-independent half of a speculated block's evaluation. *)
+type spec_prep = {
+  prep_sb : Vp_vspec.Spec_block.t;
+  prep_reference : Vp_engine.Reference.t;
+      (** the block run on the first values of fresh stream instances *)
+  prep_rates : float array;  (** per prediction, profiled rate *)
+  prep_vectors : (Vp_engine.Scenario.t * float) list;
+      (** the outcome vectors to simulate, each with its probability *)
+  prep_recovery : Vp_baseline.Static_recovery.t;
+}
+
+val prep_spec :
+  Config.t -> Vp_workload.Workload.t -> Vp_vspec.Spec_block.t -> spec_prep
+(** [prep_spec config workload sb] computed afresh. It reads [sb],
+    the workload's streams, and of [config] only [width], [seed],
+    [branch_penalty], [max_enumerated_predictions] and
+    [monte_carlo_draws]. *)
+
+val prep_cached :
+  Config.t -> Vp_workload.Workload.t -> Vp_vspec.Spec_block.t -> spec_prep
+(** {!prep_spec} through the preparation memo the pipeline evaluates
+    every speculated block with: a {!Vp_util.Memo} bounded at 8192
+    entries, keyed physically on [sb] and the workload and by value on
+    the five config fields {!prep_spec} reads, so sweep points that share
+    a transform — every CCE-width and accounting point — share its
+    preparation. *)
 
 val reference_of_block : t -> int -> Vp_engine.Reference.t
 (** Reference execution of block [index] with its first dynamic load
@@ -119,8 +148,10 @@ val telemetry_json : unit -> string
     summary (the [spec_eval] section): how many lane words the scenario
     batches ran, how many vectors they carried ([vectors_per_word] is the
     resulting lane occupancy), and the whole-run memo's hit/miss
-    counters. The trace simulator's one-vector replays are not batches;
-    they count as its [engine_replays]. *)
+    counters, and the preparation memo's ([prep_memo_hits],
+    [prep_memo_misses]; see {!prep_cached}). The trace simulator's
+    one-vector replays are not batches; they count as its
+    [engine_replays]. *)
 
 val stats : t -> Vp_metrics.Summary.block_stats array
 (** Reduce to the metric layer's per-block records. *)

@@ -474,7 +474,7 @@ let run ?(executions = 5000) ?table (p : Pipeline.t) =
        (Vp_predict.Vp_table.evictions table - ev0));
   r
 
-let render rows =
+let render ?(format = `Ascii) rows =
   let table =
     Vp_util.Table.create
       ~title:
@@ -499,4 +499,6 @@ let render rows =
           string_of_int r.predictions;
         ])
     rows;
-  Vp_util.Table.render table
+  match format with
+  | `Ascii -> Vp_util.Table.render table
+  | `Csv -> Vp_util.Table.render_csv table

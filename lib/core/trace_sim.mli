@@ -81,5 +81,6 @@ val telemetry_json : unit -> string
 (** {!stats} as a JSON object: the [trace_sim] section of the
     [--telemetry] summary. *)
 
-val render : (string * result) list -> string
-(** Table of per-benchmark results: measured vs profile-predicted. *)
+val render : ?format:[ `Ascii | `Csv ] -> (string * result) list -> string
+(** Table of per-benchmark results: measured vs profile-predicted, aligned
+    (the default) or as CSV. *)

@@ -2,6 +2,8 @@ type kind = Flow | Anti | Output | Mem | Control | Verify
 
 type edge = { src : int; dst : int; kind : kind; delay : int }
 
+type mask = { replaced : bool array; stand_in_latency : int }
+
 type t = {
   block : Block.t;
   lat : int array;
@@ -156,24 +158,63 @@ let with_block t block =
        guard";
   { t with block }
 
-let earliest t =
+(* The graph read through [mask]: whether it keeps [e], the latency of
+   operation [i], and [e]'s delay, each by [build]'s rule for the block
+   with the stand-ins in place. Without a mask, the graph as built. *)
+let[@inline] kept mask e =
+  match mask with
+  | None -> true
+  | Some m -> (
+      match e.kind with
+      | Flow -> not m.replaced.(e.dst)
+      | Anti -> not m.replaced.(e.src)
+      | Mem -> not (m.replaced.(e.src) || m.replaced.(e.dst))
+      | Output | Control | Verify -> true)
+
+let[@inline] lat_in mask t i =
+  match mask with
+  | Some m when m.replaced.(i) -> m.stand_in_latency
+  | Some _ | None -> t.lat.(i)
+
+let[@inline] delay_in mask t e =
+  match mask with
+  | None -> e.delay
+  | Some m -> (
+      match e.kind with
+      | Flow when m.replaced.(e.src) -> m.stand_in_latency
+      | Output when m.replaced.(e.src) || m.replaced.(e.dst) ->
+          Int.max 1 (lat_in mask t e.src - lat_in mask t e.dst + 1)
+      | Flow | Anti | Output | Mem | Control | Verify -> e.delay)
+
+let earliest ?mask t =
   let n = size t in
   let est = Array.make n 0 in
+  let rec arrival acc = function
+    | [] -> acc
+    | e :: rest ->
+        arrival
+          (if kept mask e then Int.max acc (est.(e.src) + delay_in mask t e)
+           else acc)
+          rest
+  in
   for i = 0 to n - 1 do
-    List.iter
-      (fun e -> est.(i) <- Int.max est.(i) (est.(e.src) + e.delay))
-      t.preds.(i)
+    est.(i) <- arrival 0 t.preds.(i)
   done;
   est
 
-let priority t =
+let priority ?mask t =
   let n = size t in
   let prio = Array.make n 0 in
+  let rec height acc = function
+    | [] -> acc
+    | e :: rest ->
+        height
+          (if kept mask e then Int.max acc (delay_in mask t e + prio.(e.dst))
+           else acc)
+          rest
+  in
   for i = n - 1 downto 0 do
-    prio.(i) <- t.lat.(i);
-    List.iter
-      (fun e -> prio.(i) <- Int.max prio.(i) (e.delay + prio.(e.dst)))
-      t.succs.(i)
+    prio.(i) <- height (lat_in mask t i) t.succs.(i)
   done;
   prio
 
@@ -185,8 +226,8 @@ let critical_path_length t =
   done;
   !len
 
-let critical_path t =
-  let prio = priority t in
+let critical_path ?mask t =
+  let prio = priority ?mask t in
   let n = size t in
   if n = 0 then []
   else begin
@@ -201,7 +242,8 @@ let critical_path t =
       let next =
         List.fold_left
           (fun best e ->
-            if e.delay + prio.(e.dst) = prio.(i) then
+            if kept mask e && delay_in mask t e + prio.(e.dst) = prio.(i)
+            then
               match best with
               | Some b when prio.(b) >= prio.(e.dst) -> best
               | _ -> Some e.dst

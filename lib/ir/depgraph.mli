@@ -76,10 +76,36 @@ val succs : t -> int -> edge list
 val edges : t -> edge list
 (** All edges. *)
 
-val earliest : t -> int array
+(** A predicted-load mask reads a graph as if some of its loads were
+    replaced by a {e stand-in}: an operation that reads no register any
+    operation writes, writes the load's destination, is no memory
+    operation and has latency [stand_in_latency]. That is the
+    value-speculation transform's selection-time picture of a predicted
+    load, whose consumers no longer wait for it. Through a mask the graph
+    has:
+
+    - no [Flow] or [Mem] edge into a replaced operation, and no [Anti] or
+      [Mem] edge out of it;
+    - the latency [stand_in_latency] for a replaced operation, and the
+      delays {!build} gives the [Flow] and [Output] edges touching it
+      under that latency;
+    - every other edge, delay and latency as built, and every edge list
+      in its built order.
+
+    For a graph built without [extra] edges whose replaced operations
+    are loads, that is exactly the graph {!build} makes of the block with
+    the stand-ins in place, edge lists and their order included, so
+    {!earliest}, {!priority} and {!critical_path} through the mask equal
+    theirs on that graph, ties broken alike, without building it. *)
+type mask = {
+  replaced : bool array;  (** by operation id *)
+  stand_in_latency : int;
+}
+
+val earliest : ?mask:mask -> t -> int array
 (** ASAP issue cycle of each operation assuming unlimited resources. *)
 
-val priority : t -> int array
+val priority : ?mask:mask -> t -> int array
 (** Scheduling priority: the longest delay-weighted path from the operation
     to any sink, {e including} the operation's own latency. The classic
     critical-path list-scheduling priority. *)
@@ -88,9 +114,13 @@ val critical_path_length : t -> int
 (** Length in cycles of the longest path through the block, i.e. the
     resource-unconstrained schedule length. *)
 
-val critical_path : t -> int list
+val critical_path : ?mask:mask -> t -> int list
 (** One maximal path (operation ids in program order) realizing
-    [critical_path_length]. *)
+    [critical_path_length] (through [mask], the masked graph's): it
+    starts at the lowest-numbered operation of maximal {!priority} and
+    follows, at each step, the first edge in {!succs} order whose
+    destination realizes the priority recurrence with the highest
+    priority. *)
 
 val flow_dependents : t -> int -> int list
 (** Operations transitively reachable from [i] through [Flow] edges,

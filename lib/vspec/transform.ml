@@ -18,7 +18,7 @@ let flow_succs graph i =
     (Vp_ir.Depgraph.succs graph i)
 
 (* The largest register the block names (0 for none): registers above it
-   are free for LdPred destinations and dependence-free virtual reads. *)
+   are free for LdPred destinations. *)
 let max_reg block =
   Array.fold_left
     (fun acc (op : Vp_ir.Operation.t) ->
@@ -27,18 +27,16 @@ let max_reg block =
         op.srcs)
     0 (Vp_ir.Block.ops block)
 
-(* [block] with each operation [replaced] turned into a dependence-free
-   unit-latency producer of its destination: the selection-time stand-in
-   for a predicted load, whose consumers no longer wait for it. *)
-let virtual_block block ~replaced =
-  (* A register no operation writes: reading it creates no dependence. *)
-  let unwritten_reg = max_reg block + 1 in
-  Vp_ir.Block.map block (fun op ->
-      if replaced.(op.id) then
-        Vp_ir.Operation.make
-          ~dst:(Option.get (Vp_ir.Operation.writes op))
-          ~srcs:[ unwritten_reg ] ~id:op.id Vp_ir.Opcode.Move
-      else op)
+(* The selection-time stand-in for a predicted load: a dependence-free
+   [Move] producing its destination, whose consumers no longer wait for
+   the load. The latency model reads only the opcode, so any [Move] has
+   the stand-in's latency. *)
+let predicted_mask ~latency replaced =
+  {
+    Vp_ir.Depgraph.replaced;
+    stand_in_latency =
+      latency (Vp_ir.Operation.make ~dst:0 ~srcs:[ 0 ] ~id:0 Vp_ir.Opcode.Move);
+  }
 
 (* A guarded operation may be speculated only when its destination has no
    earlier writer in the block: the engines capture the destination's old
@@ -60,9 +58,9 @@ let speculable policy block (op : Vp_ir.Operation.t) =
    consumers no longer wait for it, the critical path moves, and newly
    exposed loads become candidates — this is how the paper's rule
    ("predicting loads on the longest critical path for each block")
-   interacts with scheduling. The virtual prediction replaces the load by a
-   dependence-free unit-latency producer, the selection-time approximation
-   of its LdPred. *)
+   interacts with scheduling. Each round reads the baseline graph through
+   a mask of the loads chosen so far, each replaced by its stand-in, the
+   selection-time approximation of its LdPred. *)
 let select policy ~latency graph ~rate block =
   let n = Vp_ir.Block.size block in
   let priority = Vp_ir.Depgraph.priority graph in
@@ -101,14 +99,11 @@ let select policy ~latency graph ~rate block =
     cap (List.filter (fun i -> qualifying.(i)) (List.init n Fun.id))
   else begin
     let in_chosen = Array.make n false in
+    let mask = predicted_mask ~latency in_chosen in
     let rec grow chosen =
       if List.length chosen >= policy.Policy.max_predictions then chosen
       else begin
-        let g =
-          Vp_ir.Depgraph.build ~latency
-            (virtual_block block ~replaced:in_chosen)
-        in
-        let path = Vp_ir.Depgraph.critical_path g in
+        let path = Vp_ir.Depgraph.critical_path ~mask graph in
         let fresh =
           List.filter (fun i -> (not in_chosen.(i)) && qualifying.(i)) path
         in
@@ -122,9 +117,31 @@ let select policy ~latency graph ~rate block =
     cap (grow [])
   end
 
+(* Earliest issue times with the [predicted] loads replaced by their
+   stand-ins, read off the baseline graph. *)
+let earliest_predicted ~latency graph _block predicted =
+  Vp_ir.Depgraph.earliest ~mask:(predicted_mask ~latency predicted) graph
+
+type readings = {
+  select :
+    Policy.t ->
+    latency:(Vp_ir.Operation.t -> int) ->
+    Vp_ir.Depgraph.t ->
+    rate:(Vp_ir.Operation.t -> float option) ->
+    Vp_ir.Block.t ->
+    int list;
+  earliest_predicted :
+    latency:(Vp_ir.Operation.t -> int) ->
+    Vp_ir.Depgraph.t ->
+    Vp_ir.Block.t ->
+    bool array ->
+    int array;
+}
+
 (* One full transform attempt for a fixed selection. Raises
    [Drop_prediction] when a prediction proves unschedulable. *)
-let build_spec policy descr orig_graph orig_sched ~rate block selection =
+let build_spec earliest_predicted policy descr orig_graph orig_sched ~rate
+    block selection =
   let latency = Vp_machine.Descr.latency descr in
   let n = Vp_ir.Block.size block in
   let selected = Array.of_list selection in
@@ -148,15 +165,12 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
     raise (Drop_prediction selected.(num_sel - 1));
   (* Speculating an operation is only useful if prediction actually lets it
      issue earlier: compare its unconstrained earliest issue time with and
-     without the selected loads' dependences (the loads virtually replaced
-     by dependence-free unit-latency producers). Operations that would not
-     move are left non-speculative — they cost compensation work and a
+     without the selected loads' dependences (the loads replaced by their
+     selection-time stand-ins). Operations that would not move are left
+     non-speculative — they cost compensation work and a
      Synchronization-register bit while buying nothing. *)
   let est_orig = Vp_ir.Depgraph.earliest orig_graph in
-  let est_virtual =
-    Vp_ir.Depgraph.earliest
-      (Vp_ir.Depgraph.build ~latency (virtual_block block ~replaced:sel))
-  in
+  let est_virtual = earliest_predicted ~latency orig_graph block sel in
   let speculated = Array.make n false in
   let from_pred = Array.make n false in
   let num_spec = ref 0 in
@@ -512,7 +526,8 @@ let build_spec policy descr orig_graph orig_sched ~rate block selection =
     sync_bits_used;
   }
 
-let apply ?(policy = Policy.default) ?baseline descr ~rate block =
+let apply_with readings ?(policy = Policy.default) ?baseline descr ~rate
+    block =
   let latency = Vp_machine.Descr.latency descr in
   let orig_graph, orig_sched =
     match baseline with
@@ -548,9 +563,12 @@ let apply ?(policy = Policy.default) ?baseline descr ~rate block =
     | _ -> (
         try
           Speculated
-            (build_spec policy descr orig_graph orig_sched ~rate block
-               selection)
+            (build_spec readings.earliest_predicted policy descr orig_graph
+               orig_sched ~rate block selection)
         with Drop_prediction i ->
           attempt true (List.filter (fun j -> j <> i) selection))
   in
-  attempt false (select policy ~latency orig_graph ~rate block)
+  attempt false (readings.select policy ~latency orig_graph ~rate block)
+
+let masked = { select; earliest_predicted }
+let apply = apply_with masked

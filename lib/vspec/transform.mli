@@ -50,3 +50,47 @@ val apply :
     dependence graph and baseline schedule instead of rebuilding them; it
     must schedule a structurally-equal block or the outcome is undefined
     ([Invalid_argument] on a size mismatch). *)
+
+(** {1 Selection readings}
+
+    The transform reads the block's dependences with loads predicted in
+    two places: the growth rounds of load selection, and the earliest
+    issue times that decide which dependents are worth speculating. Both
+    read the baseline graph through a {!Vp_ir.Depgraph.mask} that replaces
+    each predicted load by a dependence-free [Move] of its destination.
+    [test/transform_ref.ml] supplies the versions that rebuild the graph
+    of that virtual block instead, and holds {!apply} to them. *)
+
+type readings = {
+  select :
+    Policy.t ->
+    latency:(Vp_ir.Operation.t -> int) ->
+    Vp_ir.Depgraph.t ->
+    rate:(Vp_ir.Operation.t -> float option) ->
+    Vp_ir.Block.t ->
+    int list;
+      (** [select policy ~latency graph ~rate block]: the loads to predict,
+          ascending, given the block's baseline graph *)
+  earliest_predicted :
+    latency:(Vp_ir.Operation.t -> int) ->
+    Vp_ir.Depgraph.t ->
+    Vp_ir.Block.t ->
+    bool array ->
+    int array;
+      (** [earliest_predicted ~latency graph block predicted]: earliest
+          issue times with the [predicted] loads (by id) replaced *)
+}
+
+val masked : readings
+(** What {!apply} reads: both off the baseline graph through a
+    {!Vp_ir.Depgraph.mask}. *)
+
+val apply_with :
+  readings ->
+  ?policy:Policy.t ->
+  ?baseline:Vp_sched.Schedule.t ->
+  Vp_machine.Descr.t ->
+  rate:(Vp_ir.Operation.t -> float option) ->
+  Vp_ir.Block.t ->
+  outcome
+(** {!apply} with the given readings; {!apply} is [apply_with masked]. *)

@@ -379,6 +379,24 @@ let counter json ~section name =
   done;
   int_of_string (String.sub json at (!stop - at))
 
+(* No CCE-width point reads a speculated block's preparation (reference
+   run, static-recovery model, outcome vectors), so at one job each block
+   is prepared by the sweep's first point and shared by its other three:
+   exactly three preparation-memo hits per miss. *)
+let test_telemetry_prep_memo () =
+  let code, err =
+    run
+      [
+        "ablate"; "--sweep"; "ccewidth"; "--jobs"; "1"; "--no-cache";
+        "--seed"; "42"; "--telemetry"; "-";
+      ]
+  in
+  checki "exit 0" 0 code;
+  let hits = counter err ~section:"spec_eval" "prep_memo_hits"
+  and misses = counter err ~section:"spec_eval" "prep_memo_misses" in
+  checkb "some block was prepared" true (misses > 0);
+  checki "hits = 3 x misses" (3 * misses) hits
+
 let cache_counter json name = counter json ~section:"cache" name
 
 (* A native ELF build carries a GNU build ID: the store stamps each entry
@@ -680,6 +698,36 @@ cycle  8 | issue - | CCB [] | OVB v16:PC v18:SC v19:SC v20:SC v21:SC | CCE flush
 |});
     ]
 
+(* [fig8] and [hardware] render CSV under [--csv]: a header row, then
+   rows of as many fields. *)
+let test_csv_tables () =
+  List.iter
+    (fun (cmd, header) ->
+      let out args =
+        let code, out =
+          run_stdout ([ cmd; "-b"; "compress,li"; "--no-cache" ] @ args)
+        in
+        checki (cmd ^ " exit 0") 0 code;
+        out
+      in
+      let csv = out [ "--csv" ] in
+      checkb (cmd ^ " --csv differs from the aligned table") true
+        (csv <> out []);
+      match String.split_on_char '\n' (String.trim csv) with
+      | first :: rows ->
+          checks (cmd ^ " header") header first;
+          let fields line = List.length (String.split_on_char ',' line) in
+          checkb (cmd ^ " has rows") true (rows <> []);
+          List.iter
+            (fun row -> checki (cmd ^ " row fields") (fields first) (fields row))
+            rows
+      | [] -> Alcotest.failf "%s --csv printed nothing" cmd)
+    [
+      ("fig8", "Benchmark,Bucket,Percent");
+      ( "hardware",
+        "Benchmark,Speedup (hw),Speedup (profile),Accuracy (hw),Predictions" );
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vliw_vp_cli"
@@ -703,7 +751,9 @@ let () =
           tc "suite job counts" test_telemetry_suite_counts;
           tc "workers.count is the domains that ran"
             test_telemetry_workers_count;
+          tc "ccewidth points share preparations" test_telemetry_prep_memo;
         ] );
+      ("csv", [ tc "fig8 and hardware --csv" test_csv_tables ]);
       ("summary", [ tc "pinned bytes, cold and warm" test_summary ]);
       ("parallel", [ tc "sweep jobs 4 = jobs 1" test_parallel_sweep_identity ]);
       ( "assembly",

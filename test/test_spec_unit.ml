@@ -161,6 +161,72 @@ let test_profile_rates_caching () =
     (Vliw_vp.Spec_unit.stats ()).misses;
   checki "one rate per kind" (List.length kinds) (Array.length other)
 
+(* --- preparation memo: every hit equals a fresh preparation --- *)
+
+(* The integer field [name] of a telemetry JSON object. *)
+let json_int json name =
+  let key = Printf.sprintf "\"%s\": " name in
+  let rec find i =
+    if String.sub json i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let at = find 0 in
+  let stop = ref at in
+  while json.[!stop] >= '0' && json.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub json at (!stop - at))
+
+let prep_counters () =
+  let json = Vliw_vp.Pipeline.telemetry_json () in
+  (json_int json "prep_memo_hits", json_int json "prep_memo_misses")
+
+(* The CCE-width sweep over one model, at a seed no other test here runs:
+   each speculated block is prepared at the first point and read back at
+   the other three. Every (point, block) key the sweep looked up still
+   holds the value its hits returned, and that value must equal
+   [prep_spec] recomputed from the point's own config, workload and spec
+   block. *)
+let test_prep_hits_fresh () =
+  let sweep =
+    List.find
+      (fun (a : Vliw_vp.Experiments.ablation) -> a.sweep_name = "ccewidth")
+      Vliw_vp.Experiments.ablation_sweeps
+  in
+  let base = { Vliw_vp.Config.default with seed = 5 } in
+  let hits0, misses0 = prep_counters () in
+  let runs =
+    List.map
+      (fun (_, point) ->
+        Vliw_vp.Pipeline.run ~config:(point base)
+          Vp_workload.Spec_model.compress)
+      sweep.sweep_settings
+  in
+  let hits1, misses1 = prep_counters () in
+  let misses = misses1 - misses0 and hits = hits1 - hits0 in
+  checkb "the sweep prepared some block" true (misses > 0);
+  checki "three points share each preparation" (3 * misses) hits;
+  let checked = ref 0 in
+  List.iter
+    (fun (p : Vliw_vp.Pipeline.t) ->
+      Array.iter
+        (fun (b : Vliw_vp.Pipeline.block_eval) ->
+          match b.spec with
+          | None -> ()
+          | Some spec ->
+              let held =
+                Vliw_vp.Pipeline.prep_cached p.config p.workload spec.sb
+              in
+              checkb "held preparation is the evaluated one" true
+                (held.prep_sb == spec.sb);
+              checkb "held preparation = fresh" true
+                (held = Vliw_vp.Pipeline.prep_spec p.config p.workload spec.sb);
+              incr checked)
+        p.blocks)
+    runs;
+  checki "every lookup of the sweep checked" (hits + misses) !checked;
+  checki "the checks were all hits" misses1 (snd (prep_counters ()))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "spec_unit"
@@ -171,5 +237,6 @@ let () =
         [
           tc "threshold normalization shares entries" test_threshold_sharing;
           tc "profile rates cached and store-backed" test_profile_rates_caching;
+          tc "preparation hits equal fresh preparations" test_prep_hits_fresh;
         ] );
     ]

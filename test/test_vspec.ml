@@ -333,6 +333,136 @@ let prop_transform_deterministic =
           && Array.for_all2 Vp_util.Bitset.equal a.wait_masks b.wait_masks
       | _ -> false)
 
+(* --- Masked readings against the rebuilt-graph oracle
+   (test/transform_ref.ml) --- *)
+
+(* Blocks of every model's formed superblock and hyperblock programs. *)
+let region_blocks =
+  lazy
+    (List.map
+       (fun form ->
+         Array.of_list
+           (List.concat_map
+              (fun model ->
+                let w = Vp_workload.Workload.generate model in
+                let cfg = Vp_workload.Cfg.derive w in
+                Array.to_list (Vp_ir.Program.blocks (form w cfg))
+                |> List.map (fun (wb : Vp_ir.Program.weighted_block) ->
+                       wb.block))
+              Vp_workload.Spec_model.all))
+       [
+         (fun w cfg ->
+           fst
+             (Vp_region.Superblock.form w cfg
+                Vp_region.Superblock.default_params));
+         (fun w cfg ->
+           fst
+             (Vp_region.Hyperblock.form w cfg
+                Vp_region.Hyperblock.default_params));
+       ])
+
+(* Source 0: a [Block_gen] block; 1: a superblock-program block; 2: a
+   hyperblock-program block. *)
+let block_of ~source ~seed =
+  if source = 0 then
+    let models = Vp_workload.Spec_model.all in
+    let model = List.nth models (abs seed mod List.length models) in
+    fst
+      (Vp_workload.Block_gen.generate model
+         ~rng:(Vp_util.Rng.create seed)
+         ~stream_base:0 ~label:"oracle")
+  else
+    let blocks = List.nth (Lazy.force region_blocks) (source - 1) in
+    blocks.(abs seed mod Array.length blocks)
+
+let widths = [| 2; 4; 8 |]
+
+(* Profiled rates spread over [0, 1), some loads unprofiled, so the
+   default threshold admits a varying subset. *)
+let rates_of ~seed block =
+  let rng = Random.State.make [| seed; 17 |] in
+  Array.map
+    (fun (o : Vp_ir.Operation.t) ->
+      if Vp_ir.Operation.is_load o && Random.State.int rng 4 > 0 then
+        Some (Random.State.float rng 1.0)
+      else None)
+    (Vp_ir.Block.ops block)
+
+let oracle_policies =
+  Vp_vspec.Policy.
+    [|
+      default;
+      { default with critical_path_only = false };
+      (* a superblock of the default 4 blocks holds 4 blocks' budget *)
+      {
+        default with
+        max_predictions = 4 * default.max_predictions;
+        max_sync_bits = 4 * default.max_sync_bits;
+      };
+    |]
+
+let prop_transform_matches_oracle =
+  QCheck.Test.make
+    ~name:"apply = rebuilt-graph oracle: same selection, same outcome"
+    ~count:400
+    QCheck.(quad (int_bound 2) int (int_bound 2) (int_bound 2))
+    (fun (source, seed, w, p) ->
+      let block = block_of ~source ~seed in
+      let machine = Vp_machine.Descr.playdoh ~width:widths.(w) in
+      let policy = oracle_policies.(p) in
+      let rates = rates_of ~seed block in
+      let rate (o : Vp_ir.Operation.t) = rates.(o.id) in
+      let run (readings : Vp_vspec.Transform.readings) =
+        let chosen = ref [] in
+        let select policy ~latency graph ~rate block =
+          let s = readings.select policy ~latency graph ~rate block in
+          chosen := s :: !chosen;
+          s
+        in
+        let outcome =
+          Vp_vspec.Transform.apply_with { readings with select } ~policy
+            machine ~rate block
+        in
+        (!chosen, outcome)
+      in
+      run Vp_vspec.Transform.masked = run Transform_ref.readings)
+
+let prop_mask_matches_virtual_graph =
+  QCheck.Test.make
+    ~name:"masked earliest, priority, critical path = virtual block's graph"
+    ~count:500
+    QCheck.(triple (int_bound 2) int (int_bound 2))
+    (fun (source, seed, w) ->
+      let block = block_of ~source ~seed in
+      let latency =
+        Vp_machine.Descr.latency (Vp_machine.Descr.playdoh ~width:widths.(w))
+      in
+      let rng = Random.State.make [| seed; 29 |] in
+      let density = 1 + Random.State.int rng 4 in
+      let replaced =
+        Array.map
+          (fun o ->
+            Vp_ir.Operation.is_load o && Random.State.int rng 4 < density)
+          (Vp_ir.Block.ops block)
+      in
+      let mask =
+        {
+          Vp_ir.Depgraph.replaced;
+          stand_in_latency =
+            latency
+              (Vp_ir.Operation.make ~dst:0 ~srcs:[ 0 ] ~id:0 Vp_ir.Opcode.Move);
+        }
+      in
+      let graph = Vp_ir.Depgraph.build ~latency block in
+      let virt =
+        Vp_ir.Depgraph.build ~latency
+          (Transform_ref.virtual_block block ~replaced)
+      in
+      Vp_ir.Depgraph.earliest ~mask graph = Vp_ir.Depgraph.earliest virt
+      && Vp_ir.Depgraph.priority ~mask graph = Vp_ir.Depgraph.priority virt
+      && Vp_ir.Depgraph.critical_path ~mask graph
+         = Vp_ir.Depgraph.critical_path virt)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_vspec"
@@ -361,5 +491,10 @@ let () =
           tc "sync budget respected" test_workload_sync_budget;
           tc "extended ISA encodes and decodes" test_workload_encoding_roundtrip;
           QCheck_alcotest.to_alcotest prop_transform_deterministic;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_transform_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_mask_matches_virtual_graph;
         ] );
     ]
