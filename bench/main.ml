@@ -425,9 +425,10 @@ let tests =
           let () = ignore (warm ()) in
           warm));
     (* The frontier sweep at a reduced 2x2x2 grid: cross-point sharing
-       (one trace selection per selection key, one base run per width,
-       spec-unit artifacts of coinciding formed programs) is what keeps
-       this sublinear in grid size. *)
+       (one formation per formation key, whichever the width, one base
+       run per width, and the base run's spec-unit artifacts for every
+       formed program's residual blocks) is what keeps this sublinear in
+       grid size. *)
     Test.make ~name:"sweep:regions-frontier"
       (Staged.stage (fun () ->
            Vliw_vp.Experiments.render_regions_frontier

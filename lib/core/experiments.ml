@@ -466,8 +466,13 @@ let comparison ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
     models =
   run_graph exec (fun g -> suite_comparison g ~config models)
 
-let render_comparison ?format rows =
-
+let render_comparison ?(format = `Ascii) rows =
+  let pct_column name =
+    (Vp_util.Table.unit_header format name "%", Vp_util.Table.Right)
+  in
+  let pct x =
+    Vp_util.Table.unit_cell format (Printf.sprintf "%.1f" (x *. 100.0)) "%"
+  in
   let table =
     Vp_util.Table.create
       ~title:
@@ -475,12 +480,12 @@ let render_comparison ?format rows =
          misprediction scenarios)"
       [
         ("Benchmark", Vp_util.Table.Left);
-        ("Comp share (ours)", Vp_util.Table.Right);
-        ("Comp share ([4])", Vp_util.Table.Right);
+        pct_column "Comp share (ours)";
+        pct_column "Comp share ([4])";
         ("Sched ratio (ours)", Vp_util.Table.Right);
         ("Sched ratio ([4])", Vp_util.Table.Right);
-        ("Cache share ([4])", Vp_util.Table.Right);
-        ("Code growth ([4])", Vp_util.Table.Right);
+        pct_column "Cache share ([4])";
+        pct_column "Code growth ([4])";
       ]
   in
   List.iter
@@ -488,15 +493,15 @@ let render_comparison ?format rows =
       Vp_util.Table.add_row table
         [
           bench;
-          Vp_util.Table.cell_pct c.ours_comp_share;
-          Vp_util.Table.cell_pct c.recovery_comp_share;
+          pct c.ours_comp_share;
+          pct c.recovery_comp_share;
           cell c.ours_spec_ratio;
           cell c.recovery_spec_ratio;
-          Vp_util.Table.cell_pct c.cache_extra_share;
-          Vp_util.Table.cell_pct c.code_growth;
+          pct c.cache_extra_share;
+          pct c.code_growth;
         ])
     rows;
-  emit ?format table
+  emit ~format table
 
 (* --- Extensions --- *)
 
@@ -510,7 +515,7 @@ type region_row = {
   mean_trace_blocks : float;
 }
 
-let region_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
+let region_row ~config ~params (model : Vp_workload.Spec_model.t) =
   (* A region holds several blocks' worth of loads, so the per-block
      speculation budget scales with the region size (the base experiments
      keep the paper's per-basic-block budget). *)
@@ -537,11 +542,10 @@ let region_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
   in
   let cfg = Vp_workload.Cfg.derive ~seed:config.seed workload in
   (* Formation goes through the region-formation memo: identical points
-     share one physical program (which is what makes the downstream
-     physically-keyed caches hit), and a store-backed run shares the
-     formation across processes too. *)
+     share one physical program, which is what makes the downstream
+     physically keyed caches hit. *)
   let sb_program, traces =
-    Region_unit.superblock ?store ~seed:config.seed workload cfg params
+    Region_unit.superblock ~seed:config.seed workload cfg params
   in
   (* [Pipeline.run] passes the memoized profile, so the whole-run memo
      returns the base run [run_all] already finished. *)
@@ -570,7 +574,6 @@ let region_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
 
 let suite_regions g ~config ?(params = Vp_region.Superblock.default_params)
     models =
-  let store = (G.context g).Vp_exec.Context.store in
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -578,7 +581,7 @@ let suite_regions g ~config ?(params = Vp_region.Superblock.default_params)
           ~label:("regions:" ^ model.Vp_workload.Spec_model.name)
           ~group:"regions"
           ~key:(region_job_key ~config (Superblock_point params) model)
-          (fun () -> region_row ?store ~config ~params model))
+          (fun () -> region_row ~config ~params model))
       models
   in
   reduce g ~kind:"regions" ~config ~payload:(models, params) leaves (fun () ->
@@ -642,15 +645,15 @@ let default_frontier_widths = [ 4; 8 ]
    what a [regions] leaf at those params computes, so a frontier point
    that coincides with the plain region table shares its key, node and
    store entry. The sweep's cost is sublinear in shared-prefix points by
-   construction: every point of one benchmark shares the formation memo's
-   trace selection (stitch-free key), the base pipeline run per width
-   (whole-run memo on the physically shared base program), and the
-   spec-unit artifacts of any point that forms the same program. *)
+   construction: points that differ only in width share one formation
+   (the formation key has no width), every point of one benchmark shares
+   the base pipeline run per width (whole-run memo on the physically
+   shared base program), and every formed program's residual blocks share
+   the base run's spec-unit artifacts (keyed on the physical block). *)
 let suite_regions_frontier g ~config
     ?(max_blocks = default_frontier_max_blocks)
     ?(min_probabilities = default_frontier_min_probabilities)
     ?(widths = default_frontier_widths) models =
-  let store = (G.context g).Vp_exec.Context.store in
   let points =
     List.concat_map
       (fun mb ->
@@ -679,7 +682,7 @@ let suite_regions_frontier g ~config
                      model.Vp_workload.Spec_model.name mb mp w)
                 ~group:"frontier"
                 ~key:(region_job_key ~config:pconfig (Superblock_point params) model)
-                (fun () -> region_row ?store ~config:pconfig ~params model)
+                (fun () -> region_row ~config:pconfig ~params model)
             in
             ((model, mb, mp, w), node))
           points)
@@ -922,12 +925,12 @@ type hyperblock_row = {
   hyper_formed : int;
 }
 
-let hyperblock_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
+let hyperblock_row ~config ~params (model : Vp_workload.Spec_model.t) =
   let workload =
     Vp_workload.Workload.generate ~seed:config.Config.seed model
   in
   let cfg = Vp_workload.Cfg.derive ~seed:config.seed workload in
-  let hb_program, formed = Region_unit.hyperblock ?store workload cfg params in
+  let hb_program, formed = Region_unit.hyperblock workload cfg params in
   let base = Pipeline.run ~config model in
   let hyper = Pipeline.run_program ~config workload hb_program in
   {
@@ -942,7 +945,6 @@ let hyperblock_row ?store ~config ~params (model : Vp_workload.Spec_model.t) =
 
 let suite_hyperblocks g ~config
     ?(params = Vp_region.Hyperblock.default_params) models =
-  let store = (G.context g).Vp_exec.Context.store in
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -950,7 +952,7 @@ let suite_hyperblocks g ~config
           ~label:("hyperblocks:" ^ model.Vp_workload.Spec_model.name)
           ~group:"hyperblocks"
           ~key:(region_job_key ~config (Hyperblock_point params) model)
-          (fun () -> hyperblock_row ?store ~config ~params model))
+          (fun () -> hyperblock_row ~config ~params model))
       models
   in
   reduce g ~kind:"hyperblocks" ~config ~payload:(models, params) leaves

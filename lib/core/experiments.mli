@@ -184,9 +184,10 @@ val regions_frontier :
     evaluation at the width-applied config, keyed exactly like a
     {!regions} leaf — coinciding points share nodes and store entries —
     and the per-benchmark work beyond the first point is sublinear:
-    points share trace selection (the formation key drops [stitch] for
-    selection), the base pipeline run per width (whole-run memo), and
-    every spec-unit artifact of points that form the same program. *)
+    points that differ only in width share one formation, every point
+    shares the base pipeline run per width (whole-run memo), and each
+    formed program's residual blocks share the base run's spec-unit
+    artifacts. *)
 
 val render_regions_frontier :
   ?format:[ `Ascii | `Csv ] -> frontier_row list -> string

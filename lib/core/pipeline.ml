@@ -267,16 +267,13 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
     | Some profile -> profile
     | None -> profile_fresh config workload program
   in
-  (* Region-formed programs carry a content digest; naming each block by
-     (digest, index) keys its spec-unit artifacts in a few dozen bytes
-     instead of its marshalled IR. *)
-  let region_digest = Region_unit.digest_of program in
   (* Every block in order: schedule and transform it, and run a
      speculated block's whole scenario set through the compiled kernel.
-     Both artifacts go through the spec-unit cache: sweep points that vary
-     only the CCE shape, the scenario caps or the threshold reuse a
-     neighbouring config's schedule and transform instead of recomputing
-     them. Through the preparation memo, points that vary only the CCE
+     Both artifacts go through the spec-unit cache, keyed on the physical
+     block: sweep points that vary only the CCE shape, the scenario caps
+     or the threshold reuse a neighbouring config's schedule and transform
+     instead of recomputing them, and so do a region program's residual
+     blocks, which are the base program's own. Through the preparation memo, points that vary only the CCE
      shape or the accounting also share each speculated block's
      reference run, recovery model and outcome vectors. *)
   let blocks =
@@ -290,12 +287,10 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
               else None)
             (Vp_ir.Block.ops wb.block)
         in
-        let ident = Option.map (fun d -> (d, index)) region_digest in
-        let original_schedule = Spec_unit.schedule ?ident descr wb.block in
+        let original_schedule = Spec_unit.schedule descr wb.block in
         let skip_reason, spec =
           match
-            Spec_unit.transform ?ident ~policy:config.policy descr ~rates
-              wb.block
+            Spec_unit.transform ~policy:config.policy descr ~rates wb.block
           with
           | Vp_vspec.Transform.Unchanged reason -> (Some reason, None)
           | Vp_vspec.Transform.Speculated sb ->

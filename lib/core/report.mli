@@ -15,7 +15,8 @@ val generate :
 (** Defaults: the standard configuration, a sequential execution context,
     all eight benchmarks. The result is a complete markdown document: the
     paper's artifacts and the extensions, each a {!Artifact} entry fenced
-    under its title, then the first model's ablation sweeps and recovery
+    under its title, then the first model's ablation sweeps (every
+    {!Experiments.ablation_sweeps} entry, in order) and recovery
     sensitivity. [exec] parallelizes and caches the underlying experiment
     jobs (see {!Experiments.run_all}) without changing the document. *)
 

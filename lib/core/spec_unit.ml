@@ -4,13 +4,35 @@
 
 type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
-(* The content-keyed tables hold 8192 entries each. The compiled-kernel
-   table holds 1024 spec blocks times 8 machine shapes. *)
-let sched : (string, Vp_sched.Schedule.t) Vp_util.Memo.t =
-  Vp_util.Memo.create 8192
+(* Schedules and transform outcomes are keyed physically on the block,
+   as compiled kernels are on the spec block: sweep points hand in the
+   workload memo's one physical program, and region formation keeps every
+   block it does not merge, so [==] finds each sharer without digesting
+   the IR. The rest of each key is compared by value. Every table holds
+   8192 entries; the compiled-kernel table 1024 spec blocks times 8
+   machine shapes. *)
+type sched_key = { s_block : Vp_ir.Block.t; s_descr : Vp_machine.Descr.t }
 
-let xform : (string, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
+let sched : (sched_key, Vp_sched.Schedule.t) Vp_util.Memo.t =
   Vp_util.Memo.create 8192
+    ~hash:(fun k -> Hashtbl.hash k.s_block)
+    ~equal:(fun a b -> a.s_block == b.s_block && a.s_descr = b.s_descr)
+
+(* [x_policy] has its threshold zeroed and [x_rates] its failing rates
+   masked to [None] (see [transform]). *)
+type xform_key = {
+  x_block : Vp_ir.Block.t;
+  x_descr : Vp_machine.Descr.t;
+  x_policy : Vp_vspec.Policy.t;
+  x_rates : float option array;
+}
+
+let xform : (xform_key, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
+  Vp_util.Memo.create 8192
+    ~hash:(fun k -> Hashtbl.hash k.x_block)
+    ~equal:(fun a b ->
+      a.x_block == b.x_block && a.x_descr = b.x_descr
+      && a.x_policy = b.x_policy && a.x_rates = b.x_rates)
 
 let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 8192
 
@@ -39,20 +61,9 @@ let comp : (compiled_key, Vp_engine.Compiled.t) Vp_util.Memo.t =
 let stats () =
   Vp_util.Memo.(total [ stats sched; stats xform; stats rates; stats comp ])
 
-(* An [ident] is a (region formation digest, block index) pair: a complete
-   content identity for the block — formation is deterministic in the
-   digested inputs — in a few dozen bytes. It substitutes the marshalled
-   block IR in the artifact keys below under a distinct tag, so the two
-   keyings can never collide. *)
-let schedule ?ident descr block =
-  let key =
-    match ident with
-    | Some (digest, index) ->
-        Vp_exec.Store.key ("spec-unit-schedule-ident", descr, digest, index)
-    | None -> Vp_exec.Store.key ("spec-unit-schedule", descr, block)
-  in
-  Vp_util.Memo.find_or_add sched key (fun () ->
-      Vp_sched.List_scheduler.schedule_block descr block)
+let schedule descr block =
+  Vp_util.Memo.find_or_add sched { s_block = block; s_descr = descr }
+    (fun () -> Vp_sched.List_scheduler.schedule_block descr block)
 
 (* The transform reads the threshold only through the predicate
    [rate >= threshold] (selection; the no-candidates message inverts it),
@@ -63,7 +74,7 @@ let schedule ?ident descr block =
    threshold" message, is rewritten on the way out. *)
 let threshold_msg_prefix = "no load above the "
 
-let transform ?ident ~(policy : Vp_vspec.Policy.t) descr
+let transform ~(policy : Vp_vspec.Policy.t) descr
     ~(rates : float option array) block =
   let masked =
     Array.map
@@ -73,17 +84,11 @@ let transform ?ident ~(policy : Vp_vspec.Policy.t) descr
       rates
   in
   let policy0 = { policy with Vp_vspec.Policy.threshold = 0.0 } in
-  let key =
-    match ident with
-    | Some (digest, index) ->
-        Vp_exec.Store.key
-          ("spec-unit-transform-ident", descr, policy0, masked, digest, index)
-    | None ->
-        Vp_exec.Store.key ("spec-unit-transform", descr, policy0, masked, block)
-  in
   let outcome =
-    Vp_util.Memo.find_or_add xform key (fun () ->
-        let baseline = schedule ?ident descr block in
+    Vp_util.Memo.find_or_add xform
+      { x_block = block; x_descr = descr; x_policy = policy0; x_rates = masked }
+      (fun () ->
+        let baseline = schedule descr block in
         Vp_vspec.Transform.apply ~policy:policy0 ~baseline descr
           ~rate:(fun (op : Vp_ir.Operation.t) -> masked.(op.id))
           block)

@@ -1,23 +1,24 @@
 (** Shared cache of per-block compilation artifacts ("spec units").
 
     A config sweep re-derives, for every sweep point, three artifacts per
-    block that are pure functions of a small content key:
+    block that are pure functions of a small key:
 
-    - the baseline {b list schedule} — (machine descr, block IR);
+    - the baseline {b list schedule} — (machine descr, block);
     - the {b vspec transform} outcome — (machine descr, policy, profiled
-      load rates, block IR), and {e not} the CCE shape, the scenario caps,
+      load rates, block), and {e not} the CCE shape, the scenario caps,
       or any other [Config] knob;
     - the {b compiled kernel} ([Vp_engine.Compiled.t]) — (spec block,
       reference, CCB capacity, CCE retire width).
 
     This module memoizes all three so neighbouring sweep points share them
-    instead of recomputing. Schedules and transform outcomes live in
-    process-wide hash tables keyed by a content digest
-    ({!Vp_exec.Store.key}: every input is plain data, so equal inputs get
-    one key); compiled kernels are keyed physically on the spec block (a
-    transform cache hit returns the same physical block, which is
-    precisely the sweep-reuse case) because digesting a whole spec block
-    would cost more than the ~6 µs compile it saves.
+    instead of recomputing. Every key names its block physically ([==]):
+    sweep points evaluate the workload memo's one physical program, region
+    formation keeps each block it does not merge (a superblock program's
+    residual blocks are the base program's own), and a transform hit
+    returns the same physical spec block to every sharer. The rest of each
+    key (machine description, policy, rates, machine shape, reference) is
+    compared by value. A structurally equal copy of a block is a new key:
+    it misses, and computes the same artifact.
 
     {b Threshold normalization.} The transform consults the policy
     threshold only as the predicate [rate >= threshold] (selection and the
@@ -43,33 +44,22 @@ val stats : unit -> stats
 val clear : unit -> unit
 (** Drop every in-memory entry and zero {!stats} (tests, benchmarks). *)
 
-val schedule :
-  ?ident:string * int ->
-  Vp_machine.Descr.t ->
-  Vp_ir.Block.t ->
-  Vp_sched.Schedule.t
-(** Cached [Vp_sched.List_scheduler.schedule_block]. [ident] is a
-    [(content digest, block index)] pair naming the block by provenance —
-    the pipeline passes [(Region_unit.digest_of program, index)] for
-    region-formed programs — and substitutes the marshalled block IR in
-    the key (under a distinct tag, so the two keyings cannot collide):
-    keying a region block costs a few dozen digested bytes instead of its
-    whole IR. Callers are responsible for the digest actually determining
-    the block's content. *)
+val schedule : Vp_machine.Descr.t -> Vp_ir.Block.t -> Vp_sched.Schedule.t
+(** Cached [Vp_sched.List_scheduler.schedule_block], keyed on the block
+    ([==]) and the machine description. *)
 
 val transform :
-  ?ident:string * int ->
   policy:Vp_vspec.Policy.t ->
   Vp_machine.Descr.t ->
   rates:float option array ->
   Vp_ir.Block.t ->
   Vp_vspec.Transform.outcome
-(** Cached [Vp_vspec.Transform.apply]. [rates] holds the profiled rate of
-    every operation by id ([None] for non-loads and unprofiled loads) —
-    an array rather than a closure so it can be hashed into the key. The
-    baseline schedule is obtained through {!schedule}, so a transform miss
-    still reuses a cached schedule. [ident] as in {!schedule} (the masked
-    rates stay in the key — they depend on the profile, not the block). *)
+(** Cached [Vp_vspec.Transform.apply], keyed on the block ([==]), the
+    machine description, the threshold-normalized policy and the masked
+    rates. [rates] holds the profiled rate of every operation by id
+    ([None] for non-loads and unprofiled loads). The baseline schedule is
+    obtained through {!schedule}, so a transform miss still reuses a
+    cached schedule. *)
 
 val profile_rates :
   Vp_workload.Workload.t ->

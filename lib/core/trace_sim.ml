@@ -475,6 +475,10 @@ let run ?(executions = 5000) ?table (p : Pipeline.t) =
   r
 
 let render ?(format = `Ascii) rows =
+  let speedup_column name =
+    (Vp_util.Table.unit_header format name "x", Vp_util.Table.Right)
+  in
+  let speedup x = Vp_util.Table.unit_cell format (Printf.sprintf "%.3f" x) "x" in
   let table =
     Vp_util.Table.create
       ~title:
@@ -482,8 +486,8 @@ let render ?(format = `Ascii) rows =
          profile-driven expectation"
       [
         ("Benchmark", Vp_util.Table.Left);
-        ("Speedup (hw)", Vp_util.Table.Right);
-        ("Speedup (profile)", Vp_util.Table.Right);
+        speedup_column "Speedup (hw)";
+        speedup_column "Speedup (profile)";
         ("Accuracy (hw)", Vp_util.Table.Right);
         ("Predictions", Vp_util.Table.Right);
       ]
@@ -493,8 +497,8 @@ let render ?(format = `Ascii) rows =
       Vp_util.Table.add_row table
         [
           name;
-          Printf.sprintf "%.3fx" r.speedup;
-          Printf.sprintf "%.3fx" r.profile_speedup;
+          speedup r.speedup;
+          speedup r.profile_speedup;
           Printf.sprintf "%.3f" r.accuracy;
           string_of_int r.predictions;
         ])

@@ -259,15 +259,3 @@ let put t ~key v =
                 close_out oc);
             Sys.rename tmp (entry_path t ~key)
           with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())))
-
-let cached ?store memo ~key compute =
-  match store with
-  | None -> Vp_util.Memo.find_or_add memo key compute
-  | Some t ->
-      Vp_util.Memo.find_or_add memo key
-        ~load:(fun () ->
-          match find t ~key with Hit v -> Some v | Miss | Evicted -> None)
-        (fun () ->
-          let v = compute () in
-          put t ~key v;
-          v)

@@ -33,6 +33,11 @@
       concurrent [put] renewed after the corrupt read was taken is
       restored, not deleted.
 
+    {b One writer.} Outside tests, only {!Graph} writes entries: each
+    cacheable node's result under the node's key, when the lookup missed.
+    A cold run therefore writes one entry per store miss it counts, and no
+    in-process memo reaches the disk.
+
     Type safety is the caller's contract: the store persists whatever was
     [put] under a key, and [find] returns it at whatever type the caller
     expects — exactly the [Marshal] contract. Keys must therefore encode
@@ -80,9 +85,3 @@ val build_id : string -> string option
     first note named ["GNU"] with type 3 and a non-empty descriptor in a
     PT_NOTE segment whose bytes lie inside [image]. [None] for any other,
     truncated or corrupt input; it never raises. Exposed for tests. *)
-
-val cached :
-  ?store:t -> (string, 'a) Vp_util.Memo.t -> key:string -> (unit -> 'a) -> 'a
-(** A memo backed by [store]: memory, then the store (a hit counts as a
-    memo hit), then [compute], whose result is [put] under [key] before
-    it is inserted. Without [store], the memo alone. *)

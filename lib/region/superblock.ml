@@ -127,16 +127,13 @@ let merge_trace rng ~stitch workload trace =
     ~label:(Printf.sprintf "sb_%d" trace.head)
     (List.rev !ops)
 
-let form ?(seed = 42) ?traces workload cfg params =
+let form ?(seed = 42) workload cfg params =
   let program = Vp_workload.Workload.program workload in
   let rng = Vp_util.Rng.create seed in
   let rng = Vp_util.Rng.split_named rng "superblock" in
-  let traces =
-    match traces with
-    | Some traces -> traces
-    | None -> select_traces cfg program params
-  in
-  (* Superblocks first (hottest trace first), then residual originals. *)
+  let traces = select_traces cfg program params in
+  (* Superblocks first (hottest trace first), then residual originals:
+     each keeps its block physically, with only its count changed. *)
   let consumed = Array.make (Vp_ir.Program.num_blocks program) 0 in
   let merged =
     List.filter_map

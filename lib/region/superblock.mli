@@ -26,7 +26,11 @@
       standalone blocks (side entries).
 
     Loads keep their stream ids, so the value-profiling and simulation
-    pipeline runs unchanged on the formed program. *)
+    pipeline runs unchanged on the formed program, and residual blocks are
+    the workload program's own physical blocks, so the pipeline's
+    per-block caches serve them from the basic-block run. Selection and
+    merging run once per {!form} call; [Vliw_vp.Region_unit] memoizes
+    whole formations. *)
 
 type params = {
   max_blocks : int;  (** trace length cap (in basic blocks) *)
@@ -52,7 +56,6 @@ val select_traces :
 
 val form :
   ?seed:int ->
-  ?traces:trace list ->
   Vp_workload.Workload.t ->
   Vp_workload.Cfg.t ->
   params ->
@@ -60,8 +63,6 @@ val form :
 (** Build the superblock program. Deterministic in [(workload, cfg, seed)];
     default seed 42. The returned program contains one merged block per
     multi-block trace, plus every original block that retains residual
-    executions. [traces] substitutes a precomputed {!select_traces} result
-    (which depends on the params only through [max_blocks],
-    [min_probability] and [min_count], never [stitch]) — the memo layer
-    uses it so sweep points that vary only the stitch probability share
-    one trace selection. *)
+    executions. A residual block is the workload program's own physical
+    [Vp_ir.Block.t] with its count reduced, so caches keyed on the
+    physical block share its artifacts with the basic-block program. *)

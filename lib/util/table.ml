@@ -83,6 +83,12 @@ let render_csv t =
     (List.rev t.rows);
   Buffer.contents buf
 
+let unit_header format header unit =
+  match format with `Ascii -> header | `Csv -> header ^ " [" ^ unit ^ "]"
+
+let unit_cell format digits unit =
+  match format with `Ascii -> digits ^ unit | `Csv -> digits
+
 let pp ppf t = Format.pp_print_string ppf (render t)
 let cell_f x = Printf.sprintf "%.2f" x
 let cell_pct x = Printf.sprintf "%.1f%%" (x *. 100.0)

@@ -27,6 +27,15 @@ val render_csv : t -> string
     the title are dropped; cells containing commas or quotes are quoted).
     For piping experiment results into plotting tools. *)
 
+val unit_header : [ `Ascii | `Csv ] -> string -> string -> string
+(** [unit_header format header unit] heads a column of {!unit_cell}s:
+    [header] in an aligned table, [header ^ " [" ^ unit ^ "]"] in CSV. *)
+
+val unit_cell : [ `Ascii | `Csv ] -> string -> string -> string
+(** [unit_cell format digits unit] is [digits ^ unit] in an aligned table
+    and [digits] alone in CSV, so every CSV cell of the column parses as a
+    number and its header ({!unit_header}) names the unit. *)
+
 val pp : Format.formatter -> t -> unit
 
 val cell_f : float -> string

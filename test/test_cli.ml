@@ -698,11 +698,35 @@ cycle  8 | issue - | CCB [] | OVB v16:PC v18:SC v19:SC v20:SC v21:SC | CCE flush
 |});
     ]
 
-(* [fig8] and [hardware] render CSV under [--csv]: a header row, then
-   rows of as many fields. *)
+(* Every registry command that takes [--csv] renders CSV under it: a
+   header row, then rows of as many fields, every field outside the label
+   columns ([Benchmark], and [Bucket] for [fig8]) a bare number. A cell
+   with a display unit keeps its digits and the header names the unit. *)
 let test_csv_tables () =
+  let csv_commands =
+    List.filter_map
+      (fun (a : Vliw_vp.Artifact.t) ->
+        match a.command with
+        | Some (Table { cmd; csv = true; _ }) -> Some cmd
+        | Some (Table _ | Bare _ | Sweep _) | None -> None)
+      Vliw_vp.Artifact.registry
+  in
+  checks "commands taking --csv" "table2 table3 table4 fig8 compare hardware"
+    (String.concat " " csv_commands);
+  let pinned_headers =
+    [
+      ("fig8", "Benchmark,Bucket,Percent");
+      ( "compare",
+        "Benchmark,Comp share (ours) [%],Comp share ([4]) [%],Sched ratio \
+         (ours),Sched ratio ([4]),Cache share ([4]) [%],Code growth ([4]) [%]"
+      );
+      ( "hardware",
+        "Benchmark,Speedup (hw) [x],Speedup (profile) [x],Accuracy \
+         (hw),Predictions" );
+    ]
+  in
   List.iter
-    (fun (cmd, header) ->
+    (fun cmd ->
       let out args =
         let code, out =
           run_stdout ([ cmd; "-b"; "compress,li"; "--no-cache" ] @ args)
@@ -715,18 +739,28 @@ let test_csv_tables () =
         (csv <> out []);
       match String.split_on_char '\n' (String.trim csv) with
       | first :: rows ->
-          checks (cmd ^ " header") header first;
-          let fields line = List.length (String.split_on_char ',' line) in
+          Option.iter
+            (fun header -> checks (cmd ^ " header") header first)
+            (List.assoc_opt cmd pinned_headers);
+          let header = String.split_on_char ',' first in
           checkb (cmd ^ " has rows") true (rows <> []);
           List.iter
-            (fun row -> checki (cmd ^ " row fields") (fields first) (fields row))
+            (fun row ->
+              let cells = String.split_on_char ',' row in
+              checki (cmd ^ " row fields") (List.length header)
+                (List.length cells);
+              List.iter2
+                (fun column cell ->
+                  if column <> "Benchmark" && column <> "Bucket" then
+                    checkb
+                      (Printf.sprintf "%s %s cell %S is a number" cmd column
+                         cell)
+                      true
+                      (Option.is_some (float_of_string_opt cell)))
+                header cells)
             rows
       | [] -> Alcotest.failf "%s --csv printed nothing" cmd)
-    [
-      ("fig8", "Benchmark,Bucket,Percent");
-      ( "hardware",
-        "Benchmark,Speedup (hw),Speedup (profile),Accuracy (hw),Predictions" );
-    ]
+    csv_commands
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -615,6 +615,37 @@ let test_graph_find () =
   checkb "an evicted fill misses" true (Option.is_none (find "find-fill-0"));
   checkb "a looked-up node stays" true (Option.is_some (find "find-hot"))
 
+let test_graph_version_bump () =
+  (* A rebuilt binary stamps the store with a new version. A node stored
+     under the old one is recomputed, not resurrected: its payload runs
+     and a miss is counted. The next run at the new version reads the
+     recomputed entry back. *)
+  let dir = fresh_dir () in
+  let run version =
+    let store = Vp_exec.Store.create ~version ~dir () in
+    let progress = Vp_exec.Progress.silent () in
+    let g = G.create (Vp_exec.Context.create ~store ~progress ()) in
+    let runs = Atomic.make 0 in
+    let n =
+      G.node g ~key:"bump-node" (fun () ->
+          Atomic.incr runs;
+          [ 1; 2; 3 ])
+    in
+    Alcotest.(check (list int)) (version ^ " value") [ 1; 2; 3 ] (G.await g n);
+    (Atomic.get runs, Vp_exec.Progress.snapshot progress)
+  in
+  let runs, snap = run "v-old" in
+  checki "v-old computes" 1 runs;
+  checki "v-old misses" 1 snap.cache_misses;
+  let runs, snap = run "v-new" in
+  checki "v-new payload reruns" 1 runs;
+  checki "v-new counts a miss" 1 snap.cache_misses;
+  checki "v-new reads no stale hit" 0 snap.cache_hits;
+  let runs, snap = run "v-new" in
+  checki "second v-new run computes nothing" 0 runs;
+  checki "second v-new run hits" 1 snap.cache_hits;
+  checki "second v-new run misses nothing" 0 snap.cache_misses
+
 let test_graph_suite_parallel_determinism () =
   (* The full suite path: several experiments declared on one shared
      graph, drained barrier-free. jobs=1 (declaration-order drain) is the
@@ -787,6 +818,8 @@ let () =
           tc "await after failure" test_graph_await_after_failure;
           tc "node-cache LRU" test_graph_node_cache_lru;
           tc "find: lookup without declaration" test_graph_find;
+          tc "stored node recomputes after a version bump"
+            test_graph_version_bump;
           tc "suite parallel determinism" test_graph_suite_parallel_determinism;
         ] );
       ( "experiments",

@@ -379,15 +379,30 @@ let test_csv_render () =
 
 let test_report () =
   let doc = Vliw_vp.Report.generate ~config:fast_config ~models:[ model ] () in
-  let contains needle =
+  let find needle =
     let lh = String.length doc and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub doc i ln = needle || go (i + 1)) in
+    let rec go i =
+      if i + ln > lh then None
+      else if String.sub doc i ln = needle then Some i
+      else go (i + 1)
+    in
     go 0
   in
+  let contains needle = Option.is_some (find needle) in
   checkb "has title" true (contains "# Value Prediction in VLIW Machines");
   checkb "has table 2" true (contains "## Table 2");
   checkb "has the example" true (contains "Worked example");
-  checkb "extensions present" true (contains "superblock regions")
+  checkb "extensions present" true (contains "superblock regions");
+  (* every ablation sweep is a section, in the sweep list's order *)
+  ignore
+    (List.fold_left
+       (fun after (a : Vliw_vp.Experiments.ablation) ->
+         match find ("\n### " ^ a.sweep_title ^ "\n") with
+         | Some at ->
+             checkb (a.sweep_title ^ " in order") true (at > after);
+             at
+         | None -> Alcotest.failf "no ### %s heading" a.sweep_title)
+       (-1) Vliw_vp.Experiments.ablation_sweeps)
 
 let test_report_write_file () =
   let path = Filename.temp_file "vliwvp" ".md" in

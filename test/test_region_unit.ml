@@ -1,9 +1,7 @@
 (* Tests for Region_unit — the content-keyed region-formation memo — and
-   the region fast lane built on it: physical sharing, store backing,
-   version retirement, and byte-identity of the region experiments across
-   cache states and worker counts. *)
+   the region fast lane built on it: physical sharing, and byte-identity
+   of the region experiments across cache states and worker counts. *)
 
-let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
@@ -18,7 +16,6 @@ let fresh_dir =
 
 let workload = Vp_workload.Workload.generate Vp_workload.Spec_model.li
 let cfg = Vp_workload.Cfg.derive workload
-let sb_params = Vp_region.Superblock.default_params
 
 let par_jobs =
   match Option.bind (Sys.getenv_opt "VP_TEST_JOBS") int_of_string_opt with
@@ -66,57 +63,6 @@ let prop_hyperblock_cached_equals_fresh =
       let cached = Vliw_vp.Region_unit.hyperblock workload cfg params in
       let again = Vliw_vp.Region_unit.hyperblock workload cfg params in
       cached = fresh && fst again == fst cached)
-
-(* --- digest registry --- *)
-
-let test_digest_registered () =
-  clear_memos ();
-  let p, _ = Vliw_vp.Region_unit.superblock workload cfg sb_params in
-  (match Vliw_vp.Region_unit.digest_of p with
-  | None -> Alcotest.fail "formed program carries no digest"
-  | Some d -> checki "hex digest" 32 (String.length d));
-  checkb "basic-block program unregistered" true
-    (Vliw_vp.Region_unit.digest_of (Vp_workload.Workload.program workload)
-    = None)
-
-(* --- store backing and version retirement --- *)
-
-let test_store_backing_and_version_bump () =
-  (* Mirrors the spec-unit version test: artifacts written through an
-     old-version store must be recomputed, not resurrected, after a
-     version bump of the same cache directory. *)
-  let dir = fresh_dir () in
-  clear_memos ();
-  let old_store = Vp_exec.Store.create ~version:"v-old" ~dir () in
-  let p1, t1 =
-    Vliw_vp.Region_unit.superblock ~store:old_store workload cfg sb_params
-  in
-  checki "cold misses (selection + merge)" 2
-    (Vliw_vp.Region_unit.stats ()).misses;
-  (* memory cleared, same store version: restored from disk and
-     re-registered, so the digest identity survives the restore *)
-  Vliw_vp.Region_unit.clear ();
-  let same = Vp_exec.Store.create ~version:"v-old" ~dir () in
-  let p2, t2 =
-    Vliw_vp.Region_unit.superblock ~store:same workload cfg sb_params
-  in
-  let s = Vliw_vp.Region_unit.stats () in
-  checki "store hit" 1 s.hits;
-  checki "no recompute" 0 s.misses;
-  checkb "restored structurally" true ((p1, t1) = (p2, t2));
-  checkb "restored program registered" true
-    (Vliw_vp.Region_unit.digest_of p2 <> None);
-  (* version bump over the same directory: the stale entry is evicted and
-     formation reruns from scratch *)
-  Vliw_vp.Region_unit.clear ();
-  let bumped = Vp_exec.Store.create ~version:"v-new" ~dir () in
-  let p3, t3 =
-    Vliw_vp.Region_unit.superblock ~store:bumped workload cfg sb_params
-  in
-  let s = Vliw_vp.Region_unit.stats () in
-  checki "recomputed under new version" 2 s.misses;
-  checki "no stale hit" 0 s.hits;
-  checkb "same content either way" true ((p1, t1) = (p3, t3))
 
 (* --- the region experiments: byte-identity across cache states --- *)
 
@@ -172,11 +118,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_superblock_cached_equals_fresh;
           QCheck_alcotest.to_alcotest prop_hyperblock_cached_equals_fresh;
-        ] );
-      ( "identity",
-        [
-          tc "digest registered" test_digest_registered;
-          tc "store backing + version bump" test_store_backing_and_version_bump;
         ] );
       ( "experiments",
         [

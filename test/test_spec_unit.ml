@@ -227,6 +227,110 @@ let test_prep_hits_fresh () =
   checki "every lookup of the sweep checked" (hits + misses) !checked;
   checki "the checks were all hits" misses1 (snd (prep_counters ()))
 
+(* --- residual blocks: one entry per physical block, every hit fresh --- *)
+
+(* The profiled rate of every operation of block [index], as the
+   pipeline reads it. *)
+let block_rates (p : Vliw_vp.Pipeline.t) index block =
+  Array.map
+    (fun (op : Vp_ir.Operation.t) ->
+      if Vp_ir.Operation.is_load op then
+        Vp_profile.Value_profile.rate p.profile ~block:index ~op:op.id
+      else None)
+    (Vp_ir.Block.ops block)
+
+(* A basic-block run and the [regions] suite over one model, at a seed no
+   other test here runs; vortex has basic blocks whose transform the
+   region config's larger prediction budget changes, so a transform key
+   that dropped the policy would fail here. A superblock program keeps every block it does
+   not merge, so its schedule is the base run's entry. Then every
+   schedule and transform either run looked up is looked up again and
+   compared with the scheduler and the transform recomputed from the
+   key's inputs: the block, the run's machine description and policy,
+   and the rates of the run's profile. *)
+let test_residual_blocks_share () =
+  let config = { Vliw_vp.Config.default with seed = 17 } in
+  let model = Vp_workload.Spec_model.vortex in
+  let params = Vp_region.Superblock.default_params in
+  let base = Vliw_vp.Pipeline.run ~config model in
+  ignore (Vliw_vp.Experiments.regions ~config ~params [ model ]);
+  let misses () = (Vliw_vp.Spec_unit.stats ()).misses in
+  let descr = Vliw_vp.Config.machine config in
+  let cfg = Vp_workload.Cfg.derive ~seed:config.seed base.workload in
+  let sb_program, _ =
+    Vliw_vp.Region_unit.superblock ~seed:config.seed base.workload cfg params
+  in
+  let base_blocks = Vp_ir.Program.blocks base.program in
+  let residual =
+    List.filter
+      (fun (wb : Vp_ir.Program.weighted_block) ->
+        Array.exists
+          (fun (b : Vp_ir.Program.weighted_block) -> b.block == wb.block)
+          base_blocks)
+      (Array.to_list (Vp_ir.Program.blocks sb_program))
+  in
+  checkb "the superblock program keeps base blocks" true (residual <> []);
+  let before = misses () in
+  List.iter
+    (fun (wb : Vp_ir.Program.weighted_block) ->
+      ignore (Vliw_vp.Spec_unit.schedule descr wb.block))
+    residual;
+  checki "residual blocks hit the base run's schedules" before (misses ());
+  (* The region run at the config the region row evaluates: the per-block
+     budget scaled by the trace length cap. A config other than the
+     suite's would miss the transform or kernel memos here. *)
+  let scale n = n * params.max_blocks in
+  let region_config =
+    {
+      config with
+      cce_retire_width = scale config.cce_retire_width;
+      policy =
+        {
+          config.policy with
+          max_predictions = scale config.policy.max_predictions;
+          max_sync_bits = scale config.policy.max_sync_bits;
+        };
+    }
+  in
+  let region =
+    Vliw_vp.Pipeline.run_program ~config:region_config base.workload
+      sb_program
+  in
+  checki "the region config is the suite's" before (misses ());
+  let checked = ref 0 in
+  List.iter
+    (fun (p : Vliw_vp.Pipeline.t) ->
+      let descr = Vliw_vp.Config.machine p.config in
+      let policy = p.config.policy in
+      Array.iter
+        (fun (b : Vliw_vp.Pipeline.block_eval) ->
+          let block = (Vp_ir.Program.nth p.program b.index).block in
+          let rates = block_rates p b.index block in
+          checkb "held schedule = fresh schedule" true
+            (Vliw_vp.Spec_unit.schedule descr block
+            = Vp_sched.List_scheduler.schedule_block descr block);
+          let held = Vliw_vp.Spec_unit.transform ~policy descr ~rates block in
+          checkb "held transform = fresh transform" true
+            (held
+            = Vp_vspec.Transform.apply ~policy descr
+                ~rate:(fun (o : Vp_ir.Operation.t) -> rates.(o.id))
+                block);
+          (match (held, b.spec) with
+          | Vp_vspec.Transform.Speculated sb, Some spec ->
+              checkb "held spec block is the evaluated one" true
+                (sb == spec.sb)
+          | Vp_vspec.Transform.Unchanged reason, None ->
+              Alcotest.(check (option string))
+                "held reason is the evaluated one" (Some reason) b.skip_reason
+          | _ -> Alcotest.fail "held transform disagrees with the run");
+          incr checked)
+        p.blocks)
+    [ base; region ];
+  checki "every block of both runs checked"
+    (Array.length base.blocks + Array.length region.blocks)
+    !checked;
+  checki "the checks were all hits" before (misses ())
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "spec_unit"
@@ -238,5 +342,7 @@ let () =
           tc "threshold normalization shares entries" test_threshold_sharing;
           tc "profile rates cached and store-backed" test_profile_rates_caching;
           tc "preparation hits equal fresh preparations" test_prep_hits_fresh;
+          tc "residual blocks share the base run's artifacts"
+            test_residual_blocks_share;
         ] );
     ]
