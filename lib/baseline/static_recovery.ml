@@ -4,13 +4,9 @@ type comp_block = {
   schedule : Vp_sched.Schedule.t;
 }
 
-type t = {
-  spec : Vp_vspec.Spec_block.t;
-  comp_blocks : comp_block array;
-  branch_penalty : int;
-}
+type t = { spec : Vp_vspec.Spec_block.t; comp_blocks : comp_block array }
 
-let build ?(branch_penalty = 2) descr (sb : Vp_vspec.Spec_block.t) =
+let build descr (sb : Vp_vspec.Spec_block.t) =
   let ops = Vp_ir.Block.ops sb.block in
   let comp_of k =
     let op_ids =
@@ -45,14 +41,12 @@ let build ?(branch_penalty = 2) descr (sb : Vp_vspec.Spec_block.t) =
     spec = sb;
     comp_blocks =
       Array.init (Vp_vspec.Spec_block.num_predictions sb) comp_of;
-    branch_penalty;
   }
 
 let spec t = t.spec
 let comp_blocks t = Array.copy t.comp_blocks
-let branch_penalty t = t.branch_penalty
 
-let compensation_cycles t ~outcomes =
+let compensation_cycles ?(branch_penalty = 2) t ~outcomes =
   if Array.length outcomes <> Array.length t.comp_blocks then
     invalid_arg "Static_recovery: outcomes length mismatch";
   let total = ref 0 in
@@ -60,13 +54,14 @@ let compensation_cycles t ~outcomes =
     (fun k correct ->
       if not correct then
         total :=
-          !total + (2 * t.branch_penalty)
+          !total + (2 * branch_penalty)
           + Vp_sched.Schedule.length t.comp_blocks.(k).schedule)
     outcomes;
   !total
 
-let cycles t ~outcomes =
-  Vp_sched.Schedule.length t.spec.schedule + compensation_cycles t ~outcomes
+let cycles ?branch_penalty t ~outcomes =
+  Vp_sched.Schedule.length t.spec.schedule
+  + compensation_cycles ?branch_penalty t ~outcomes
 
 let main_code_instructions t =
   Vp_sched.Schedule.num_instructions t.spec.schedule

@@ -31,26 +31,27 @@ type comp_block = {
 
 type t
 
-val build :
-  ?branch_penalty:int -> Vp_machine.Descr.t -> Vp_vspec.Spec_block.t -> t
+val build : Vp_machine.Descr.t -> Vp_vspec.Spec_block.t -> t
 (** Schedule one compensation block per prediction on the given machine.
-    [branch_penalty] (default 2) is charged per control transfer, twice per
-    recovery. *)
+    The model holds no branch penalty: {!cycles} and
+    {!compensation_cycles} charge it, so one model serves every
+    penalty. *)
 
 val spec : t -> Vp_vspec.Spec_block.t
 
 val comp_blocks : t -> comp_block array
 
-val branch_penalty : t -> int
-
-val cycles : t -> outcomes:Vp_engine.Scenario.t -> int
+val cycles : ?branch_penalty:int -> t -> outcomes:Vp_engine.Scenario.t -> int
 (** Execution cycles of the block under the scenario, excluding cache
     effects: the speculative schedule's length plus, per mispredicted
     load, two branch penalties and the compensation block's schedule
-    length. *)
+    length. [branch_penalty] (default 2) is charged per control transfer,
+    twice per recovery. *)
 
-val compensation_cycles : t -> outcomes:Vp_engine.Scenario.t -> int
-(** The serialized recovery part alone (branches + compensation blocks). *)
+val compensation_cycles :
+  ?branch_penalty:int -> t -> outcomes:Vp_engine.Scenario.t -> int
+(** The serialized recovery part alone (branches + compensation blocks),
+    at the same [branch_penalty]. *)
 
 val main_code_instructions : t -> int
 (** Instruction count of the main (speculative) schedule. *)

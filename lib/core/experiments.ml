@@ -250,6 +250,17 @@ let emit ?(format = `Ascii) table =
   | `Ascii -> Vp_util.Table.render table
   | `Csv -> Vp_util.Table.render_csv table
 
+(* Columns of cells with a display unit: an aligned cell carries the unit,
+   and in CSV the header names it, so every CSV cell is a number. *)
+let unit_column format name unit =
+  (Vp_util.Table.unit_header format name unit, Vp_util.Table.Right)
+
+let speedup_cell format x =
+  Vp_util.Table.unit_cell format (Printf.sprintf "%.3f" x) "x"
+
+let pct_cell format x =
+  Vp_util.Table.unit_cell format (Printf.sprintf "%.1f" (x *. 100.0)) "%"
+
 let render_table2 ?format summaries =
   let table =
     Vp_util.Table.create
@@ -467,12 +478,8 @@ let comparison ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
   run_graph exec (fun g -> suite_comparison g ~config models)
 
 let render_comparison ?(format = `Ascii) rows =
-  let pct_column name =
-    (Vp_util.Table.unit_header format name "%", Vp_util.Table.Right)
-  in
-  let pct x =
-    Vp_util.Table.unit_cell format (Printf.sprintf "%.1f" (x *. 100.0)) "%"
-  in
+  let pct_column name = unit_column format name "%" in
+  let pct = pct_cell format in
   let table =
     Vp_util.Table.create
       ~title:
@@ -591,7 +598,7 @@ let regions ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
     ?params models =
   run_graph exec (fun g -> suite_regions g ~config ?params models)
 
-let render_regions ?format rows =
+let render_regions ?(format = `Ascii) rows =
   let table =
     Vp_util.Table.create
       ~title:
@@ -601,8 +608,8 @@ let render_regions ?format rows =
         ("Benchmark", Vp_util.Table.Left);
         ("Sched ratio (bb)", Vp_util.Table.Right);
         ("Sched ratio (sb)", Vp_util.Table.Right);
-        ("Speedup (bb)", Vp_util.Table.Right);
-        ("Speedup (sb)", Vp_util.Table.Right);
+        unit_column format "Speedup (bb)" "x";
+        unit_column format "Speedup (sb)" "x";
         ("Traces", Vp_util.Table.Right);
         ("Mean blocks", Vp_util.Table.Right);
       ]
@@ -614,13 +621,13 @@ let render_regions ?format rows =
           r.region_bench;
           cell r.base_ratio;
           cell r.region_ratio;
-          Printf.sprintf "%.3fx" r.base_speedup;
-          Printf.sprintf "%.3fx" r.region_speedup;
+          speedup_cell format r.base_speedup;
+          speedup_cell format r.region_speedup;
           string_of_int r.formed_traces;
           Printf.sprintf "%.1f" r.mean_trace_blocks;
         ])
     rows;
-  emit ?format table
+  emit ~format table
 
 (* --- Region-parameter frontier --- *)
 
@@ -715,7 +722,7 @@ let regions_frontier ?(config = Config.default)
       suite_regions_frontier g ~config ?max_blocks ?min_probabilities ?widths
         models)
 
-let render_regions_frontier ?format rows =
+let render_regions_frontier ?(format = `Ascii) rows =
   let table =
     Vp_util.Table.create
       ~title:
@@ -727,8 +734,8 @@ let render_regions_frontier ?format rows =
         ("Min prob", Vp_util.Table.Right);
         ("Width", Vp_util.Table.Right);
         ("Sched ratio (sb)", Vp_util.Table.Right);
-        ("Speedup (sb)", Vp_util.Table.Right);
-        ("Speedup (bb)", Vp_util.Table.Right);
+        unit_column format "Speedup (sb)" "x";
+        unit_column format "Speedup (bb)" "x";
         ("Traces", Vp_util.Table.Right);
         ("Mean blocks", Vp_util.Table.Right);
       ]
@@ -742,13 +749,13 @@ let render_regions_frontier ?format rows =
           Printf.sprintf "%.2f" r.frontier_min_probability;
           string_of_int r.frontier_width;
           cell r.frontier_ratio;
-          Printf.sprintf "%.3fx" r.frontier_speedup;
-          Printf.sprintf "%.3fx" r.frontier_base_speedup;
+          speedup_cell format r.frontier_speedup;
+          speedup_cell format r.frontier_base_speedup;
           string_of_int r.frontier_traces;
           Printf.sprintf "%.1f" r.frontier_mean_blocks;
         ])
     rows;
-  emit ?format table
+  emit ~format table
 
 (* --- Overlap validation (block sequences on one clock) --- *)
 
@@ -772,9 +779,11 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
          p.blocks)
   in
   let descr = Config.machine config in
-  (* A block's reference and plain schedule depend only on the block, and
-     a solo run only on the block and its outcomes, so each is computed
-     once per row, at its first sample. The RNG draws are unchanged. *)
+  (* A block's reference depends only on the block, and a solo run only
+     on the block and its outcomes, so each is computed once per row, at
+     its first sample. An unspeculated block's plain schedule is the one
+     the run scheduled, read back from the spec-unit cache. The RNG draws
+     are unchanged. *)
   let once table index f =
     match table.(index) with
     | Some v -> v
@@ -784,7 +793,6 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
         v
   in
   let references = Array.make (Array.length p.blocks) None in
-  let plain_schedules = Array.make (Array.length p.blocks) None in
   let solo_runs = Hashtbl.create 64 in
   let items_with_bounds =
     List.init executions (fun _ ->
@@ -796,9 +804,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
         match b.spec with
         | None ->
             let s =
-              once plain_schedules bi (fun () ->
-                  Vp_sched.List_scheduler.schedule_block descr
-                    (Vp_ir.Program.nth p.program bi).block)
+              Spec_unit.schedule descr (Vp_ir.Program.nth p.program bi).block
             in
             ( Vp_engine.Dual_engine.Plain (s, reference),
               b.original_cycles,
@@ -962,7 +968,7 @@ let hyperblocks ?(config = Config.default)
     ?(exec = Vp_exec.Context.sequential) ?params models =
   run_graph exec (fun g -> suite_hyperblocks g ~config ?params models)
 
-let render_hyperblocks ?format rows =
+let render_hyperblocks ?(format = `Ascii) rows =
   let table =
     Vp_util.Table.create
       ~title:
@@ -973,8 +979,8 @@ let render_hyperblocks ?format rows =
         ("Benchmark", Vp_util.Table.Left);
         ("Sched ratio (bb)", Vp_util.Table.Right);
         ("Sched ratio (hb)", Vp_util.Table.Right);
-        ("Speedup (bb)", Vp_util.Table.Right);
-        ("Speedup (hb)", Vp_util.Table.Right);
+        unit_column format "Speedup (bb)" "x";
+        unit_column format "Speedup (hb)" "x";
         ("Hyperblocks", Vp_util.Table.Right);
       ]
   in
@@ -985,12 +991,12 @@ let render_hyperblocks ?format rows =
           r.hyper_bench;
           cell r.hyper_base_ratio;
           cell r.hyper_ratio;
-          Printf.sprintf "%.3fx" r.hyper_base_speedup;
-          Printf.sprintf "%.3fx" r.hyper_speedup;
+          speedup_cell format r.hyper_base_speedup;
+          speedup_cell format r.hyper_speedup;
           string_of_int r.hyper_formed;
         ])
     rows;
-  emit ?format table
+  emit ~format table
 
 (* --- Seed stability --- *)
 
@@ -1043,27 +1049,37 @@ let stability ?(config = Config.default)
     ?(exec = Vp_exec.Context.sequential) ?seeds models =
   run_graph exec (fun g -> suite_stability g ~config ?seeds models)
 
-let render_stability ?format rows =
+let render_stability ?(format = `Ascii) rows =
+  (* An aligned cell reads "mean +/- sd"; CSV gives each number a
+     column. *)
+  let stat_columns name =
+    match format with
+    | `Ascii -> [ (name, Vp_util.Table.Right) ]
+    | `Csv ->
+        [
+          (name ^ " (mean)", Vp_util.Table.Right);
+          (name ^ " (sd)", Vp_util.Table.Right);
+        ]
+  in
+  let stat_cells mean sd =
+    match format with
+    | `Ascii -> [ Printf.sprintf "%.2f +/- %.2f" mean sd ]
+    | `Csv -> [ cell mean; cell sd ]
+  in
   let table =
     Vp_util.Table.create
       ~title:
         "Seed stability: best-case Table 2/3 entries across workload seeds (mean +/- sd)"
-      [
-        ("Benchmark", Vp_util.Table.Left);
-        ("Time frac", Vp_util.Table.Right);
-        ("Sched ratio", Vp_util.Table.Right);
-      ]
+      ((("Benchmark", Vp_util.Table.Left) :: stat_columns "Time frac")
+      @ stat_columns "Sched ratio")
   in
   List.iter
     (fun r ->
       Vp_util.Table.add_row table
-        [
-          r.stability_bench;
-          Printf.sprintf "%.2f +/- %.2f" r.t2_mean r.t2_sd;
-          Printf.sprintf "%.2f +/- %.2f" r.t3_mean r.t3_sd;
-        ])
+        ((r.stability_bench :: stat_cells r.t2_mean r.t2_sd)
+        @ stat_cells r.t3_mean r.t3_sd))
     rows;
-  emit ?format table
+  emit ~format table
 
 (* --- Recovery sensitivity --- *)
 
@@ -1087,7 +1103,7 @@ let recovery_sensitivity ?(config = Config.default)
   run_graph exec (fun g ->
       suite_recovery_sensitivity g ~config ?penalties model)
 
-let render_recovery_sensitivity ?format ~bench rows =
+let render_recovery_sensitivity ?(format = `Ascii) ~bench rows =
   let table =
     Vp_util.Table.create
       ~title:
@@ -1096,8 +1112,8 @@ let render_recovery_sensitivity ?format ~bench rows =
            bench)
       [
         ("Branch penalty", Vp_util.Table.Right);
-        ("Comp share (ours)", Vp_util.Table.Right);
-        ("Comp share ([4])", Vp_util.Table.Right);
+        unit_column format "Comp share (ours)" "%";
+        unit_column format "Comp share ([4])" "%";
         ("Sched ratio (ours)", Vp_util.Table.Right);
         ("Sched ratio ([4])", Vp_util.Table.Right);
       ]
@@ -1107,13 +1123,13 @@ let render_recovery_sensitivity ?format ~bench rows =
       Vp_util.Table.add_row table
         [
           string_of_int penalty;
-          Vp_util.Table.cell_pct c.ours_comp_share;
-          Vp_util.Table.cell_pct c.recovery_comp_share;
+          pct_cell format c.ours_comp_share;
+          pct_cell format c.recovery_comp_share;
           cell c.ours_spec_ratio;
           cell c.recovery_spec_ratio;
         ])
     rows;
-  emit ?format table
+  emit ~format table
 
 type ablation_point = {
   setting : string;
@@ -1270,7 +1286,7 @@ let ablation_sweeps =
       ("accounting", "Latency accounting", accounting_sweep);
     ]
 
-let render_ablation ?format ~title points =
+let render_ablation ?(format = `Ascii) ~title points =
   let table =
     Vp_util.Table.create ~title
       [
@@ -1278,7 +1294,7 @@ let render_ablation ?format ~title points =
         ("Time frac (best)", Vp_util.Table.Right);
         ("Sched ratio (best)", Vp_util.Table.Right);
         ("Sched ratio (worst)", Vp_util.Table.Right);
-        ("Speedup", Vp_util.Table.Right);
+        unit_column format "Speedup" "x";
         ("Blocks speculated", Vp_util.Table.Right);
       ]
   in
@@ -1290,11 +1306,11 @@ let render_ablation ?format ~title points =
           cell p.t2_best;
           cell p.t3_best;
           cell p.t3_worst;
-          Printf.sprintf "%.3fx" p.speedup;
+          speedup_cell format p.speedup;
           string_of_int p.speculated;
         ])
     points;
-  emit ?format table
+  emit ~format table
 
 (* --- Telemetry --- *)
 

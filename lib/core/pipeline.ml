@@ -54,11 +54,15 @@ let block_reference workload (block : Vp_ir.Block.t) =
     ~live_in:Vp_engine.Reference.live_in
 
 (* Outcome-independent preparation for one speculated block: its reference
-   run (on the first values of fresh stream instances), its static-recovery
-   model, its profiled rates and the outcome vectors to simulate. *)
+   run (on the first values of fresh stream instances), the kernel compiled
+   against it, its static-recovery model, its profiled rates and the
+   outcome vectors to simulate. None of it depends on the CCE shape or the
+   branch penalty: the kernel takes the one and the recovery model's cycle
+   counts the other when they run. *)
 type spec_prep = {
   prep_sb : Vp_vspec.Spec_block.t;
   prep_reference : Vp_engine.Reference.t;
+  prep_kernel : Vp_engine.Compiled.t;
   prep_rates : float array;
   prep_vectors : (Vp_engine.Scenario.t * float) list;
   prep_recovery : Vp_baseline.Static_recovery.t;
@@ -67,10 +71,7 @@ type spec_prep = {
 let prep_spec config workload (sb : Vp_vspec.Spec_block.t) =
   let descr = Config.machine config in
   let reference = block_reference workload sb.original_block in
-  let recovery =
-    Vp_baseline.Static_recovery.build ~branch_penalty:config.branch_penalty
-      descr sb
-  in
+  let recovery = Vp_baseline.Static_recovery.build descr sb in
   let rates =
     Array.map (fun p -> p.Vp_vspec.Spec_block.rate) sb.predicted
   in
@@ -93,26 +94,28 @@ let prep_spec config workload (sb : Vp_vspec.Spec_block.t) =
   {
     prep_sb = sb;
     prep_reference = reference;
+    prep_kernel =
+      Vp_engine.Compiled.compile sb ~reference
+        ~live_in:Vp_engine.Reference.live_in;
     prep_rates = rates;
     prep_vectors = outcome_vectors;
     prep_recovery = recovery;
   }
 
 (* Preparation memo. [prep_spec] reads the spec block, the workload's
-   streams and five config fields — the machine width, the branch
-   penalty, the enumeration cap, the draw count and the seed — and no
-   other input, none of the CCE shape, the accounting or the scenario
-   results among them. Keyed like [Spec_unit.compiled], physically on the
-   spec block (a transform memo hit hands every sharer one physical
-   block) and the workload, and by value on those fields: every CCE-width
-   and accounting point of a sweep, threshold points whose masks agree
-   and repeated served sweeps share their neighbours' preparation. *)
+   streams and four config fields — the machine width, the enumeration
+   cap, the draw count and the seed — and no other input, none of the CCE
+   shape, the branch penalty, the accounting or the scenario results
+   among them. Keyed physically on the spec block (a transform memo hit
+   hands every sharer one physical block) and the workload, and by value
+   on those fields: every CCE-width, branch-penalty and accounting point
+   of a sweep, threshold points whose masks agree and repeated served
+   sweeps share their neighbours' preparation, kernel included. *)
 type prep_key = {
   pk_sb : Vp_vspec.Spec_block.t;
   pk_workload : Vp_workload.Workload.t;
   pk_width : int;
   pk_seed : int;
-  pk_branch_penalty : int;
   pk_max_enumerated : int;
   pk_draws : int;
 }
@@ -124,7 +127,6 @@ let prep_memo : (prep_key, spec_prep) Vp_util.Memo.t =
       a.pk_sb == b.pk_sb
       && a.pk_workload == b.pk_workload
       && a.pk_width = b.pk_width && a.pk_seed = b.pk_seed
-      && a.pk_branch_penalty = b.pk_branch_penalty
       && a.pk_max_enumerated = b.pk_max_enumerated
       && a.pk_draws = b.pk_draws)
 
@@ -135,7 +137,6 @@ let prep_cached (config : Config.t) workload sb =
       pk_workload = workload;
       pk_width = config.width;
       pk_seed = config.seed;
-      pk_branch_penalty = config.branch_penalty;
       pk_max_enumerated = config.max_enumerated_predictions;
       pk_draws = config.monte_carlo_draws;
     }
@@ -159,21 +160,15 @@ let count_word n =
   Atomic.incr bitset_words;
   ignore (Atomic.fetch_and_add bitset_vectors n)
 
-(* Simulate a block's whole scenario set: compile the block once (through
-   the spec-unit cache, so sweep points sharing the transform also share
-   the kernel), then evaluate the whole vector set bit-parallel —
+(* Simulate a block's whole scenario set on its prepared kernel, at the
+   config's CCB capacity and CCE retire width, bit-parallel —
    [Compiled.run_bitset] packs up to 63 vectors per machine word, so one
    pass over the compiled block replaces the per-scenario replays.
    Duplicate vectors — Monte-Carlo collisions, and the all-correct /
    all-incorrect vectors the best/worst columns need, which the enumerated
    scenario list already contains — collapse to one lane and share its
    result. *)
-let simulate_batch config prep =
-  let compiled =
-    Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
-      ~cce_retire_width:config.Config.cce_retire_width prep.prep_sb
-      ~reference:prep.prep_reference
-  in
+let simulate_batch (config : Config.t) prep =
   let n = Array.length prep.prep_rates in
   let draws = Array.of_list (List.map fst prep.prep_vectors) in
   let nvec = Array.length draws in
@@ -184,8 +179,9 @@ let simulate_batch config prep =
       |]
   in
   let all =
-    Vp_engine.Compiled.run_bitset ~on_word:count_word compiled (lanes ())
-      ~vectors
+    Vp_engine.Compiled.run_bitset ?ccb_capacity:config.ccb_capacity
+      ~cce_retire_width:config.cce_retire_width ~on_word:count_word
+      prep.prep_kernel (lanes ()) ~vectors
   in
   let unique =
     let seen = Hashtbl.create 16 in
@@ -194,8 +190,10 @@ let simulate_batch config prep =
   in
   (Array.to_list (Array.sub all 0 nvec), all.(nvec), all.(nvec + 1), unique)
 
-(* Reattach batch results to the outcome-independent half. *)
-let eval_of_prep prep (results, best, worst, unique) =
+(* Reattach batch results to the outcome-independent half, pricing the
+   static-recovery scheme at the config's branch penalty. *)
+let eval_of_prep (config : Config.t) prep (results, best, worst, unique) =
+  let branch_penalty = config.branch_penalty in
   let scenarios =
     List.map2
       (fun (outcomes, probability) result ->
@@ -204,10 +202,11 @@ let eval_of_prep prep (results, best, worst, unique) =
           probability;
           result;
           recovery_cycles =
-            Vp_baseline.Static_recovery.cycles prep.prep_recovery ~outcomes;
+            Vp_baseline.Static_recovery.cycles ~branch_penalty
+              prep.prep_recovery ~outcomes;
           recovery_compensation =
-            Vp_baseline.Static_recovery.compensation_cycles prep.prep_recovery
-              ~outcomes;
+            Vp_baseline.Static_recovery.compensation_cycles ~branch_penalty
+              prep.prep_recovery ~outcomes;
         })
       prep.prep_vectors results
   in
@@ -268,14 +267,15 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
     | None -> profile_fresh config workload program
   in
   (* Every block in order: schedule and transform it, and run a
-     speculated block's whole scenario set through the compiled kernel.
+     speculated block's whole scenario set through its compiled kernel.
      Both artifacts go through the spec-unit cache, keyed on the physical
      block: sweep points that vary only the CCE shape, the scenario caps
      or the threshold reuse a neighbouring config's schedule and transform
      instead of recomputing them, and so do a region program's residual
-     blocks, which are the base program's own. Through the preparation memo, points that vary only the CCE
-     shape or the accounting also share each speculated block's
-     reference run, recovery model and outcome vectors. *)
+     blocks, which are the base program's own. Through the preparation
+     memo, points that vary only the CCE shape, the branch penalty or the
+     accounting also share each speculated block's reference run, kernel,
+     recovery model and outcome vectors. *)
   let blocks =
     Array.mapi
       (fun index (wb : Vp_ir.Program.weighted_block) ->
@@ -295,7 +295,8 @@ let run_program_fresh ~(config : Config.t) ~profile workload program =
           | Vp_vspec.Transform.Unchanged reason -> (Some reason, None)
           | Vp_vspec.Transform.Speculated sb ->
               let prep = prep_cached config workload sb in
-              (None, Some (eval_of_prep prep (simulate_batch config prep)))
+              ( None,
+                Some (eval_of_prep config prep (simulate_batch config prep)) )
         in
         {
           index;

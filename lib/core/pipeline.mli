@@ -16,7 +16,8 @@
     The result contains everything the experiment layer needs; nothing
     downstream re-runs a simulator. Value profiles and whole runs are
     memoized in bounded {!Vp_util.Memo} instances (see {!run_program});
-    the per-block artifacts go through {!Spec_unit}. *)
+    the per-block schedules and transforms go through {!Spec_unit}, and
+    each speculated block's preparation through {!prep_cached}. *)
 
 type scenario_eval = {
   outcomes : Vp_engine.Scenario.t;
@@ -86,14 +87,15 @@ val run_program :
     recomputing identical rates.
 
     Each speculated block's outcome-independent preparation goes through
-    {!prep_cached}. Simulation is batched: each speculated block is
-    lowered once by [Vp_engine.Compiled] — through the {!Spec_unit}
-    cache, as are the baseline schedule and the transform, so sweep
-    points varying only the CCE shape or the policy threshold reuse
-    neighbouring artifacts — and its whole scenario set runs in one call
-    of [Vp_engine.Compiled.run_bitset], which advances up to 63 outcome
-    vectors per machine word and simulates each distinct vector once,
-    sharing its result with the repeats. Blocks are evaluated in order in
+    {!prep_cached}; the baseline schedule and the transform go through the
+    {!Spec_unit} cache, so sweep points varying only the CCE shape or the
+    policy threshold reuse neighbouring artifacts. Simulation is batched:
+    each speculated block is lowered once by [Vp_engine.Compiled], in its
+    preparation, and its whole scenario set runs in one call of
+    [Vp_engine.Compiled.run_bitset] at the config's CCB capacity and CCE
+    retire width, which advances up to 63 outcome vectors per machine
+    word and simulates each distinct vector once, sharing its result with
+    the repeats. Blocks are evaluated in order in
     the calling domain; parallelism and the on-disk store live one level
     up, on the {!Vp_exec.Graph} nodes that call the pipeline. Results are
     the same whether the spec-unit cache and the preparation memo are
@@ -107,32 +109,38 @@ val run_program :
     structurally equal config returns the finished evaluation. The memo
     is a {!Vp_util.Memo} bounded at 2048 runs. *)
 
-(** The outcome-independent half of a speculated block's evaluation. *)
+(** The outcome-independent half of a speculated block's evaluation. It
+    depends on neither the CCE shape nor the branch penalty. *)
 type spec_prep = {
   prep_sb : Vp_vspec.Spec_block.t;
   prep_reference : Vp_engine.Reference.t;
       (** the block run on the first values of fresh stream instances *)
+  prep_kernel : Vp_engine.Compiled.t;
+      (** [prep_sb] compiled against [prep_reference] and
+          {!Vp_engine.Reference.live_in}; immutable, so every sweep point
+          and domain runs the one kernel at its own CCE shape *)
   prep_rates : float array;  (** per prediction, profiled rate *)
   prep_vectors : (Vp_engine.Scenario.t * float) list;
       (** the outcome vectors to simulate, each with its probability *)
   prep_recovery : Vp_baseline.Static_recovery.t;
+      (** priced at each config's branch penalty when evaluated *)
 }
 
 val prep_spec :
   Config.t -> Vp_workload.Workload.t -> Vp_vspec.Spec_block.t -> spec_prep
 (** [prep_spec config workload sb] computed afresh. It reads [sb],
     the workload's streams, and of [config] only [width], [seed],
-    [branch_penalty], [max_enumerated_predictions] and
-    [monte_carlo_draws]. *)
+    [max_enumerated_predictions] and [monte_carlo_draws]. *)
 
 val prep_cached :
   Config.t -> Vp_workload.Workload.t -> Vp_vspec.Spec_block.t -> spec_prep
 (** {!prep_spec} through the preparation memo the pipeline evaluates
     every speculated block with: a {!Vp_util.Memo} bounded at 8192
     entries, keyed physically on [sb] and the workload and by value on
-    the five config fields {!prep_spec} reads, so sweep points that share
-    a transform — every CCE-width and accounting point — share its
-    preparation. *)
+    the four config fields {!prep_spec} reads, so sweep points that share
+    a transform — every CCE-width, branch-penalty and accounting point —
+    share its preparation and kernel. The trace simulator takes its
+    kernels from here too. *)
 
 val reference_of_block : t -> int -> Vp_engine.Reference.t
 (** Reference execution of block [index] with its first dynamic load

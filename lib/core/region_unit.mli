@@ -10,8 +10,9 @@
     in-process call with one key returns the {e same physical}
     [Vp_ir.Program.t] (racing domains converge on the first insert). That
     is what makes the downstream physically keyed caches — the pipeline's
-    whole-run memo, [Spec_unit.compiled] — hit across sweep points and warm
-    reruns without any further plumbing. The blocks formation does not
+    whole-run memo, and through the transform memo its preparation memo
+    and the kernels it holds — hit across sweep points and warm reruns
+    without any further plumbing. The blocks formation does not
     merge are the base program's own physical blocks, so their
     [Spec_unit] schedules and transforms are the base run's.
 

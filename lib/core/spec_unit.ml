@@ -1,16 +1,15 @@
-(* Shared spec-unit cache: per-block schedule / transform / compiled-kernel
-   artifacts, memoized across sweep points. See the interface for the key construction and the threshold
-   normalization argument. *)
+(* Shared spec-unit cache: per-block schedule / transform artifacts and
+   per-stream profiled rates, memoized across sweep points. See the
+   interface for the key construction and the threshold normalization
+   argument. *)
 
 type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
-(* Schedules and transform outcomes are keyed physically on the block,
-   as compiled kernels are on the spec block: sweep points hand in the
-   workload memo's one physical program, and region formation keeps every
-   block it does not merge, so [==] finds each sharer without digesting
-   the IR. The rest of each key is compared by value. Every table holds
-   8192 entries; the compiled-kernel table 1024 spec blocks times 8
-   machine shapes. *)
+(* Schedules and transform outcomes are keyed physically on the block:
+   sweep points hand in the workload memo's one physical program, and
+   region formation keeps every block it does not merge, so [==] finds
+   each sharer without digesting the IR. The rest of each key is compared
+   by value. Every table holds 8192 entries. *)
 type sched_key = { s_block : Vp_ir.Block.t; s_descr : Vp_machine.Descr.t }
 
 let sched : (sched_key, Vp_sched.Schedule.t) Vp_util.Memo.t =
@@ -36,30 +35,7 @@ let xform : (xform_key, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
 
 let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 8192
 
-(* Compiled kernels: keyed physically on the spec block and matched on
-   the machine shape and reference. The reuse this cache exists for — the
-   same block under several CCE shapes, or repeated runs of one sweep
-   point — always goes through the transform cache first and therefore
-   holds the same physical [sb]; content-digesting a whole spec block
-   would cost more than the compile it saves. Every kernel is compiled
-   against {!Vp_engine.Reference.live_in}, so the live-ins are no part of
-   the key. *)
-type compiled_key = {
-  sb : Vp_vspec.Spec_block.t;
-  ccb : int option;
-  cce : int;
-  reference : Vp_engine.Reference.t;
-}
-
-let comp : (compiled_key, Vp_engine.Compiled.t) Vp_util.Memo.t =
-  Vp_util.Memo.create 8192
-    ~hash:(fun k -> Hashtbl.hash k.sb)
-    ~equal:(fun a b ->
-      a.sb == b.sb && a.ccb = b.ccb && a.cce = b.cce
-      && a.reference = b.reference)
-
-let stats () =
-  Vp_util.Memo.(total [ stats sched; stats xform; stats rates; stats comp ])
+let stats () = Vp_util.Memo.(total [ stats sched; stats xform; stats rates ])
 
 let schedule descr block =
   Vp_util.Memo.find_or_add sched { s_block = block; s_descr = descr }
@@ -122,15 +98,7 @@ let profile_rates workload ~stream ~samples ~kinds =
   Vp_util.Memo.find_or_add rates key (fun () ->
       Vp_profile.Value_profile.stream_rates workload ~stream ~samples ~kinds)
 
-let compiled ?ccb_capacity ~cce_retire_width sb ~reference =
-  Vp_util.Memo.find_or_add comp
-    { sb; ccb = ccb_capacity; cce = cce_retire_width; reference }
-    (fun () ->
-      Vp_engine.Compiled.compile ?ccb_capacity ~cce_retire_width sb
-        ~reference ~live_in:Vp_engine.Reference.live_in)
-
 let clear () =
   Vp_util.Memo.clear sched;
   Vp_util.Memo.clear xform;
-  Vp_util.Memo.clear rates;
-  Vp_util.Memo.clear comp
+  Vp_util.Memo.clear rates

@@ -1,24 +1,27 @@
 (** Shared cache of per-block compilation artifacts ("spec units").
 
-    A config sweep re-derives, for every sweep point, three artifacts per
-    block that are pure functions of a small key:
+    A config sweep re-derives, for every sweep point, artifacts that are
+    pure functions of a small key:
 
-    - the baseline {b list schedule} — (machine descr, block);
-    - the {b vspec transform} outcome — (machine descr, policy, profiled
-      load rates, block), and {e not} the CCE shape, the scenario caps,
-      or any other [Config] knob;
-    - the {b compiled kernel} ([Vp_engine.Compiled.t]) — (spec block,
-      reference, CCB capacity, CCE retire width).
+    - the baseline {b list schedule} of a block — (machine descr, block);
+    - the {b vspec transform} outcome of a block — (machine descr, policy,
+      profiled load rates, block), and {e not} the CCE shape, the scenario
+      caps, or any other [Config] knob;
+    - the {b profiled rates} of a value stream — (workload seed, stream
+      id, stream shape, samples, predictor kinds).
 
     This module memoizes all three so neighbouring sweep points share them
-    instead of recomputing. Every key names its block physically ([==]):
-    sweep points evaluate the workload memo's one physical program, region
-    formation keeps each block it does not merge (a superblock program's
-    residual blocks are the base program's own), and a transform hit
-    returns the same physical spec block to every sharer. The rest of each
-    key (machine description, policy, rates, machine shape, reference) is
-    compared by value. A structurally equal copy of a block is a new key:
-    it misses, and computes the same artifact.
+    instead of recomputing. The block keys name their block physically
+    ([==]): sweep points evaluate the workload memo's one physical
+    program, and region formation keeps each block it does not merge (a
+    superblock program's residual blocks are the base program's own). The
+    rest of each key (machine description, policy, rates) is compared by
+    value. A structurally equal copy of a block is a new key: it misses,
+    and computes the same artifact. A transform hit returns the same
+    physical spec block to every sharer, and the preparation memo
+    ([Pipeline.prep_cached]) keys on that: a speculated block's compiled
+    kernel lives there, not here, and holds no CCE shape, so every shape
+    runs the one kernel.
 
     {b Threshold normalization.} The transform consults the policy
     threshold only as the predicate [rate >= threshold] (selection and the
@@ -37,7 +40,7 @@
 type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
 
 val stats : unit -> stats
-(** Process-wide counters summed over the four artifact tables: [hits]
+(** Process-wide counters summed over the three artifact tables: [hits]
     counts lookups a table answered, [misses] actual computations,
     [evictions] entries dropped by a table's bound. *)
 
@@ -72,13 +75,3 @@ val profile_rates :
     a pure function of those, so sweep points and region programs that
     profile the same streams share one entry. Suitable as the [?rates]
     hook of [Value_profile.profile]. *)
-
-val compiled :
-  ?ccb_capacity:int ->
-  cce_retire_width:int ->
-  Vp_vspec.Spec_block.t ->
-  reference:Vp_engine.Reference.t ->
-  Vp_engine.Compiled.t
-(** Cached [Vp_engine.Compiled.compile] with the live-ins every simulation
-    uses ({!Vp_engine.Reference.live_in}), keyed physically on [sb] and
-    structurally on the reference and machine shape. In-memory only. *)

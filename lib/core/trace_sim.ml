@@ -123,11 +123,10 @@ let memo_add m mask cycles =
       end
 
 (* Per-block simulation state, built only for speculated blocks that
-   actually execute: the compiled kernel (shared with the pipeline's
-   scenario batches through the spec-unit cache —
-   [Pipeline.reference_of_block] rebuilds the same position-0-valued
-   reference the pipeline compiled against), the predicted loads' stream
-   ids and PCs, and the outcome-mask memo. *)
+   actually execute: the compiled kernel (the pipeline's own, read back
+   from the block's preparation, which the pipeline's run left in the
+   preparation memo), the predicted loads' stream ids and PCs, and the
+   outcome-mask memo. *)
 type fast_block = {
   fb_compiled : Vp_engine.Compiled.t;
   fb_streams : int array; (* stream id per predicted load *)
@@ -136,16 +135,12 @@ type fast_block = {
   fb_memo : memo;
 }
 
-let build_fast_block config p bi (spec : Pipeline.spec_eval) =
-  let compiled =
-    Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
-      ~cce_retire_width:config.Config.cce_retire_width spec.Pipeline.sb
-      ~reference:(Pipeline.reference_of_block p bi)
-  in
+let build_fast_block (p : Pipeline.t) bi (spec : Pipeline.spec_eval) =
+  let prep = Pipeline.prep_cached p.config p.workload spec.sb in
   let preds = spec.Pipeline.sb.Vp_vspec.Spec_block.predicted in
   let n = Array.length preds in
   {
-    fb_compiled = compiled;
+    fb_compiled = prep.prep_kernel;
     fb_streams =
       Array.map
         (fun (pl : Vp_vspec.Spec_block.predicted_load) ->
@@ -163,15 +158,14 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
 (* --- Persistent per-pipeline simulation state ---
 
    Everything in [fast_block] is a pure function of the pipeline: the
-   compiled kernel and position-0 reference (through the spec-unit
-   cache), the predicted loads' stream ids and PCs, and the mask memo's
-   mapping — which masks are *present* in the memo depends on run
-   history, but mask -> cycles does not, so sharing the memo across runs
-   changes which executions hit it, never the cycles they charge.
-   Building this state dominates a validation run (~30 compiled lookups +
-   reference interpretations + cold engine replays), so it is built once
-   per pipeline and reused: repeated runs replay the engine only for
-   masks never seen by *any* prior run on that pipeline.
+   compiled kernel (through the preparation memo), the predicted loads'
+   stream ids and PCs, and the mask memo's mapping — which masks are
+   *present* in the memo depends on run history, but mask -> cycles does
+   not, so sharing the memo across runs changes which executions hit it,
+   never the cycles they charge. Building this state dominates a
+   validation run (~30 preparation lookups + cold engine replays), so it
+   is built once per pipeline and reused: repeated runs replay the engine
+   only for masks never seen by *any* prior run on that pipeline.
 
    Concurrency: runs on the same pipeline serialize on the state's lock
    ([fb_outcomes] and the mask memos are shared scratch); runs on
@@ -201,11 +195,11 @@ let state_for (p : Pipeline.t) =
         ss_blocks = Array.make (Array.length p.blocks) None;
       })
 
-let block_for ss config p bi spec =
+let block_for ss p bi spec =
   match ss.ss_blocks.(bi) with
   | Some f -> f
   | None ->
-      let f = build_fast_block config p bi spec in
+      let f = build_fast_block p bi spec in
       ss.ss_blocks.(bi) <- Some f;
       f
 
@@ -307,7 +301,7 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
       match p.blocks.(bi).Pipeline.spec with
       | None -> ()
       | Some spec ->
-          let f = block_for ss config p bi spec in
+          let f = block_for ss p bi spec in
           fast.(bi) <- Some f;
           total_loads := !total_loads + Array.length f.fb_streams
   done;
@@ -444,8 +438,10 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           else begin
             incr engine_replays;
             let r =
-              (Vp_engine.Compiled.run_bitset f.fb_compiled lanes
-                 ~vectors:[| f.fb_outcomes |]).(0)
+              (Vp_engine.Compiled.run_bitset
+                 ?ccb_capacity:config.ccb_capacity
+                 ~cce_retire_width:config.cce_retire_width f.fb_compiled
+                 lanes ~vectors:[| f.fb_outcomes |]).(0)
             in
             let eff = Config.effective_cycles config r in
             memo_add f.fb_memo !mask eff;

@@ -12,7 +12,10 @@
    - [run_bitset] replays a set of outcome vectors against the compiled
      form, up to [Sys.int_size] of them per machine word, in a
      caller-owned {!Lanes.t} of preallocated slabs, so the per-scenario
-     cost is slab resets, not allocation.
+     cost is slab resets, not allocation. The CCB capacity and CCE retire
+     width are run-time parameters of the machine, not of the block: only
+     the issue stage's CCB check and the CCE step read them, so one
+     kernel serves every CCE shape.
 
    The semantics are bit-for-bit those of [Dual_engine.run] (no observer):
    the event calendar preserves insertion order per cycle, prediction
@@ -61,8 +64,6 @@ type pred = {
 
 type t = {
   label : string;
-  ccb_capacity : int;
-  cce_retire_width : int;
   num_preds : int;
   new_n : int;
   ops : op array;
@@ -81,9 +82,7 @@ type t = {
 
 (* --- Compile phase --- *)
 
-let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
-    (sb : Vp_vspec.Spec_block.t) ~(reference : Reference.t) ~live_in =
-  if cce_retire_width < 1 then invalid_arg "Compiled.compile: cce_retire_width < 1";
+let compile (sb : Vp_vspec.Spec_block.t) ~(reference : Reference.t) ~live_in =
   let open Vp_vspec.Spec_block in
   let num_preds = Array.length sb.predicted in
   if reference.Reference.block != sb.original_block then
@@ -257,8 +256,6 @@ let compile ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
     invalid_arg "Compiled.compile: prediction missing from the schedule";
   {
     label = Vp_ir.Block.label block;
-    ccb_capacity;
-    cce_retire_width;
     num_preds;
     new_n;
     ops;
@@ -862,7 +859,8 @@ let lane_deadlock (t : t) (la : Lanes.t) ~now i =
 (* Simulate lanes 0..n-1 against vectors.(off..off+n-1) to completion.
    A lane still live past the deadlock limit deadlocks; the lowest such
    lane raises, as [Dual_engine.run] on its vector would. *)
-let run_lanes (t : t) (la : Lanes.t) (vectors : Scenario.t array) off n =
+let run_lanes (t : t) (la : Lanes.t) ~ccb_capacity ~cce_retire_width
+    (vectors : Scenario.t array) off n =
   let full = full_mask n in
   for k = 0 to t.num_preds - 1 do
     let w = ref 0 in
@@ -903,7 +901,7 @@ let run_lanes (t : t) (la : Lanes.t) (vectors : Scenario.t array) off n =
     while !w <> 0 do
       let i = ctz !w in
       if la.Lanes.ccb_len.(i) > 0 then begin
-        let budget = ref t.cce_retire_width in
+        let budget = ref cce_retire_width in
         while !budget > 0 && lcce_step t la !now i do
           decr budget
         done
@@ -943,7 +941,7 @@ let run_lanes (t : t) (la : Lanes.t) (vectors : Scenario.t array) off n =
         let w3 = ref go0 in
         while !w3 <> 0 do
           let i = ctz !w3 in
-          if la.Lanes.ccb_len.(i) + spec_n <= t.ccb_capacity then
+          if la.Lanes.ccb_len.(i) + spec_n <= ccb_capacity then
             go := !go lor (1 lsl i);
           w3 := !w3 land (!w3 - 1)
         done
@@ -1004,8 +1002,11 @@ let extract_lane (t : t) (la : Lanes.t) ~outcomes lane : Dual_engine.result =
     stores = !stores;
   }
 
-let run_bitset ?(on_word = ignore) (t : t) (la : Lanes.t)
-    ~(vectors : Scenario.t array) : Dual_engine.result array =
+let run_bitset ?(ccb_capacity = max_int) ?(cce_retire_width = 1)
+    ?(on_word = ignore) (t : t) (la : Lanes.t) ~(vectors : Scenario.t array) :
+    Dual_engine.result array =
+  if cce_retire_width < 1 then
+    invalid_arg "Compiled.run_bitset: cce_retire_width < 1";
   Array.iter
     (fun v ->
       if Array.length v <> t.num_preds then
@@ -1042,7 +1043,7 @@ let run_bitset ?(on_word = ignore) (t : t) (la : Lanes.t)
     let off = ref 0 in
     while !off < nu do
       let n = min max_lanes (nu - !off) in
-      run_lanes t la uvecs !off n;
+      run_lanes t la ~ccb_capacity ~cce_retire_width uvecs !off n;
       on_word n;
       for i = 0 to n - 1 do
         u_res.(!off + i) <-

@@ -20,19 +20,16 @@
     same [Dual_engine.Deadlock] exception, message included, on livelock. *)
 
 type t
-(** A speculated block lowered to flat arrays, specialised to one
-    (reference, live-in, CCB capacity, CCE retire width) configuration. *)
+(** A speculated block lowered to flat arrays against one reference run
+    and one live-in assignment. It holds no machine shape: {!run_bitset}
+    takes the CCB capacity and CCE retire width, so one kernel serves
+    every shape. Immutable, so domains may share it. *)
 
 val compile :
-  ?ccb_capacity:int ->
-  ?cce_retire_width:int ->
-  Vp_vspec.Spec_block.t ->
-  reference:Reference.t ->
-  live_in:(int -> int) ->
-  t
+  Vp_vspec.Spec_block.t -> reference:Reference.t -> live_in:(int -> int) -> t
 (** [compile sb ~reference ~live_in] validates once what [Dual_engine.run]
-    validates per call (retire width, reference/block agreement, latency
-    positivity) and precomputes every outcome-independent quantity. Raises
+    validates per call (reference/block agreement, latency positivity) and
+    precomputes every outcome-independent quantity. Raises
     [Invalid_argument] exactly where the oracle would. *)
 
 val num_predictions : t -> int
@@ -53,17 +50,23 @@ module Lanes : sig
 end
 
 val run_bitset :
+  ?ccb_capacity:int ->
+  ?cce_retire_width:int ->
   ?on_word:(int -> unit) ->
   t ->
   Lanes.t ->
   vectors:Scenario.t array ->
   Dual_engine.result array
-(** [run_bitset t lanes ~vectors] simulates the whole outcome-vector set
-    bit-parallel — up to [Sys.int_size] (63) vectors advance per machine
-    word, each engine-state bit-field becoming one word over the lanes —
-    and returns results in input order, each structurally equal to
-    [Dual_engine.run sb ~reference ~live_in ~outcomes:vectors.(i)] with
-    the parameters captured at compile time. Sets larger than one word are
+(** [run_bitset ?ccb_capacity ?cce_retire_width t lanes ~vectors]
+    simulates the whole outcome-vector set bit-parallel — up to
+    [Sys.int_size] (63) vectors advance per machine word, each
+    engine-state bit-field becoming one word over the lanes — and returns
+    results in input order, each structurally equal to
+    [Dual_engine.run ?ccb_capacity ?cce_retire_width sb ~reference ~live_in
+    ~outcomes:vectors.(i)] for the block, reference and live-ins [t] was
+    compiled from. The shape defaults are [Dual_engine.run]'s (unbounded
+    CCB, retire width 1), and a retire width below 1 raises
+    [Invalid_argument], as there. Sets larger than one word are
     chunked internally; a one-vector set is one lane of one word. Lanes
     whose timing diverges (a sync bit cleared early on a correct outcome,
     late via the CCE on a wrong one) fall out of lock-step safely: each

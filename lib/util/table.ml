@@ -91,4 +91,3 @@ let unit_cell format digits unit =
 
 let pp ppf t = Format.pp_print_string ppf (render t)
 let cell_f x = Printf.sprintf "%.2f" x
-let cell_pct x = Printf.sprintf "%.1f%%" (x *. 100.0)

@@ -41,5 +41,3 @@ val pp : Format.formatter -> t -> unit
 val cell_f : float -> string
 (** Canonical formatting for fractional cells: two decimals, e.g. "0.48". *)
 
-val cell_pct : float -> string
-(** Fraction rendered as a percentage with one decimal, e.g. "48.0%". *)

@@ -31,7 +31,7 @@ let zipf_counts ~rng ~skew ~blocks ~total =
    instance. Keyed on the seed and the physical model, hashed on (seed,
    model name), so a custom model reusing a stock name misses instead of
    aliasing. Physical sharing also concentrates the phys-keyed caches
-   downstream (profile memo, compiled kernels) onto single entries. *)
+   downstream (profile memo, block preparations) onto single entries. *)
 let generated : (int * Spec_model.t, t) Vp_util.Memo.t =
   Vp_util.Memo.create 256
     ~hash:(fun (seed, model) -> Hashtbl.hash (seed, model.Spec_model.name))
@@ -92,10 +92,12 @@ let stream t id =
 
 (* --- Stream arenas ---
 
-   A stream's value sequence is fully determined by [(seed, model, id)], so
-   the materialized prefixes live in a module-global table rather than on
-   [t]: workloads regenerated for the same model share one arena, and [t]
-   itself stays free of mutexes and cache state (pipeline results carrying
+   A stream's value sequence is fully determined by [(seed, id, shape)],
+   the inputs of [stream], so the materialized prefixes live in a
+   module-global table keyed on exactly those rather than on [t]:
+   workloads regenerated for the same model share one arena, two models
+   that share a name but not a stream's shape do not, and [t] itself
+   stays free of mutexes and cache state (pipeline results carrying
    workloads are marshalled into the on-disk store). The [tail] stream
    instance sits at position [filled], so growing an arena only draws the
    missing suffix. *)
@@ -106,13 +108,15 @@ type arena_entry = {
   tail : Value_stream.t;
 }
 
-let arenas : (int * string * int, arena_entry) Hashtbl.t = Hashtbl.create 64
+let arenas : (int * int * Value_stream.shape, arena_entry) Hashtbl.t =
+  Hashtbl.create 64
+
 let arenas_mutex = Mutex.create ()
 let arenas_cap = 1024
 
 let arena t id ~min_len =
   let min_len = max min_len 0 in
-  let key = (t.seed, t.model.Spec_model.name, id) in
+  let key = (t.seed, id, shape t id) in
   Mutex.protect arenas_mutex (fun () ->
       let entry =
         match Hashtbl.find_opt arenas key with

@@ -40,7 +40,8 @@ val arena : t -> int -> min_len:int -> int array
     stream's first values at indices [0 .. min_len-1] (identical to what
     {!stream} followed by [Value_stream.take] would produce). Entries past
     [min_len] are unspecified. Arenas are cached globally per
-    [(seed, model, id)] and grown on demand, so repeated calls share one
+    [(seed, id, shape)], the inputs that determine {!stream}'s values, and
+    grown on demand, so repeated calls share one
     buffer — but a later call with a larger [min_len] may return a
     different (grown) array, so callers must not retain the buffer across
     calls. Thread-safe. Raises [Invalid_argument] on unknown ids. *)

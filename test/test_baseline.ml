@@ -38,24 +38,33 @@ let test_comp_block_contents () =
   checkb "comp schedule validates" true
     (Vp_sched.Schedule.validate comps.(0).schedule = Ok ())
 
+(* One model prices every branch penalty: the penalty is an argument of
+   the cycle counts, 2 by default. *)
 let test_cycles_arithmetic () =
   let sb = speculate (chain_block ()) in
-  let r = Vp_baseline.Static_recovery.build ~branch_penalty:3 machine sb in
+  let r = Vp_baseline.Static_recovery.build machine sb in
   let spec_len = Vp_sched.Schedule.length sb.schedule in
   let comp_len =
     Vp_sched.Schedule.length
       (Vp_baseline.Static_recovery.comp_blocks r).(0).schedule
   in
   checki "all correct = main schedule" spec_len
-    (Vp_baseline.Static_recovery.cycles r ~outcomes:[| true |]);
+    (Vp_baseline.Static_recovery.cycles ~branch_penalty:3 r
+       ~outcomes:[| true |]);
   checki "mispredict adds branches + comp block"
     (spec_len + (2 * 3) + comp_len)
-    (Vp_baseline.Static_recovery.cycles r ~outcomes:[| false |]);
+    (Vp_baseline.Static_recovery.cycles ~branch_penalty:3 r
+       ~outcomes:[| false |]);
   checki "compensation cycles"
     ((2 * 3) + comp_len)
-    (Vp_baseline.Static_recovery.compensation_cycles r ~outcomes:[| false |]);
+    (Vp_baseline.Static_recovery.compensation_cycles ~branch_penalty:3 r
+       ~outcomes:[| false |]);
   checki "no compensation when correct" 0
-    (Vp_baseline.Static_recovery.compensation_cycles r ~outcomes:[| true |])
+    (Vp_baseline.Static_recovery.compensation_cycles ~branch_penalty:3 r
+       ~outcomes:[| true |]);
+  checki "default penalty is 2"
+    (spec_len + (2 * 2) + comp_len)
+    (Vp_baseline.Static_recovery.cycles r ~outcomes:[| false |])
 
 let test_code_sizes () =
   let sb = speculate (chain_block ()) in

@@ -380,9 +380,9 @@ let counter json ~section name =
   int_of_string (String.sub json at (!stop - at))
 
 (* No CCE-width point reads a speculated block's preparation (reference
-   run, static-recovery model, outcome vectors), so at one job each block
-   is prepared by the sweep's first point and shared by its other three:
-   exactly three preparation-memo hits per miss. *)
+   run, compiled kernel, static-recovery model, outcome vectors), so at
+   one job each block is prepared by the sweep's first point and shared
+   by its other three: exactly three preparation-memo hits per miss. *)
 let test_telemetry_prep_memo () =
   let code, err =
     run
@@ -396,6 +396,24 @@ let test_telemetry_prep_memo () =
   and misses = counter err ~section:"spec_eval" "prep_memo_misses" in
   checkb "some block was prepared" true (misses > 0);
   checki "hits = 3 x misses" (3 * misses) hits
+
+(* The hardware validation's trace simulator runs each speculated block
+   on the kernel the pipeline compiled, read back from the block's
+   preparation: at one job every block the pipeline prepared is read
+   back once and prepared no second time. *)
+let test_telemetry_hardware_kernels () =
+  let code, err =
+    run
+      [
+        "hardware"; "--seed"; "42"; "--jobs"; "1"; "--no-cache";
+        "--telemetry"; "-";
+      ]
+  in
+  checki "exit 0" 0 code;
+  let hits = counter err ~section:"spec_eval" "prep_memo_hits"
+  and misses = counter err ~section:"spec_eval" "prep_memo_misses" in
+  checkb "some block was prepared" true (misses > 0);
+  checki "hits = misses" misses hits
 
 let cache_counter json name = counter json ~section:"cache" name
 
@@ -786,6 +804,8 @@ let () =
           tc "workers.count is the domains that ran"
             test_telemetry_workers_count;
           tc "ccewidth points share preparations" test_telemetry_prep_memo;
+          tc "hardware reads the pipeline's kernels"
+            test_telemetry_hardware_kernels;
         ] );
       ("csv", [ tc "fig8 and hardware --csv" test_csv_tables ]);
       ("summary", [ tc "pinned bytes, cold and warm" test_summary ]);

@@ -29,8 +29,9 @@ let lanes = Vp_engine.Compiled.Lanes.create ()
 
 (* One outcome vector as a one-lane word: the call a trace-sim mask-memo
    miss makes. *)
-let run_one compiled outcomes =
-  (Vp_engine.Compiled.run_bitset compiled lanes ~vectors:[| outcomes |]).(0)
+let run_one ?ccb_capacity ?cce_retire_width compiled outcomes =
+  (Vp_engine.Compiled.run_bitset ?ccb_capacity ?cce_retire_width compiled
+     lanes ~vectors:[| outcomes |]).(0)
 
 let reference_of (sb : Vp_vspec.Spec_block.t) =
   Vp_engine.Reference.run sb.original_block
@@ -39,10 +40,7 @@ let reference_of (sb : Vp_vspec.Spec_block.t) =
 
 let check_block ?ccb_capacity ?cce_retire_width label sb outcomes_list =
   let reference = reference_of sb in
-  let compiled =
-    Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
-      ~live_in
-  in
+  let compiled = Vp_engine.Compiled.compile sb ~reference ~live_in in
   (* A tight CCB can genuinely deadlock the machine; the kernel must then
      deadlock exactly when the oracle does, with the same message. *)
   let under f =
@@ -55,7 +53,10 @@ let check_block ?ccb_capacity ?cce_retire_width label sb outcomes_list =
             Vp_engine.Dual_engine.run ?ccb_capacity ?cce_retire_width sb
               ~reference ~live_in ~outcomes)
       in
-      let kernel = under (fun () -> run_one compiled outcomes) in
+      let kernel =
+        under (fun () ->
+            run_one ?ccb_capacity ?cce_retire_width compiled outcomes)
+      in
       Alcotest.check
         (Alcotest.result result (Alcotest.of_pp (fun ppf (`Deadlock m) ->
              Format.fprintf ppf "deadlock: %s" m)))
@@ -174,11 +175,13 @@ let batch_vectors n ~rng =
    whose timing diverges, and the per-vector-loop deadlock behaviour
    (first deadlocking vector in input order wins, with the same
    message). *)
-let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
+let check_bitset ?ccb_capacity ?cce_retire_width ?compiled label sb vectors
+    =
   let reference = reference_of sb in
   let compiled =
-    Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
-      ~live_in
+    match compiled with
+    | Some compiled -> compiled
+    | None -> Vp_engine.Compiled.compile sb ~reference ~live_in
   in
   let under f =
     try Ok (f ())
@@ -190,7 +193,9 @@ let check_bitset ?ccb_capacity ?cce_retire_width label sb vectors =
   in
   let seq = under (fun () -> Array.map one vectors) in
   let bitset =
-    under (fun () -> Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
+    under (fun () ->
+        Vp_engine.Compiled.run_bitset ?ccb_capacity ?cce_retire_width compiled
+          lanes ~vectors)
   in
   Alcotest.check
     (Alcotest.result
@@ -221,14 +226,23 @@ let test_bitset_chunking () =
 
 (* --- Bitset batches vs the executable spec, every shape --- *)
 
-(* The machine shapes every batch runs under: the default unbounded CCB,
-   a one-entry CCB, and a two-entry CCB retiring two per cycle. *)
+(* Every machine shape this file runs under: the default unbounded CCB,
+   a one-entry CCB, a two-entry CCB retiring two per cycle, a wide CCE,
+   and a one-entry CCB retiring two per cycle. *)
 let shapes =
-  [ ("", None, None); (" ccb=1", Some 1, None); (" ccb=2 w=2", Some 2, Some 2) ]
+  [
+    ("", None, None);
+    (" ccb=1", Some 1, None);
+    (" ccb=2 w=2", Some 2, Some 2);
+    (" w=4", None, Some 4);
+    (" ccb=1 w=2", Some 1, Some 2);
+  ]
 
 (* [run_bitset] is the only evaluator of a speculated block outside the
    oracle: the worked example at every scenario, then every workload block
-   with duplicated and random vectors, each under every shape. *)
+   with duplicated and random vectors. A kernel holds no machine shape, so
+   each block is compiled once and its kernel runs under every shape in
+   turn: a shape one run left in the kernel would show in the next. *)
 let test_bitset_spec_engine () =
   let rng = Vp_util.Rng.create 44 in
   let cases =
@@ -242,13 +256,28 @@ let test_bitset_spec_engine () =
              batch_vectors (Array.length sb.predicted) ~rng ))
          (Lazy.force speculated_blocks)
   in
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
   List.iter
     (fun (label, sb, vectors) ->
+      let reference = reference_of sb in
+      let compiled = Vp_engine.Compiled.compile sb ~reference ~live_in in
       List.iter
         (fun (suffix, ccb_capacity, cce_retire_width) ->
-          check_bitset ?ccb_capacity ?cce_retire_width (label ^ suffix) sb
-            vectors)
-        shapes)
+          check_bitset ?ccb_capacity ?cce_retire_width ~compiled
+            (label ^ suffix) sb vectors)
+        shapes;
+      (* A retire width below 1 is refused at run time, as the oracle
+         refuses it. *)
+      checkb (label ^ " w=0 rejected by the oracle") true
+        (rejects (fun () ->
+             Vp_engine.Dual_engine.run ~cce_retire_width:0 sb ~reference
+               ~live_in ~outcomes:vectors.(0)));
+      checkb (label ^ " w=0 rejected by the kernel") true
+        (rejects (fun () ->
+             Vp_engine.Compiled.run_bitset ~cce_retire_width:0 compiled lanes
+               ~vectors)))
     cases
 
 (* Arbitrary blocks and CCB/CCE shapes: [run_bitset] on a whole batch =
@@ -257,7 +286,7 @@ let test_bitset_spec_engine () =
 let prop_bitset_matches_per_vector =
   QCheck.Test.make ~count:60
     ~name:"run_bitset = per-vector oracle"
-    QCheck.(quad small_int (int_bound 7) small_int (int_bound 2))
+    QCheck.(quad small_int (int_bound 7) small_int (int_bound 4))
     (fun (seed, pick, oseed, shape) ->
       let models = Vp_workload.Spec_model.all in
       let model = List.nth models (pick mod List.length models) in
@@ -271,10 +300,7 @@ let prop_bitset_matches_per_vector =
       | Vp_vspec.Transform.Speculated sb ->
           let _, ccb_capacity, cce_retire_width = List.nth shapes shape in
           let reference = reference_of sb in
-          let compiled =
-            Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb
-              ~reference ~live_in
-          in
+          let compiled = Vp_engine.Compiled.compile sb ~reference ~live_in in
           let n = Vp_engine.Compiled.num_predictions compiled in
           let rng = Vp_util.Rng.create oseed in
           let vectors = batch_vectors n ~rng in
@@ -284,9 +310,13 @@ let prop_bitset_matches_per_vector =
           in
           let bitset =
             under (fun () ->
-                Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
+                Vp_engine.Compiled.run_bitset ?ccb_capacity ?cce_retire_width
+                  compiled lanes ~vectors)
           in
-          under (fun () -> Array.map (run_one compiled) vectors) = bitset
+          under (fun () ->
+              Array.map (run_one ?ccb_capacity ?cce_retire_width compiled)
+                vectors)
+          = bitset
           && under (fun () ->
                  Array.map
                    (fun outcomes ->

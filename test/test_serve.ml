@@ -1411,6 +1411,74 @@ let test_registry_bytes () =
         (P.expand_experiments [ name ]))
     [ "bogus"; "compare"; "frontier"; "ablate:nope"; "ablate"; "sweep:x"; "" ]
 
+(* Every served CSV artifact is one or more tables, one per blank-line
+   separated block: a header row, then rows of as many fields, every
+   field outside the label columns a bare number. Most of these
+   artifacts have no [--csv] subcommand, so only the wire reaches their
+   CSV. [example] is prose in either format. No served cell holds a
+   comma, so a row splits on every comma. *)
+let test_served_csv_cells () =
+  let module A = Vliw_vp.Artifact in
+  let g =
+    Vp_exec.Graph.create
+      (Vp_exec.Context.create ~progress:(Vp_exec.Progress.silent ()) ())
+  in
+  let labels = [ "Benchmark"; "Bucket"; "Setting"; "State" ] in
+  let tables value =
+    List.fold_right
+      (fun line acc ->
+        match (line, acc) with
+        | "", _ -> [] :: acc
+        | _, table :: rest -> (line :: table) :: rest
+        | _, [] -> [ [ line ] ])
+      (String.split_on_char '\n' value)
+      []
+    |> List.filter (( <> ) [])
+  in
+  List.iter
+    (fun (a : A.t) ->
+      match a.command with
+      | Some (A.Bare _) -> ()
+      | Some (A.Table _ | A.Sweep _) | None -> (
+          let value =
+            match
+              Vp_serve.Spec.of_submit
+                (Vp_serve.Client.submit_spec ~experiments:[ a.name ]
+                   ~benchmarks:[ "compress" ] ~csv:true ())
+            with
+            | Ok spec ->
+                Vp_exec.Graph.await g
+                  (Vp_serve.Spec.declare_artifact g spec a.name)
+            | Error (r : P.reject) ->
+                Alcotest.failf "%s rejected: %s" a.name r.message
+          in
+          match tables value with
+          | [] -> Alcotest.failf "%s served no CSV" a.name
+          | blocks ->
+              List.iter
+                (function
+                  | [] -> ()
+                  | first :: rows ->
+                      let header = String.split_on_char ',' first in
+                      checkb (a.name ^ " has rows") true (rows <> []);
+                      List.iter
+                        (fun row ->
+                          let cells = String.split_on_char ',' row in
+                          checki (a.name ^ " row fields") (List.length header)
+                            (List.length cells);
+                          List.iter2
+                            (fun column cell ->
+                              if not (List.mem column labels) then
+                                checkb
+                                  (Printf.sprintf "%s %s cell %S is a number"
+                                     a.name column cell)
+                                  true
+                                  (Option.is_some (float_of_string_opt cell)))
+                            header cells)
+                        rows)
+                blocks))
+    A.registry
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vp_serve"
@@ -1444,6 +1512,7 @@ let () =
           tc "render keys" test_render_keys;
           tc "warm declaration is a lookup" test_warm_declaration_is_lookup;
           tc "subcommand bytes = served bytes" test_registry_bytes;
+          tc "served CSV cells are numbers" test_served_csv_cells;
         ] );
       ( "daemon",
         [

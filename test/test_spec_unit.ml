@@ -1,5 +1,6 @@
-(* The spec-unit cache must be invisible: every cached artifact —
-   list schedule, vspec transform outcome, compiled kernel — must be
+(* The spec-unit cache and the preparation memo must be invisible: every
+   cached artifact — list schedule, vspec transform outcome, and the
+   compiled kernel a speculated block's preparation holds — must be
    structurally equal to the uncached computation for arbitrary blocks,
    policies and profiled rates. Plus the threshold-normalization contract:
    sweep points whose thresholds admit the same loads share one physical
@@ -12,11 +13,13 @@ let checki = Alcotest.(check int)
 let machine = Vp_machine.Descr.playdoh ~width:4
 let live_in = Vp_engine.Reference.live_in
 
-let gen_block ~seed ~pick =
+let model_of pick =
   let models = Vp_workload.Spec_model.all in
-  let model = List.nth models (pick mod List.length models) in
+  List.nth models (pick mod List.length models)
+
+let gen_block ~seed ~pick =
   fst
-    (Vp_workload.Block_gen.generate model
+    (Vp_workload.Block_gen.generate (model_of pick)
        ~rng:(Vp_util.Rng.create seed)
        ~stream_base:0 ~label:"spec-unit")
 
@@ -30,11 +33,6 @@ let gen_rates ~rseed block =
         Some (float_of_int (Vp_util.Rng.int rng 100) /. 100.0)
       else None)
     (Vp_ir.Block.ops block)
-
-let reference_of (sb : Vp_vspec.Spec_block.t) =
-  Vp_engine.Reference.run sb.original_block
-    ~load_values:(fun id -> 1000 + (13 * id))
-    ~live_in
 
 let thresholds = [| 0.0; 0.4; 0.6; 0.75; 0.9 |]
 
@@ -76,13 +74,21 @@ let prop_cached_equals_fresh =
       match (fresh_outcome, cached_outcome) with
       | Vp_vspec.Transform.Speculated fresh_sb, Vp_vspec.Transform.Speculated sb
         ->
-          let cce_retire_width = 1 + (knobs mod 3) in
-          (* The fresh compile uses the fresh spec block to prove key
-             independence. *)
-          Vliw_vp.Spec_unit.compiled ~cce_retire_width sb
-            ~reference:(reference_of sb)
-          = Vp_engine.Compiled.compile ~cce_retire_width fresh_sb
-              ~reference:(reference_of fresh_sb) ~live_in
+          (* The kernel is part of the block's preparation, read against
+             the streams of the block's own model. The fresh compile uses
+             the fresh spec block to prove key independence. *)
+          let workload =
+            Vp_workload.Workload.generate ~seed:11 (model_of pick)
+          in
+          let config = { Vliw_vp.Config.default with seed = 11 } in
+          let held = Vliw_vp.Pipeline.prep_cached config workload sb in
+          (* Twice: the second call exercises the hit path. *)
+          held == Vliw_vp.Pipeline.prep_cached config workload sb
+          && held.prep_kernel
+             = Vp_engine.Compiled.compile fresh_sb
+                 ~reference:
+                   (Vliw_vp.Pipeline.prep_spec config workload fresh_sb)
+                     .prep_reference ~live_in
       | _ -> true)
 
 (* --- threshold normalization: sharing and message rewriting --- *)
@@ -219,13 +225,37 @@ let test_prep_hits_fresh () =
               in
               checkb "held preparation is the evaluated one" true
                 (held.prep_sb == spec.sb);
-              checkb "held preparation = fresh" true
-                (held = Vliw_vp.Pipeline.prep_spec p.config p.workload spec.sb);
+              let fresh =
+                Vliw_vp.Pipeline.prep_spec p.config p.workload spec.sb
+              in
+              checkb "held preparation = fresh" true (held = fresh);
+              checkb "held kernel = fresh compile" true
+                (held.prep_kernel
+                = Vp_engine.Compiled.compile spec.sb
+                    ~reference:fresh.prep_reference ~live_in);
               incr checked)
         p.blocks)
     runs;
   checki "every lookup of the sweep checked" (hits + misses) !checked;
   checki "the checks were all hits" misses1 (snd (prep_counters ()))
+
+(* The recovery table's five branch penalties over one model, at a seed
+   no other test here runs: the static-recovery model holds no penalty,
+   so each speculated block is prepared at the first penalty and read
+   back at the other four. *)
+let test_penalties_share_preparations () =
+  Vliw_vp.Spec_unit.clear ();
+  let config = { Vliw_vp.Config.default with seed = 23 } in
+  let hits0, misses0 = prep_counters () in
+  let rows =
+    Vliw_vp.Experiments.recovery_sensitivity ~config
+      ~penalties:[ 0; 1; 2; 4; 8 ] Vp_workload.Spec_model.li
+  in
+  let hits1, misses1 = prep_counters () in
+  let misses = misses1 - misses0 and hits = hits1 - hits0 in
+  checki "one row per penalty" 5 (List.length rows);
+  checkb "the sweep prepared some block" true (misses > 0);
+  checki "four penalties share each preparation" (4 * misses) hits
 
 (* --- residual blocks: one entry per physical block, every hit fresh --- *)
 
@@ -342,6 +372,8 @@ let () =
           tc "threshold normalization shares entries" test_threshold_sharing;
           tc "profile rates cached and store-backed" test_profile_rates_caching;
           tc "preparation hits equal fresh preparations" test_prep_hits_fresh;
+          tc "branch penalties share preparations"
+            test_penalties_share_preparations;
           tc "residual blocks share the base run's artifacts"
             test_residual_blocks_share;
         ] );

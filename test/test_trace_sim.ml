@@ -187,6 +187,25 @@ let test_fast_deterministic () =
   let r2 = Vliw_vp.Trace_sim.run ~executions:500 p in
   Alcotest.check result "repeat run identical" r1 r2
 
+(* The integer fields of the [spec_eval] telemetry object. *)
+let spec_eval_counters () =
+  let json = Vliw_vp.Pipeline.telemetry_json () in
+  List.map
+    (fun name ->
+      let key = Printf.sprintf "\"%s\": " name in
+      let rec find i =
+        if String.sub json i (String.length key) = key then
+          i + String.length key
+        else find (i + 1)
+      in
+      let at = find 0 in
+      let stop = ref at in
+      while json.[!stop] >= '0' && json.[!stop] <= '9' do
+        incr stop
+      done;
+      (name, int_of_string (String.sub json at (!stop - at))))
+    [ "bitset_words"; "bitset_vectors"; "prep_memo_hits"; "prep_memo_misses" ]
+
 let test_telemetry_counters () =
   (* A pipeline no earlier test has simulated: per-pipeline state (and the
      mask memo inside it) persists across runs, so only a first-ever run
@@ -196,15 +215,26 @@ let test_telemetry_counters () =
   let s0 = Vliw_vp.Trace_sim.stats () in
   checki "cleared" 0
     (s0.runs + s0.memo_hits + s0.engine_replays + s0.alias_evictions);
-  let spec_eval = Vliw_vp.Pipeline.telemetry_json () in
+  let spec_eval = spec_eval_counters () in
   ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s1 = Vliw_vp.Trace_sim.stats () in
   checki "one run" 1 s1.runs;
   (* the replays are trace-sim's own count, not scenario batches: the
      batch occupancy counters do not move *)
-  Alcotest.(check string)
-    "spec_eval counters unchanged" spec_eval
-    (Vliw_vp.Pipeline.telemetry_json ());
+  let after = spec_eval_counters () in
+  let field name l = List.assoc name l in
+  List.iter
+    (fun name ->
+      checki (name ^ " unchanged") (field name spec_eval) (field name after))
+    [ "bitset_words"; "bitset_vectors" ];
+  (* the kernels are the pipeline's own: every speculated block that ran
+     read its preparation back from the memo, and none was prepared
+     again *)
+  checki "prep_memo_misses unchanged"
+    (field "prep_memo_misses" spec_eval)
+    (field "prep_memo_misses" after);
+  checkb "prep_memo_hits rose" true
+    (field "prep_memo_hits" after > field "prep_memo_hits" spec_eval);
   checkb "engine ran at least once" true (s1.engine_replays > 0);
   checkb "memo served repeats" true (s1.memo_hits > 0);
   (* non-speculated block executions touch neither counter *)

@@ -476,7 +476,12 @@ let test_table_csv () =
 
 let test_table_cells () =
   check Alcotest.string "cell_f" "0.48" (Vp_util.Table.cell_f 0.4811);
-  check Alcotest.string "cell_pct" "48.1%" (Vp_util.Table.cell_pct 0.4811)
+  check Alcotest.string "unit_cell aligned" "48.1%"
+    (Vp_util.Table.unit_cell `Ascii "48.1" "%");
+  check Alcotest.string "unit_cell csv" "48.1"
+    (Vp_util.Table.unit_cell `Csv "48.1" "%");
+  check Alcotest.string "unit_header csv" "share [%]"
+    (Vp_util.Table.unit_header `Csv "share" "%")
 
 (* --- Memo --- *)
 

@@ -308,6 +308,41 @@ let test_arena_shared_across_generate () =
   Alcotest.(check (list int))
     "same values" (Array.to_list va) (Array.to_list vb)
 
+(* An arena holds the values of its own stream: two models sharing a
+   name, at one seed, whose streams differ in shape each read their own
+   values, in either order of first use. *)
+let test_arena_same_name_models () =
+  let stock = Vp_workload.Spec_model.compress in
+  let constant =
+    {
+      stock with
+      shape_mix =
+        [
+          {
+            Vp_workload.Spec_model.weight = 1.0;
+            dist = Fixed (Vp_workload.Value_stream.Constant 7);
+          };
+        ];
+      chain_mix = None;
+    }
+  in
+  List.iter
+    (fun (seed, models) ->
+      List.iter
+        (fun (model : Vp_workload.Spec_model.t) ->
+          let w = Vp_workload.Workload.generate ~seed model in
+          for id = 0 to 3 do
+            Alcotest.(check (list int))
+              (Printf.sprintf "seed %d stream %d arena = take" seed id)
+              (Vp_workload.Value_stream.take
+                 (Vp_workload.Workload.stream w id)
+                 4)
+              (Array.to_list
+                 (Array.sub (Vp_workload.Workload.arena w id ~min_len:4) 0 4))
+          done)
+        models)
+    [ (5, [ stock; constant ]); (6, [ constant; stock ]) ]
+
 let test_total_counts_near_target () =
   List.iter
     (fun (model : Vp_workload.Spec_model.t) ->
@@ -446,6 +481,7 @@ let () =
           tc "arena matches take (all shapes)" test_arena_matches_take;
           tc "arena growth" test_arena_growth;
           tc "arena shared across generates" test_arena_shared_across_generate;
+          tc "arena per stream, not per model name" test_arena_same_name_models;
           tc "counts near target" test_total_counts_near_target;
           tc "generator statistics" test_generator_statistics;
           tc "shape mix statistics" test_shape_mix_statistics;
