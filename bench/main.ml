@@ -1,6 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, then times each regeneration (plus the core kernels) with
-   Bechamel — one Test.make per paper artifact.
+(* Benchmark harness: times each paper artifact's regeneration (plus the
+   core kernels) with Bechamel — one Test.make per paper artifact — then
+   prints the evaluation report and the reconstructed Figure 7.
 
    Run with:  dune exec bench/main.exe
               dune exec bench/main.exe -- --jobs 4 --json BENCH.json
@@ -75,80 +75,13 @@ let emit_telemetry () =
 
 (* --- Part 1: regenerate the paper's evaluation --- *)
 
+(* The evaluation report ([vliw_vp report]) on the harness's context, then
+   the reconstructed Figure 7, which no artifact prints. *)
 let full_run () =
-  let exec = exec_context in
-  let models = Vp_workload.Spec_model.all in
-  let config = Vliw_vp.Config.default in
-  (* The whole regeneration is one job graph, declared before the first
-     await: no barrier between artifacts, shared keys (run_all vs table4's
-     narrow width, the configured-seed stability points) run once. *)
-  let module S = Vliw_vp.Experiments.Suite in
-  let g = Vp_exec.Graph.create exec in
-  let summaries_n = S.run_all g ~config models in
-  let table4_n = S.table4 g ~config models in
-  let comparison_n = S.comparison g ~config models in
-  let regions_n = S.regions g ~config models in
-  let hyper_n = S.hyperblocks g ~config models in
-  let hardware_n = S.hardware_validation g ~config models in
-  let ablation_nodes =
-    List.map
-      (fun (title, sweep) ->
-        (title, S.ablate g ~config Vp_workload.Spec_model.compress sweep))
-      [
-        ("profile threshold", Vliw_vp.Experiments.threshold_sweep);
-        ( "prediction budget per block",
-          Vliw_vp.Experiments.prediction_budget_sweep );
-        ("CCB capacity", Vliw_vp.Experiments.ccb_capacity_sweep);
-        ( "Synchronization-register width",
-          Vliw_vp.Experiments.sync_width_sweep );
-        ("CCE retire width", Vliw_vp.Experiments.cce_width_sweep);
-        ("profiling predictors", Vliw_vp.Experiments.predictor_sweep);
-        ("block-latency accounting", Vliw_vp.Experiments.accounting_sweep);
-      ]
-  in
-  let recovery_n =
-    S.recovery_sensitivity g ~config Vp_workload.Spec_model.compress
-  in
-  let await n = Vp_exec.Graph.await g n in
-  let summaries = await summaries_n in
-  section "Table 2 (paper: best-case fractions 0.35-0.63, mean ~0.50)";
-  print_string (Vliw_vp.Experiments.render_table2 summaries);
-  section
-    "Table 3 (paper: best-case ratios 0.68-0.98, ~0.80 mean; worst still \
-     close to 1)";
-  print_string (Vliw_vp.Experiments.render_table3 summaries);
-  section "Table 4 (paper: wider machine => lower schedule-length fractions)";
-  print_string (Vliw_vp.Experiments.render_table4 (await table4_n));
-  section "Figure 8 (paper: most executed blocks improve by 1-4 cycles)";
-  print_string (Vliw_vp.Experiments.render_figure8 summaries);
-  section
-    "Comparison with static recovery [4] (paper: their compensation share \
-     significant, ours negligible)";
-  print_string (Vliw_vp.Experiments.render_comparison (await comparison_n));
-  section "Worked example (Figures 2/3)";
-  Format.printf "%a@." Vliw_vp.Example.describe ();
+  print_string (Vliw_vp.Report.generate ~exec:exec_context ());
   section
     "Figure 7 (reconstructed): cycle-by-cycle CCB/OVB contents, r7 mispredicted";
-  Format.printf "%a@." Vp_engine.Engine_trace.pp (Vliw_vp.Example.figure7 ());
-  section
-    "Extension: superblock regions (paper's future work; CCE retire width scaled with the region size)";
-  print_string (Vliw_vp.Experiments.render_regions (await regions_n));
-  section
-    "Extension: hyperblocks (if-conversion; speculation under predicates \
-     via old-value restore)";
-  print_string (Vliw_vp.Experiments.render_hyperblocks (await hyper_n));
-  section
-    "Extension: hardware-mode validation (run-time VP table vs profile expectation)";
-  print_string (Vliw_vp.Trace_sim.render (await hardware_n));
-  section "Ablations (compress)";
-  List.iter
-    (fun (title, node) ->
-      print_string (Vliw_vp.Experiments.render_ablation ~title (await node));
-      print_newline ())
-    ablation_nodes;
-  print_string
-    (Vliw_vp.Experiments.render_recovery_sensitivity ~bench:"compress"
-       (await recovery_n))
+  Format.printf "%a@." Vp_engine.Engine_trace.pp (Vliw_vp.Example.figure7 ())
 
 (* --- Part 2: Bechamel micro-benchmarks --- *)
 
@@ -161,6 +94,16 @@ let bench_model = Vp_workload.Spec_model.compress
 
 let bench_summary () =
   Vliw_vp.Experiments.run_benchmark ~config:bench_config bench_model
+
+(* One experiment declared on a fresh sequential job graph and run to its
+   result: each timed run of an experiment target pays its own graph. *)
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
+let threshold_ablation g =
+  Vliw_vp.Experiments.ablate g ~config:bench_config bench_model
+    Vliw_vp.Experiments.threshold_sweep
 
 (* Shared inputs for the kernel benchmarks, built once. *)
 let kernel_block =
@@ -379,12 +322,14 @@ let tests =
        smoke run (no regeneration) must measure the same steady state. *)
     Test.make ~name:"table4"
       (Staged.stage
-         (let run () =
+         (let render () =
             Vliw_vp.Experiments.render_table4
-              (Vliw_vp.Experiments.table4 ~config:bench_config [ bench_model ])
+              (run (fun g ->
+                   Vliw_vp.Experiments.table4 g ~config:bench_config
+                     [ bench_model ]))
           in
-          let () = ignore (run ()) in
-          run));
+          let () = ignore (render ()) in
+          render));
     Test.make ~name:"figure8"
       (Staged.stage (fun () ->
            Vliw_vp.Experiments.render_figure8 [ bench_summary () ]));
@@ -406,7 +351,9 @@ let tests =
     Test.make ~name:"regions"
       (Staged.stage (fun () ->
            Vliw_vp.Experiments.render_regions
-             (Vliw_vp.Experiments.regions ~config:bench_config [ bench_model ])));
+             (run (fun g ->
+                  Vliw_vp.Experiments.regions g ~config:bench_config
+                    [ bench_model ]))));
     (* Identical work to [regions] plus [hyperblocks], but guaranteed to
        start against warm region caches (one untimed prewarm run fills the
        formation memo, the spec-unit memos and the whole-run memo) — the
@@ -416,11 +363,13 @@ let tests =
          (let warm () =
             ignore
               (Vliw_vp.Experiments.render_regions
-                 (Vliw_vp.Experiments.regions ~config:bench_config
-                    [ bench_model ]));
+                 (run (fun g ->
+                      Vliw_vp.Experiments.regions g ~config:bench_config
+                        [ bench_model ])));
             Vliw_vp.Experiments.render_hyperblocks
-              (Vliw_vp.Experiments.hyperblocks ~config:bench_config
-                 [ bench_model ])
+              (run (fun g ->
+                   Vliw_vp.Experiments.hyperblocks g ~config:bench_config
+                     [ bench_model ]))
           in
           let () = ignore (warm ()) in
           warm));
@@ -432,35 +381,29 @@ let tests =
     Test.make ~name:"sweep:regions-frontier"
       (Staged.stage (fun () ->
            Vliw_vp.Experiments.render_regions_frontier
-             (Vliw_vp.Experiments.regions_frontier ~config:bench_config
-                ~max_blocks:[ 2; 4 ] ~min_probabilities:[ 0.50; 0.80 ]
-                ~widths:[ 4; 8 ] [ bench_model ])));
+             (run (fun g ->
+                  Vliw_vp.Experiments.regions_frontier g ~config:bench_config
+                    ~max_blocks:[ 2; 4 ] ~min_probabilities:[ 0.50; 0.80 ]
+                    ~widths:[ 4; 8 ] [ bench_model ]))));
     Test.make ~name:"overlap-validation"
       (Staged.stage (fun () ->
-           Vliw_vp.Experiments.overlap_validation ~config:bench_config
-             ~executions:100 [ bench_model ]));
+           run (fun g ->
+               Vliw_vp.Experiments.overlap_validation g ~config:bench_config
+                 ~executions:100 [ bench_model ])));
     Test.make ~name:"hardware-validation"
       (Staged.stage (fun () ->
            Vliw_vp.Trace_sim.run ~executions:500
              (Vliw_vp.Pipeline.run ~config:bench_config bench_model)));
     Test.make ~name:"ablation:threshold"
-      (Staged.stage (fun () ->
-           Vliw_vp.Experiments.ablate ~config:bench_config bench_model
-             Vliw_vp.Experiments.threshold_sweep));
+      (Staged.stage (fun () -> run threshold_ablation));
     (* Identical work to [ablation:threshold], but guaranteed to start
        against a warm spec-unit cache (one untimed prewarm run) — so
        BENCH.json records the warm-path number explicitly even in smoke
        runs too short for the first target to reach steady state. *)
     Test.make ~name:"sweep:ablation-warm"
       (Staged.stage
-         (let () =
-            ignore
-              (Vliw_vp.Experiments.ablate ~config:bench_config bench_model
-                 Vliw_vp.Experiments.threshold_sweep)
-          in
-          fun () ->
-            Vliw_vp.Experiments.ablate ~config:bench_config bench_model
-              Vliw_vp.Experiments.threshold_sweep));
+         (let () = ignore (run threshold_ablation) in
+          fun () -> run threshold_ablation));
     (* The whole run_all suite (every benchmark) through the job graph at
        the reduced configuration — the end-to-end number the suite
        executor is accountable for: declaration, scheduling, in-flight
@@ -469,7 +412,8 @@ let tests =
       (Staged.stage
          (let models = Vp_workload.Spec_model.all in
           fun () ->
-            Vliw_vp.Experiments.run_all ~config:bench_config models));
+            run (fun g ->
+                Vliw_vp.Experiments.run_all g ~config:bench_config models)));
     (* One warm submit round-trip through the daemon: request frame in,
        dedup hit on the finished render node, result + done frames out. *)
     Test.make ~name:"serve:warm-submit"

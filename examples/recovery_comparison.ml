@@ -26,9 +26,11 @@ let () =
       Vp_workload.Spec_model.vortex;
     ]
   in
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
   print_string
     (Vliw_vp.Experiments.render_comparison
-       (Vliw_vp.Experiments.comparison ~config models));
+       (Vp_exec.Graph.await g
+          (Vliw_vp.Experiments.comparison g ~config models)));
   print_newline ();
 
   (* CCB sizing: the high-water occupancy across every simulated scenario

@@ -12,6 +12,12 @@
    Run with:  dune exec examples/region_tour.exe
 *)
 
+(* An experiment declared on its own sequential job graph, run to its
+   result. *)
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
 let () =
   let model = Vp_workload.Spec_model.li in
   let workload = Vp_workload.Workload.generate model in
@@ -55,8 +61,9 @@ let () =
   (* 3. Region-granularity value prediction vs the basic-block baseline. *)
   print_string
     (Vliw_vp.Experiments.render_regions
-       (Vliw_vp.Experiments.regions ~params
-          [ model; Vp_workload.Spec_model.swim ]));
+       (run (fun g ->
+            Vliw_vp.Experiments.regions g ~config:Vliw_vp.Config.default
+              ~params [ model; Vp_workload.Spec_model.swim ])));
   print_newline ();
 
   (* 4. Why the CCE retire width matters at region scale: the same region
@@ -110,4 +117,6 @@ let () =
   | None -> ());
   print_string
     (Vliw_vp.Experiments.render_hyperblocks
-       (Vliw_vp.Experiments.hyperblocks [ model ]))
+       (run (fun g ->
+            Vliw_vp.Experiments.hyperblocks g ~config:Vliw_vp.Config.default
+              [ model ])))

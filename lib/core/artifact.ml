@@ -6,7 +6,6 @@
 
 module G = Vp_exec.Graph
 module E = Experiments
-module S = Experiments.Suite
 
 type format = [ `Ascii | `Csv ]
 
@@ -72,7 +71,7 @@ let per_model ~format ~sweep nodes =
 let sweep g ~key ~config ~models ~format ~name points =
   let deps, text =
     per_model ~format ~sweep:name
-      (List.map (fun m -> (m, S.config_sweep g ~config m points)) models)
+      (List.map (fun m -> (m, E.config_sweep g ~config m points)) models)
   in
   render g ~name:("sweep:" ^ name) ~key deps text
 
@@ -80,39 +79,39 @@ let ablation (a : E.ablation) =
   entry ("ablate:" ^ a.sweep_name) a.sweep_title (Some (Sweep a.sweep_name))
     (fun g ~config ~models ~format ->
       per_model ~format ~sweep:a.sweep_name
-        (List.map (fun m -> (m, S.ablate g ~config m a.sweep_settings)) models))
+        (List.map (fun m -> (m, E.ablate g ~config m a.sweep_settings)) models))
 
 let all_sequence =
   [
     of_suite "table2" "Table 2 — execution-time fractions"
       (table ~csv:true "table2" "Reproduce Table 2 (execution-time fractions)")
-      S.run_all E.render_table2;
+      E.run_all E.render_table2;
     of_suite "table3" "Table 3 — effective schedule-length fractions"
       (table ~csv:true "table3" "Reproduce Table 3 (schedule-length fractions)")
-      S.run_all E.render_table3;
+      E.run_all E.render_table3;
     of_suite "table4" "Table 4 — issue width 4 vs 8"
       (table ~csv:true "table4" "Reproduce Table 4 (issue width 4 vs 8)")
-      (fun g ~config ms -> S.table4 g ~config ms)
+      (fun g ~config ms -> E.table4 g ~config ms)
       E.render_table4;
     of_suite "fig8" "Figure 8 — schedule-length change distribution"
       (table ~csv:true "fig8"
          "Reproduce Figure 8 (schedule-length change distribution)")
-      S.run_all E.render_figure8;
+      E.run_all E.render_figure8;
     of_suite "comparison" "Comparison with the static-recovery scheme"
       (table ~csv:true "compare"
          "Compare against the static-recovery scheme of [4]")
-      S.comparison E.render_comparison;
+      E.comparison E.render_comparison;
     of_suite "regions" "Extension: superblock regions"
       (table "regions"
          "Superblock-region extension: basic-block vs region-granularity \
           value prediction")
-      (fun g ~config ms -> S.regions g ~config ms)
+      (fun g ~config ms -> E.regions g ~config ms)
       E.render_regions;
     of_suite "overlap" "Extension: overlap validation"
       (table "overlap"
          "Validate the per-block accounting against a shared-clock block \
           sequence")
-      (fun g ~config ms -> S.overlap_validation g ~config ms)
+      (fun g ~config ms -> E.overlap_validation g ~config ms)
       E.render_overlap;
     entry "example" "Worked example (Figures 2/3)"
       (Some
@@ -131,22 +130,22 @@ let extensions =
       (table "hyperblocks"
          "Hyperblock (if-conversion) extension: predicated regions vs basic \
           blocks")
-      (fun g ~config ms -> S.hyperblocks g ~config ms)
+      (fun g ~config ms -> E.hyperblocks g ~config ms)
       E.render_hyperblocks;
     of_suite "hardware" "Extension: hardware-mode validation"
       (table ~csv:true "hardware"
          "Hardware-mode validation: whole-program trace simulation with a \
           run-time value-prediction table")
-      (fun g ~config ms -> S.hardware_validation g ~config ms)
+      (fun g ~config ms -> E.hardware_validation g ~config ms)
       Trace_sim.render;
     of_suite "stability" "Seed stability"
       (table "stability" "Headline results across workload seeds (mean +/- sd)")
-      (fun g ~config ms -> S.stability g ~config ms)
+      (fun g ~config ms -> E.stability g ~config ms)
       E.render_stability;
     entry "recovery" "Recovery sensitivity" None
       (fun g ~config ~models ~format ->
         let model = List.hd models in
-        let n = S.recovery_sensitivity g ~config model in
+        let n = E.recovery_sensitivity g ~config model in
         ( [ G.pack n ],
           fun () ->
             E.render_recovery_sensitivity ~format
@@ -155,7 +154,7 @@ let extensions =
       (table "frontier"
          "Region-parameter frontier: sweep superblock formation (max blocks \
           x min edge probability) across machine widths")
-      (fun g ~config ms -> S.regions_frontier g ~config ms)
+      (fun g ~config ms -> E.regions_frontier g ~config ms)
       E.render_regions_frontier;
   ]
 

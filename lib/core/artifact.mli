@@ -45,7 +45,7 @@ type t = {
     models:Vp_workload.Spec_model.t list ->
     format:format ->
     string Vp_exec.Graph.node;
-      (** Declare the artifact's {!Experiments.Suite} nodes and return its
+      (** Declare the artifact's {!Experiments} nodes and return its
           render node: [~cache:false], under [key], holding the value. *)
 }
 
@@ -111,5 +111,5 @@ val sweep :
   (string * Config.t) list ->
   string Vp_exec.Graph.node
 (** The render node of the request-declared [sweep:NAME]: its points run
-    as {!Experiments.Suite.config_sweep} for each model, rendered as an
+    as {!Experiments.config_sweep} for each model, rendered as an
     [ablate:NAME] artifact is. *)

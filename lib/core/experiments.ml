@@ -174,10 +174,9 @@ let run_benchmark ?config model = summarize (Pipeline.run ?config model)
 (* --- Orchestration (Vp_exec) ---
 
    Every experiment entry point below declares its independent simulations
-   as nodes of a job graph over an execution context: worker domains, an
-   optional content-addressed result store, telemetry. The default context
-   is sequential and storeless, which runs the nodes in declaration order
-   in the calling domain. *)
+   as nodes of a caller's job graph, whose execution context holds the
+   worker count, the optional content-addressed result store and the
+   telemetry sink. *)
 
 (* Content address of one experiment result: the experiment kind, the
    full benchmark model (not just its name — custom models must not
@@ -200,10 +199,9 @@ type region_point =
 let region_job_key ~config point (model : Vp_workload.Spec_model.t) =
   job_key ~kind:"region" ~config (point, model)
 
-(* Suite-graph declaration helpers (see the [Suite] module at the end of
-   this file for the public grouping). Each experiment declares leaf
-   simulation nodes plus one reducer node that folds the leaf values into
-   the experiment's row list. Leaves are store-cached and share their
+(* Each experiment declares leaf simulation nodes plus one reducer node
+   that folds the leaf values into the experiment's row list, and returns
+   the reducer without draining. Leaves are store-cached and share their
    keys across experiments — the graph dedups a key that is merely in
    flight, the store one that already completed. Reducers pass
    [~cache:false]: their inputs are already cached or deduped, and the
@@ -224,24 +222,10 @@ let reduce g ~kind ~config ~payload leaves f =
     ~deps:(List.map G.pack leaves)
     f
 
-let suite_run_all g ~config models =
+let run_all g ~config models =
   let leaves = List.map (bench_node g ~group:"run_all" ~config) models in
   reduce g ~kind:"run_all" ~config ~payload:models leaves (fun () ->
       List.map G.value leaves)
-
-(* One graph per classic entry point: declare, then [await] the reducer.
-   Sequential contexts drain in declaration order — byte-identical to the
-   historical barriered batches — while the suite-level callers ([all],
-   the report, the bench) declare several experiments on one shared graph
-   before the first await, which is where the barrier-free interleaving
-   and in-flight dedup happen. *)
-let run_graph exec declare =
-  let g = G.create exec in
-  G.await g (declare g)
-
-let run_all ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
-    models =
-  run_graph exec (fun g -> suite_run_all g ~config models)
 
 let cell = Vp_util.Table.cell_f
 
@@ -337,7 +321,7 @@ let rec pair_table4 models results =
       :: pair_table4 models results
   | _ -> invalid_arg "table4: result/model mismatch"
 
-let suite_table4 g ~config ?(narrow = 4) ?(wide = 8) models =
+let table4 g ~config ?(narrow = 4) ?(wide = 8) models =
   (* One leaf per (benchmark, width); a width leaf that matches [run_all]'s
      configuration — the default [narrow] does — dedups onto the same node
      when both experiments sit on one graph, and shares its store entry
@@ -355,10 +339,6 @@ let suite_table4 g ~config ?(narrow = 4) ?(wide = 8) models =
   in
   reduce g ~kind:"table4" ~config ~payload:(models, narrow, wide) leaves
     (fun () -> pair_table4 models (List.map G.value leaves))
-
-let table4 ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
-    ?narrow ?wide models =
-  run_graph exec (fun g -> suite_table4 g ~config ?narrow ?wide models)
 
 let render_table4 ?format rows =
   let table =
@@ -462,7 +442,7 @@ let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
     ~deps:[ G.pack bench ]
     (fun () -> comparison_of (Pipeline.run ~config model))
 
-let suite_comparison g ~config models =
+let comparison g ~config models =
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -472,10 +452,6 @@ let suite_comparison g ~config models =
   in
   reduce g ~kind:"comparison" ~config ~payload:models (List.map snd leaves)
     (fun () -> List.map (fun (name, n) -> (name, G.value n)) leaves)
-
-let comparison ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
-    models =
-  run_graph exec (fun g -> suite_comparison g ~config models)
 
 let render_comparison ?(format = `Ascii) rows =
   let pct_column name = unit_column format name "%" in
@@ -551,9 +527,7 @@ let region_row ~config ~params (model : Vp_workload.Spec_model.t) =
   (* Formation goes through the region-formation memo: identical points
      share one physical program, which is what makes the downstream
      physically keyed caches hit. *)
-  let sb_program, traces =
-    Region_unit.superblock ~seed:config.seed workload cfg params
-  in
+  let sb_program, traces = Region_unit.superblock workload cfg params in
   (* [Pipeline.run] passes the memoized profile, so the whole-run memo
      returns the base run [run_all] already finished. *)
   let base = Pipeline.run ~config model in
@@ -579,8 +553,7 @@ let region_row ~config ~params (model : Vp_workload.Spec_model.t) =
            multi);
   }
 
-let suite_regions g ~config ?(params = Vp_region.Superblock.default_params)
-    models =
+let regions g ~config ?(params = Vp_region.Superblock.default_params) models =
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -593,10 +566,6 @@ let suite_regions g ~config ?(params = Vp_region.Superblock.default_params)
   in
   reduce g ~kind:"regions" ~config ~payload:(models, params) leaves (fun () ->
       List.map G.value leaves)
-
-let regions ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
-    ?params models =
-  run_graph exec (fun g -> suite_regions g ~config ?params models)
 
 let render_regions ?(format = `Ascii) rows =
   let table =
@@ -657,8 +626,7 @@ let default_frontier_widths = [ 4; 8 ]
    the base pipeline run per width (whole-run memo on the physically
    shared base program), and every formed program's residual blocks share
    the base run's spec-unit artifacts (keyed on the physical block). *)
-let suite_regions_frontier g ~config
-    ?(max_blocks = default_frontier_max_blocks)
+let regions_frontier g ~config ?(max_blocks = default_frontier_max_blocks)
     ?(min_probabilities = default_frontier_min_probabilities)
     ?(widths = default_frontier_widths) models =
   let points =
@@ -714,13 +682,6 @@ let suite_regions_frontier g ~config
             frontier_mean_blocks = r.mean_trace_blocks;
           })
         leaves)
-
-let regions_frontier ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?max_blocks ?min_probabilities
-    ?widths models =
-  run_graph exec (fun g ->
-      suite_regions_frontier g ~config ?max_blocks ?min_probabilities ?widths
-        models)
 
 let render_regions_frontier ?(format = `Ascii) rows =
   let table =
@@ -818,7 +779,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
               | Some solo -> solo
               | None ->
                   let solo =
-                    Vp_engine.Dual_engine.run
+                    Vp_engine.Dual_engine.run ?ccb_capacity:config.ccb_capacity
                       ~cce_retire_width:config.cce_retire_width spec.sb
                       ~reference ~live_in:Vp_engine.Reference.live_in ~outcomes
                   in
@@ -831,7 +792,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
               solo.cycles ))
   in
   let r =
-    Vp_engine.Dual_engine.run_sequence
+    Vp_engine.Dual_engine.run_sequence ?ccb_capacity:config.ccb_capacity
       ~cce_retire_width:config.cce_retire_width
       ~live_in:Vp_engine.Reference.live_in
       (List.map (fun (i, _, _) -> i) items_with_bounds)
@@ -847,7 +808,7 @@ let overlap_row ~config ~executions (model : Vp_workload.Spec_model.t) =
     sequence_ok = r.state_ok;
   }
 
-let suite_overlap_validation g ~config ?(executions = 400) models =
+let overlap_validation g ~config ?(executions = 400) models =
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -861,16 +822,12 @@ let suite_overlap_validation g ~config ?(executions = 400) models =
   reduce g ~kind:"overlap" ~config ~payload:(models, executions) leaves
     (fun () -> List.map G.value leaves)
 
-let overlap_validation ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?executions models =
-  run_graph exec (fun g -> suite_overlap_validation g ~config ?executions models)
-
 (* Hardware-mode validation: one job per (config, benchmark) point. Each
    job rebuilds its pipeline from the model — deterministic in (config,
    model), and the spec-unit caches make the rebuild cheap when the
    profile-driven sweeps already ran — so the trace results are
    content-addressed and parallelize like every other experiment. *)
-let suite_hardware_validation g ~config ?executions models =
+let hardware_validation g ~config ?executions models =
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -886,11 +843,6 @@ let suite_hardware_validation g ~config ?executions models =
   reduce g ~kind:"hardware" ~config
     ~payload:(models, executions) leaves
     (fun () -> List.map G.value leaves)
-
-let hardware_validation ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?executions models =
-  run_graph exec (fun g ->
-      suite_hardware_validation g ~config ?executions models)
 
 let render_overlap ?format rows =
   let table =
@@ -949,8 +901,8 @@ let hyperblock_row ~config ~params (model : Vp_workload.Spec_model.t) =
     hyper_formed = formed;
   }
 
-let suite_hyperblocks g ~config
-    ?(params = Vp_region.Hyperblock.default_params) models =
+let hyperblocks g ~config ?(params = Vp_region.Hyperblock.default_params)
+    models =
   let leaves =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
@@ -963,10 +915,6 @@ let suite_hyperblocks g ~config
   in
   reduce g ~kind:"hyperblocks" ~config ~payload:(models, params) leaves
     (fun () -> List.map G.value leaves)
-
-let hyperblocks ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?params models =
-  run_graph exec (fun g -> suite_hyperblocks g ~config ?params models)
 
 let render_hyperblocks ?(format = `Ascii) rows =
   let table =
@@ -1008,7 +956,7 @@ type stability_row = {
   t3_sd : float;
 }
 
-let suite_stability g ~config ?(seeds = [ 42; 7; 1234 ]) models =
+let stability g ~config ?(seeds = [ 42; 7; 1234 ]) models =
   (* One leaf per (benchmark, seed); shares its key — and hence its node or
      store entry — with [run_all] whenever a seed coincides with the
      configured one. *)
@@ -1045,10 +993,6 @@ let suite_stability g ~config ?(seeds = [ 42; 7; 1234 ]) models =
           })
         leaves)
 
-let stability ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?seeds models =
-  run_graph exec (fun g -> suite_stability g ~config ?seeds models)
-
 let render_stability ?(format = `Ascii) rows =
   (* An aligned cell reads "mean +/- sd"; CSV gives each number a
      column. *)
@@ -1083,8 +1027,7 @@ let render_stability ?(format = `Ascii) rows =
 
 (* --- Recovery sensitivity --- *)
 
-let suite_recovery_sensitivity g ~config ?(penalties = [ 0; 1; 2; 4; 8 ])
-    model =
+let recovery_sensitivity g ~config ?(penalties = [ 0; 1; 2; 4; 8 ]) model =
   (* One comparison node per penalty: the point at the configured penalty
      dedups onto the comparison table's leaf when both share a graph. *)
   let leaves =
@@ -1097,11 +1040,6 @@ let suite_recovery_sensitivity g ~config ?(penalties = [ 0; 1; 2; 4; 8 ])
   in
   reduce g ~kind:"recovery" ~config ~payload:(model, penalties) leaves
     (fun () -> List.map2 (fun p n -> (p, G.value n)) penalties leaves)
-
-let recovery_sensitivity ?(config = Config.default)
-    ?(exec = Vp_exec.Context.sequential) ?penalties model =
-  run_graph exec (fun g ->
-      suite_recovery_sensitivity g ~config ?penalties model)
 
 let render_recovery_sensitivity ?(format = `Ascii) ~bench rows =
   let table =
@@ -1146,7 +1084,7 @@ type ablation_point = {
    keyed by the full [(label, config)] point list, and each leaf by its
    applied config. Leaves are store-cached, so two sweeps sharing a point
    share its simulation. *)
-let suite_config_sweep g ~config model points =
+let config_sweep g ~config model points =
   let leaves =
     List.map
       (fun (setting, pconfig) ->
@@ -1170,13 +1108,9 @@ let suite_config_sweep g ~config model points =
     (fun () -> List.map G.value leaves)
 
 (* A named ablation is the config sweep of its tweaks applied to [config]. *)
-let suite_ablate g ~config model settings =
-  suite_config_sweep g ~config model
+let ablate g ~config model settings =
+  config_sweep g ~config model
     (List.map (fun (setting, tweak) -> (setting, tweak config)) settings)
-
-let ablate ?(config = Config.default) ?(exec = Vp_exec.Context.sequential)
-    model settings =
-  run_graph exec (fun g -> suite_ablate g ~config model settings)
 
 let with_policy f (c : Config.t) = { c with policy = f c.policy }
 
@@ -1327,26 +1261,3 @@ let telemetry_sections () =
     ("spec_eval", Pipeline.telemetry_json ());
     ("trace_sim", Trace_sim.telemetry_json ());
   ]
-
-(* --- Suite declarations --- *)
-
-(* The graph-declaration forms of the entry points above: each declares its
-   leaves and reducer on a caller-supplied graph and returns the reducer
-   node without draining, so a suite driver ([vliw_vp all], the report, the
-   benchmarks) can declare several experiments up front and let one
-   scheduler run them barrier-free, deduplicating keys that are merely in
-   flight. [Vp_exec.Graph.await] (or [drain]) then runs everything. *)
-module Suite = struct
-  let run_all = suite_run_all
-  let table4 = suite_table4
-  let comparison = suite_comparison
-  let regions = suite_regions
-  let regions_frontier = suite_regions_frontier
-  let overlap_validation = suite_overlap_validation
-  let hardware_validation = suite_hardware_validation
-  let hyperblocks = suite_hyperblocks
-  let stability = suite_stability
-  let recovery_sensitivity = suite_recovery_sensitivity
-  let ablate = suite_ablate
-  let config_sweep = suite_config_sweep
-end

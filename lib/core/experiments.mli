@@ -5,7 +5,23 @@
     {!benchmark_summary} is plain data that keeps none of the pipeline it
     came from. {!comparison_of} computes the recovery-scheme comparison
     from a pipeline, for the artifacts that print it. The [render_*]
-    functions lay the results out in the paper's table formats. *)
+    functions lay the results out in the paper's table formats.
+
+    {b Experiments are graph declarations.} Every experiment ({!run_all},
+    {!table4}, {!comparison}, ...) declares its independent simulations as
+    keyed leaf nodes of a caller's {!Vp_exec.Graph} plus one reducer node
+    that folds them into the result rows, and returns the reducer {e
+    without draining}. A caller declares every experiment it needs up
+    front and [Vp_exec.Graph.await]s the reducers: one scheduler runs the
+    union barrier-free on the graph context's worker domains, leaves from
+    different experiments interleave, and a key that two experiments share
+    — e.g. [run_all]'s benchmark jobs and [table4]'s narrow-width jobs
+    under the same configuration — runs once, deduplicated while merely in
+    flight; the context's result store skips anything an earlier run
+    already completed. A graph over [Vp_exec.Context.sequential] runs the
+    nodes one at a time in the calling domain, the byte-identical
+    reference for any worker count. A failed job makes [await] raise
+    {!Vp_exec.Context.Job_failed}. *)
 
 (** The Section 3 comparison of the dual-engine scheme against the
     static-recovery scheme of paper-reference [4]. *)
@@ -56,27 +72,18 @@ val comparison_of : Pipeline.t -> comparison
 (** The Section 3 comparison for one benchmark's pipeline. Its cache
     component replays a [trace_length]-long dynamic trace through two
     icache layouts, so only the artifacts that print the comparison
-    compute it — through {!comparison} or {!Suite.comparison}, which the
-    graph dedups in flight and the store caches across runs. Those leaves
-    read the pipeline through {!Pipeline.run}'s whole-run memo, which the
+    compute it — through {!comparison}, whose leaves the graph dedups in
+    flight and the store caches across runs. Those leaves read the
+    pipeline through {!Pipeline.run}'s whole-run memo, which the
     benchmark's summary job has already filled. *)
 
 val run_all :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   Vp_workload.Spec_model.t list ->
-  benchmark_summary list
-(** Every [?exec]-taking entry point declares its independent simulations
-    as keyed nodes of a {!Vp_exec.Graph} — leaf jobs plus one reducer that
-    folds them into the result rows — and drains it: worker domains run
-    the leaves concurrently, the context's result store skips
-    recomputation of anything already cached, and the context's progress
-    sink accumulates telemetry. The default context is sequential,
-    storeless and silent, and drains in declaration order — bit-identical
-    to the historical in-process evaluation. A failed job raises
-    {!Vp_exec.Context.Job_failed}. Suite drivers that want
-    several experiments on one barrier-free graph declare them through
-    {!Suite} instead. *)
+  benchmark_summary list Vp_exec.Graph.node
+(** One {!run_benchmark} leaf per model, the rows of Tables 2 and 3 and
+    Figure 8. *)
 
 val render_table2 :
   ?format:[ `Ascii | `Csv ] -> benchmark_summary list -> string
@@ -97,14 +104,15 @@ type table4_row = {
 }
 
 val table4 :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?narrow:int ->
   ?wide:int ->
   Vp_workload.Spec_model.t list ->
-  table4_row list
+  table4_row list Vp_exec.Graph.node
 (** Best-case entries of Tables 2 and 3 at two issue widths (defaults 4
-    and 8), the paper's Table 4. *)
+    and 8), the paper's Table 4: one leaf per (model, width), so a width
+    equal to [config]'s shares {!run_all}'s leaf. *)
 
 val render_table4 : ?format:[ `Ascii | `Csv ] -> table4_row list -> string
 
@@ -116,10 +124,10 @@ val render_figure8 :
     of the pooled distribution (benchmark [pooled]). *)
 
 val comparison :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   Vp_workload.Spec_model.t list ->
-  (string * comparison) list
+  (string * comparison) list Vp_exec.Graph.node
 (** One [(benchmark name, comparison)] row per model: a {!comparison_of}
     leaf per benchmark, ordered after that benchmark's {!run_all} job so
     that its {!Pipeline.run} is a whole-run memo hit. *)
@@ -146,11 +154,11 @@ type region_row = {
 }
 
 val regions :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?params:Vp_region.Superblock.params ->
   Vp_workload.Spec_model.t list ->
-  region_row list
+  region_row list Vp_exec.Graph.node
 
 val render_regions : ?format:[ `Ascii | `Csv ] -> region_row list -> string
 
@@ -170,13 +178,13 @@ type frontier_row = {
 }
 
 val regions_frontier :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?max_blocks:int list ->
   ?min_probabilities:float list ->
   ?widths:int list ->
   Vp_workload.Spec_model.t list ->
-  frontier_row list
+  frontier_row list Vp_exec.Graph.node
 (** The region fast lane's sweep: superblock formation across
     [max_blocks] (default [2;4;8]) × [min_probabilities] (default
     [0.50;0.65;0.80]) × machine [widths] (default [4;8]), one graph leaf
@@ -208,26 +216,27 @@ type overlap_row = {
 }
 
 val overlap_validation :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?executions:int ->
   Vp_workload.Spec_model.t list ->
-  overlap_row list
-(** Default 400 dynamic block executions per benchmark. *)
+  overlap_row list Vp_exec.Graph.node
+(** Default 400 dynamic block executions per benchmark, at [config]'s CCB
+    capacity and CCE retire width. *)
 
 val render_overlap : ?format:[ `Ascii | `Csv ] -> overlap_row list -> string
 
 val hardware_validation :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?executions:int ->
   Vp_workload.Spec_model.t list ->
-  (string * Trace_sim.result) list
+  (string * Trace_sim.result) list Vp_exec.Graph.node
 (** The hardware-mode validation sweep ({!Trace_sim.run} over a fresh
-    pipeline per benchmark), fanned through the execution context one
-    (config, benchmark) point per job — parallel and, with a store,
-    cached like the other experiment sweeps. [executions] defaults to
-    {!Trace_sim.run}'s. Render with {!Trace_sim.render}. *)
+    pipeline per benchmark), one (config, benchmark) leaf per model —
+    parallel and, with a store, cached like the other experiment sweeps.
+    [executions] defaults to {!Trace_sim.run}'s. Render with
+    {!Trace_sim.render}. *)
 
 (** The hyperblock (if-conversion) extension: biased branches absorbed into
     predicated regions. Guarded operations cannot be value-speculated (a
@@ -244,11 +253,11 @@ type hyperblock_row = {
 }
 
 val hyperblocks :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?params:Vp_region.Hyperblock.params ->
   Vp_workload.Spec_model.t list ->
-  hyperblock_row list
+  hyperblock_row list Vp_exec.Graph.node
 
 val render_hyperblocks :
   ?format:[ `Ascii | `Csv ] -> hyperblock_row list -> string
@@ -266,21 +275,23 @@ type stability_row = {
 }
 
 val stability :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?seeds:int list ->
   Vp_workload.Spec_model.t list ->
-  stability_row list
-(** Default seeds: 42 (the reported one), 7, 1234. *)
+  stability_row list Vp_exec.Graph.node
+(** One {!run_benchmark} leaf per (model, seed), so the configured seed's
+    points share {!run_all}'s leaves. Default seeds: 42 (the reported
+    one), 7, 1234. *)
 
 val render_stability : ?format:[ `Ascii | `Csv ] -> stability_row list -> string
 
 val recovery_sensitivity :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   ?penalties:int list ->
   Vp_workload.Spec_model.t ->
-  (int * comparison) list
+  (int * comparison) list Vp_exec.Graph.node
 (** The static-recovery comparison re-run across branch penalties, one
     {!comparison} leaf per penalty (the configured penalty's point is the
     comparison table's own leaf). Penalty
@@ -306,12 +317,28 @@ type ablation_point = {
 }
 
 val ablate :
-  ?config:Config.t ->
-  ?exec:Vp_exec.Context.t ->
+  Vp_exec.Graph.t ->
+  config:Config.t ->
   Vp_workload.Spec_model.t ->
   (string * (Config.t -> Config.t)) list ->
-  ablation_point list
-(** Evaluate the benchmark once per labelled configuration tweak. *)
+  ablation_point list Vp_exec.Graph.node
+(** Evaluate the benchmark once per labelled configuration tweak: the
+    {!config_sweep} of each tweak applied to [config], so a named ablation
+    declares the same leaves and reducer as a custom sweep of the same
+    points, and the two share nodes and store entries. *)
+
+val config_sweep :
+  Vp_exec.Graph.t ->
+  config:Config.t ->
+  Vp_workload.Spec_model.t ->
+  (string * Config.t) list ->
+  ablation_point list Vp_exec.Graph.node
+(** Like {!ablate}, but each point is a fully-applied configuration
+    rather than a tweak of the base one — the serve daemon's
+    custom-sweep entry. Point labels need only be unique within one
+    sweep: leaves and the reducer are keyed by the applied configs, so
+    two sweeps reusing a label never collide, while sweeps sharing a
+    point share its (store-cached) simulation. *)
 
 val threshold_sweep : (string * (Config.t -> Config.t)) list
 (** Profile thresholds 0.50–0.95 (the paper fixes 0.65 and notes it was
@@ -363,113 +390,3 @@ val telemetry_sections : unit -> (string * string) list
     formation memo's nested as [region_unit]), [spec_eval]
     ({!Pipeline.telemetry_json}) and [trace_sim]
     ({!Trace_sim.telemetry_json}). *)
-
-(** {1 Suite declarations}
-
-    The graph-declaration forms of the entry points above. Each declares
-    its leaf simulations and one reducer on a caller-supplied
-    {!Vp_exec.Graph} and returns the reducer node {e without draining}, so
-    a suite driver ([vliw_vp all], the report generator, the benchmark
-    harness) can declare every experiment it needs up front and let one
-    scheduler run the union barrier-free: leaves from different
-    experiments interleave freely, and a key that two experiments share —
-    e.g. [run_all]'s benchmark jobs and [table4]'s narrow-width jobs under
-    the same configuration — runs once, deduplicated while merely in
-    flight (the store only catches keys that already {e completed}).
-    [Vp_exec.Graph.await] on any returned node (or [drain]) runs the whole
-    graph; results then come from [await]/[value]. *)
-module Suite : sig
-  val run_all :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    Vp_workload.Spec_model.t list ->
-    benchmark_summary list Vp_exec.Graph.node
-
-  val comparison :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    Vp_workload.Spec_model.t list ->
-    (string * comparison) list Vp_exec.Graph.node
-
-  val table4 :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?narrow:int ->
-    ?wide:int ->
-    Vp_workload.Spec_model.t list ->
-    table4_row list Vp_exec.Graph.node
-
-  val regions :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?params:Vp_region.Superblock.params ->
-    Vp_workload.Spec_model.t list ->
-    region_row list Vp_exec.Graph.node
-
-  val regions_frontier :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?max_blocks:int list ->
-    ?min_probabilities:float list ->
-    ?widths:int list ->
-    Vp_workload.Spec_model.t list ->
-    frontier_row list Vp_exec.Graph.node
-
-  val overlap_validation :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?executions:int ->
-    Vp_workload.Spec_model.t list ->
-    overlap_row list Vp_exec.Graph.node
-
-  val hardware_validation :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?executions:int ->
-    Vp_workload.Spec_model.t list ->
-    (string * Trace_sim.result) list Vp_exec.Graph.node
-
-  val hyperblocks :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?params:Vp_region.Hyperblock.params ->
-    Vp_workload.Spec_model.t list ->
-    hyperblock_row list Vp_exec.Graph.node
-
-  val stability :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?seeds:int list ->
-    Vp_workload.Spec_model.t list ->
-    stability_row list Vp_exec.Graph.node
-
-  val recovery_sensitivity :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    ?penalties:int list ->
-    Vp_workload.Spec_model.t ->
-    (int * comparison) list Vp_exec.Graph.node
-
-  val ablate :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    Vp_workload.Spec_model.t ->
-    (string * (Config.t -> Config.t)) list ->
-    ablation_point list Vp_exec.Graph.node
-  (** {!config_sweep} over each tweak applied to [config]: a named
-      ablation declares the same leaves and reducer as a custom sweep of
-      the same points, so the two share nodes and store entries. *)
-
-  val config_sweep :
-    Vp_exec.Graph.t ->
-    config:Config.t ->
-    Vp_workload.Spec_model.t ->
-    (string * Config.t) list ->
-    ablation_point list Vp_exec.Graph.node
-  (** Like {!ablate}, but each point is a fully-applied configuration
-      rather than a tweak of the base one — the serve daemon's
-      custom-sweep entry. Point labels need only be unique within one
-      sweep: leaves and the reducer are keyed by the applied configs, so
-      two sweeps reusing a label never collide, while sweeps sharing a
-      point share its (store-cached) simulation. *)
-end

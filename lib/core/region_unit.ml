@@ -20,10 +20,9 @@ let stats () = Vp_util.Memo.(total [ stats sb; stats hb ])
    complete content address of a formation result. The model (not just its
    name) is in the key so custom models cannot collide. *)
 
-let superblock_key ~seed workload cfg (params : Vp_region.Superblock.params) =
+let superblock_key workload cfg (params : Vp_region.Superblock.params) =
   Vp_exec.Store.key
     ( "region-superblock",
-      seed,
       Vp_workload.Workload.seed workload,
       Vp_workload.Workload.model workload,
       cfg,
@@ -37,9 +36,9 @@ let hyperblock_key workload cfg (params : Vp_region.Hyperblock.params) =
       cfg,
       params )
 
-let superblock ?(seed = 42) workload cfg params =
-  Vp_util.Memo.find_or_add sb (superblock_key ~seed workload cfg params)
-    (fun () -> Vp_region.Superblock.form ~seed workload cfg params)
+let superblock workload cfg params =
+  Vp_util.Memo.find_or_add sb (superblock_key workload cfg params) (fun () ->
+      Vp_region.Superblock.form workload cfg params)
 
 let hyperblock workload cfg params =
   Vp_util.Memo.find_or_add hb (hyperblock_key workload cfg params) (fun () ->

@@ -3,7 +3,7 @@
 
     Region formation ([Vp_region.Superblock.form] /
     [Vp_region.Hyperblock.form]) is deterministic in
-    [(workload, cfg, seed, params)], yet the region experiments used to
+    [(workload, cfg, params)], yet the region experiments used to
     re-run it — and everything downstream of the fresh program it
     returns — on every call. This module memoizes formation in memory, in
     {!Vp_util.Memo} instances keyed on exactly those inputs, so every
@@ -22,12 +22,11 @@
     fresh formation (QCheck-tested in [test/test_region_unit.ml]). *)
 
 val superblock :
-  ?seed:int ->
   Vp_workload.Workload.t ->
   Vp_workload.Cfg.t ->
   Vp_region.Superblock.params ->
   Vp_ir.Program.t * Vp_region.Superblock.trace list
-(** Cached [Vp_region.Superblock.form] (default seed 42, like [form]). *)
+(** Cached [Vp_region.Superblock.form]. *)
 
 val hyperblock :
   Vp_workload.Workload.t ->

@@ -56,8 +56,7 @@ let generate ?(config = Config.default)
     | [] -> None
     | model :: _ ->
         let sweep (a : Experiments.ablation) =
-          ( a.sweep_title,
-            Experiments.Suite.ablate g ~config model a.sweep_settings )
+          (a.sweep_title, Experiments.ablate g ~config model a.sweep_settings)
         in
         Some
           ( List.map sweep Experiments.ablation_sweeps,

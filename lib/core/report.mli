@@ -18,7 +18,7 @@ val generate :
     under its title, then the first model's ablation sweeps (every
     {!Experiments.ablation_sweeps} entry, in order) and recovery
     sensitivity. [exec] parallelizes and caches the underlying experiment
-    jobs (see {!Experiments.run_all}) without changing the document. *)
+    jobs (see {!Experiments}) without changing the document. *)
 
 val write_file :
   ?config:Config.t ->

@@ -115,12 +115,13 @@ type t = {
   mutable next_id : int;
   mutable pending : int;  (** nodes not yet [Finished] *)
   mutable running_count : int;
-  mutable stalled : bool;  (** defensive: drain found no runnable work *)
   mutable fired : (unit -> unit) list;
       (** waiter invocations queued under the mutex, run after release *)
   mutable resident : unit Domain.t array option;
       (** worker domains of {!start_workers}, while running *)
-  mutable stop : bool;  (** resident workers: exit once nothing is runnable *)
+  mutable stop : bool;
+      (** set by [drain] and [stop_workers]: workers exit once nothing is
+          ready or running *)
   mutable node_cap : int option;
       (** LRU bound on retained nodes; [None] keeps every node forever *)
   mutable tick : int;  (** monotonic recency clock for [nd.stamp] *)
@@ -136,7 +137,6 @@ let create ctx =
     next_id = 0;
     pending = 0;
     running_count = 0;
-    stalled = false;
     fired = [];
     resident = None;
     stop = false;
@@ -144,7 +144,6 @@ let create ctx =
     tick = 0;
   }
 
-let context t = t.ctx
 let size t = t.next_id
 let retained t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.by_key)
 let set_node_cap t cap = Mutex.protect t.mutex (fun () -> t.node_cap <- cap)
@@ -376,7 +375,8 @@ let node t ?label ?group ?(cache = true) ~key ?(deps = []) payload =
             touch t n;
             Progress.add_queued t.ctx.Context.progress 1;
             List.iter (fun d -> link t n ~on:d) deps;
-            if n.unmet = 0 then make_ready t n;
+            (* a dependency that had already failed poisoned [n] *)
+            if n.unmet = 0 && n.status = Pending then make_ready t n;
             maybe_evict t;
             n)
   in
@@ -480,86 +480,12 @@ let stall_keys t =
          match n.status with Finished _ -> acc | _ -> n.key :: acc)
        t.by_key [])
 
-let drain_sequential t =
-  Progress.set_workers t.ctx.Context.progress 1;
-  let rec loop () =
-    match Mutex.protect t.mutex (fun () -> pop_ready t) with
-    | Some n ->
-        let outcome = execute_node t n in
-        Mutex.protect t.mutex (fun () ->
-            t.running_count <- t.running_count - 1;
-            settle t n outcome);
-        flush_fired t;
-        loop ()
-    | None -> ()
-  in
-  loop ()
-
-let drain_parallel t =
-  let worker () =
-    let rec loop () =
-      let action =
-        Mutex.protect t.mutex (fun () ->
-            let rec get () =
-              if t.pending = 0 || t.stalled then `Stop
-              else
-                match pop_ready t with
-                | Some n -> `Run n
-                | None ->
-                    if t.running_count = 0 then begin
-                      (* nothing ready, nothing running, work pending:
-                         the drain can make no further progress *)
-                      t.stalled <- true;
-                      Condition.broadcast t.cond;
-                      `Stop
-                    end
-                    else begin
-                      Condition.wait t.cond t.mutex;
-                      get ()
-                    end
-            in
-            get ())
-      in
-      match action with
-      | `Stop -> ()
-      | `Run n ->
-          let outcome = execute_node t n in
-          Mutex.protect t.mutex (fun () ->
-              t.running_count <- t.running_count - 1;
-              settle t n outcome;
-              Condition.broadcast t.cond);
-          flush_fired t;
-          loop ()
-    in
-    loop ()
-  in
-  let workers =
-    Mutex.protect t.mutex (fun () ->
-        max 1 (min t.ctx.Context.jobs t.pending))
-  in
-  Progress.set_workers t.ctx.Context.progress workers;
-  let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-  Array.iter Domain.join domains
-
-let drain t =
-  if t.resident <> None then
-    invalid_arg "Graph.drain: resident workers are running (await instead)";
-  if Mutex.protect t.mutex (fun () -> t.pending > 0) then begin
-    if t.ctx.Context.jobs <= 1 then drain_sequential t else drain_parallel t;
-    Progress.finish t.ctx.Context.progress;
-    if Mutex.protect t.mutex (fun () -> t.pending > 0) then
-      raise (Cycle (stall_keys t))
-  end
-
-(* --- resident workers (the daemon's drain) --- *)
-
-(* Like one [drain_parallel] worker, but it does not exit when the heap
-   runs dry: it waits for new declarations, until [stop_workers] sets the
-   stop flag — and even then finishes everything already runnable, so a
-   graceful shutdown drains in-flight and queued work. Declaration-time
-   cycle rejection means pending-but-unreachable work cannot exist, so
-   there is no stall detection here. *)
-let resident_worker t () =
+(* The one worker loop. It runs ready nodes in priority order, and with
+   nothing ready it waits for a declaration or a completion. Once the
+   stop flag is set it exits as soon as nothing is ready and nothing is
+   running: a drain has then run every node it can, and resident workers
+   everything queued before [stop_workers]. *)
+let worker t () =
   let rec loop () =
     let action =
       Mutex.protect t.mutex (fun () ->
@@ -588,6 +514,28 @@ let resident_worker t () =
   in
   loop ()
 
+let drain t =
+  if t.resident <> None then
+    invalid_arg "Graph.drain: resident workers are running (await instead)";
+  let pending =
+    Mutex.protect t.mutex (fun () ->
+        t.stop <- true;
+        t.pending)
+  in
+  if pending > 0 then begin
+    let workers = max 1 (min t.ctx.Context.jobs pending) in
+    Progress.set_workers t.ctx.Context.progress workers;
+    if workers = 1 then worker t ()
+    else
+      Array.iter Domain.join
+        (Array.init workers (fun _ -> Domain.spawn (worker t)));
+    Progress.finish t.ctx.Context.progress;
+    if Mutex.protect t.mutex (fun () -> t.pending > 0) then
+      raise (Cycle (stall_keys t))
+  end
+
+(* --- resident workers (the daemon's drain) --- *)
+
 let start_workers t =
   match t.resident with
   | Some _ -> invalid_arg "Graph.start_workers: workers already running"
@@ -595,8 +543,7 @@ let start_workers t =
       let jobs = max 1 t.ctx.Context.jobs in
       t.stop <- false;
       Progress.set_workers t.ctx.Context.progress jobs;
-      t.resident <-
-        Some (Array.init jobs (fun _ -> Domain.spawn (resident_worker t)))
+      t.resident <- Some (Array.init jobs (fun _ -> Domain.spawn (worker t)))
 
 let stop_workers t =
   match t.resident with

@@ -29,8 +29,9 @@
     deterministic — nodes run one at a time in that order — which keeps
     sequential output the byte-identical reference for any [--jobs N].
 
-    {b Failure.} A node that raises poisons its transitive dependents:
-    they are marked failed without running. Independent nodes are
+    {b Failure.} A node that raises poisons its transitive dependents,
+    including those declared after it failed: they are marked failed
+    without running. Independent nodes are
     unaffected; {!await} on a failed or poisoned node raises
     {!Context.Job_failed}.
 
@@ -56,8 +57,6 @@ exception Cycle of string list
 val create : Context.t -> t
 (** An empty graph over the context's worker count, store and progress
     sink. *)
-
-val context : t -> Context.t
 
 val pack : _ node -> packed
 
@@ -112,15 +111,18 @@ val await : t -> 'a node -> 'a
     experiments' nodes interleave with the first await's drain. With
     {!start_workers} active, [await] instead blocks until the resident
     workers finish the node. Raises {!Context.Job_failed} if the node
-    failed, timed out or was poisoned. *)
+    failed, timed out or was poisoned. A payload must not await or drain
+    its own graph: the loop would wait for the running payload itself. *)
 
 val drain : t -> unit
 (** Run every unfinished node; referenced results stay readable through
-    {!value}. The drain runs in the calling domain at [jobs = 1] and
-    otherwise spawns [min jobs unfinished] domains; that count is what
-    {!Progress.set_workers} records. Raises {!Cycle} if the drain stalls
-    with unfinished nodes — defensive, {!node}/{!add_dep} already reject
-    cyclic edges. Raises [Invalid_argument] while resident workers
+    {!value}. The drain runs the resident workers' loop on [min jobs
+    unfinished] workers (the count {!Progress.set_workers} records), told
+    to exit once nothing is ready and nothing is running. A single worker
+    runs in the calling domain, so a one-job drain spawns no domain; more
+    run on that many spawned domains. Raises {!Cycle} if nodes are then
+    still unfinished — defensive, {!node}/{!add_dep} already reject cyclic
+    edges. Raises [Invalid_argument] while resident workers
     ({!start_workers}) run. *)
 
 val on_complete : t -> 'a node -> (('a, string) result -> unit) -> unit

@@ -172,8 +172,6 @@ let snapshot t =
           Hashtbl.fold (fun _ w acc -> acc +. w) t.group_wall_max 0.0;
       })
 
-let render_line t = locked t (fun () -> unsafe_render_line t)
-
 let json_summary ?(extra = []) t =
   let s = snapshot t in
   let mean_job =

@@ -7,9 +7,10 @@
     call from any domain.
 
     Two renderings:
-    - {!render_line} — a one-line live status, repainted in place on stderr
-      while [live] is on (default: only when stderr is a terminal, so
-      redirected runs and tests stay byte-clean);
+    - a one-line live status (e.g. ["jobs 12/16 (3 running) | cache 5 hit
+      11 miss | 8.2s"]), repainted in place on stderr while [live] is on
+      (default: only when stderr is a terminal, so redirected runs and
+      tests stay byte-clean);
     - {!json_summary} — a machine-readable summary for scripts and the
       acceptance check ("a warm-cache rerun shows [misses = 0]"). *)
 
@@ -77,9 +78,6 @@ val finish : t -> unit
 (** {1 Reading} *)
 
 val snapshot : t -> snapshot
-
-val render_line : t -> string
-(** e.g. ["jobs 12/16 (3 running) | cache 5 hit 11 miss | 8.2s"]. *)
 
 val json_summary : ?extra:(string * string) list -> t -> string
 (** One JSON object: [{"jobs": {...}, "cache": {...}, "wall_s": {...},

@@ -26,9 +26,6 @@ let total_dynamic_operations t =
     (fun acc wb -> acc + (Block.size wb.block * wb.count))
     0 t.blocks
 
-let map_blocks t f =
-  { t with blocks = Array.map (fun wb -> { wb with block = f wb.block }) t.blocks }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>program %s (%d blocks)@ " t.name (num_blocks t);
   Array.iter

@@ -29,7 +29,4 @@ val total_operations : t -> int
 val total_dynamic_operations : t -> int
 (** Operation count weighted by execution frequency. *)
 
-val map_blocks : t -> (Block.t -> Block.t) -> t
-(** Transform every block, keeping counts. *)
-
 val pp : Format.formatter -> t -> unit

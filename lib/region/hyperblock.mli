@@ -23,7 +23,8 @@
     destinations may be value-speculated — the engines capture the old
     destination value and restore it when recovery finds the operation
     predicated off — so the side paths' loads and chains participate in
-    prediction; [Vliw_vp.Experiments.hyperblocks] measures the effect. *)
+    prediction; the [hyperblocks] artifact
+    ([Vliw_vp.Experiments.hyperblocks]) measures the effect. *)
 
 type params = {
   min_taken : float;

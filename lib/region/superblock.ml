@@ -127,9 +127,9 @@ let merge_trace rng ~stitch workload trace =
     ~label:(Printf.sprintf "sb_%d" trace.head)
     (List.rev !ops)
 
-let form ?(seed = 42) workload cfg params =
+let form workload cfg params =
   let program = Vp_workload.Workload.program workload in
-  let rng = Vp_util.Rng.create seed in
+  let rng = Vp_util.Rng.create (Vp_workload.Workload.seed workload) in
   let rng = Vp_util.Rng.split_named rng "superblock" in
   let traces = select_traces cfg program params in
   (* Superblocks first (hottest trace first), then residual originals:

@@ -55,14 +55,15 @@ val select_traces :
     single-block traces are returned too (they merge to themselves). *)
 
 val form :
-  ?seed:int ->
   Vp_workload.Workload.t ->
   Vp_workload.Cfg.t ->
   params ->
   Vp_ir.Program.t * trace list
-(** Build the superblock program. Deterministic in [(workload, cfg, seed)];
-    default seed 42. The returned program contains one merged block per
-    multi-block trace, plus every original block that retains residual
-    executions. A residual block is the workload program's own physical
-    [Vp_ir.Block.t] with its count reduced, so caches keyed on the
-    physical block share its artifacts with the basic-block program. *)
+(** Build the superblock program. Deterministic in [(workload, cfg)]: the
+    merge's random choices are seeded from the workload's own seed
+    ([Vp_workload.Workload.seed]). The returned program contains one
+    merged block per multi-block trace, plus every original block that
+    retains residual executions. A residual block is the workload
+    program's own physical [Vp_ir.Block.t] with its count reduced, so
+    caches keyed on the physical block share its artifacts with the
+    basic-block program. *)

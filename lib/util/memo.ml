@@ -47,7 +47,7 @@ let lookup t s h key =
     (fun (k, v) -> if t.equal k key then Some v else None)
     (Hashtbl.find_all s.table h)
 
-let find_or_add t ?load key compute =
+let find_or_add t key compute =
   let h = t.hash key in
   let s = stripe t h in
   let held =
@@ -59,11 +59,9 @@ let find_or_add t ?load key compute =
   match held with
   | Some v -> v
   | None ->
-      let loaded = match load with Some load -> load () | None -> None in
-      let v = match loaded with Some v -> v | None -> compute () in
+      let v = compute () in
       Mutex.protect s.lock (fun () ->
-          if Option.is_some loaded then s.hits <- s.hits + 1
-          else s.misses <- s.misses + 1;
+          s.misses <- s.misses + 1;
           match lookup t s h key with
           | Some winner -> winner
           | None ->

@@ -13,7 +13,7 @@
 type ('k, 'v) t
 
 type stats = {
-  hits : int;  (** lookups answered from memory or by [load] *)
+  hits : int;  (** lookups answered from memory *)
   misses : int;  (** calls that ran [compute] *)
   evictions : int;  (** entries dropped by the bound *)
 }
@@ -25,13 +25,11 @@ val create : ?hash:('k -> int) -> ?equal:('k -> 'k -> bool) -> int -> ('k, 'v) t
     [( == )] on the key's identity part and hashes that part. Raises
     [Invalid_argument] when [cap] is below the stripe count. *)
 
-val find_or_add :
-  ('k, 'v) t -> ?load:(unit -> 'v option) -> 'k -> (unit -> 'v) -> 'v
-(** [find_or_add t ~load key compute] returns the value held for [key];
-    otherwise the one [load] finds (a hit), otherwise [compute ()] (a
-    miss), inserted unless a racing caller inserted first — in which case
-    the earlier value is returned. An exception from [load] or [compute]
-    propagates and inserts nothing. *)
+val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** [find_or_add t key compute] returns the value held for [key] (a hit),
+    otherwise [compute ()] (a miss), inserted unless a racing caller
+    inserted first — in which case the earlier value is returned. An
+    exception from [compute] propagates and inserts nothing. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Look [key] up without computing or counting. *)

@@ -115,16 +115,3 @@ let shape_name = function
   | Mostly_strided _ -> "mostly-strided"
   | Pointer_chain _ -> "pointer-chain"
   | Random _ -> "random"
-
-let pp_shape ppf s =
-  match s with
-  | Constant v -> Format.fprintf ppf "constant(%d)" v
-  | Strided { base; stride } -> Format.fprintf ppf "strided(%d,+%d)" base stride
-  | Periodic { period } -> Format.fprintf ppf "periodic(%d)" period
-  | Noisy_periodic { period; noise } ->
-      Format.fprintf ppf "noisy-periodic(%d, %.2f)" period noise
-  | Mostly_strided { stride; jump_probability; _ } ->
-      Format.fprintf ppf "mostly-strided(+%d, jump %.2f)" stride
-        jump_probability
-  | Pointer_chain { nodes } -> Format.fprintf ppf "pointer-chain(%d)" nodes
-  | Random { range } -> Format.fprintf ppf "random(%d)" range

@@ -48,5 +48,3 @@ val take : t -> int -> int list
 (** [take t n] draws the next [n] values. *)
 
 val shape_name : shape -> string
-
-val pp_shape : Format.formatter -> shape -> unit

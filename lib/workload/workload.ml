@@ -148,8 +148,6 @@ let arena t id ~min_len =
       end;
       entry.buf)
 
-let block_count t i = (Vp_ir.Program.nth t.program i).count
-
 let pp_summary ppf t =
   let program = t.program in
   let loads =

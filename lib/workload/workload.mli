@@ -46,8 +46,5 @@ val arena : t -> int -> min_len:int -> int array
     different (grown) array, so callers must not retain the buffer across
     calls. Thread-safe. Raises [Invalid_argument] on unknown ids. *)
 
-val block_count : t -> int -> int
-(** Execution count of block index [i] (same as the program's). *)
-
 val pp_summary : Format.formatter -> t -> unit
 (** One-paragraph description: blocks, operations, loads, stream mix. *)

@@ -31,7 +31,11 @@ let par_jobs =
   | _ -> 4
 
 let render ~exec () =
-  let summaries = Vliw_vp.Experiments.run_all ~config:small_config ~exec small_models in
+  let g = Vp_exec.Graph.create exec in
+  let summaries =
+    Vp_exec.Graph.await g
+      (Vliw_vp.Experiments.run_all g ~config:small_config small_models)
+  in
   Vliw_vp.Experiments.render_table2 summaries
   ^ Vliw_vp.Experiments.render_table3 summaries
 
@@ -515,6 +519,26 @@ let test_graph_await_after_failure () =
   | Some (Ok _) -> Alcotest.fail "poisoned node reported Ok"
   | None -> Alcotest.fail "on_complete did not fire for a finished node"
 
+(* A node declared onto a dependency that has already failed is poisoned
+   at declaration and stays so: its payload never runs, and [await]
+   reports the dependency's failure. *)
+let test_graph_declared_onto_failure () =
+  let g = G.create (Vp_exec.Context.create ~jobs:1 ()) in
+  let bad = G.node g ~cache:false ~key:"late-src" (fun _ -> failwith "boom") in
+  (match G.await g bad with
+  | _ -> Alcotest.fail "expected Job_failed for the failing node"
+  | exception Vp_exec.Context.Job_failed _ -> ());
+  let dep =
+    G.node g ~cache:false ~key:"late-dep" ~deps:[ G.pack bad ] (fun _ ->
+        Alcotest.fail "poisoned payload must not run")
+  in
+  match G.await g dep with
+  | _ -> Alcotest.fail "expected Job_failed for the late dependent"
+  | exception Vp_exec.Context.Job_failed { key; message; _ } ->
+      checks "failed key" "late-dep" key;
+      checks "diagnostic names the failed dependency"
+        "poisoned: dependency late-src failed: Failure(\"boom\")" message
+
 let test_graph_node_cache_lru () =
   (* With a node cap, completed cold nodes are evicted coldest-first and
      the retained count stays near the cap; an evicted key's re-declaration
@@ -646,15 +670,92 @@ let test_graph_version_bump () =
   checki "second v-new run hits" 1 snap.cache_hits;
   checki "second v-new run misses nothing" 0 snap.cache_misses
 
+(* A one-job drain runs its worker loop inline: every payload runs in the
+   awaiting domain, so a drain that spawned a domain at one job fails. *)
+let test_graph_one_job_inline () =
+  let g = G.create (Vp_exec.Context.create ~jobs:1 ()) in
+  let self () = (Domain.self () :> int) in
+  let leaves =
+    List.init 4 (fun i ->
+        G.node g ~cache:false ~key:(Printf.sprintf "inline-%d" i) self)
+  in
+  let top =
+    G.node g ~cache:false ~key:"inline-top" ~deps:(List.map G.pack leaves)
+      (fun () -> self () :: List.map G.value leaves)
+  in
+  List.iter
+    (checki "payload ran in the awaiting domain" (self ()))
+    (G.await g top)
+
+(* One graph, a diamond next to a chain, run every way the worker loop
+   runs: drained at one job and at four, and on resident workers at one
+   and four whose stop request arrives while the diamond is still queued
+   behind its gated root. Each way finishes every node, runs each payload
+   exactly once and returns the same values. *)
+let test_graph_one_loop_every_way () =
+  let run ~jobs ~resident =
+    let g = G.create (Vp_exec.Context.create ~jobs ()) in
+    let runs = Array.init 8 (fun _ -> Atomic.make 0) in
+    let gate = Atomic.make (not resident) in
+    let node i deps f =
+      G.node g ~cache:false
+        ~key:(Printf.sprintf "loop-%d" i)
+        ~deps:(List.map G.pack deps)
+        (fun () ->
+          Atomic.incr runs.(i);
+          f ())
+    in
+    let d0 =
+      node 0 [] (fun () ->
+          while not (Atomic.get gate) do
+            Domain.cpu_relax ()
+          done;
+          1)
+    in
+    let d1 = node 1 [ d0 ] (fun () -> G.value d0 + 10) in
+    let d2 = node 2 [ d0 ] (fun () -> G.value d0 * 3) in
+    let d3 = node 3 [ d1; d2 ] (fun () -> G.value d1 + G.value d2) in
+    let c4 = node 4 [] (fun () -> 2) in
+    let c5 = node 5 [ c4 ] (fun () -> G.value c4 * 5) in
+    let c6 = node 6 [ c5 ] (fun () -> G.value c5 - 1) in
+    let c7 = node 7 [ c6 ] (fun () -> G.value c6 * G.value c6) in
+    if resident then begin
+      G.start_workers g;
+      let opener =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            Atomic.set gate true)
+      in
+      G.stop_workers g;
+      Domain.join opener
+    end
+    else G.drain g;
+    let label =
+      Printf.sprintf "jobs %d%s" jobs (if resident then ", resident" else "")
+    in
+    Array.iteri
+      (fun i n ->
+        checki (Printf.sprintf "%s: node %d ran once" label i) 1 (Atomic.get n))
+      runs;
+    List.map G.value [ d0; d1; d2; d3; c4; c5; c6; c7 ]
+  in
+  List.iter
+    (fun (jobs, resident) ->
+      Alcotest.(check (list int))
+        "every node finished with its value"
+        [ 1; 11; 3; 14; 2; 10; 9; 81 ]
+        (run ~jobs ~resident))
+    [ (1, false); (4, false); (1, true); (4, true) ]
+
 let test_graph_suite_parallel_determinism () =
   (* The full suite path: several experiments declared on one shared
      graph, drained barrier-free. jobs=1 (declaration-order drain) is the
      reference; jobs=4 must render byte-identically. *)
   let render ~exec =
-    let module S = Vliw_vp.Experiments.Suite in
+    let module E = Vliw_vp.Experiments in
     let g = G.create exec in
-    let summaries_n = S.run_all g ~config:small_config small_models in
-    let table4_n = S.table4 g ~config:small_config small_models in
+    let summaries_n = E.run_all g ~config:small_config small_models in
+    let table4_n = E.table4 g ~config:small_config small_models in
     Vliw_vp.Experiments.render_table2 (G.await g summaries_n)
     ^ Vliw_vp.Experiments.render_table4 (G.await g table4_n)
   in
@@ -674,9 +775,11 @@ let test_hardware_validation_parallel_determinism () =
   (* the hardware-validation sweep declares one graph job per benchmark;
      its rendered table must be byte-identical to a sequential run *)
   let table ~exec =
+    let g = G.create exec in
     Vliw_vp.Trace_sim.render
-      (Vliw_vp.Experiments.hardware_validation ~config:small_config ~exec
-         ~executions:400 small_models)
+      (G.await g
+         (Vliw_vp.Experiments.hardware_validation g ~config:small_config
+            ~executions:400 small_models))
   in
   let seq = table ~exec:Vp_exec.Context.sequential in
   let par = table ~exec:(Vp_exec.Context.create ~jobs:par_jobs ()) in
@@ -693,11 +796,11 @@ let test_hardware_validation_parallel_determinism () =
 let test_comparison_artifacts_identity () =
   let model = List.hd small_models in
   let render ~exec =
-    let module S = Vliw_vp.Experiments.Suite in
+    let module E = Vliw_vp.Experiments in
     let g = G.create exec in
-    let summaries_n = S.run_all g ~config:small_config small_models in
-    let comparison_n = S.comparison g ~config:small_config small_models in
-    let recovery_n = S.recovery_sensitivity g ~config:small_config model in
+    let summaries_n = E.run_all g ~config:small_config small_models in
+    let comparison_n = E.comparison g ~config:small_config small_models in
+    let recovery_n = E.recovery_sensitivity g ~config:small_config model in
     let summaries = G.await g summaries_n in
     let suite =
       Vliw_vp.Experiments.render_table2 summaries
@@ -706,9 +809,9 @@ let test_comparison_artifacts_identity () =
           ~bench:model.Vp_workload.Spec_model.name (G.await g recovery_n)
     in
     let compare =
+      let g = G.create exec in
       Vliw_vp.Experiments.render_comparison ~format:`Csv
-        (Vliw_vp.Experiments.comparison ~config:small_config ~exec
-           small_models)
+        (G.await g (E.comparison g ~config:small_config small_models))
     in
     let report =
       Vliw_vp.Report.generate ~config:small_config ~exec ~models:small_models
@@ -816,11 +919,16 @@ let () =
           tc "failure poisons dependents only"
             test_graph_failure_poisons_dependents_only;
           tc "await after failure" test_graph_await_after_failure;
+          tc "declared onto a failed dependency"
+            test_graph_declared_onto_failure;
           tc "node-cache LRU" test_graph_node_cache_lru;
           tc "find: lookup without declaration" test_graph_find;
           tc "stored node recomputes after a version bump"
             test_graph_version_bump;
           tc "suite parallel determinism" test_graph_suite_parallel_determinism;
+          tc "one-job drain runs inline" test_graph_one_job_inline;
+          tc "one loop: drains and resident workers"
+            test_graph_one_loop_every_way;
         ] );
       ( "experiments",
         [

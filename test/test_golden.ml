@@ -25,8 +25,16 @@ let expectations =
     ("tomcatv", 0.33, 0.039, 0.97, 1.12);
   ]
 
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
+let config = Vliw_vp.Config.default
+
 let summaries =
-  lazy (Vliw_vp.Experiments.run_all Vp_workload.Spec_model.all)
+  lazy
+    (run (fun g ->
+         Vliw_vp.Experiments.run_all g ~config Vp_workload.Spec_model.all))
 
 let summary name =
   List.find
@@ -103,12 +111,12 @@ let overlap_expectations =
     ("tomcatv", 4942, 5052, 5075, 41);
   ]
 
-let test_overlap_rows () =
+let check_overlap_rows config models expectations =
   let rows =
-    Vliw_vp.Experiments.overlap_validation Vp_workload.Spec_model.all
+    run (fun g -> Vliw_vp.Experiments.overlap_validation g ~config models)
   in
   Alcotest.(check int) "one row per benchmark"
-    (List.length overlap_expectations) (List.length rows);
+    (List.length expectations) (List.length rows);
   List.iter2
     (fun (name, total, vliw, drain, stalls)
          (r : Vliw_vp.Experiments.overlap_row) ->
@@ -118,7 +126,21 @@ let test_overlap_rows () =
       Alcotest.(check int) (name ^ " sum full-drain") drain r.sum_drain;
       Alcotest.(check int) (name ^ " stalls") stalls r.sequence_stalls;
       Alcotest.(check bool) (name ^ " state ok") true r.sequence_ok)
-    overlap_expectations rows
+    expectations rows
+
+let test_overlap_rows () =
+  check_overlap_rows config Vp_workload.Spec_model.all overlap_expectations
+
+(* The same rows at the CCB sweep's smallest point (a 2-entry buffer and a
+   3-bit synchronization register): the sequence and the solo runs both
+   run the bounded buffer, so li stalls more than it does unbounded. *)
+let test_overlap_bounded_ccb () =
+  let tweak =
+    List.assoc "CCB 2 entries" Vliw_vp.Experiments.ccb_capacity_sweep
+  in
+  check_overlap_rows (tweak config)
+    [ Vp_workload.Spec_model.compress; Vp_workload.Spec_model.li ]
+    [ ("compress", 3689, 3708, 3718, 85); ("li", 2860, 2922, 2936, 117) ]
 
 (* The superblock-region table at the defaults, every cell as its CSV
    prints it: the speedups' [x] is in the header, not the cell. *)
@@ -137,7 +159,8 @@ let regions_expectations =
 let test_regions_cells () =
   let csv =
     Vliw_vp.Experiments.render_regions ~format:`Csv
-      (Vliw_vp.Experiments.regions Vp_workload.Spec_model.all)
+      (run (fun g ->
+           Vliw_vp.Experiments.regions g ~config Vp_workload.Spec_model.all))
   in
   match List.filter (( <> ) "") (String.split_on_char '\n' csv) with
   | [] -> Alcotest.fail "empty regions table"
@@ -162,6 +185,8 @@ let () =
           Alcotest.test_case "figure 8 pooled" `Slow test_figure8_pooled;
           Alcotest.test_case "comparison shape" `Slow test_comparison_shape;
           Alcotest.test_case "overlap rows" `Slow test_overlap_rows;
+          Alcotest.test_case "overlap rows, CCB 2" `Slow
+            test_overlap_bounded_ccb;
           Alcotest.test_case "regions cells" `Slow test_regions_cells;
         ] );
     ]

@@ -274,8 +274,14 @@ let test_renders_mention_benchmarks () =
              summaries));
     ]
 
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
 let test_table4 () =
-  let rows = Vliw_vp.Experiments.table4 ~config:fast_config [ model ] in
+  let rows =
+    run (fun g -> Vliw_vp.Experiments.table4 g ~config:fast_config [ model ])
+  in
   checki "one row" 1 (List.length rows);
   let r = List.hd rows in
   Alcotest.(check string) "bench" "compress" r.bench;
@@ -354,8 +360,9 @@ let test_cce_width_helps_worst_case () =
 
 let test_recovery_sensitivity () =
   let rows =
-    Vliw_vp.Experiments.recovery_sensitivity ~config:fast_config
-      ~penalties:[ 0; 4 ] model
+    run (fun g ->
+        Vliw_vp.Experiments.recovery_sensitivity g ~config:fast_config
+          ~penalties:[ 0; 4 ] model)
   in
   checki "two rows" 2 (List.length rows);
   let share p = (List.assoc p rows).recovery_comp_share in

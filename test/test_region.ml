@@ -260,11 +260,16 @@ let test_hyperblock_params () =
   checkb "defaults convert" true
     (none_formed Vp_region.Hyperblock.default_params > 0)
 
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
 let test_hyperblock_experiment () =
   let rows =
-    Vliw_vp.Experiments.hyperblocks
-      ~config:{ Vliw_vp.Config.default with trace_length = 500 }
-      [ Vp_workload.Spec_model.li ]
+    run (fun g ->
+        Vliw_vp.Experiments.hyperblocks g
+          ~config:{ Vliw_vp.Config.default with trace_length = 500 }
+          [ Vp_workload.Spec_model.li ])
   in
   checki "one row" 1 (List.length rows);
   let r = List.hd rows in
@@ -299,7 +304,8 @@ let test_region_experiment () =
     { Vliw_vp.Config.default with trace_length = 1_000; monte_carlo_draws = 8 }
   in
   let rows =
-    Vliw_vp.Experiments.regions ~config [ Vp_workload.Spec_model.li ]
+    run (fun g ->
+        Vliw_vp.Experiments.regions g ~config [ Vp_workload.Spec_model.li ])
   in
   checki "one row" 1 (List.length rows);
   let r = List.hd rows in

@@ -72,11 +72,15 @@ let small_config =
 let small_models = [ Vp_workload.Spec_model.compress ]
 
 let render_both ~exec () =
-  Vliw_vp.Experiments.render_regions
-    (Vliw_vp.Experiments.regions ~config:small_config ~exec small_models)
-  ^ Vliw_vp.Experiments.render_hyperblocks
-      (Vliw_vp.Experiments.hyperblocks ~config:small_config ~exec
-         small_models)
+  let g = Vp_exec.Graph.create exec in
+  let regions =
+    Vliw_vp.Experiments.regions g ~config:small_config small_models
+  in
+  let hyperblocks =
+    Vliw_vp.Experiments.hyperblocks g ~config:small_config small_models
+  in
+  Vliw_vp.Experiments.render_regions (Vp_exec.Graph.await g regions)
+  ^ Vliw_vp.Experiments.render_hyperblocks (Vp_exec.Graph.await g hyperblocks)
 
 let test_cold_warm_jobs_identity () =
   let store = Vp_exec.Store.create ~dir:(fresh_dir ()) () in
@@ -99,10 +103,12 @@ let test_cold_warm_jobs_identity () =
 
 let test_frontier_jobs_identity () =
   let mk ~exec =
+    let g = Vp_exec.Graph.create exec in
     Vliw_vp.Experiments.render_regions_frontier
-      (Vliw_vp.Experiments.regions_frontier ~config:small_config ~exec
-         ~max_blocks:[ 2; 4 ] ~min_probabilities:[ 0.5; 0.8 ] ~widths:[ 4 ]
-         small_models)
+      (Vp_exec.Graph.await g
+         (Vliw_vp.Experiments.regions_frontier g ~config:small_config
+            ~max_blocks:[ 2; 4 ] ~min_probabilities:[ 0.5; 0.8 ] ~widths:[ 4 ]
+            small_models))
   in
   clear_memos ();
   let seq = mk ~exec:Vp_exec.Context.sequential in

@@ -721,12 +721,18 @@ let with_server ?cfg ?jobs ?store f =
 
 let compress = [ Vp_workload.Spec_model.compress ]
 
+let run declare =
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+  Vp_exec.Graph.await g (declare g)
+
 (* The exact bytes the daemon must stream for table2 over the compress
    model: the direct renderer plus the all-document separator newline. *)
 let direct_table2 =
   lazy
     (Vliw_vp.Experiments.render_table2
-       (Vliw_vp.Experiments.run_all ~config:Vliw_vp.Config.default compress)
+       (run (fun g ->
+            Vliw_vp.Experiments.run_all g ~config:Vliw_vp.Config.default
+              compress))
     ^ "\n")
 
 let table2_spec () =
@@ -750,7 +756,9 @@ let test_e2e_comparison_identity () =
   let models = [ Vp_workload.Spec_model.compress; Vp_workload.Spec_model.li ] in
   let direct =
     Vliw_vp.Experiments.render_comparison
-      (Vliw_vp.Experiments.comparison ~config:Vliw_vp.Config.default models)
+      (run (fun g ->
+           Vliw_vp.Experiments.comparison g ~config:Vliw_vp.Config.default
+             models))
     ^ "\n"
   in
   let spec () =

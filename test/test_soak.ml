@@ -46,10 +46,12 @@ let test_seed_sweep () =
 let test_stability_bands () =
   (* schedule-length ratios are the calibration's stable core: across seeds
      they must stay inside the paper's plausible band *)
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
   let rows =
-    Vliw_vp.Experiments.stability
-      ~config:{ Vliw_vp.Config.default with trace_length = 500 }
-      ~seeds:[ 42; 7; 1234 ] Vp_workload.Spec_model.all
+    Vp_exec.Graph.await g
+      (Vliw_vp.Experiments.stability g
+         ~config:{ Vliw_vp.Config.default with trace_length = 500 }
+         ~seeds:[ 42; 7; 1234 ] Vp_workload.Spec_model.all)
   in
   List.iter
     (fun (r : Vliw_vp.Experiments.stability_row) ->

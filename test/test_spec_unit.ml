@@ -247,9 +247,11 @@ let test_penalties_share_preparations () =
   Vliw_vp.Spec_unit.clear ();
   let config = { Vliw_vp.Config.default with seed = 23 } in
   let hits0, misses0 = prep_counters () in
+  let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
   let rows =
-    Vliw_vp.Experiments.recovery_sensitivity ~config
-      ~penalties:[ 0; 1; 2; 4; 8 ] Vp_workload.Spec_model.li
+    Vp_exec.Graph.await g
+      (Vliw_vp.Experiments.recovery_sensitivity g ~config
+         ~penalties:[ 0; 1; 2; 4; 8 ] Vp_workload.Spec_model.li)
   in
   let hits1, misses1 = prep_counters () in
   let misses = misses1 - misses0 and hits = hits1 - hits0 in
@@ -283,13 +285,14 @@ let test_residual_blocks_share () =
   let model = Vp_workload.Spec_model.vortex in
   let params = Vp_region.Superblock.default_params in
   let base = Vliw_vp.Pipeline.run ~config model in
-  ignore (Vliw_vp.Experiments.regions ~config ~params [ model ]);
+  (let g = Vp_exec.Graph.create Vp_exec.Context.sequential in
+   ignore
+     (Vp_exec.Graph.await g
+        (Vliw_vp.Experiments.regions g ~config ~params [ model ])));
   let misses () = (Vliw_vp.Spec_unit.stats ()).misses in
   let descr = Vliw_vp.Config.machine config in
   let cfg = Vp_workload.Cfg.derive ~seed:config.seed base.workload in
-  let sb_program, _ =
-    Vliw_vp.Region_unit.superblock ~seed:config.seed base.workload cfg params
-  in
+  let sb_program, _ = Vliw_vp.Region_unit.superblock base.workload cfg params in
   let base_blocks = Vp_ir.Program.blocks base.program in
   let residual =
     List.filter
