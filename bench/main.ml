@@ -65,13 +65,12 @@ let exec_opts, json_path, smoke =
 
 let exec_context = Vp_exec.Cli.context exec_opts
 
+(* The telemetry document goes to [--telemetry], or to stderr. *)
 let emit_telemetry () =
-  let extra = Vliw_vp.Experiments.telemetry_sections () in
-  match exec_opts.Vp_exec.Cli.telemetry with
-  | Some _ -> Vp_exec.Cli.emit_telemetry ~extra exec_opts exec_context
-  | None ->
-      Printf.eprintf "telemetry: %s\n%!"
-        (Vp_exec.Progress.json_summary ~extra exec_context.progress)
+  let telemetry = Some (Option.value ~default:"-" exec_opts.telemetry) in
+  Vp_exec.Cli.emit_telemetry
+    ~extra:(Vliw_vp.Experiments.telemetry_sections ())
+    { exec_opts with telemetry } exec_context
 
 (* --- Part 1: regenerate the paper's evaluation --- *)
 
@@ -289,8 +288,8 @@ let sharded_cold_submit () =
          ~seed:(1_000_000 + !sharded_seed)
          ~overrides:
            [
-             ("trace_length", Vp_serve.Jsonx.Int 2_000);
-             ("monte_carlo_draws", Vp_serve.Jsonx.Int 16);
+             ("trace_length", Vp_util.Jsonx.Int 2_000);
+             ("monte_carlo_draws", Vp_util.Jsonx.Int 16);
            ]
          ())
   in

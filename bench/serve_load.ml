@@ -21,7 +21,7 @@
    a seconds-scale CI run; [--telemetry-out FILE] saves the daemon's final
    stats snapshot as a CI artifact. *)
 
-module Jsonx = Vp_serve.Jsonx
+module Jsonx = Vp_util.Jsonx
 
 let usage =
   "serve_load --socket PATH [--clients N] [--requests N] [--experiments \

@@ -685,7 +685,7 @@ let submit_cmd =
           ~finally:(fun () -> Vp_serve.Client.close client)
           (fun () ->
             if stats then begin
-              print_endline (Vp_serve.Jsonx.to_string (Vp_serve.Client.stats client));
+              print_endline (Vp_util.Jsonx.to_string (Vp_serve.Client.stats client));
               `Ok ()
             end
             else if shutdown then begin

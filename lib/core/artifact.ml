@@ -32,7 +32,7 @@ let separator = "\n"
 (* The render node is a [~cache:false] reducer: its inputs are cached or
    deduped already, and rendering is cheaper than a store round trip. *)
 let render g ~name ~key deps text =
-  G.node g ~label:("render:" ^ name) ~group:"render" ~cache:false ~key ~deps
+  G.node g ~label:("render:" ^ name) ~cache:false ~key ~deps
     (fun () -> text () ^ separator)
 
 (* An entry whose [body] declares its suite nodes and returns them with

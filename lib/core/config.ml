@@ -48,6 +48,17 @@ let effective_cycles t (r : Vp_engine.Dual_engine.result) =
 
 let with_width width t = { t with width }
 
+let with_ccb_capacity capacity t =
+  match capacity with
+  | None -> { t with ccb_capacity = None }
+  | Some n ->
+      let budget = min t.policy.max_sync_bits (n + 1) in
+      {
+        t with
+        ccb_capacity = Some n;
+        policy = { t.policy with Vp_vspec.Policy.max_sync_bits = budget };
+      }
+
 let machine t = Vp_machine.Descr.playdoh ~width:t.width
 
 let icache t =

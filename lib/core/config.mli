@@ -54,6 +54,15 @@ val effective_cycles : t -> Vp_engine.Dual_engine.result -> int
 
 val with_width : int -> t -> t
 
+val with_ccb_capacity : int option -> t -> t
+(** Set the CCB capacity. A bounded CCB is a hardware/compiler co-design
+    (see {!Vp_engine.Dual_engine}): the compiler must keep a block's
+    speculation set within the buffer, or the machine can deadlock. So
+    [Some n] also caps the Synchronization-register budget
+    ([policy.max_sync_bits]) at [n + 1], which bounds the speculation set
+    at [n] whatever the block's prediction count; it never raises the
+    budget. [None] (unbounded) leaves the budget as it is. *)
+
 val machine : t -> Vp_machine.Descr.t
 (** The Playdoh preset for the configured width. *)
 

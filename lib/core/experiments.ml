@@ -209,21 +209,20 @@ let region_job_key ~config point (model : Vp_workload.Spec_model.t) =
 
 module G = Vp_exec.Graph
 
-let bench_node g ~group ~config (model : Vp_workload.Spec_model.t) =
+let bench_node g ~config (model : Vp_workload.Spec_model.t) =
   G.node g
     ~label:("bench:" ^ model.Vp_workload.Spec_model.name)
-    ~group
     ~key:(job_key ~kind:"benchmark" ~config model)
     (fun () -> run_benchmark ~config model)
 
 let reduce g ~kind ~config ~payload leaves f =
-  G.node g ~label:("reduce:" ^ kind) ~group:kind ~cache:false
+  G.node g ~label:("reduce:" ^ kind) ~cache:false
     ~key:(job_key ~kind:("reduce-" ^ kind) ~config payload)
     ~deps:(List.map G.pack leaves)
     f
 
 let run_all g ~config models =
-  let leaves = List.map (bench_node g ~group:"run_all" ~config) models in
+  let leaves = List.map (bench_node g ~config) models in
   reduce g ~kind:"run_all" ~config ~payload:models leaves (fun () ->
       List.map G.value leaves)
 
@@ -331,9 +330,7 @@ let table4 g ~config ?(narrow = 4) ?(wide = 8) models =
       (fun model ->
         List.map
           (fun width ->
-            bench_node g ~group:"table4"
-              ~config:(Config.with_width width config)
-              model)
+            bench_node g ~config:(Config.with_width width config) model)
           [ narrow; wide ])
       models
   in
@@ -433,11 +430,10 @@ let render_figure8 ?(format = `Ascii) summaries =
    key is derived from the summary's — a short digest instead of a second
    marshalled model, which keeps re-declaring it (every warm serve
    request does) cheap. *)
-let comparison_node g ~group ~config (model : Vp_workload.Spec_model.t) =
-  let bench = bench_node g ~group ~config model in
+let comparison_node g ~config (model : Vp_workload.Spec_model.t) =
+  let bench = bench_node g ~config model in
   G.node g
     ~label:("comparison:" ^ model.Vp_workload.Spec_model.name)
-    ~group
     ~key:(Vp_exec.Store.key ("comparison", G.key bench))
     ~deps:[ G.pack bench ]
     (fun () -> comparison_of (Pipeline.run ~config model))
@@ -447,7 +443,7 @@ let comparison g ~config models =
     List.map
       (fun (model : Vp_workload.Spec_model.t) ->
         ( model.Vp_workload.Spec_model.name,
-          comparison_node g ~group:"comparison" ~config model ))
+          comparison_node g ~config model ))
       models
   in
   reduce g ~kind:"comparison" ~config ~payload:models (List.map snd leaves)
@@ -559,7 +555,6 @@ let regions g ~config ?(params = Vp_region.Superblock.default_params) models =
       (fun (model : Vp_workload.Spec_model.t) ->
         G.node g
           ~label:("regions:" ^ model.Vp_workload.Spec_model.name)
-          ~group:"regions"
           ~key:(region_job_key ~config (Superblock_point params) model)
           (fun () -> region_row ~config ~params model))
       models
@@ -655,7 +650,6 @@ let regions_frontier g ~config ?(max_blocks = default_frontier_max_blocks)
                 ~label:
                   (Printf.sprintf "frontier:%s:b%d:p%.2f:w%d"
                      model.Vp_workload.Spec_model.name mb mp w)
-                ~group:"frontier"
                 ~key:(region_job_key ~config:pconfig (Superblock_point params) model)
                 (fun () -> region_row ~config:pconfig ~params model)
             in
@@ -814,7 +808,6 @@ let overlap_validation g ~config ?(executions = 400) models =
       (fun (model : Vp_workload.Spec_model.t) ->
         G.node g
           ~label:("overlap:" ^ model.Vp_workload.Spec_model.name)
-          ~group:"overlap"
           ~key:(job_key ~kind:"overlap" ~config (model, executions))
           (fun () -> overlap_row ~config ~executions model))
       models
@@ -833,7 +826,6 @@ let hardware_validation g ~config ?executions models =
       (fun (model : Vp_workload.Spec_model.t) ->
         G.node g
           ~label:("hardware:" ^ model.Vp_workload.Spec_model.name)
-          ~group:"hardware"
           ~key:(job_key ~kind:"hardware" ~config (model, executions))
           (fun () ->
             ( model.Vp_workload.Spec_model.name,
@@ -908,7 +900,6 @@ let hyperblocks g ~config ?(params = Vp_region.Hyperblock.default_params)
       (fun (model : Vp_workload.Spec_model.t) ->
         G.node g
           ~label:("hyperblocks:" ^ model.Vp_workload.Spec_model.name)
-          ~group:"hyperblocks"
           ~key:(region_job_key ~config (Hyperblock_point params) model)
           (fun () -> hyperblock_row ~config ~params model))
       models
@@ -966,8 +957,7 @@ let stability g ~config ?(seeds = [ 42; 7; 1234 ]) models =
         ( model,
           List.map
             (fun seed ->
-              bench_node g ~group:"stability" ~config:{ config with seed }
-                model)
+              bench_node g ~config:{ config with seed } model)
             seeds ))
       models
   in
@@ -1033,9 +1023,7 @@ let recovery_sensitivity g ~config ?(penalties = [ 0; 1; 2; 4; 8 ]) model =
   let leaves =
     List.map
       (fun branch_penalty ->
-        comparison_node g ~group:"recovery"
-          ~config:{ config with Config.branch_penalty }
-          model)
+        comparison_node g ~config:{ config with Config.branch_penalty } model)
       penalties
   in
   reduce g ~kind:"recovery" ~config ~payload:(model, penalties) leaves
@@ -1090,7 +1078,6 @@ let config_sweep g ~config model points =
       (fun (setting, pconfig) ->
         G.node g
           ~label:("sweep:" ^ setting)
-          ~group:"sweep"
           ~key:(job_key ~kind:"config-sweep" ~config:pconfig (model, setting))
           (fun () ->
             let s = run_benchmark ~config:pconfig model in
@@ -1129,30 +1116,15 @@ let prediction_budget_sweep =
       ))
     [ 1; 2; 4; 8 ]
 
-(* A bounded CCB is a hardware/compiler co-design: the compiler must keep a
-   block's speculation set within the buffer, or the machine can deadlock
-   (speculative operations cannot enter a full CCB whose head waits for a
-   check that has not issued yet). The sweep therefore pairs each capacity
-   with a matching Synchronization-register budget, which caps the
-   speculation set. *)
+(* Each bounded capacity comes with its matching Synchronization-register
+   budget ({!Config.with_ccb_capacity}), or the machine could deadlock. *)
 let ccb_capacity_sweep =
   List.map
     (fun cap ->
-      match cap with
-      | Some n ->
-          ( Printf.sprintf "CCB %d entries" n,
-            fun (c : Config.t) ->
-              (* budget = capacity + 1 guarantees a block's speculation set
-                 fits the buffer whatever its prediction count: the set is
-                 at most max_sync_bits - predictions <= capacity *)
-              {
-                c with
-                ccb_capacity = Some n;
-                policy =
-                  { c.policy with Vp_vspec.Policy.max_sync_bits = n + 1 };
-              } )
-      | None ->
-          ("CCB unbounded", fun (c : Config.t) -> { c with ccb_capacity = None }))
+      ( (match cap with
+        | Some n -> Printf.sprintf "CCB %d entries" n
+        | None -> "CCB unbounded"),
+        Config.with_ccb_capacity cap ))
     [ Some 2; Some 4; Some 8; Some 16; None ]
 
 let sync_width_sweep =
@@ -1249,15 +1221,19 @@ let render_ablation ?(format = `Ascii) ~title points =
 (* --- Telemetry --- *)
 
 let telemetry_sections () =
-  let fields (s : Spec_unit.stats) =
-    Printf.sprintf {|"hits": %d, "misses": %d, "evictions": %d|} s.hits
-      s.misses s.evictions
+  let module J = Vp_util.Jsonx in
+  let memo (s : Spec_unit.stats) =
+    [
+      ("hits", J.Int s.hits);
+      ("misses", J.Int s.misses);
+      ("evictions", J.Int s.evictions);
+    ]
   in
   [
     ( "spec_unit",
-      Printf.sprintf {|{%s, "region_unit": {%s}}|}
-        (fields (Spec_unit.stats ()))
-        (fields (Region_unit.stats ())) );
-    ("spec_eval", Pipeline.telemetry_json ());
-    ("trace_sim", Trace_sim.telemetry_json ());
+      J.Obj
+        (memo (Spec_unit.stats ())
+        @ [ ("region_unit", J.Obj (memo (Region_unit.stats ()))) ]) );
+    ("spec_eval", Pipeline.telemetry ());
+    ("trace_sim", Trace_sim.telemetry ());
   ]

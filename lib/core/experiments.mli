@@ -349,7 +349,9 @@ val prediction_budget_sweep : (string * (Config.t -> Config.t)) list
 (** Max predictions per block 1, 2, 4, 8. *)
 
 val ccb_capacity_sweep : (string * (Config.t -> Config.t)) list
-(** Compensation Code Buffer sizes 2, 4, 8, 16 and unbounded. *)
+(** Compensation Code Buffer sizes 2, 4, 8, 16 and unbounded, each with
+    its matching Synchronization-register budget
+    ({!Config.with_ccb_capacity}). *)
 
 val sync_width_sweep : (string * (Config.t -> Config.t)) list
 (** Synchronization-register widths 4, 8, 16, 32 bits. *)
@@ -383,10 +385,10 @@ val ablation_sweeps : ablation list
 val render_ablation :
   ?format:[ `Ascii | `Csv ] -> title:string -> ablation_point list -> string
 
-val telemetry_sections : unit -> (string * string) list
-(** The compute layers' sections of the [--telemetry] summary, as
-    [(name, json)] pairs for [Vp_exec.Cli.emit_telemetry ~extra]:
-    [spec_unit] (the {!Spec_unit} counters, with the {!Region_unit}
-    formation memo's nested as [region_unit]), [spec_eval]
-    ({!Pipeline.telemetry_json}) and [trace_sim]
-    ({!Trace_sim.telemetry_json}). *)
+val telemetry_sections : unit -> (string * Vp_util.Jsonx.t) list
+(** The compute layers' sections of the telemetry document, the one list
+    every front end attaches ([Vp_exec.Cli.emit_telemetry ~extra] on the
+    CLI and in the bench harness, the daemon's [stats]): [spec_unit] (the
+    {!Spec_unit} counters, with the {!Region_unit} formation memo's
+    nested as [region_unit]), [spec_eval] ({!Pipeline.telemetry}) and
+    [trace_sim] ({!Trace_sim.telemetry}). *)

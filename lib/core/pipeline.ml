@@ -356,20 +356,27 @@ let run_program ?(config = Config.default) ?profile workload program =
     }
     (fun () -> run_program_fresh ~config ~profile workload program)
 
-let telemetry_json () =
+let vectors_per_word ~words ~vectors =
+  if words = 0 then 0.0
+  else
+    Float.round (100.0 *. float_of_int vectors /. float_of_int words) /. 100.0
+
+let telemetry () =
+  let module J = Vp_util.Jsonx in
   let words = Atomic.get bitset_words
   and vectors = Atomic.get bitset_vectors in
   let runs = Vp_util.Memo.stats run_memo
   and preps = Vp_util.Memo.stats prep_memo in
-  let occupancy =
-    if words = 0 then 0.0 else float_of_int vectors /. float_of_int words
-  in
-  Printf.sprintf
-    "{\"bitset_words\": %d, \"bitset_vectors\": %d, \
-     \"vectors_per_word\": %.2f, \"prep_memo_hits\": %d, \
-     \"prep_memo_misses\": %d, \"run_memo_hits\": %d, \
-     \"run_memo_misses\": %d}"
-    words vectors occupancy preps.hits preps.misses runs.hits runs.misses
+  J.Obj
+    [
+      ("bitset_words", J.Int words);
+      ("bitset_vectors", J.Int vectors);
+      ("vectors_per_word", J.Float (vectors_per_word ~words ~vectors));
+      ("prep_memo_hits", J.Int preps.hits);
+      ("prep_memo_misses", J.Int preps.misses);
+      ("run_memo_hits", J.Int runs.hits);
+      ("run_memo_misses", J.Int runs.misses);
+    ]
 
 let run ?(config = Config.default) model =
   let workload = Vp_workload.Workload.generate ~seed:config.seed model in

@@ -151,15 +151,20 @@ val lanes : unit -> Vp_engine.Compiled.Lanes.t
     Anything else evaluating compiled blocks on this domain (the trace
     simulator) reuses it instead of growing a second one. *)
 
-val telemetry_json : unit -> string
-(** Scenario-evaluation counters as a JSON object, for the [--telemetry]
-    summary (the [spec_eval] section): how many lane words the scenario
-    batches ran, how many vectors they carried ([vectors_per_word] is the
-    resulting lane occupancy), and the whole-run memo's hit/miss
-    counters, and the preparation memo's ([prep_memo_hits],
-    [prep_memo_misses]; see {!prep_cached}). The trace simulator's
-    one-vector replays are not batches; they count as its
-    [engine_replays]. *)
+val telemetry : unit -> Vp_util.Jsonx.t
+(** Scenario-evaluation counters, the [spec_eval] section of the
+    telemetry document: how many lane words the scenario batches ran
+    ([bitset_words]), how many vectors they carried ([bitset_vectors];
+    [vectors_per_word] is the resulting lane occupancy), the preparation
+    memo's hit/miss counters ([prep_memo_hits], [prep_memo_misses]; see
+    {!prep_cached}) and the whole-run memo's ([run_memo_hits],
+    [run_memo_misses]). The trace simulator's one-vector replays are not
+    batches; they count as its [engine_replays]. *)
+
+val vectors_per_word : words:int -> vectors:int -> float
+(** [vectors / words] to two decimals, 0 for no words: the lane occupancy
+    {!telemetry} reports, and the one a sum of such sections recomputes
+    from its summed counts. *)
 
 val stats : t -> Vp_metrics.Summary.block_stats array
 (** Reduce to the metric layer's per-block records. *)

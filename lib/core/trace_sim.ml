@@ -47,12 +47,16 @@ let clear_stats () =
   Atomic.set t_engine_replays 0;
   Atomic.set t_alias_evictions 0
 
-let telemetry_json () =
+let telemetry () =
+  let module J = Vp_util.Jsonx in
   let s = stats () in
-  Printf.sprintf
-    "{\"runs\": %d, \"memo_hits\": %d, \"engine_replays\": %d, \
-     \"alias_evictions\": %d}"
-    s.runs s.memo_hits s.engine_replays s.alias_evictions
+  J.Obj
+    [
+      ("runs", J.Int s.runs);
+      ("memo_hits", J.Int s.memo_hits);
+      ("engine_replays", J.Int s.engine_replays);
+      ("alias_evictions", J.Int s.alias_evictions);
+    ]
 
 (* --- Bounded outcome-mask memo ---
 

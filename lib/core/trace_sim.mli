@@ -77,9 +77,8 @@ val stats : unit -> stats
 val clear_stats : unit -> unit
 (** Zero {!stats} (tests, benchmarks). *)
 
-val telemetry_json : unit -> string
-(** {!stats} as a JSON object: the [trace_sim] section of the
-    [--telemetry] summary. *)
+val telemetry : unit -> Vp_util.Jsonx.t
+(** {!stats} as the [trace_sim] section of the telemetry document. *)
 
 val render : ?format:[ `Ascii | `Csv ] -> (string * result) list -> string
 (** Table of per-benchmark results: measured vs profile-predicted, aligned

@@ -67,7 +67,7 @@
     for a check that has not issued). The transform's
     [Policy.max_sync_bits] budget is the compiler-side cap; configurations
     that bound the CCB must bound the budget to match
-    (see [Vliw_vp.Experiments.ccb_capacity_sweep]).
+    ([Vliw_vp.Config.with_ccb_capacity] sets both).
 
     The transform's static progress guarantee makes deadlock impossible; the
     simulator still watches a generous cycle budget and raises {!Deadlock}

@@ -86,11 +86,12 @@ let context ?progress opts =
   in
   Context.create ~jobs:opts.jobs ?store ~progress ()
 
-let emit_telemetry ?extra opts (exec : Context.t) =
+let emit_telemetry ?(extra = []) opts (exec : Context.t) =
   match opts.telemetry with
   | None -> ()
   | Some dest ->
-      let json = Progress.json_summary ?extra exec.progress in
+      let sections = Progress.sections exec.progress @ extra in
+      let json = Vp_util.Jsonx.(to_string (Obj sections)) in
       if dest = "-" then Printf.eprintf "%s\n%!" json
       else
         let oc = open_out dest in

@@ -12,7 +12,7 @@ type opts = {
   no_cache : bool;  (** disable the on-disk result {!Store} *)
   cache_dir : string;
   telemetry : string option;
-      (** where to write the JSON telemetry summary; ["-"] = stderr *)
+      (** where to write the telemetry document; ["-"] = stderr *)
 }
 
 val max_jobs : int
@@ -44,8 +44,8 @@ val context : ?progress:Progress.t -> opts -> Context.t
     [stderr] warning instead of failing per job. *)
 
 val emit_telemetry :
-  ?extra:(string * string) list -> opts -> Context.t -> unit
-(** Write the context's telemetry summary to the configured destination,
-    if any. [extra] pairs are appended as top-level JSON fields (see
-    {!Progress.json_summary}) — the front ends use this to attach the
-    compute layers' sections, which live in a library above this one. *)
+  ?extra:(string * Vp_util.Jsonx.t) list -> opts -> Context.t -> unit
+(** Write the telemetry document to the configured destination, if any:
+    one line of compact JSON, the context's {!Progress.sections} followed
+    by the [extra] sections — the front ends pass the compute layers'
+    sections, which live in a library above this one. *)

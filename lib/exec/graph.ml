@@ -25,7 +25,6 @@ type nd = {
   id : int;  (** declaration sequence number — the deterministic tiebreak *)
   key : string;
   label : string;
-  group : string option;
   cache : bool;
   payload : unit -> Obj.t;
   mutable status : status;
@@ -336,7 +335,7 @@ let rec pop_ready t =
 
 (* --- declaration --- *)
 
-let node t ?label ?group ?(cache = true) ~key ?(deps = []) payload =
+let node t ?label ?(cache = true) ~key ?(deps = []) payload =
   let n =
     Mutex.protect t.mutex (fun () ->
         match Hashtbl.find_opt t.by_key key with
@@ -357,7 +356,6 @@ let node t ?label ?group ?(cache = true) ~key ?(deps = []) payload =
                 id = t.next_id;
                 key;
                 label;
-                group;
                 cache;
                 payload = (fun () -> Obj.repr (payload ()));
                 status = Pending;
@@ -455,8 +453,7 @@ let cached_payload t n =
   | Some _ | None -> n.payload ()
 
 (* Run one node in the calling domain: its payload (through the store),
-   the job and group accounting, and an exception turned into the node's
-   failure. *)
+   the job accounting, and an exception turned into the node's failure. *)
 let execute_node t n =
   let progress = t.ctx.Context.progress in
   Progress.job_started progress;
@@ -470,7 +467,6 @@ let execute_node t n =
   (match outcome with
   | Ok _ -> Progress.job_done progress ~wall
   | Error _ -> Progress.job_failed progress ~wall);
-  Option.iter (fun group -> Progress.group_wall progress ~group ~wall) n.group;
   outcome
 
 let stall_keys t =

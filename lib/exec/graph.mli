@@ -9,7 +9,7 @@
     its own dependencies finish, regardless of how many unrelated nodes
     are still queued. Running a node means: the {!Store} lookup of a
     cacheable node (a hit skips the payload, a miss runs it and writes
-    the result), the job, cache and group accounting on the context's
+    the result), the job and cache accounting on the context's
     {!Progress} sink, and an exception turned into the node's failure.
 
     {b In-flight deduplication.} Declaring a node whose [key] is already
@@ -66,7 +66,6 @@ val key : _ node -> string
 val node :
   t ->
   ?label:string ->
-  ?group:string ->
   ?cache:bool ->
   key:string ->
   ?deps:packed list ->
@@ -79,8 +78,7 @@ val node :
     a computed one is written back. Reducers pass [~cache:false] — their
     inputs are already cached or deduped, and a store round-trip on the
     fold would just marshal the same data twice.
-    [group] names the experiment for {!Progress.group_wall} telemetry.
-    Dedup keeps the first declaration's label, group, cache flag, payload
+    Dedup keeps the first declaration's label, cache flag, payload
     {e and} dependencies; later [deps] are still linked (and
     cycle-checked) so the union of declared orderings holds. *)
 

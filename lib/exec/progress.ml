@@ -13,28 +13,15 @@ type snapshot = {
   wall_total : float;
   job_wall_total : float;
   job_wall_max : float;
-  groups : int;
-  fork_join_estimate_s : float;
 }
 
+(* The counts are one immutable record, replaced under the mutex on each
+   event; [wall_total] is stamped when a snapshot is read. *)
 type t = {
   mutex : Mutex.t;
   live : bool;
   started_at : float;
-  mutable queued : int;
-  mutable running : int;
-  mutable completed : int;
-  mutable failed : int;
-  mutable deduped : int;
-  mutable peak_in_flight : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable corrupt_evicted : int;
-  mutable nodes_evicted : int;
-  mutable workers : int;
-  mutable job_wall_total : float;
-  mutable job_wall_max : float;
-  group_wall_max : (string, float) Hashtbl.t;
+  mutable counts : snapshot;
   mutable painted : bool;  (** a live line is currently on screen *)
 }
 
@@ -43,20 +30,23 @@ let make ~live =
     mutex = Mutex.create ();
     live;
     started_at = Unix.gettimeofday ();
-    queued = 0;
-    running = 0;
-    completed = 0;
-    failed = 0;
-    deduped = 0;
-    peak_in_flight = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    corrupt_evicted = 0;
-    nodes_evicted = 0;
-    workers = 1;
-    job_wall_total = 0.0;
-    job_wall_max = 0.0;
-    group_wall_max = Hashtbl.create 16;
+    counts =
+      {
+        queued = 0;
+        running = 0;
+        completed = 0;
+        failed = 0;
+        deduped = 0;
+        peak_in_flight = 0;
+        cache_hits = 0;
+        cache_misses = 0;
+        corrupt_evicted = 0;
+        nodes_evicted = 0;
+        workers = 1;
+        wall_total = 0.0;
+        job_wall_total = 0.0;
+        job_wall_max = 0.0;
+      };
     painted = false;
   }
 
@@ -73,17 +63,18 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> f ())
 
 let unsafe_render_line t =
-  let finished = t.completed + t.failed in
+  let s = t.counts in
+  let finished = s.completed + s.failed in
   let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "jobs %d/%d" finished t.queued);
-  if t.running > 0 then
-    Buffer.add_string b (Printf.sprintf " (%d running)" t.running);
-  if t.failed > 0 then Buffer.add_string b (Printf.sprintf " %d failed" t.failed);
-  if t.cache_hits + t.cache_misses > 0 then
+  Buffer.add_string b (Printf.sprintf "jobs %d/%d" finished s.queued);
+  if s.running > 0 then
+    Buffer.add_string b (Printf.sprintf " (%d running)" s.running);
+  if s.failed > 0 then Buffer.add_string b (Printf.sprintf " %d failed" s.failed);
+  if s.cache_hits + s.cache_misses > 0 then
     Buffer.add_string b
-      (Printf.sprintf " | cache %d hit %d miss" t.cache_hits t.cache_misses);
-  if t.corrupt_evicted > 0 then
-    Buffer.add_string b (Printf.sprintf " (%d evicted)" t.corrupt_evicted);
+      (Printf.sprintf " | cache %d hit %d miss" s.cache_hits s.cache_misses);
+  if s.corrupt_evicted > 0 then
+    Buffer.add_string b (Printf.sprintf " (%d evicted)" s.corrupt_evicted);
   Buffer.add_string b
     (Printf.sprintf " | %.1fs" (Unix.gettimeofday () -. t.started_at));
   Buffer.contents b
@@ -96,52 +87,49 @@ let repaint t =
 
 let record t f =
   locked t (fun () ->
-      f t;
+      t.counts <- f t.counts;
       repaint t)
 
-let add_queued t n = record t (fun t -> t.queued <- t.queued + n)
+let add_queued t n = record t (fun s -> { s with queued = s.queued + n })
 
 let job_started t =
-  record t (fun t ->
-      t.running <- t.running + 1;
-      if t.running > t.peak_in_flight then t.peak_in_flight <- t.running)
+  record t (fun s ->
+      let running = s.running + 1 in
+      { s with running; peak_in_flight = max running s.peak_in_flight })
 
-let job_deduped t = record t (fun t -> t.deduped <- t.deduped + 1)
+let job_deduped t = record t (fun s -> { s with deduped = s.deduped + 1 })
 
-(* The fork-join estimate: if each group had run as its own barriered
-   batch on unboundedly many workers, the suite would cost the sum of
-   each group's slowest job. The gap between that and [wall_total] at
-   high [--jobs] is the win from removing inter-experiment barriers. *)
-let group_wall t ~group ~wall =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.group_wall_max group with
-      | Some w when w >= wall -> ()
-      | _ -> Hashtbl.replace t.group_wall_max group wall)
-
-let settle t ~wall =
-  t.running <- t.running - 1;
-  t.job_wall_total <- t.job_wall_total +. wall;
-  if wall > t.job_wall_max then t.job_wall_max <- wall
+let settle s ~wall =
+  {
+    s with
+    running = s.running - 1;
+    job_wall_total = s.job_wall_total +. wall;
+    job_wall_max = Float.max wall s.job_wall_max;
+  }
 
 let job_done t ~wall =
-  record t (fun t ->
-      settle t ~wall;
-      t.completed <- t.completed + 1)
+  record t (fun s ->
+      let s = settle s ~wall in
+      { s with completed = s.completed + 1 })
 
 let job_failed t ~wall =
-  record t (fun t ->
-      settle t ~wall;
-      t.failed <- t.failed + 1)
+  record t (fun s ->
+      let s = settle s ~wall in
+      { s with failed = s.failed + 1 })
 
-let cache_hit t = record t (fun t -> t.cache_hits <- t.cache_hits + 1)
-let cache_miss t = record t (fun t -> t.cache_misses <- t.cache_misses + 1)
+let cache_hit t = record t (fun s -> { s with cache_hits = s.cache_hits + 1 })
+
+let cache_miss t =
+  record t (fun s -> { s with cache_misses = s.cache_misses + 1 })
 
 let corrupt_evicted t =
-  record t (fun t -> t.corrupt_evicted <- t.corrupt_evicted + 1)
+  record t (fun s -> { s with corrupt_evicted = s.corrupt_evicted + 1 })
 
-let node_evicted t = record t (fun t -> t.nodes_evicted <- t.nodes_evicted + 1)
+let node_evicted t =
+  record t (fun s -> { s with nodes_evicted = s.nodes_evicted + 1 })
 
-let set_workers t n = locked t (fun () -> t.workers <- max 1 n)
+let set_workers t n =
+  locked t (fun () -> t.counts <- { t.counts with workers = max 1 n })
 
 let finish t =
   locked t (fun () ->
@@ -152,28 +140,13 @@ let finish t =
 
 let snapshot t =
   locked t (fun () ->
-      {
-        queued = t.queued;
-        running = t.running;
-        completed = t.completed;
-        failed = t.failed;
-        deduped = t.deduped;
-        peak_in_flight = t.peak_in_flight;
-        cache_hits = t.cache_hits;
-        cache_misses = t.cache_misses;
-        corrupt_evicted = t.corrupt_evicted;
-        nodes_evicted = t.nodes_evicted;
-        workers = t.workers;
-        wall_total = Unix.gettimeofday () -. t.started_at;
-        job_wall_total = t.job_wall_total;
-        job_wall_max = t.job_wall_max;
-        groups = Hashtbl.length t.group_wall_max;
-        fork_join_estimate_s =
-          Hashtbl.fold (fun _ w acc -> acc +. w) t.group_wall_max 0.0;
-      })
+      { t.counts with wall_total = Unix.gettimeofday () -. t.started_at })
 
-let json_summary ?(extra = []) t =
+let sections t =
+  let module J = Vp_util.Jsonx in
   let s = snapshot t in
+  let ints fields = J.Obj (List.map (fun (k, n) -> (k, J.Int n)) fields) in
+  let ms x = J.Float (Float.round (x *. 1000.0) /. 1000.0) in
   let mean_job =
     let n = s.completed + s.failed in
     if n = 0 then 0.0 else s.job_wall_total /. float_of_int n
@@ -183,20 +156,32 @@ let json_summary ?(extra = []) t =
     if capacity <= 0.0 then 0.0
     else Float.min 1.0 (s.job_wall_total /. capacity)
   in
-  let extra_fields =
-    String.concat ""
-      (List.map (fun (name, json) -> Printf.sprintf ", \"%s\": %s" name json)
-         extra)
-  in
-  Printf.sprintf
-    "{\"jobs\": {\"queued\": %d, \"done\": %d, \"failed\": %d}, \
-     \"cache\": {\"hits\": %d, \"misses\": %d, \"corrupt_evicted\": %d}, \
-     \"wall_s\": {\"total\": %.3f, \"mean_job\": %.3f, \"max_job\": %.3f}, \
-     \"workers\": {\"count\": %d, \"utilization\": %.3f}, \
-     \"graph\": {\"deduped\": %d, \
-     \"peak_in_flight\": %d, \"nodes_evicted\": %d, \"groups\": %d, \
-     \"fork_join_estimate_s\": %.3f}%s}"
-    s.queued s.completed s.failed s.cache_hits s.cache_misses
-    s.corrupt_evicted s.wall_total mean_job s.job_wall_max s.workers
-    utilization s.deduped s.peak_in_flight s.nodes_evicted s.groups
-    s.fork_join_estimate_s extra_fields
+  [
+    ( "jobs",
+      ints
+        [ ("queued", s.queued); ("done", s.completed); ("failed", s.failed) ]
+    );
+    ( "cache",
+      ints
+        [
+          ("hits", s.cache_hits);
+          ("misses", s.cache_misses);
+          ("corrupt_evicted", s.corrupt_evicted);
+        ] );
+    ( "wall_s",
+      J.Obj
+        [
+          ("total", ms s.wall_total);
+          ("mean_job", ms mean_job);
+          ("max_job", ms s.job_wall_max);
+        ] );
+    ( "workers",
+      J.Obj [ ("count", J.Int s.workers); ("utilization", ms utilization) ] );
+    ( "graph",
+      ints
+        [
+          ("deduped", s.deduped);
+          ("peak_in_flight", s.peak_in_flight);
+          ("nodes_evicted", s.nodes_evicted);
+        ] );
+  ]

@@ -11,8 +11,9 @@
       11 miss | 8.2s"]), repainted in place on stderr while [live] is on
       (default: only when stderr is a terminal, so redirected runs and
       tests stay byte-clean);
-    - {!json_summary} — a machine-readable summary for scripts and the
-      acceptance check ("a warm-cache rerun shows [misses = 0]"). *)
+    - {!sections} — the executor's sections of the telemetry document,
+      for scripts and the acceptance check ("a warm-cache rerun shows
+      [misses = 0]"). *)
 
 type t
 
@@ -37,10 +38,6 @@ type snapshot = {
   wall_total : float;  (** seconds since [create] *)
   job_wall_total : float;  (** summed per-job wall seconds *)
   job_wall_max : float;
-  groups : int;  (** distinct job groups that reported a wall time *)
-  fork_join_estimate_s : float;
-      (** sum over groups of the group's slowest job — what a barriered
-          per-experiment fork-join would cost on unboundedly many workers *)
 }
 
 val create : ?live:bool -> unit -> t
@@ -59,10 +56,6 @@ val job_failed : t -> wall:float -> unit
 val job_deduped : t -> unit
 (** A graph submission was answered by an already-declared node. *)
 
-val group_wall : t -> group:string -> wall:float -> unit
-(** Record one job's wall time under its experiment group; the per-group
-    maxima sum to {!snapshot.fork_join_estimate_s}. *)
-
 val cache_hit : t -> unit
 val cache_miss : t -> unit
 val corrupt_evicted : t -> unit
@@ -79,12 +72,12 @@ val finish : t -> unit
 
 val snapshot : t -> snapshot
 
-val json_summary : ?extra:(string * string) list -> t -> string
-(** One JSON object: [{"jobs": {...}, "cache": {...}, "wall_s": {...},
-    "workers": {...}, "graph": {...}}]. Utilization is summed job wall
-    time over [workers * wall_total], clamped to [0, 1]. The ["graph"]
-    section reports in-flight dedup, peak concurrency and the barriered
-    fork-join estimate next to the barrier-free ["wall_s".total]. Each
-    [extra] pair [(name, json)] is appended verbatim as a top-level
-    field — the hook callers use to attach sections this library cannot
-    see (e.g. the spec-unit memo counters, which live above it). *)
+val sections : t -> (string * Vp_util.Jsonx.t) list
+(** The executor's sections of the telemetry document: [jobs] ([queued],
+    [done], [failed]), [cache] ([hits], [misses], [corrupt_evicted]),
+    [wall_s] ([total], [mean_job], [max_job]), [workers] ([count],
+    [utilization]) and [graph] ([deduped], [peak_in_flight],
+    [nodes_evicted]). Utilization is summed job wall time over
+    [workers * wall_total], clamped to [0, 1]; it and the wall times are
+    rounded to milliseconds. {!Cli.emit_telemetry} prints them followed by
+    the sections of the layers above this library. *)

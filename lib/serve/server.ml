@@ -517,11 +517,7 @@ let local ~exec cfg t =
   let graph = G.create exec in
   G.set_node_cap graph cfg.node_cap;
   let lock = Mutex.create () and completions = ref [] in
-  let sections () =
-    Telemetry.pool_sections
-      (Vp_exec.Progress.snapshot exec.Vp_exec.Context.progress)
-    @ [ Telemetry.spec_unit_section () ]
-  in
+  let sections () = Telemetry.work_sections exec.Vp_exec.Context.progress in
   G.start_workers graph;
   {
     dispatch =

@@ -73,9 +73,8 @@ let apply_override (c : Vliw_vp.Config.t) (key, (v : Jsonx.t)) :
           { c with C.monte_carlo_draws })
   | "ccb_capacity" -> (
       match v with
-      | Jsonx.Null -> Ok { c with C.ccb_capacity = None }
-      | _ ->
-          int_range 1 1_000_000 (fun n -> { c with C.ccb_capacity = Some n }))
+      | Jsonx.Null -> Ok (C.with_ccb_capacity None c)
+      | _ -> int_range 1 1_000_000 (fun n -> C.with_ccb_capacity (Some n) c))
   | "cce_retire_width" ->
       int_range 1 64 (fun cce_retire_width -> { c with C.cce_retire_width })
   | "branch_penalty" ->

@@ -149,58 +149,30 @@ let workers_json t =
            ])
        (all_workers t))
 
-(* Sum the graph/cache/spec_unit sections of the shards' own stats
-   objects. Peak in-flight is summed too: it over-counts true simultaneity
-   across shards, but as a capacity figure the sum of per-shard peaks is
-   the honest bound on what the fleet had running. *)
+(* Sum the shards' stats into the supervisor's own work sections, which
+   read zero since the supervisor never simulates: integer leaves add,
+   objects merge by key, and whatever the zero document has no key for —
+   each shard loop's own [uptime_s], [requests], [latency] and [clients]
+   — is left out. Peak in-flight is summed too: it over-counts true
+   simultaneity across shards, but as a capacity figure the sum of
+   per-shard peaks is the honest bound on what the fleet had running. *)
 let sections t pools =
-  let rec get o = function
-    | [] -> Jsonx.get_int o
-    | field :: rest -> Option.bind (Jsonx.member field o) (fun o -> get o rest)
+  let rec add zero shard =
+    match (zero, shard) with
+    | Jsonx.Int a, Some (Jsonx.Int b) -> Jsonx.Int (a + b)
+    | Jsonx.Obj fields, Some shard ->
+        Jsonx.Obj
+          (List.map (fun (k, v) -> (k, add v (Jsonx.member k shard))) fields)
+    | v, _ -> v
   in
-  let sum path =
-    List.fold_left
-      (fun acc p -> acc + Option.value ~default:0 (get p path))
-      0 pools
+  let sum (name, zero) =
+    ( name,
+      List.fold_left (fun acc pool -> add acc (Jsonx.member name pool)) zero
+        pools )
   in
-  let ints sect fields =
-    List.map (fun f -> (f, Jsonx.Int (sum (sect @ [ f ])))) fields
-  in
-  let hits = sum [ "cache"; "hits" ] and misses = sum [ "cache"; "misses" ] in
-  let total = hits + misses in
-  let memo = [ "hits"; "misses"; "evictions" ] in
-  [
-    ( "graph",
-      Jsonx.Obj
-        (ints [ "graph" ]
-           [
-             "jobs_queued";
-             "jobs_done";
-             "jobs_failed";
-             "deduped";
-             "peak_in_flight";
-             "node_evictions";
-           ]) );
-    ( "cache",
-      Jsonx.Obj
-        [
-          ("hits", Jsonx.Int hits);
-          ("misses", Jsonx.Int misses);
-          ("evicted", Jsonx.Int (sum [ "cache"; "evicted" ]));
-          ( "hit_rate",
-            Jsonx.Float
-              (if total = 0 then 0.0
-               else float_of_int hits /. float_of_int total) );
-        ] );
-    ( "spec_unit",
-      Jsonx.Obj
-        (ints [ "spec_unit" ] memo
-        @ [
-            ( "region_unit",
-              Jsonx.Obj (ints [ "spec_unit"; "region_unit" ] memo) );
-          ]) );
-    ("workers", workers_json t);
-  ]
+  Telemetry.ratios
+    (List.map sum (Telemetry.work_sections (Vp_exec.Progress.silent ())))
+  @ [ ("workers", workers_json t) ]
 
 let finish_poll t p =
   Hashtbl.remove t.polls p.p_id;

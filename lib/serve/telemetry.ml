@@ -21,12 +21,13 @@ type t = {
   mutable rejected : (string * int) list;  (* per error code *)
   mutable connections : int;  (* lifetime *)
   clients : (int, client) Hashtbl.t;  (* currently connected *)
-  (* all completed-request latencies, seconds; capped reservoir *)
+  (* completed-request latencies, seconds: a ring of the most recent
+     [window], grown on demand *)
   mutable latencies : float array;
-  mutable n_lat : int;
+  mutable n_lat : int;  (* completions recorded, ever *)
 }
 
-let reservoir_cap = 65536
+let window = 65536
 
 let create () =
   {
@@ -63,15 +64,14 @@ let accepted t ~cid =
   | None -> ()
 
 let record_latency t wall =
-  if t.n_lat = Array.length t.latencies && t.n_lat < reservoir_cap then begin
-    let bigger = Array.make (min reservoir_cap (2 * t.n_lat)) 0.0 in
-    Array.blit t.latencies 0 bigger 0 t.n_lat;
+  let cap = Array.length t.latencies in
+  if t.n_lat = cap && cap < window then begin
+    let bigger = Array.make (min window (2 * cap)) 0.0 in
+    Array.blit t.latencies 0 bigger 0 cap;
     t.latencies <- bigger
   end;
-  if t.n_lat < Array.length t.latencies then begin
-    t.latencies.(t.n_lat) <- wall;
-    t.n_lat <- t.n_lat + 1
-  end
+  t.latencies.(t.n_lat mod Array.length t.latencies) <- wall;
+  t.n_lat <- t.n_lat + 1
 
 let finish_one t ~cid =
   match client t cid with
@@ -111,18 +111,17 @@ let percentile sorted p =
     sorted.(max 0 (min (n - 1) idx))
 
 let latency_json t =
-  let sorted = Array.sub t.latencies 0 t.n_lat in
+  let n = min t.n_lat (Array.length t.latencies) in
+  let sorted = Array.sub t.latencies 0 n in
   Array.sort compare sorted;
   let ms p = Jsonx.Float (1000.0 *. percentile sorted p) in
   Jsonx.Obj
     [
-      ("count", Jsonx.Int t.n_lat);
+      ("count", Jsonx.Int n);
       ("p50_ms", ms 0.50);
       ("p95_ms", ms 0.95);
       ("p99_ms", ms 0.99);
-      ( "max_ms",
-        Jsonx.Float
-          (if t.n_lat = 0 then 0.0 else 1000.0 *. sorted.(t.n_lat - 1)) );
+      ("max_ms", Jsonx.Float (if n = 0 then 0.0 else 1000.0 *. sorted.(n - 1)));
     ]
 
 (* The serve loop's sections: uptime, request counters, latency
@@ -170,11 +169,16 @@ let core_sections t ~queue_depth =
         ] );
   ]
 
-(* Graph/cache sections of one execution context's counters — cache
+let hit_rate ~hits ~misses =
+  if hits + misses = 0 then 0.0
+  else float_of_int hits /. float_of_int (hits + misses)
+
+(* The graph/cache sections of one execution context's counters — cache
    hits/misses, in-flight dedup, LRU evictions — which is where the
-   serve story's "payload jobs run once" proof lives. *)
-let pool_sections (pool : Vp_exec.Progress.snapshot) =
-  let cache_total = pool.cache_hits + pool.cache_misses in
+   serve story's "payload jobs run once" proof lives, then the compute
+   layers' sections. *)
+let work_sections progress =
+  let pool = Vp_exec.Progress.snapshot progress in
   [
     ( "graph",
       Jsonx.Obj
@@ -194,24 +198,29 @@ let pool_sections (pool : Vp_exec.Progress.snapshot) =
           ("evicted", Jsonx.Int pool.corrupt_evicted);
           ( "hit_rate",
             Jsonx.Float
-              (if cache_total = 0 then 0.0
-               else float_of_int pool.cache_hits /. float_of_int cache_total) );
+              (hit_rate ~hits:pool.cache_hits ~misses:pool.cache_misses) );
         ] );
   ]
+  @ Vliw_vp.Experiments.telemetry_sections ()
 
-(* The compute layers' memo counters, under the name and shape the
-   [--telemetry] summary gives them: the spec-unit artifact memo, with the
-   region-formation memo nested as [region_unit]. *)
-let spec_unit_section () =
-  let fields (s : Vliw_vp.Spec_unit.stats) =
-    [
-      ("hits", Jsonx.Int s.hits);
-      ("misses", Jsonx.Int s.misses);
-      ("evictions", Jsonx.Int s.evictions);
-    ]
+(* The two ratios of a work document, recomputed from its counts by the
+   functions that built them — after a sum, the summed counts. *)
+let ratios sections =
+  let count section field =
+    Option.value ~default:0
+      (Option.bind (List.assoc_opt section sections) (Jsonx.int_member field))
   in
-  ( "spec_unit",
-    Jsonx.Obj
-      (fields (Vliw_vp.Spec_unit.stats ())
-      @ [ ("region_unit", Jsonx.Obj (fields (Vliw_vp.Region_unit.stats ()))) ])
-  )
+  let set section field v =
+    List.map (function
+      | name, Jsonx.Obj fields when name = section ->
+          let put (k, x) = (k, if k = field then Jsonx.Float v else x) in
+          (name, Jsonx.Obj (List.map put fields))
+      | kv -> kv)
+  in
+  sections
+  |> set "cache" "hit_rate"
+       (hit_rate ~hits:(count "cache" "hits") ~misses:(count "cache" "misses"))
+  |> set "spec_eval" "vectors_per_word"
+       (Vliw_vp.Pipeline.vectors_per_word
+          ~words:(count "spec_eval" "bitset_words")
+          ~vectors:(count "spec_eval" "bitset_vectors"))

@@ -30,21 +30,24 @@ val rejected : t -> cid:int -> code:string -> unit
 (** {1 Rendering}
 
     A stats object is {!core_sections} followed by the work side's
-    sections: {!pool_sections} and {!spec_unit_section} of the one graph
-    in process, or those of every shard summed, plus a [workers] section,
-    by the supervisor. *)
+    sections: {!work_sections} of the one graph in process, or those of
+    every shard summed, plus a [workers] section, by the supervisor. *)
 
 val core_sections : t -> queue_depth:int -> (string * Jsonx.t) list
-(** The serve loop's sections: [uptime_s], [requests], [latency],
+(** The serve loop's sections: [uptime_s], [requests], [latency] (the
+    percentiles of the most recent 65,536 completed requests) and
     [clients]. *)
 
-val pool_sections : Vp_exec.Progress.snapshot -> (string * Jsonx.t) list
-(** The [graph] and [cache] sections of one execution context's
-    counters (including [node_evictions], the node-cache LRU's count of
-    dropped completed nodes). *)
+val work_sections : Vp_exec.Progress.t -> (string * Jsonx.t) list
+(** The [graph] and [cache] sections of one execution context's counters
+    (including [node_evictions], the node-cache LRU's count of dropped
+    completed nodes), followed by
+    {!Vliw_vp.Experiments.telemetry_sections}: [spec_unit], [spec_eval]
+    and [trace_sim], the sections [--telemetry] prints under the same
+    names. *)
 
-val spec_unit_section : unit -> string * Jsonx.t
-(** The [spec_unit] section: this process's {!Vliw_vp.Spec_unit} memo
-    counters ([hits], [misses], [evictions]) with the
-    {!Vliw_vp.Region_unit} formation memo's nested as [region_unit] — the
-    numbers [--telemetry] prints under the same name. *)
+val ratios : (string * Jsonx.t) list -> (string * Jsonx.t) list
+(** The work sections with [cache.hit_rate] and
+    [spec_eval.vectors_per_word] recomputed from their counts by the
+    functions that first built them. The supervisor applies it to the sum
+    of its shards' sections, whose ratios do not add. *)

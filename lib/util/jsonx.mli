@@ -1,11 +1,12 @@
-(** Minimal JSON for the serve wire protocol.
+(** Minimal JSON: the serve wire protocol and the telemetry document.
 
-    The project deliberately avoids new dependencies; this is the same
-    hand-rolled-JSON stance as {!Vp_exec.Progress.json_summary}, with a
-    parser added because the daemon must {e read} requests, not just emit
-    telemetry. Standard JSON, with two simplifications that are harmless
-    for this protocol: integers parse to [Int] (anything else to [Float]),
-    and [\uXXXX] escapes decode without surrogate-pair recombination. *)
+    The project deliberately avoids new dependencies, so this is
+    hand-rolled: every telemetry section ([--telemetry], served stats) is
+    built as a [t] and printed by {!to_string}, and the daemon {e reads}
+    requests with {!parse}. Standard JSON, with two simplifications that
+    are harmless here: integers parse to [Int] (anything else to
+    [Float]), and [\uXXXX] escapes decode without surrogate-pair
+    recombination. *)
 
 type t =
   | Null

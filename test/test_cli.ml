@@ -180,17 +180,10 @@ let test_valid_command_still_works () =
 let test_telemetry_spec_eval () =
   let code, err = run [ "table2"; "--telemetry"; "-" ] in
   checki "exit 0" 0 code;
-  List.iter
-    (fun field ->
-      checkb
-        (Printf.sprintf "telemetry has %S" field)
-        true (contains_sub err field))
-    [
-      "\"spec_eval\"";
-      "\"bitset_words\"";
-      "\"bitset_vectors\"";
-      "\"vectors_per_word\"";
-    ]
+  let doc = Telemetry_doc.parse err in
+  ignore (Telemetry_doc.int doc "spec_eval.bitset_words");
+  ignore (Telemetry_doc.int doc "spec_eval.bitset_vectors");
+  ignore (Telemetry_doc.float doc "spec_eval.vectors_per_word")
 
 (* The hardware-validation run must surface the trace simulator's counters
    as a [trace_sim] section: one benchmark is exactly one run. *)
@@ -199,21 +192,15 @@ let test_telemetry_trace_sim () =
     run [ "hardware"; "-b"; "compress"; "--telemetry"; "-" ]
   in
   checki "exit 0" 0 code;
+  let doc = Telemetry_doc.parse err in
+  checki "trace_sim.runs" 1 (Telemetry_doc.int doc "trace_sim.runs");
   List.iter
-    (fun field ->
-      checkb
-        (Printf.sprintf "telemetry has %S" field)
-        true (contains_sub err field))
-    [
-      "\"trace_sim\": {\"runs\": 1,";
-      "\"memo_hits\"";
-      "\"engine_replays\"";
-      "\"alias_evictions\"";
-    ];
+    (fun field -> ignore (Telemetry_doc.int doc ("trace_sim." ^ field)))
+    [ "memo_hits"; "alias_evictions" ];
   (* the run simulated something: at least one block execution reached the
      engine *)
   checkb "engine replays recorded" true
-    (not (contains_sub err "\"engine_replays\": 0,"))
+    (Telemetry_doc.int doc "trace_sim.engine_replays" > 0)
 
 (* [workers.count] is the number of domains a drain ran on: Table 2 over
    one benchmark is a three-node graph (the benchmark leaf, its reducer
@@ -230,10 +217,10 @@ let test_telemetry_workers_count () =
           ]
       in
       checki "exit 0" 0 code;
-      let field = Printf.sprintf "\"workers\": {\"count\": %d," count in
-      checkb
-        (Printf.sprintf "--jobs %d telemetry has %S" jobs field)
-        true (contains_sub err field))
+      checki
+        (Printf.sprintf "--jobs %d workers.count" jobs)
+        count
+        (Telemetry_doc.int (Telemetry_doc.parse err) "workers.count"))
     [ (4, 3); (1, 1) ]
 
 (* The cold suite's job-graph shape, counted exactly: 53 jobs (run_all,
@@ -256,16 +243,14 @@ let test_telemetry_suite_counts () =
       ]
   in
   checki "exit 0" 0 code;
+  let doc = Telemetry_doc.parse err in
   List.iter
-    (fun field ->
-      checkb
-        (Printf.sprintf "telemetry has %S" field)
-        true (contains_sub err field))
+    (fun (path, expected) -> checki path expected (Telemetry_doc.int doc path))
     [
-      "\"done\": 53,";
-      "\"deduped\": 34,";
-      "\"run_memo_hits\": 24,";
-      "\"run_memo_misses\": 24}";
+      ("jobs.done", 53);
+      ("graph.deduped", 34);
+      ("spec_eval.run_memo_hits", 24);
+      ("spec_eval.run_memo_misses", 24);
     ];
   checkb "no comparison memo section" false (contains_sub err "comparison")
 
@@ -362,22 +347,8 @@ let over_store ?exe dir args =
 (* [table2 -b compress] over the store [dir]. *)
 let table2 ?exe dir = over_store ?exe dir [ "table2"; "-b"; "compress" ]
 
-(* The counter [name] of the telemetry JSON's [section]. *)
-let counter json ~section name =
-  let rec find sub i =
-    if String.sub json i (String.length sub) = sub then i + String.length sub
-    else find sub (i + 1)
-  in
-  let at =
-    find
-      (Printf.sprintf "\"%s\": " name)
-      (find (Printf.sprintf "\"%s\": {" section) 0)
-  in
-  let stop = ref at in
-  while json.[!stop] >= '0' && json.[!stop] <= '9' do
-    incr stop
-  done;
-  int_of_string (String.sub json at (!stop - at))
+(* The counter at [path] of the telemetry document [json]. *)
+let counter json path = Telemetry_doc.int (Telemetry_doc.parse json) path
 
 (* No CCE-width point reads a speculated block's preparation (reference
    run, compiled kernel, static-recovery model, outcome vectors), so at
@@ -392,8 +363,8 @@ let test_telemetry_prep_memo () =
       ]
   in
   checki "exit 0" 0 code;
-  let hits = counter err ~section:"spec_eval" "prep_memo_hits"
-  and misses = counter err ~section:"spec_eval" "prep_memo_misses" in
+  let hits = counter err "spec_eval.prep_memo_hits"
+  and misses = counter err "spec_eval.prep_memo_misses" in
   checkb "some block was prepared" true (misses > 0);
   checki "hits = 3 x misses" (3 * misses) hits
 
@@ -410,12 +381,12 @@ let test_telemetry_hardware_kernels () =
       ]
   in
   checki "exit 0" 0 code;
-  let hits = counter err ~section:"spec_eval" "prep_memo_hits"
-  and misses = counter err ~section:"spec_eval" "prep_memo_misses" in
+  let hits = counter err "spec_eval.prep_memo_hits"
+  and misses = counter err "spec_eval.prep_memo_misses" in
   checkb "some block was prepared" true (misses > 0);
   checki "hits = misses" misses hits
 
-let cache_counter json name = counter json ~section:"cache" name
+let cache_counter json name = counter json ("cache." ^ name)
 
 (* A native ELF build carries a GNU build ID: the store stamps each entry
    with it, and a second run of the same binary reads every entry back. *)
@@ -505,7 +476,7 @@ let test_summary () =
       let warm, warm_tel = summary warm_jobs in
       checks (label "warm" warm_jobs) summary_bytes warm;
       checki (label "warm jobs done" warm_jobs) 2
-        (counter warm_tel ~section:"jobs" "done");
+        (counter warm_tel "jobs.done");
       checki (label "warm hits" warm_jobs) 2 (cache_counter warm_tel "hits");
       checki (label "warm misses" warm_jobs) 0
         (cache_counter warm_tel "misses"))

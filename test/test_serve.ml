@@ -7,7 +7,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-module J = Vp_serve.Jsonx
+module J = Vp_util.Jsonx
 module P = Vp_serve.Protocol
 
 (* What ["all"] expands to: the names of the registry's [all] entries. *)
@@ -1146,6 +1146,71 @@ let test_e2e_node_cache_eviction () =
       checkb "evictions reported" true
         (Option.value ~default:0 (J.int_member "node_evictions" g) > 0))
 
+(* A request that bounds the CCB gets the Synchronization-register budget
+   to match, as the CCB sweep does: served overlap and table2 at
+   [ccb_capacity] 2 complete, and the overlap rows are the sweep's own
+   [CCB 2 entries] rows, which the golden suite pins. *)
+let test_e2e_bounded_ccb () =
+  with_server (fun client ->
+      let models =
+        [ Vp_workload.Spec_model.compress; Vp_workload.Spec_model.li ]
+      in
+      let served experiment =
+        let o =
+          Vp_serve.Client.submit client
+            (Vp_serve.Client.submit_spec ~experiments:[ experiment ]
+               ~benchmarks:[ "compress"; "li" ] ~seed:42
+               ~overrides:[ ("ccb_capacity", J.Int 2) ]
+               ())
+        in
+        match (o.error, o.results) with
+        | Some (code, m), _ -> Alcotest.failf "%s: %s: %s" experiment code m
+        | None, [ (_, data) ] -> data
+        | None, r -> Alcotest.failf "%s: %d results" experiment (List.length r)
+      in
+      ignore (served "table2");
+      let config =
+        List.assoc "CCB 2 entries" Vliw_vp.Experiments.ccb_capacity_sweep
+          Vliw_vp.Config.default
+      in
+      checks "overlap at CCB 2"
+        (Vliw_vp.Experiments.render_overlap
+           (run (fun g ->
+                Vliw_vp.Experiments.overlap_validation g ~config models))
+        ^ "\n")
+        (served "overlap"))
+
+(* The in-process daemon's stats carry the compute sections [--telemetry]
+   prints, built by the same function. *)
+let test_e2e_stats_sections () =
+  with_server (fun client ->
+      ignore (Vp_serve.Client.submit client (table2_spec ()));
+      let stats = Vp_serve.Client.stats client in
+      List.iter
+        (fun (name, section) ->
+          checks name (J.to_string section)
+            (J.to_string (Telemetry_doc.find stats name)))
+        (Vliw_vp.Experiments.telemetry_sections ()))
+
+(* The latency percentiles describe the most recent 65,536 requests: after
+   65,536 completions at 1 ms and as many at 3 ms, they read 3 ms. *)
+let test_latency_window () =
+  let t = Vp_serve.Telemetry.create () in
+  List.iter
+    (fun wall ->
+      for _ = 1 to 65_536 do
+        Vp_serve.Telemetry.completed t ~cid:0 ~wall
+      done)
+    [ 0.001; 0.003 ];
+  let stats = J.Obj (Vp_serve.Telemetry.core_sections t ~queue_depth:0) in
+  checki "requests.completed" 131_072
+    (Telemetry_doc.int stats "requests.completed");
+  checki "latency.count" 65_536 (Telemetry_doc.int stats "latency.count");
+  List.iter
+    (fun path ->
+      Alcotest.(check (float 1e-9)) path 3.0 (Telemetry_doc.float stats path))
+    [ "latency.p50_ms"; "latency.max_ms" ]
+
 (* --- the sharded daemon (subprocess): [Unix.fork] refuses to run in a
    process with domains, so these tests drive the real binary --- *)
 
@@ -1264,6 +1329,40 @@ let poll_busy_shard client ~seconds =
 
 let test_sharded_warm_all_is_lookups () =
   with_sharded ~workers:1 check_warm_all_is_lookups
+
+(* A cold two-shard daemon sums its shards' work sections: after table2
+   and hardware over compress and li, the stats carry all five, the trace
+   simulator ran once per benchmark, and the two ratios are those of the
+   summed counts, not sums of the shards' ratios. *)
+let test_sharded_stats_sum () =
+  with_sharded ~workers:2 (fun client ->
+      List.iter
+        (fun experiment ->
+          let o =
+            Vp_serve.Client.submit client
+              (Vp_serve.Client.submit_spec ~experiments:[ experiment ]
+                 ~benchmarks:[ "compress"; "li" ] ())
+          in
+          checkb (experiment ^ " ok") true (o.error = None))
+        [ "table2"; "hardware" ];
+      let stats = Vp_serve.Client.stats client in
+      List.iter
+        (fun name -> ignore (Telemetry_doc.find stats name))
+        [ "graph"; "cache"; "spec_unit"; "spec_eval"; "trace_sim" ];
+      checki "trace_sim.runs" 2 (Telemetry_doc.int stats "trace_sim.runs");
+      let count = Telemetry_doc.int stats in
+      let hits = count "cache.hits" and misses = count "cache.misses" in
+      Alcotest.(check (float 0.0))
+        "cache.hit_rate"
+        (if hits + misses = 0 then 0.0
+         else float_of_int hits /. float_of_int (hits + misses))
+        (Telemetry_doc.float stats "cache.hit_rate");
+      Alcotest.(check (float 0.0))
+        "spec_eval.vectors_per_word"
+        (Vliw_vp.Pipeline.vectors_per_word
+           ~words:(count "spec_eval.bitset_words")
+           ~vectors:(count "spec_eval.bitset_vectors"))
+        (Telemetry_doc.float stats "spec_eval.vectors_per_word"))
 
 (* One raw submit, under one id that must be escaped, sent to the
    in-process daemon and to a one-shard daemon: the client gets the same
@@ -1540,11 +1639,15 @@ let () =
           tc "node-cache eviction" test_e2e_node_cache_eviction;
           tc "unsupported width" test_e2e_unsupported_width;
           tc "render node eviction" test_e2e_render_node_eviction;
+          tc "bounded CCB" test_e2e_bounded_ccb;
+          tc "stats carry the CLI's sections" test_e2e_stats_sections;
+          tc "latency window" test_latency_window;
         ] );
       ( "sharded",
         [
           tc "byte identity" test_sharded_byte_identity;
           tc "warm all is lookups" test_sharded_warm_all_is_lookups;
+          tc "stats sum the shards' sections" test_sharded_stats_sum;
           tc "raw streams agree with in-process" test_raw_streams_agree;
           tc "worker lost and re-fork" test_sharded_worker_lost;
           tc "admission: overloaded" (admission_overloaded one_shard);

@@ -169,23 +169,10 @@ let test_profile_rates_caching () =
 
 (* --- preparation memo: every hit equals a fresh preparation --- *)
 
-(* The integer field [name] of a telemetry JSON object. *)
-let json_int json name =
-  let key = Printf.sprintf "\"%s\": " name in
-  let rec find i =
-    if String.sub json i (String.length key) = key then i + String.length key
-    else find (i + 1)
-  in
-  let at = find 0 in
-  let stop = ref at in
-  while json.[!stop] >= '0' && json.[!stop] <= '9' do
-    incr stop
-  done;
-  int_of_string (String.sub json at (!stop - at))
-
 let prep_counters () =
-  let json = Vliw_vp.Pipeline.telemetry_json () in
-  (json_int json "prep_memo_hits", json_int json "prep_memo_misses")
+  let spec_eval = Vliw_vp.Pipeline.telemetry () in
+  ( Telemetry_doc.int spec_eval "prep_memo_hits",
+    Telemetry_doc.int spec_eval "prep_memo_misses" )
 
 (* The CCE-width sweep over one model, at a seed no other test here runs:
    each speculated block is prepared at the first point and read back at

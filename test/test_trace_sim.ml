@@ -187,23 +187,11 @@ let test_fast_deterministic () =
   let r2 = Vliw_vp.Trace_sim.run ~executions:500 p in
   Alcotest.check result "repeat run identical" r1 r2
 
-(* The integer fields of the [spec_eval] telemetry object. *)
+(* The integer fields of the [spec_eval] telemetry section. *)
 let spec_eval_counters () =
-  let json = Vliw_vp.Pipeline.telemetry_json () in
+  let spec_eval = Vliw_vp.Pipeline.telemetry () in
   List.map
-    (fun name ->
-      let key = Printf.sprintf "\"%s\": " name in
-      let rec find i =
-        if String.sub json i (String.length key) = key then
-          i + String.length key
-        else find (i + 1)
-      in
-      let at = find 0 in
-      let stop = ref at in
-      while json.[!stop] >= '0' && json.[!stop] <= '9' do
-        incr stop
-      done;
-      (name, int_of_string (String.sub json at (!stop - at))))
+    (fun name -> (name, Telemetry_doc.int spec_eval name))
     [ "bitset_words"; "bitset_vectors"; "prep_memo_hits"; "prep_memo_misses" ]
 
 let test_telemetry_counters () =
@@ -256,22 +244,16 @@ let test_telemetry_counters () =
   ignore (Vliw_vp.Trace_sim.run ~executions:200 ~table:aliased p);
   let s3 = Vliw_vp.Trace_sim.stats () in
   checkb "alias evictions surfaced" true (s3.alias_evictions > 0);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  checkb "telemetry json renders the section" true
-    (let j = Vliw_vp.Trace_sim.telemetry_json () in
-     String.length j > 0
-     && String.sub j 0 1 = "{"
-     && List.for_all (contains j)
-          [
-            "\"runs\"";
-            "memo_hits";
-            "engine_replays";
-            "alias_evictions";
-          ])
+  let section = Vliw_vp.Trace_sim.telemetry () in
+  List.iter
+    (fun (name, value) ->
+      checki ("telemetry " ^ name) value (Telemetry_doc.int section name))
+    [
+      ("runs", s3.runs);
+      ("memo_hits", s3.memo_hits);
+      ("engine_replays", s3.engine_replays);
+      ("alias_evictions", s3.alias_evictions);
+    ]
 
 let () =
   Alcotest.run "trace_sim"
