@@ -281,11 +281,12 @@ let () =
     in
     write_all 0;
     (* Count terminal frames: done / error per id. *)
+    let dec = Vp_serve.Protocol.Decoder.create () in
     let done_ids = Hashtbl.create 16 and rejected = ref 0 in
     let rejected_codes = Hashtbl.create 4 in
     (try
        while Hashtbl.length done_ids < n do
-         match Vp_serve.Protocol.read_frame fd with
+         match Vp_serve.Protocol.read_frame dec fd with
          | None -> raise Exit
          | Some payload -> (
              match Jsonx.parse payload with

@@ -345,28 +345,10 @@ val threshold_sweep : (string * (Config.t -> Config.t)) list
     "kept at a fairly low percentage ... to analyze the mispredictions
     cases as well"). *)
 
-val prediction_budget_sweep : (string * (Config.t -> Config.t)) list
-(** Max predictions per block 1, 2, 4, 8. *)
-
 val ccb_capacity_sweep : (string * (Config.t -> Config.t)) list
 (** Compensation Code Buffer sizes 2, 4, 8, 16 and unbounded, each with
     its matching Synchronization-register budget
     ({!Config.with_ccb_capacity}). *)
-
-val sync_width_sweep : (string * (Config.t -> Config.t)) list
-(** Synchronization-register widths 4, 8, 16, 32 bits. *)
-
-val predictor_sweep : (string * (Config.t -> Config.t)) list
-(** Profiling-predictor sets: last-value / stride / FCM alone, the paper's
-    stride+FCM pair, and the pair plus DFCM — justifying the paper's
-    Section-3 profiling choice. *)
-
-val cce_width_sweep : (string * (Config.t -> Config.t)) list
-(** CCE retirements per cycle 1, 2, 4, 8 (1 is the paper's engine). *)
-
-val accounting_sweep : (string * (Config.t -> Config.t)) list
-(** VLIW-retire vs full-CCE-drain block accounting (see
-    {!Config.t.charge_cce_drain}). *)
 
 (** A named ablation sweep. *)
 type ablation = {
@@ -378,8 +360,14 @@ type ablation = {
 }
 
 val ablation_sweeps : ablation list
-(** The seven sweeps above: threshold, predictions, ccb, syncbits,
-    ccewidth, predictors, accounting. {!Artifact} makes one artifact of
+(** The seven sweeps: threshold and ccb above; predictions (max
+    predictions per block 1, 2, 4, 8); syncbits (Synchronization-register
+    widths 4, 8, 16, 32 bits); ccewidth (CCE retirements per cycle 1, 2,
+    4, 8, where 1 is the paper's engine); predictors (last-value, stride
+    or FCM alone, the paper's stride+FCM pair, and the pair plus DFCM,
+    justifying the paper's Section-3 profiling choice); accounting
+    (VLIW-retire against full-CCE-drain block accounting, see
+    {!Config.t.charge_cce_drain}). {!Artifact} makes one artifact of
     each. *)
 
 val render_ablation :

@@ -9,11 +9,12 @@ type stats = Vp_util.Memo.stats = { hits : int; misses : int; evictions : int }
    sweep points hand in the workload memo's one physical program, and
    region formation keeps every block it does not merge, so [==] finds
    each sharer without digesting the IR. The rest of each key is compared
-   by value. Every table holds 8192 entries. *)
+   by value. Every table holds 32768 entries, so a cold frontier or
+   report, the largest runs, fills none. *)
 type sched_key = { s_block : Vp_ir.Block.t; s_descr : Vp_machine.Descr.t }
 
 let sched : (sched_key, Vp_sched.Schedule.t) Vp_util.Memo.t =
-  Vp_util.Memo.create 8192
+  Vp_util.Memo.create 32768
     ~hash:(fun k -> Hashtbl.hash k.s_block)
     ~equal:(fun a b -> a.s_block == b.s_block && a.s_descr = b.s_descr)
 
@@ -27,13 +28,13 @@ type xform_key = {
 }
 
 let xform : (xform_key, Vp_vspec.Transform.outcome) Vp_util.Memo.t =
-  Vp_util.Memo.create 8192
+  Vp_util.Memo.create 32768
     ~hash:(fun k -> Hashtbl.hash k.x_block)
     ~equal:(fun a b ->
       a.x_block == b.x_block && a.x_descr = b.x_descr
       && a.x_policy = b.x_policy && a.x_rates = b.x_rates)
 
-let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 8192
+let rates : (string, float array) Vp_util.Memo.t = Vp_util.Memo.create 32768
 
 let stats () = Vp_util.Memo.(total [ stats sched; stats xform; stats rates ])
 

@@ -49,9 +49,5 @@ val collector : unit -> observer * (unit -> snapshot list)
 (** [let observer, trace = collector ()] — pass [observer] to the engine,
     call [trace ()] afterwards for the snapshots in cycle order. *)
 
-val state_name : ovb_state -> string
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 val pp : Format.formatter -> snapshot list -> unit
 (** The full Figure-7-style cycle table. *)

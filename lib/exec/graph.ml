@@ -1,37 +1,28 @@
 (* The suite job graph, and the one executor. All structural state —
-   nodes, edges, readiness, the priority heap — lives behind one graph
+   nodes, edges, readiness, the ready queue — lives behind one graph
    mutex; payloads execute outside it, in [execute_node], which also does
    the store lookup of a cacheable node and the job accounting. Results
    are stored as [Obj.t]: the key is the node's only identity under
    in-flight dedup, so the phantom type on ['a node] is the caller's
-   contract, as with the store's [Marshal] payloads. *)
+   contract, as with the store's [Marshal] payloads.
 
-exception Cycle of string list
-
-let () =
-  Printexc.register_printer (function
-    | Cycle path ->
-        Some
-          (Printf.sprintf "dependency cycle: %s" (String.concat " -> " path))
-    | _ -> None)
+   Edges are made only when a node is declared, from it to nodes already
+   on the graph, so the graph is acyclic by construction. *)
 
 type status =
   | Pending  (** has unfinished dependencies *)
-  | Ready  (** in the heap, waiting for a worker *)
+  | Ready  (** in the ready queue, waiting for a worker *)
   | Running
   | Finished of (Obj.t, string) result
 
 type nd = {
-  id : int;  (** declaration sequence number — the deterministic tiebreak *)
   key : string;
   label : string;
   cache : bool;
   payload : unit -> Obj.t;
   mutable status : status;
-  mutable deps : nd list;
-  mutable dependents : nd list;
+  mutable dependents : nd list;  (** emptied when the node finishes *)
   mutable unmet : int;  (** unfinished dependencies *)
-  mutable crit : int;  (** critical-path priority: 1 + longest dependent chain *)
   mutable waiters : ((Obj.t, string) result -> unit) list;
       (** completion subscriptions; fired once, outside the graph mutex *)
   mutable stamp : int;
@@ -45,73 +36,13 @@ type packed = nd
 let pack n = n
 let key n = n.key
 
-(* Heap entries snapshot (crit, id) at push time. A node whose priority
-   rises while Ready is pushed again; the stale lower-priority entry pops
-   later and is skipped because the node is no longer Ready. *)
-type entry = { e_crit : int; e_id : int; e_nd : nd }
-
-module Heap = struct
-  type t = { mutable a : entry array; mutable n : int }
-
-  let create () = { a = [||]; n = 0 }
-
-  (* max-heap: higher crit first, then earlier declaration *)
-  let above x y = x.e_crit > y.e_crit || (x.e_crit = y.e_crit && x.e_id < y.e_id)
-
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (max 16 (2 * h.n)) e in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    h.a.(h.n) <- e;
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      above h.a.(!i) h.a.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let best = ref !i in
-        if l < h.n && above h.a.(l) h.a.(!best) then best := l;
-        if r < h.n && above h.a.(r) h.a.(!best) then best := r;
-        if !best = !i then continue := false
-        else begin
-          let tmp = h.a.(!best) in
-          h.a.(!best) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !best
-        end
-      done;
-      Some top
-    end
-end
-
 type t = {
   ctx : Context.t;
   mutex : Mutex.t;
   cond : Condition.t;
   by_key : (string, nd) Hashtbl.t;
-  heap : Heap.t;
-  mutable next_id : int;
+  ready : nd Queue.t;
+  mutable declared : int;
   mutable pending : int;  (** nodes not yet [Finished] *)
   mutable running_count : int;
   mutable fired : (unit -> unit) list;
@@ -132,8 +63,8 @@ let create ctx =
     mutex = Mutex.create ();
     cond = Condition.create ();
     by_key = Hashtbl.create 64;
-    heap = Heap.create ();
-    next_id = 0;
+    ready = Queue.create ();
+    declared = 0;
     pending = 0;
     running_count = 0;
     fired = [];
@@ -143,7 +74,7 @@ let create ctx =
     tick = 0;
   }
 
-let size t = t.next_id
+let size t = t.declared
 let retained t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.by_key)
 let set_node_cap t cap = Mutex.protect t.mutex (fun () -> t.node_cap <- cap)
 
@@ -153,34 +84,20 @@ let touch t n =
 
 (* --- node-cache LRU; graph mutex held --- *)
 
-(* Eviction drops the graph's references to a cold, successfully finished
-   node: its [by_key] entry plus the edge lists tying it to neighbours.
-   Dependents read leaf values through direct [nd] refs captured in their
-   payload closures, never through [by_key], so unlinking is purely a
-   memory/identity decision — the record stays alive exactly as long as
-   some closure still needs it. A later declaration of the same key
-   recomputes; store-cached leaves answer from the warm on-disk store, so
-   eviction trades a cheap re-render for bounded resident memory. Only
-   [Finished (Ok _)] nodes with no waiters are candidates: failed nodes
-   keep their sticky diagnostic for [await], unfinished nodes are live
-   work. Removing a finished node's edges cannot hide a dependency cycle:
-   a finished node's dep edges are frozen, and every path through it
-   reaches only other finished nodes — never a node that could still gain
-   an edge. *)
+(* Eviction drops the graph's reference to a cold, successfully finished
+   node: its [by_key] entry. A finished node holds no edges, and
+   dependents read leaf values through direct [nd] refs captured in their
+   payload closures, never through [by_key], so the record stays alive
+   exactly as long as some closure still needs it. A later declaration of
+   the same key recomputes; store-cached leaves answer from the warm
+   on-disk store, so eviction trades a cheap re-render for bounded
+   resident memory. Only [Finished (Ok _)] nodes with no waiters are
+   candidates: failed nodes keep their sticky diagnostic for [await],
+   unfinished nodes are live work. *)
 let evictable n =
   match n.status with
   | Finished (Ok _) -> n.waiters = []
   | Pending | Ready | Running | Finished (Error _) -> false
-
-let unlink_evicted n =
-  List.iter
-    (fun d -> d.dependents <- List.filter (fun x -> not (x == n)) d.dependents)
-    n.deps;
-  List.iter
-    (fun d -> d.deps <- List.filter (fun x -> not (x == n)) d.deps)
-    n.dependents;
-  n.deps <- [];
-  n.dependents <- []
 
 (* Triggered past the cap, evict down to 90% of it (batching amortizes the
    O(n log n) candidate sort), oldest stamps first. *)
@@ -201,41 +118,17 @@ let maybe_evict t =
         Array.sort (fun a b -> compare a.stamp b.stamp) arr;
         let k = min excess (Array.length arr) in
         for i = 0 to k - 1 do
-          let n = arr.(i) in
-          Hashtbl.remove t.by_key n.key;
-          unlink_evicted n;
+          Hashtbl.remove t.by_key arr.(i).key;
           Progress.node_evicted t.ctx.Context.progress
         done
       end
 
 (* --- structural helpers; graph mutex held --- *)
 
-let rec dep_path src target =
-  if src == target then Some [ src.key ]
-  else
-    List.fold_left
-      (fun acc d ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match dep_path d target with
-            | Some path -> Some (src.key :: path)
-            | None -> None))
-      None src.deps
-
 let make_ready t n =
   n.status <- Ready;
-  Heap.push t.heap { e_crit = n.crit; e_id = n.id; e_nd = n };
+  Queue.push n t.ready;
   Condition.broadcast t.cond
-
-let rec bump_crit t n c =
-  if n.crit < c then begin
-    n.crit <- c;
-    (match n.status with
-    | Ready -> Heap.push t.heap { e_crit = n.crit; e_id = n.id; e_nd = n }
-    | Pending | Running | Finished _ -> ());
-    List.iter (fun d -> bump_crit t d (c + 1)) n.deps
-  end
 
 (* Completion subscriptions fire outside the mutex: finishing a node (in
    any way — success, failure, poisoning) moves its waiters onto [t.fired]
@@ -260,57 +153,48 @@ let flush_fired t =
   | [] -> ()
   | fs -> List.iter (fun f -> f ()) (List.rev fs)
 
+(* Finish [n] with [result] and hand back its dependents, which nothing
+   reads after this: a finished node keeps no edges. *)
+let finish t n result =
+  n.status <- Finished result;
+  enqueue_waiters t n result;
+  t.pending <- t.pending - 1;
+  let dependents = n.dependents in
+  n.dependents <- [];
+  dependents
+
+(* A dependent of an unfinished node is [Pending] until its last
+   dependency finishes, so only [Pending] nodes are poisoned. *)
 let rec poison t n ~root ~msg =
   match n.status with
-  | Pending | Ready ->
+  | Pending ->
       let msg' = Printf.sprintf "poisoned: dependency %s failed: %s" root msg in
-      n.status <- Finished (Error msg');
-      enqueue_waiters t n (Error msg');
-      Condition.broadcast t.cond;
-      t.pending <- t.pending - 1;
       (* account the node as a failed job: it was queued and will never
          run, so started/failed keeps the progress ledger balanced *)
       Progress.job_started t.ctx.Context.progress;
       Progress.job_failed t.ctx.Context.progress ~wall:0.0;
-      List.iter (fun d -> poison t d ~root ~msg) n.dependents
-  | Running | Finished _ -> ()
+      List.iter
+        (fun d -> poison t d ~root ~msg)
+        (finish t n (Error msg'))
+  | Ready | Running | Finished _ -> ()
 
-let link t n ~on:d =
-  match n.status with
-  | Running | Finished _ -> ()  (* ordering already satisfied *)
-  | Pending | Ready ->
-      if d == n then raise (Cycle [ n.key ]);
-      if not (List.memq d n.deps) then begin
-        (match dep_path d n with
-        | Some path -> raise (Cycle (n.key :: path))
-        | None -> ());
-        n.deps <- d :: n.deps;
-        bump_crit t d (n.crit + 1);
-        match d.status with
-        | Finished (Ok _) -> ()
-        | Finished (Error msg) -> poison t n ~root:d.key ~msg
-        | Pending | Ready | Running ->
-            d.dependents <- n :: d.dependents;
-            n.unmet <- n.unmet + 1;
-            (* a Ready node that gains a live dependency is un-readied;
-               its stale heap entry is skipped on pop *)
-            if n.status = Ready then n.status <- Pending
+(* Order [d] before the node [n] being declared: count it as unmet while
+   it is unfinished (once, however often [deps] lists it), or poison [n]
+   when it has failed. *)
+let link t n d =
+  match d.status with
+  | Finished (Ok _) -> ()
+  | Finished (Error msg) -> poison t n ~root:d.key ~msg
+  | Pending | Ready | Running ->
+      if n.status = Pending && not (List.memq n d.dependents) then begin
+        d.dependents <- n :: d.dependents;
+        n.unmet <- n.unmet + 1
       end
-
-let fail_node t n msg =
-  n.status <- Finished (Error msg);
-  enqueue_waiters t n (Error msg);
-  Condition.broadcast t.cond;
-  t.pending <- t.pending - 1;
-  List.iter (fun d -> poison t d ~root:n.key ~msg) n.dependents
 
 let settle t n (outcome : (Obj.t, string) result) =
   match outcome with
   | Ok v ->
-      n.status <- Finished (Ok v);
       touch t n;
-      enqueue_waiters t n (Ok v);
-      t.pending <- t.pending - 1;
       List.iter
         (fun d ->
           match d.status with
@@ -318,89 +202,58 @@ let settle t n (outcome : (Obj.t, string) result) =
               d.unmet <- d.unmet - 1;
               if d.unmet = 0 then make_ready t d
           | Ready | Running | Finished _ -> ())
-        n.dependents;
+        (finish t n (Ok v));
       maybe_evict t
-  | Error msg -> fail_node t n msg
-
-let rec pop_ready t =
-  match Heap.pop t.heap with
-  | None -> None
-  | Some e -> (
-      match e.e_nd.status with
-      | Ready ->
-          e.e_nd.status <- Running;
-          t.running_count <- t.running_count + 1;
-          Some e.e_nd
-      | Pending | Running | Finished _ -> pop_ready t)
+  | Error msg ->
+      List.iter (fun d -> poison t d ~root:n.key ~msg) (finish t n (Error msg))
 
 (* --- declaration --- *)
 
-let node t ?label ?(cache = true) ~key ?(deps = []) payload =
-  let n =
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.by_key key with
-        | Some existing ->
-            Progress.job_deduped t.ctx.Context.progress;
-            touch t existing;
-            List.iter (fun d -> link t existing ~on:d) deps;
-            existing
-        | None ->
-            let label =
-              match label with
-              | Some l -> l
-              | None ->
-                  if String.length key <= 24 then key else String.sub key 0 24
-            in
-            let n =
-              {
-                id = t.next_id;
-                key;
-                label;
-                cache;
-                payload = (fun () -> Obj.repr (payload ()));
-                status = Pending;
-                deps = [];
-                dependents = [];
-                unmet = 0;
-                crit = 1;
-                waiters = [];
-                stamp = 0;
-              }
-            in
-            t.next_id <- t.next_id + 1;
-            t.pending <- t.pending + 1;
-            Hashtbl.add t.by_key key n;
-            touch t n;
-            Progress.add_queued t.ctx.Context.progress 1;
-            List.iter (fun d -> link t n ~on:d) deps;
-            (* a dependency that had already failed poisoned [n] *)
-            if n.unmet = 0 && n.status = Pending then make_ready t n;
-            maybe_evict t;
-            n)
-  in
-  (* linking onto an already-failed dependency poisons dependents, which
-     may have subscriptions to fire *)
-  flush_fired t;
+(* A declaration of a key already on the graph, and a lookup that finds
+   one: one dedup and an LRU touch; graph mutex held. *)
+let deduped t n =
+  Progress.job_deduped t.ctx.Context.progress;
+  touch t n;
   n
 
-(* The dedup branch of [node] without a declaration: no payload, no
-   dependencies to link, so nothing can fire. *)
-let find t ~key =
+let node t ?label ?(cache = true) ~key ?(deps = []) payload =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.by_key key with
-      | Some existing ->
-          Progress.job_deduped t.ctx.Context.progress;
-          touch t existing;
-          Some existing
-      | None -> None)
+      | Some existing -> deduped t existing
+      | None ->
+          let label =
+            match label with
+            | Some l -> l
+            | None ->
+                if String.length key <= 24 then key else String.sub key 0 24
+          in
+          let n =
+            {
+              key;
+              label;
+              cache;
+              payload = (fun () -> Obj.repr (payload ()));
+              status = Pending;
+              dependents = [];
+              unmet = 0;
+              waiters = [];
+              stamp = 0;
+            }
+          in
+          t.declared <- t.declared + 1;
+          t.pending <- t.pending + 1;
+          Hashtbl.add t.by_key key n;
+          touch t n;
+          Progress.add_queued t.ctx.Context.progress 1;
+          List.iter (link t n) deps;
+          (* a dependency that had already failed poisoned [n] *)
+          if n.unmet = 0 && n.status = Pending then make_ready t n;
+          maybe_evict t;
+          n)
 
-let add_dep t n ~on =
+let find t ~key =
   Mutex.protect t.mutex (fun () ->
-      match n.status with
-      | Running | Finished _ ->
-          invalid_arg "Graph.add_dep: node already running or finished"
-      | Pending | Ready -> link t n ~on);
-  flush_fired t
+      Option.map (deduped t) (Hashtbl.find_opt t.by_key key))
 
 let on_complete t (n : 'a node) (f : ('a, string) result -> unit) =
   let immediate =
@@ -469,25 +322,22 @@ let execute_node t n =
   | Error _ -> Progress.job_failed progress ~wall);
   outcome
 
-let stall_keys t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun _ n acc ->
-         match n.status with Finished _ -> acc | _ -> n.key :: acc)
-       t.by_key [])
-
-(* The one worker loop. It runs ready nodes in priority order, and with
-   nothing ready it waits for a declaration or a completion. Once the
+(* The one worker loop. It runs ready nodes first come, first served, and
+   with nothing ready it waits for a declaration or a completion. Once the
    stop flag is set it exits as soon as nothing is ready and nothing is
-   running: a drain has then run every node it can, and resident workers
-   everything queued before [stop_workers]. *)
+   running: a drain has then run every node (the graph is acyclic, so an
+   unfinished node always has a dependency that can run), and resident
+   workers everything queued before [stop_workers]. *)
 let worker t () =
   let rec loop () =
     let action =
       Mutex.protect t.mutex (fun () ->
           let rec get () =
-            match pop_ready t with
-            | Some n -> `Run n
+            match Queue.take_opt t.ready with
+            | Some n ->
+                n.status <- Running;
+                t.running_count <- t.running_count + 1;
+                `Run n
             | None ->
                 if t.stop && t.running_count = 0 then `Stop
                 else begin
@@ -525,9 +375,7 @@ let drain t =
     else
       Array.iter Domain.join
         (Array.init workers (fun _ -> Domain.spawn (worker t)));
-    Progress.finish t.ctx.Context.progress;
-    if Mutex.protect t.mutex (fun () -> t.pending > 0) then
-      raise (Cycle (stall_keys t))
+    Progress.finish t.ctx.Context.progress
   end
 
 (* --- resident workers (the daemon's drain) --- *)
@@ -574,5 +422,5 @@ let await t (n : 'a node) : 'a =
   | Finished (Error message) ->
       raise (Context.Job_failed { key = n.key; label = n.label; message })
   | Pending | Ready | Running ->
-      (* drain either finishes every node or raises *)
+      (* a drain finishes every node of the acyclic graph *)
       assert false

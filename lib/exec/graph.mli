@@ -22,12 +22,12 @@
     [Marshal]-typed payloads, where type safety is the caller's side of
     the bargain.
 
-    {b Priority.} Ready nodes run in critical-path order: a node's
-    priority is the length of the longest dependency chain hanging off it
-    (a leaf three reducers deep outranks a free-standing leaf), with the
-    declaration sequence breaking ties. With [jobs = 1] the drain is fully
-    deterministic — nodes run one at a time in that order — which keeps
-    sequential output the byte-identical reference for any [--jobs N].
+    {b Priority.} Ready nodes run first come, first served: a node joins
+    the ready queue when its last dependency finishes, or at declaration
+    when it has none unfinished. With [jobs = 1] the drain is fully
+    deterministic — nodes run one at a time in that order — and every
+    result is a pure function of its key, so sequential output is the
+    byte-identical reference for any [--jobs N].
 
     {b Failure.} A node that raises poisons its transitive dependents,
     including those declared after it failed: they are marked failed
@@ -35,13 +35,13 @@
     unaffected; {!await} on a failed or poisoned node raises
     {!Context.Job_failed}.
 
-    {b Cycles.} Dependency edges are checked at declaration; an edge that
-    would close a cycle raises {!Cycle} with the offending key path, so a
-    cyclic suite fails fast rather than deadlocking the drain. *)
+    {b Acyclic by construction.} A node's dependency edges are made
+    once, when it is declared, and run to nodes already on the graph, so
+    no cycle can form and a drain always finishes every node. *)
 
 type t
 (** A graph of declared nodes bound to one {!Context.t}. Declare with
-    {!node}/{!add_dep}, run with {!await} or {!drain}. Not reentrant:
+    {!node}, run with {!await} or {!drain}. Not reentrant:
     declaring or awaiting from inside a node's payload is unsupported. *)
 
 type 'a node
@@ -50,9 +50,6 @@ type 'a node
 
 type packed
 (** An existentially packed node, for heterogeneous dependency lists. *)
-
-exception Cycle of string list
-(** The key path of the rejected dependency cycle, source first. *)
 
 val create : Context.t -> t
 (** An empty graph over the context's worker count, store and progress
@@ -78,9 +75,9 @@ val node :
     a computed one is written back. Reducers pass [~cache:false] — their
     inputs are already cached or deduped, and a store round-trip on the
     fold would just marshal the same data twice.
-    Dedup keeps the first declaration's label, cache flag, payload
-    {e and} dependencies; later [deps] are still linked (and
-    cycle-checked) so the union of declared orderings holds. *)
+    Dedup keeps the first declaration's label, cache flag, payload and
+    dependencies: a key's dependencies are those of its first
+    declaration, and a later declaration's [deps] are not linked. *)
 
 val find : t -> key:string -> 'a node option
 (** The node already on the graph under [key], exactly as the dedup branch
@@ -96,12 +93,6 @@ val value : 'a node -> 'a
     inside a dependent's payload, or after {!await}/{!drain} — and raises
     [Invalid_argument] otherwise. *)
 
-val add_dep : t -> packed -> on:packed -> unit
-(** [add_dep t n ~on:d] orders [d] before [n] after both were declared.
-    Raises {!Cycle} (and leaves the graph unchanged) if [d] already
-    depends on [n]; raises [Invalid_argument] if [n] is running or
-    finished. *)
-
 val await : t -> 'a node -> 'a
 (** The node's result, draining the {e whole} graph first if it has not
     finished — every declared node runs, not just the awaited subtree, so
@@ -109,7 +100,7 @@ val await : t -> 'a node -> 'a
     experiments' nodes interleave with the first await's drain. With
     {!start_workers} active, [await] instead blocks until the resident
     workers finish the node. Raises {!Context.Job_failed} if the node
-    failed, timed out or was poisoned. A payload must not await or drain
+    failed or was poisoned. A payload must not await or drain
     its own graph: the loop would wait for the running payload itself. *)
 
 val drain : t -> unit
@@ -118,19 +109,16 @@ val drain : t -> unit
     unfinished] workers (the count {!Progress.set_workers} records), told
     to exit once nothing is ready and nothing is running. A single worker
     runs in the calling domain, so a one-job drain spawns no domain; more
-    run on that many spawned domains. Raises {!Cycle} if nodes are then
-    still unfinished — defensive, {!node}/{!add_dep} already reject cyclic
-    edges. Raises [Invalid_argument] while resident workers
-    ({!start_workers}) run. *)
+    run on that many spawned domains. Raises [Invalid_argument] while
+    resident workers ({!start_workers}) run. *)
 
 val on_complete : t -> 'a node -> (('a, string) result -> unit) -> unit
 (** Subscribe to the node's completion: the callback fires exactly once
-    with [Ok value] or [Error diagnostic] (failure, timeout or poisoning),
+    with [Ok value] or [Error diagnostic] (failure or poisoning),
     immediately if the node has already finished. Callbacks run outside
     the graph mutex but {e on whichever thread finishes the node} — a
-    worker domain, or the declaring thread when declaration itself settles
-    the node (dedup onto a finished node, poisoning by a failed
-    dependency). They must be fast, must not raise and must not call back
+    worker domain — or on the subscribing thread when the node had
+    already finished. They must be fast, must not raise and must not call back
     into the graph; hand the result off to your own queue. This is how the
     serve daemon streams results: one subscription per request artifact,
     each callback enqueueing a response frame. *)
@@ -163,7 +151,7 @@ val set_node_cap : t -> int option -> unit
 (** Bound the number of retained nodes. Beyond the cap, the coldest
     successfully finished nodes (least recently declared, deduped onto,
     found by {!find} or completed) are evicted in batches down to 90% of
-    it: their [by_key] entry and edges are dropped,
+    it: the graph drops its reference to them,
     {!Progress.node_evicted} is recorded, and a later declaration of the
     same key recomputes — store-cached payloads answer from the warm
     on-disk store, so eviction bounds resident memory without forgetting

@@ -8,7 +8,7 @@
 
 type state = {
   artifacts : string list;  (* request order, for reassembly *)
-  mutable results : (string * string) list;  (* completion order, reversed *)
+  mutable results : (string * string) list;  (* arrival order, reversed *)
   mutable error : (string * string) option;  (* code, message *)
   mutable wall_s : float;
   mutable stats : Jsonx.t option;
@@ -18,7 +18,7 @@ type state = {
 
 type t = {
   fd : Unix.file_descr;
-  max_frame : int;
+  dec : Protocol.Decoder.t;
   pending : (string, state) Hashtbl.t;
   mutable next_id : int;
   tag : string;  (* per-connection id prefix *)
@@ -30,7 +30,7 @@ let conn_seq = Atomic.make 0
 let connect_fd fd =
   {
     fd;
-    max_frame = Protocol.default_max_frame;
+    dec = Protocol.Decoder.create ();
     pending = Hashtbl.create 16;
     next_id = 0;
     tag =
@@ -127,14 +127,14 @@ let dispatch t payload =
       | Some _ | None -> ())
 
 let read_one t =
-  match Protocol.read_frame ~max_frame:t.max_frame t.fd with
+  match Protocol.read_frame t.dec t.fd with
   | Some payload -> dispatch t payload
   | None -> failwith "serve client: server closed the connection"
 
-(* Reassemble results into the request's artifact order. Completion order
-   is nondeterministic; request order is what makes the concatenated
-   document byte-identical to the direct CLI run. Duplicate artifact names
-   consume successive completions. *)
+(* Reassemble results into the request's artifact order. A sharded
+   daemon interleaves its shards' streams as they complete; request order
+   is what makes the concatenated document byte-identical to the direct
+   CLI run. Duplicate artifact names consume successive completions. *)
 let in_request_order artifacts results =
   let remaining = ref results in
   let take artifact =

@@ -51,41 +51,13 @@ let write_frame fd payload =
   in
   go 0
 
-(* Blocking frame read (client side). [None] on clean EOF at a frame
-   boundary. *)
-let read_frame ?(max_frame = default_max_frame) fd =
-  let byte = Bytes.create 1 in
-  let rec read_len acc first =
-    match Unix.read fd byte 0 1 with
-    | 0 -> if first then None else failwith "serve: truncated frame header"
-    | _ -> (
-        match Bytes.get byte 0 with
-        | '\n' -> Some acc
-        | '0' .. '9' as c ->
-            let acc = (acc * 10) + (Char.code c - Char.code '0') in
-            if acc > max_frame then failwith "serve: frame too large"
-            else read_len acc false
-        | c -> failwith (Printf.sprintf "serve: bad frame header byte %C" c))
-  in
-  match read_len 0 true with
-  | None -> None
-  | Some len ->
-      let buf = Bytes.create len in
-      let rec fill off =
-        if off < len then
-          match Unix.read fd buf off (len - off) with
-          | 0 -> failwith "serve: truncated frame payload"
-          | n -> fill (off + n)
-      in
-      fill 0;
-      Some (Bytes.to_string buf)
-
-(* Incremental decoder (server side, non-blocking sockets). The unconsumed
-   bytes are [buf.[start .. stop - 1]]: a frame only advances [start], and
-   [feed] moves the live bytes to the front, or into a buffer twice the
-   size, only when the new bytes do not fit behind them. It compacts only
-   when at least as many bytes have been consumed as are live, so each byte
-   is copied a bounded number of times however the input is chunked. *)
+(* Incremental decoder (non-blocking sockets, and under [read_frame]).
+   The unconsumed bytes are [buf.[start .. stop - 1]]: a frame only
+   advances [start], and [feed] moves the live bytes to the front, or into
+   a buffer twice the size, only when the new bytes do not fit behind
+   them. It compacts only when at least as many bytes have been consumed
+   as are live, so each byte is copied a bounded number of times however
+   the input is chunked. *)
 module Decoder = struct
   type t = {
     max_frame : int;
@@ -133,8 +105,11 @@ module Decoder = struct
         match newline t.start with
         | Some nl -> (
             let raw = Bytes.sub_string t.buf t.start (nl - t.start) in
+            (* ASCII digits only: [int_of_string] alone also reads [0x10],
+               [1_0], [+5] and [-0] *)
+            let digits = String.for_all (fun c -> '0' <= c && c <= '9') raw in
             match int_of_string_opt raw with
-            | Some len when len >= 0 ->
+            | Some len when digits ->
                 if len > t.max_frame then
                   Error (Printf.sprintf "frame of %d bytes exceeds limit" len)
                 else begin
@@ -156,6 +131,29 @@ module Decoder = struct
           Ok (Some payload)
         end
 end
+
+(* Blocking frame read (client side): the decoder's frames, read in
+   blocks, so both sides share one header rule and its limits. The decoder
+   copies what it is fed, so one read buffer per domain serves every
+   connection. *)
+let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+let read_frame dec fd =
+  let buf = Domain.DLS.get read_buf in
+  let rec go () =
+    match Decoder.next dec with
+    | Ok (Some payload) -> Some payload
+    | Error msg -> failwith ("serve: " ^ msg)
+    | Ok None -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 ->
+            if dec.Decoder.start = dec.stop && dec.expect = None then None
+            else failwith "serve: truncated frame"
+        | n ->
+            Decoder.feed dec buf n;
+            go ())
+  in
+  go ()
 
 (* --- experiments --- *)
 

@@ -9,7 +9,8 @@
 
     {b Requests} (client to server): [submit], [stats], [ping],
     [shutdown]. {b Responses} (server to client): [accepted], [result]
-    (streamed, one per artifact, in {e completion} order), [done],
+    (streamed, one per artifact: in request order from one process or
+    shard, interleaved across shards as they complete), [done],
     [error], [stats], [pong], [shutting_down]. Every response carries the
     request's [id], so one connection can pipeline many requests and sort
     the interleaved responses. DESIGN.md ("Serve wire protocol") is the
@@ -30,16 +31,16 @@ val encode : Jsonx.t -> string
 val write_frame : Unix.file_descr -> string -> unit
 (** Blocking full write of one frame. *)
 
-val read_frame : ?max_frame:int -> Unix.file_descr -> string option
-(** Blocking read of one frame's payload; [None] on clean EOF at a frame
-    boundary. Raises [Failure] on a malformed header, a truncated frame or
-    one exceeding [max_frame]. *)
-
-(** Incremental frame decoder for the server's non-blocking sockets. *)
+(** Incremental frame decoder for the server's non-blocking sockets, and
+    the one reader of frame headers: a header is one or more ASCII digits
+    ([0x10], [+5], [-0] or [1_0] are malformed), at most [max_frame], with
+    its newline within its first 21 bytes. *)
 module Decoder : sig
   type t
 
   val create : ?max_frame:int -> unit -> t
+  (** [max_frame] defaults to {!default_max_frame}. *)
+
   val feed : t -> bytes -> int -> unit
 
   val next : t -> (string option, string) result
@@ -47,6 +48,13 @@ module Decoder : sig
       may follow. [Ok None] — need more bytes. [Error msg] — malformed or
       oversized; drop the connection. *)
 end
+
+val read_frame : Decoder.t -> Unix.file_descr -> string option
+(** Blocking read of one frame's payload through the connection's
+    decoder, which keeps any bytes read past the frame for the next call;
+    [None] on clean EOF at a frame boundary. Raises [Failure] on a
+    malformed header, a truncated frame or one exceeding the decoder's
+    [max_frame]. *)
 
 (** {1 Experiments} *)
 

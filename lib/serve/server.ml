@@ -15,10 +15,11 @@
      shared {!Vp_exec.Graph} whose resident worker domains
      ([Graph.start_workers], one per [--jobs]) execute them. Each artifact
      subscribes with [Graph.on_complete]; the callback — running on
-     whichever worker domain finished the node — pushes the rendered
-     result onto a mutex-protected completion queue and pokes the
-     self-pipe, so the select loop wakes at once. Nothing in the loop ever
-     blocks on a simulation.
+     whichever worker domain finished the node — fills the artifact's
+     slot of its request, queues the request on a mutex-protected
+     completion queue and pokes the self-pipe, so the select loop wakes at
+     once and sends each request's results in request order. Nothing in
+     the loop ever blocks on a simulation.
    - the forked shards of {!Supervisor}, reached over socketpairs.
 
    Sharing is the point of the local side: every request's nodes are
@@ -522,12 +523,18 @@ let local ~exec cfg t =
   {
     dispatch =
       (fun r spec (s : Protocol.submit) ->
-        List.iter
-          (fun artifact ->
+        (* A request's results go out in request order, whichever node the
+           workers finish first: a completion fills its artifact's slot,
+           and [step] sends the filled prefix. *)
+        let slots = Array.make (List.length s.experiments) None
+        and sent = ref 0 in
+        List.iteri
+          (fun i artifact ->
             let node = Spec.declare_artifact graph spec artifact in
             G.on_complete graph node (fun result ->
                 Mutex.protect lock (fun () ->
-                    completions := (r, artifact, result) :: !completions);
+                    slots.(i) <- Some (artifact, result);
+                    completions := (r, slots, sent) :: !completions);
                 wake t))
           s.experiments);
     step =
@@ -538,13 +545,27 @@ let local ~exec cfg t =
               completions := [];
               cs)
         in
+        let next slots sent =
+          Mutex.protect lock (fun () ->
+              if !sent < Array.length slots then slots.(!sent) else None)
+        in
         List.iter
-          (fun (r, artifact, result) ->
-            match result with
-            | Ok data -> deliver t r (Protocol.result_body ~artifact ~data)
-            | Error msg ->
-                fail t r
-                  (Protocol.reject "job_failed" "%s (artifact %s)" msg artifact))
+          (fun (r, slots, sent) ->
+            let rec flush () =
+              match next slots sent with
+              | None -> ()
+              | Some (artifact, result) ->
+                  incr sent;
+                  (match result with
+                  | Ok data ->
+                      deliver t r (Protocol.result_body ~artifact ~data)
+                  | Error msg ->
+                      fail t r
+                        (Protocol.reject "job_failed" "%s (artifact %s)" msg
+                           artifact));
+                  flush ()
+            in
+            flush ())
           (List.rev taken));
     fds = (fun () -> ([], []));
     stats = (fun k -> k (sections ()));

@@ -39,7 +39,6 @@ val get_float : t -> float option
 (** Accepts [Int] too. *)
 
 val get_bool : t -> bool option
-val get_list : t -> t list option
 val string_member : string -> t -> string option
 val int_member : string -> t -> int option
 val float_member : string -> t -> float option

@@ -423,23 +423,43 @@ let test_build_id_rejects () =
 
 module G = Vp_exec.Graph
 
-let test_graph_cycle_detection () =
-  (* An edge that closes a loop must be rejected at declaration, with the
-     offending key path, instead of deadlocking the drain. *)
-  let g = G.create Vp_exec.Context.sequential in
-  let a = G.node g ~cache:false ~key:"cyc-a" (fun _ -> 1) in
-  let b =
-    G.node g ~cache:false ~key:"cyc-b" ~deps:[ G.pack a ] (fun _ -> 2)
+(* Ready nodes run first come, first served: a one-job drain runs leaves
+   [a] and [b] in declaration order, though only [b] has a dependent, and
+   then [c], which joined the queue when [b] finished. *)
+let test_graph_first_come_first_served () =
+  let g = G.create (Vp_exec.Context.create ~jobs:1 ()) in
+  let order = ref [] in
+  let node key deps =
+    G.node g ~cache:false ~key ~deps:(List.map G.pack deps) (fun () ->
+        order := key :: !order)
   in
-  let c =
-    G.node g ~cache:false ~key:"cyc-c" ~deps:[ G.pack b ] (fun _ -> 3)
+  let _a = node "fifo-a" [] in
+  let b = node "fifo-b" [] in
+  let _c = node "fifo-c" [ b ] in
+  G.drain g;
+  Alcotest.(check (list string))
+    "run order" [ "fifo-a"; "fifo-b"; "fifo-c" ] (List.rev !order)
+
+(* A key's dependencies are those of its first declaration: re-declaring
+   [y] onto a failing dependency returns the first node, whose value
+   stands. *)
+let test_graph_first_declaration_deps () =
+  let g = G.create (Vp_exec.Context.create ~jobs:1 ()) in
+  let good = G.node g ~cache:false ~key:"first-good" (fun () -> 20) in
+  let y =
+    G.node g ~cache:false ~key:"first-y" ~deps:[ G.pack good ] (fun () ->
+        G.value good + 1)
   in
-  (match G.add_dep g (G.pack a) ~on:(G.pack c) with
-  | () -> Alcotest.fail "expected Cycle"
-  | exception G.Cycle path ->
-      checkb "path names the closing key" true (List.mem "cyc-c" path));
-  (* The graph is untouched by the rejected edge and still drains. *)
-  checki "graph still runs" 3 (G.await g c)
+  let bad = G.node g ~cache:false ~key:"first-bad" (fun () -> failwith "no") in
+  let y' =
+    G.node g ~cache:false ~key:"first-y" ~deps:[ G.pack bad ] (fun () ->
+        Alcotest.fail "a deduped payload must not run")
+  in
+  checkb "the re-declaration returns the first node" true (y' == y);
+  checki "the first declaration's value" 21 (G.await g y');
+  match G.await g bad with
+  | _ -> Alcotest.fail "expected Job_failed for the failing node"
+  | exception Vp_exec.Context.Job_failed _ -> ()
 
 let test_graph_diamond_dedup () =
   (* Two reducers each declare the same shared leaf key: the second
@@ -914,7 +934,9 @@ let () =
         ] );
       ( "graph",
         [
-          tc "cycle detection" test_graph_cycle_detection;
+          tc "first come, first served" test_graph_first_come_first_served;
+          tc "a key's dependencies are its first declaration's"
+            test_graph_first_declaration_deps;
           tc "diamond dedup" test_graph_diamond_dedup;
           tc "failure poisons dependents only"
             test_graph_failure_poisons_dependents_only;

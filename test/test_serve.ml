@@ -182,8 +182,9 @@ let decode_chunks ?max_frame chunks =
   go [] chunks
 
 (* One wire item: a well-formed frame, or one of the malformed headers the
-   decoder rejects (a non-numeric or negative length, a frame over the
-   limit, a header with no newline in its first 21 bytes). *)
+   decoder rejects (a length that is not plain decimal digits, signed or
+   written as an OCaml literal such as [0x10] or [1_0] included, a frame
+   over the limit, a header with no newline in its first 21 bytes). *)
 type item = Frame of string | Malformed of string
 
 let decoder_max_frame = 48
@@ -202,7 +203,9 @@ let item_gen =
             (fun s -> Malformed s)
             (oneof
                [
-                 oneofl [ "12x\n"; "-3\n"; "\n"; "0x\n"; " 5\n" ];
+                 oneofl
+                   [ "12x\n"; "-3\n"; "\n"; "0x\n"; " 5\n"; "0x10\n";
+                     "0o7\n"; "0b11\n"; "1_0\n"; "+5\n"; "-0\n" ];
                  map
                    (fun n -> P.frame (String.make n 'z'))
                    (decoder_max_frame + 1 -- 80);
@@ -925,7 +928,7 @@ let timeout run () =
         ((Vp_serve.Client.submit client (spec ())).error = None);
       expect_timeout "warm")
 
-(* [f fd] over one raw connection to the daemon. *)
+(* [f (fd, decoder)] over one raw connection to the daemon. *)
 let with_raw_connection socket f =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -933,21 +936,21 @@ let with_raw_connection socket f =
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-      f fd)
+      f (fd, P.Decoder.create ()))
 
 (* The next frame's payload; a daemon that sends none within 10 s fails
    the case instead of hanging it. *)
-let recv_raw fd =
-  match P.read_frame fd with
+let recv_raw (fd, dec) =
+  match P.read_frame dec fd with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Alcotest.fail "no frame within 10 s"
   | None -> Alcotest.fail "connection closed without a reply"
   | Some payload -> payload
 
 (* Send a frame; the parsed reply. *)
-let exchange fd payload =
-  P.write_frame fd payload;
-  match J.parse (recv_raw fd) with
+let exchange conn payload =
+  P.write_frame (fst conn) payload;
+  match J.parse (recv_raw conn) with
   | Ok j -> j
   | Error e -> Alcotest.failf "unparseable reply: %s" e
 
@@ -956,7 +959,7 @@ let stats_and_ping run () =
       (* A ping nested 100,000 levels deep is refused as a bad request
          before it reaches the protocol layer, and the same connection
          still gets its next ping answered. *)
-      with_raw_connection socket (fun fd ->
+      with_raw_connection socket (fun conn ->
           let deep =
             {|{"op":"ping","id":"deep","pad":|}
             ^ String.make 100_000 '[' ^ String.make 100_000 ']' ^ "}"
@@ -965,9 +968,9 @@ let stats_and_ping run () =
             Option.value ~default:"" (J.string_member field reply)
           in
           checks "deep frame rejected" "bad_request"
-            (member "code" (exchange fd deep));
+            (member "code" (exchange conn deep));
           checks "then pong" "pong"
-            (member "event" (exchange fd {|{"op":"ping","id":"p"}|})));
+            (member "event" (exchange conn {|{"op":"ping","id":"p"}|})));
       Vp_serve.Client.ping client;
       ignore (Vp_serve.Client.submit client (table2_spec ()));
       let stats = Vp_serve.Client.stats client in
@@ -993,10 +996,10 @@ let stats_and_ping run () =
    the parse is the reply. *)
 let ill_typed_submits_rejected run () =
   run [] (fun ~socket _client ->
-      with_raw_connection socket (fun fd ->
+      with_raw_connection socket (fun conn ->
           List.iter
             (fun (frame, _) ->
-              let reply = exchange fd frame in
+              let reply = exchange conn frame in
               let member field =
                 Option.value ~default:"" (J.string_member field reply)
               in
@@ -1368,16 +1371,17 @@ let test_sharded_stats_sum () =
    in-process daemon and to a one-shard daemon: the client gets the same
    frames, byte for byte, in the same order, whether a result was encoded
    in the loop's own process or re-headed on its way from a shard. Only
-   the wall time in [done] may differ. *)
+   the wall time in [done] may differ. The results come in request order,
+   though [example] has no dependency and is ready first. *)
 let test_raw_streams_agree () =
   let submit =
     {|{"op":"submit","id":"raw \"1\" \\ \u00e9","experiments":["table2","example"],"benchmarks":["compress"]}|}
   in
   let stream ~socket _client =
-    with_raw_connection socket (fun fd ->
-        P.write_frame fd submit;
+    with_raw_connection socket (fun conn ->
+        P.write_frame (fst conn) submit;
         let rec go acc =
-          let frame = recv_raw fd in
+          let frame = recv_raw conn in
           match J.parse frame with
           | Ok j when J.string_member "event" j = Some "done" ->
               (* up to the wall time, its last field *)
@@ -1392,7 +1396,16 @@ let test_raw_streams_agree () =
   let local = with_server_at ~jobs:1 stream in
   let sharded = one_shard [] stream in
   checki "accepted, two results, done" 4 (List.length local);
-  Alcotest.(check (list string)) "same frames" local sharded
+  Alcotest.(check (list string)) "same frames" local sharded;
+  Alcotest.(check (list string))
+    "results in request order" [ "table2"; "example" ]
+    (List.filter_map
+       (fun frame ->
+         match J.parse frame with
+         | Ok j when J.string_member "event" j = Some "result" ->
+             J.string_member "artifact" j
+         | Ok _ | Error _ -> None)
+       local)
 
 let test_sharded_worker_lost () =
   with_sharded ~workers:2 (fun client ->
